@@ -1,7 +1,7 @@
 //! Thread-scaling benchmark for the batch-query runtime (experiment E8).
 //!
 //! Workload: the scale-free temporal contact network at a size whose
-//! compiled timeline holds hundreds of thousands of edge events, far
+//! compiled index holds hundreds of thousands of edge events, far
 //! beyond the commuter-line fixtures. The measured operation is the
 //! `ReachabilityMatrix` / `delivery_ratio` shape — a slice of
 //! all-destinations single-source engine runs sharing one compiled
@@ -14,10 +14,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tvg_journeys::{Batch, BatchRunner, SearchLimits, WaitingPolicy};
 use tvg_model::generators::scale_free_temporal;
-use tvg_model::{NodeId, Tvg, TvgIndex};
+use tvg_model::{NodeId, TemporalIndex, Tvg, TvgIndex};
 
 /// E8 workload: large enough that one batch is hundreds of engine runs
-/// over a six-figure event timeline, small enough to iterate.
+/// over a six-figure edge-event count, small enough to iterate.
 fn workload() -> (Tvg<u64>, u64) {
     (scale_free_temporal(20_000, 256, 42), 256)
 }

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tvg_journeys::engine::foremost_tree;
 use tvg_journeys::{SearchLimits, WaitingPolicy};
 use tvg_model::generators::scale_free_temporal;
-use tvg_model::{narrow_tvg, NodeId, TvgIndex};
+use tvg_model::{narrow_tvg, NodeId, TemporalIndex, TvgIndex};
 use tvg_testkit::refengine::ref_foremost_tree;
 
 const HORIZON: u64 = 256;

@@ -11,8 +11,8 @@
 //!   tails), independent of how much schedule has accumulated;
 //! * `flat_clone`: a deep copy of every column the snapshot exposes
 //!   (presence sets, adjacency lists, destinations, monotonicity
-//!   cache, the event timeline, and the graph) — what publication
-//!   cost before the persistent refactor, O(index).
+//!   cache, and the graph) — what publication cost before the
+//!   persistent refactor, O(index).
 //!
 //! Besides the criterion timings the bench prints the per-publish cost
 //! at ¼, ½, ¾ and full ingest: flat-clone cost grows with accumulated
@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 use tvg_model::generators::scale_free_temporal;
 use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
-use tvg_model::{EdgeEvent, EdgeId, IntervalSet, NodeId, Tvg};
+use tvg_model::{EdgeId, IntervalSet, NodeId, Tvg};
 
 const HORIZON: u64 = 48;
 const BATCH: usize = 512;
@@ -43,7 +43,6 @@ struct FlatSnapshot {
     arrival_monotone: Vec<bool>,
     adjacency: Vec<Vec<EdgeId>>,
     dsts: Vec<NodeId>,
-    events: Vec<EdgeEvent<u64>>,
 }
 
 fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
@@ -58,7 +57,6 @@ fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
             .collect(),
         adjacency: g.nodes().map(|n| index.out_edges(n).to_vec()).collect(),
         dsts: edges.iter().map(|&e| index.dst(e)).collect(),
-        events: index.edge_events().cloned().collect(),
         g,
     }
 }

@@ -18,11 +18,11 @@ use rand::SeedableRng;
 use tvg_journeys::engine::{foremost_to, foremost_tree};
 use tvg_journeys::{SearchLimits, WaitingPolicy};
 use tvg_model::generators::{random_periodic_tvg, RandomPeriodicParams};
-use tvg_model::{NodeId, Tvg, TvgIndex};
+use tvg_model::{NodeId, TemporalIndex, Tvg, TvgIndex};
 use tvg_testkit::{fixtures, tickscan};
 
-/// The large generated workload: sized so the compiled timeline holds at
-/// least 10_000 edge events below the benchmark horizon.
+/// The large generated workload: sized so the compiled index holds at
+/// least 10_000 edge events (two per span) below the benchmark horizon.
 fn large_tvg() -> (Tvg<u64>, u64) {
     let params = RandomPeriodicParams {
         num_nodes: 64,

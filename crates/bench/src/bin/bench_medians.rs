@@ -41,7 +41,7 @@ use tvg_journeys::{IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_model::generators::{random_periodic_tvg, scale_free_temporal, RandomPeriodicParams};
 use tvg_model::stream::{StreamEvent, TvgStream};
 use tvg_model::tvgi::{write_tvgi, ShardedIndex};
-use tvg_model::{narrow_tvg, NodeId, Tvg, TvgIndex};
+use tvg_model::{narrow_tvg, NodeId, TemporalIndex, Tvg, TvgIndex};
 
 /// Metrics are compared against at least this many microseconds of
 /// baseline: sub-millisecond medians (the 30 µs pair queries) are

@@ -20,7 +20,7 @@
 
 use tvg_bench::fmt_arrival;
 use tvg_journeys::{Batch, BatchRunner, IncrementalForemost, WaitingPolicy};
-use tvg_model::NodeId;
+use tvg_model::{NodeId, TemporalIndex};
 use tvg_scenarios::{Plan, Scenario};
 
 fn policies() -> [WaitingPolicy<u64>; 3] {

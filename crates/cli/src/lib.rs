@@ -297,7 +297,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                 summary.num_nodes,
                 summary.num_edges,
                 summary.num_spans,
-                summary.num_events,
+                2 * summary.num_spans,
             )
             .expect("string write");
             Ok(out)

@@ -28,7 +28,7 @@
 use crate::engine::{foremost_to, rebuild, ParentMap};
 use crate::{Hop, Journey, WaitingPolicy};
 use std::collections::{BTreeMap, BTreeSet};
-use tvg_model::{EdgeId, NodeId, Time, Tvg, TvgIndex};
+use tvg_model::{EdgeId, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
 
 /// Hard bounds on a journey search.
 #[derive(Debug, Clone, PartialEq, Eq)]

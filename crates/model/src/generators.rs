@@ -90,9 +90,9 @@ pub fn random_periodic_tvg<R: Rng + ?Sized>(
 ///
 /// Node *contact degrees* — the number of contact events a node
 /// participates in — follow the attachment process's power law: a few
-/// hubs carry most of the timeline while most nodes meet rarely. This is
+/// hubs carry most of the contacts while most nodes meet rarely. This is
 /// the large-scale batch/bench workload (experiment E8): at `n` in the
-/// tens of thousands the compiled timeline holds millions of edge
+/// tens of thousands the compiled index holds millions of edge
 /// events, a different regime from the commuter-line and ring fixtures.
 ///
 /// Fully determined by `(n, horizon, seed)`.
@@ -990,6 +990,6 @@ mod tests {
         assert_eq!(s.index().tvg().num_nodes(), 11);
         assert_eq!(s.num_departed(), 3);
         assert!(s.index().tvg().num_edges() > 0, "peers made contact");
-        assert!(s.index().num_edge_events() > 0);
+        assert!(crate::TemporalIndex::num_edge_events(s.index()) > 0);
     }
 }

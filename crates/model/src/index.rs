@@ -8,9 +8,15 @@
 //! * per-edge presence as a sorted [`IntervalSet`] with binary-search
 //!   `next_departure` and gap-skipping instant enumeration;
 //! * CSR-packed out-edge adjacency (one contiguous slice per node);
-//! * a global time-sorted edge-event timeline (every appearance and
-//!   disappearance of every edge), the substrate for event-driven
-//!   consumers and the unit benchmarks size workloads by.
+//! * flat per-edge destination and constant-latency columns.
+//!
+//! That is all a journey needs: in the paper's model a TVG is
+//! `(V, E, T, ρ, ζ)`, and every `nowait`, `wait[d]`, and `wait` query
+//! reads only presence `ρ` and latency `ζ`. No global time-sorted
+//! timeline is kept; the edge-event count reports carry is derived from
+//! the spans ([`TemporalIndex::num_edge_events`]), and the one consumer
+//! that needs events in time order — the stream replay — sorts its own
+//! (`TvgStream::replay_of`).
 //!
 //! Compile once, query many: the single-source journey engine in
 //! `tvg-journeys` and the protocol simulators in `tvg-dynnet` all run on
@@ -115,8 +121,10 @@ fn assert_index_is_shareable<T: Time + Send + Sync + 'static>() {
 /// than concrete containers, so an implementation backed by raw file
 /// arenas is as first-class as one holding native structures. Every
 /// derived query (presence tests, next-departure search, window
-/// enumeration, crossings) is provided on top of the required
-/// primitives and behaves identically for every implementation.
+/// enumeration, crossings, the edge-event count) is provided on top of
+/// the required primitives and behaves identically for every
+/// implementation. Call these through the trait: the concrete indexes
+/// keep only the inherent accessors that return concrete types.
 pub trait TemporalIndex<T: Time> {
     /// Number of nodes the index answers for.
     fn num_nodes(&self) -> usize;
@@ -147,6 +155,16 @@ pub trait TemporalIndex<T: Time> {
     /// Arrival of a crossing of `e` known to depart at a present instant
     /// `t` (skips the presence test; `None` only on latency overflow).
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T>;
+
+    /// Total number of edge events — one appearance and one
+    /// disappearance per presence span (an open span's provisional close
+    /// included) — the workload-size measure reports and benchmarks are
+    /// parameterized by.
+    fn num_edge_events(&self) -> usize {
+        (0..self.num_edges())
+            .map(|i| 2 * self.presence(EdgeId::from_index(i)).len())
+            .sum()
+    }
 
     /// The earliest departure of `e` at or after `from` (within the
     /// horizon), by binary search.
@@ -241,30 +259,10 @@ impl<T: Time, I: TemporalIndex<T>> TemporalIndex<T> for std::sync::Arc<I> {
     }
 }
 
-/// Whether an edge appears or disappears at an event instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EdgeEventKind {
-    /// The edge becomes present at this instant.
-    Appear,
-    /// The edge becomes absent at this instant (exclusive span end).
-    Disappear,
-}
-
-/// One entry of the global edge-event timeline.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EdgeEvent<T> {
-    /// The instant of the transition.
-    pub time: T,
-    /// The edge transitioning.
-    pub edge: EdgeId,
-    /// The direction of the transition.
-    pub kind: EdgeEventKind,
-}
-
 /// A [`Tvg`] compiled against a departure horizon.
 ///
 /// ```
-/// use tvg_model::{Latency, Presence, TvgBuilder, TvgIndex};
+/// use tvg_model::{Latency, Presence, TemporalIndex, TvgBuilder, TvgIndex};
 ///
 /// let mut b = TvgBuilder::<u64>::new();
 /// let (u, v) = (b.node("u"), b.node("v"));
@@ -289,15 +287,13 @@ pub struct TvgIndex<'g, T> {
     csr_edges: Vec<EdgeId>,
     dsts: Vec<NodeId>,
     const_lat: Vec<Option<T>>,
-    events: Vec<EdgeEvent<T>>,
 }
 
 impl<'g, T: Time> TvgIndex<'g, T> {
     /// Compiles `g` for departures in `[0, horizon]`.
     ///
     /// Cost is linear in the total number of presence intervals below the
-    /// horizon (plus a sort of the event timeline); every subsequent
-    /// presence query is a binary search.
+    /// horizon; every subsequent presence query is a binary search.
     #[must_use]
     pub fn compile(g: &'g Tvg<T>, horizon: T) -> Self {
         let presence: Vec<IntervalSet<T>> = g
@@ -323,31 +319,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
                 _ => None,
             })
             .collect();
-        // Two events per presence span, known up front — size the
-        // timeline exactly so the push loop never reallocates.
-        let total_spans: usize = presence.iter().map(IntervalSet::num_spans).sum();
-        let mut events = Vec::with_capacity(2 * total_spans);
-        for (i, set) in presence.iter().enumerate() {
-            let edge = EdgeId::from_index(i);
-            for (start, end) in set.spans() {
-                events.push(EdgeEvent {
-                    time: start.clone(),
-                    edge,
-                    kind: EdgeEventKind::Appear,
-                });
-                events.push(EdgeEvent {
-                    time: end.clone(),
-                    edge,
-                    kind: EdgeEventKind::Disappear,
-                });
-            }
-        }
-        debug_assert_eq!(
-            events.len(),
-            events.capacity(),
-            "event timeline presized exactly"
-        );
-        events.sort();
         TvgIndex {
             g,
             horizon,
@@ -357,7 +328,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
             csr_edges,
             dsts,
             const_lat,
-            events,
         }
     }
 
@@ -365,12 +335,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
     #[must_use]
     pub fn tvg(&self) -> &'g Tvg<T> {
         self.g
-    }
-
-    /// The inclusive departure horizon the index was compiled for.
-    #[must_use]
-    pub fn horizon(&self) -> &T {
-        &self.horizon
     }
 
     /// Outgoing edges of `n` as one contiguous CSR slice (builder order,
@@ -392,91 +356,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
     #[must_use]
     pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
         &self.presence[e.index()]
-    }
-
-    /// The earliest departure of `e` at or after `from` (within the
-    /// horizon), by binary search — the compiled counterpart of
-    /// `Presence::next_present_within(from, horizon)`.
-    ///
-    /// Convenience delegation to the [`TemporalIndex`] default (as are
-    /// all the derived queries below): the trait's provided methods are
-    /// the single source of truth, so a live index and a compiled one
-    /// can never drift apart.
-    #[must_use]
-    pub fn next_departure(&self, e: EdgeId, from: &T) -> Option<T> {
-        TemporalIndex::next_departure(self, e, from)
-    }
-
-    /// Enumerates the departures of `e` within the inclusive window
-    /// `[from, until]`, skipping absent stretches.
-    #[must_use]
-    pub fn departures_within<'a>(
-        &'a self,
-        e: EdgeId,
-        from: &'a T,
-        until: &'a T,
-    ) -> Instants<'a, T> {
-        TemporalIndex::departures_within(self, e, from, until)
-    }
-
-    /// Whether `e` is present at `t` (binary search; agrees with
-    /// [`Tvg::is_present`] for `t <= horizon`, always `false` beyond).
-    #[must_use]
-    pub fn is_present(&self, e: EdgeId, t: &T) -> bool {
-        TemporalIndex::is_present(self, e, t)
-    }
-
-    /// Attempts to traverse `e` departing at `t`: the compiled
-    /// counterpart of [`Tvg::traverse`] (presence by binary search,
-    /// latency through the schedule as before).
-    #[must_use]
-    pub fn traverse(&self, e: EdgeId, t: &T) -> Option<T> {
-        TemporalIndex::traverse(self, e, t)
-    }
-
-    /// Arrival of a crossing of `e` known to depart at a present instant
-    /// `t` (skips the presence test; `None` only on latency overflow).
-    #[must_use]
-    pub fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        TemporalIndex::arrival(self, e, t)
-    }
-
-    /// Whether `e`'s arrival is known to be non-decreasing in its
-    /// departure (cached [`crate::Latency::arrival_is_monotone`]): if so,
-    /// the earliest departure in a window is also the earliest arrival.
-    #[must_use]
-    pub fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        TemporalIndex::arrival_is_monotone(self, e)
-    }
-
-    /// Every admissible crossing from `node` departing within the
-    /// inclusive window `[from, until]`: `(edge, depart, arrive)` triples
-    /// in out-edge order, departures ascending per edge, absent
-    /// stretches skipped and latency overflows dropped.
-    ///
-    /// This is the compiled counterpart of the tick-scan `expansions`
-    /// primitive and the shared inner loop of the journey searches.
-    pub fn crossings<'a>(
-        &'a self,
-        node: NodeId,
-        from: &'a T,
-        until: &'a T,
-    ) -> impl Iterator<Item = (EdgeId, T, T)> + 'a {
-        TemporalIndex::crossings(self, node, from, until)
-    }
-
-    /// The global edge-event timeline, sorted by time: every appearance
-    /// and disappearance of every edge within the compiled window.
-    #[must_use]
-    pub fn edge_events(&self) -> &[EdgeEvent<T>] {
-        &self.events
-    }
-
-    /// Total number of edge events (twice the interval count) — the
-    /// workload-size measure the index benchmarks are parameterized by.
-    #[must_use]
-    pub fn num_edge_events(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -583,16 +462,19 @@ mod tests {
 
     #[test]
     fn event_timeline_is_sorted_and_complete() {
+        // The timeline is derived, not stored: two events per span, and
+        // the replay feed lists every appearance in time order.
         let g = sample();
         let idx = TvgIndex::compile(&g, 11);
-        let events = idx.edge_events();
-        assert!(events.windows(2).all(|w| w[0] <= w[1]));
         // e0: spans {0,1},{4,5},{8,9} → 6 events; e1: (6,12) → 2; e2: none.
         assert_eq!(idx.num_edge_events(), 8);
-        let appearances: Vec<(u64, usize)> = events
+        let (_, feed) = crate::stream::TvgStream::replay_of(&g, &11).expect("representable");
+        let appearances: Vec<(u64, usize)> = feed
             .iter()
-            .filter(|ev| ev.kind == EdgeEventKind::Appear)
-            .map(|ev| (ev.time, ev.edge.index()))
+            .filter_map(|ev| match ev {
+                crate::stream::StreamEvent::Up { edge, at } => Some((*at, edge.index())),
+                _ => None,
+            })
             .collect();
         assert_eq!(appearances, vec![(0, 0), (4, 0), (6, 1), (8, 0)]);
     }

@@ -156,12 +156,6 @@ impl<T: Time> IntervalSet<T> {
         IntervalSet::from_spans(out)
     }
 
-    /// The last (rightmost) span, if any.
-    #[must_use]
-    pub fn last_span(&self) -> Option<&(T, T)> {
-        self.spans.last()
-    }
-
     /// Appends a span at the right end of the set, preserving
     /// normalization: an empty span is dropped, a span starting at or
     /// before the current last end is merged into it (streaming
@@ -515,7 +509,6 @@ mod tests {
         assert_eq!(s.spans(), &[(2, 7), (9, 12)]);
         s.append_span(10, 11); // contained: absorbed
         assert_eq!(s.spans(), &[(2, 7), (9, 12)]);
-        assert_eq!(s.last_span(), Some(&(9, 12)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`TvgIndex`] / [`IntervalSet`] — the compiled query layer: per-edge
 //!   presence materialized as sorted half-open intervals over a horizon
 //!   (binary-search next-presence, gap-skipping departure enumeration),
-//!   CSR out-edge adjacency, and a global sorted edge-event timeline.
+//!   CSR out-edge adjacency, and flat destination/latency columns.
 //! * [`narrow_tvg`] — timeline compression: rebuilds a `u64`-timed TVG
 //!   over `u32` instants when the horizon (and every provable arrival)
 //!   fits, halving the time keys in the engine's hot structures; refusal
@@ -79,7 +79,7 @@ pub mod tvgi;
 
 pub use graph::Digraph;
 pub use ids::{EdgeId, NodeId};
-pub use index::{EdgeEvent, EdgeEventKind, EdgeRefs, TemporalIndex, TvgIndex};
+pub use index::{EdgeRefs, TemporalIndex, TvgIndex};
 pub use interval::{Instants, IntervalSet, SpanView};
 pub use narrow::{narrow_tvg, NarrowError};
 pub use schedule::{pq_power_index, Latency, Presence};

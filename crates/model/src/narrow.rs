@@ -226,7 +226,7 @@ fn narrow_latency(l: &Latency<u64>, horizon: u64, e: EdgeId) -> Result<Latency<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeId, TvgIndex};
+    use crate::{NodeId, TemporalIndex, TvgIndex};
     use std::collections::BTreeSet;
 
     fn e(i: usize) -> EdgeId {

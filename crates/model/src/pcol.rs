@@ -4,23 +4,16 @@
 //! [`crate::LiveIndex`] once per tick. With flat `Vec` columns every
 //! snapshot is an O(index) deep copy, so tick rate degrades with
 //! accumulated schedule size even when a tick touches a handful of
-//! edges. The two containers here make a snapshot O(changes) instead:
+//! edges. [`PCol`] makes a snapshot O(changes) instead: a chunked
+//! persistent column for per-edge / per-node data. Elements live in
+//! fixed-size chunks behind [`Arc`]; cloning the column clones chunk
+//! *handles* (refcount bumps), and a mutation after a clone copies only
+//! the one chunk it lands in (copy-on-write via [`Arc::make_mut`]).
+//! Appends go to a small owned tail that is frozen into an `Arc` chunk
+//! when full.
 //!
-//! * [`PCol`] — a chunked persistent column for per-edge / per-node
-//!   data. Elements live in fixed-size chunks behind [`Arc`]; cloning
-//!   the column clones chunk *handles* (refcount bumps), and a mutation
-//!   after a clone copies only the one chunk it lands in
-//!   (copy-on-write via [`Arc::make_mut`]). Appends go to a small owned
-//!   tail that is frozen into an `Arc` chunk when full.
-//! * [`PLog`] — a frozen-prefix log for the global edge-event timeline.
-//!   The stream's watermark discipline guarantees every timeline
-//!   mutation (insert, retract, provisional-close rewrite) lands at or
-//!   after the first event at the watermark, so everything strictly
-//!   before it can be sealed into immutable shared chunks; only the
-//!   mutable tail is copied per snapshot.
-//!
-//! Both containers count how many frozen chunks they share and how many
-//! chunk copies mutations forced, which is what the serve runtime's
+//! A column counts how many frozen chunks it shares and how many chunk
+//! copies mutations forced, which is what the serve runtime's
 //! publication metrics report: on a healthy schedule the copied count
 //! per tick tracks the tick's change set, not the index size.
 
@@ -28,9 +21,6 @@ use std::sync::Arc;
 
 /// Chunk capacity of per-edge / per-node [`PCol`] columns.
 pub const COL_CHUNK: usize = 64;
-
-/// Chunk capacity of the [`PLog`] event timeline.
-pub const LOG_CHUNK: usize = 1024;
 
 /// A chunked persistent column: `Arc`-shared fixed-size chunks plus an
 /// owned append tail.
@@ -145,185 +135,6 @@ impl<V: Clone, const N: usize> PCol<V, N> {
     }
 }
 
-/// A frozen-prefix persistent log: an immutable, `Arc`-shared chunked
-/// prefix plus an owned mutable tail.
-///
-/// Unlike [`PCol`], whose frozen region is fixed by element *count*,
-/// the log's frozen prefix is advanced explicitly by [`PLog::seal`]:
-/// the caller promises that every future `insert` / `remove` /
-/// `tail_from_mut` position lands at or after the seal point. The
-/// stream layer derives that promise from its watermark — timeline
-/// events strictly before the watermark can never be touched again.
-#[derive(Debug, Clone)]
-pub struct PLog<V, const N: usize> {
-    /// Sealed chunks of exactly `N` elements each.
-    full: Vec<Arc<Vec<V>>>,
-    /// The mutable suffix (any length).
-    tail: Vec<V>,
-}
-
-impl<V, const N: usize> Default for PLog<V, N> {
-    fn default() -> Self {
-        PLog::new()
-    }
-}
-
-impl<V, const N: usize> PLog<V, N> {
-    /// An empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        const { assert!(N > 0) };
-        PLog {
-            full: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.full.len() * N + self.tail.len()
-    }
-
-    /// `true` iff the log has no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.full.is_empty() && self.tail.is_empty()
-    }
-
-    /// Number of elements in the sealed (immutable, shared) prefix.
-    #[must_use]
-    pub fn frozen_len(&self) -> usize {
-        self.full.len() * N
-    }
-
-    /// Number of sealed (sharable) chunks.
-    #[must_use]
-    pub fn frozen_chunks(&self) -> u64 {
-        self.full.len() as u64
-    }
-
-    /// The element at `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &V {
-        let frozen = self.frozen_len();
-        if i < frozen {
-            &self.full[i / N][i % N]
-        } else {
-            &self.tail[i - frozen]
-        }
-    }
-
-    /// Iterates the elements in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &V> {
-        self.full
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
-    }
-
-    /// Reserves tail capacity for at least `additional` more elements.
-    pub fn reserve(&mut self, additional: usize) {
-        self.tail.reserve(additional);
-    }
-
-    /// Inserts `v` at position `pos`, which must lie in the mutable
-    /// tail — the caller's seal discipline guarantees it does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` lies in the sealed prefix or beyond the end.
-    pub fn insert(&mut self, pos: usize, v: V) {
-        let frozen = self.frozen_len();
-        assert!(
-            pos >= frozen,
-            "PLog::insert at {pos} inside the sealed prefix (< {frozen})"
-        );
-        self.tail.insert(pos - frozen, v);
-    }
-
-    /// Removes and returns the element at `pos`, which must lie in the
-    /// mutable tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` lies in the sealed prefix or beyond the end.
-    pub fn remove(&mut self, pos: usize) -> V {
-        let frozen = self.frozen_len();
-        assert!(
-            pos >= frozen,
-            "PLog::remove at {pos} inside the sealed prefix (< {frozen})"
-        );
-        self.tail.remove(pos - frozen)
-    }
-
-    /// Mutable access to the suffix starting at `pos`, which must lie
-    /// in the mutable tail (or be the one-past-the-end position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` lies in the sealed prefix or beyond the end.
-    pub fn tail_from_mut(&mut self, pos: usize) -> &mut [V] {
-        let frozen = self.frozen_len();
-        assert!(
-            pos >= frozen,
-            "PLog::tail_from_mut at {pos} inside the sealed prefix (< {frozen})"
-        );
-        &mut self.tail[pos - frozen..]
-    }
-
-    /// The index of the partition point of `pred` (binary search over
-    /// the whole log; the elements must be partitioned with respect to
-    /// `pred` exactly as for `slice::partition_point`).
-    pub fn partition_point(&self, mut pred: impl FnMut(&V) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.get(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Seals complete chunks so that every element strictly before
-    /// `upto` that fills a whole chunk becomes immutable and sharable.
-    /// Elements at `upto` and beyond (and a partial chunk below it)
-    /// stay in the mutable tail.
-    pub fn seal(&mut self, upto: usize) {
-        debug_assert!(upto <= self.len());
-        while self.frozen_len() + N <= upto {
-            let rest = self.tail.split_off(N);
-            self.full
-                .push(Arc::new(std::mem::replace(&mut self.tail, rest)));
-        }
-    }
-}
-
-impl<V: Ord, const N: usize> PLog<V, N> {
-    /// Binary search for `x` over the whole log (same contract as
-    /// `slice::binary_search` on the equivalent flat slice; the log
-    /// must be sorted).
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(pos)` with the insertion position if `x` is absent.
-    pub fn binary_search(&self, x: &V) -> Result<usize, usize> {
-        let pos = self.partition_point(|v| v < x);
-        if pos < self.len() && self.get(pos) == x {
-            Ok(pos)
-        } else {
-            Err(pos)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,61 +181,5 @@ mod tests {
         );
         assert_eq!(*c.get(1), 91);
         assert_eq!(*c.get(9), 99);
-    }
-
-    #[test]
-    fn plog_mutations_in_the_tail() {
-        let mut l: PLog<u64, 4> = PLog::new();
-        for i in 0..10 {
-            let pos = l.len();
-            l.insert(pos, i * 2);
-        }
-        assert_eq!(l.len(), 10);
-        // Seal the first two chunks (elements < 8 by index).
-        l.seal(8);
-        assert_eq!(l.frozen_len(), 8);
-        assert_eq!(l.frozen_chunks(), 2);
-        let snap = l.clone();
-        l.insert(9, 17);
-        assert_eq!(l.remove(8), 16);
-        l.tail_from_mut(8)[0] = 99;
-        assert_eq!(
-            l.iter().copied().collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8, 10, 12, 14, 99, 18]
-        );
-        assert_eq!(
-            snap.iter().copied().collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
-        );
-        assert_eq!(l.partition_point(|v| *v < 10), 5);
-        assert_eq!(l.binary_search(&6), Ok(3));
-        assert_eq!(l.binary_search(&7), Err(4));
-    }
-
-    #[test]
-    fn plog_seal_only_whole_chunks() {
-        let mut l: PLog<u64, 4> = PLog::new();
-        for i in 0..10 {
-            let pos = l.len();
-            l.insert(pos, i);
-        }
-        l.seal(7); // one whole chunk fits below 7
-        assert_eq!(l.frozen_len(), 4);
-        l.seal(7); // idempotent
-        assert_eq!(l.frozen_len(), 4);
-        l.seal(10);
-        assert_eq!(l.frozen_len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "sealed prefix")]
-    fn plog_rejects_frozen_mutation() {
-        let mut l: PLog<u64, 4> = PLog::new();
-        for i in 0..8 {
-            let pos = l.len();
-            l.insert(pos, i);
-        }
-        l.seal(8);
-        l.remove(3);
     }
 }

@@ -1,9 +1,9 @@
 //! Streaming TVG ingestion: schedules that *arrive* instead of being
 //! known up front.
 //!
-//! [`TvgIndex::compile`] is batch-only: it materializes a complete
-//! schedule against a horizon, so a single new contact event forces a
-//! full recompile. Real deployments of the paper's model — DTN traces,
+//! [`TvgIndex::compile`](crate::TvgIndex::compile) is batch-only: it
+//! materializes a complete schedule against a horizon, so a single new
+//! contact event forces a full recompile. Real deployments of the paper's model — DTN traces,
 //! contact loggers, link-state feeds — observe their schedule as a
 //! stream of *edge events*: a link comes up at `t`, goes down at `t'`, a
 //! previously unseen link appears, the observation window extends — and
@@ -16,20 +16,22 @@
 //!   the horizon) with typed [`StreamError`]s instead of panics, and
 //!   applies each accepted event to a [`LiveIndex`].
 //! * [`LiveIndex`] is the incrementally-maintained counterpart of
-//!   [`TvgIndex`]: the same per-edge [`IntervalSet`] presence, CSR
-//!   adjacency, and sorted edge-event timeline — but mutated at the
-//!   right edge per event instead of recompiled. It implements
-//!   [`TemporalIndex`], so the journey engine, the batch-query runtime,
-//!   and the protocol simulators run on it unchanged.
+//!   [`TvgIndex`](crate::TvgIndex): the same per-edge [`IntervalSet`]
+//!   presence and CSR adjacency — but mutated at the right edge per
+//!   event instead of recompiled. It implements [`TemporalIndex`], so the journey engine,
+//!   the batch-query runtime, and the protocol simulators run on it
+//!   unchanged.
 //!
 //! The maintenance contract, which the `tvg-testkit` `streamcheck`
 //! differential oracle enforces after every ingested batch: a
 //! [`LiveIndex`] is **structurally identical** to
 //! `TvgIndex::compile(&stream.to_tvg(), horizon)` — same presence spans,
-//! same adjacency, same event timeline. An edge whose last `Up` has no
-//! `Down` yet is *open*: it is presumed present through the horizon
-//! (provisional close at `horizon + 1`), and a later `Down` or horizon
-//! extension rewrites that provisional close in place.
+//! same adjacency. An edge whose last `Up` has no `Down` yet is *open*:
+//! it is presumed present through the horizon (provisional close at
+//! `horizon + 1`), and a later `Down` or horizon extension rewrites that
+//! provisional close in place. Every event is one append, truncation, or
+//! extension of one edge's last span; there is no global timeline to
+//! keep sorted.
 //!
 //! Every accepted event changes presence only at or after its own
 //! instant (the [`IngestReport::earliest_change`] watermark), which is
@@ -38,11 +40,8 @@
 //! must.
 
 use crate::interval::{IntervalSet, SpanView};
-use crate::pcol::{PCol, PLog, COL_CHUNK, LOG_CHUNK};
-use crate::{
-    EdgeEvent, EdgeEventKind, EdgeId, EdgeRefs, Latency, NodeId, Presence, TemporalIndex, Time,
-    Tvg, TvgBuilder, TvgIndex,
-};
+use crate::pcol::{PCol, COL_CHUNK};
+use crate::{EdgeId, EdgeRefs, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -230,12 +229,12 @@ pub struct IngestReport<T> {
     pub earliest_change: Option<T>,
 }
 
-/// The incrementally-maintained counterpart of [`TvgIndex`].
+/// The incrementally-maintained counterpart of [`TvgIndex`](crate::TvgIndex).
 ///
 /// Owns its graph (the stream grows it) and the same compiled structures
 /// a batch index holds: per-edge presence intervals, out-edge adjacency,
-/// the sorted edge-event timeline. Every query runs through the shared
-/// [`TemporalIndex`] trait, so consumers cannot tell a live index from a
+/// destination and constant-latency columns. Every query runs through
+/// the shared [`TemporalIndex`] trait, so consumers cannot tell a live index from a
 /// recompiled one — and the `streamcheck` oracle asserts they never
 /// could (structural identity after every batch).
 ///
@@ -266,10 +265,6 @@ pub struct LiveIndex<T> {
     adjacency: PCol<Vec<EdgeId>, COL_CHUNK>,
     dsts: PCol<NodeId, COL_CHUNK>,
     const_lat: PCol<Option<T>, COL_CHUNK>,
-    /// The global timeline. Its sealed prefix holds only events
-    /// strictly before the stream watermark, which the watermark
-    /// discipline proves are final (see [`TvgStream::seal_events`]).
-    events: PLog<EdgeEvent<T>, LOG_CHUNK>,
     /// How often topology growth had to unshare the graph.
     graph_copies: u64,
 }
@@ -288,24 +283,8 @@ impl<T: Time> LiveIndex<T> {
             adjacency: PCol::new(),
             dsts: PCol::new(),
             const_lat: PCol::new(),
-            events: PLog::new(),
             graph_copies: 0,
         })
-    }
-
-    /// The global edge-event timeline, sorted by time — maintained in
-    /// place, identical to the recompiled [`TvgIndex::edge_events`]
-    /// (open edges carry their provisional close at `horizon + 1`).
-    /// Chunked storage has no contiguous slice form, so this is an
-    /// iterator where the batch index hands out `&[EdgeEvent<T>]`.
-    pub fn edge_events(&self) -> impl Iterator<Item = &EdgeEvent<T>> {
-        self.events.iter()
-    }
-
-    /// Total number of edge events (twice the span count).
-    #[must_use]
-    pub fn num_edge_events(&self) -> usize {
-        self.events.len()
     }
 
     /// Frozen chunks across all persistent columns (plus the shared
@@ -317,7 +296,6 @@ impl<T: Time> LiveIndex<T> {
             + self.adjacency.frozen_chunks()
             + self.dsts.frozen_chunks()
             + self.const_lat.frozen_chunks()
-            + self.events.frozen_chunks()
             + 1 // the Arc'd graph
     }
 
@@ -342,19 +320,6 @@ impl<T: Time> LiveIndex<T> {
             self.graph_copies += 1;
         }
         Arc::make_mut(&mut self.g)
-    }
-
-    fn insert_event(&mut self, ev: EdgeEvent<T>) {
-        let pos = self.events.partition_point(|e| *e < ev);
-        self.events.insert(pos, ev);
-    }
-
-    fn remove_event(&mut self, ev: &EdgeEvent<T>) {
-        let pos = self
-            .events
-            .binary_search(ev)
-            .expect("timeline bookkeeping lost an event");
-        self.events.remove(pos);
     }
 }
 
@@ -446,7 +411,7 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
 
 /// What [`TvgStream::replay_of`] hands back: the mirrored stream (all
 /// edges initially absent) plus the event list that replays the source
-/// schedule in timeline order.
+/// schedule in time order.
 pub type ReplayFeed<T> = (TvgStream<T>, Vec<StreamEvent<T>>);
 
 /// The ingestion layer: validates appended events and maintains a
@@ -525,9 +490,9 @@ impl<T: Time> TvgStream<T> {
     ///
     /// The snapshot *shares* every frozen chunk and the graph with the
     /// live index (copying only chunk handles and the small mutable
-    /// tails), so taking one costs O(changes since sealing caught up),
-    /// not O(index) — later mutations copy-on-write the chunks they
-    /// touch and never disturb an outstanding snapshot.
+    /// tails), so taking one costs O(chunks), not O(index) — later
+    /// mutations copy-on-write the chunks they touch and never disturb
+    /// an outstanding snapshot.
     #[must_use]
     pub fn snapshot(&self) -> LiveIndex<T> {
         self.live.clone()
@@ -635,10 +600,6 @@ impl<T: Time> TvgStream<T> {
     /// The first [`StreamError`] encountered, with everything before it
     /// applied (and accounted to the next successful report).
     pub fn ingest(&mut self, events: &[StreamEvent<T>]) -> Result<IngestReport<T>, StreamError<T>> {
-        // Each Up adds at most two timeline entries (appear + provisional
-        // close) and Down/Extend rewrite in place — reserve the batch's
-        // worst case once instead of growing inside the per-event loop.
-        self.live.events.reserve(2 * events.len());
         let mut applied = 0;
         for ev in events {
             let changed_at = self.apply(ev)?;
@@ -649,31 +610,10 @@ impl<T: Time> TvgStream<T> {
                 }
             }
         }
-        self.seal_events();
         Ok(IngestReport {
             applied,
             earliest_change: self.unreported_change.take(),
         })
-    }
-
-    /// Seals the finalized prefix of the event timeline into immutable
-    /// shared chunks.
-    ///
-    /// Why everything strictly before the watermark is final: new
-    /// events must carry instants `>= watermark` (enforced by
-    /// `check_time`), so fresh timeline entries always sort at or after
-    /// the first event at the watermark; the retractions (`Up` merging
-    /// into the previous close, a zero-length `Up`/`Down` pair) target
-    /// events *at* the watermark exactly; and provisional closes live
-    /// at `horizon + 1 > watermark`. No mutation can ever land strictly
-    /// below the watermark, so that prefix is safe to freeze — which is
-    /// what keeps the mutable tail (and hence the per-snapshot copy)
-    /// small regardless of how much history has accumulated.
-    fn seal_events(&mut self) {
-        if let Some(w) = &self.watermark {
-            let upto = self.live.events.partition_point(|ev| ev.time < *w);
-            self.live.events.seal(upto);
-        }
     }
 
     /// Applies one event; returns the instant at which presence changed
@@ -745,34 +685,9 @@ impl<T: Time> TvgStream<T> {
                 since: since.clone(),
             });
         }
-        // Reopening exactly at the previous close merges spans (the
-        // normalized form has no adjacent spans), which also retracts
-        // the close event the earlier `Down` recorded.
-        let merges = self
-            .live
-            .presence
-            .get(e.index())
-            .last_span()
-            .is_some_and(|(_, end)| *end == *at);
-        if merges {
-            self.live.remove_event(&EdgeEvent {
-                time: at.clone(),
-                edge: e,
-                kind: EdgeEventKind::Disappear,
-            });
-        } else {
-            self.live.insert_event(EdgeEvent {
-                time: at.clone(),
-                edge: e,
-                kind: EdgeEventKind::Appear,
-            });
-        }
+        // Reopening exactly at the previous close merges into that span
+        // (the normalized form has no adjacent spans).
         let provisional_end = self.live.end.clone();
-        self.live.insert_event(EdgeEvent {
-            time: provisional_end.clone(),
-            edge: e,
-            kind: EdgeEventKind::Disappear,
-        });
         self.live
             .presence
             .get_mut(e.index())
@@ -796,39 +711,11 @@ impl<T: Time> TvgStream<T> {
         Ok(at.clone())
     }
 
-    /// Closes `e`'s open span at `at`: retracts the provisional close,
-    /// records the real one (or erases a zero-length span entirely), and
-    /// truncates the presence interval. Shared by `Down` and the
+    /// Closes `e`'s open span at `at`, replacing its provisional close
+    /// (a zero-length span is erased entirely). Shared by `Down` and the
     /// batched closes a `NodeLeave` performs. The caller validates and
     /// advances the watermark.
     fn close_open_span(&mut self, e: EdgeId, at: &T) {
-        self.live.remove_event(&EdgeEvent {
-            time: self.live.end.clone(),
-            edge: e,
-            kind: EdgeEventKind::Disappear,
-        });
-        let span_start = &self
-            .live
-            .presence
-            .get(e.index())
-            .last_span()
-            .expect("an open edge has a span")
-            .0;
-        let zero_length = *span_start == *at;
-        if zero_length {
-            // Zero-length up/down pair: the span never existed.
-            self.live.remove_event(&EdgeEvent {
-                time: at.clone(),
-                edge: e,
-                kind: EdgeEventKind::Appear,
-            });
-        } else {
-            self.live.insert_event(EdgeEvent {
-                time: at.clone(),
-                edge: e,
-                kind: EdgeEventKind::Disappear,
-            });
-        }
         self.live.presence.get_mut(e.index()).truncate_last_span(at);
         self.open_since[e.index()] = None;
     }
@@ -878,20 +765,13 @@ impl<T: Time> TvgStream<T> {
         let old_end = std::mem::replace(&mut self.live.end, new_end.clone());
         self.live.horizon = to.clone();
         // Open edges were presumed present through the old horizon; the
-        // presumption now extends. Their provisional closes live in a
-        // contiguous tail of the timeline (nothing is later than the old
-        // end), so the rewrite preserves sort order.
+        // presumption now extends.
         let mut any_open = false;
         for (i, since) in self.open_since.iter().enumerate() {
             if since.is_some() {
                 any_open = true;
                 self.live.presence.get_mut(i).extend_last_span(&new_end);
             }
-        }
-        let tail = self.live.events.partition_point(|ev| ev.time < old_end);
-        for ev in self.live.events.tail_from_mut(tail) {
-            debug_assert_eq!(ev.time, old_end);
-            ev.time = new_end.clone();
         }
         Ok(any_open.then_some(old_end))
     }
@@ -900,7 +780,7 @@ impl<T: Time> TvgStream<T> {
     /// [`Tvg`]: same nodes, edges, labels, and latencies, with each
     /// edge's presence written as the disjunction of its observed spans
     /// (open edges run through the horizon). Recompiling this graph with
-    /// [`TvgIndex::compile`] at the stream's horizon reproduces the
+    /// [`TvgIndex::compile`](crate::TvgIndex::compile) at the stream's horizon reproduces the
     /// [`LiveIndex`] structure exactly — the differential contract the
     /// testkit's `streamcheck` oracle enforces.
     ///
@@ -932,11 +812,12 @@ impl<T: Time> TvgStream<T> {
 
     /// Mirrors an existing batch graph into a stream: same nodes and
     /// edges (initially all absent) plus the event list that replays
-    /// `g`'s compiled schedule up to `horizon`, in timeline order.
-    /// Ingesting every returned event reproduces `TvgIndex::compile(g,
-    /// horizon)` structurally; chopping the list into batches is how the
-    /// test harness (and the replay benchmarks) drive live workloads
-    /// from batch fixtures.
+    /// `g`'s compiled schedule up to `horizon`: one `Up` per compiled
+    /// span and one `Down` per close within the horizon, ordered by
+    /// `(time, edge, Up before Down)`. Ingesting every returned event
+    /// reproduces `TvgIndex::compile(g, horizon)` structurally; chopping
+    /// the list into batches is how the test harness (and the replay
+    /// benchmarks) drive live workloads from batch fixtures.
     ///
     /// Provisional closes (spans still open at the horizon) are *not*
     /// replayed as `Down` events — the stream keeps those edges open,
@@ -949,10 +830,11 @@ impl<T: Time> TvgStream<T> {
     /// time representation.
     pub fn replay_of(g: &Tvg<T>, horizon: &T) -> Result<ReplayFeed<T>, StreamError<T>> {
         let mut stream = TvgStream::new(horizon.clone())?;
-        let index = TvgIndex::compile(g, horizon.clone());
         for n in g.nodes() {
             stream.add_node(g.node_name(n));
         }
+        // `(time, edge, is_down)`: the tuple order is the feed order.
+        let mut timed: Vec<(T, EdgeId, bool)> = Vec::new();
         for e in g.edges() {
             let edge = g.edge(e);
             stream
@@ -963,22 +845,24 @@ impl<T: Time> TvgStream<T> {
                     edge.latency().clone(),
                 )
                 .expect("mirrored edges are valid");
-        }
-        let events = index
-            .edge_events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                EdgeEventKind::Appear => Some(StreamEvent::Up {
-                    edge: ev.edge,
-                    at: ev.time.clone(),
-                }),
-                EdgeEventKind::Disappear if ev.time <= *horizon => Some(StreamEvent::Down {
-                    edge: ev.edge,
-                    at: ev.time.clone(),
-                }),
+            for (start, end) in edge.presence().intervals(horizon).spans() {
+                timed.push((start.clone(), e, false));
                 // A close beyond the horizon is the compiled form of "still
                 // open": the stream expresses it by not closing at all.
-                EdgeEventKind::Disappear => None,
+                if end <= horizon {
+                    timed.push((end.clone(), e, true));
+                }
+            }
+        }
+        timed.sort_unstable();
+        let events = timed
+            .into_iter()
+            .map(|(at, edge, down)| {
+                if down {
+                    StreamEvent::Down { edge, at }
+                } else {
+                    StreamEvent::Up { edge, at }
+                }
             })
             .collect();
         Ok((stream, events))
@@ -1007,6 +891,7 @@ fn spans_to_presence<T: Time>(spans: &[(T, T)]) -> Presence<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TvgIndex;
 
     fn two_node_stream() -> (TvgStream<u64>, EdgeId) {
         let mut s = TvgStream::new(20).expect("20 + 1 is representable");
@@ -1037,8 +922,11 @@ mod tests {
                 "{n} adjacency"
             );
         }
-        let live_events: Vec<EdgeEvent<u64>> = s.index().edge_events().cloned().collect();
-        assert_eq!(live_events, compiled.edge_events(), "timeline");
+        assert_eq!(
+            s.index().num_edge_events(),
+            compiled.num_edge_events(),
+            "event count"
+        );
     }
 
     #[test]
@@ -1228,9 +1116,56 @@ mod tests {
                 "{e}"
             );
         }
-        let live_events: Vec<EdgeEvent<u64>> = s.index().edge_events().cloned().collect();
-        assert_eq!(live_events, compiled.edge_events());
         assert_eq!(s.index().num_edge_events(), compiled.num_edge_events());
+        assert_matches_recompile(&s);
+    }
+
+    #[test]
+    fn replay_orders_simultaneous_events_by_edge_then_up_first() {
+        // Four edges whose spans open and close at the same instants:
+        // e0 and e2 close at 3 while e1 and e3 open there; e2 reopens at
+        // 5 while e3 closes; e1 stays open past the horizon.
+        let mut b = TvgBuilder::<u64>::new();
+        let v = b.nodes(2);
+        for presence in [
+            Presence::Window { from: 1, until: 2 },
+            Presence::Window { from: 3, until: 20 },
+            Presence::Or(
+                Box::new(Presence::Window { from: 0, until: 2 }),
+                Box::new(Presence::Window { from: 5, until: 6 }),
+            ),
+            Presence::Window { from: 3, until: 4 },
+        ] {
+            b.edge(v[0], v[1], 'a', presence, Latency::unit())
+                .expect("valid");
+        }
+        let g = b.build().expect("valid");
+        let (mut s, feed) = TvgStream::replay_of(&g, &8).expect("representable");
+        let order: Vec<(u64, usize, &str)> = feed
+            .iter()
+            .map(|ev| match ev {
+                StreamEvent::Up { edge, at } => (*at, edge.index(), "up"),
+                StreamEvent::Down { edge, at } => (*at, edge.index(), "down"),
+                other => panic!("replay emits only ups and downs, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, 2, "up"),
+                (1, 0, "up"),
+                (3, 0, "down"),
+                (3, 1, "up"),
+                (3, 2, "down"),
+                (3, 3, "up"),
+                (5, 2, "up"),
+                (5, 3, "down"),
+                (7, 2, "down"),
+            ]
+        );
+        s.ingest(&feed).expect("replay is a valid feed");
+        // One Up per compiled span, so the event count is twice the Ups.
+        assert_eq!(s.index().num_edge_events(), 2 * 5);
         assert_matches_recompile(&s);
     }
 

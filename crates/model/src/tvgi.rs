@@ -1,7 +1,7 @@
 //! The on-disk index: a compiled schedule persisted as a `.tvgi` file.
 //!
 //! [`TvgIndex::compile`] pays the full materialization cost — presence
-//! spans, CSR adjacency, the event timeline — every time a process
+//! spans, CSR adjacency, per-edge columns — every time a process
 //! starts. This module makes that cost a *build step*: [`write_tvgi`]
 //! serializes a compiled index into a versioned, little-endian,
 //! section-table binary format, and [`ShardedIndex::open`] gives it
@@ -10,7 +10,7 @@
 //! arenas, so an index compiles once and any number of processes query
 //! it without recompiling.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -22,16 +22,16 @@
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ global sections: META · NAMES_OFF/NAMES_BYTES · SPEC ·       │
 //! │   EDGE_SHARD/EDGE_LOCAL/EDGE_DST/EDGE_MONO/EDGE_LAT ·        │
-//! │   SHARD_RANGES · EVENT_TIME/EVENT_EDGE                       │
+//! │   SHARD_RANGES                                               │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ shard 0: CSR_OFF · CSR_EDGES · SPAN_OFF · SPANS · BOUNDARY   │
+//! │ shard 0: CSR_OFF · CSR_EDGES · SPAN_OFF · SPANS              │
 //! │ shard 1: …                                  (× shards)       │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! Every multi-byte value is little-endian. *Time-valued* sections
-//! (`SPANS`, `EVENT_TIME`, `EDGE_LAT`, the horizon word of `META`)
-//! store `width`-byte words — 4 when the index was compiled in the
+//! (`SPANS`, `EDGE_LAT`, the horizon word of `META`) store `width`-byte
+//! words — 4 when the index was compiled in the
 //! [`narrow_tvg`](crate::narrow_tvg)-compressed `u32` domain, 8 for
 //! native `u64` times — so narrowing halves the hot sections on disk
 //! exactly as it halves them in memory. The `checksum` is FNV-1a 64
@@ -39,17 +39,22 @@
 //! one-byte corruption is either a typed structural error or a
 //! [`TvgiError::ChecksumMismatch`], never a panic or a wrong answer.
 //!
+//! The file holds exactly what a query reads: presence spans, adjacency,
+//! and the per-edge destination, monotonicity, and latency columns. The
+//! edge-event count a report carries is twice the span count, read from
+//! the `SPANS` lengths. Version 1 also stored a global event timeline
+//! and per-shard boundary summaries that no query read; a version-1 file
+//! is refused as [`TvgiError::UnsupportedVersion`], and a table naming
+//! one of their retired section ids is [`TvgiError::Inconsistent`].
+//!
 //! # Sharding
 //!
 //! `--shards k` splits the node range into `k` balanced contiguous
 //! ranges at write time. An edge belongs to its source's shard; each
-//! shard carries its own CSR and interval store, plus a boundary
-//! summary (the sorted set of shards its edges cross into). Edge ids
-//! stay *global*, which is what keeps a [`ShardedIndex`] bit-identical
-//! to the in-memory index — same witness journeys, same engine stats —
-//! at every shard count. The boundary summaries power
-//! [`ShardedIndex::reachable_shards`], the planning step that lets a
-//! consumer descend into only the shards a source can ever reach.
+//! shard carries its own CSR and interval store. Edge ids stay
+//! *global*, which is what keeps a [`ShardedIndex`] bit-identical to the
+//! in-memory index — same witness journeys, same engine stats — at
+//! every shard count.
 //!
 //! # Zero-copy, honestly
 //!
@@ -61,12 +66,12 @@
 //! reader would have, behind the same safe accessor layer, with one
 //! up-front copy as the price of a `#![forbid(unsafe_code)]` workspace.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::index::{EdgeEvent, EdgeEventKind, EdgeRefs, TemporalIndex, TvgIndex};
+use crate::index::{EdgeRefs, TemporalIndex, TvgIndex};
 use crate::interval::SpanView;
 use crate::{EdgeId, Latency, NodeId, Time};
 
@@ -74,7 +79,7 @@ use crate::{EdgeId, Latency, NodeId, Time};
 pub const MAGIC: [u8; 4] = *b"TVGI";
 
 /// The format version this build writes and reads.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 24;
@@ -92,7 +97,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 mod section {
-    //! Section identifiers of format version 1.
+    //! Section identifiers of format version 2. Ids 11, 12, and 17 are
+    //! retired (version 1's event timeline and boundary summaries) and
+    //! never reused.
     pub const META: u32 = 1;
     pub const NAMES_OFF: u32 = 2;
     pub const NAMES_BYTES: u32 = 3;
@@ -103,21 +110,20 @@ mod section {
     pub const EDGE_MONO: u32 = 8;
     pub const EDGE_LAT: u32 = 9;
     pub const SHARD_RANGES: u32 = 10;
-    pub const EVENT_TIME: u32 = 11;
-    pub const EVENT_EDGE: u32 = 12;
     pub const CSR_OFF: u32 = 13;
     pub const CSR_EDGES: u32 = 14;
     pub const SPAN_OFF: u32 = 15;
     pub const SPANS: u32 = 16;
-    pub const BOUNDARY: u32 = 17;
+
+    /// Whether `id` names a section of this version.
+    pub fn is_known(id: u32) -> bool {
+        matches!(id, META..=SHARD_RANGES | CSR_OFF..=SPANS)
+    }
 }
 
-/// Number of `u64` words in the `META` section.
-const META_WORDS: usize = 5;
-
-/// Bit marking a disappearance in an `EVENT_EDGE` word (appearances
-/// leave it clear); the low 31 bits are the edge index.
-const EVENT_DOWN_BIT: u32 = 1 << 31;
+/// Number of `u64` words in the `META` section: nodes, edges, horizon,
+/// shards.
+const META_WORDS: usize = 4;
 
 /// Everything that can go wrong opening, validating, or writing a
 /// `.tvgi` file. Every failure mode is a typed variant — a corrupt or
@@ -157,8 +163,8 @@ pub enum TvgiError {
     /// Structurally well-formed but self-contradictory content (counts
     /// that disagree, offsets that are not monotone, ids out of range).
     Inconsistent(&'static str),
-    /// The index uses a non-constant latency on some edge; format
-    /// version 1 only persists constant latencies.
+    /// The index uses a non-constant latency on some edge; the format
+    /// only persists constant latencies.
     UnsupportedLatency(EdgeId),
 }
 
@@ -192,7 +198,7 @@ impl std::fmt::Display for TvgiError {
             TvgiError::UnsupportedLatency(e) => {
                 write!(
                     f,
-                    "edge {e} has a non-constant latency; tvgi v1 stores constants only"
+                    "edge {e} has a non-constant latency; tvgi stores constants only"
                 )
             }
         }
@@ -285,7 +291,7 @@ fn elem_width(id: u32, time_width: u8) -> u64 {
     match id {
         section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => 8,
         section::NAMES_BYTES | section::SPEC => 1,
-        section::EDGE_LAT | section::EVENT_TIME | section::SPANS => u64::from(time_width),
+        section::EDGE_LAT | section::SPANS => u64::from(time_width),
         _ => 4,
     }
 }
@@ -316,10 +322,9 @@ pub struct TvgiSummary {
     pub num_nodes: usize,
     /// Edge count.
     pub num_edges: usize,
-    /// Total presence spans across all shards.
+    /// Total presence spans across all shards (half the edge-event
+    /// count).
     pub num_spans: usize,
-    /// Edge-event timeline length.
-    pub num_events: usize,
 }
 
 /// Balanced contiguous node ranges: `k` shards over `n` nodes, sizes
@@ -346,7 +351,7 @@ fn shard_ranges(n: usize, k: u32) -> Vec<u32> {
 /// # Errors
 ///
 /// [`TvgiError::UnsupportedLatency`] if any edge's latency is not
-/// [`Latency::Const`] (format v1 persists constant latencies only —
+/// [`Latency::Const`] (the format persists constant latencies only —
 /// every built-in generator emits them), or [`TvgiError::Io`] on a
 /// filesystem failure.
 pub fn write_tvgi<T: TvgiTime>(
@@ -360,9 +365,9 @@ pub fn write_tvgi<T: TvgiTime>(
     let m = g.num_edges();
     let k = shards.clamp(1, u32::try_from(n.max(1)).unwrap_or(u32::MAX));
 
-    // Per-edge constant latencies — the one schedule feature v1 needs
-    // from the AST. Anything fancier must stay on the compile-per-run
-    // path.
+    // Per-edge constant latencies — the one schedule feature the format
+    // needs from the AST. Anything fancier must stay on the
+    // compile-per-run path.
     let mut edge_lat: Vec<u64> = Vec::with_capacity(m);
     for e in g.edges() {
         match g.edge(e).latency() {
@@ -372,10 +377,6 @@ pub fn write_tvgi<T: TvgiTime>(
     }
 
     let ranges = shard_ranges(n, k);
-    let shard_of_node = |node: usize| -> u32 {
-        let s = ranges.partition_point(|&r| r as usize <= node);
-        u32::try_from(s - 1).expect("shard fits in u32")
-    };
 
     // Edge directory: owning shard (= src's shard) and local slot, in
     // shard-CSR order so SPAN_OFF is a plain prefix sum.
@@ -388,7 +389,6 @@ pub fn write_tvgi<T: TvgiTime>(
         csr_edges: Vec<u32>,
         span_off: Vec<u64>,
         spans: Vec<u64>,
-        boundary: BTreeSet<u32>,
     }
     let mut shard_bufs: Vec<ShardBuf> = Vec::with_capacity(k as usize);
     for s in 0..k as usize {
@@ -398,7 +398,6 @@ pub fn write_tvgi<T: TvgiTime>(
             csr_edges: Vec::new(),
             span_off: Vec::new(),
             spans: Vec::new(),
-            boundary: BTreeSet::new(),
         };
         buf.csr_off.push(0);
         buf.span_off.push(0);
@@ -416,31 +415,11 @@ pub fn write_tvgi<T: TvgiTime>(
                     buf.spans.push(end.to_word());
                 }
                 buf.span_off.push(buf.spans.len() as u64 / 2);
-                let dst_shard = shard_of_node(g.edge(e).dst().index());
-                if dst_shard as usize != s {
-                    buf.boundary.insert(dst_shard);
-                }
             }
             buf.csr_off.push(buf.csr_edges.len() as u64);
         }
         num_spans += buf.spans.len() / 2;
         shard_bufs.push(buf);
-    }
-
-    // Event timeline, packed as parallel time/edge-word arrays.
-    let events = index.edge_events();
-    let mut event_time: Vec<u64> = Vec::with_capacity(events.len());
-    let mut event_edge: Vec<u32> = Vec::with_capacity(events.len());
-    for ev in events {
-        let ei = u32::try_from(ev.edge.index())
-            .ok()
-            .filter(|ei| ei & EVENT_DOWN_BIT == 0)
-            .ok_or(TvgiError::Inconsistent("edge index exceeds 31 bits"))?;
-        event_time.push(ev.time.to_word());
-        event_edge.push(match ev.kind {
-            EdgeEventKind::Appear => ei,
-            EdgeEventKind::Disappear => ei | EVENT_DOWN_BIT,
-        });
     }
 
     // Node names.
@@ -454,13 +433,7 @@ pub fn write_tvgi<T: TvgiTime>(
 
     let spec_bytes = spec.unwrap_or("").as_bytes().to_vec();
     let horizon = index.horizon().to_word();
-    let meta: Vec<u64> = vec![
-        n as u64,
-        m as u64,
-        horizon,
-        events.len() as u64,
-        u64::from(k),
-    ];
+    let meta: Vec<u64> = vec![n as u64, m as u64, horizon, u64::from(k)];
 
     // Assemble the payload plan: (id, shard, bytes).
     let width = T::WIDTH;
@@ -513,8 +486,6 @@ pub fn write_tvgi<T: TvgiTime>(
         ),
         (section::EDGE_LAT, GLOBAL, time_bytes(&edge_lat)),
         (section::SHARD_RANGES, GLOBAL, u32_bytes(&ranges)),
-        (section::EVENT_TIME, GLOBAL, time_bytes(&event_time)),
-        (section::EVENT_EDGE, GLOBAL, u32_bytes(&event_edge)),
     ];
     for (s, buf) in shard_bufs.into_iter().enumerate() {
         let s = u32::try_from(s).expect("shard fits in u32");
@@ -522,11 +493,6 @@ pub fn write_tvgi<T: TvgiTime>(
         payloads.push((section::CSR_EDGES, s, u32_bytes(&buf.csr_edges)));
         payloads.push((section::SPAN_OFF, s, u64_bytes(&buf.span_off)));
         payloads.push((section::SPANS, s, time_bytes(&buf.spans)));
-        payloads.push((
-            section::BOUNDARY,
-            s,
-            u32_bytes(&buf.boundary.into_iter().collect::<Vec<u32>>()),
-        ));
     }
 
     // Lay out sections after the table, each 8-byte aligned.
@@ -611,7 +577,6 @@ pub fn write_tvgi<T: TvgiTime>(
         num_nodes: n,
         num_edges: m,
         num_spans,
-        num_events: events.len(),
     })
 }
 
@@ -678,7 +643,6 @@ struct ShardData<T> {
     csr_edges: Vec<u32>,
     span_off: Vec<u64>,
     spans: Vec<T>,
-    boundary: Vec<u32>,
 }
 
 /// A `.tvgi` file opened read-only: flat typed arenas behind the
@@ -703,8 +667,6 @@ pub struct ShardedIndex<T> {
     edge_dst: Vec<u32>,
     edge_mono: Vec<u32>,
     edge_lat: Vec<T>,
-    event_time: Vec<T>,
-    event_edge: Vec<u32>,
     names_off: Vec<u64>,
     names_bytes: Vec<u8>,
     spec: String,
@@ -805,8 +767,8 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let payload_start = HEADER_LEN + table_len;
         let mut seen: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for (i, sec) in table.iter().enumerate() {
-            if !(section::META..=section::BOUNDARY).contains(&sec.id) {
-                return Err(TvgiError::Inconsistent("unknown section id"));
+            if !section::is_known(sec.id) {
+                return Err(TvgiError::Inconsistent("unknown or retired section id"));
             }
             let ew = elem_width(sec.id, info.width);
             if sec.offset % 8 != 0 || sec.len % ew != 0 {
@@ -860,25 +822,31 @@ impl<T: TvgiTime> ShardedIndex<T> {
             usize::try_from(meta[1]).map_err(|_| TvgiError::Inconsistent("edge count"))?;
         let horizon =
             T::from_word(meta[2]).ok_or(TvgiError::Inconsistent("horizon exceeds time width"))?;
-        let num_events =
-            usize::try_from(meta[3]).map_err(|_| TvgiError::Inconsistent("event count"))?;
-        if meta[4] != u64::from(info.shards) {
+        if meta[3] != u64::from(info.shards) {
             return Err(TvgiError::Inconsistent(
                 "META shard count disagrees with header",
             ));
         }
 
+        // Counts come from the file, so every product and successor is
+        // checked: a forged count is an inconsistency, not an overflow.
         let expect_len = |sec: &Section, elems: usize, what: &'static str| {
             let ew = elem_width(sec.id, info.width);
-            if sec.len == elems as u64 * ew {
-                Ok(())
-            } else {
-                Err(TvgiError::Inconsistent(what))
+            match (elems as u64).checked_mul(ew) {
+                Some(len) if len == sec.len => Ok(()),
+                _ => Err(TvgiError::Inconsistent(what)),
             }
+        };
+        let successor = |count: usize, what: &'static str| {
+            count.checked_add(1).ok_or(TvgiError::Inconsistent(what))
         };
 
         let sec = *global(section::SHARD_RANGES)?;
-        expect_len(&sec, info.shards as usize + 1, "SHARD_RANGES length")?;
+        expect_len(
+            &sec,
+            successor(info.shards as usize, "shard count")?,
+            "SHARD_RANGES length",
+        )?;
         let ranges = read_u32s(&mut f, sec.offset, sec.len)?;
         if ranges[0] != 0
             || *ranges.last().expect("nonempty") as usize != num_nodes
@@ -903,15 +871,12 @@ impl<T: TvgiTime> ShardedIndex<T> {
         expect_len(&sec, num_edges, "EDGE_LAT length")?;
         let edge_lat = read_words::<T>(&mut f, sec.offset, sec.len)?;
 
-        let sec = *global(section::EVENT_TIME)?;
-        expect_len(&sec, num_events, "EVENT_TIME length")?;
-        let event_time = read_words::<T>(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::EVENT_EDGE)?;
-        expect_len(&sec, num_events, "EVENT_EDGE length")?;
-        let event_edge = read_u32s(&mut f, sec.offset, sec.len)?;
-
         let sec = *global(section::NAMES_OFF)?;
-        expect_len(&sec, num_nodes + 1, "NAMES_OFF length")?;
+        expect_len(
+            &sec,
+            successor(num_nodes, "node count")?,
+            "NAMES_OFF length",
+        )?;
         let names_off = read_u64s(&mut f, sec.offset, sec.len)?;
         let sec = *global(section::NAMES_BYTES)?;
         let names_bytes = read_bytes(&mut f, sec.offset, sec.len)?;
@@ -936,17 +901,19 @@ impl<T: TvgiTime> ShardedIndex<T> {
             };
             let nodes_here = (ranges[s as usize + 1] - ranges[s as usize]) as usize;
             let sec = shard_sec(section::CSR_OFF)?;
-            expect_len(&sec, nodes_here + 1, "CSR_OFF length")?;
+            expect_len(&sec, successor(nodes_here, "shard size")?, "CSR_OFF length")?;
             let csr_off = read_u64s(&mut f, sec.offset, sec.len)?;
             let sec = shard_sec(section::CSR_EDGES)?;
             let csr_edges = read_u32s(&mut f, sec.offset, sec.len)?;
             let sec = shard_sec(section::SPAN_OFF)?;
-            expect_len(&sec, csr_edges.len() + 1, "SPAN_OFF length")?;
+            expect_len(
+                &sec,
+                successor(csr_edges.len(), "shard edge count")?,
+                "SPAN_OFF length",
+            )?;
             let span_off = read_u64s(&mut f, sec.offset, sec.len)?;
             let sec = shard_sec(section::SPANS)?;
             let spans = read_words::<T>(&mut f, sec.offset, sec.len)?;
-            let sec = shard_sec(section::BOUNDARY)?;
-            let boundary = read_u32s(&mut f, sec.offset, sec.len)?;
 
             if csr_off[0] != 0
                 || *csr_off.last().expect("nonempty") != csr_edges.len() as u64
@@ -961,15 +928,11 @@ impl<T: TvgiTime> ShardedIndex<T> {
             {
                 return Err(TvgiError::Inconsistent("SPAN_OFF not monotone over SPANS"));
             }
-            if boundary.iter().any(|&b| b >= info.shards) {
-                return Err(TvgiError::Inconsistent("BOUNDARY names an absent shard"));
-            }
             shards.push(ShardData {
                 csr_off,
                 csr_edges,
                 span_off,
                 spans,
-                boundary,
             });
         }
 
@@ -999,12 +962,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 return Err(TvgiError::Inconsistent("CSR_EDGES out of range"));
             }
         }
-        if event_edge
-            .iter()
-            .any(|&w| (w & !EVENT_DOWN_BIT) as usize >= num_edges)
-        {
-            return Err(TvgiError::Inconsistent("EVENT_EDGE out of range"));
-        }
 
         Ok(ShardedIndex {
             horizon,
@@ -1016,8 +973,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
             edge_dst,
             edge_mono,
             edge_lat,
-            event_time,
-            event_edge,
             names_off,
             names_bytes,
             spec,
@@ -1033,43 +988,11 @@ impl<T: TvgiTime> ShardedIndex<T> {
 
     /// The shard owning node `n` (its contiguous node range contains
     /// `n`).
-    #[must_use]
-    pub fn shard_of(&self, n: NodeId) -> u32 {
+    fn shard_of(&self, n: NodeId) -> u32 {
         let s = self
             .shard_ranges
             .partition_point(|&r| r as usize <= n.index());
         u32::try_from(s - 1).expect("shard fits in u32")
-    }
-
-    /// The boundary summary of shard `s`: the sorted shards its edges
-    /// cross into.
-    #[must_use]
-    pub fn boundary(&self, s: u32) -> &[u32] {
-        &self.shards[s as usize].boundary
-    }
-
-    /// Shards reachable from `src`'s shard through boundary summaries
-    /// (BFS; always includes the source's own shard). A conservative
-    /// superset of the shards any journey from `src` can touch — the
-    /// planning step before descending into per-shard stores.
-    #[must_use]
-    pub fn reachable_shards(&self, src: NodeId) -> Vec<u32> {
-        let start = self.shard_of(src);
-        let mut seen = vec![false; self.shards.len()];
-        seen[start as usize] = true;
-        let mut queue = VecDeque::from([start]);
-        let mut out = Vec::new();
-        while let Some(s) = queue.pop_front() {
-            out.push(s);
-            for &t in self.boundary(s) {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    queue.push_back(t);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     /// The canonical scenario text embedded at compile time (empty if
@@ -1085,32 +1008,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let lo = usize::try_from(self.names_off[n.index()]).expect("validated at open");
         let hi = usize::try_from(self.names_off[n.index() + 1]).expect("validated at open");
         std::str::from_utf8(&self.names_bytes[lo..hi]).unwrap_or("<non-utf8>")
-    }
-
-    /// Length of the edge-event timeline (the workload-size measure
-    /// scenario reports carry).
-    #[must_use]
-    pub fn num_edge_events(&self) -> usize {
-        self.event_edge.len()
-    }
-
-    /// Materializes the edge-event timeline (allocates; for oracles
-    /// and reports, not query paths).
-    #[must_use]
-    pub fn edge_events(&self) -> Vec<EdgeEvent<T>> {
-        self.event_time
-            .iter()
-            .zip(&self.event_edge)
-            .map(|(t, &w)| EdgeEvent {
-                time: *t,
-                edge: EdgeId::from_index((w & !EVENT_DOWN_BIT) as usize),
-                kind: if w & EVENT_DOWN_BIT == 0 {
-                    EdgeEventKind::Appear
-                } else {
-                    EdgeEventKind::Disappear
-                },
-            })
-            .collect()
     }
 }
 
@@ -1155,12 +1052,18 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
         t.checked_add(&self.edge_lat[e.index()])
     }
+
+    /// Two events per span: the `SPANS` arenas hold two words per span,
+    /// so their lengths sum to the event count.
+    fn num_edge_events(&self) -> usize {
+        self.shards.iter().map(|sh| sh.spans.len()).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{ring_bus_tvg, scale_free_temporal};
+    use crate::generators::ring_bus_tvg;
     use crate::{Presence, Tvg, TvgBuilder};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1200,7 +1103,7 @@ mod tests {
             TemporalIndex::num_edges(idx),
             TemporalIndex::num_edges(mapped)
         );
-        assert_eq!(idx.horizon(), TemporalIndex::horizon(mapped));
+        assert_eq!(TemporalIndex::horizon(idx), TemporalIndex::horizon(mapped));
         for e in (0..TemporalIndex::num_edges(idx)).map(EdgeId::from_index) {
             assert_eq!(
                 idx.presence(e).view(),
@@ -1228,7 +1131,7 @@ mod tests {
                 "{n} adjacency"
             );
         }
-        assert_eq!(idx.edge_events(), mapped.edge_events().as_slice());
+        assert_eq!(idx.num_edge_events(), mapped.num_edge_events());
     }
 
     #[test]
@@ -1298,31 +1201,6 @@ mod tests {
             write_tvgi(&idx, 1, None, &path),
             Err(TvgiError::UnsupportedLatency(EdgeId::from_index(0)))
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn boundary_summaries_cover_cross_shard_edges() {
-        let g = scale_free_temporal(60, 40, 7);
-        let idx = TvgIndex::compile(&g, 40);
-        let path = tmp("boundary");
-        write_tvgi(&idx, 4, None, &path).expect("write");
-        let mapped = ShardedIndex::<u64>::open(&path).expect("open");
-        // Every cross-shard edge's target shard appears in its source
-        // shard's boundary summary.
-        for e in (0..TemporalIndex::num_edges(&mapped)).map(EdgeId::from_index) {
-            let s = mapped.edge_shard[e.index()];
-            let t = mapped.shard_of(TemporalIndex::dst(&mapped, e));
-            if s != t {
-                assert!(mapped.boundary(s).contains(&t), "{e}: {s}→{t}");
-            }
-        }
-        // reachable_shards from any node is a superset of the shards
-        // holding nodes its journeys reach (checked against adjacency
-        // closure, the coarsest true bound).
-        let from = NodeId::from_index(0);
-        let reach = mapped.reachable_shards(from);
-        assert!(reach.contains(&mapped.shard_of(from)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -442,7 +442,7 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
-    let tree = foremost_tree_multi(snapshot, &seeds, &config.policy, &config.limits);
+    let tree = foremost_tree_multi(snapshot.index(), &seeds, &config.policy, &config.limits);
     let answers = members
         .iter()
         .map(|&i| {

@@ -23,9 +23,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tvg_model::stream::LiveIndex;
-use tvg_model::{EdgeId, EdgeRefs, IntervalSet, NodeId, SpanView, TemporalIndex, Time, Tvg};
+use tvg_model::Time;
 
-/// One immutable view of the schedule as of a publication epoch.
+/// One immutable view of the schedule as of a publication epoch: a
+/// [`LiveIndex`] snapshot tagged with its epoch. Queries go to
+/// [`ServeSnapshot::index`], which every consumer generic over
+/// `TemporalIndex` accepts.
 ///
 /// Epoch 0 is the state before any ingest tick; epoch `i + 1` is the
 /// state after tick `i`. The wrapped [`LiveIndex`] is a persistent
@@ -57,86 +60,6 @@ impl<T: Time> ServeSnapshot<T> {
     #[must_use]
     pub fn index(&self) -> &LiveIndex<T> {
         &self.index
-    }
-
-    /// The underlying TVG this snapshot froze.
-    #[must_use]
-    pub fn tvg(&self) -> &Tvg<T> {
-        self.index.tvg()
-    }
-
-    /// The horizon the snapshot answers under.
-    #[must_use]
-    pub fn horizon(&self) -> &T {
-        self.index.horizon()
-    }
-
-    /// The frozen presence intervals of `e` in native form.
-    #[must_use]
-    pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
-        self.index.presence(e)
-    }
-
-    /// Whether arrival is monotone over departures for `e`.
-    #[must_use]
-    pub fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.index.arrival_is_monotone(e)
-    }
-
-    /// The out-edges of `n` as a native slice.
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.index.out_edges(n)
-    }
-
-    /// The destination of `e`.
-    #[must_use]
-    pub fn dst(&self, e: EdgeId) -> NodeId {
-        self.index.dst(e)
-    }
-
-    /// Arrival of a crossing of `e` departing at `t`, if present.
-    #[must_use]
-    pub fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        self.index.arrival(e, t)
-    }
-}
-
-/// A snapshot answers exactly like the live index it froze: every
-/// consumer generic over [`TemporalIndex`] (the engine, the batch
-/// runtime, the simulators) accepts it — and, via the model crate's
-/// blanket impl, an `Arc<ServeSnapshot>` too.
-impl<T: Time> TemporalIndex<T> for ServeSnapshot<T> {
-    fn num_nodes(&self) -> usize {
-        self.index.tvg().num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.index.tvg().num_edges()
-    }
-
-    fn horizon(&self) -> &T {
-        self.index.horizon()
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        ServeSnapshot::presence(self, e).view()
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.index.arrival_is_monotone(e)
-    }
-
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        EdgeRefs::Ids(ServeSnapshot::out_edges(self, n))
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        self.index.dst(e)
-    }
-
-    fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        self.index.arrival(e, t)
     }
 }
 
@@ -251,7 +174,7 @@ impl<T: Time> EpochRing<T> {
 mod tests {
     use super::*;
     use tvg_model::stream::TvgStream;
-    use tvg_model::Latency;
+    use tvg_model::{Latency, TemporalIndex};
 
     fn snapshot_at(epoch: u64) -> ServeSnapshot<u64> {
         let mut s = TvgStream::new(10).expect("representable");
@@ -292,14 +215,16 @@ mod tests {
         s.ingest(&[tvg_model::stream::StreamEvent::Up { edge: e, at: 2 }])
             .expect("valid feed");
         let snap = Arc::new(ServeSnapshot::new(0, s.snapshot()));
-        // The Arc'd snapshot is a TemporalIndex in its own right.
-        assert!(snap.is_present(e, &4));
-        assert_eq!(snap.presence(e).spans(), s.index().presence(e).spans());
-        assert_eq!(snap.out_edges(u).to_vec(), s.index().out_edges(u));
-        // ...and stays frozen while the stream moves on.
+        assert!(snap.index().is_present(e, &4));
+        assert_eq!(
+            snap.index().presence(e).spans(),
+            s.index().presence(e).spans()
+        );
+        assert_eq!(snap.index().out_edges(u), s.index().out_edges(u));
+        // The snapshot stays frozen while the stream moves on.
         s.ingest(&[tvg_model::stream::StreamEvent::Down { edge: e, at: 5 }])
             .expect("valid feed");
-        assert_eq!(snap.presence(e).spans(), &[(2, 11)]);
+        assert_eq!(snap.index().presence(e).spans(), &[(2, 11)]);
         assert_eq!(s.index().presence(e).spans(), &[(2, 5)]);
     }
 }

@@ -61,8 +61,9 @@ fn answer_surface(
     policy: &WaitingPolicy<u64>,
     limits: &SearchLimits<u64>,
 ) -> Vec<Option<u64>> {
-    let tree = foremost_tree_multi(snapshot, &[(src, 0u64)], policy, limits);
+    let tree = foremost_tree_multi(snapshot.index(), &[(src, 0u64)], policy, limits);
     snapshot
+        .index()
         .tvg()
         .nodes()
         .map(|n| tree.arrival(n).copied())
@@ -342,7 +343,7 @@ pub fn assert_publication_counters(
 
 /// Asserts that two live indexes are structurally identical: horizon,
 /// node/edge counts, per-edge presence spans and monotonicity, per-node
-/// adjacency, edge destinations, and the global event timeline.
+/// adjacency, and edge destinations.
 ///
 /// # Panics
 ///
@@ -379,9 +380,6 @@ pub fn assert_index_structure_eq(a: &LiveIndex<u64>, b: &LiveIndex<u64>, label: 
             "{label}: adjacency of {n} diverges"
         );
     }
-    let a_events: Vec<_> = a.edge_events().cloned().collect();
-    let b_events: Vec<_> = b.edge_events().cloned().collect();
-    assert_eq!(a_events, b_events, "{label}: edge-event timeline diverges");
 }
 
 /// Asserts that structure-sharing snapshots are byte-identical to

@@ -290,27 +290,32 @@ fn single_byte_corruption_never_opens_and_never_panics() {
     }
 }
 
+/// The byte position of section `id`'s first table entry.
+fn table_entry(bytes: &[u8], id: u32) -> usize {
+    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    (0..n_sections)
+        .map(|i| 24 + 24 * i)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
+        .unwrap_or_else(|| panic!("section {id} present"))
+}
+
+/// The `(offset, len)` of section `id`'s payload.
+fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
+    let at = table_entry(bytes, id);
+    let off = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
+    let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
+    (off as usize, len as usize)
+}
+
 #[test]
 fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     let (path, bytes) = valid_file("reseal");
     let _ = std::fs::remove_file(&path);
-    // Zero out the SHARD_RANGES partition end and reseal the checksum:
-    // the checksum now passes, so the cross-section consistency layer
-    // must catch the lie.
+    // Zero out the SHARD_RANGES partition end (section 10) and reseal
+    // the checksum: the checksum now passes, so the cross-section
+    // consistency layer must catch the lie.
     let mut forged = bytes.clone();
-    // Find the SHARD_RANGES table entry (id 10, global shard).
-    let n_sections = u32::from_le_bytes(forged[12..16].try_into().unwrap()) as usize;
-    let mut target = None;
-    for i in 0..n_sections {
-        let at = 24 + 24 * i;
-        let id = u32::from_le_bytes(forged[at..at + 4].try_into().unwrap());
-        if id == 10 {
-            let off = u64::from_le_bytes(forged[at + 8..at + 16].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(forged[at + 16..at + 24].try_into().unwrap()) as usize;
-            target = Some((off, len));
-        }
-    }
-    let (off, len) = target.expect("SHARD_RANGES present");
+    let (off, len) = section_range(&forged, 10);
     forged[off + len - 4..off + len].copy_from_slice(&0u32.to_le_bytes());
     reseal(&mut forged);
     let err = open_bytes("reseal-open", &forged).expect_err("forged partition must fail");
@@ -318,4 +323,57 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
         matches!(err, TvgiError::Inconsistent(_)),
         "unexpected error {err:?}"
     );
+}
+
+/// Regression: a resealed file whose META node or edge count (words 0
+/// and 1) is huge used to panic with a multiplication overflow while
+/// sizing the sections; every such count is now a typed inconsistency.
+#[test]
+fn resealed_huge_counts_are_inconsistent_not_overflow() {
+    let (path, bytes) = valid_file("huge-counts");
+    let _ = std::fs::remove_file(&path);
+    let (meta, _) = section_range(&bytes, 1);
+    for word in [0, 1] {
+        for count in [1u64 << 62, u64::MAX] {
+            let mut forged = bytes.clone();
+            let at = meta + 8 * word;
+            forged[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            reseal(&mut forged);
+            let err = open_bytes("huge-counts-open", &forged).expect_err("forged count must fail");
+            assert!(
+                matches!(err, TvgiError::Inconsistent(_)),
+                "META word {word} = {count}: unexpected error {err:?}"
+            );
+        }
+    }
+}
+
+/// Version 1 carried an event timeline (sections 11 and 12) and
+/// per-shard boundary summaries (section 17): its files are refused by
+/// version, and a current-version table naming a retired id is typed.
+#[test]
+fn version_one_files_and_retired_sections_are_typed() {
+    let (path, bytes) = valid_file("retired");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(VERSION, 2);
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(
+        open_bytes("v1-open", &v1).expect_err("must fail"),
+        TvgiError::UnsupportedVersion(1)
+    );
+    for retired in [11u32, 12, 17] {
+        // Rename the SPEC entry (section 4); the table is validated
+        // before the checksum, so no reseal is needed.
+        let mut forged = bytes.clone();
+        let entry = table_entry(&forged, 4);
+        forged[entry..entry + 4].copy_from_slice(&retired.to_le_bytes());
+        assert!(
+            matches!(
+                open_bytes("retired-open", &forged).expect_err("must fail"),
+                TvgiError::Inconsistent(_)
+            ),
+            "retired section id {retired} must be refused"
+        );
+    }
 }

@@ -15,7 +15,7 @@ use tvg_suite::journeys::engine::foremost_tree;
 use tvg_suite::journeys::{SearchLimits, WaitingPolicy};
 use tvg_suite::langs::Alphabet;
 use tvg_suite::model::generators::{random_periodic_tvg, RandomPeriodicParams};
-use tvg_suite::model::{NodeId, TvgIndex};
+use tvg_suite::model::{NodeId, TemporalIndex, TvgIndex};
 
 fn main() {
     // A 1000-node, 4000-edge random periodic TVG — far beyond what the
