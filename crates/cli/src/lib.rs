@@ -513,18 +513,27 @@ pub fn bundled_scenarios_dir() -> PathBuf {
 }
 
 /// Splits `rest` into an optional `--index <path>` flag and the
-/// remaining (spec-file) arguments, in order.
+/// remaining (spec-file) arguments, in order. A repeated `--index` and
+/// any other flag (a misspelling such as `--indx`) are usage errors,
+/// not a silently dropped path or a spec file that does not exist.
 fn take_index_flag(rest: &[String]) -> Result<(Option<PathBuf>, Vec<String>), CliError> {
     let mut index = None;
     let mut specs = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        if arg == "--index" {
-            index = Some(PathBuf::from(it.next().ok_or_else(|| {
-                CliError::Usage("run: --index needs a .tvgi path".into())
-            })?));
-        } else {
-            specs.push(arg.clone());
+        match arg.as_str() {
+            "--index" => {
+                let path = it
+                    .next()
+                    .ok_or_else(|| CliError::Usage("run: --index needs a .tvgi path".into()))?;
+                if index.replace(PathBuf::from(path)).is_some() {
+                    return Err(CliError::Usage("run: --index given more than once".into()));
+                }
+            }
+            flag if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("run: unknown flag {flag:?}")));
+            }
+            spec => specs.push(spec.to_string()),
         }
     }
     Ok((index, specs))

@@ -128,3 +128,51 @@ fn compile_validates_its_flags() {
         Err(CliError::Usage(_))
     ));
 }
+
+#[test]
+fn a_repeated_index_flag_is_a_usage_error() {
+    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
+    let spec = spec.display().to_string();
+    let err = run_command(&args(&[
+        "run", &spec, "--index", "a.tvgi", "--index", "b.tvgi",
+    ]))
+    .expect_err("two index files must not silently keep the last");
+    assert!(
+        matches!(err, CliError::Usage(_)),
+        "expected Usage, got {err:?}"
+    );
+    assert!(err.to_string().contains("more than once"));
+}
+
+#[test]
+fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
+    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
+    let spec = spec.display().to_string();
+    let err = run_command(&args(&["run", &spec, "--indx", "x.tvgi"]))
+        .expect_err("an unknown flag must fail");
+    assert!(
+        matches!(err, CliError::Usage(_)),
+        "expected Usage, got {err:?}"
+    );
+    assert!(err.to_string().contains("--indx"));
+}
+
+/// `run --index` splits its wall time into the file open and the plan on
+/// stderr's `timing` line; the key set is pinned, the values are clocks.
+#[test]
+fn an_indexed_run_reports_its_open_and_plan_time() {
+    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
+    let spec = spec.display().to_string();
+    let index = scratch("timing.tvgi").display().to_string();
+    run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
+    let out = run_command(&args(&["run", &spec, "--index", &index])).expect("indexed run");
+    let _ = std::fs::remove_file(&index);
+    let timing = out
+        .stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("timing ring-matrix "))
+        .unwrap_or_else(|| panic!("no timing line in {:?}", out.stderr));
+    // Integer values carry no quotes, so every quoted string is a key.
+    let keys: Vec<&str> = timing.split('"').skip(1).step_by(2).collect();
+    assert_eq!(keys, ["open_us", "plan_us"], "timing {timing}");
+}

@@ -27,12 +27,17 @@
 //! values carried by each run's tree, summed at the merge — "n sources ⇒
 //! exactly n runs" holds at any thread count.
 //!
+//! Each worker builds one [`Engine`] on its first claim and reuses it
+//! for every query it answers, so a run pays for the state it touches,
+//! not an O(n + m) allocation per query; a reused engine answers
+//! bit-identically to a fresh one.
+//!
 //! Consumers that keep less than a full tree per query (a matrix row, a
 //! count) should use the `map_*` variants: the reduction runs inside
 //! the worker and the tree is dropped there, so peak memory is
 //! O(workers) trees instead of O(batch).
 
-use crate::engine::{self, EngineStats, ForemostTree};
+use crate::engine::{Engine, EngineStats, ForemostTree};
 use crate::{Journey, SearchLimits, WaitingPolicy};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -245,9 +250,11 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        self.collect(fan_out(self.batch.num_threads(), sources, |&src| {
-            engine::foremost_tree(self.index, src, start, policy, limits)
-        }))
+        self.collect(fan_out(
+            self.batch.num_threads(),
+            sources,
+            |engine, &src| engine.run(self.index, &[(src, start.clone())], policy, limits, None),
+        ))
     }
 
     /// One all-destinations foremost run per seed *set* (multi-seed runs
@@ -262,9 +269,11 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        self.collect(fan_out(self.batch.num_threads(), seed_sets, |seeds| {
-            engine::foremost_tree_multi(self.index, seeds, policy, limits)
-        }))
+        self.collect(fan_out(
+            self.batch.num_threads(),
+            seed_sets,
+            |engine, seeds| engine.run(self.index, seeds, policy, limits, None),
+        ))
     }
 
     /// [`BatchRunner::run_sources`] with worker-side reduction: `reduce`
@@ -286,10 +295,14 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(self.batch.num_threads(), sources, |&src| {
-            let tree = engine::foremost_tree(self.index, src, start, policy, limits);
-            (reduce(src, &tree), tree.stats())
-        }))
+        split_stats(fan_out(
+            self.batch.num_threads(),
+            sources,
+            |engine, &src| {
+                let tree = engine.run(self.index, &[(src, start.clone())], policy, limits, None);
+                (reduce(src, &tree), tree.stats())
+            },
+        ))
     }
 
     /// [`BatchRunner::run_seed_sets`] with worker-side reduction (see
@@ -306,10 +319,14 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(self.batch.num_threads(), seed_sets, |seeds| {
-            let tree = engine::foremost_tree_multi(self.index, seeds, policy, limits);
-            (reduce(seeds, &tree), tree.stats())
-        }))
+        split_stats(fan_out(
+            self.batch.num_threads(),
+            seed_sets,
+            |engine, seeds| {
+                let tree = engine.run(self.index, seeds, policy, limits, None);
+                (reduce(seeds, &tree), tree.stats())
+            },
+        ))
     }
 
     /// One targeted `(src, dst, start)` query per entry, each with the
@@ -328,8 +345,8 @@ impl<'i, I> BatchRunner<'i, I> {
         let (journeys, stats) = split_stats(fan_out(
             self.batch.num_threads(),
             queries,
-            |(src, dst, start): &(NodeId, NodeId, T)| {
-                let tree = engine::run(
+            |engine, (src, dst, start): &(NodeId, NodeId, T)| {
+                let tree = engine.run(
                     self.index,
                     &[(*src, start.clone())],
                     policy,
@@ -365,20 +382,25 @@ fn split_stats<R>(results: Vec<(R, EngineStats)>) -> (Vec<R>, EngineStats) {
 /// once, so the merged vector is a permutation-free image of the serial
 /// output — bit-identical at every thread count.
 ///
+/// Every worker (the calling thread, when serial) owns one engine,
+/// built on its first claim and lent to `f` for each job it runs.
+///
 /// A panicking job does not abort the process: every worker is joined
 /// before the first panic payload is rethrown on the calling thread
 /// (std's scope would abort on a panicking `Drop` of an unjoined
 /// handle, and `join().expect(..)` would double-panic while siblings
 /// are still mid-query). Callers see the original payload via
 /// [`std::panic::resume_unwind`], with no stranded threads behind it.
-fn fan_out<J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
+fn fan_out<T, J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
 where
+    T: Time,
     J: Sync,
     R: Send,
-    F: Fn(&J) -> R + Sync,
+    F: Fn(&mut Engine<T>, &J) -> R + Sync,
 {
     if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(f).collect();
+        let mut engine = Engine::new();
+        return jobs.iter().map(|job| f(&mut engine, job)).collect();
     }
     let workers = threads.min(jobs.len());
     let next = AtomicUsize::new(0);
@@ -391,12 +413,13 @@ where
                 let (next, f) = (&next, &f);
                 scope.spawn(move || {
                     let mut done: Vec<(usize, R)> = Vec::new();
+                    let mut engine: Option<Engine<T>> = None;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(i) else {
                             return done;
                         };
-                        done.push((i, f(job)));
+                        done.push((i, f(engine.get_or_insert_with(Engine::new), job)));
                     }
                 })
             })
@@ -604,7 +627,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let caught = std::panic::catch_unwind(|| {
-            fan_out(4, &jobs, |&i| {
+            fan_out(4, &jobs, |_: &mut Engine<u64>, &i| {
                 assert!(i != 17, "poisoned query #{i}");
                 i * 2
             })
@@ -620,7 +643,7 @@ mod tests {
         );
         // The scope has exited, so every sibling is joined; a healthy
         // batch on the same runner still works afterwards.
-        let healthy = fan_out(4, &jobs, |&i| i * 2);
+        let healthy = fan_out(4, &jobs, |_: &mut Engine<u64>, &i| i * 2);
         assert_eq!(healthy, (0..64).step_by(2).collect::<Vec<_>>());
     }
 

@@ -38,6 +38,16 @@
 //!   crossing improves the best hop count enqueued for its target
 //!   configuration (a decrease-key emulation); the old explorer pushed
 //!   every admissible crossing and deduplicated at pop time.
+//! * **Reuse with touched-only reset.** An [`Engine`] keeps both cores
+//!   alive across runs; every batch worker and serve reader owns one.
+//!   Per-node frontiers live behind a dense slot array and exist only
+//!   for the nodes a run touched, and the span cursors record which
+//!   edges they moved. A reset clears exactly those frontiers (including
+//!   generated but unsettled ones a targeted early exit leaves behind),
+//!   those cursors, and the heap, so a run that explores little costs
+//!   little even on a huge index. Only the dense output (arrivals and
+//!   witness slots, which the returned tree owns) is allocated per run,
+//!   as lazily mapped zeroed memory.
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
@@ -162,12 +172,19 @@ struct FlatMap<K, V> {
     vals: Vec<V>,
 }
 
-impl<K: Ord + Clone, V> FlatMap<K, V> {
-    fn new() -> Self {
+impl<K, V> Default for FlatMap<K, V> {
+    fn default() -> Self {
         FlatMap {
             keys: Vec::new(),
             vals: Vec::new(),
         }
+    }
+}
+
+impl<K: Ord + Clone, V> FlatMap<K, V> {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.vals.clear();
     }
 
     fn get(&self, key: &K) -> Option<&V> {
@@ -339,7 +356,7 @@ pub fn foremost_tree_multi<T: Time, I: TemporalIndex<T>>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> ForemostTree<T> {
-    run(index, seeds, policy, limits, None)
+    Engine::new().run(index, seeds, policy, limits, None)
 }
 
 /// A single-target foremost query with early exit: the run stops as soon
@@ -356,44 +373,216 @@ pub fn foremost_to<T: Time, I: TemporalIndex<T>>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> Option<Journey<T>> {
-    run(index, &[(src, start.clone())], policy, limits, Some(dst)).journey_to(dst)
+    Engine::new()
+        .run(index, &[(src, start.clone())], policy, limits, Some(dst))
+        .journey_to(dst)
 }
 
-pub(crate) fn run<T: Time, I: TemporalIndex<T>>(
-    index: &I,
-    seeds: &[(NodeId, T)],
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-    target: Option<NodeId>,
-) -> ForemostTree<T> {
-    match policy {
-        WaitingPolicy::Unbounded => {
-            let mut stats = EngineStats::one_run();
-            let mut core = ParetoCore::new(index.num_nodes());
-            core.seed(seeds);
-            core.drain(index, limits, target, &mut stats);
-            ForemostTree {
-                arrival: core.arrival,
-                repr: TreeRepr {
-                    arena: core.arena,
-                    best: core.best,
-                },
-                stats,
+/// Explorer state kept alive across runs: one exact core (`NoWait`,
+/// `Bounded`) and one Pareto core (`Unbounded`).
+///
+/// A batch worker or serve reader that answers many queries keeps one
+/// `Engine`, so every run after the first clears only what the previous
+/// run touched instead of allocating and zeroing O(n + m) frontier and
+/// cursor arrays. Only the dense per-node output (the returned tree's
+/// arrivals and witness slots) is built fresh per run. A reused engine
+/// answers bit-identically to a fresh one — arrivals, witnesses, and
+/// [`EngineStats`] — over any sequence of indexes, policies, and limits;
+/// the one-shot [`foremost_tree`] family is a fresh engine's single run.
+///
+/// ```
+/// use tvg_journeys::{Engine, SearchLimits, WaitingPolicy};
+/// use tvg_model::{generators::ring_bus_tvg, NodeId, TvgIndex};
+///
+/// let g = ring_bus_tvg(5, 5, 'r');
+/// let index = TvgIndex::compile(&g, 30);
+/// let limits = SearchLimits::new(30, 10);
+/// let mut engine = Engine::new();
+/// for src in g.nodes() {
+///     let tree = engine.run(&index, &[(src, 0)], &WaitingPolicy::NoWait, &limits, None);
+///     assert_eq!(tree.arrival(src), Some(&0));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Engine<T> {
+    exact: ExactCore<T>,
+    pareto: ParetoCore<T>,
+}
+
+impl<T: Time> Default for Engine<T> {
+    fn default() -> Self {
+        Engine::new()
+    }
+}
+
+impl<T: Time> Engine<T> {
+    /// An engine with empty cores; the first run sizes them.
+    #[must_use]
+    pub fn new() -> Self {
+        Engine {
+            exact: ExactCore::new(0),
+            pareto: ParetoCore::new(0),
+        }
+    }
+
+    /// One foremost run from `seeds` over `index` (see
+    /// [`foremost_tree_multi`]). With a `target`, the run stops at the
+    /// target's first, already-foremost settle (see [`foremost_to`]), so
+    /// only the target's arrival and witness in the returned tree are
+    /// final.
+    pub fn run<I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        seeds: &[(NodeId, T)],
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+        target: Option<NodeId>,
+    ) -> ForemostTree<T> {
+        let mut stats = EngineStats::one_run();
+        let n = index.num_nodes();
+        match policy {
+            WaitingPolicy::Unbounded => {
+                let core = &mut self.pareto;
+                core.reset(n);
+                core.seed(seeds);
+                core.drain(index, limits, target, &mut stats);
+                take_tree(&mut core.arrival, &mut core.best, &mut core.arena, stats)
+            }
+            _ => {
+                let core = &mut self.exact;
+                core.reset(n);
+                core.seed(seeds);
+                core.drain(index, policy, limits, target, &mut stats);
+                take_tree(&mut core.arrival, &mut core.best, &mut core.arena, stats)
             }
         }
-        _ => {
-            let mut stats = EngineStats::one_run();
-            let mut core = ExactCore::new(index.num_nodes());
-            core.seed(seeds);
-            core.drain(index, policy, limits, target, &mut stats);
-            ForemostTree {
-                arrival: core.arrival,
-                repr: TreeRepr {
-                    arena: core.arena,
-                    best: core.best,
-                },
-                stats,
+    }
+}
+
+/// Moves a finished run's output out of its core into a tree.
+fn take_tree<T>(
+    arrival: &mut Vec<Option<T>>,
+    best: &mut Vec<Option<u32>>,
+    arena: &mut Vec<Label<T>>,
+    stats: EngineStats,
+) -> ForemostTree<T> {
+    ForemostTree {
+        arrival: std::mem::take(arrival),
+        repr: TreeRepr {
+            arena: std::mem::take(arena),
+            best: std::mem::take(best),
+        },
+        stats,
+    }
+}
+
+/// Replaces `slots` with `n` unreached entries. A fresh `vec!` rather
+/// than a refill: for machine-word times it is one zeroed allocation
+/// whose pages the OS maps lazily, so a run that reaches few nodes pays
+/// for few pages.
+fn unreached<X: Clone>(slots: &mut Vec<Option<X>>, n: usize) {
+    *slots = vec![None; n];
+}
+
+/// Per-edge span cursors (see [`ExactCore::expand`]) plus the edges
+/// whose cursor has moved, so a rewind costs what the last pass moved,
+/// not one write per edge.
+#[derive(Debug, Clone, Default)]
+struct Cursors {
+    pos: Vec<usize>,
+    moved: Vec<EdgeId>,
+}
+
+impl Cursors {
+    /// Zeroes every moved cursor and sizes the array for `num_edges`.
+    /// Every cursor is zero once rewound, so growing is a fresh zeroed
+    /// allocation (lazily mapped pages) instead of a copy and a fill.
+    fn rewind(&mut self, num_edges: usize) {
+        for e in self.moved.drain(..) {
+            self.pos[e.index()] = 0;
+        }
+        if num_edges > self.pos.len() {
+            self.pos = vec![0; num_edges];
+        } else {
+            self.pos.truncate(num_edges);
+        }
+    }
+}
+
+/// Per-node state kept only for the nodes a run touches, behind a dense
+/// slot array: slot `v` is 0 until node `v` is first touched, then one
+/// plus the index of its value. Sizing for a new node count is one
+/// zeroed allocation whose pages the OS maps lazily, and a reset clears
+/// only the touched values, keeping their capacity for the next run.
+#[derive(Debug, Clone)]
+struct Touched<V> {
+    slot: Vec<u32>,
+    nodes: Vec<NodeId>,
+    /// `vals[k]` belongs to `nodes[k]`; entries past `nodes.len()` are
+    /// cleared spares from earlier runs.
+    vals: Vec<V>,
+}
+
+impl<V: Default> Touched<V> {
+    fn new(num_nodes: usize) -> Self {
+        Touched {
+            slot: vec![0; num_nodes],
+            nodes: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    fn get(&self, v: NodeId) -> Option<&V> {
+        let k = self.slot[v.index()].checked_sub(1)?;
+        Some(&self.vals[k as usize])
+    }
+
+    /// Node `v`'s value, created on first touch.
+    fn touch(&mut self, v: NodeId) -> &mut V {
+        let k = match self.slot[v.index()] {
+            0 => {
+                let k = self.nodes.len();
+                self.nodes.push(v);
+                if self.vals.len() == k {
+                    self.vals.push(V::default());
+                }
+                self.slot[v.index()] = u32::try_from(k + 1).expect("node count fits in u32");
+                k
             }
+            s => s as usize - 1,
+        };
+        &mut self.vals[k]
+    }
+
+    /// Every touched node with its value, in touch order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &V)> + '_ {
+        self.nodes.iter().copied().zip(&self.vals)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.vals[..self.nodes.len()].iter_mut()
+    }
+
+    /// Grows the slot array after streamed topology growth, keeping
+    /// every value.
+    fn grow(&mut self, num_nodes: usize) {
+        if num_nodes > self.slot.len() {
+            self.slot.resize(num_nodes, 0);
+        }
+    }
+
+    /// Forgets every touched node, emptying its value with `clear`, and
+    /// sizes the slot array for `num_nodes`. Every slot is zero by then,
+    /// so growing is a fresh zeroed allocation, not a copy and a fill.
+    fn reset(&mut self, num_nodes: usize, clear: impl Fn(&mut V)) {
+        for (k, v) in self.nodes.drain(..).enumerate() {
+            self.slot[v.index()] = 0;
+            clear(&mut self.vals[k]);
+        }
+        if num_nodes > self.slot.len() {
+            self.slot = vec![0; num_nodes];
+        } else {
+            self.slot.truncate(num_nodes);
         }
     }
 }
@@ -439,18 +628,19 @@ struct Conf {
 /// drives it from empty seeds; [`crate::incremental`] prunes and
 /// replays it when the underlying schedule grows at the right edge.
 ///
-/// `conf` is the merged frontier: per node, a flat sorted map from
-/// configuration time to its [`Conf`] state. Settles flip the flag in
-/// place (pop times per node are non-decreasing, so fresh settles land
-/// at the tail); generation inserts by binary search but lands at the
-/// tail in the common case.
+/// `frontiers` is the merged frontier: per touched node, a flat sorted
+/// map from configuration time to its [`Conf`] state. Settles flip the
+/// flag in place (pop times per node are non-decreasing, so fresh
+/// settles land at the tail); generation inserts by binary search but
+/// lands at the tail in the common case.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactCore<T> {
     pub(crate) arrival: Vec<Option<T>>,
     pub(crate) best: Vec<Option<u32>>,
     pub(crate) arena: Vec<Label<T>>,
-    /// Per node: configuration time → generation/settlement state.
-    conf: Vec<FlatMap<T, Conf>>,
+    /// Per touched node: configuration time → generation/settlement
+    /// state.
+    frontiers: Touched<FlatMap<T, Conf>>,
     /// Seed configurations and their arena slots, for resolving the
     /// origin label of a settled seed that no crossing generated.
     seed_slots: Vec<(NodeId, T, u32)>,
@@ -458,6 +648,7 @@ pub(crate) struct ExactCore<T> {
     // so the first settle of a node is its foremost arrival. Residual
     // duplicates are deduplicated at pop time against the settled flag.
     queue: BinaryHeap<Reverse<(T, NodeId, u32, u32)>>,
+    cursors: Cursors,
 }
 
 impl<T: Time> ExactCore<T> {
@@ -466,17 +657,34 @@ impl<T: Time> ExactCore<T> {
             arrival: vec![None; num_nodes],
             best: vec![None; num_nodes],
             arena: Vec::new(),
-            conf: vec![FlatMap::new(); num_nodes],
+            frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
             queue: BinaryHeap::new(),
+            cursors: Cursors::default(),
         }
+    }
+
+    /// Readies the core for a fresh run over `num_nodes` nodes by
+    /// clearing only what the previous run touched: the frontier maps
+    /// of every node it generated into (including generated but
+    /// unsettled configurations a targeted early exit left behind), its
+    /// seeds, and the heap. The dense output arrays are rebuilt, since
+    /// the previous run's tree took them. Span cursors rewind at the
+    /// start of every drain and replay.
+    pub(crate) fn reset(&mut self, num_nodes: usize) {
+        self.frontiers.reset(num_nodes, FlatMap::clear);
+        self.seed_slots.clear();
+        self.queue.clear();
+        self.arena.clear();
+        unreached(&mut self.arrival, num_nodes);
+        unreached(&mut self.best, num_nodes);
     }
 
     /// Grows the per-node state after streamed topology growth.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
         self.arrival.resize(num_nodes, None);
         self.best.resize(num_nodes, None);
-        self.conf.resize(num_nodes, FlatMap::new());
+        self.frontiers.grow(num_nodes);
     }
 
     /// Enqueues seed configurations (hop count zero).
@@ -501,7 +709,7 @@ impl<T: Time> ExactCore<T> {
     /// parent chain valid by construction.
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for map in &mut self.conf {
+        for map in self.frontiers.values_mut() {
             map.truncate_from(t0);
         }
         self.seed_slots.retain(|(_, t, _)| t < t0);
@@ -546,8 +754,7 @@ impl<T: Time> ExactCore<T> {
     ) {
         let cap = hops_cap(limits);
         let mut survivors: Vec<(T, NodeId, u32)> = Vec::new();
-        for (i, map) in self.conf.iter().enumerate() {
-            let node = NodeId::from_index(i);
+        for (node, map) in self.frontiers.iter() {
             survivors.extend(
                 map.iter()
                     .filter(|(_, c)| c.settled)
@@ -555,23 +762,13 @@ impl<T: Time> ExactCore<T> {
             );
         }
         survivors.sort();
-        let mut cursor = vec![0usize; index.num_edges()];
+        self.cursors.rewind(index.num_edges());
         for (time, node, hops) in survivors {
             if hops == cap {
                 continue;
             }
             let id = self.origin_label(node, &time);
-            self.expand(
-                index,
-                policy,
-                limits,
-                &mut cursor,
-                node,
-                &time,
-                hops,
-                id,
-                stats,
-            );
+            self.expand(index, policy, limits, node, &time, hops, id, stats);
         }
     }
 
@@ -579,8 +776,9 @@ impl<T: Time> ExactCore<T> {
     /// configuration: its first-generated label if any crossing reached
     /// it, otherwise its seed slot.
     fn origin_label(&self, node: NodeId, time: &T) -> u32 {
-        self.conf[node.index()]
-            .get(time)
+        self.frontiers
+            .get(node)
+            .and_then(|map| map.get(time))
             .map(|c| c.label)
             .or_else(|| {
                 self.seed_slots
@@ -623,16 +821,17 @@ impl<T: Time> ExactCore<T> {
         stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        let mut cursor = vec![0usize; index.num_edges()];
+        self.cursors.rewind(index.num_edges());
         while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
             let ni = node.index();
             // The witness label of this configuration: its
             // first-generated crossing if one exists (a zero-latency
             // cycle can generate into a seed configuration before the
             // seed pops), otherwise the label carried by the queue.
-            let id = match self.conf[ni].search(&time) {
+            let map = self.frontiers.touch(node);
+            let id = match map.search(&time) {
                 Ok(at) => {
-                    let entry = self.conf[ni].val_mut(at);
+                    let entry = map.val_mut(at);
                     if entry.settled {
                         continue;
                     }
@@ -651,7 +850,7 @@ impl<T: Time> ExactCore<T> {
                         hops,
                         settled: true,
                     };
-                    self.conf[ni].insert_at(at, time.clone(), entry);
+                    map.insert_at(at, time.clone(), entry);
                     id
                 }
             };
@@ -668,24 +867,14 @@ impl<T: Time> ExactCore<T> {
             if hops == cap {
                 continue;
             }
-            self.expand(
-                index,
-                policy,
-                limits,
-                &mut cursor,
-                node,
-                &time,
-                hops,
-                id,
-                stats,
-            );
+            self.expand(index, policy, limits, node, &time, hops, id, stats);
         }
     }
 
     /// Expands every admissible crossing from a settled configuration —
     /// the same `(edge, depart, arrive)` triples in the same order as
     /// [`TemporalIndex::crossings`], but enumerated through a per-edge
-    /// span `cursor`: expansion times within one drain/replay are
+    /// span cursor: expansion times within one drain/replay are
     /// non-decreasing, so the span holding the next departure is found
     /// by walking forward from the last position (amortized O(1) per
     /// call) instead of a fresh binary search per `(settle, edge)`.
@@ -695,7 +884,6 @@ impl<T: Time> ExactCore<T> {
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
-        cursor: &mut [usize],
         node: NodeId,
         time: &T,
         hops: u32,
@@ -712,11 +900,17 @@ impl<T: Time> ExactCore<T> {
             // Expansion times only grow, so spans ending at or before
             // `time` can never serve a later call either: skip them for
             // good by advancing the edge's cursor.
-            let mut i = cursor[e.index()];
+            let from = self.cursors.pos[e.index()];
+            let mut i = from;
             while i < spans.len() && *spans.end(i) <= *time {
                 i += 1;
             }
-            cursor[e.index()] = i;
+            if i != from {
+                if from == 0 {
+                    self.cursors.moved.push(e);
+                }
+                self.cursors.pos[e.index()] = i;
+            }
             while i < spans.len() && *spans.start(i) <= until {
                 let (start, end) = (spans.start(i), spans.end(i));
                 let mut dep = if *start > *time {
@@ -733,14 +927,15 @@ impl<T: Time> ExactCore<T> {
                     };
                     stats.expanded += 1;
                     let succ = index.dst(e);
-                    let si = succ.index();
-                    match self.conf[si].search(&arr) {
+                    // Either branch leaves `succ` with a frontier entry.
+                    let map = self.frontiers.touch(succ);
+                    match map.search(&arr) {
                         Ok(at) => {
                             // Already generated: the first crossing keeps
                             // the witness; re-enqueue only on a strict hop
                             // improvement into a not-yet-settled
                             // configuration (decrease-key).
-                            let entry = self.conf[si].val_mut(at);
+                            let entry = map.val_mut(at);
                             if !entry.settled && hops + 1 < entry.hops {
                                 entry.hops = hops + 1;
                                 let gen_id = entry.label;
@@ -758,7 +953,7 @@ impl<T: Time> ExactCore<T> {
                                 hops: hops + 1,
                                 settled: false,
                             };
-                            self.conf[si].insert_at(at, arr.clone(), entry);
+                            map.insert_at(at, arr.clone(), entry);
                             self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
                         }
                     }
@@ -787,9 +982,10 @@ pub(crate) struct ParetoCore<T> {
     pub(crate) arrival: Vec<Option<T>>,
     pub(crate) best: Vec<Option<u32>>,
     pub(crate) arena: Vec<Label<T>>,
-    /// Settled Pareto frontier per node, sorted by arrival (settle
-    /// order is time-ordered and per-node ties are dominated away).
-    settled: Vec<Vec<ParetoEntry<T>>>,
+    /// Settled Pareto frontier per touched node, sorted by arrival
+    /// (settle order is time-ordered and per-node ties are dominated
+    /// away).
+    settled: Touched<Vec<ParetoEntry<T>>>,
     // Min-heap on (arrival, hops, node, label id); pops in (time, hops)
     // order, and label ids make every entry unique, so the pop sequence
     // is exactly the old ordered-set iteration order.
@@ -802,16 +998,27 @@ impl<T: Time> ParetoCore<T> {
             arrival: vec![None; num_nodes],
             best: vec![None; num_nodes],
             arena: Vec::new(),
-            settled: vec![Vec::new(); num_nodes],
+            settled: Touched::new(num_nodes),
             queue: BinaryHeap::new(),
         }
+    }
+
+    /// Readies the core for a fresh run (see [`ExactCore::reset`]):
+    /// clears the touched nodes' frontiers and the heap, and rebuilds
+    /// the dense output arrays.
+    pub(crate) fn reset(&mut self, num_nodes: usize) {
+        self.settled.reset(num_nodes, Vec::clear);
+        self.queue.clear();
+        self.arena.clear();
+        unreached(&mut self.arrival, num_nodes);
+        unreached(&mut self.best, num_nodes);
     }
 
     /// Grows the per-node state after streamed topology growth.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
         self.arrival.resize(num_nodes, None);
         self.best.resize(num_nodes, None);
-        self.settled.resize(num_nodes, Vec::new());
+        self.settled.grow(num_nodes);
     }
 
     /// Enqueues seed labels (hop count zero, no parent).
@@ -829,7 +1036,7 @@ impl<T: Time> ParetoCore<T> {
     /// [`ExactCore::prune`] for the soundness argument).
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for frontier in &mut self.settled {
+        for frontier in self.settled.values_mut() {
             let keep = frontier.partition_point(|(t, _, _)| t < t0);
             frontier.truncate(keep);
         }
@@ -854,8 +1061,7 @@ impl<T: Time> ParetoCore<T> {
     ) {
         let cap = hops_cap(limits);
         let mut survivors: Vec<(T, u32, NodeId, u32)> = Vec::new();
-        for (i, frontier) in self.settled.iter().enumerate() {
-            let node = NodeId::from_index(i);
+        for (node, frontier) in self.settled.iter() {
             survivors.extend(frontier.iter().map(|(t, h, id)| (t.clone(), *h, node, *id)));
         }
         survivors.sort();
@@ -878,10 +1084,11 @@ impl<T: Time> ParetoCore<T> {
     ) {
         let cap = hops_cap(limits);
         while let Some(Reverse((time, hops, node, id))) = self.queue.pop() {
-            if dominated(&self.settled[node.index()], &time, hops) {
+            let frontier = self.settled.touch(node);
+            if dominated(frontier, &time, hops) {
                 continue;
             }
-            self.settled[node.index()].push((time.clone(), hops, id));
+            frontier.push((time.clone(), hops, id));
             stats.settled += 1;
             if self.arrival[node.index()].is_none() {
                 self.arrival[node.index()] = Some(time.clone());
@@ -937,7 +1144,11 @@ impl<T: Time> ParetoCore<T> {
             let Some((arr, dep)) = best_crossing else {
                 continue;
             };
-            if dominated(&self.settled[succ.index()], &arr, hops + 1) {
+            if self
+                .settled
+                .get(succ)
+                .is_some_and(|frontier| dominated(frontier, &arr, hops + 1))
+            {
                 continue;
             }
             stats.expanded += 1;
@@ -1156,7 +1367,7 @@ mod tests {
 
     #[test]
     fn flat_map_inserts_and_truncates() {
-        let mut m: FlatMap<u64, u32> = FlatMap::new();
+        let mut m: FlatMap<u64, u32> = FlatMap::default();
         for k in [4u64, 1, 3] {
             let at = m.search(&k).expect_err("absent");
             m.insert_at(at, k, u32::try_from(k).expect("small"));

@@ -73,7 +73,9 @@ mod reachability;
 pub mod search;
 
 pub use batch::{Batch, BatchJourneys, BatchOutcome, BatchRunner};
-pub use engine::{foremost_to, foremost_tree, foremost_tree_multi, EngineStats, ForemostTree};
+pub use engine::{
+    foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
+};
 pub use incremental::IncrementalForemost;
 pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;

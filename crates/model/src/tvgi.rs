@@ -10,7 +10,7 @@
 //! arenas, so an index compiles once and any number of processes query
 //! it without recompiling.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -34,18 +34,32 @@
 //! words — 4 when the index was compiled in the
 //! [`narrow_tvg`](crate::narrow_tvg)-compressed `u32` domain, 8 for
 //! native `u64` times — so narrowing halves the hot sections on disk
-//! exactly as it halves them in memory. The `checksum` is FNV-1a 64
-//! over the whole file except the checksum field itself, so any
-//! one-byte corruption is either a typed structural error or a
-//! [`TvgiError::ChecksumMismatch`], never a panic or a wrong answer.
+//! exactly as it halves them in memory.
 //!
 //! The file holds exactly what a query reads: presence spans, adjacency,
 //! and the per-edge destination, monotonicity, and latency columns. The
 //! edge-event count a report carries is twice the span count, read from
 //! the `SPANS` lengths. Version 1 also stored a global event timeline
-//! and per-shard boundary summaries that no query read; a version-1 file
-//! is refused as [`TvgiError::UnsupportedVersion`], and a table naming
-//! one of their retired section ids is [`TvgiError::Inconsistent`].
+//! and per-shard boundary summaries that no query read, and version 2
+//! used a byte-serial FNV-1a checksum; files of either version are
+//! refused as [`TvgiError::UnsupportedVersion`], and a table naming one
+//! of version 1's retired section ids is [`TvgiError::Inconsistent`].
+//!
+//! # Checksum
+//!
+//! The header's `checksum` ([`checksum`]) covers the whole file except
+//! its own field: header bytes `0..16`, then bytes `24..end`. That
+//! stream is folded as little-endian `u64` words, word `j` into lane
+//! `j mod 4` by `lane ← mix(lane ⊕ word)` with
+//! `mix(x) = (x·K) ⊕ ((x·K) ≫ 29)` for an odd `K`; a final partial word
+//! is zero-padded, and the four lanes and the byte length are folded
+//! through `mix` into the result. Every step is a bijection in the word
+//! and in the lane, so a change confined to one 8-byte word — any
+//! one-byte corruption in particular — always changes the checksum: it
+//! is either a typed structural error or a
+//! [`TvgiError::ChecksumMismatch`], never a panic or a wrong answer.
+//! Four independent lanes keep the multiplier busy, which makes the
+//! checksum several times faster than a byte-serial hash.
 //!
 //! # Sharding
 //!
@@ -59,10 +73,12 @@
 //! # Zero-copy, honestly
 //!
 //! The workspace forbids `unsafe`, so the reader does not `mmap(2)`:
-//! [`ShardedIndex::open`] performs one buffered sequential pass that
-//! decodes each section into a flat typed arena (`Vec<u32>`/`Vec<u64>`
-//! shaped exactly like the file bytes), and every query after that is
-//! a slice view into those arenas — the same access pattern an mmap'd
+//! [`ShardedIndex::open`] validates the header and section table, then
+//! reads the rest of the file once, in file order, through one fixed
+//! buffer, checksumming each chunk and decoding it straight into the
+//! flat typed arena (`Vec<u32>`/`Vec<u64>` shaped exactly like the file
+//! bytes) of the section it belongs to. Every query after that is a
+//! slice view into those arenas — the same access pattern an mmap'd
 //! reader would have, behind the same safe accessor layer, with one
 //! up-front copy as the price of a `#![forbid(unsafe_code)]` workspace.
 
@@ -79,7 +95,7 @@ use crate::{EdgeId, Latency, NodeId, Time};
 pub const MAGIC: [u8; 4] = *b"TVGI";
 
 /// The format version this build writes and reads.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 24;
@@ -90,14 +106,11 @@ const TABLE_ENTRY_LEN: u64 = 24;
 /// The `shard` field of a global (non-sharded) section.
 const GLOBAL: u32 = u32::MAX;
 
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes [`ShardedIndex::open`] reads and decodes per pass step.
+const READ_CHUNK: usize = 256 << 10;
 
 mod section {
-    //! Section identifiers of format version 2. Ids 11, 12, and 17 are
+    //! Section identifiers of format version 3. Ids 11, 12, and 17 are
     //! retired (version 1's event timeline and boundary summaries) and
     //! never reused.
     pub const META: u32 = 1;
@@ -236,6 +249,9 @@ pub trait TvgiTime: Time + Copy + sealed::Sealed {
 
     /// Narrows from the transport word, `None` if it does not fit.
     fn from_word(w: u64) -> Option<Self>;
+
+    /// Appends the little-endian `WIDTH`-byte words of `bytes`.
+    fn decode(bytes: &[u8], out: &mut Vec<Self>);
 }
 
 impl TvgiTime for u32 {
@@ -247,6 +263,10 @@ impl TvgiTime for u32 {
 
     fn from_word(w: u64) -> Option<Self> {
         u32::try_from(w).ok()
+    }
+
+    fn decode(bytes: &[u8], out: &mut Vec<Self>) {
+        decode_u32s(bytes, out);
     }
 }
 
@@ -260,27 +280,151 @@ impl TvgiTime for u64 {
     fn from_word(w: u64) -> Option<Self> {
         Some(w)
     }
+
+    fn decode(bytes: &[u8], out: &mut Vec<Self>) {
+        decode_u64s(bytes, out);
+    }
 }
 
-/// A streaming FNV-1a 64 hasher (the format's whole-file checksum).
-struct Fnv(u64);
+// ---------------------------------------------------------------------
+// Checksum
+// ---------------------------------------------------------------------
 
-impl Fnv {
+/// Odd multiplier of the checksum's word mix.
+const MIX_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Starting values of the checksum's four lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// Bytes per checksum block: one word per lane.
+const BLOCK: usize = 32;
+
+/// The checksum's word mix: a multiply by an odd constant, then a fold
+/// of the high bits down. Both steps are bijections on `u64`.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let y = x.wrapping_mul(MIX_K);
+    y ^ (y >> 29)
+}
+
+/// The whole-file checksum a `.tvgi` header stores: the four-lane word
+/// mix (see the module docs) over header bytes `0..16` and bytes
+/// `24..`, so every byte except the checksum field itself. This is the
+/// one definition the writer, the reader, and tests that forge files
+/// all share.
+///
+/// A slice shorter than the header is checksummed as if its missing
+/// bytes were absent.
+#[must_use]
+pub fn checksum(file: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.update(&file[..file.len().min(16)]);
+    sum.update(file.get(24..).unwrap_or(&[]));
+    sum.finish()
+}
+
+/// The streaming form of [`checksum`]: the stream may arrive in any
+/// chunk split. Partial blocks wait in `pending`, so word `j` of the
+/// stream always lands in lane `j mod 4`.
+#[derive(Debug, Clone)]
+struct Checksum {
+    lanes: [u64; 4],
+    len: u64,
+    pending: [u8; BLOCK],
+    pending_len: usize,
+}
+
+impl Checksum {
     fn new() -> Self {
-        Fnv(FNV_OFFSET)
+        Checksum {
+            lanes: LANE_SEEDS,
+            len: 0,
+            pending: [0; BLOCK],
+            pending_len: 0,
+        }
     }
 
-    fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (BLOCK - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < BLOCK {
+                return;
+            }
+            let block = self.pending;
+            self.fold_blocks(&block);
+            self.pending_len = 0;
         }
-        self.0 = h;
+        let whole = bytes.len() - bytes.len() % BLOCK;
+        self.fold_blocks(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// Folds whole blocks: word `i` of each block into lane `i`, the
+    /// four lanes as independent dependency chains.
+    fn fold_blocks(&mut self, blocks: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in blocks.chunks_exact(BLOCK) {
+            let word = |i: usize| u64::from_le_bytes(le_array(&block[8 * i..8 * i + 8]));
+            a = mix(a ^ word(0));
+            b = mix(b ^ word(1));
+            c = mix(c ^ word(2));
+            d = mix(d ^ word(3));
+        }
+        self.lanes = [a, b, c, d];
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        let mut lanes = self.lanes;
+        let tail = &self.pending[..self.pending_len];
+        for (lane, bytes) in lanes.iter_mut().zip(tail.chunks(8)) {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            *lane = mix(*lane ^ u64::from_le_bytes(word));
+        }
+        lanes.iter().fold(mix(self.len), |h, &lane| mix(h ^ lane))
+    }
+}
+
+/// The first `N` bytes of `bytes` as an array (callers pass exact
+/// slices, so the zero fill never shows).
+#[inline]
+fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let n = bytes.len().min(N);
+    out[..n].copy_from_slice(&bytes[..n]);
+    out
+}
+
+// ---------------------------------------------------------------------
+// Sections
+// ---------------------------------------------------------------------
+
+/// What a section's words decode to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Bytes,
+    U32,
+    U64,
+    Time,
+}
+
+fn kind(id: u32) -> Kind {
+    match id {
+        section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => Kind::U64,
+        section::NAMES_BYTES | section::SPEC => Kind::Bytes,
+        section::EDGE_LAT | section::SPANS => Kind::Time,
+        _ => Kind::U32,
     }
 }
 
@@ -288,12 +432,28 @@ impl Fnv {
 /// width. `1` means raw bytes (no alignment constraint beyond the
 /// table's 8-byte offsets).
 fn elem_width(id: u32, time_width: u8) -> u64 {
-    match id {
-        section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => 8,
-        section::NAMES_BYTES | section::SPEC => 1,
-        section::EDGE_LAT | section::SPANS => u64::from(time_width),
-        _ => 4,
+    match kind(id) {
+        Kind::Bytes => 1,
+        Kind::U32 => 4,
+        Kind::U64 => 8,
+        Kind::Time => u64::from(time_width),
     }
+}
+
+fn decode_u32s(bytes: &[u8], out: &mut Vec<u32>) {
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
+}
+
+fn decode_u64s(bytes: &[u8], out: &mut Vec<u64>) {
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(le_array(c))),
+    );
 }
 
 /// One entry of the section table.
@@ -516,7 +676,7 @@ pub fn write_tvgi<T: TvgiTime>(
     // then seek back and patch the real checksum in.
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
-    let mut fnv = Fnv::new();
+    let mut sum = Checksum::new();
     let mut head = Vec::with_capacity(HEADER_LEN as usize);
     head.extend_from_slice(&MAGIC);
     head.extend_from_slice(&VERSION.to_le_bytes());
@@ -528,17 +688,17 @@ pub fn write_tvgi<T: TvgiTime>(
             .expect("few sections")
             .to_le_bytes(),
     );
-    fnv.update(&head);
+    sum.update(&head);
     head.extend_from_slice(&0u64.to_le_bytes());
     w.write_all(&head)?;
 
     fn emit(
         w: &mut BufWriter<File>,
-        fnv: &mut Fnv,
+        sum: &mut Checksum,
         written: &mut u64,
         bytes: &[u8],
     ) -> Result<(), TvgiError> {
-        fnv.update(bytes);
+        sum.update(bytes);
         w.write_all(bytes)?;
         *written += bytes.len() as u64;
         Ok(())
@@ -550,24 +710,24 @@ pub fn write_tvgi<T: TvgiTime>(
         entry.extend_from_slice(&sec.shard.to_le_bytes());
         entry.extend_from_slice(&sec.offset.to_le_bytes());
         entry.extend_from_slice(&sec.len.to_le_bytes());
-        emit(&mut w, &mut fnv, &mut written, &entry)?;
+        emit(&mut w, &mut sum, &mut written, &entry)?;
     }
     for (sec, (_, _, bytes)) in table.iter().zip(&payloads) {
         let pad = sec.offset - written;
-        emit(&mut w, &mut fnv, &mut written, &vec![0u8; pad as usize])?;
-        emit(&mut w, &mut fnv, &mut written, bytes)?;
+        emit(&mut w, &mut sum, &mut written, &vec![0u8; pad as usize])?;
+        emit(&mut w, &mut sum, &mut written, bytes)?;
     }
     let tail_pad = file_len - written;
     emit(
         &mut w,
-        &mut fnv,
+        &mut sum,
         &mut written,
         &vec![0u8; tail_pad as usize],
     )?;
 
     let mut file = w.into_inner().map_err(|e| TvgiError::Io(e.to_string()))?;
     file.seek(SeekFrom::Start(16))?;
-    file.write_all(&fnv.finish().to_le_bytes())?;
+    file.write_all(&sum.finish().to_le_bytes())?;
     file.sync_all()?;
 
     Ok(TvgiSummary {
@@ -673,57 +833,71 @@ pub struct ShardedIndex<T> {
     shards: Vec<ShardData<T>>,
 }
 
-/// Reads `len` bytes from `f` at `offset` and decodes them as
-/// little-endian words of `width` bytes, streaming in bounded chunks.
-fn read_words<T: TvgiTime>(f: &mut File, offset: u64, len: u64) -> Result<Vec<T>, TvgiError> {
-    let width = u64::from(T::WIDTH);
-    f.seek(SeekFrom::Start(offset))?;
-    let mut out = Vec::with_capacity((len / width) as usize);
-    let mut remaining = len;
-    let mut buf = vec![0u8; 1 << 20];
-    while remaining > 0 {
-        let take = remaining.min(buf.len() as u64) as usize;
-        f.read_exact(&mut buf[..take])?;
-        for chunk in buf[..take].chunks_exact(width as usize) {
-            let mut word = [0u8; 8];
-            word[..width as usize].copy_from_slice(chunk);
-            let w = u64::from_le_bytes(word);
-            out.push(T::from_word(w).ok_or(TvgiError::Inconsistent("time word out of range"))?);
+/// Every section's typed arena by `(id, shard)`, filled as the file
+/// streams past.
+struct Arenas<T> {
+    bytes: BTreeMap<(u32, u32), Vec<u8>>,
+    u32s: BTreeMap<(u32, u32), Vec<u32>>,
+    u64s: BTreeMap<(u32, u32), Vec<u64>>,
+    times: BTreeMap<(u32, u32), Vec<T>>,
+}
+
+impl<T: TvgiTime> Arenas<T> {
+    /// Empty arenas with room for every section's validated length.
+    fn for_table(table: &[Section]) -> Self {
+        let mut arenas = Arenas {
+            bytes: BTreeMap::new(),
+            u32s: BTreeMap::new(),
+            u64s: BTreeMap::new(),
+            times: BTreeMap::new(),
+        };
+        for sec in table {
+            match kind(sec.id) {
+                Kind::Bytes => reserve(&mut arenas.bytes, sec, 1),
+                Kind::U32 => reserve(&mut arenas.u32s, sec, 4),
+                Kind::U64 => reserve(&mut arenas.u64s, sec, 8),
+                Kind::Time => reserve(&mut arenas.times, sec, u64::from(T::WIDTH)),
+            }
         }
-        remaining -= take as u64;
+        arenas
     }
-    Ok(out)
+
+    /// Appends `bytes`, a whole-word piece of section `sec`.
+    fn decode(&mut self, sec: &Section, bytes: &[u8]) {
+        let key = (sec.id, sec.shard);
+        match kind(sec.id) {
+            Kind::Bytes => self.bytes.entry(key).or_default().extend_from_slice(bytes),
+            Kind::U32 => decode_u32s(bytes, self.u32s.entry(key).or_default()),
+            Kind::U64 => decode_u64s(bytes, self.u64s.entry(key).or_default()),
+            Kind::Time => T::decode(bytes, self.times.entry(key).or_default()),
+        }
+    }
 }
 
-fn read_bytes(f: &mut File, offset: u64, len: u64) -> Result<Vec<u8>, TvgiError> {
-    f.seek(SeekFrom::Start(offset))?;
-    let mut out = vec![0u8; usize::try_from(len).map_err(|_| TvgiError::Truncated)?];
-    f.read_exact(&mut out)?;
-    Ok(out)
+/// Adds an empty arena for `sec` with room for its `width`-byte words.
+fn reserve<V>(arenas: &mut BTreeMap<(u32, u32), Vec<V>>, sec: &Section, width: u64) {
+    let words = usize::try_from(sec.len / width).unwrap_or(0);
+    arenas.insert((sec.id, sec.shard), Vec::with_capacity(words));
 }
 
-fn read_u32s(f: &mut File, offset: u64, len: u64) -> Result<Vec<u32>, TvgiError> {
-    let bytes = read_bytes(f, offset, len)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn read_u64s(f: &mut File, offset: u64, len: u64) -> Result<Vec<u64>, TvgiError> {
-    let bytes = read_bytes(f, offset, len)?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("exact chunk")))
-        .collect())
+/// Takes section `(id, shard)`'s arena out of its typed map.
+fn take<V>(
+    arenas: &mut BTreeMap<(u32, u32), Vec<V>>,
+    id: u32,
+    shard: u32,
+) -> Result<Vec<V>, TvgiError> {
+    arenas
+        .remove(&(id, shard))
+        .ok_or(TvgiError::MissingSection(id))
 }
 
 impl<T: TvgiTime> ShardedIndex<T> {
     /// Opens `path`, fully validating the container before decoding:
     /// magic/version/width, section-table bounds, alignment, overlap
     /// and duplicates, the whole-file checksum, then cross-section
-    /// consistency. One buffered sequential pass per section; no
-    /// recompilation.
+    /// consistency. After the table, the file is read once, in order,
+    /// through one fixed buffer that is checksummed and decoded in the
+    /// same pass; no recompilation.
     ///
     /// # Errors
     ///
@@ -741,32 +915,31 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 expected: T::WIDTH,
             });
         }
-        let checksum = u64::from_le_bytes(head[16..24].try_into().expect("header slice"));
-        let n_sections = u32::from_le_bytes(head[12..16].try_into().expect("header slice"));
+        let checksum = u64::from_le_bytes(le_array(&head[16..24]));
+        let n_sections = u32::from_le_bytes(le_array(&head[12..16]));
 
         // Section table.
         let table_len = TABLE_ENTRY_LEN * u64::from(n_sections);
-        if HEADER_LEN + table_len > file_len {
+        let payload_start = HEADER_LEN + table_len;
+        if payload_start > file_len {
             return Err(TvgiError::Truncated);
         }
-        let mut table = Vec::with_capacity(n_sections as usize);
-        {
-            let mut entry = [0u8; TABLE_ENTRY_LEN as usize];
-            for _ in 0..n_sections {
-                f.read_exact(&mut entry)?;
-                table.push(Section {
-                    id: u32::from_le_bytes(entry[0..4].try_into().expect("entry slice")),
-                    shard: u32::from_le_bytes(entry[4..8].try_into().expect("entry slice")),
-                    offset: u64::from_le_bytes(entry[8..16].try_into().expect("entry slice")),
-                    len: u64::from_le_bytes(entry[16..24].try_into().expect("entry slice")),
-                });
-            }
-        }
+        let mut table_bytes =
+            vec![0u8; usize::try_from(table_len).map_err(|_| TvgiError::Truncated)?];
+        f.read_exact(&mut table_bytes)?;
+        let table: Vec<Section> = table_bytes
+            .chunks_exact(TABLE_ENTRY_LEN as usize)
+            .map(|entry| Section {
+                id: u32::from_le_bytes(le_array(&entry[0..4])),
+                shard: u32::from_le_bytes(le_array(&entry[4..8])),
+                offset: u64::from_le_bytes(le_array(&entry[8..16])),
+                len: u64::from_le_bytes(le_array(&entry[16..24])),
+            })
+            .collect();
 
         // Structural validation before any payload decode.
-        let payload_start = HEADER_LEN + table_len;
-        let mut seen: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-        for (i, sec) in table.iter().enumerate() {
+        let mut seen = std::collections::BTreeSet::new();
+        for sec in &table {
             if !section::is_known(sec.id) {
                 return Err(TvgiError::Inconsistent("unknown or retired section id"));
             }
@@ -777,42 +950,57 @@ impl<T: TvgiTime> ShardedIndex<T> {
             if sec.offset < payload_start || sec.len > file_len || sec.offset > file_len - sec.len {
                 return Err(TvgiError::SectionOutOfBounds(sec.id));
             }
-            if seen.insert((sec.id, sec.shard), i).is_some() {
+            if !seen.insert((sec.id, sec.shard)) {
                 return Err(TvgiError::DuplicateSection(sec.id));
             }
         }
-        let mut by_offset: Vec<&Section> = table.iter().collect();
-        by_offset.sort_by_key(|s| s.offset);
+        let mut by_offset: Vec<usize> = (0..table.len()).collect();
+        by_offset.sort_by_key(|&i| table[i].offset);
         for pair in by_offset.windows(2) {
-            if pair[0].offset + pair[0].len > pair[1].offset {
-                return Err(TvgiError::SectionOverlap(pair[0].id, pair[1].id));
+            let (a, b) = (&table[pair[0]], &table[pair[1]]);
+            if a.offset + a.len > b.offset {
+                return Err(TvgiError::SectionOverlap(a.id, b.id));
             }
         }
 
-        // Whole-file checksum: everything except the checksum field.
-        let mut fnv = Fnv::new();
-        fnv.update(&head[0..16]);
-        f.seek(SeekFrom::Start(HEADER_LEN))?;
-        let mut buf = vec![0u8; 1 << 20];
-        loop {
-            let got = f.read(&mut buf)?;
-            if got == 0 {
-                break;
+        // One pass over the payload: every chunk is checksummed and its
+        // section pieces decoded while it is in cache. Chunks start
+        // 8-aligned and sections start 8-aligned, so every piece is
+        // whole words. The arenas together hold at most the validated,
+        // non-overlapping section lengths: no more than the file.
+        let mut sum = Checksum::new();
+        sum.update(&head[..16]);
+        sum.update(&table_bytes);
+        let mut arenas = Arenas::<T>::for_table(&table);
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut pos = payload_start;
+        let mut next = 0;
+        while pos < file_len {
+            let take = (file_len - pos).min(READ_CHUNK as u64) as usize;
+            let chunk = &mut buf[..take];
+            f.read_exact(chunk)?;
+            sum.update(chunk);
+            let end = pos + take as u64;
+            while let Some(&i) = by_offset.get(next) {
+                let sec = &table[i];
+                let sec_end = sec.offset + sec.len;
+                let (lo, hi) = (sec.offset.max(pos), sec_end.min(end));
+                if lo < hi {
+                    arenas.decode(sec, &chunk[(lo - pos) as usize..(hi - pos) as usize]);
+                }
+                if sec_end > end {
+                    break;
+                }
+                next += 1;
             }
-            fnv.update(&buf[..got]);
+            pos = end;
         }
-        if fnv.finish() != checksum {
+        if sum.finish() != checksum {
             return Err(TvgiError::ChecksumMismatch);
         }
 
-        // Decode.
-        let global = |id: u32| -> Result<&Section, TvgiError> {
-            seen.get(&(id, GLOBAL))
-                .map(|&i| &table[i])
-                .ok_or(TvgiError::MissingSection(id))
-        };
-        let meta_sec = *global(section::META)?;
-        let meta = read_u64s(&mut f, meta_sec.offset, meta_sec.len)?;
+        // Cross-section consistency.
+        let meta = take(&mut arenas.u64s, section::META, GLOBAL)?;
         if meta.len() != META_WORDS {
             return Err(TvgiError::Inconsistent("META has the wrong word count"));
         }
@@ -830,24 +1018,23 @@ impl<T: TvgiTime> ShardedIndex<T> {
 
         // Counts come from the file, so every product and successor is
         // checked: a forged count is an inconsistency, not an overflow.
-        let expect_len = |sec: &Section, elems: usize, what: &'static str| {
-            let ew = elem_width(sec.id, info.width);
-            match (elems as u64).checked_mul(ew) {
-                Some(len) if len == sec.len => Ok(()),
-                _ => Err(TvgiError::Inconsistent(what)),
+        let expect_len = |len: usize, elems: usize, what: &'static str| {
+            if len == elems {
+                Ok(())
+            } else {
+                Err(TvgiError::Inconsistent(what))
             }
         };
         let successor = |count: usize, what: &'static str| {
             count.checked_add(1).ok_or(TvgiError::Inconsistent(what))
         };
 
-        let sec = *global(section::SHARD_RANGES)?;
+        let ranges = take(&mut arenas.u32s, section::SHARD_RANGES, GLOBAL)?;
         expect_len(
-            &sec,
+            ranges.len(),
             successor(info.shards as usize, "shard count")?,
             "SHARD_RANGES length",
         )?;
-        let ranges = read_u32s(&mut f, sec.offset, sec.len)?;
         if ranges[0] != 0
             || *ranges.last().expect("nonempty") as usize != num_nodes
             || ranges.windows(2).any(|w| w[0] > w[1])
@@ -855,31 +1042,24 @@ impl<T: TvgiTime> ShardedIndex<T> {
             return Err(TvgiError::Inconsistent("SHARD_RANGES not a partition"));
         }
 
-        let sec = *global(section::EDGE_SHARD)?;
-        expect_len(&sec, num_edges, "EDGE_SHARD length")?;
-        let edge_shard = read_u32s(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::EDGE_LOCAL)?;
-        expect_len(&sec, num_edges, "EDGE_LOCAL length")?;
-        let edge_local = read_u32s(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::EDGE_DST)?;
-        expect_len(&sec, num_edges, "EDGE_DST length")?;
-        let edge_dst = read_u32s(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::EDGE_MONO)?;
-        expect_len(&sec, num_edges, "EDGE_MONO length")?;
-        let edge_mono = read_u32s(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::EDGE_LAT)?;
-        expect_len(&sec, num_edges, "EDGE_LAT length")?;
-        let edge_lat = read_words::<T>(&mut f, sec.offset, sec.len)?;
+        let edge_shard = take(&mut arenas.u32s, section::EDGE_SHARD, GLOBAL)?;
+        expect_len(edge_shard.len(), num_edges, "EDGE_SHARD length")?;
+        let edge_local = take(&mut arenas.u32s, section::EDGE_LOCAL, GLOBAL)?;
+        expect_len(edge_local.len(), num_edges, "EDGE_LOCAL length")?;
+        let edge_dst = take(&mut arenas.u32s, section::EDGE_DST, GLOBAL)?;
+        expect_len(edge_dst.len(), num_edges, "EDGE_DST length")?;
+        let edge_mono = take(&mut arenas.u32s, section::EDGE_MONO, GLOBAL)?;
+        expect_len(edge_mono.len(), num_edges, "EDGE_MONO length")?;
+        let edge_lat = take(&mut arenas.times, section::EDGE_LAT, GLOBAL)?;
+        expect_len(edge_lat.len(), num_edges, "EDGE_LAT length")?;
 
-        let sec = *global(section::NAMES_OFF)?;
+        let names_off = take(&mut arenas.u64s, section::NAMES_OFF, GLOBAL)?;
         expect_len(
-            &sec,
+            names_off.len(),
             successor(num_nodes, "node count")?,
             "NAMES_OFF length",
         )?;
-        let names_off = read_u64s(&mut f, sec.offset, sec.len)?;
-        let sec = *global(section::NAMES_BYTES)?;
-        let names_bytes = read_bytes(&mut f, sec.offset, sec.len)?;
+        let names_bytes = take(&mut arenas.bytes, section::NAMES_BYTES, GLOBAL)?;
         if names_off[0] != 0
             || *names_off.last().expect("nonempty") != names_bytes.len() as u64
             || names_off.windows(2).any(|w| w[0] > w[1])
@@ -888,32 +1068,26 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 "NAMES_OFF not monotone over NAMES_BYTES",
             ));
         }
-        let sec = *global(section::SPEC)?;
-        let spec = String::from_utf8(read_bytes(&mut f, sec.offset, sec.len)?)
+        let spec = String::from_utf8(take(&mut arenas.bytes, section::SPEC, GLOBAL)?)
             .map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
 
         let mut shards = Vec::with_capacity(info.shards as usize);
         for s in 0..info.shards {
-            let shard_sec = |id: u32| -> Result<Section, TvgiError> {
-                seen.get(&(id, s))
-                    .map(|&i| table[i])
-                    .ok_or(TvgiError::MissingSection(id))
-            };
             let nodes_here = (ranges[s as usize + 1] - ranges[s as usize]) as usize;
-            let sec = shard_sec(section::CSR_OFF)?;
-            expect_len(&sec, successor(nodes_here, "shard size")?, "CSR_OFF length")?;
-            let csr_off = read_u64s(&mut f, sec.offset, sec.len)?;
-            let sec = shard_sec(section::CSR_EDGES)?;
-            let csr_edges = read_u32s(&mut f, sec.offset, sec.len)?;
-            let sec = shard_sec(section::SPAN_OFF)?;
+            let csr_off = take(&mut arenas.u64s, section::CSR_OFF, s)?;
             expect_len(
-                &sec,
+                csr_off.len(),
+                successor(nodes_here, "shard size")?,
+                "CSR_OFF length",
+            )?;
+            let csr_edges = take(&mut arenas.u32s, section::CSR_EDGES, s)?;
+            let span_off = take(&mut arenas.u64s, section::SPAN_OFF, s)?;
+            expect_len(
+                span_off.len(),
                 successor(csr_edges.len(), "shard edge count")?,
                 "SPAN_OFF length",
             )?;
-            let span_off = read_u64s(&mut f, sec.offset, sec.len)?;
-            let sec = shard_sec(section::SPANS)?;
-            let spans = read_words::<T>(&mut f, sec.offset, sec.len)?;
+            let spans = take(&mut arenas.times, section::SPANS, s)?;
 
             if csr_off[0] != 0
                 || *csr_off.last().expect("nonempty") != csr_edges.len() as u64
@@ -1202,6 +1376,81 @@ mod tests {
             Err(TvgiError::UnsupportedLatency(EdgeId::from_index(0)))
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A deterministic byte stream for the checksum tests.
+    fn stream(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Freezes the version-3 definition: any change to the mix, the
+    /// lane seeds, the lane order, or the finish changes this value.
+    #[test]
+    fn checksum_of_a_fixed_string_is_pinned() {
+        let mut file = b"TVGI\x03\x00\x08\x00".to_vec();
+        file.extend_from_slice(&[0xAA; 16]);
+        file.extend_from_slice(b"time-varying graphs: waiting in dynamic networks");
+        assert_eq!(checksum(&file), 0xbeb3_58cd_98f6_ce96);
+        // Bytes 16..24 are the stored checksum field, outside the sum.
+        let mut other = file.clone();
+        other[16..24].copy_from_slice(&[0x55; 8]);
+        assert_eq!(checksum(&other), 0xbeb3_58cd_98f6_ce96);
+    }
+
+    #[test]
+    fn checksum_is_independent_of_the_chunk_split() {
+        let bytes = stream(1000, 7);
+        let mut one = Checksum::new();
+        one.update(&bytes);
+        let whole = one.finish();
+        for round in 0..40usize {
+            let mut sum = Checksum::new();
+            let (mut at, mut k) = (0, 0);
+            while at < bytes.len() {
+                let step = ((round * 7 + k * 13) % 70).min(bytes.len() - at);
+                sum.update(&bytes[at..at + step]);
+                at += step;
+                k += 1;
+            }
+            assert_eq!(sum.finish(), whole, "split round {round}");
+        }
+    }
+
+    #[test]
+    fn every_single_word_change_changes_the_checksum() {
+        // A stream whose length is not a multiple of 8, so the zero-padded
+        // tail word is exercised too.
+        let bytes = stream(4099, 11);
+        let base = checksum(&bytes);
+        let words = (bytes.len() - 24).div_ceil(8);
+        let mut rng = stream(2000 * 16, 5).into_iter();
+        let mut draw = || {
+            let mut w = [0u8; 8];
+            for b in &mut w {
+                *b = rng.next().expect("enough draws");
+            }
+            u64::from_le_bytes(w)
+        };
+        for _ in 0..2000 {
+            let word = usize::try_from(draw() % words as u64).expect("small");
+            let flip = draw().max(1);
+            let mut forged = bytes.clone();
+            let at = 24 + 8 * word;
+            let end = (at + 8).min(forged.len());
+            for (i, b) in forged[at..end].iter_mut().enumerate() {
+                *b ^= flip.to_le_bytes()[i];
+            }
+            if forged == bytes {
+                continue; // the XOR landed wholly past the end of the tail
+            }
+            assert_ne!(checksum(&forged), base, "xor {flip:#x} into word {word}");
+        }
     }
 
     #[test]

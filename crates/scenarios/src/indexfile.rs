@@ -20,8 +20,13 @@
 //! [`run_with_index`] refuses a file whose embedded text differs from
 //! the scenario it is asked to run — a `.tvgi` is an artifact *of* one
 //! workload, not a generic graph container.
+//!
+//! The report's non-canonical `timing` splits the wall time into
+//! `open_us` (opening and validating the file) and `plan_us` (the
+//! plan's engine runs and reduction), so every indexed run shows
+//! whether it was bound by the decoder or by the engine.
 
-use crate::report::Report;
+use crate::report::{obj, Report};
 use crate::run::{
     narrow_policy, run_broadcast_plan, run_matrix, run_matrix_sample, run_single_source,
 };
@@ -172,6 +177,7 @@ fn run_on<T: TvgiTime + Send + Sync>(
 ) -> Result<Report, IndexFileError> {
     let started = std::time::Instant::now();
     let index = ShardedIndex::<T>::open(path)?;
+    let opened = std::time::Instant::now();
     if index.spec() != scenario.to_string() {
         return Err(IndexFileError::SpecMismatch {
             scenario: scenario.name().to_string(),
@@ -211,6 +217,12 @@ fn run_on<T: TvgiTime + Send + Sync>(
             unreachable!("require_batch_plan rejected feed-defined plans")
         }
     };
+    let micros =
+        |span: std::time::Duration| Json::Int(u64::try_from(span.as_micros()).unwrap_or(u64::MAX));
+    let timing = obj([
+        ("open_us", micros(opened - started)),
+        ("plan_us", micros(opened.elapsed())),
+    ]);
     Ok(Report {
         scenario: scenario.name().to_string(),
         generator: scenario.generator().name(),
@@ -224,6 +236,6 @@ fn run_on<T: TvgiTime + Send + Sync>(
         results,
         engine,
         wall_micros: started.elapsed().as_micros(),
-        timing: Json::Null,
+        timing,
     })
 }

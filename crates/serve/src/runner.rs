@@ -30,7 +30,7 @@ use crate::load::{Request, TimedRequest};
 use crate::snapshot::{EpochRing, ServeSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use tvg_journeys::{foremost_tree_multi, EngineStats, SearchLimits, WaitingPolicy};
+use tvg_journeys::{Engine, EngineStats, SearchLimits, WaitingPolicy};
 use tvg_model::stream::{StreamError, StreamEvent, TvgStream};
 use tvg_model::NodeId;
 
@@ -277,6 +277,9 @@ pub fn serve(
                 let (next_group, groups, config) = (&next_group, &groups, config);
                 scope.spawn(move || {
                     let mut done: Vec<(usize, GroupResult)> = Vec::new();
+                    // One engine per reader, reused for every group it
+                    // answers (a run clears only what the last one touched).
+                    let mut engine = Engine::new();
                     loop {
                         let gi = next_group.fetch_add(1, Ordering::Relaxed);
                         let Some(((epoch, class, src), members)) = groups.get(gi) else {
@@ -284,8 +287,15 @@ pub fn serve(
                         };
                         let t0 = Instant::now();
                         let snapshot = ring.wait(*epoch);
-                        let result =
-                            serve_group(&snapshot, *class, *src, members, requests, config);
+                        let result = serve_group(
+                            &mut engine,
+                            &snapshot,
+                            *class,
+                            *src,
+                            members,
+                            requests,
+                            config,
+                        );
                         done.push((
                             gi,
                             GroupResult {
@@ -427,6 +437,7 @@ impl PublishLog {
 /// Answers one group with a single engine pass over its pinned
 /// snapshot.
 fn serve_group(
+    engine: &mut Engine<u64>,
     snapshot: &std::sync::Arc<ServeSnapshot<u64>>,
     class: GroupClass,
     src: usize,
@@ -442,7 +453,13 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
-    let tree = foremost_tree_multi(snapshot.index(), &seeds, &config.policy, &config.limits);
+    let tree = engine.run(
+        snapshot.index(),
+        &seeds,
+        &config.policy,
+        &config.limits,
+        None,
+    );
     let answers = members
         .iter()
         .map(|&i| {

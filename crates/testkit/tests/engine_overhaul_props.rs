@@ -10,11 +10,14 @@
 //! regression. The suite sweeps the 3 waiting policies × the Figure-1
 //! (bigint times), random-periodic, and scale-free fixtures, the
 //! narrowed `u32` time domain, the multi-seed and early-exit entry
-//! points, and the resumable core under `IncrementalForemost` replay.
+//! points, the resumable core under `IncrementalForemost` replay, and
+//! one [`Engine`] reused across a shuffled query sequence.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tvg_bigint::Nat;
 use tvg_journeys::engine::{foremost_tree, foremost_tree_multi};
-use tvg_journeys::{IncrementalForemost, SearchLimits, WaitingPolicy};
+use tvg_journeys::{Engine, IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_model::stream::TvgStream;
 use tvg_model::{narrow_tvg, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
 use tvg_testkit::fixtures;
@@ -185,6 +188,111 @@ fn incremental_replay_matches_a_fresh_oracle_run() {
                     "incremental witness →{dst} under {policy}"
                 );
             }
+        }
+    }
+}
+
+/// One query of the reuse sequence: which index, seeds, policy, hop
+/// limit, and early-exit target.
+#[derive(Debug, Clone)]
+struct Query {
+    large: bool,
+    seeds: Vec<(NodeId, u64)>,
+    policy: WaitingPolicy<u64>,
+    max_hops: usize,
+    target: Option<NodeId>,
+}
+
+#[test]
+fn a_reused_engine_matches_fresh_engines_and_the_oracle() {
+    // Two indexes, the second with more nodes and edges, so the shuffled
+    // sequence switches between them in both directions.
+    let horizon = fixtures::SCALE_FREE_HORIZON;
+    let small = fixtures::scale_free(24);
+    let large = fixtures::scale_free(48);
+    let small_index = TvgIndex::compile(&small, horizon);
+    let large_index = TvgIndex::compile(&large, horizon);
+    assert!(large.num_edges() > small.num_edges());
+    let n = NodeId::from_index;
+
+    let mut queries = Vec::new();
+    for large in [false, true] {
+        for policy in all_policies::<u64>(3) {
+            for max_hops in [2, 8] {
+                for src in [0, 5, 17] {
+                    queries.push(Query {
+                        large,
+                        seeds: vec![(n(src), 0)],
+                        policy,
+                        max_hops,
+                        target: None,
+                    });
+                    // An early exit, then the same source in full below:
+                    // the exit leaves generated but unsettled state behind.
+                    queries.push(Query {
+                        large,
+                        seeds: vec![(n(src), 0)],
+                        policy,
+                        max_hops,
+                        target: Some(n((src + 7) % 24)),
+                    });
+                }
+            }
+            // A beaconing source: a seed at every instant of a window.
+            queries.push(Query {
+                large,
+                seeds: (0..6u64).map(|t| (n(3), t)).collect(),
+                policy,
+                max_hops: 8,
+                target: None,
+            });
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(41);
+    for i in (1..queries.len()).rev() {
+        queries.swap(i, rng.gen_range(0..=i));
+    }
+    // Pin the property the shuffle is for: targeted exits are followed
+    // by full runs somewhere in the sequence.
+    assert!(queries
+        .windows(2)
+        .any(|w| w[0].target.is_some() && w[1].target.is_none()));
+
+    let mut engine = Engine::new();
+    for (step, q) in queries.iter().enumerate() {
+        let limits = SearchLimits::new(horizon, q.max_hops);
+        let (reused, fresh, oracle, nodes) = if q.large {
+            (
+                engine.run(&large_index, &q.seeds, &q.policy, &limits, q.target),
+                Engine::new().run(&large_index, &q.seeds, &q.policy, &limits, q.target),
+                ref_foremost_tree(&large_index, &q.seeds, &q.policy, &limits, q.target),
+                large.num_nodes(),
+            )
+        } else {
+            (
+                engine.run(&small_index, &q.seeds, &q.policy, &limits, q.target),
+                Engine::new().run(&small_index, &q.seeds, &q.policy, &limits, q.target),
+                ref_foremost_tree(&small_index, &q.seeds, &q.policy, &limits, q.target),
+                small.num_nodes(),
+            )
+        };
+        let label = format!("step {step}: {q:?}");
+        assert_eq!(reused.stats(), fresh.stats(), "{label}: stats vs fresh");
+        assert_eq!(reused.stats(), oracle.stats(), "{label}: stats vs oracle");
+        assert_eq!(reused.num_reached(), fresh.num_reached(), "{label}");
+        for dst in (0..nodes).map(NodeId::from_index) {
+            assert_eq!(reused.arrival(dst), fresh.arrival(dst), "{label}: →{dst}");
+            assert_eq!(reused.arrival(dst), oracle.arrival(dst), "{label}: →{dst}");
+            assert_eq!(
+                reused.journey_to(dst),
+                fresh.journey_to(dst),
+                "{label}: witness →{dst}"
+            );
+            assert_eq!(
+                reused.journey_to(dst),
+                oracle.journey_to(dst),
+                "{label}: witness →{dst}"
+            );
         }
     }
 }

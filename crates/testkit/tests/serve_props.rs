@@ -129,7 +129,7 @@ fn serve_outcome_is_reader_count_invariant() {
                 chunk,
                 &requests,
                 &config,
-                &[1, 2, 4],
+                &[1, 2, 4, 8],
                 &format!("serve::readers case {case} under {policy}"),
             );
         },

@@ -15,7 +15,7 @@
 
 use tvg_journeys::WaitingPolicy;
 use tvg_model::generators::scale_free_temporal;
-use tvg_model::tvgi::{peek_tvgi, write_tvgi, ShardedIndex, TvgiError, MAGIC, VERSION};
+use tvg_model::tvgi::{checksum, peek_tvgi, write_tvgi, ShardedIndex, TvgiError, MAGIC, VERSION};
 use tvg_model::{narrow_tvg, TvgIndex};
 use tvg_scenarios::{compile_index, parse_specs, run_with_index, IndexFileError, Plan};
 use tvg_testkit::tvgicheck::{assert_tvgi_round_trip, scratch_path};
@@ -150,20 +150,11 @@ fn valid_file(label: &str) -> (std::path::PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// FNV-1a 64 over everything except the checksum field at [16, 24) —
-/// the same whole-file checksum the format uses, so a test can patch
-/// payload bytes and re-seal the file.
+/// Re-seals a patched file with the format's own checksum, so a test
+/// can forge payload bytes that pass the checksum.
 fn reseal(bytes: &mut [u8]) {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut upd = |chunk: &[u8]| {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    upd(&bytes[0..16]);
-    upd(&bytes[24..]);
-    bytes[16..24].copy_from_slice(&h.to_le_bytes());
+    let sum = checksum(bytes);
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn open_bytes(label: &str, bytes: &[u8]) -> Result<ShardedIndex<u64>, TvgiError> {
@@ -349,19 +340,22 @@ fn resealed_huge_counts_are_inconsistent_not_overflow() {
 }
 
 /// Version 1 carried an event timeline (sections 11 and 12) and
-/// per-shard boundary summaries (section 17): its files are refused by
-/// version, and a current-version table naming a retired id is typed.
+/// per-shard boundary summaries (section 17), and version 2 an FNV-1a
+/// checksum: both are refused by version, and a current-version table
+/// naming a retired id is typed.
 #[test]
 fn version_one_files_and_retired_sections_are_typed() {
     let (path, bytes) = valid_file("retired");
     let _ = std::fs::remove_file(&path);
-    assert_eq!(VERSION, 2);
-    let mut v1 = bytes.clone();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    assert_eq!(
-        open_bytes("v1-open", &v1).expect_err("must fail"),
-        TvgiError::UnsupportedVersion(1)
-    );
+    assert_eq!(VERSION, 3);
+    for old in [1u16, 2] {
+        let mut stale = bytes.clone();
+        stale[4..6].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(
+            open_bytes("old-version-open", &stale).expect_err("must fail"),
+            TvgiError::UnsupportedVersion(old)
+        );
+    }
     for retired in [11u32, 12, 17] {
         // Rename the SPEC entry (section 4); the table is validated
         // before the checksum, so no reseal is needed.
