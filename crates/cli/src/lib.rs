@@ -11,9 +11,9 @@
 //!   file (see `compile`) instead of regenerating and recompiling —
 //!   same canonical bytes, no compile cost.
 //! * `check <spec>...` — parse and fully validate, run nothing.
-//! * `compile <spec> -o <file.tvgi> [--shards <k>] [--scenario <name>]`
-//!   — compile one scenario's index and serialize it as a sharded
-//!   on-disk `.tvgi` file for `run --index`.
+//! * `compile <spec> -o <file.tvgi> [--scenario <name>]` — compile one
+//!   scenario's index and serialize it as an on-disk `.tvgi` file for
+//!   `run --index`.
 //! * `profile <spec>...` — run every scenario and print one JSON line of
 //!   engine throughput each (queries/sec, settles/sec, time/query) —
 //!   the profiling-first gate's human- and CI-artifact-facing face.
@@ -31,7 +31,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use tvg_scenarios::{parse_specs, Scenario};
+use tvg_scenarios::{parse_specs, Json, Scenario};
 
 /// A CLI failure: what went wrong, tied to the file it happened in.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,9 +132,9 @@ pub const USAGE: &str = "usage: tvg-cli <command> [args]
                     with --index, answer batch plans from a compiled
                     index file instead of regenerating and recompiling
   check <spec>...   parse and validate specs without running them
-  compile <spec> -o <file.tvgi> [--shards <k>] [--scenario <name>]
+  compile <spec> -o <file.tvgi> [--scenario <name>]
                     compile a scenario's index once and serialize it as
-                    a sharded on-disk .tvgi index file
+                    an on-disk .tvgi index file
   profile <spec>... run scenarios and print engine throughput (queries/sec,
                     settles/sec, time/query) as one JSON line per scenario
   verify <dir>      run every <dir>/*.tvgs and diff against <dir>/golden/
@@ -161,7 +161,8 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
         .ok_or_else(|| CliError::Usage("missing command".to_string()))?;
     match command.as_str() {
         "run" => {
-            let (index, specs) = take_index_flag(rest)?;
+            let ([index], specs) = take_flags("run", rest, ["--index"])?;
+            let index = index.map(PathBuf::from);
             if specs.is_empty() {
                 return Err(CliError::Usage("run: need at least one spec file".into()));
             }
@@ -187,7 +188,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                     )
                     .expect("string write");
                     let timing = report.timing();
-                    if timing != &tvg_scenarios::Json::Null {
+                    if timing != &Json::Null {
                         writeln!(out.stderr, "timing {} {timing}", scenario.name())
                             .expect("string write");
                     }
@@ -214,85 +215,41 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
             Ok(out)
         }
         "compile" => {
-            let mut spec_path: Option<PathBuf> = None;
-            let mut out_path: Option<PathBuf> = None;
-            let mut shards: u32 = 1;
-            let mut pick: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "-o" | "--out" => {
-                        out_path = Some(PathBuf::from(it.next().ok_or_else(|| {
-                            CliError::Usage("compile: -o needs an output path".into())
-                        })?));
-                    }
-                    "--shards" => {
-                        shards = it
-                            .next()
-                            .and_then(|s| s.parse().ok())
-                            .filter(|&k| k > 0)
-                            .ok_or_else(|| {
-                                CliError::Usage("compile: --shards needs a positive integer".into())
-                            })?;
-                    }
-                    "--scenario" => {
-                        pick = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError::Usage("compile: --scenario needs a name".into())
-                                })?
-                                .clone(),
-                        );
-                    }
-                    other if spec_path.is_none() && !other.starts_with('-') => {
-                        spec_path = Some(PathBuf::from(other));
-                    }
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "compile: unexpected argument {other:?}"
-                        )))
-                    }
-                }
-            }
-            let spec_path =
-                spec_path.ok_or_else(|| CliError::Usage("compile: need a spec file".into()))?;
-            let out_path =
-                out_path.ok_or_else(|| CliError::Usage("compile: need -o <file.tvgi>".into()))?;
-            let scenarios = load_specs(&spec_path)?;
-            let scenario = match &pick {
-                Some(name) => scenarios.iter().find(|s| s.name() == name).ok_or_else(|| {
+            let ([out_path, pick], specs) = take_flags("compile", rest, ["-o", "--scenario"])?;
+            let ([spec_path], Some(out_path)) = (specs.as_slice(), out_path) else {
+                return Err(CliError::Usage(
+                    "compile: need one spec file and -o <file.tvgi>".into(),
+                ));
+            };
+            let out_path = PathBuf::from(out_path);
+            let scenarios = load_specs(Path::new(spec_path))?;
+            let scenario = match (&pick, scenarios.as_slice()) {
+                (Some(name), all) => all.iter().find(|s| s.name() == name).ok_or_else(|| {
                     CliError::Usage(format!(
-                        "compile: no scenario named {name:?} in {}",
-                        spec_path.display()
+                        "compile: no scenario named {name:?} in {spec_path}"
                     ))
                 })?,
-                None => match scenarios.as_slice() {
-                    [one] => one,
-                    many => {
-                        return Err(CliError::Usage(format!(
-                            "compile: {} holds {} scenarios; pick one with --scenario <name>",
-                            spec_path.display(),
-                            many.len()
-                        )))
-                    }
-                },
+                (None, [one]) => one,
+                (None, many) => {
+                    return Err(CliError::Usage(format!(
+                        "compile: {spec_path} holds {} scenarios; pick one with --scenario <name>",
+                        many.len()
+                    )))
+                }
             };
             let summary =
-                tvg_scenarios::compile_index(scenario, shards, &out_path).map_err(|e| {
-                    CliError::Index {
-                        path: out_path.clone(),
-                        error: e.to_string(),
-                    }
+                tvg_scenarios::compile_index(scenario, &out_path).map_err(|e| CliError::Index {
+                    path: out_path.clone(),
+                    error: e.to_string(),
                 })?;
             let mut out = Output::default();
             writeln!(
                 out.stdout,
-                "compiled {} -> {} ({} bytes, {} shards, width {}, {} nodes, {} edges, \
-                 {} spans, {} events)",
+                "compiled {} -> {} ({} bytes, width {}, {} nodes, {} edges, {} spans, \
+                 {} events)",
                 scenario.name(),
                 out_path.display(),
                 summary.bytes,
-                summary.shards,
                 summary.width,
                 summary.num_nodes,
                 summary.num_edges,
@@ -387,12 +344,13 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 
 /// Runs one scenario and renders its engine throughput as a single JSON
 /// line: the run/settle/expansion counters from the report's
-/// [`tvg_journeys::EngineStats`], the wall time, and the derived rates
-/// the profiling workflow watches (queries/sec, settles/sec, ns/query).
-/// A serve scenario additionally reports its publication metrics —
-/// epoch count, mean events per epoch, frozen chunks shared with the
-/// final snapshot, chunk copies forced by snapshot isolation, and the
-/// epochs/sec publication rate.
+/// [`tvg_journeys::EngineStats`], the wall time, the engine phase
+/// (`plan_us`, for every batch plan), and the derived rates the
+/// profiling workflow watches (queries/sec, settles/sec, ns/query; see
+/// [`rates`]). A serve scenario additionally reports its publication
+/// metrics — epoch count, mean events per epoch, frozen chunks shared
+/// with the final snapshot, chunk copies forced by snapshot isolation,
+/// and the epochs/sec publication rate.
 ///
 /// Counters (including the publication chunk/event counters) are
 /// deterministic (golden-pinned); the wall time and rates are real
@@ -403,24 +361,44 @@ pub fn profile_line(scenario: &Scenario) -> String {
     let report = scenario.run();
     let stats = report.engine_stats();
     let wall_us = report.wall_micros().max(1);
-    let per_sec = |count: u64| (u128::from(count) * 1_000_000) / wall_us;
+    let plan_us = plan_micros(report.timing());
+    let [queries, settles, ns] = rates(plan_us, wall_us, stats.runs, stats.settled);
     let mut line = format!(
         "{{\"scenario\": \"{}\", \"runs\": {}, \"settled\": {}, \"expanded\": {}, \
-         \"wall_us\": {wall_us}, \"queries_per_sec\": {}, \"settles_per_sec\": {}, \
-         \"ns_per_query\": {}",
+         \"wall_us\": {wall_us}{}, \"queries_per_sec\": {queries}, \"settles_per_sec\": {settles}, \
+         \"ns_per_query\": {ns}",
         scenario.name(),
         stats.runs,
         stats.settled,
         stats.expanded,
-        per_sec(stats.runs),
-        per_sec(stats.settled),
-        ns_per_query(wall_us, stats.runs),
+        plan_us.map_or(String::new(), |us| format!(", \"plan_us\": {us}")),
     );
     if let Some(publication) = publication_profile(report.timing()) {
         line.push_str(&publication);
     }
     line.push('}');
     line
+}
+
+/// The engine phase a report's timing records (`plan_us`), if any.
+fn plan_micros(timing: &Json) -> Option<u64> {
+    let Json::Obj(map) = timing else { return None };
+    match map.get("plan_us") {
+        Some(Json::Int(us)) => Some(*us),
+        _ => None,
+    }
+}
+
+/// `[queries_per_sec, settles_per_sec, ns_per_query]` for `runs` engine
+/// runs that settled `settled` configurations, over the engine phase
+/// `plan_us` when the timing records one (every batch plan), so
+/// generation, narrowing, compile and file open stay out of the rates.
+/// Streaming and serve interleave engine runs with ingest, so they
+/// divide by the whole wall time.
+fn rates(plan_us: Option<u64>, wall_us: u128, runs: u64, settled: u64) -> [u128; 3] {
+    let span_us = plan_us.map_or(wall_us, u128::from).max(1);
+    let per_sec = |count: u64| (u128::from(count) * 1_000_000) / span_us;
+    [per_sec(runs), per_sec(settled), ns_per_query(span_us, runs)]
 }
 
 /// Wall time per engine run at nanosecond resolution. Batch specs
@@ -433,8 +411,7 @@ fn ns_per_query(wall_us: u128, runs: u64) -> u128 {
 
 /// The serve plan's publication metrics as extra profile-line fields
 /// (`None` for plans without a publication timing section).
-fn publication_profile(timing: &tvg_scenarios::Json) -> Option<String> {
-    use tvg_scenarios::Json;
+fn publication_profile(timing: &Json) -> Option<String> {
     let Json::Obj(map) = timing else { return None };
     let ints = |key: &str| -> Option<Vec<u64>> {
         let Some(Json::Arr(items)) = map.get(key) else {
@@ -512,31 +489,35 @@ pub fn bundled_scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// Splits `rest` into an optional `--index <path>` flag and the
-/// remaining (spec-file) arguments, in order. A repeated `--index` and
-/// any other flag (a misspelling such as `--indx`) are usage errors,
-/// not a silently dropped path or a spec file that does not exist.
-fn take_index_flag(rest: &[String]) -> Result<(Option<PathBuf>, Vec<String>), CliError> {
-    let mut index = None;
+/// Splits `rest` into the values of `flags`, each taking one argument,
+/// and the remaining (spec-file) arguments, in order. A repeated flag
+/// and any other flag (a misspelling such as `--indx`) are usage
+/// errors, not a silently dropped value or a spec file that does not
+/// exist.
+fn take_flags<const N: usize>(
+    command: &str,
+    rest: &[String],
+    flags: [&str; N],
+) -> Result<([Option<String>; N], Vec<String>), CliError> {
+    let usage = |msg: String| CliError::Usage(format!("{command}: {msg}"));
+    let mut values = [const { None }; N];
     let mut specs = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--index" => {
-                let path = it
+        match flags.iter().position(|flag| flag == arg) {
+            Some(i) => {
+                let value = it
                     .next()
-                    .ok_or_else(|| CliError::Usage("run: --index needs a .tvgi path".into()))?;
-                if index.replace(PathBuf::from(path)).is_some() {
-                    return Err(CliError::Usage("run: --index given more than once".into()));
+                    .ok_or_else(|| usage(format!("{arg} needs a value")))?;
+                if values[i].replace(value.clone()).is_some() {
+                    return Err(usage(format!("{arg} given more than once")));
                 }
             }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("run: unknown flag {flag:?}")));
-            }
-            spec => specs.push(spec.to_string()),
+            None if arg.starts_with('-') => return Err(usage(format!("unknown flag {arg:?}"))),
+            None => specs.push(arg.clone()),
         }
     }
-    Ok((index, specs))
+    Ok((values, specs))
 }
 
 /// Loads and fully validates a spec file. A directory is a typed
@@ -601,7 +582,31 @@ pub fn spec_files(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use super::ns_per_query;
+    use super::{ns_per_query, plan_micros, rates, Json};
+
+    /// A batch plan's rates come from its engine phase, not from a wall
+    /// time that includes generation and compile; a timing without
+    /// `plan_us` (streaming, serve) falls back to the wall time.
+    #[test]
+    fn rates_divide_by_the_engine_phase() {
+        let timing = Json::Obj(
+            [
+                ("build_us", 617_083),
+                ("compile_us", 189_097),
+                ("plan_us", 12_988),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::Int(v)))
+            .collect(),
+        );
+        let plan_us = plan_micros(&timing);
+        assert_eq!(plan_us, Some(12_988));
+        assert_eq!(rates(plan_us, 820_000, 8, 21), [615, 1_616, 1_623_500]);
+        assert_eq!(plan_micros(&Json::Null), None);
+        assert_eq!(rates(None, 820_000, 8, 21), [9, 25, 102_500_000]);
+        // A zero-length phase must not divide by zero.
+        assert_eq!(rates(Some(0), 820_000, 2, 3), [2_000_000, 3_000_000, 500]);
+    }
 
     /// The bug this replaced: `wall_us / runs` truncated every
     /// sub-microsecond query to 0 — a 1 µs wall over 8 runs profiled as

@@ -38,8 +38,8 @@ fn compile_then_run_from_index_reproduces_the_direct_report() {
     let spec = spec.display().to_string();
     let index = scratch("ring.tvgi").display().to_string();
 
-    let compiled = run_command(&args(&["compile", &spec, "-o", &index, "--shards", "2"]))
-        .expect("bundled spec compiles");
+    let compiled =
+        run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
     assert!(
         compiled.stdout.starts_with("compiled ring-matrix -> "),
         "unexpected compile output: {}",
@@ -119,10 +119,10 @@ fn compile_validates_its_flags() {
         run_command(&args(&["compile", &spec, "-o"])),
         Err(CliError::Usage(_))
     ));
-    assert!(matches!(
-        run_command(&args(&["compile", &spec, "-o", "x.tvgi", "--shards", "0"])),
-        Err(CliError::Usage(_))
-    ));
+    // The shard count is not an option: `compile` writes one shard.
+    let err = run_command(&args(&["compile", &spec, "-o", "x.tvgi", "--shards", "2"]))
+        .expect_err("--shards was removed");
+    assert!(matches!(err, CliError::Usage(_)) && err.to_string().contains("--shards"));
     assert!(matches!(
         run_command(&args(&["run", "--index"])),
         Err(CliError::Usage(_))
@@ -144,6 +144,27 @@ fn a_repeated_index_flag_is_a_usage_error() {
     assert!(err.to_string().contains("more than once"));
 }
 
+/// A repeated `-o` or `--scenario` is refused before anything is
+/// written, rather than silently keeping the last value.
+#[test]
+fn repeated_compile_flags_are_usage_errors() {
+    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
+    let spec = spec.display().to_string();
+    let (a, b) = (scratch("twice-a.tvgi"), scratch("twice-b.tvgi"));
+    let (a, b) = (a.display().to_string(), b.display().to_string());
+    for repeat in [["-o", &b], ["--scenario", "ring-matrix"]] {
+        let argv = ["compile", &spec, "--scenario", "ring-matrix", "-o", &a];
+        let err = run_command(&args(&[&argv[..], &repeat[..]].concat()))
+            .expect_err("a repeated flag must fail");
+        assert!(
+            matches!(err, CliError::Usage(_)) && err.to_string().contains("more than once"),
+            "{}: got {err:?}",
+            repeat[0]
+        );
+    }
+    assert!(!std::path::Path::new(&a).exists() && !std::path::Path::new(&b).exists());
+}
+
 #[test]
 fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
     let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
@@ -157,6 +178,19 @@ fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
     assert!(err.to_string().contains("--indx"));
 }
 
+/// The keys of the `timing` line `run` prints on stderr for ring-matrix.
+fn timing_keys(run_args: &[&str]) -> Vec<String> {
+    let out = run_command(&args(run_args)).expect("run succeeds");
+    let timing = out
+        .stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("timing ring-matrix "))
+        .unwrap_or_else(|| panic!("no timing line in {:?}", out.stderr));
+    // Integer values carry no quotes, so every quoted string is a key.
+    let keys = timing.split('"').skip(1).step_by(2);
+    keys.map(String::from).collect()
+}
+
 /// `run --index` splits its wall time into the file open and the plan on
 /// stderr's `timing` line; the key set is pinned, the values are clocks.
 #[test]
@@ -165,14 +199,16 @@ fn an_indexed_run_reports_its_open_and_plan_time() {
     let spec = spec.display().to_string();
     let index = scratch("timing.tvgi").display().to_string();
     run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
-    let out = run_command(&args(&["run", &spec, "--index", &index])).expect("indexed run");
+    let keys = timing_keys(&["run", &spec, "--index", &index]);
     let _ = std::fs::remove_file(&index);
-    let timing = out
-        .stderr
-        .lines()
-        .find_map(|line| line.strip_prefix("timing ring-matrix "))
-        .unwrap_or_else(|| panic!("no timing line in {:?}", out.stderr));
-    // Integer values carry no quotes, so every quoted string is a key.
-    let keys: Vec<&str> = timing.split('"').skip(1).step_by(2).collect();
-    assert_eq!(keys, ["open_us", "plan_us"], "timing {timing}");
+    assert_eq!(keys, ["open_us", "plan_us"]);
+}
+
+/// A direct batch run splits it into generation, narrowing plus
+/// compile, and the plan.
+#[test]
+fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
+    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
+    let keys = timing_keys(&["run", &spec.display().to_string()]);
+    assert_eq!(keys, ["build_us", "compile_us", "plan_us"]);
 }

@@ -63,8 +63,9 @@
 //!
 //! # Sharding
 //!
-//! `--shards k` splits the node range into `k` balanced contiguous
-//! ranges at write time. An edge belongs to its source's shard; each
+//! [`write_tvgi`]'s `shards` argument `k` splits the node range into `k`
+//! balanced contiguous ranges at write time (`tvg-cli compile` writes
+//! one). An edge belongs to its source's shard; each
 //! shard carries its own CSR and interval store. Edge ids stay
 //! *global*, which is what keeps a [`ShardedIndex`] bit-identical to the
 //! in-memory index — same witness journeys, same engine stats — at

@@ -130,6 +130,11 @@ pub(crate) fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     )
 }
 
+/// A measured span as a `timing` value in whole microseconds.
+pub(crate) fn micros(span: std::time::Duration) -> Json {
+    Json::Int(u64::try_from(span.as_micros()).unwrap_or(u64::MAX))
+}
+
 pub(crate) fn engine_json(stats: &EngineStats) -> Json {
     obj([
         ("expanded", Json::Int(stats.expanded)),

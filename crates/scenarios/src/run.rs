@@ -1,14 +1,20 @@
 //! Plan execution: one scenario in, one canonical [`Report`] out.
 //!
-//! Every plan runs on the workspace's standard pipeline — compile the
-//! generated TVG into a [`TvgIndex`] (or replay it through a
-//! [`TvgStream`] for the streaming plan), then fan engine runs out over
-//! the [`BatchRunner`] at the scenario's thread policy. The batch
-//! runtime's thread-count invariance is what makes reports reproducible
-//! bytes rather than approximate numbers.
+//! Batch plans (`single_source`, `matrix`, `matrix_sample`,
+//! `broadcast`) run on one pipeline. An index source — generate, decide
+//! the time domain once ([`Scenario::narrowed`]), compile a
+//! [`TvgIndex`]; or open a `.tvgi` (`crate::indexfile`) — feeds the one
+//! generic dispatcher [`Scenario::run_batch_plan`], which fans engine
+//! runs out over the [`BatchRunner`] at the scenario's thread policy.
+//! The streaming and serve plans are defined by their ingest feed, not
+//! by an index, so they keep their own bodies over a [`TvgStream`].
+//! Every plan builds its [`Report`] through [`Scenario::report`]. The
+//! batch runtime's thread-count invariance is what makes reports
+//! reproducible bytes rather than approximate numbers.
 
-use crate::report::{engine_json, histogram, obj, Report};
+use crate::report::{engine_json, histogram, micros, obj, Report};
 use crate::spec::{Plan, Scenario, Threads};
+use std::time::{Duration, Instant};
 use tvg_dynnet::broadcast::broadcast_plan;
 use tvg_dynnet::json::{Json, ToJson};
 use tvg_dynnet::metrics::{AggregateStats, DeliveryStats};
@@ -69,20 +75,13 @@ impl Scenario {
     /// Runs the scenario end to end and returns its report.
     #[must_use]
     pub fn run(&self) -> Report {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let g = self.build_graph();
-        let limits = self.limits();
-        let batch = self.batch();
-        let (((results, engine), edge_events), timing) = match self.plan() {
+        let built = Instant::now();
+        let (outcome, edge_events, timing) = match self.plan() {
             Plan::Streaming {
-                src,
-                start,
-                batch: batch_size,
-                ..
-            } => (
-                run_streaming(&g, &limits, batch, self, *src, *start, *batch_size),
-                Json::Null,
-            ),
+                src, start, batch, ..
+            } => run_streaming(&g, self, *src, *start, *batch),
             Plan::Serve {
                 start,
                 requests,
@@ -91,41 +90,114 @@ impl Scenario {
                 ticks,
                 seed,
                 ..
-            } => {
-                let (outcome, timing) = run_serve(
-                    &g, &limits, batch, self, *start, *requests, *gap, *mix, *ticks, *seed,
-                );
-                (outcome, timing)
-            }
-            plan => {
-                // Timeline compression: when the horizon, start, and
-                // policy arithmetic all provably fit `u32`, run the plan
-                // on a narrowed graph — same answers, same engine stats,
-                // half the time-key bytes in the hot loops. Any doubt
-                // (`NarrowError`, an unprovable bound) falls back to the
-                // exact `u64` path transparently.
-                let start = match plan {
-                    Plan::SingleSource { start, .. }
-                    | Plan::Matrix { start, .. }
-                    | Plan::MatrixSample { start, .. } => *start,
-                    _ => 0,
-                };
-                let outcome = match (
-                    narrow_tvg(&g, limits.horizon),
-                    narrow_policy(self.policy(), limits.horizon),
-                ) {
-                    (Ok(narrowed), Some(policy)) if start <= limits.horizon => {
-                        let limits = SearchLimits::new(
-                            u32::try_from(limits.horizon).expect("narrowing checked the horizon"),
-                            limits.max_hops,
-                        );
-                        run_batch_plan(&narrowed, batch, plan, &policy, &limits)
+            } => run_serve(&g, self, *start, *requests, *gap, *mix, *ticks, *seed),
+            _ => {
+                return match self.narrowed(&g) {
+                    Some(narrowed) => {
+                        drop(g);
+                        self.run_compiled(&narrowed, started, built)
                     }
-                    _ => run_batch_plan(&g, batch, plan, self.policy(), &limits),
-                };
-                (outcome, Json::Null)
+                    None => self.run_compiled(&g, started, built),
+                }
             }
         };
+        let graph = (g.num_nodes(), g.num_edges(), edge_events);
+        self.report(graph, outcome, started, timing)
+    }
+
+    /// The one time-domain decision: the scenario's graph rebuilt over
+    /// `u32` instants when the horizon and the policy's arithmetic
+    /// provably fit there (`wait[d]` computes `ready + d` for every
+    /// `ready <= horizon`), `None` to stay in `u64`. A narrowed run gives
+    /// the same answers with half the time-key bytes in the hot loops.
+    pub(crate) fn narrowed(&self, g: &Tvg<u64>) -> Option<Tvg<u32>> {
+        let horizon = self.plan().horizon();
+        let delay = match self.policy() {
+            WaitingPolicy::Bounded(d) => *d,
+            WaitingPolicy::NoWait | WaitingPolicy::Unbounded => 0,
+        };
+        let fits = horizon.checked_add(delay)? <= u64::from(u32::MAX);
+        fits.then(|| narrow_tvg(g, horizon).ok()).flatten()
+    }
+
+    /// Compiles `g`, in the domain [`Scenario::narrowed`] settled on,
+    /// and runs the batch plan on the index, timing generation and
+    /// narrowing plus compile.
+    fn run_compiled<T: Time + Send + Sync>(
+        &self,
+        g: &Tvg<T>,
+        started: Instant,
+        built: Instant,
+    ) -> Report {
+        let index = TvgIndex::compile(g, T::from_u64(self.plan().horizon()));
+        let phases = [
+            ("build_us", built - started),
+            ("compile_us", built.elapsed()),
+        ];
+        self.run_batch_plan(&index, started, &phases)
+    }
+
+    /// The one batch-plan dispatcher, behind direct and indexed runs:
+    /// runs the plan on `index` and reports it, with the index source's
+    /// `phases` and the plan's own `plan_us` as `timing`. A `u32` index
+    /// exists only where [`Scenario::narrowed`] proved the horizon and
+    /// the bounded delay fit, so converting them cannot truncate.
+    pub(crate) fn run_batch_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
+        &self,
+        index: &I,
+        started: Instant,
+        phases: &[(&str, Duration)],
+    ) -> Report {
+        let planned = Instant::now();
+        let q = Query {
+            index,
+            batch: self.batch(),
+            policy: match self.policy() {
+                WaitingPolicy::NoWait => WaitingPolicy::NoWait,
+                WaitingPolicy::Unbounded => WaitingPolicy::Unbounded,
+                WaitingPolicy::Bounded(d) => WaitingPolicy::Bounded(T::from_u64(*d)),
+            },
+            limits: SearchLimits::new(T::from_u64(self.plan().horizon()), self.plan().max_hops()),
+        };
+        let outcome = match self.plan() {
+            Plan::SingleSource { src, start, .. } => q.single_source(*src, &T::from_u64(*start)),
+            Plan::Matrix { start, .. } => q.matrix(&T::from_u64(*start)),
+            Plan::MatrixSample {
+                sources,
+                seed,
+                start,
+                ..
+            } => q.matrix_sample(*sources, *seed, &T::from_u64(*start)),
+            Plan::Broadcast {
+                source, beacons, ..
+            } => q.broadcast(*source, *beacons),
+            Plan::Streaming { .. } | Plan::Serve { .. } => {
+                unreachable!("feed-defined plans never reach the batch dispatcher")
+            }
+        };
+        let timing = phases
+            .iter()
+            .chain(&[("plan_us", planned.elapsed())])
+            .map(|&(phase, span)| (phase.to_string(), micros(span)))
+            .collect();
+        let graph = (
+            index.num_nodes(),
+            index.num_edges(),
+            index.num_edge_events(),
+        );
+        self.report(graph, outcome, started, Json::Obj(timing))
+    }
+
+    /// Wraps a plan's outcome in this scenario's [`Report`]: the one
+    /// builder behind every plan, direct or from a `.tvgi`. `graph` is
+    /// the `(nodes, edges, edge_events)` summary of what the plan ran on.
+    pub(crate) fn report(
+        &self,
+        (nodes, edges, edge_events): (usize, usize, usize),
+        (results, engine): (Json, EngineStats),
+        started: Instant,
+        timing: Json,
+    ) -> Report {
         Report {
             scenario: self.name().to_string(),
             generator: self.generator().name(),
@@ -133,8 +205,8 @@ impl Scenario {
             policy: self.policy().to_string(),
             plan: self.plan().name(),
             threads: self.threads().to_string(),
-            nodes: g.num_nodes(),
-            edges: g.num_edges(),
+            nodes,
+            edges,
             edge_events,
             results,
             engine,
@@ -144,124 +216,150 @@ impl Scenario {
     }
 }
 
-/// Narrows the scenario's waiting policy into the `u32` domain when its
-/// arithmetic provably cannot diverge there: `wait[d]` computes
-/// `ready + d` before clamping, so every admissible `ready <= horizon`
-/// must keep that sum in range. `None` keeps the `u64` path.
-pub(crate) fn narrow_policy(
-    policy: &WaitingPolicy<u64>,
-    horizon: u64,
-) -> Option<WaitingPolicy<u32>> {
-    match policy {
-        WaitingPolicy::NoWait => Some(WaitingPolicy::NoWait),
-        WaitingPolicy::Unbounded => Some(WaitingPolicy::Unbounded),
-        WaitingPolicy::Bounded(d) => horizon
-            .checked_add(*d)
-            .filter(|sum| *sum <= u64::from(u32::MAX))
-            .map(|_| WaitingPolicy::Bounded(u32::try_from(*d).expect("bounded by the sum"))),
-    }
+/// One batch plan's engine inputs, in the index's time domain.
+struct Query<'a, T, I> {
+    index: &'a I,
+    batch: Batch,
+    policy: WaitingPolicy<T>,
+    limits: SearchLimits<T>,
 }
 
-/// Compiles the graph and dispatches one batch plan (single-source,
-/// matrix, or broadcast), in whichever time domain the caller settled
-/// on. Returns the plan outcome plus the compiled edge-event count.
-fn run_batch_plan<T: Time + Send + Sync>(
-    g: &Tvg<T>,
-    batch: Batch,
-    plan: &Plan,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> ((Json, EngineStats), usize) {
-    let index = TvgIndex::compile(g, limits.horizon.clone());
-    let events = index.num_edge_events();
-    let outcome = match plan {
-        Plan::SingleSource { src, start, .. } => {
-            run_single_source(&index, batch, *src, &T::from_u64(*start), policy, limits)
-        }
-        Plan::Matrix { start, .. } => {
-            run_matrix(&index, batch, &T::from_u64(*start), policy, limits)
-        }
-        Plan::MatrixSample {
-            sources,
-            seed,
+impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
+    fn single_source(&self, src: usize, start: &T) -> (Json, EngineStats) {
+        let nodes = self.index.num_nodes();
+        let out = BatchRunner::new(self.index, self.batch).run_sources(
+            &[NodeId::from_index(src)],
             start,
-            ..
-        } => run_matrix_sample(
-            &index,
-            batch,
-            *sources,
-            *seed,
-            &T::from_u64(*start),
-            policy,
-            limits,
-        ),
-        Plan::Broadcast {
-            source, beacons, ..
-        } => run_broadcast_plan(&index, batch, *source, *beacons, policy, limits),
-        Plan::Streaming { .. } | Plan::Serve { .. } => unreachable!("handled by the caller"),
-    };
-    (outcome, events)
-}
+            &self.policy,
+            &self.limits,
+        );
+        let tree = &out.trees()[0];
+        let results = obj([
+            (
+                "histogram",
+                histogram((0..nodes).map(|n| tree.arrival(NodeId::from_index(n)))),
+            ),
+            ("reached", Json::Int(tree.num_reached() as u64)),
+        ]);
+        (results, out.stats())
+    }
 
-pub(crate) fn run_single_source<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
-    index: &I,
-    batch: Batch,
-    src: usize,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> (Json, EngineStats) {
-    let nodes = index.num_nodes();
-    let out = BatchRunner::new(index, batch).run_sources(
-        &[NodeId::from_index(src)],
-        start,
-        policy,
-        limits,
-    );
-    let tree = &out.trees()[0];
-    let results = obj([
-        (
-            "histogram",
-            histogram((0..nodes).map(|n| tree.arrival(NodeId::from_index(n)))),
-        ),
-        ("reached", Json::Int(tree.num_reached() as u64)),
-    ]);
-    (results, out.stats())
-}
-
-pub(crate) fn run_matrix<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
-    index: &I,
-    batch: Batch,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> (Json, EngineStats) {
-    let nodes = index.num_nodes();
-    let m = ReachabilityMatrix::compute_on(index, start, policy, limits, batch);
-    let mut off_diagonal = Vec::new();
-    for src in (0..nodes).map(NodeId::from_index) {
-        for dst in (0..nodes).map(NodeId::from_index) {
-            if dst != src {
-                off_diagonal.push(m.arrival(src, dst));
+    fn matrix(&self, start: &T) -> (Json, EngineStats) {
+        let nodes = self.index.num_nodes();
+        let m = ReachabilityMatrix::compute_on(
+            self.index,
+            start,
+            &self.policy,
+            &self.limits,
+            self.batch,
+        );
+        let mut off_diagonal = Vec::new();
+        for src in (0..nodes).map(NodeId::from_index) {
+            for dst in (0..nodes).map(NodeId::from_index) {
+                if dst != src {
+                    off_diagonal.push(m.arrival(src, dst));
+                }
             }
         }
+        let results = obj([
+            (
+                "diameter",
+                m.temporal_diameter()
+                    .and_then(|d| d.to_u64())
+                    .map_or(Json::Null, Json::Int),
+            ),
+            ("histogram", histogram(off_diagonal.into_iter())),
+            ("ratio", Json::Num(m.reachability_ratio())),
+            ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
+            (
+                "temporal_sources",
+                Json::Int(m.temporal_sources().len() as u64),
+            ),
+        ]);
+        (results, m.stats())
     }
-    let results = obj([
-        (
-            "diameter",
-            m.temporal_diameter()
-                .and_then(|d| d.to_u64())
-                .map_or(Json::Null, Json::Int),
-        ),
-        ("histogram", histogram(off_diagonal.into_iter())),
-        ("ratio", Json::Num(m.reachability_ratio())),
-        ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
-        (
-            "temporal_sources",
-            Json::Int(m.temporal_sources().len() as u64),
-        ),
-    ]);
-    (results, m.stats())
+
+    /// The sampled matrix plan: one all-destinations foremost run per
+    /// sampled source, collapsed to a per-source `[histogram, reached]`
+    /// row inside the batch workers — the full-tree arrays never
+    /// accumulate, which is what keeps the million-node scale job's
+    /// resident set bounded by the index, not by `sources × n` trees.
+    fn matrix_sample(&self, sources: usize, seed: u64, start: &T) -> (Json, EngineStats) {
+        let nodes = self.index.num_nodes();
+        let srcs = sample_sources(nodes, sources, seed);
+        let (rows, stats) = BatchRunner::new(self.index, self.batch).map_sources(
+            &srcs,
+            start,
+            &self.policy,
+            &self.limits,
+            |_, tree| {
+                Json::Arr(vec![
+                    histogram((0..nodes).map(|d| tree.arrival(NodeId::from_index(d)))),
+                    Json::Int(tree.num_reached() as u64),
+                ])
+            },
+        );
+        let results = obj([
+            ("per_source", Json::Arr(rows)),
+            (
+                "sources",
+                Json::Arr(srcs.iter().map(|s| Json::Int(s.index() as u64)).collect()),
+            ),
+        ]);
+        (results, stats)
+    }
+
+    fn broadcast(&self, source: Option<usize>, beacons: bool) -> (Json, EngineStats) {
+        let sources: Vec<usize> = match source {
+            Some(s) => vec![s],
+            None => (0..self.index.num_nodes()).collect(),
+        };
+        let (outcomes, stats) = broadcast_plan(
+            self.index,
+            &self.policy,
+            beacons,
+            &sources,
+            &self.limits,
+            self.batch,
+        );
+        let per_run: Vec<DeliveryStats> = outcomes.iter().map(|o| o.stats()).collect();
+        let results = match source {
+            Some(_) => {
+                let outcome = &outcomes[0];
+                obj([
+                    ("delivery", per_run[0].to_json_value()),
+                    (
+                        "histogram",
+                        histogram(outcome.informed_at.iter().map(Option::as_ref)),
+                    ),
+                ])
+            }
+            None => {
+                let aggregate = AggregateStats::from_runs(&per_run);
+                obj([
+                    ("aggregate", aggregate.to_json_value()),
+                    (
+                        "histogram",
+                        histogram(
+                            outcomes
+                                .iter()
+                                .flat_map(|o| o.informed_at.iter().map(Option::as_ref)),
+                        ),
+                    ),
+                    (
+                        "per_source_reached",
+                        Json::Arr(
+                            outcomes
+                                .iter()
+                                .map(|o| Json::Int(o.informed_at.iter().flatten().count() as u64))
+                                .collect(),
+                        ),
+                    ),
+                ])
+            }
+        };
+        (results, stats)
+    }
 }
 
 /// Draws `k` distinct sources from `0..n`, deterministically from
@@ -292,92 +390,6 @@ pub(crate) fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
     picked.into_iter().map(NodeId::from_index).collect()
 }
 
-/// The sampled matrix plan: one all-destinations foremost run per
-/// sampled source, collapsed to a per-source `[histogram, reached]`
-/// row inside the batch workers — the full-tree arrays never
-/// accumulate, which is what keeps the million-node scale job's
-/// resident set bounded by the index, not by `sources × n` trees.
-pub(crate) fn run_matrix_sample<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
-    index: &I,
-    batch: Batch,
-    sources: usize,
-    seed: u64,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> (Json, EngineStats) {
-    let nodes = index.num_nodes();
-    let srcs = sample_sources(nodes, sources, seed);
-    let (rows, stats) =
-        BatchRunner::new(index, batch).map_sources(&srcs, start, policy, limits, |_, tree| {
-            Json::Arr(vec![
-                histogram((0..nodes).map(|d| tree.arrival(NodeId::from_index(d)))),
-                Json::Int(tree.num_reached() as u64),
-            ])
-        });
-    let results = obj([
-        ("per_source", Json::Arr(rows)),
-        (
-            "sources",
-            Json::Arr(srcs.iter().map(|s| Json::Int(s.index() as u64)).collect()),
-        ),
-    ]);
-    (results, stats)
-}
-
-pub(crate) fn run_broadcast_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
-    index: &I,
-    batch: Batch,
-    source: Option<usize>,
-    beacons: bool,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> (Json, EngineStats) {
-    let n = index.num_nodes();
-    let sources: Vec<usize> = match source {
-        Some(s) => vec![s],
-        None => (0..n).collect(),
-    };
-    let (outcomes, stats) = broadcast_plan(index, policy, beacons, &sources, limits, batch);
-    let per_run: Vec<DeliveryStats> = outcomes.iter().map(|o| o.stats()).collect();
-    let results = match source {
-        Some(_) => {
-            let outcome = &outcomes[0];
-            obj([
-                ("delivery", per_run[0].to_json_value()),
-                (
-                    "histogram",
-                    histogram(outcome.informed_at.iter().map(Option::as_ref)),
-                ),
-            ])
-        }
-        None => {
-            let aggregate = AggregateStats::from_runs(&per_run);
-            obj([
-                ("aggregate", aggregate.to_json_value()),
-                (
-                    "histogram",
-                    histogram(
-                        outcomes
-                            .iter()
-                            .flat_map(|o| o.informed_at.iter().map(Option::as_ref)),
-                    ),
-                ),
-                (
-                    "per_source_reached",
-                    Json::Arr(
-                        outcomes
-                            .iter()
-                            .map(|o| Json::Int(o.informed_at.iter().flatten().count() as u64))
-                            .collect(),
-                    ),
-                ),
-            ])
-        }
-    };
-    (results, stats)
-}
-
 /// The streaming plan: drive the scenario's feed (a replay of the
 /// generated schedule, or the churn family's native join/leave feed)
 /// through a [`TvgStream`] in `batch_size`-event ingest ticks,
@@ -385,16 +397,14 @@ pub(crate) fn run_broadcast_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sy
 /// batched all-sources query against the final live snapshot. Returns
 /// the plan outcome plus the final live index's edge-event count (the
 /// graph summary of what was actually ingested).
-#[allow(clippy::too_many_arguments)]
 fn run_streaming(
     g: &Tvg<u64>,
-    limits: &SearchLimits<u64>,
-    batch: Batch,
     scenario: &Scenario,
     src: usize,
     start: u64,
     batch_size: usize,
-) -> ((Json, EngineStats), usize) {
+) -> ((Json, EngineStats), usize, Json) {
+    let limits = scenario.limits();
     let (mut stream, events) = scenario.stream_feed(g, limits.horizon);
     let source = NodeId::from_index(src);
     let mut inc = IncrementalForemost::new(
@@ -414,13 +424,10 @@ fn run_streaming(
     // One batched query tick against the final snapshot: every node as a
     // source, collapsed to reached-counts inside the workers.
     let nodes: Vec<NodeId> = stream.index().tvg().nodes().collect();
-    let (snapshot_reached, snapshot_stats) = BatchRunner::new(stream.index(), batch).map_sources(
-        &nodes,
-        &start,
-        scenario.policy(),
-        limits,
-        |_, tree| Json::Int(tree.num_reached() as u64),
-    );
+    let (snapshot_reached, snapshot_stats) = BatchRunner::new(stream.index(), scenario.batch())
+        .map_sources(&nodes, &start, scenario.policy(), &limits, |_, tree| {
+            Json::Int(tree.num_reached() as u64)
+        });
     let ticks = per_tick_reached.len() as u64;
     let results = obj([
         ("departed", Json::Int(stream.num_departed() as u64)),
@@ -435,7 +442,11 @@ fn run_streaming(
         ("ticks", Json::Int(ticks)),
     ]);
     let edge_events = stream.index().num_edge_events();
-    ((results, inc.stats() + snapshot_stats), edge_events)
+    (
+        (results, inc.stats() + snapshot_stats),
+        edge_events,
+        Json::Null,
+    )
 }
 
 /// The serve plan: replay the generated schedule through a live stream
@@ -448,8 +459,6 @@ fn run_streaming(
 #[allow(clippy::too_many_arguments)]
 fn run_serve(
     g: &Tvg<u64>,
-    limits: &SearchLimits<u64>,
-    batch: Batch,
     scenario: &Scenario,
     start: u64,
     requests: usize,
@@ -457,7 +466,8 @@ fn run_serve(
     mix: (u64, u64, u64),
     ticks: usize,
     seed: u64,
-) -> (((Json, EngineStats), usize), Json) {
+) -> ((Json, EngineStats), usize, Json) {
+    let limits = scenario.limits();
     let (stream, events) = TvgStream::replay_of(g, &limits.horizon)
         .expect("spec validation rejects horizons whose successor overflows");
     // The replay emits exactly one `Up` per compiled span, and every span
@@ -482,9 +492,9 @@ fn run_serve(
         seed,
     });
     let config = ServeConfig {
-        readers: batch.num_threads(),
+        readers: scenario.batch().num_threads(),
         policy: *scenario.policy(),
-        limits: limits.clone(),
+        limits,
         start,
     };
     let outcome = serve(stream, &tick_batches, &load, &config).expect("replay is a valid feed");
@@ -561,5 +571,5 @@ fn run_serve(
         ("throughput_rps", Json::Num(outcome.timing.throughput_rps)),
         ("wall_micros", Json::Int(clamp(outcome.timing.wall_micros))),
     ]);
-    (((results, outcome.stats), edge_events), timing)
+    ((results, outcome.stats), edge_events, timing)
 }

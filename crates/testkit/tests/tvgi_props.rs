@@ -3,11 +3,11 @@
 //! Two families of properties:
 //!
 //! 1. **Round-trip fidelity** — the bundled batch scenarios, run
-//!    through `compile_index` + `run_with_index` at shard counts 1, 2,
-//!    and 4, must reproduce `Scenario::run`'s canonical report bytes
-//!    exactly, under all three waiting policies; and the engine-level
-//!    oracle (`tvgicheck`) pins arrivals, witnesses, and stats
-//!    bit-identical on generated graphs.
+//!    through `compile_index` + `run_with_index`, must reproduce
+//!    `Scenario::run`'s canonical report bytes exactly, in both time
+//!    domains; and the engine-level oracle (`tvgicheck`) pins arrivals,
+//!    witnesses, and stats bit-identical on generated graphs at shard
+//!    counts 1, 2, and 4.
 //! 2. **Failure modes** — every way a file can be wrong (truncated,
 //!    foreign magic, future version, overlapping or misaligned section
 //!    table, any single flipped byte) is a typed [`TvgiError`], never
@@ -55,9 +55,8 @@ fn narrowed_graphs_round_trip_in_the_u32_domain() {
     }
 }
 
-/// The acceptance oracle: every bundled batch-plan scenario, swept
-/// across the three policies, reports byte-identically from a `.tvgi`
-/// at shard counts 1, 2, and 4.
+/// The acceptance oracle: every bundled batch-plan scenario reports
+/// byte-identically from a `.tvgi`.
 #[test]
 fn bundled_batch_scenarios_report_identically_from_tvgi() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
@@ -72,21 +71,18 @@ fn bundled_batch_scenarios_report_identically_from_tvgi() {
             if matches!(scenario.plan(), Plan::Streaming { .. } | Plan::Serve { .. }) {
                 continue;
             }
-            let direct = scenario.run().canonical_json();
-            for shards in [1u32, 2, 4] {
-                let file = scratch_path(&format!("{}-s{shards}", scenario.name()));
-                compile_index(&scenario, shards, &file).expect("batch scenarios compile");
-                let mapped = run_with_index(&scenario, &file)
-                    .expect("compiled file runs")
-                    .canonical_json();
-                assert_eq!(
-                    mapped,
-                    direct,
-                    "{}: report from .tvgi at {shards} shards diverges",
-                    scenario.name()
-                );
-                let _ = std::fs::remove_file(&file);
-            }
+            let file = scratch_path(scenario.name());
+            compile_index(&scenario, &file).expect("batch scenarios compile");
+            let mapped = run_with_index(&scenario, &file)
+                .expect("compiled file runs")
+                .canonical_json();
+            assert_eq!(
+                mapped,
+                scenario.run().canonical_json(),
+                "{}: report from .tvgi diverges",
+                scenario.name()
+            );
+            let _ = std::fs::remove_file(&file);
             covered += 1;
         }
     }
@@ -94,6 +90,34 @@ fn bundled_batch_scenarios_report_identically_from_tvgi() {
         covered >= 5,
         "the bundle should hold at least five batch scenarios (got {covered})"
     );
+}
+
+/// Every bundled spec narrows, so this pins the other side of the one
+/// time-domain decision: a bounded delay whose `horizon + d` overflows
+/// `u32` keeps the scenario in `u64`, and `compile_index` writes what
+/// `run` compiles in either domain.
+#[test]
+fn compile_index_writes_the_domain_run_decides() {
+    for (policy, width) in [("wait[4294967295]", 8), ("wait[3]", 4)] {
+        let spec = format!(
+            "scenario w\ngenerator ring_bus n=6 period=4\npolicy {policy}\nplan matrix horizon=16\n"
+        );
+        let scenario = parse_specs(&spec).expect("valid spec").remove(0);
+        let file = scratch_path(&format!("domain-{width}"));
+        compile_index(&scenario, &file).expect("compiles");
+        assert_eq!(
+            peek_tvgi(&file).map(|info| info.width),
+            Ok(width),
+            "{policy}"
+        );
+        let mapped = run_with_index(&scenario, &file).expect("compiled file runs");
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(
+            mapped.canonical_json(),
+            scenario.run().canonical_json(),
+            "{policy}"
+        );
+    }
 }
 
 #[test]
@@ -107,7 +131,7 @@ plan streaming src=0 horizon=16 batch=4
     let scenario = parse_specs(spec).expect("valid spec").remove(0);
     let file = scratch_path("streaming-refused");
     assert_eq!(
-        compile_index(&scenario, 1, &file),
+        compile_index(&scenario, &file),
         Err(IndexFileError::UnsupportedPlan { plan: "streaming" })
     );
     assert_eq!(
@@ -126,7 +150,7 @@ fn a_file_compiled_for_another_workload_is_refused() {
     let a = parse_specs(&specs(16)).expect("valid").remove(0);
     let b = parse_specs(&specs(32)).expect("valid").remove(0);
     let file = scratch_path("workload-mismatch");
-    compile_index(&a, 2, &file).expect("compiles");
+    compile_index(&a, &file).expect("compiles");
     assert_eq!(
         run_with_index(&b, &file),
         Err(IndexFileError::SpecMismatch {
