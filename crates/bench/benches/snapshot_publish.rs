@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 use tvg_model::generators::scale_free_temporal;
 use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
-use tvg_model::{EdgeId, IntervalSet, NodeId, Tvg};
+use tvg_model::{EdgeId, NodeId, TemporalIndex, Tvg};
 
 const HORIZON: u64 = 48;
 const BATCH: usize = 512;
@@ -39,7 +39,7 @@ fn workload(n: usize) -> (TvgStream<u64>, Vec<StreamEvent<u64>>) {
 struct FlatSnapshot {
     g: Tvg<u64>,
     horizon: u64,
-    presence: Vec<IntervalSet<u64>>,
+    presence: Vec<Vec<(u64, u64)>>,
     arrival_monotone: Vec<bool>,
     adjacency: Vec<Vec<EdgeId>>,
     dsts: Vec<NodeId>,
@@ -50,7 +50,10 @@ fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
     let edges: Vec<EdgeId> = g.edges().collect();
     FlatSnapshot {
         horizon: *index.horizon(),
-        presence: edges.iter().map(|&e| index.presence(e).clone()).collect(),
+        presence: edges
+            .iter()
+            .map(|&e| index.presence(e).spans().to_vec())
+            .collect(),
         arrival_monotone: edges
             .iter()
             .map(|&e| index.arrival_is_monotone(e))

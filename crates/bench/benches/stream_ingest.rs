@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tvg_journeys::{foremost_tree, IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_model::generators::scale_free_temporal;
 use tvg_model::stream::{StreamEvent, TvgStream};
-use tvg_model::{NodeId, TvgIndex};
+use tvg_model::{NodeId, TemporalIndex, TvgIndex};
 
 const HORIZON: u64 = 64;
 const BATCH: usize = 64;

@@ -187,11 +187,8 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                         report.wall_micros()
                     )
                     .expect("string write");
-                    let timing = report.timing();
-                    if timing != &Json::Null {
-                        writeln!(out.stderr, "timing {} {timing}", scenario.name())
-                            .expect("string write");
-                    }
+                    writeln!(out.stderr, "timing {} {}", scenario.name(), report.timing())
+                        .expect("string write");
                 }
             }
             Ok(out)

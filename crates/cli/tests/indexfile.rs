@@ -178,13 +178,14 @@ fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
     assert!(err.to_string().contains("--indx"));
 }
 
-/// The keys of the `timing` line `run` prints on stderr for ring-matrix.
-fn timing_keys(run_args: &[&str]) -> Vec<String> {
+/// The keys of the `timing` line `run` prints on stderr for `scenario`.
+fn timing_keys(scenario: &str, run_args: &[&str]) -> Vec<String> {
     let out = run_command(&args(run_args)).expect("run succeeds");
+    let prefix = format!("timing {scenario} ");
     let timing = out
         .stderr
         .lines()
-        .find_map(|line| line.strip_prefix("timing ring-matrix "))
+        .find_map(|line| line.strip_prefix(&prefix))
         .unwrap_or_else(|| panic!("no timing line in {:?}", out.stderr));
     // Integer values carry no quotes, so every quoted string is a key.
     let keys = timing.split('"').skip(1).step_by(2);
@@ -199,7 +200,7 @@ fn an_indexed_run_reports_its_open_and_plan_time() {
     let spec = spec.display().to_string();
     let index = scratch("timing.tvgi").display().to_string();
     run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
-    let keys = timing_keys(&["run", &spec, "--index", &index]);
+    let keys = timing_keys("ring-matrix", &["run", &spec, "--index", &index]);
     let _ = std::fs::remove_file(&index);
     assert_eq!(keys, ["open_us", "plan_us"]);
 }
@@ -209,6 +210,25 @@ fn an_indexed_run_reports_its_open_and_plan_time() {
 #[test]
 fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
     let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
-    let keys = timing_keys(&["run", &spec.display().to_string()]);
+    let keys = timing_keys("ring-matrix", &["run", &spec.display().to_string()]);
     assert_eq!(keys, ["build_us", "compile_us", "plan_us"]);
+}
+
+/// A streaming run splits it into generation, feed construction, ingest
+/// and repair summed over the ticks, and the final snapshot query. It
+/// records no `plan_us`, so `profile` keeps its rates over the wall time.
+#[test]
+fn a_streaming_run_reports_its_feed_ingest_repair_and_snapshot_time() {
+    let spec = bundled_scenarios_dir().join("markov-stream.tvgs");
+    let keys = timing_keys("markov-stream", &["run", &spec.display().to_string()]);
+    assert_eq!(
+        keys,
+        [
+            "build_us",
+            "feed_us",
+            "ingest_us",
+            "repair_us",
+            "snapshot_us"
+        ]
+    );
 }

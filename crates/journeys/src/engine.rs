@@ -894,15 +894,14 @@ impl<T: Time> ExactCore<T> {
             return;
         };
         let until = latest.min(limits.horizon.clone());
-        let edges = index.out_edges(node);
-        for e in edges.iter() {
-            let spans = index.presence(e);
+        for &e in index.out_edges(node) {
+            let spans = index.presence(e).spans();
             // Expansion times only grow, so spans ending at or before
             // `time` can never serve a later call either: skip them for
             // good by advancing the edge's cursor.
             let from = self.cursors.pos[e.index()];
             let mut i = from;
-            while i < spans.len() && *spans.end(i) <= *time {
+            while i < spans.len() && spans[i].1 <= *time {
                 i += 1;
             }
             if i != from {
@@ -911,8 +910,8 @@ impl<T: Time> ExactCore<T> {
                 }
                 self.cursors.pos[e.index()] = i;
             }
-            while i < spans.len() && *spans.start(i) <= until {
-                let (start, end) = (spans.start(i), spans.end(i));
+            while i < spans.len() && spans[i].0 <= until {
+                let (start, end) = &spans[i];
                 let mut dep = if *start > *time {
                     start.clone()
                 } else {
@@ -1115,8 +1114,7 @@ impl<T: Time> ParetoCore<T> {
         id: u32,
         stats: &mut EngineStats,
     ) {
-        let edges = index.out_edges(node);
-        for e in edges.iter() {
+        for &e in index.out_edges(node) {
             let succ = index.dst(e);
             // All crossings of `e` from this label cost the same hops, so
             // only the minimal-arrival departure can survive dominance —

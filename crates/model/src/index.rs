@@ -29,68 +29,6 @@
 use crate::interval::{Instants, IntervalSet, SpanView};
 use crate::{EdgeId, Latency, NodeId, Time, Tvg};
 
-/// A borrowed, copyable view of one node's out-edge list — the common
-/// denominator between in-memory adjacency (native [`EdgeId`] slices)
-/// and the on-disk `.tvgi` CSR arenas (raw little-endian `u32` words
-/// mapped straight out of the file). [`EdgeId`] is a newtype without a
-/// guaranteed layout, so the raw arena cannot be reinterpreted as an id
-/// slice without `unsafe` (which the workspace forbids); this two-variant
-/// view gives both layouts one iteration surface instead.
-#[derive(Debug, Clone, Copy)]
-pub enum EdgeRefs<'a> {
-    /// Borrowed edge ids (the in-memory indexes).
-    Ids(&'a [EdgeId]),
-    /// Raw edge-id words from a file arena.
-    Raw(&'a [u32]),
-}
-
-impl EdgeRefs<'_> {
-    /// Number of out-edges.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            EdgeRefs::Ids(s) => s.len(),
-            EdgeRefs::Raw(r) => r.len(),
-        }
-    }
-
-    /// `true` iff the node has no out-edges.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th out-edge (builder order).
-    #[must_use]
-    pub fn get(&self, i: usize) -> EdgeId {
-        match self {
-            EdgeRefs::Ids(s) => s[i],
-            EdgeRefs::Raw(r) => EdgeId::from_index(r[i] as usize),
-        }
-    }
-
-    /// Iterates the out-edges in builder order.
-    pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// The list materialized as owned ids (allocates; for oracles and
-    /// tests, not query paths).
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<EdgeId> {
-        self.iter().collect()
-    }
-}
-
-/// Logical equality regardless of layout.
-impl PartialEq for EdgeRefs<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && (0..self.len()).all(|i| self.get(i) == other.get(i))
-    }
-}
-
-impl Eq for EdgeRefs<'_> {}
-
 /// Compile-time contract: a compiled index (and the graph it borrows) is
 /// shareable across threads whenever its time domain is. `&TvgIndex` is
 /// the cheap borrowed view the batch-query workers hold — schedules
@@ -111,20 +49,18 @@ fn assert_index_is_shareable<T: Time + Send + Sync + 'static>() {
 /// [`TvgIndex::compile`] against a fixed schedule), the streaming
 /// [`crate::stream::LiveIndex`] (maintained event by event as a schedule
 /// *arrives*), and the on-disk [`crate::tvgi::ShardedIndex`] (a `.tvgi`
-/// file opened read-only, answering from flat per-shard arenas). The
-/// single-source journey engine, the batch-query runtime, and the
-/// protocol simulators are all generic over this trait, so a workload
-/// can move between offline recompute, live ingestion, and
-/// compile-once-serve-many without touching a consumer.
+/// file opened read-only). The single-source journey engine, the
+/// batch-query runtime, and the protocol simulators are all generic over
+/// this trait, so a workload can move between offline recompute, live
+/// ingestion, and compile-once-serve-many without touching a consumer.
 ///
-/// The accessors hand out *views* ([`SpanView`], [`EdgeRefs`]) rather
-/// than concrete containers, so an implementation backed by raw file
-/// arenas is as first-class as one holding native structures. Every
-/// derived query (presence tests, next-departure search, window
-/// enumeration, crossings, the edge-event count) is provided on top of
-/// the required primitives and behaves identically for every
-/// implementation. Call these through the trait: the concrete indexes
-/// keep only the inherent accessors that return concrete types.
+/// Every implementation answers in the same two shapes: an edge's
+/// presence is a [`SpanView`] over `(start, end)` pairs and a node's
+/// adjacency is an `&[EdgeId]` slice, so the engine's hot loop reads one
+/// layout whatever the index. Every derived query (presence tests,
+/// next-departure search, window enumeration, crossings, the edge-event
+/// count) is provided on top of the required primitives and behaves
+/// identically for every implementation.
 pub trait TemporalIndex<T: Time> {
     /// Number of nodes the index answers for.
     fn num_nodes(&self) -> usize;
@@ -143,7 +79,7 @@ pub trait TemporalIndex<T: Time> {
     fn arrival_is_monotone(&self, e: EdgeId) -> bool;
 
     /// Outgoing edges of `n` in builder order.
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_>;
+    fn out_edges(&self, n: NodeId) -> &[EdgeId];
 
     /// Destination node of `e`. Semantically just
     /// [`crate::tvg::Edge::dst`], but on the engine's hottest path —
@@ -209,53 +145,13 @@ pub trait TemporalIndex<T: Time> {
         Self: Sized,
         T: 'a,
     {
-        let edges = self.out_edges(node);
-        (0..edges.len()).flat_map(move |i| {
-            let e = edges.get(i);
+        self.out_edges(node).iter().flat_map(move |&e| {
             self.departures_within(e, from, until)
                 .filter_map(move |dep| {
                     let arr = self.arrival(e, &dep)?;
                     Some((e, dep, arr))
                 })
         })
-    }
-}
-
-/// Shared-ownership snapshots answer exactly like the index they wrap:
-/// a query service can publish an `Arc<LiveIndex>` (or any other
-/// implementation) and hand clones to reader threads, and every
-/// consumer generic over [`TemporalIndex`] accepts the `Arc` directly.
-impl<T: Time, I: TemporalIndex<T>> TemporalIndex<T> for std::sync::Arc<I> {
-    fn num_nodes(&self) -> usize {
-        (**self).num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        (**self).num_edges()
-    }
-
-    fn horizon(&self) -> &T {
-        (**self).horizon()
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        (**self).presence(e)
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        (**self).arrival_is_monotone(e)
-    }
-
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        (**self).out_edges(n)
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        (**self).dst(e)
-    }
-
-    fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        (**self).arrival(e, t)
     }
 }
 
@@ -337,17 +233,6 @@ impl<'g, T: Time> TvgIndex<'g, T> {
         self.g
     }
 
-    /// Outgoing edges of `n` as one contiguous CSR slice (builder order,
-    /// identical to [`Tvg::out_edges`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range for the compiled graph.
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]]
-    }
-
     /// The compiled presence intervals of `e`.
     ///
     /// # Panics
@@ -380,8 +265,8 @@ impl<T: Time> TemporalIndex<T> for TvgIndex<'_, T> {
         self.arrival_monotone[e.index()]
     }
 
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        EdgeRefs::Ids(&self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]])
+    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
+        &self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]]
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {

@@ -74,55 +74,18 @@ impl<T: Time> IntervalSet<T> {
         &self.spans
     }
 
-    /// A borrowed [`SpanView`] over the spans — the representation the
-    /// [`crate::TemporalIndex`] trait hands to the query engine, shared
-    /// with the flat on-disk arenas of `crate::tvgi`.
+    /// A borrowed [`SpanView`] over the spans: the representation the
+    /// [`crate::TemporalIndex`] trait hands to the query engine, and
+    /// where the span searches live.
     #[must_use]
     pub fn view(&self) -> SpanView<'_, T> {
-        SpanView::Pairs(&self.spans)
+        SpanView(&self.spans)
     }
 
     /// Number of maximal spans (the set's *event count* is twice this).
     #[must_use]
     pub fn num_spans(&self) -> usize {
         self.spans.len()
-    }
-
-    /// `true` iff no instant is in the set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Membership test by binary search.
-    #[must_use]
-    pub fn contains(&self, t: &T) -> bool {
-        self.view().contains(t)
-    }
-
-    /// The earliest member `>= t`, by binary search. `None` if the set
-    /// has no member at or after `t`.
-    #[must_use]
-    pub fn next_at_or_after(&self, t: &T) -> Option<T> {
-        self.view().next_at_or_after(t)
-    }
-
-    /// The earliest member of the inclusive window `[from, until]` —
-    /// the compiled counterpart of `Presence::next_present_within`.
-    #[must_use]
-    pub fn next_within(&self, from: &T, until: &T) -> Option<T> {
-        self.view().next_within(from, until)
-    }
-
-    /// Iterates the members of the inclusive window `[from, until]` in
-    /// increasing order, jumping over absent stretches span to span.
-    ///
-    /// The window endpoints are borrowed, not cloned: on time domains
-    /// with owned representations (the generic fallback the narrow u32
-    /// fast path decays to) constructing the iterator allocates nothing.
-    #[must_use]
-    pub fn instants_within<'a>(&'a self, from: &'a T, until: &'a T) -> Instants<'a, T> {
-        self.view().instants_within(from, until)
     }
 
     /// Set union.
@@ -251,133 +214,85 @@ impl<T: Time> IntervalSet<T> {
     }
 }
 
-/// A borrowed, copyable view of a normalized span list — the common
-/// denominator between the in-memory [`IntervalSet`] (native `(T, T)`
-/// pairs) and the on-disk `.tvgi` arenas (flat interleaved
-/// `[s₀, e₀, s₁, e₁, …]` words mapped straight out of the file). Every
-/// search primitive the journey engine needs lives here once, so the two
-/// representations can never drift apart.
+/// A borrowed, copyable view of a normalized span list: what every
+/// [`crate::TemporalIndex`] hands the query engine for an edge's
+/// presence, whether the spans live in an [`IntervalSet`] or in a
+/// `.tvgi` file's decoded span arena. Every search primitive the journey
+/// engine needs lives here once.
 ///
 /// The invariants of [`IntervalSet`] are assumed: spans sorted by start,
-/// disjoint, non-empty, non-adjacent. The `Flat` variant additionally
-/// requires even length (validated when a `.tvgi` file is opened, not
-/// per query).
-#[derive(Debug, Clone, Copy)]
-pub enum SpanView<'a, T> {
-    /// Borrowed normalized pairs.
-    Pairs(&'a [(T, T)]),
-    /// Flat interleaved start/end words from a file arena.
-    Flat(&'a [T]),
+/// disjoint, non-empty, non-adjacent.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SpanView<'a, T>(pub(crate) &'a [(T, T)]);
+
+// A view is a shared slice, so it is `Copy` for every time domain
+// (a derive would demand `T: Copy`).
+impl<T> Clone for SpanView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
 
+impl<T> Copy for SpanView<'_, T> {}
+
 impl<'a, T: Time> SpanView<'a, T> {
+    /// The spans, sorted and disjoint.
+    #[must_use]
+    pub fn spans(self) -> &'a [(T, T)] {
+        self.0
+    }
+
     /// Number of maximal spans.
     #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            SpanView::Pairs(s) => s.len(),
-            SpanView::Flat(f) => f.len() / 2,
-        }
+    pub fn len(self) -> usize {
+        self.0.len()
     }
 
     /// `true` iff no instant is in the set.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Start of span `i` (inclusive).
-    #[must_use]
-    pub fn start(&self, i: usize) -> &'a T {
-        match self {
-            SpanView::Pairs(s) => &s[i].0,
-            SpanView::Flat(f) => &f[2 * i],
-        }
-    }
-
-    /// End of span `i` (exclusive).
-    #[must_use]
-    pub fn end(&self, i: usize) -> &'a T {
-        match self {
-            SpanView::Pairs(s) => &s[i].1,
-            SpanView::Flat(f) => &f[2 * i + 1],
-        }
-    }
-
-    /// The spans materialized as owned pairs (allocates; for oracles and
-    /// tests, not query paths).
-    #[must_use]
-    pub fn spans(&self) -> Vec<(T, T)> {
-        (0..self.len())
-            .map(|i| (self.start(i).clone(), self.end(i).clone()))
-            .collect()
-    }
-
-    /// First span index for which `pred` is false — the span-list
-    /// counterpart of `slice::partition_point`, shared by both layouts.
-    fn partition_point(&self, pred: impl Fn(usize) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
     }
 
     /// Membership test by binary search.
     #[must_use]
-    pub fn contains(&self, t: &T) -> bool {
-        let i = self.partition_point(|i| self.start(i) <= t);
-        i > 0 && self.end(i - 1) > t
+    pub fn contains(self, t: &T) -> bool {
+        let i = self.0.partition_point(|(start, _)| start <= t);
+        i > 0 && self.0[i - 1].1 > *t
     }
 
-    /// The earliest member `>= t`, by binary search.
+    /// The earliest member `>= t`, by binary search. `None` if the set
+    /// has no member at or after `t`.
     #[must_use]
-    pub fn next_at_or_after(&self, t: &T) -> Option<T> {
-        let i = self.partition_point(|i| self.end(i) <= t);
-        if i >= self.len() {
-            return None;
-        }
-        let start = self.start(i);
+    pub fn next_at_or_after(self, t: &T) -> Option<T> {
+        let i = self.0.partition_point(|(_, end)| end <= t);
+        let (start, _) = self.0.get(i)?;
         Some(if start > t { start.clone() } else { t.clone() })
     }
 
-    /// The earliest member of the inclusive window `[from, until]`.
+    /// The earliest member of the inclusive window `[from, until]` —
+    /// the compiled counterpart of `Presence::next_present_within`.
     #[must_use]
-    pub fn next_within(&self, from: &T, until: &T) -> Option<T> {
+    pub fn next_within(self, from: &T, until: &T) -> Option<T> {
         self.next_at_or_after(from).filter(|t| t <= until)
     }
 
     /// Iterates the members of the inclusive window `[from, until]` in
-    /// increasing order (see [`IntervalSet::instants_within`]).
+    /// increasing order, jumping over absent stretches span to span.
+    ///
+    /// The window endpoints are borrowed, not cloned: on time domains
+    /// with owned representations (the generic fallback the narrow u32
+    /// fast path decays to) constructing the iterator allocates nothing.
     #[must_use]
     pub fn instants_within(self, from: &'a T, until: &'a T) -> Instants<'a, T> {
-        let idx = self.partition_point(|i| self.end(i) <= from);
         Instants {
-            view: self,
-            idx,
+            spans: &self.0[self.0.partition_point(|(_, end)| end <= from)..],
             cur: None,
             from,
             until,
         }
     }
 }
-
-/// Logical equality: two views are equal when they describe the same
-/// span list, regardless of layout.
-impl<T: Time> PartialEq for SpanView<'_, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && (0..self.len())
-                .all(|i| self.start(i) == other.start(i) && self.end(i) == other.end(i))
-    }
-}
-
-impl<T: Time> Eq for SpanView<'_, T> {}
 
 /// Iterator over the instants of an [`IntervalSet`] within a window.
 ///
@@ -386,8 +301,8 @@ impl<T: Time> Eq for SpanView<'_, T> {}
 /// in O(1).
 #[derive(Debug)]
 pub struct Instants<'a, T> {
-    view: SpanView<'a, T>,
-    idx: usize,
+    /// The spans not yet stepped past.
+    spans: &'a [(T, T)],
     /// The cursor once stepping has begun; before the first yield the
     /// borrowed `from` endpoint serves as the cursor, so an iterator
     /// that is built but never advanced clones no time values at all.
@@ -400,8 +315,7 @@ impl<T: Time> Iterator for Instants<'_, T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        while self.idx < self.view.len() {
-            let (start, end) = (self.view.start(self.idx), self.view.end(self.idx));
+        while let Some(((start, end), rest)) = self.spans.split_first() {
             let cursor = self.cur.as_ref().unwrap_or(self.from);
             let candidate = if cursor >= start {
                 cursor.clone()
@@ -415,7 +329,7 @@ impl<T: Time> Iterator for Instants<'_, T> {
                 self.cur = Some(candidate.succ());
                 return Some(candidate);
             }
-            self.idx += 1;
+            self.spans = rest;
         }
         None
     }
@@ -434,40 +348,44 @@ mod tests {
         let s = set(&[(5, 7), (0, 2), (2, 3), (6, 9), (4, 4)]);
         assert_eq!(s.spans(), &[(0, 3), (5, 9)]);
         assert_eq!(s.num_spans(), 2);
-        assert!(IntervalSet::<u64>::empty().is_empty());
-        assert!(set(&[(3, 3)]).is_empty());
+        assert!(IntervalSet::<u64>::empty().view().is_empty());
+        assert!(set(&[(3, 3)]).view().is_empty());
     }
 
     #[test]
     fn contains_by_binary_search() {
         let s = set(&[(2, 4), (7, 8)]);
         for t in 0u64..12 {
-            assert_eq!(s.contains(&t), (2..4).contains(&t) || t == 7, "t={t}");
+            assert_eq!(
+                s.view().contains(&t),
+                (2..4).contains(&t) || t == 7,
+                "t={t}"
+            );
         }
     }
 
     #[test]
     fn next_queries() {
         let s = set(&[(2, 4), (7, 8)]);
-        assert_eq!(s.next_at_or_after(&0), Some(2));
-        assert_eq!(s.next_at_or_after(&3), Some(3));
-        assert_eq!(s.next_at_or_after(&4), Some(7));
-        assert_eq!(s.next_at_or_after(&8), None);
-        assert_eq!(s.next_within(&0, &1), None);
-        assert_eq!(s.next_within(&0, &2), Some(2));
-        assert_eq!(s.next_within(&4, &7), Some(7));
+        assert_eq!(s.view().next_at_or_after(&0), Some(2));
+        assert_eq!(s.view().next_at_or_after(&3), Some(3));
+        assert_eq!(s.view().next_at_or_after(&4), Some(7));
+        assert_eq!(s.view().next_at_or_after(&8), None);
+        assert_eq!(s.view().next_within(&0, &1), None);
+        assert_eq!(s.view().next_within(&0, &2), Some(2));
+        assert_eq!(s.view().next_within(&4, &7), Some(7));
     }
 
     #[test]
     fn instants_enumerate_window() {
         let s = set(&[(2, 4), (7, 9)]);
-        let all: Vec<u64> = s.instants_within(&0, &20).collect();
+        let all: Vec<u64> = s.view().instants_within(&0, &20).collect();
         assert_eq!(all, vec![2, 3, 7, 8]);
-        let mid: Vec<u64> = s.instants_within(&3, &7).collect();
+        let mid: Vec<u64> = s.view().instants_within(&3, &7).collect();
         assert_eq!(mid, vec![3, 7]);
-        let none: Vec<u64> = s.instants_within(&9, &20).collect();
+        let none: Vec<u64> = s.view().instants_within(&9, &20).collect();
         assert!(none.is_empty());
-        let empty_window: Vec<u64> = s.instants_within(&8, &7).collect();
+        let empty_window: Vec<u64> = s.view().instants_within(&8, &7).collect();
         assert!(empty_window.is_empty());
     }
 
@@ -491,9 +409,21 @@ mod tests {
         let b = set(&[(0, 2), (4, 10), (13, 14)]);
         let (u, i, c) = (a.union(&b), a.intersect(&b), a.complement_within(&25));
         for t in 0u64..30 {
-            assert_eq!(u.contains(&t), a.contains(&t) || b.contains(&t), "u t={t}");
-            assert_eq!(i.contains(&t), a.contains(&t) && b.contains(&t), "i t={t}");
-            assert_eq!(c.contains(&t), t < 25 && !a.contains(&t), "c t={t}");
+            assert_eq!(
+                u.view().contains(&t),
+                a.view().contains(&t) || b.view().contains(&t),
+                "u t={t}"
+            );
+            assert_eq!(
+                i.view().contains(&t),
+                a.view().contains(&t) && b.view().contains(&t),
+                "i t={t}"
+            );
+            assert_eq!(
+                c.view().contains(&t),
+                t < 25 && !a.view().contains(&t),
+                "c t={t}"
+            );
         }
     }
 
@@ -541,6 +471,6 @@ mod tests {
     fn point_and_up_to() {
         assert_eq!(IntervalSet::point(5u64).spans(), &[(5, 6)]);
         assert_eq!(IntervalSet::up_to(3u64).spans(), &[(0, 3)]);
-        assert!(IntervalSet::up_to(0u64).is_empty());
+        assert!(IntervalSet::up_to(0u64).view().is_empty());
     }
 }

@@ -79,7 +79,7 @@ pub mod tvgi;
 
 pub use graph::Digraph;
 pub use ids::{EdgeId, NodeId};
-pub use index::{EdgeRefs, TemporalIndex, TvgIndex};
+pub use index::{TemporalIndex, TvgIndex};
 pub use interval::{Instants, IntervalSet, SpanView};
 pub use narrow::{narrow_tvg, NarrowError};
 pub use schedule::{pq_power_index, Latency, Presence};

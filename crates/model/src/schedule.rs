@@ -209,6 +209,7 @@ impl<T: Time> Presence<T> {
                 let compiled = inner.intervals(&inner_horizon);
                 IntervalSet::from_spans(
                     compiled
+                        .view()
                         .instants_within(&T::zero(), &inner_horizon)
                         .filter_map(|t| {
                             let scaled = t.checked_mul_u64(*factor)?;
@@ -704,13 +705,13 @@ mod tests {
         let set = rho.intervals(&horizon);
         for t in 0..=horizon {
             assert_eq!(
-                set.contains(&t),
+                set.view().contains(&t),
                 rho.is_present(&t),
                 "{rho:?} at t={t} (horizon {horizon})"
             );
         }
         for t in horizon + 1..horizon + 5 {
-            assert!(!set.contains(&t), "{rho:?} beyond horizon at t={t}");
+            assert!(!set.view().contains(&t), "{rho:?} beyond horizon at t={t}");
         }
     }
 
@@ -798,7 +799,7 @@ mod tests {
         // wrap to an empty (or panicking) one.
         let always = Presence::<u64>::Always.intervals(&u64::MAX);
         assert_eq!(always.spans(), &[(0, u64::MAX)]);
-        assert!(always.contains(&(u64::MAX - 1)));
+        assert!(always.view().contains(&(u64::MAX - 1)));
         let window = Presence::Window {
             from: 10u64,
             until: u64::MAX,
@@ -806,7 +807,7 @@ mod tests {
         .intervals(&u64::MAX);
         assert_eq!(window.spans(), &[(10, u64::MAX)]);
         let late = Presence::At(u64::MAX - 1).intervals(&u64::MAX);
-        assert!(late.contains(&(u64::MAX - 1)));
+        assert!(late.view().contains(&(u64::MAX - 1)));
     }
 
     #[test]
@@ -828,9 +829,18 @@ mod tests {
             phases: BTreeSet::from([3u64]),
         };
         let set = rho.intervals(&12u64);
-        assert_eq!(set.next_within(&0, &10), rho.next_present_within(&0, &10));
-        assert_eq!(set.next_within(&4, &10), rho.next_present_within(&4, &10));
-        assert_eq!(set.next_within(&9, &12), rho.next_present_within(&9, &12));
+        assert_eq!(
+            set.view().next_within(&0, &10),
+            rho.next_present_within(&0, &10)
+        );
+        assert_eq!(
+            set.view().next_within(&4, &10),
+            rho.next_present_within(&4, &10)
+        );
+        assert_eq!(
+            set.view().next_within(&9, &12),
+            rho.next_present_within(&9, &12)
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::interval::{IntervalSet, SpanView};
 use crate::pcol::{PCol, COL_CHUNK};
-use crate::{EdgeId, EdgeRefs, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
+use crate::{EdgeId, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -287,6 +287,12 @@ impl<T: Time> LiveIndex<T> {
         })
     }
 
+    /// The graph this index answers for.
+    #[must_use]
+    pub fn tvg(&self) -> &Tvg<T> {
+        &self.g
+    }
+
     /// Frozen chunks across all persistent columns (plus the shared
     /// graph): the structure a snapshot shares instead of copying.
     #[must_use]
@@ -323,58 +329,6 @@ impl<T: Time> LiveIndex<T> {
     }
 }
 
-/// The live index's native accessors. These carry the concrete types
-/// (interval sets, id slices, the graph itself) that the maintenance
-/// code and the oracles inspect; the [`TemporalIndex`] impl below wraps
-/// them in the trait's layout-agnostic views for the query engine.
-impl<T: Time> LiveIndex<T> {
-    /// The graph this index answers for.
-    #[must_use]
-    pub fn tvg(&self) -> &Tvg<T> {
-        &self.g
-    }
-
-    /// The inclusive departure horizon the index covers.
-    #[must_use]
-    pub fn horizon(&self) -> &T {
-        &self.horizon
-    }
-
-    /// The maintained presence intervals of `e`.
-    #[must_use]
-    pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
-        self.presence.get(e.index())
-    }
-
-    /// Whether `e`'s arrival is known to be non-decreasing in its
-    /// departure.
-    #[must_use]
-    pub fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        *self.arrival_monotone.get(e.index())
-    }
-
-    /// Outgoing edges of `n` as one contiguous slice (edge-id order).
-    #[must_use]
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.adjacency.get(n.index())
-    }
-
-    /// Destination node of `e`.
-    #[must_use]
-    pub fn dst(&self, e: EdgeId) -> NodeId {
-        *self.dsts.get(e.index())
-    }
-
-    /// Arrival of a crossing of `e` departing at `t`.
-    #[must_use]
-    pub fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        match self.const_lat.get(e.index()) {
-            Some(c) => t.checked_add(c),
-            None => self.g.edge(e).latency().arrival(t),
-        }
-    }
-}
-
 impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     fn num_nodes(&self) -> usize {
         self.g.num_nodes()
@@ -389,23 +343,26 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 
     fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        LiveIndex::presence(self, e).view()
+        self.presence.get(e.index()).view()
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        LiveIndex::arrival_is_monotone(self, e)
+        *self.arrival_monotone.get(e.index())
     }
 
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        EdgeRefs::Ids(LiveIndex::out_edges(self, n))
+    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
+        self.adjacency.get(n.index())
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {
-        LiveIndex::dst(self, e)
+        *self.dsts.get(e.index())
     }
 
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        LiveIndex::arrival(self, e, t)
+        match self.const_lat.get(e.index()) {
+            Some(c) => t.checked_add(c),
+            None => self.g.edge(e).latency().arrival(t),
+        }
     }
 }
 
@@ -911,16 +868,12 @@ mod tests {
         for e in g.edges() {
             assert_eq!(
                 s.index().presence(e).spans(),
-                TemporalIndex::presence(&compiled, e).spans(),
+                compiled.presence(e).spans(),
                 "{e} presence"
             );
         }
         for n in g.nodes() {
-            assert_eq!(
-                TemporalIndex::out_edges(s.index(), n),
-                TemporalIndex::out_edges(&compiled, n),
-                "{n} adjacency"
-            );
+            assert_eq!(s.index().out_edges(n), compiled.out_edges(n), "{n}");
         }
         assert_eq!(
             s.index().num_edge_events(),
@@ -1091,7 +1044,7 @@ mod tests {
             .expect("valid");
         assert_eq!(report.earliest_change, None);
         let e1 = EdgeId::from_index(1);
-        assert_eq!(TemporalIndex::out_edges(s.index(), a).to_vec(), [e0, e1]);
+        assert_eq!(s.index().out_edges(a), [e0, e1]);
         s.ingest(&[
             StreamEvent::Up { edge: e1, at: 4 },
             StreamEvent::Down { edge: e1, at: 6 },

@@ -5,10 +5,10 @@
 //! starts. This module makes that cost a *build step*: [`write_tvgi`]
 //! serializes a compiled index into a versioned, little-endian,
 //! section-table binary format, and [`ShardedIndex::open`] gives it
-//! back as a read-only [`TemporalIndex`] whose accessors are zero-copy
-//! views ([`SpanView::Flat`], [`EdgeRefs::Raw`]) into flat typed
-//! arenas, so an index compiles once and any number of processes query
-//! it without recompiling.
+//! back as a read-only [`TemporalIndex`] in the same layout every index
+//! shares (a [`SpanView`] per edge, an `&[EdgeId]` slice per node), so
+//! an index compiles once and any number of processes query it without
+//! recompiling.
 //!
 //! # Format (version 3)
 //!
@@ -65,11 +65,13 @@
 //!
 //! [`write_tvgi`]'s `shards` argument `k` splits the node range into `k`
 //! balanced contiguous ranges at write time (`tvg-cli compile` writes
-//! one). An edge belongs to its source's shard; each
-//! shard carries its own CSR and interval store. Edge ids stay
-//! *global*, which is what keeps a [`ShardedIndex`] bit-identical to the
-//! in-memory index — same witness journeys, same engine stats — at
-//! every shard count.
+//! one). An edge belongs to its source's shard; each shard carries its
+//! own CSR and span store, and `EDGE_SHARD`/`EDGE_LOCAL` give each edge's
+//! slot in its shard's CSR. The per-shard sections of one id follow each
+//! other in shard order. Shards are a storage split only: the reader
+//! joins them at open, and edge ids stay *global*, which is what keeps
+//! a [`ShardedIndex`] bit-identical to the in-memory index — same
+//! witness journeys, same engine stats — at every shard count.
 //!
 //! # Zero-copy, honestly
 //!
@@ -77,18 +79,27 @@
 //! [`ShardedIndex::open`] validates the header and section table, then
 //! reads the rest of the file once, in file order, through one fixed
 //! buffer, checksumming each chunk and decoding it straight into the
-//! flat typed arena (`Vec<u32>`/`Vec<u64>` shaped exactly like the file
-//! bytes) of the section it belongs to. Every query after that is a
-//! slice view into those arenas — the same access pattern an mmap'd
-//! reader would have, behind the same safe accessor layer, with one
-//! up-front copy as the price of a `#![forbid(unsafe_code)]` workspace.
+//! arena it ends up in: `CSR_EDGES` into one `Vec<EdgeId>`, `SPANS` into
+//! one `Vec<(T, T)>` (a `u64` pair can straddle two 8-aligned chunks,
+//! so its first word waits for the next one). Shard after shard appends
+//! to the same arenas, so neither exists twice in memory. The per-shard
+//! offset arrays are then rebased in place into one global CSR and one
+//! span-offset array, and each edge is mapped to its CSR slot once. Every
+//! query after that is a plain slice read, as it is on the in-memory
+//! indexes; one up-front decode is the price of a
+//! `#![forbid(unsafe_code)]` workspace.
+//!
+//! The edge directory must agree with the CSR: the CSR has to list every
+//! edge at the slot `EDGE_SHARD`/`EDGE_LOCAL` give it, which makes the
+//! CSR a permutation of the edges. A file that lists an edge twice is
+//! refused as [`TvgiError::Inconsistent`], even when its checksum holds.
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::index::{EdgeRefs, TemporalIndex, TvgIndex};
+use crate::index::{TemporalIndex, TvgIndex};
 use crate::interval::SpanView;
 use crate::{EdgeId, Latency, NodeId, Time};
 
@@ -107,8 +118,9 @@ const TABLE_ENTRY_LEN: u64 = 24;
 /// The `shard` field of a global (non-sharded) section.
 const GLOBAL: u32 = u32::MAX;
 
-/// Bytes [`ShardedIndex::open`] reads and decodes per pass step.
-const READ_CHUNK: usize = 256 << 10;
+/// Bytes [`ShardedIndex::open`] reads and decodes per pass step. The
+/// chunks start at the end of the section table, 8-aligned.
+pub const READ_CHUNK: usize = 256 << 10;
 
 mod section {
     //! Section identifiers of format version 3. Ids 11, 12, and 17 are
@@ -129,9 +141,14 @@ mod section {
     pub const SPAN_OFF: u32 = 15;
     pub const SPANS: u32 = 16;
 
-    /// Whether `id` names a section of this version.
-    pub fn is_known(id: u32) -> bool {
-        matches!(id, META..=SHARD_RANGES | CSR_OFF..=SPANS)
+    /// Every section id of this version.
+    pub fn all() -> impl Iterator<Item = u32> {
+        (META..=SHARD_RANGES).chain(CSR_OFF..=SPANS)
+    }
+
+    /// Whether `id` is written once per shard.
+    pub fn is_sharded(id: u32) -> bool {
+        matches!(id, CSR_OFF..=SPANS)
     }
 }
 
@@ -153,8 +170,10 @@ pub enum TvgiError {
     BadMagic,
     /// The file's format version is not [`VERSION`].
     UnsupportedVersion(u16),
-    /// The time width is not 4 or 8, or does not match the time domain
-    /// the caller asked to open the file under.
+    /// The header's time width is neither 4 nor 8.
+    UnsupportedWidth(u8),
+    /// The time width does not match the time domain the caller asked
+    /// to open the file under.
     BadWidth {
         /// Width recorded in the file header.
         found: u8,
@@ -168,7 +187,8 @@ pub enum TvgiError {
     Misaligned(u32),
     /// A section extends beyond the end of the file or into the header.
     SectionOutOfBounds(u32),
-    /// A required section is absent.
+    /// A required section is absent (for a per-shard section: not
+    /// present once per shard).
     MissingSection(u32),
     /// The same `(id, shard)` section appears twice.
     DuplicateSection(u32),
@@ -193,6 +213,9 @@ impl std::fmt::Display for TvgiError {
                     f,
                     "unsupported tvgi version {v} (this build reads {VERSION})"
                 )
+            }
+            TvgiError::UnsupportedWidth(width) => {
+                write!(f, "time width {width} is unsupported: width must be 4 or 8")
             }
             TvgiError::BadWidth { found, expected } => {
                 write!(
@@ -253,6 +276,10 @@ pub trait TvgiTime: Time + Copy + sealed::Sealed {
 
     /// Appends the little-endian `WIDTH`-byte words of `bytes`.
     fn decode(bytes: &[u8], out: &mut Vec<Self>);
+
+    /// Appends the `(start, end)` pairs of little-endian `WIDTH`-byte
+    /// words of `bytes`, a whole number of pairs.
+    fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>);
 }
 
 impl TvgiTime for u32 {
@@ -269,6 +296,15 @@ impl TvgiTime for u32 {
     fn decode(bytes: &[u8], out: &mut Vec<Self>) {
         decode_u32s(bytes, out);
     }
+
+    fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>) {
+        let word = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|c| (word(&c[..4]), word(&c[4..]))),
+        );
+    }
 }
 
 impl TvgiTime for u64 {
@@ -284,6 +320,15 @@ impl TvgiTime for u64 {
 
     fn decode(bytes: &[u8], out: &mut Vec<Self>) {
         decode_u64s(bytes, out);
+    }
+
+    fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>) {
+        let word = |c: &[u8]| u64::from_le_bytes(le_array(c));
+        out.extend(
+            bytes
+                .chunks_exact(16)
+                .map(|c| (word(&c[..8]), word(&c[8..]))),
+        );
     }
 }
 
@@ -417,14 +462,21 @@ enum Kind {
     Bytes,
     U32,
     U64,
+    /// Time words (`EDGE_LAT`).
     Time,
+    /// Edge ids (`CSR_EDGES`).
+    Edges,
+    /// `(start, end)` time pairs (`SPANS`).
+    Spans,
 }
 
 fn kind(id: u32) -> Kind {
     match id {
         section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => Kind::U64,
         section::NAMES_BYTES | section::SPEC => Kind::Bytes,
-        section::EDGE_LAT | section::SPANS => Kind::Time,
+        section::EDGE_LAT => Kind::Time,
+        section::CSR_EDGES => Kind::Edges,
+        section::SPANS => Kind::Spans,
         _ => Kind::U32,
     }
 }
@@ -435,9 +487,10 @@ fn kind(id: u32) -> Kind {
 fn elem_width(id: u32, time_width: u8) -> u64 {
     match kind(id) {
         Kind::Bytes => 1,
-        Kind::U32 => 4,
+        Kind::U32 | Kind::Edges => 4,
         Kind::U64 => 8,
         Kind::Time => u64::from(time_width),
+        Kind::Spans => 2 * u64::from(time_width),
     }
 }
 
@@ -454,6 +507,14 @@ fn decode_u64s(bytes: &[u8], out: &mut Vec<u64>) {
         bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(le_array(c))),
+    );
+}
+
+fn decode_edges(bytes: &[u8], out: &mut Vec<EdgeId>) {
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| EdgeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
     );
 }
 
@@ -781,10 +842,7 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
     }
     let width = head[6];
     if width != 4 && width != 8 {
-        return Err(TvgiError::BadWidth {
-            found: width,
-            expected: 0,
-        });
+        return Err(TvgiError::UnsupportedWidth(width));
     }
     if head[7] != 0 {
         return Err(TvgiError::Inconsistent("reserved header byte is set"));
@@ -797,108 +855,163 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
     })
 }
 
-/// One shard's decoded arenas.
-#[derive(Debug)]
-struct ShardData<T> {
-    csr_off: Vec<u64>,
-    csr_edges: Vec<u32>,
-    span_off: Vec<u64>,
-    spans: Vec<T>,
-}
-
-/// A `.tvgi` file opened read-only: flat typed arenas behind the
-/// [`TemporalIndex`] trait.
+/// A `.tvgi` file opened read-only, in the layout every
+/// [`TemporalIndex`] shares.
 ///
-/// Every accessor is a slice view into the decoded arenas —
-/// [`SpanView::Flat`] over the shard's interleaved span words,
-/// [`EdgeRefs::Raw`] over its CSR words — so the engine's hot loops
-/// run on the file's own layout. Opened at shard count `k`, it answers
-/// bit-identically to the [`TvgIndex`] it was written from (same
+/// [`ShardedIndex::open`] joins the file's node-range shards into one
+/// global CSR (`&[EdgeId]` per node) and one span arena of `(start,
+/// end)` pairs, and maps every edge to its CSR slot, so a query reads
+/// plain slices and never a shard: [`TemporalIndex::presence`] is a
+/// [`SpanView`] like every other index's. It answers bit-identically to
+/// the [`TvgIndex`] it was written from, at every shard count (same
 /// arrivals, same witness journeys, same engine stats): edge ids are
 /// global, adjacency order is preserved, and arrivals use the same
 /// checked constant-latency arithmetic.
 #[derive(Debug)]
 pub struct ShardedIndex<T> {
     horizon: T,
-    num_nodes: usize,
-    num_edges: usize,
-    shard_ranges: Vec<u32>,
-    edge_shard: Vec<u32>,
-    edge_local: Vec<u32>,
+    /// Node `n`'s out-edges are `csr_edges[csr_off[n]..csr_off[n + 1]]`.
+    csr_off: Vec<u64>,
+    csr_edges: Vec<EdgeId>,
+    /// The edge at CSR slot `s` owns `spans[span_off[s]..span_off[s + 1]]`.
+    span_off: Vec<u64>,
+    spans: Vec<(T, T)>,
+    /// Each edge's CSR slot.
+    edge_slot: Vec<u32>,
     edge_dst: Vec<u32>,
     edge_mono: Vec<u32>,
     edge_lat: Vec<T>,
     names_off: Vec<u64>,
     names_bytes: Vec<u8>,
     spec: String,
-    shards: Vec<ShardData<T>>,
 }
 
-/// Every section's typed arena by `(id, shard)`, filled as the file
-/// streams past.
+/// Every section's decoded words, filled as the file streams past. The
+/// pieces of a per-shard section arrive in shard order (validated with
+/// the table), so each arena is the concatenation of its shards, and
+/// the CSR and span arenas are decoded in place, once.
 struct Arenas<T> {
-    bytes: BTreeMap<(u32, u32), Vec<u8>>,
-    u32s: BTreeMap<(u32, u32), Vec<u32>>,
-    u64s: BTreeMap<(u32, u32), Vec<u64>>,
-    times: BTreeMap<(u32, u32), Vec<T>>,
+    bytes: BTreeMap<u32, Vec<u8>>,
+    u32s: BTreeMap<u32, Vec<u32>>,
+    u64s: BTreeMap<u32, Vec<u64>>,
+    edge_lat: Vec<T>,
+    csr_edges: Vec<EdgeId>,
+    spans: Vec<(T, T)>,
+    /// The start word of a span whose end word is in the next piece:
+    /// chunks are 8-aligned, so a 16-byte `u64` pair can straddle two.
+    half: Option<[u8; 8]>,
 }
 
 impl<T: TvgiTime> Arenas<T> {
     /// Empty arenas with room for every section's validated length.
     fn for_table(table: &[Section]) -> Self {
+        let mut words: BTreeMap<u32, usize> = BTreeMap::new();
+        for sec in table {
+            let n = usize::try_from(sec.len / elem_width(sec.id, T::WIDTH)).unwrap_or(0);
+            *words.entry(sec.id).or_default() += n;
+        }
         let mut arenas = Arenas {
             bytes: BTreeMap::new(),
             u32s: BTreeMap::new(),
             u64s: BTreeMap::new(),
-            times: BTreeMap::new(),
+            edge_lat: Vec::new(),
+            csr_edges: Vec::new(),
+            spans: Vec::new(),
+            half: None,
         };
-        for sec in table {
-            match kind(sec.id) {
-                Kind::Bytes => reserve(&mut arenas.bytes, sec, 1),
-                Kind::U32 => reserve(&mut arenas.u32s, sec, 4),
-                Kind::U64 => reserve(&mut arenas.u64s, sec, 8),
-                Kind::Time => reserve(&mut arenas.times, sec, u64::from(T::WIDTH)),
+        for (id, n) in words {
+            match kind(id) {
+                Kind::Bytes => arenas.bytes.entry(id).or_default().reserve_exact(n),
+                Kind::U32 => arenas.u32s.entry(id).or_default().reserve_exact(n),
+                Kind::U64 => arenas.u64s.entry(id).or_default().reserve_exact(n),
+                Kind::Time => arenas.edge_lat.reserve_exact(n),
+                Kind::Edges => arenas.csr_edges.reserve_exact(n),
+                Kind::Spans => arenas.spans.reserve_exact(n),
             }
         }
         arenas
     }
 
-    /// Appends `bytes`, a whole-word piece of section `sec`.
-    fn decode(&mut self, sec: &Section, bytes: &[u8]) {
-        let key = (sec.id, sec.shard);
-        match kind(sec.id) {
-            Kind::Bytes => self.bytes.entry(key).or_default().extend_from_slice(bytes),
-            Kind::U32 => decode_u32s(bytes, self.u32s.entry(key).or_default()),
-            Kind::U64 => decode_u64s(bytes, self.u64s.entry(key).or_default()),
-            Kind::Time => T::decode(bytes, self.times.entry(key).or_default()),
+    /// Appends `bytes`, a whole-word piece of a section `id`.
+    fn decode(&mut self, id: u32, bytes: &[u8]) {
+        match kind(id) {
+            Kind::Bytes => self.bytes.entry(id).or_default().extend_from_slice(bytes),
+            Kind::U32 => decode_u32s(bytes, self.u32s.entry(id).or_default()),
+            Kind::U64 => decode_u64s(bytes, self.u64s.entry(id).or_default()),
+            Kind::Time => T::decode(bytes, &mut self.edge_lat),
+            Kind::Edges => decode_edges(bytes, &mut self.csr_edges),
+            Kind::Spans => self.decode_spans(bytes),
+        }
+    }
+
+    /// Appends span pairs, completing a pending half pair first and
+    /// keeping a trailing start word for the next piece.
+    fn decode_spans(&mut self, mut bytes: &[u8]) {
+        let width = usize::from(T::WIDTH);
+        if let Some(start) = self.half.take() {
+            let mut pair = [0u8; 16];
+            pair[..width].copy_from_slice(&start[..width]);
+            pair[width..2 * width].copy_from_slice(&bytes[..width]);
+            T::decode_pairs(&pair[..2 * width], &mut self.spans);
+            bytes = &bytes[width..];
+        }
+        let whole = bytes.len() - bytes.len() % (2 * width);
+        T::decode_pairs(&bytes[..whole], &mut self.spans);
+        if whole < bytes.len() {
+            self.half = Some(le_array(&bytes[whole..]));
         }
     }
 }
 
-/// Adds an empty arena for `sec` with room for its `width`-byte words.
-fn reserve<V>(arenas: &mut BTreeMap<(u32, u32), Vec<V>>, sec: &Section, width: u64) {
-    let words = usize::try_from(sec.len / width).unwrap_or(0);
-    arenas.insert((sec.id, sec.shard), Vec::with_capacity(words));
-}
-
-/// Takes section `(id, shard)`'s arena out of its typed map.
-fn take<V>(
-    arenas: &mut BTreeMap<(u32, u32), Vec<V>>,
-    id: u32,
-    shard: u32,
-) -> Result<Vec<V>, TvgiError> {
-    arenas
-        .remove(&(id, shard))
-        .ok_or(TvgiError::MissingSection(id))
+/// Joins `sizes.len()` per-shard offset arrays, concatenated in `off`,
+/// into one global prefix array, in place. Shard `s` holds
+/// `sizes[s] + 1` entries: `0`, then non-decreasing up to its own item
+/// count. Each is rebased onto the items of the shards before it, and
+/// the boundary entry two neighbours share is kept once. Returns each
+/// shard's item count.
+fn join_offsets(
+    off: &mut Vec<u64>,
+    sizes: &[usize],
+    what: &'static str,
+) -> Result<Vec<usize>, TvgiError> {
+    let bad = || TvgiError::Inconsistent(what);
+    let mut counts = Vec::with_capacity(sizes.len());
+    let (mut read, mut write, mut base) = (0usize, 1usize, 0u64);
+    for &size in sizes {
+        let end = read.checked_add(size).ok_or_else(bad)?;
+        let seg = off.get(read..=end).ok_or_else(bad)?;
+        if seg[0] != 0 || seg.windows(2).any(|w| w[0] > w[1]) {
+            return Err(bad());
+        }
+        let count = seg[size];
+        // Every entry is at most `count`, so no rebased entry overflows.
+        let next_base = base.checked_add(count).ok_or_else(bad)?;
+        if (write, base) == (read + 1, 0) {
+            write = end + 1; // the first shard is in place already
+        } else {
+            for i in read + 1..=end {
+                off[write] = base + off[i];
+                write += 1;
+            }
+        }
+        base = next_base;
+        counts.push(usize::try_from(count).map_err(|_| bad())?);
+        read = end + 1;
+    }
+    if read != off.len() {
+        return Err(bad());
+    }
+    off.truncate(write);
+    Ok(counts)
 }
 
 impl<T: TvgiTime> ShardedIndex<T> {
     /// Opens `path`, fully validating the container before decoding:
-    /// magic/version/width, section-table bounds, alignment, overlap
-    /// and duplicates, the whole-file checksum, then cross-section
-    /// consistency. After the table, the file is read once, in order,
-    /// through one fixed buffer that is checksummed and decoded in the
-    /// same pass; no recompilation.
+    /// magic/version/width, section-table bounds, alignment, overlap,
+    /// duplicates and shard order, the whole-file checksum, then
+    /// cross-section consistency. After the table, the file is read
+    /// once, in order, through one fixed buffer that is checksummed and
+    /// decoded in the same pass; no recompilation.
     ///
     /// # Errors
     ///
@@ -941,7 +1054,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
         // Structural validation before any payload decode.
         let mut seen = std::collections::BTreeSet::new();
         for sec in &table {
-            if !section::is_known(sec.id) {
+            if !section::all().any(|id| id == sec.id) {
                 return Err(TvgiError::Inconsistent("unknown or retired section id"));
             }
             let ew = elem_width(sec.id, info.width);
@@ -961,6 +1074,32 @@ impl<T: TvgiTime> ShardedIndex<T> {
             let (a, b) = (&table[pair[0]], &table[pair[1]]);
             if a.offset + a.len > b.offset {
                 return Err(TvgiError::SectionOverlap(a.id, b.id));
+            }
+        }
+        // A global section appears once; a per-shard one once per
+        // shard, in shard order along the file.
+        let mut per_id: BTreeMap<u32, u32> = BTreeMap::new();
+        for &i in &by_offset {
+            let sec = &table[i];
+            let n = per_id.entry(sec.id).or_default();
+            let expected = if section::is_sharded(sec.id) {
+                *n
+            } else {
+                GLOBAL
+            };
+            if sec.shard != expected {
+                return Err(TvgiError::Inconsistent("section shard out of order"));
+            }
+            *n += 1;
+        }
+        for id in section::all() {
+            let expected = if section::is_sharded(id) {
+                info.shards
+            } else {
+                1
+            };
+            if per_id.get(&id) != Some(&expected) {
+                return Err(TvgiError::MissingSection(id));
             }
         }
 
@@ -987,7 +1126,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 let sec_end = sec.offset + sec.len;
                 let (lo, hi) = (sec.offset.max(pos), sec_end.min(end));
                 if lo < hi {
-                    arenas.decode(sec, &chunk[(lo - pos) as usize..(hi - pos) as usize]);
+                    arenas.decode(sec.id, &chunk[(lo - pos) as usize..(hi - pos) as usize]);
                 }
                 if sec_end > end {
                     break;
@@ -1000,15 +1139,42 @@ impl<T: TvgiTime> ShardedIndex<T> {
             return Err(TvgiError::ChecksumMismatch);
         }
 
-        // Cross-section consistency.
-        let meta = take(&mut arenas.u64s, section::META, GLOBAL)?;
+        // Cross-section consistency. Every section is present (checked
+        // with the table), so each arena exists.
+        let mut take = |id: u32| arenas.u32s.remove(&id).unwrap_or_default();
+        let ranges = take(section::SHARD_RANGES);
+        let edge_shard = take(section::EDGE_SHARD);
+        let mut edge_slot = take(section::EDGE_LOCAL);
+        let edge_dst = take(section::EDGE_DST);
+        let edge_mono = take(section::EDGE_MONO);
+        let mut take = |id: u32| arenas.u64s.remove(&id).unwrap_or_default();
+        let meta = take(section::META);
+        let names_off = take(section::NAMES_OFF);
+        let mut csr_off = take(section::CSR_OFF);
+        let mut span_off = take(section::SPAN_OFF);
+        let mut take = |id: u32| arenas.bytes.remove(&id).unwrap_or_default();
+        let names_bytes = take(section::NAMES_BYTES);
+        let spec = String::from_utf8(take(section::SPEC))
+            .map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
+        let Arenas {
+            edge_lat,
+            csr_edges,
+            spans,
+            ..
+        } = arenas;
+
         if meta.len() != META_WORDS {
             return Err(TvgiError::Inconsistent("META has the wrong word count"));
         }
-        let num_nodes =
-            usize::try_from(meta[0]).map_err(|_| TvgiError::Inconsistent("node count"))?;
-        let num_edges =
-            usize::try_from(meta[1]).map_err(|_| TvgiError::Inconsistent("edge count"))?;
+        // Counts come from the file: ids are `u32`, so a count that does
+        // not fit one is an inconsistency, and `count + 1` cannot overflow.
+        let count = |word: u64, what| {
+            u32::try_from(word)
+                .map(|c| c as usize)
+                .map_err(|_| TvgiError::Inconsistent(what))
+        };
+        let num_nodes = count(meta[0], "node count")?;
+        let num_edges = count(meta[1], "edge count")?;
         let horizon =
             T::from_word(meta[2]).ok_or(TvgiError::Inconsistent("horizon exceeds time width"))?;
         if meta[3] != u64::from(info.shards) {
@@ -1016,9 +1182,6 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 "META shard count disagrees with header",
             ));
         }
-
-        // Counts come from the file, so every product and successor is
-        // checked: a forged count is an inconsistency, not an overflow.
         let expect_len = |len: usize, elems: usize, what: &'static str| {
             if len == elems {
                 Ok(())
@@ -1026,14 +1189,9 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 Err(TvgiError::Inconsistent(what))
             }
         };
-        let successor = |count: usize, what: &'static str| {
-            count.checked_add(1).ok_or(TvgiError::Inconsistent(what))
-        };
-
-        let ranges = take(&mut arenas.u32s, section::SHARD_RANGES, GLOBAL)?;
         expect_len(
             ranges.len(),
-            successor(info.shards as usize, "shard count")?,
+            info.shards as usize + 1,
             "SHARD_RANGES length",
         )?;
         if ranges[0] != 0
@@ -1042,25 +1200,12 @@ impl<T: TvgiTime> ShardedIndex<T> {
         {
             return Err(TvgiError::Inconsistent("SHARD_RANGES not a partition"));
         }
-
-        let edge_shard = take(&mut arenas.u32s, section::EDGE_SHARD, GLOBAL)?;
         expect_len(edge_shard.len(), num_edges, "EDGE_SHARD length")?;
-        let edge_local = take(&mut arenas.u32s, section::EDGE_LOCAL, GLOBAL)?;
-        expect_len(edge_local.len(), num_edges, "EDGE_LOCAL length")?;
-        let edge_dst = take(&mut arenas.u32s, section::EDGE_DST, GLOBAL)?;
+        expect_len(edge_slot.len(), num_edges, "EDGE_LOCAL length")?;
         expect_len(edge_dst.len(), num_edges, "EDGE_DST length")?;
-        let edge_mono = take(&mut arenas.u32s, section::EDGE_MONO, GLOBAL)?;
         expect_len(edge_mono.len(), num_edges, "EDGE_MONO length")?;
-        let edge_lat = take(&mut arenas.times, section::EDGE_LAT, GLOBAL)?;
         expect_len(edge_lat.len(), num_edges, "EDGE_LAT length")?;
-
-        let names_off = take(&mut arenas.u64s, section::NAMES_OFF, GLOBAL)?;
-        expect_len(
-            names_off.len(),
-            successor(num_nodes, "node count")?,
-            "NAMES_OFF length",
-        )?;
-        let names_bytes = take(&mut arenas.bytes, section::NAMES_BYTES, GLOBAL)?;
+        expect_len(names_off.len(), num_nodes + 1, "NAMES_OFF length")?;
         if names_off[0] != 0
             || *names_off.last().expect("nonempty") != names_bytes.len() as u64
             || names_off.windows(2).any(|w| w[0] > w[1])
@@ -1069,105 +1214,70 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 "NAMES_OFF not monotone over NAMES_BYTES",
             ));
         }
-        let spec = String::from_utf8(take(&mut arenas.bytes, section::SPEC, GLOBAL)?)
-            .map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
 
-        let mut shards = Vec::with_capacity(info.shards as usize);
-        for s in 0..info.shards {
-            let nodes_here = (ranges[s as usize + 1] - ranges[s as usize]) as usize;
-            let csr_off = take(&mut arenas.u64s, section::CSR_OFF, s)?;
-            expect_len(
-                csr_off.len(),
-                successor(nodes_here, "shard size")?,
-                "CSR_OFF length",
-            )?;
-            let csr_edges = take(&mut arenas.u32s, section::CSR_EDGES, s)?;
-            let span_off = take(&mut arenas.u64s, section::SPAN_OFF, s)?;
-            expect_len(
-                span_off.len(),
-                successor(csr_edges.len(), "shard edge count")?,
-                "SPAN_OFF length",
-            )?;
-            let spans = take(&mut arenas.times, section::SPANS, s)?;
+        // The shards, joined: one CSR over every node, one span-offset
+        // array over every CSR slot.
+        let nodes_per_shard: Vec<usize> =
+            ranges.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
+        let edges_per_shard = join_offsets(&mut csr_off, &nodes_per_shard, "CSR_OFF not monotone")?;
+        expect_len(
+            csr_edges.len(),
+            num_edges,
+            "shard CSRs do not cover every edge",
+        )?;
+        expect_len(
+            *csr_off.last().expect("nonempty") as usize,
+            num_edges,
+            "CSR_OFF does not end at the edge count",
+        )?;
+        join_offsets(
+            &mut span_off,
+            &edges_per_shard,
+            "SPAN_OFF not monotone over SPANS",
+        )?;
+        expect_len(
+            *span_off.last().expect("nonempty") as usize,
+            spans.len(),
+            "SPAN_OFF not monotone over SPANS",
+        )?;
 
-            if csr_off[0] != 0
-                || *csr_off.last().expect("nonempty") != csr_edges.len() as u64
-                || csr_off.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(TvgiError::Inconsistent("CSR_OFF not monotone"));
+        // Each edge's CSR slot, from its shard and local slot. Requiring
+        // the CSR to list the edge there makes the CSR a permutation of
+        // the edges and the edge directory agree with it.
+        let shard_first: Vec<u32> = ranges[..ranges.len() - 1]
+            .iter()
+            .map(|&first_node| csr_off[first_node as usize] as u32)
+            .collect();
+        for (e, slot) in edge_slot.iter_mut().enumerate() {
+            let &first = shard_first
+                .get(edge_shard[e] as usize)
+                .ok_or(TvgiError::Inconsistent("EDGE_SHARD names an absent shard"))?;
+            let at = first.checked_add(*slot);
+            if at.and_then(|at| csr_edges.get(at as usize)) != Some(&EdgeId::from_index(e)) {
+                return Err(TvgiError::Inconsistent(
+                    "CSR_EDGES does not list the edge at its EDGE_LOCAL slot",
+                ));
             }
-            if span_off[0] != 0
-                || *span_off.last().expect("nonempty") != (spans.len() / 2) as u64
-                || spans.len() % 2 != 0
-                || span_off.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(TvgiError::Inconsistent("SPAN_OFF not monotone over SPANS"));
-            }
-            shards.push(ShardData {
-                csr_off,
-                csr_edges,
-                span_off,
-                spans,
-            });
+            *slot = at.expect("checked above");
         }
-
-        // Cross-section referential checks: every directory entry must
-        // land inside the arena it points into, so query paths can
-        // index without bounds anxiety beyond the slice ops themselves.
-        let total_csr: usize = shards.iter().map(|sh| sh.csr_edges.len()).sum();
-        if total_csr != num_edges {
-            return Err(TvgiError::Inconsistent(
-                "shard CSRs do not cover every edge",
-            ));
-        }
-        for e in 0..num_edges {
-            let s = edge_shard[e] as usize;
-            if s >= shards.len() {
-                return Err(TvgiError::Inconsistent("EDGE_SHARD names an absent shard"));
-            }
-            if edge_local[e] as usize >= shards[s].span_off.len() - 1 {
-                return Err(TvgiError::Inconsistent("EDGE_LOCAL out of range"));
-            }
-            if edge_dst[e] as usize >= num_nodes {
-                return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
-            }
-        }
-        for sh in &shards {
-            if sh.csr_edges.iter().any(|&e| e as usize >= num_edges) {
-                return Err(TvgiError::Inconsistent("CSR_EDGES out of range"));
-            }
+        if edge_dst.iter().any(|&d| d as usize >= num_nodes) {
+            return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
         }
 
         Ok(ShardedIndex {
             horizon,
-            num_nodes,
-            num_edges,
-            shard_ranges: ranges,
-            edge_shard,
-            edge_local,
+            csr_off,
+            csr_edges,
+            span_off,
+            spans,
+            edge_slot,
             edge_dst,
             edge_mono,
             edge_lat,
             names_off,
             names_bytes,
             spec,
-            shards,
         })
-    }
-
-    /// Shard count of the file.
-    #[must_use]
-    pub fn num_shards(&self) -> u32 {
-        u32::try_from(self.shards.len()).expect("validated at open")
-    }
-
-    /// The shard owning node `n` (its contiguous node range contains
-    /// `n`).
-    fn shard_of(&self, n: NodeId) -> u32 {
-        let s = self
-            .shard_ranges
-            .partition_point(|&r| r as usize <= n.index());
-        u32::try_from(s - 1).expect("shard fits in u32")
     }
 
     /// The canonical scenario text embedded at compile time (empty if
@@ -1188,11 +1298,11 @@ impl<T: TvgiTime> ShardedIndex<T> {
 
 impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.csr_off.len() - 1
     }
 
     fn num_edges(&self) -> usize {
-        self.num_edges
+        self.edge_slot.len()
     }
 
     fn horizon(&self) -> &T {
@@ -1200,24 +1310,16 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
     }
 
     fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        let sh = &self.shards[self.edge_shard[e.index()] as usize];
-        let local = self.edge_local[e.index()] as usize;
-        let lo = sh.span_off[local] as usize * 2;
-        let hi = sh.span_off[local + 1] as usize * 2;
-        SpanView::Flat(&sh.spans[lo..hi])
+        let slot = self.edge_slot[e.index()] as usize;
+        SpanView(&self.spans[self.span_off[slot] as usize..self.span_off[slot + 1] as usize])
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
         self.edge_mono[e.index()] != 0
     }
 
-    fn out_edges(&self, n: NodeId) -> EdgeRefs<'_> {
-        let s = self.shard_of(n);
-        let sh = &self.shards[s as usize];
-        let local = n.index() - self.shard_ranges[s as usize] as usize;
-        let lo = sh.csr_off[local] as usize;
-        let hi = sh.csr_off[local + 1] as usize;
-        EdgeRefs::Raw(&sh.csr_edges[lo..hi])
+    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
+        &self.csr_edges[self.csr_off[n.index()] as usize..self.csr_off[n.index() + 1] as usize]
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {
@@ -1228,10 +1330,9 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
         t.checked_add(&self.edge_lat[e.index()])
     }
 
-    /// Two events per span: the `SPANS` arenas hold two words per span,
-    /// so their lengths sum to the event count.
+    /// Two events per span.
     fn num_edge_events(&self) -> usize {
-        self.shards.iter().map(|sh| sh.spans.len()).sum()
+        2 * self.spans.len()
     }
 }
 
@@ -1273,38 +1374,20 @@ mod tests {
     }
 
     fn assert_equivalent(idx: &TvgIndex<'_, u64>, mapped: &ShardedIndex<u64>) {
-        assert_eq!(TemporalIndex::num_nodes(idx), mapped.num_nodes());
-        assert_eq!(
-            TemporalIndex::num_edges(idx),
-            TemporalIndex::num_edges(mapped)
-        );
-        assert_eq!(TemporalIndex::horizon(idx), TemporalIndex::horizon(mapped));
-        for e in (0..TemporalIndex::num_edges(idx)).map(EdgeId::from_index) {
-            assert_eq!(
-                idx.presence(e).view(),
-                TemporalIndex::presence(mapped, e),
-                "{e} spans"
-            );
-            assert_eq!(
-                idx.arrival_is_monotone(e),
-                TemporalIndex::arrival_is_monotone(mapped, e)
-            );
-            assert_eq!(idx.tvg().edge(e).dst(), TemporalIndex::dst(mapped, e));
+        assert_eq!(idx.num_nodes(), mapped.num_nodes());
+        assert_eq!(idx.num_edges(), mapped.num_edges());
+        assert_eq!(idx.horizon(), mapped.horizon());
+        for e in (0..idx.num_edges()).map(EdgeId::from_index) {
+            assert_eq!(idx.presence(e).view(), mapped.presence(e), "{e} spans");
+            assert_eq!(idx.arrival_is_monotone(e), mapped.arrival_is_monotone(e));
+            assert_eq!(idx.tvg().edge(e).dst(), mapped.dst(e));
             for t in [0u64, 1, 3, 7, 11] {
-                assert_eq!(
-                    idx.arrival(e, &t),
-                    TemporalIndex::arrival(mapped, e, &t),
-                    "{e}@{t}"
-                );
-                assert_eq!(idx.traverse(e, &t), TemporalIndex::traverse(mapped, e, &t));
+                assert_eq!(idx.arrival(e, &t), mapped.arrival(e, &t), "{e}@{t}");
+                assert_eq!(idx.traverse(e, &t), mapped.traverse(e, &t));
             }
         }
-        for n in (0..TemporalIndex::num_nodes(idx)).map(NodeId::from_index) {
-            assert_eq!(
-                EdgeRefs::Ids(idx.out_edges(n)),
-                TemporalIndex::out_edges(mapped, n),
-                "{n} adjacency"
-            );
+        for n in (0..idx.num_nodes()).map(NodeId::from_index) {
+            assert_eq!(idx.out_edges(n), mapped.out_edges(n), "{n} adjacency");
         }
         assert_eq!(idx.num_edge_events(), mapped.num_edge_events());
     }
@@ -1319,7 +1402,6 @@ mod tests {
             assert_eq!(summary.shards, shards.min(5));
             assert_eq!(summary.width, 8);
             let mapped = ShardedIndex::<u64>::open(&path).expect("open");
-            assert_eq!(mapped.num_shards(), shards.min(5));
             assert_eq!(mapped.spec(), "spec text");
             assert_eq!(
                 mapped.node_name(NodeId::from_index(0)),
@@ -1349,10 +1431,7 @@ mod tests {
         // …and the right width answers like the narrowed compile.
         let mapped = ShardedIndex::<u32>::open(&path).expect("open");
         let e = EdgeId::from_index(1);
-        assert_eq!(
-            idx32.traverse(e, &6),
-            TemporalIndex::traverse(&mapped, e, &6)
-        );
+        assert_eq!(idx32.traverse(e, &6), mapped.traverse(e, &6));
         assert_eq!(peek_tvgi(&path).expect("peek").width, 4);
         std::fs::remove_file(&path).ok();
     }

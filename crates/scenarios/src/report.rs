@@ -37,8 +37,7 @@ pub struct Report {
     pub(crate) results: Json,
     pub(crate) engine: EngineStats,
     pub(crate) wall_micros: u128,
-    /// Plan-specific timing metrics (`Json::Null` for plans without
-    /// any) — measured, **not** canonical.
+    /// Per-plan phase spans and metrics — measured, **not** canonical.
     pub(crate) timing: Json,
 }
 
@@ -68,8 +67,9 @@ impl Report {
         self.wall_micros
     }
 
-    /// Plan-specific timing metrics (the serve plan's throughput and
-    /// latency percentiles; `Json::Null` for plans without any).
+    /// Plan-specific timing metrics: every plan's phase spans in
+    /// microseconds, and the serve plan's throughput and latency
+    /// percentiles.
     /// Measured wall-clock data, **not** part of the canonical bytes —
     /// the logical `results` section is golden-gated, timing is for
     /// humans, benches, and EXPERIMENTS.md.

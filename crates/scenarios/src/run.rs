@@ -81,7 +81,7 @@ impl Scenario {
         let (outcome, edge_events, timing) = match self.plan() {
             Plan::Streaming {
                 src, start, batch, ..
-            } => run_streaming(&g, self, *src, *start, *batch),
+            } => run_streaming(&g, self, *src, *start, *batch, built - started),
             Plan::Serve {
                 start,
                 requests,
@@ -395,17 +395,22 @@ pub(crate) fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
 /// through a [`TvgStream`] in `batch_size`-event ingest ticks,
 /// repairing one incremental foremost tree per tick, then run one
 /// batched all-sources query against the final live snapshot. Returns
-/// the plan outcome plus the final live index's edge-event count (the
-/// graph summary of what was actually ingested).
+/// the plan outcome, the final live index's edge-event count (the graph
+/// summary of what was actually ingested), and the phase timing: graph
+/// generation (`build`, measured by the caller), feed construction,
+/// ingest and tree repair summed over the ticks, and the final query.
 fn run_streaming(
     g: &Tvg<u64>,
     scenario: &Scenario,
     src: usize,
     start: u64,
     batch_size: usize,
+    build: Duration,
 ) -> ((Json, EngineStats), usize, Json) {
     let limits = scenario.limits();
+    let feeding = Instant::now();
     let (mut stream, events) = scenario.stream_feed(g, limits.horizon);
+    let feed = feeding.elapsed();
     let source = NodeId::from_index(src);
     let mut inc = IncrementalForemost::new(
         stream.index(),
@@ -414,20 +419,27 @@ fn run_streaming(
         limits.clone(),
     );
     let mut per_tick_reached: Vec<Json> = Vec::new();
+    let (mut ingest, mut repair) = (Duration::ZERO, Duration::ZERO);
     for chunk in events.chunks(batch_size) {
+        let tick = Instant::now();
         let report = stream
             .ingest(chunk)
             .expect("scenario feeds are valid by construction");
+        let ingested = Instant::now();
         inc.refresh(stream.index(), &report);
+        ingest += ingested - tick;
+        repair += ingested.elapsed();
         per_tick_reached.push(Json::Int(inc.num_reached() as u64));
     }
     // One batched query tick against the final snapshot: every node as a
     // source, collapsed to reached-counts inside the workers.
+    let querying = Instant::now();
     let nodes: Vec<NodeId> = stream.index().tvg().nodes().collect();
     let (snapshot_reached, snapshot_stats) = BatchRunner::new(stream.index(), scenario.batch())
         .map_sources(&nodes, &start, scenario.policy(), &limits, |_, tree| {
             Json::Int(tree.num_reached() as u64)
         });
+    let snapshot = querying.elapsed();
     let ticks = per_tick_reached.len() as u64;
     let results = obj([
         ("departed", Json::Int(stream.num_departed() as u64)),
@@ -442,11 +454,14 @@ fn run_streaming(
         ("ticks", Json::Int(ticks)),
     ]);
     let edge_events = stream.index().num_edge_events();
-    (
-        (results, inc.stats() + snapshot_stats),
-        edge_events,
-        Json::Null,
-    )
+    let timing = obj([
+        ("build_us", micros(build)),
+        ("feed_us", micros(feed)),
+        ("ingest_us", micros(ingest)),
+        ("repair_us", micros(repair)),
+        ("snapshot_us", micros(snapshot)),
+    ]);
+    ((results, inc.stats() + snapshot_stats), edge_events, timing)
 }
 
 /// The serve plan: replay the generated schedule through a live stream

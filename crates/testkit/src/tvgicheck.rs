@@ -61,44 +61,28 @@ pub fn assert_tvgi_round_trip<T: TvgiTime>(
 
     // Structural equality first: the mapped index exposes the same
     // graph the compiled one does.
-    assert_eq!(
-        TemporalIndex::num_nodes(&mapped),
-        g.num_nodes(),
-        "{label}: node count diverges"
-    );
-    assert_eq!(
-        TemporalIndex::num_edges(&mapped),
-        g.num_edges(),
-        "{label}: edge count diverges"
-    );
+    assert_eq!(mapped.num_nodes(), g.num_nodes(), "{label}: node count");
+    assert_eq!(mapped.num_edges(), g.num_edges(), "{label}: edge count");
     for e in g.edges() {
         assert_eq!(
-            TemporalIndex::presence(&mapped, e).spans(),
+            mapped.presence(e).spans(),
             index.presence(e).spans(),
             "{label}: presence spans of {e} diverge"
         );
         assert_eq!(
-            TemporalIndex::arrival_is_monotone(&mapped, e),
-            TemporalIndex::arrival_is_monotone(&index, e),
+            mapped.arrival_is_monotone(e),
+            index.arrival_is_monotone(e),
             "{label}: monotonicity of {e} diverges"
         );
-        assert_eq!(
-            TemporalIndex::dst(&mapped, e),
-            index.dst(e),
-            "{label}: destination of {e} diverges"
-        );
+        assert_eq!(mapped.dst(e), index.dst(e), "{label}: destination of {e}");
     }
     for n in g.nodes() {
         assert_eq!(
-            TemporalIndex::out_edges(&mapped, n).to_vec(),
+            mapped.out_edges(n),
             index.out_edges(n),
             "{label}: adjacency of {n} diverges"
         );
-        assert_eq!(
-            mapped.node_name(n),
-            g.node_name(n),
-            "{label}: name of {n} diverges"
-        );
+        assert_eq!(mapped.node_name(n), g.node_name(n), "{label}: name of {n}");
     }
     let spans: usize = g.edges().map(|e| index.presence(e).num_spans()).sum();
     assert_eq!(

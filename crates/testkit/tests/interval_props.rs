@@ -22,13 +22,13 @@ fn assert_index_matches_closures<T: Time>(g: &Tvg<T>, horizon: u64, label: &str)
         let mut t = T::zero();
         loop {
             assert_eq!(
-                set.contains(&t),
+                set.view().contains(&t),
                 rho.is_present(&t),
                 "{label}: edge {e} membership at t={t}"
             );
             // next_within from t to the horizon vs. the linear scan.
             assert_eq!(
-                set.next_within(&t, &h),
+                set.view().next_within(&t, &h),
                 rho.next_present_within(&t, &h),
                 "{label}: edge {e} next-present from t={t}"
             );
@@ -75,20 +75,20 @@ fn random_presence_asts_compile_exactly() {
         let set = rho.intervals(&horizon);
         for t in 0..=horizon {
             assert_eq!(
-                set.contains(&t),
+                set.view().contains(&t),
                 rho.is_present(&t),
                 "{rho:?} at t={t} (horizon {horizon})"
             );
         }
         for t in horizon + 1..horizon + 4 {
-            assert!(!set.contains(&t), "{rho:?} beyond horizon at t={t}");
+            assert!(!set.view().contains(&t), "{rho:?} beyond horizon at t={t}");
         }
         // Windows with arbitrary bounds, including empty and clipped ones.
         for _ in 0..8 {
             let from = rng.gen_range(0..=horizon);
             let until = rng.gen_range(0..=horizon);
             assert_eq!(
-                set.next_within(&from, &until),
+                set.view().next_within(&from, &until),
                 rho.next_present_within(&from, &until),
                 "{rho:?} next in [{from}, {until}]"
             );
@@ -110,8 +110,8 @@ fn compilation_is_consistent_across_horizons() {
             let far = rho.intervals(&h2);
             for t in 0..=h1 {
                 assert_eq!(
-                    near.contains(&t),
-                    far.contains(&t),
+                    near.view().contains(&t),
+                    far.view().contains(&t),
                     "{rho:?} at t={t} (h1={h1}, h2={h2})"
                 );
             }

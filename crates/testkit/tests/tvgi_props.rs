@@ -14,9 +14,11 @@
 //!    a panic and never a silently-wrong index.
 
 use tvg_journeys::WaitingPolicy;
-use tvg_model::generators::scale_free_temporal;
-use tvg_model::tvgi::{checksum, peek_tvgi, write_tvgi, ShardedIndex, TvgiError, MAGIC, VERSION};
-use tvg_model::{narrow_tvg, TvgIndex};
+use tvg_model::generators::{ring_bus_tvg, scale_free_temporal};
+use tvg_model::tvgi::{
+    checksum, peek_tvgi, write_tvgi, ShardedIndex, TvgiError, MAGIC, READ_CHUNK, VERSION,
+};
+use tvg_model::{narrow_tvg, EdgeId, NodeId, TemporalIndex, TvgIndex};
 use tvg_scenarios::{compile_index, parse_specs, run_with_index, IndexFileError, Plan};
 use tvg_testkit::tvgicheck::{assert_tvgi_round_trip, scratch_path};
 
@@ -53,6 +55,45 @@ fn narrowed_graphs_round_trip_in_the_u32_domain() {
     for shards in [1, 2, 4] {
         assert_tvgi_round_trip(&narrowed, 24u32, shards, &narrowed_policies, "sf30-u32");
     }
+}
+
+/// A `u64` file whose `SPANS` sections outgrow one read chunk, laid out
+/// so that a 16-byte span pair straddles a chunk boundary: the reader
+/// must carry the pair's first word into the next chunk.
+#[test]
+fn u64_span_pairs_straddling_read_chunks_round_trip() {
+    let horizon = 12_000u64;
+    let g = ring_bus_tvg(14, 2, 'r');
+    let index = TvgIndex::compile(&g, horizon);
+    for shards in [1, 3] {
+        let path = scratch_path(&format!("straddle-{shards}"));
+        write_tvgi(&index, shards, None, &path).expect("writes");
+        let bytes = std::fs::read(&path).expect("reads back");
+        let _ = std::fs::remove_file(&path);
+        let spans = section_ranges(&bytes, 16);
+        assert!(
+            spans.iter().all(|&(_, len)| len > READ_CHUNK),
+            "shards {shards}: every SPANS section must outgrow a read chunk"
+        );
+        assert!(
+            spans.iter().any(|&range| splits_a_pair(&bytes, range)),
+            "shards {shards}: no span pair straddles a read-chunk boundary"
+        );
+        // Decoding is what this pins; one policy keeps the run short.
+        let policy = [WaitingPolicy::Unbounded];
+        assert_tvgi_round_trip(&g, horizon, shards, &policy, "straddle");
+    }
+}
+
+/// Whether a read-chunk boundary falls in the middle of a 16-byte span
+/// pair of the `SPANS` section at `(offset, len)`. Chunks start where
+/// the section table ends.
+fn splits_a_pair(bytes: &[u8], (offset, len): (usize, usize)) -> bool {
+    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let payload_start = 24 + 24 * n_sections;
+    (payload_start..offset + len)
+        .step_by(READ_CHUNK)
+        .any(|boundary| boundary > offset && (boundary - offset) % 16 == 8)
 }
 
 /// The acceptance oracle: every bundled batch-plan scenario reports
@@ -244,6 +285,26 @@ fn foreign_magic_and_future_version_are_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A header width other than 4 or 8 says which widths exist, not that
+/// it mismatches some requested width.
+#[test]
+fn a_width_other_than_4_or_8_is_typed() {
+    let (path, mut bytes) = valid_file("width5");
+    bytes[6] = 5;
+    std::fs::write(&path, &bytes).expect("scratch write");
+    let err = peek_tvgi(&path).expect_err("width 5 must fail");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(err, TvgiError::UnsupportedWidth(5));
+    assert_eq!(
+        err.to_string(),
+        "time width 5 is unsupported: width must be 4 or 8"
+    );
+    assert_eq!(
+        open_bytes("width5-open", &bytes).expect_err("must fail"),
+        TvgiError::UnsupportedWidth(5)
+    );
+}
+
 /// Section-table entries live at `24 + 24·i`; offset is at +8, len at
 /// +16 within an entry.
 fn entry_field(bytes: &mut [u8], entry: usize, field_off: usize) -> &mut [u8] {
@@ -314,12 +375,18 @@ fn table_entry(bytes: &[u8], id: u32) -> usize {
         .unwrap_or_else(|| panic!("section {id} present"))
 }
 
-/// The `(offset, len)` of section `id`'s payload.
-fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
-    let at = table_entry(bytes, id);
-    let off = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
-    let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
-    (off as usize, len as usize)
+/// The `(offset, len)` of every table entry of section `id`, one per
+/// shard for a per-shard section.
+fn section_ranges(bytes: &[u8], id: u32) -> Vec<(usize, usize)> {
+    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let ranges: Vec<(usize, usize)> = (0..n_sections)
+        .map(|i| 24 + 24 * i)
+        .filter(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
+        .map(|at| (word(at + 8), word(at + 16)))
+        .collect();
+    assert!(!ranges.is_empty(), "section {id} present");
+    ranges
 }
 
 #[test]
@@ -330,7 +397,7 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     // the checksum: the checksum now passes, so the cross-section
     // consistency layer must catch the lie.
     let mut forged = bytes.clone();
-    let (off, len) = section_range(&forged, 10);
+    let (off, len) = section_ranges(&forged, 10)[0];
     forged[off + len - 4..off + len].copy_from_slice(&0u32.to_le_bytes());
     reseal(&mut forged);
     let err = open_bytes("reseal-open", &forged).expect_err("forged partition must fail");
@@ -340,6 +407,50 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     );
 }
 
+/// Regression: a resealed file whose `CSR_EDGES` listed one edge twice
+/// used to open and answer with the wrong adjacency, and `EDGE_LOCAL`
+/// was never checked against the CSR. The CSR must list every edge at
+/// the slot the edge directory gives it.
+#[test]
+fn resealed_csr_and_edge_directory_forgeries_are_inconsistent() {
+    let g = scale_free_temporal(12, 20, 3);
+    let index = TvgIndex::compile(&g, 20u64);
+    let path = scratch_path("forged-csr");
+    write_tvgi(&index, 1, None, &path).expect("writes");
+    let bytes = std::fs::read(&path).expect("reads back");
+    let _ = std::fs::remove_file(&path);
+    let edges = |ids: [usize; 3]| ids.map(EdgeId::from_index);
+    assert_eq!(index.out_edges(NodeId::from_index(0)), edges([0, 2, 19]));
+
+    // The second CSR word overwritten by the first: node 0 would read
+    // [e0, e0, e19].
+    let (csr, _) = section_ranges(&bytes, 14)[0];
+    let mut duplicated = bytes.clone();
+    duplicated.copy_within(csr..csr + 4, csr + 4);
+    reseal(&mut duplicated);
+
+    // e0's local slot redirected to an edge with other spans, which
+    // would hand e0 that edge's presence.
+    let e0 = EdgeId::from_index(0);
+    let other = g
+        .edges()
+        .find(|&e| index.presence(e).spans() != index.presence(e0).spans())
+        .expect("the graph has edges with different presence");
+    let (local, _) = section_ranges(&bytes, 6)[0];
+    let at = local + 4 * other.index();
+    let mut misdirected = bytes.clone();
+    misdirected.copy_within(at..at + 4, local);
+    reseal(&mut misdirected);
+
+    for (label, forged) in [("duplicated", duplicated), ("misdirected", misdirected)] {
+        let err = open_bytes(label, &forged).expect_err("forged directory must fail");
+        assert!(
+            matches!(err, TvgiError::Inconsistent(_)),
+            "{label}: unexpected error {err:?}"
+        );
+    }
+}
+
 /// Regression: a resealed file whose META node or edge count (words 0
 /// and 1) is huge used to panic with a multiplication overflow while
 /// sizing the sections; every such count is now a typed inconsistency.
@@ -347,7 +458,7 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
 fn resealed_huge_counts_are_inconsistent_not_overflow() {
     let (path, bytes) = valid_file("huge-counts");
     let _ = std::fs::remove_file(&path);
-    let (meta, _) = section_range(&bytes, 1);
+    let (meta, _) = section_ranges(&bytes, 1)[0];
     for word in [0, 1] {
         for count in [1u64 << 62, u64::MAX] {
             let mut forged = bytes.clone();
