@@ -342,7 +342,8 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 /// Runs one scenario and renders its engine throughput as a single JSON
 /// line: the run/settle/expansion counters from the report's
 /// [`tvg_journeys::EngineStats`], the wall time, the engine phase
-/// (`plan_us`, for every batch plan), and the derived rates the
+/// (`plan_us`: a batch plan's own, a streaming plan's repair plus
+/// snapshot), and the derived rates the
 /// profiling workflow watches (queries/sec, settles/sec, ns/query; see
 /// [`rates`]). A serve scenario additionally reports its publication
 /// metrics — epoch count, mean events per epoch, frozen chunks shared
@@ -377,21 +378,25 @@ pub fn profile_line(scenario: &Scenario) -> String {
     line
 }
 
-/// The engine phase a report's timing records (`plan_us`), if any.
+/// The engine phase a report's timing records, if any: a batch plan's
+/// `plan_us`, or a streaming plan's `repair_us + snapshot_us` (its
+/// per-tick repairs and its final query).
 fn plan_micros(timing: &Json) -> Option<u64> {
     let Json::Obj(map) = timing else { return None };
-    match map.get("plan_us") {
+    let us = |key: &str| match map.get(key) {
         Some(Json::Int(us)) => Some(*us),
         _ => None,
-    }
+    };
+    us("plan_us").or_else(|| Some(us("repair_us")?.saturating_add(us("snapshot_us")?)))
 }
 
 /// `[queries_per_sec, settles_per_sec, ns_per_query]` for `runs` engine
 /// runs that settled `settled` configurations, over the engine phase
-/// `plan_us` when the timing records one (every batch plan), so
-/// generation, narrowing, compile and file open stay out of the rates.
-/// Streaming and serve interleave engine runs with ingest, so they
-/// divide by the whole wall time.
+/// `plan_us` when the timing records one (see [`plan_micros`]), so
+/// generation, feed construction, ingest, narrowing, compile and file
+/// open stay out of the rates. Serve runs its engine on reader threads
+/// beside ingest and publication, so it divides by the whole wall
+/// time.
 fn rates(plan_us: Option<u64>, wall_us: u128, runs: u64, settled: u64) -> [u128; 3] {
     let span_us = plan_us.map_or(wall_us, u128::from).max(1);
     let per_sec = |count: u64| (u128::from(count) * 1_000_000) / span_us;
@@ -582,8 +587,8 @@ mod tests {
     use super::{ns_per_query, plan_micros, rates, Json};
 
     /// A batch plan's rates come from its engine phase, not from a wall
-    /// time that includes generation and compile; a timing without
-    /// `plan_us` (streaming, serve) falls back to the wall time.
+    /// time that includes generation and compile; a timing without an
+    /// engine phase (serve) falls back to the wall time.
     #[test]
     fn rates_divide_by_the_engine_phase() {
         let timing = Json::Obj(
@@ -603,6 +608,33 @@ mod tests {
         assert_eq!(rates(None, 820_000, 8, 21), [9, 25, 102_500_000]);
         // A zero-length phase must not divide by zero.
         assert_eq!(rates(Some(0), 820_000, 2, 3), [2_000_000, 3_000_000, 500]);
+    }
+
+    /// A streaming plan's engine phase is its summed per-tick repair
+    /// plus its final snapshot query; feed construction and ingest stay
+    /// out of the rates.
+    #[test]
+    fn streaming_rates_divide_by_repair_plus_snapshot() {
+        let timing = |keys: &[(&str, u64)]| {
+            Json::Obj(
+                keys.iter()
+                    .map(|&(k, v)| (k.to_string(), Json::Int(v)))
+                    .collect(),
+            )
+        };
+        let streaming = timing(&[
+            ("build_us", 4_000),
+            ("feed_us", 20_000),
+            ("ingest_us", 300_000),
+            ("repair_us", 580_000),
+            ("snapshot_us", 290_000),
+        ]);
+        let plan_us = plan_micros(&streaming);
+        assert_eq!(plan_us, Some(870_000));
+        assert_eq!(rates(plan_us, 1_200_000, 87, 174), [100, 200, 10_000_000]);
+        // Half an engine phase is no phase: the rates use the wall time.
+        let partial = timing(&[("repair_us", 580_000), ("ingest_us", 300_000)]);
+        assert_eq!(plan_micros(&partial), None);
     }
 
     /// The bug this replaced: `wall_us / runs` truncated every

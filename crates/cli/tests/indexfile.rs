@@ -216,7 +216,8 @@ fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
 
 /// A streaming run splits it into generation, feed construction, ingest
 /// and repair summed over the ticks, and the final snapshot query. It
-/// records no `plan_us`, so `profile` keeps its rates over the wall time.
+/// records no `plan_us`; `profile` takes its rates over repair plus
+/// snapshot.
 #[test]
 fn a_streaming_run_reports_its_feed_ingest_repair_and_snapshot_time() {
     let spec = bundled_scenarios_dir().join("markov-stream.tvgs");

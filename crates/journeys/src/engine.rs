@@ -38,6 +38,16 @@
 //!   crossing improves the best hop count enqueued for its target
 //!   configuration (a decrease-key emulation); the old explorer pushed
 //!   every admissible crossing and deduplicated at pop time.
+//! * **Departure coverage.** Under `Bounded(d)` two settles at one node
+//!   a tick apart share `d` departures on every out-edge. Each touched
+//!   node records the departure interval its last expansion walked and
+//!   that expansion's hop count ([`Coverage`]); a later expansion with
+//!   no fewer hops counts the crossings departing inside it into
+//!   `expanded` (by span arithmetic when the latency is monotone)
+//!   instead of regenerating targets that are already generated and
+//!   cannot improve. Reset, prune and every incremental refresh forget
+//!   the records. `NoWait` windows never overlap, so its loop compiles
+//!   without coverage, and `Unbounded` runs the Pareto explorer.
 //! * **Reuse with touched-only reset.** An [`Engine`] keeps both cores
 //!   alive across runs; every batch worker and serve reader owns one.
 //!   Per-node frontiers live behind a dense slot array and exist only
@@ -118,6 +128,10 @@ impl std::iter::Sum for EngineStats {
 /// per label. Implementations mirror
 /// [`WaitingPolicy::latest_departure`] exactly.
 pub(crate) trait DeparturePolicy<T: Time> {
+    /// Whether two configurations at one node can share departures, so
+    /// that departure coverage can spare work.
+    const WINDOWS_OVERLAP: bool = true;
+
     /// The latest admissible departure from a node reached at `ready`,
     /// `None` if the window is empty or overflows the representation.
     fn latest(&self, ready: &T, horizon: &T) -> Option<T>;
@@ -127,6 +141,8 @@ pub(crate) trait DeparturePolicy<T: Time> {
 struct NoWaitDeparture;
 
 impl<T: Time> DeparturePolicy<T> for NoWaitDeparture {
+    const WINDOWS_OVERLAP: bool = false;
+
     #[inline]
     fn latest(&self, ready: &T, horizon: &T) -> Option<T> {
         (*ready <= *horizon).then(|| ready.clone())
@@ -624,6 +640,36 @@ struct Conf {
     settled: bool,
 }
 
+/// A node's departure coverage: every crossing departing it within
+/// `[lo, hi]` has already been generated into a target that is settled
+/// or enqueued with at most `hops + 1` hops. A target depends only on
+/// the edge and the departure, not on which configuration departs, so
+/// re-expanding a covered departure with `hops` or more hops can neither
+/// insert a configuration nor decrease a key: it is counted, not walked.
+#[derive(Debug, Clone)]
+struct Coverage<T> {
+    lo: T,
+    hi: T,
+    hops: u32,
+}
+
+/// One touched node of the exact explorer: its configurations and its
+/// departure coverage.
+#[derive(Debug, Clone)]
+struct Frontier<T> {
+    confs: FlatMap<T, Conf>,
+    coverage: Option<Coverage<T>>,
+}
+
+impl<T> Default for Frontier<T> {
+    fn default() -> Self {
+        Frontier {
+            confs: FlatMap::default(),
+            coverage: None,
+        }
+    }
+}
+
 /// Resumable state of the exact `(node, time)` explorer — the fresh run
 /// drives it from empty seeds; [`crate::incremental`] prunes and
 /// replays it when the underlying schedule grows at the right edge.
@@ -639,8 +685,8 @@ pub(crate) struct ExactCore<T> {
     pub(crate) best: Vec<Option<u32>>,
     pub(crate) arena: Vec<Label<T>>,
     /// Per touched node: configuration time → generation/settlement
-    /// state.
-    frontiers: Touched<FlatMap<T, Conf>>,
+    /// state, plus the node's departure coverage.
+    frontiers: Touched<Frontier<T>>,
     /// Seed configurations and their arena slots, for resolving the
     /// origin label of a settled seed that no crossing generated.
     seed_slots: Vec<(NodeId, T, u32)>,
@@ -672,7 +718,10 @@ impl<T: Time> ExactCore<T> {
     /// the previous run's tree took them. Span cursors rewind at the
     /// start of every drain and replay.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
-        self.frontiers.reset(num_nodes, FlatMap::clear);
+        self.frontiers.reset(num_nodes, |f| {
+            f.confs.clear();
+            f.coverage = None;
+        });
         self.seed_slots.clear();
         self.queue.clear();
         self.arena.clear();
@@ -680,11 +729,16 @@ impl<T: Time> ExactCore<T> {
         unreached(&mut self.best, num_nodes);
     }
 
-    /// Grows the per-node state after streamed topology growth.
+    /// Adapts the per-node state to a changed index: grows it after
+    /// streamed topology growth and forgets every departure coverage,
+    /// which holds only for the schedule it was generated against.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
         self.arrival.resize(num_nodes, None);
         self.best.resize(num_nodes, None);
         self.frontiers.grow(num_nodes);
+        for f in self.frontiers.values_mut() {
+            f.coverage = None;
+        }
     }
 
     /// Enqueues seed configurations (hop count zero).
@@ -704,13 +758,15 @@ impl<T: Time> ExactCore<T> {
     /// invalidated by schedule changes at `t0`, while everything
     /// strictly earlier is untouchable (a crossing departing at or
     /// after `t0` arrives at or after it — latencies are non-negative).
+    /// Departure coverage goes too, since it vouches for pruned targets.
     /// The arena keeps pruned labels as unreachable garbage, which
     /// costs memory proportional to the churn but keeps every surviving
     /// parent chain valid by construction.
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for map in self.frontiers.values_mut() {
-            map.truncate_from(t0);
+        for f in self.frontiers.values_mut() {
+            f.confs.truncate_from(t0);
+            f.coverage = None;
         }
         self.seed_slots.retain(|(_, t, _)| t < t0);
         for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
@@ -754,9 +810,10 @@ impl<T: Time> ExactCore<T> {
     ) {
         let cap = hops_cap(limits);
         let mut survivors: Vec<(T, NodeId, u32)> = Vec::new();
-        for (node, map) in self.frontiers.iter() {
+        for (node, f) in self.frontiers.iter() {
             survivors.extend(
-                map.iter()
+                f.confs
+                    .iter()
                     .filter(|(_, c)| c.settled)
                     .map(|(t, c)| (t.clone(), node, c.hops)),
             );
@@ -778,7 +835,7 @@ impl<T: Time> ExactCore<T> {
     fn origin_label(&self, node: NodeId, time: &T) -> u32 {
         self.frontiers
             .get(node)
-            .and_then(|map| map.get(time))
+            .and_then(|f| f.confs.get(time))
             .map(|c| c.label)
             .or_else(|| {
                 self.seed_slots
@@ -828,7 +885,7 @@ impl<T: Time> ExactCore<T> {
             // first-generated crossing if one exists (a zero-latency
             // cycle can generate into a seed configuration before the
             // seed pops), otherwise the label carried by the queue.
-            let map = self.frontiers.touch(node);
+            let map = &mut self.frontiers.touch(node).confs;
             let id = match map.search(&time) {
                 Ok(at) => {
                     let entry = map.val_mut(at);
@@ -873,11 +930,16 @@ impl<T: Time> ExactCore<T> {
 
     /// Expands every admissible crossing from a settled configuration —
     /// the same `(edge, depart, arrive)` triples in the same order as
-    /// [`TemporalIndex::crossings`], but enumerated through a per-edge
-    /// span cursor: expansion times within one drain/replay are
-    /// non-decreasing, so the span holding the next departure is found
-    /// by walking forward from the last position (amortized O(1) per
-    /// call) instead of a fresh binary search per `(settle, edge)`.
+    /// [`TemporalIndex::crossings`], through a per-edge span cursor:
+    /// expansion times within one drain/replay are non-decreasing, so
+    /// the span holding the next departure is found by walking forward
+    /// from the last position (amortized O(1) per call) instead of a
+    /// fresh binary search per `(settle, edge)`.
+    ///
+    /// Triples departing within the node's [`Coverage`] are counted into
+    /// `stats.expanded`, not enumerated, when this configuration has no
+    /// fewer hops than the coverage's: an earlier expansion already
+    /// generated their targets.
     #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
     fn expand<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
         &mut self,
@@ -894,6 +956,21 @@ impl<T: Time> ExactCore<T> {
             return;
         };
         let until = latest.min(limits.horizon.clone());
+        // Clipped to this window, so the rule holds in whatever order
+        // configurations expand.
+        let covered = self
+            .frontiers
+            .get(node)
+            .filter(|_| P::WINDOWS_OVERLAP)
+            .and_then(|f| f.coverage.as_ref())
+            .filter(|c| c.hops <= hops)
+            .map(|c| {
+                (
+                    c.lo.clone().max(time.clone()),
+                    c.hi.clone().min(until.clone()),
+                )
+            })
+            .filter(|(lo, hi)| lo <= hi);
         for &e in index.out_edges(node) {
             let spans = index.presence(e).spans();
             // Expansion times only grow, so spans ending at or before
@@ -910,6 +987,7 @@ impl<T: Time> ExactCore<T> {
                 }
                 self.cursors.pos[e.index()] = i;
             }
+            let succ = index.dst(e);
             while i < spans.len() && spans[i].0 <= until {
                 let (start, end) = &spans[i];
                 let mut dep = if *start > *time {
@@ -918,6 +996,18 @@ impl<T: Time> ExactCore<T> {
                     time.clone()
                 };
                 while dep < *end && dep <= until {
+                    if let Some((_, hi)) =
+                        covered.as_ref().filter(|(lo, hi)| *lo <= dep && dep <= *hi)
+                    {
+                        // `dep < end`, so `end - 1` exists and its
+                        // successor does not overflow.
+                        let last = hi
+                            .clone()
+                            .min(end.checked_sub(&T::one()).expect("dep < end"));
+                        stats.expanded += count_crossings(index, e, &dep, &last);
+                        dep = last.succ();
+                        continue;
+                    }
                     let Some(arr) = index.arrival(e, &dep) else {
                         // Latency overflow: the crossing is dropped
                         // before it counts as expanded.
@@ -925,9 +1015,8 @@ impl<T: Time> ExactCore<T> {
                         continue;
                     };
                     stats.expanded += 1;
-                    let succ = index.dst(e);
                     // Either branch leaves `succ` with a frontier entry.
-                    let map = self.frontiers.touch(succ);
+                    let map = &mut self.frontiers.touch(succ).confs;
                     match map.search(&arr) {
                         Ok(at) => {
                             // Already generated: the first crossing keeps
@@ -961,7 +1050,44 @@ impl<T: Time> ExactCore<T> {
                 i += 1;
             }
         }
+        if !P::WINDOWS_OVERLAP {
+            return;
+        }
+        let coverage = &mut self.frontiers.touch(node).coverage;
+        let dominated = coverage
+            .as_ref()
+            .is_some_and(|c| c.lo <= *time && until <= c.hi && c.hops <= hops);
+        if !dominated {
+            *coverage = Some(Coverage {
+                lo: time.clone(),
+                hi: until,
+                hops,
+            });
+        }
     }
+}
+
+/// The crossings of `e` departing at the present instants
+/// `first..=last`: those whose arrival does not overflow. A monotone
+/// arrival that fits at `last` fits at every earlier departure, so the
+/// count is the span's length; otherwise every departure is tried.
+fn count_crossings<T: Time, I: TemporalIndex<T>>(index: &I, e: EdgeId, first: &T, last: &T) -> u64 {
+    let len = last
+        .checked_sub(first)
+        .and_then(|d| d.to_u64())
+        .and_then(|d| d.checked_add(1));
+    if let Some(len) =
+        len.filter(|_| index.arrival_is_monotone(e) && index.arrival(e, last).is_some())
+    {
+        return len;
+    }
+    let mut count = 0;
+    let mut dep = first.clone();
+    while dep <= *last {
+        count += u64::from(index.arrival(e, &dep).is_some());
+        dep = dep.succ();
+    }
+    count
 }
 
 /// A settled Pareto frontier entry: `(arrival, hops, label id)`.
@@ -1361,6 +1487,120 @@ mod tests {
             let tree = foremost_tree(&idx, n(0), &2, &policy, &SearchLimits::new(5, 4));
             assert_eq!(tree.arrival(n(1)), Some(&2), "{policy}");
         }
+    }
+
+    /// Drains an exact core from `seeds` and checks `expanded` against an
+    /// enumeration of every settled configuration's whole window, the
+    /// count the explorer had before departure coverage. Returns the
+    /// drained core.
+    fn drain_and_recount<T: Time>(
+        index: &TvgIndex<'_, T>,
+        seeds: &[(NodeId, T)],
+        d: u64,
+        limits: &SearchLimits<T>,
+    ) -> ExactCore<T> {
+        let policy = WaitingPolicy::Bounded(T::from_u64(d));
+        let mut core = ExactCore::new(index.num_nodes());
+        let mut stats = EngineStats::default();
+        core.seed(seeds);
+        core.drain(index, &policy, limits, None, &mut stats);
+        let mut enumerated = 0usize;
+        for (node, f) in core.frontiers.iter() {
+            for (t, c) in f.confs.iter().filter(|(_, c)| c.settled) {
+                if c.hops == hops_cap(limits) {
+                    continue;
+                }
+                let until = policy.latest_departure(t, &limits.horizon);
+                if let Some(until) = until {
+                    enumerated += index.crossings(node, t, &until).count();
+                }
+            }
+        }
+        assert_eq!(
+            usize::try_from(stats.expanded),
+            Ok(enumerated),
+            "under {policy}"
+        );
+        core
+    }
+
+    #[test]
+    fn covered_departures_are_counted_not_regenerated() {
+        // A unit-latency self-loop settles v0 at every instant, so under
+        // wait[4] consecutive windows share four departures on each
+        // out-edge. The 'c' edge is present only in part of the window.
+        let mut b = TvgBuilder::new();
+        let v = b.nodes(3);
+        b.edge(v[0], v[0], 's', Presence::Always, Latency::unit())
+            .expect("valid");
+        b.edge(v[0], v[1], 'a', Presence::Always, Latency::Const(2u64))
+            .expect("valid");
+        let window = Presence::Window { from: 3, until: 7 };
+        b.edge(v[0], v[2], 'c', window, Latency::unit())
+            .expect("valid");
+        let g = b.build().expect("valid");
+        let idx = TvgIndex::compile(&g, 12);
+        let core = drain_and_recount(&idx, &[(n(0), 0u64)], 4, &SearchLimits::new(12, 20));
+        let covered = core.frontiers.get(n(0)).and_then(|f| f.coverage.clone());
+        let covered = covered.expect("v0 expanded");
+        // v0 settles at 8 with 2 hops; its window is the first to reach
+        // the horizon, and it dominates every later one (no fewer hops).
+        assert_eq!((covered.lo, covered.hi, covered.hops), (8, 12, 2));
+        assert_eq!(core.arrival[1], Some(2));
+        assert_eq!(core.arrival[2], Some(4));
+    }
+
+    #[test]
+    fn covered_counts_skip_overflowing_and_non_monotone_arrivals() {
+        // Near the top of the u32 domain a constant latency overflows
+        // inside a covered window; a dilated latency is not known to be
+        // monotone and must be counted departure by departure.
+        let top = u32::MAX - 1;
+        let mut b = TvgBuilder::new();
+        let v = b.nodes(3);
+        let always = Presence::Window {
+            from: top - 20,
+            until: top,
+        };
+        b.edge(v[0], v[0], 's', always.clone(), Latency::Const(1u32))
+            .expect("valid");
+        b.edge(v[0], v[1], 'a', always.clone(), Latency::Const(6u32))
+            .expect("valid");
+        b.edge(v[0], v[2], 'd', always, Latency::Const(1u32).dilate(3))
+            .expect("valid");
+        let g = b.build().expect("valid");
+        let idx = TvgIndex::compile(&g, top);
+        let limits = SearchLimits::new(top, 40);
+        let core = drain_and_recount(&idx, &[(n(0), top - 20)], 4, &limits);
+        assert_eq!(core.arrival[1], Some(top - 14));
+
+        let e = |i| EdgeId::from_index(i);
+        assert_eq!(count_crossings(&idx, e(1), &(top - 10), &(top - 2)), 6);
+        assert_eq!(count_crossings(&idx, e(1), &(top - 10), &(top - 6)), 5);
+        assert_eq!(count_crossings(&idx, e(2), &(top - 10), &(top - 6)), 5);
+    }
+
+    #[test]
+    fn prune_and_resize_forget_coverage() {
+        let g = line_gap();
+        let idx = TvgIndex::compile(&g, 20);
+        let policy = WaitingPolicy::Bounded(3);
+        let mut core = ExactCore::new(3);
+        core.seed(&[(n(0), 0u64)]);
+        core.drain(&idx, &policy, &limits(), None, &mut EngineStats::default());
+        let covered = |core: &ExactCore<u64>| {
+            core.frontiers
+                .iter()
+                .filter(|(_, f)| f.coverage.is_some())
+                .count()
+        };
+        assert!(covered(&core) > 0);
+        core.resize(3);
+        assert_eq!(covered(&core), 0);
+        core.replay(&idx, &policy, &limits(), &mut EngineStats::default());
+        assert!(covered(&core) > 0);
+        core.prune(&19);
+        assert_eq!(covered(&core), 0);
     }
 
     #[test]

@@ -12,14 +12,24 @@
 //! narrowed `u32` time domain, the multi-seed and early-exit entry
 //! points, the resumable core under `IncrementalForemost` replay, and
 //! one [`Engine`] reused across a shuffled query sequence.
+//!
+//! The exact explorer's departure coverage (a bounded-wait crossing
+//! already generated from a node is counted, not regenerated, when the
+//! same node departs again with no fewer hops) is pinned the same way:
+//! on a dense edge-Markovian graph where `max_hops` binds, on a `u32`
+//! graph whose constant latency overflows inside covered windows, and
+//! under latencies not known to be monotone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tvg_bigint::Nat;
 use tvg_journeys::engine::{foremost_tree, foremost_tree_multi};
 use tvg_journeys::{Engine, IncrementalForemost, SearchLimits, WaitingPolicy};
+use tvg_model::generators::edge_markovian_contacts;
 use tvg_model::stream::TvgStream;
-use tvg_model::{narrow_tvg, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
+use tvg_model::{
+    narrow_tvg, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder, TvgIndex,
+};
 use tvg_testkit::fixtures;
 use tvg_testkit::refengine::ref_foremost_tree;
 
@@ -122,6 +132,107 @@ fn cores_match_oracle_in_the_narrowed_u32_domain() {
     let index = TvgIndex::compile(&narrowed, limits.horizon);
     for policy in all_policies(4) {
         assert_cores_match(&index, &0u32, &policy, &limits, "scale-free/u32");
+    }
+}
+
+/// The bounded waits the coverage properties sweep: one, a few, and as
+/// many ticks as the streaming benchmark waits.
+const COVERAGE_WAITS: [u64; 3] = [1, 4, 12];
+
+#[test]
+fn coverage_matches_oracle_on_dense_markovian_contacts_with_binding_hops() {
+    // Nearly every node pair meets, again and again, so nodes settle at
+    // many adjacent instants and bounded windows overlap heavily. Three
+    // hops bind: a later arrival reached in fewer hops must still
+    // decrease-key targets a more-hops arrival already generated.
+    for seed in [5u64, 23] {
+        let g = edge_markovian_contacts(16, 30, 0.08, 0.4, seed);
+        let index = TvgIndex::compile(&g, 30);
+        for d in COVERAGE_WAITS {
+            let policy = WaitingPolicy::Bounded(d);
+            let limits = SearchLimits::new(30u64, 3);
+            assert_cores_match(&index, &0, &policy, &limits, &format!("markov seed {seed}"));
+            let free = SearchLimits::new(30u64, 64);
+            let binds = g.nodes().any(|src| {
+                let capped = foremost_tree(&index, src, &0, &policy, &limits);
+                let open = foremost_tree(&index, src, &0, &policy, &free);
+                g.nodes().any(|v| capped.arrival(v) != open.arrival(v))
+            });
+            assert!(binds, "seed {seed}, wait[{d}]: max_hops must bind");
+        }
+    }
+}
+
+#[test]
+fn coverage_matches_oracle_where_a_u32_latency_overflows() {
+    // Every contact sits just below u32::MAX, so a covered window's
+    // later departures overflow under the longer constant latencies
+    // and drop out of the count, as they drop out of the enumeration.
+    // Narrowing refuses such latencies, so the graph is built in the
+    // u32 domain directly.
+    let horizon = u32::MAX - 1;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = TvgBuilder::new();
+    let v = b.nodes(6);
+    for (i, &src) in v.iter().enumerate() {
+        let loop_presence = Presence::After(horizon - 40);
+        b.edge(src, src, 's', loop_presence, Latency::Const(1u32))
+            .expect("valid");
+        for &dst in v.iter().filter(|&&dst| dst != src) {
+            let from = horizon - rng.gen_range(4..40u32);
+            let until = from.saturating_add(rng.gen_range(2..20u32)).min(horizon);
+            let lat = [0, 3, 9, 17][(i + dst.index()) % 4];
+            let presence = Presence::Window { from, until };
+            b.edge(src, dst, 'c', presence, Latency::Const(lat))
+                .expect("valid");
+        }
+    }
+    let g: Tvg<u32> = b.build().expect("valid");
+    let index = TvgIndex::compile(&g, horizon);
+    let start = horizon - 40;
+    for d in COVERAGE_WAITS {
+        let policy = WaitingPolicy::Bounded(u32::try_from(d).expect("small"));
+        let limits = SearchLimits::new(horizon, 5);
+        assert_cores_match(&index, &start, &policy, &limits, "u32 overflow");
+    }
+}
+
+#[test]
+fn coverage_matches_oracle_under_non_monotone_latencies() {
+    // Neither latency is known to be monotone, so covered departures
+    // are counted one by one: a dilated constant, and a custom latency
+    // that overflows at every third departure.
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut b = TvgBuilder::new();
+    let v = b.nodes(8);
+    for &src in &v {
+        for &dst in &v {
+            if rng.gen_bool(0.5) {
+                continue;
+            }
+            let from = rng.gen_range(0..20u64);
+            let until = from + rng.gen_range(0..15u64);
+            let latency = if rng.gen_bool(0.5) {
+                Latency::Const(1u64).dilate(3)
+            } else {
+                Latency::from_fn(|t: &u64| if t.is_multiple_of(3) { u64::MAX } else { 2 })
+            };
+            b.edge(src, dst, 'n', Presence::Window { from, until }, latency)
+                .expect("valid");
+        }
+    }
+    let g = b.build().expect("valid");
+    let index = TvgIndex::compile(&g, 40);
+    assert!(g.edges().all(|e| !index.arrival_is_monotone(e)));
+    for d in COVERAGE_WAITS {
+        let policy = WaitingPolicy::Bounded(d);
+        assert_cores_match(
+            &index,
+            &0,
+            &policy,
+            &SearchLimits::new(40u64, 6),
+            "non-monotone",
+        );
     }
 }
 

@@ -170,6 +170,66 @@ fn leave_then_rejoin_keeps_ids_fresh_and_answers_exact() {
 }
 
 #[test]
+fn a_late_seed_before_recorded_coverage_repairs_exactly() {
+    use tvg_model::stream::StreamEvent;
+    use tvg_model::{EdgeId, Latency};
+
+    // Under wait[3] a presence batch settles the source at every
+    // instant from t = 4 on, so the exact explorer records departure
+    // coverage there up to the horizon. A topology-only batch then adds
+    // the node a deferred seed names, seeded at t = 8, before that
+    // coverage; a last presence batch connects it to the source. Every
+    // refresh must answer like a fresh run.
+    let mut s = TvgStream::<u64>::new(20).expect("20 + 1 is representable");
+    let src = s.add_node("src");
+    let v = s.add_node("v");
+    let spin = s.add_edge(src, src, 's', Latency::unit()).expect("valid");
+    let out = s.add_edge(src, v, 'a', Latency::unit()).expect("valid");
+    let late = NodeId::from_index(2);
+    let seeds = [(src, 4u64), (late, 8)];
+    let limits = SearchLimits::new(20, 8);
+    let mut inc = IncrementalForemost::new(s.index(), &seeds, WaitingPolicy::Bounded(3), limits);
+
+    let report = s
+        .ingest(&[
+            StreamEvent::Up { edge: spin, at: 4 },
+            StreamEvent::Up { edge: out, at: 6 },
+            StreamEvent::Down { edge: out, at: 9 },
+        ])
+        .expect("valid feed");
+    inc.refresh(s.index(), &report);
+    streamcheck::assert_incremental_matches_fresh(&s, &inc, "presence");
+
+    let report = s
+        .ingest(&[
+            StreamEvent::NewNode {
+                name: "late".into(),
+            },
+            StreamEvent::NewEdge {
+                src: late,
+                dst: src,
+                label: 'b',
+                latency: Latency::unit(),
+            },
+        ])
+        .expect("valid feed");
+    assert_eq!(report.earliest_change, None, "topology only");
+    inc.refresh(s.index(), &report);
+    streamcheck::assert_incremental_matches_fresh(&s, &inc, "topology");
+    assert_eq!(inc.arrival(late), Some(&8));
+
+    let report = s
+        .ingest(&[StreamEvent::Up {
+            edge: EdgeId::from_index(2),
+            at: 9,
+        }])
+        .expect("valid feed");
+    inc.refresh(s.index(), &report);
+    streamcheck::assert_incremental_matches_fresh(&s, &inc, "connect");
+    assert_eq!(inc.arrival(v), Some(&7));
+}
+
+#[test]
 fn a_leave_at_the_chunk_boundary_closes_every_open_span() {
     use tvg_model::pcol::COL_CHUNK;
     use tvg_model::stream::StreamEvent;
