@@ -46,8 +46,21 @@
 //!   `expanded` (by span arithmetic when the latency is monotone)
 //!   instead of regenerating targets that are already generated and
 //!   cannot improve. Reset, prune and every incremental refresh forget
-//!   the records. `NoWait` windows never overlap, so its loop compiles
+//!   the coverage. `NoWait` windows never overlap, so its loop compiles
 //!   without coverage, and `Unbounded` runs the Pareto explorer.
+//! * **Windowed replay.** Each settled configuration's [`Conf`] keeps
+//!   what its last expansion added to `expanded` and its *reach*: the
+//!   latest instant that expansion depended on, i.e. the end of its
+//!   departure window and the latest arrival of its crossings. A repair
+//!   from watermark `t0` replays only the survivors whose reach is at
+//!   or after `t0`. The others read presence only before `t0`, which
+//!   the repaired batch left unchanged, and every crossing of theirs
+//!   lands on a settled configuration before `t0`, where a replay would
+//!   change nothing. They add their recorded count to `expanded`
+//!   instead, so every counter, arrival and witness stays identical to
+//!   a full replay. The rule needs no latency bound: an arrival depends
+//!   only on the edge's fixed latency, so the recorded reach stays
+//!   exact for dilated and opaque latencies too.
 //! * **Reuse with touched-only reset.** An [`Engine`] keeps both cores
 //!   alive across runs; every batch worker and serve reader owns one.
 //!   Per-node frontiers live behind a dense slot array and exist only
@@ -72,7 +85,7 @@
 //! `ReachabilityMatrix`) to "exactly n single-source runs, no per-pair
 //! search", at any thread count.
 
-use crate::{Hop, Journey, SearchLimits, WaitingPolicy};
+use crate::{Hop, Journey, ReplayCounts, SearchLimits, WaitingPolicy};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use tvg_model::{EdgeId, NodeId, TemporalIndex, Time};
@@ -87,7 +100,10 @@ pub struct EngineStats {
     /// Configurations (exact explorer) or labels (Pareto explorer)
     /// settled.
     pub settled: u64,
-    /// Admissible crossings generated during expansion.
+    /// Admissible crossings of every expanded configuration: each one
+    /// counts whether it was walked, counted by departure coverage, or
+    /// counted from the record of a configuration a repair did not need
+    /// to replay.
     pub expanded: u64,
 }
 
@@ -579,6 +595,10 @@ impl<V: Default> Touched<V> {
         self.vals[..self.nodes.len()].iter_mut()
     }
 
+    fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut V)> + '_ {
+        self.nodes.iter().copied().zip(&mut self.vals)
+    }
+
     /// Grows the slot array after streamed topology growth, keeping
     /// every value.
     fn grow(&mut self, num_nodes: usize) {
@@ -628,16 +648,36 @@ pub(crate) fn rebuild<T: Time>(parents: &ParentMap<T>, mut state: (NodeId, T)) -
 /// as the old `or_insert` parent map), the best hop count — the
 /// decrease-key key while enqueued, the settle hops once settled (equal
 /// by the time the first pop happens, since the heap pops hop-minimal
-/// ties first) — and whether the configuration has settled.
+/// ties first) — whether the configuration has settled, and the record
+/// of its last expansion that lets a repair skip it.
 ///
 /// Keeping generation and settlement in ONE sorted map means each
 /// expanded crossing resolves its target with a single binary search
 /// where the split `settled`/`gen` layout needed two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Conf {
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Conf<T> {
     label: u32,
     hops: u32,
     settled: bool,
+    /// What the last expansion added to `expanded`.
+    crossings: u64,
+    /// The latest instant the last expansion depended on: the end of
+    /// its departure window and the arrival of every crossing it walked
+    /// or counted (the configuration's own time before any expansion).
+    reach: T,
+}
+
+impl<T> Conf<T> {
+    /// A configuration generated (or seeded) at `time`, not yet expanded.
+    fn new(label: u32, hops: u32, settled: bool, time: T) -> Self {
+        Conf {
+            label,
+            hops,
+            settled,
+            crossings: 0,
+            reach: time,
+        }
+    }
 }
 
 /// A node's departure coverage: every crossing departing it within
@@ -657,7 +697,7 @@ struct Coverage<T> {
 /// departure coverage.
 #[derive(Debug, Clone)]
 struct Frontier<T> {
-    confs: FlatMap<T, Conf>,
+    confs: FlatMap<T, Conf<T>>,
     coverage: Option<Coverage<T>>,
 }
 
@@ -684,6 +724,8 @@ pub(crate) struct ExactCore<T> {
     pub(crate) arrival: Vec<Option<T>>,
     pub(crate) best: Vec<Option<u32>>,
     pub(crate) arena: Vec<Label<T>>,
+    /// The number of `Some` entries in `arrival`.
+    pub(crate) reached: usize,
     /// Per touched node: configuration time → generation/settlement
     /// state, plus the node's departure coverage.
     frontiers: Touched<Frontier<T>>,
@@ -703,6 +745,7 @@ impl<T: Time> ExactCore<T> {
             arrival: vec![None; num_nodes],
             best: vec![None; num_nodes],
             arena: Vec::new(),
+            reached: 0,
             frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
             queue: BinaryHeap::new(),
@@ -725,6 +768,7 @@ impl<T: Time> ExactCore<T> {
         self.seed_slots.clear();
         self.queue.clear();
         self.arena.clear();
+        self.reached = 0;
         unreached(&mut self.arrival, num_nodes);
         unreached(&mut self.best, num_nodes);
     }
@@ -759,44 +803,52 @@ impl<T: Time> ExactCore<T> {
     /// strictly earlier is untouchable (a crossing departing at or
     /// after `t0` arrives at or after it — latencies are non-negative).
     /// Departure coverage goes too, since it vouches for pruned targets.
+    /// Only touched nodes can hold an arrival, so the prune walks those.
     /// The arena keeps pruned labels as unreachable garbage, which
     /// costs memory proportional to the churn but keeps every surviving
     /// parent chain valid by construction.
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for f in self.frontiers.values_mut() {
+        for (node, f) in self.frontiers.iter_mut() {
             f.confs.truncate_from(t0);
             f.coverage = None;
-        }
-        self.seed_slots.retain(|(_, t, _)| t < t0);
-        for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
+            let slot = &mut self.arrival[node.index()];
             if slot.as_ref().is_some_and(|t| t >= t0) {
                 *slot = None;
-                *best = None;
+                self.best[node.index()] = None;
+                self.reached -= 1;
             }
         }
+        self.seed_slots.retain(|(_, t, _)| t < t0);
     }
 
-    /// Re-expands every surviving configuration in global settle order
-    /// (time, node, hops) — the order a fresh run would have expanded
-    /// them in. Crossings arriving before the prune watermark find
-    /// their targets already settled and are skipped; crossings into
-    /// the repaired region re-enter the queue, so the subsequent
-    /// [`ExactCore::drain`] reproduces a fresh run's conclusions there.
+    /// Re-expands the surviving configurations a repair from `t0` can
+    /// change, in global settle order (time, node, hops) — the order a
+    /// fresh run would have expanded them in. Crossings arriving before
+    /// the prune watermark find their targets already settled and are
+    /// skipped; crossings into the repaired region re-enter the queue,
+    /// so the subsequent [`ExactCore::drain`] reproduces a fresh run's
+    /// conclusions there.
+    ///
+    /// A survivor whose reach is before `t0` is not replayed: its
+    /// window and arrivals lie where presence did not change, so its
+    /// recorded crossings are still exact and every one of them lands
+    /// on a settled configuration. It adds its record to `expanded`.
     pub(crate) fn replay<I: TemporalIndex<T>>(
         &mut self,
         index: &I,
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
+        t0: &T,
         stats: &mut EngineStats,
-    ) {
+    ) -> ReplayCounts {
         match policy {
-            WaitingPolicy::NoWait => self.replay_inner(index, &NoWaitDeparture, limits, stats),
+            WaitingPolicy::NoWait => self.replay_inner(index, &NoWaitDeparture, limits, t0, stats),
             WaitingPolicy::Bounded(d) => {
-                self.replay_inner(index, &BoundedDeparture(d.clone()), limits, stats);
+                self.replay_inner(index, &BoundedDeparture(d.clone()), limits, t0, stats)
             }
             WaitingPolicy::Unbounded => {
-                self.replay_inner(index, &UnboundedDeparture, limits, stats);
+                self.replay_inner(index, &UnboundedDeparture, limits, t0, stats)
             }
         }
     }
@@ -806,27 +858,31 @@ impl<T: Time> ExactCore<T> {
         index: &I,
         policy: &P,
         limits: &SearchLimits<T>,
+        t0: &T,
         stats: &mut EngineStats,
-    ) {
+    ) -> ReplayCounts {
         let cap = hops_cap(limits);
+        let mut reused = 0;
         let mut survivors: Vec<(T, NodeId, u32)> = Vec::new();
         for (node, f) in self.frontiers.iter() {
-            survivors.extend(
-                f.confs
-                    .iter()
-                    .filter(|(_, c)| c.settled)
-                    .map(|(t, c)| (t.clone(), node, c.hops)),
-            );
+            // Configurations at the hop cap never expand.
+            for (t, c) in f.confs.iter().filter(|(_, c)| c.settled && c.hops < cap) {
+                if c.reach < *t0 {
+                    stats.expanded += c.crossings;
+                    reused += 1;
+                } else {
+                    survivors.push((t.clone(), node, c.hops));
+                }
+            }
         }
         survivors.sort();
         self.cursors.rewind(index.num_edges());
+        let replayed = survivors.len() as u64;
         for (time, node, hops) in survivors {
-            if hops == cap {
-                continue;
-            }
             let id = self.origin_label(node, &time);
             self.expand(index, policy, limits, node, &time, hops, id, stats);
         }
+        ReplayCounts { replayed, reused }
     }
 
     /// The arena id reconstructing the journey of a settled
@@ -902,12 +958,7 @@ impl<T: Time> ExactCore<T> {
                 // times per node are non-decreasing, so this is an
                 // append in all but name.
                 Err(at) => {
-                    let entry = Conf {
-                        label: id,
-                        hops,
-                        settled: true,
-                    };
-                    map.insert_at(at, time.clone(), entry);
+                    map.insert_at(at, time.clone(), Conf::new(id, hops, true, time.clone()));
                     id
                 }
             };
@@ -915,6 +966,7 @@ impl<T: Time> ExactCore<T> {
             if self.arrival[ni].is_none() {
                 self.arrival[ni] = Some(time.clone());
                 self.best[ni] = Some(id);
+                self.reached += 1;
                 // The first settle is already foremost: a targeted query
                 // is done here.
                 if target == Some(node) {
@@ -940,6 +992,9 @@ impl<T: Time> ExactCore<T> {
     /// `stats.expanded`, not enumerated, when this configuration has no
     /// fewer hops than the coverage's: an earlier expansion already
     /// generated their targets.
+    ///
+    /// The configuration's [`Conf`] records the crossings and the reach
+    /// of this expansion for [`ExactCore::replay`].
     #[allow(clippy::too_many_arguments)] // one settled configuration, spelled out
     fn expand<I: TemporalIndex<T>, P: DeparturePolicy<T>>(
         &mut self,
@@ -952,10 +1007,14 @@ impl<T: Time> ExactCore<T> {
         id: u32,
         stats: &mut EngineStats,
     ) {
+        // An empty window keeps the record the configuration was
+        // created with: no crossings, reach at its own time.
         let Some(latest) = policy.latest(time, &limits.horizon) else {
             return;
         };
         let until = latest.min(limits.horizon.clone());
+        let mut crossings = 0;
+        let mut reach = until.clone();
         // Clipped to this window, so the rule holds in whatever order
         // configurations expand.
         let covered = self
@@ -1004,7 +1063,11 @@ impl<T: Time> ExactCore<T> {
                         let last = hi
                             .clone()
                             .min(end.checked_sub(&T::one()).expect("dep < end"));
-                        stats.expanded += count_crossings(index, e, &dep, &last);
+                        let (count, latest_arr) = count_crossings(index, e, &dep, &last);
+                        crossings += count;
+                        if let Some(arr) = latest_arr.filter(|arr| *arr > reach) {
+                            reach = arr;
+                        }
                         dep = last.succ();
                         continue;
                     }
@@ -1014,7 +1077,10 @@ impl<T: Time> ExactCore<T> {
                         dep = dep.succ();
                         continue;
                     };
-                    stats.expanded += 1;
+                    crossings += 1;
+                    if arr > reach {
+                        reach = arr.clone();
+                    }
                     // Either branch leaves `succ` with a frontier entry.
                     let map = &mut self.frontiers.touch(succ).confs;
                     match map.search(&arr) {
@@ -1036,11 +1102,7 @@ impl<T: Time> ExactCore<T> {
                                 arr.clone(),
                                 Some((id, e, dep.clone())),
                             );
-                            let entry = Conf {
-                                label: new_id,
-                                hops: hops + 1,
-                                settled: false,
-                            };
+                            let entry = Conf::new(new_id, hops + 1, false, arr.clone());
                             map.insert_at(at, arr.clone(), entry);
                             self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
                         }
@@ -1050,6 +1112,8 @@ impl<T: Time> ExactCore<T> {
                 i += 1;
             }
         }
+        stats.expanded += crossings;
+        self.record(node, time, crossings, reach);
         if !P::WINDOWS_OVERLAP {
             return;
         }
@@ -1065,29 +1129,54 @@ impl<T: Time> ExactCore<T> {
             });
         }
     }
+
+    /// Stores an expansion's crossings and reach in the expanded
+    /// configuration's [`Conf`]. Its position is searched afresh: a
+    /// self-loop can have inserted after it.
+    fn record(&mut self, node: NodeId, time: &T, crossings: u64, reach: T) {
+        let confs = &mut self.frontiers.touch(node).confs;
+        let Ok(at) = confs.search(time) else {
+            unreachable!("an expanded configuration is in its node's frontier");
+        };
+        let conf = confs.val_mut(at);
+        conf.crossings = crossings;
+        conf.reach = reach;
+    }
 }
 
 /// The crossings of `e` departing at the present instants
-/// `first..=last`: those whose arrival does not overflow. A monotone
-/// arrival that fits at `last` fits at every earlier departure, so the
-/// count is the span's length; otherwise every departure is tried.
-fn count_crossings<T: Time, I: TemporalIndex<T>>(index: &I, e: EdgeId, first: &T, last: &T) -> u64 {
+/// `first..=last` — those whose arrival does not overflow — and the
+/// latest of their arrivals. A monotone arrival that fits at `last`
+/// fits at every earlier departure and is latest there, so the count is
+/// the span's length; otherwise every departure is tried.
+fn count_crossings<T: Time, I: TemporalIndex<T>>(
+    index: &I,
+    e: EdgeId,
+    first: &T,
+    last: &T,
+) -> (u64, Option<T>) {
     let len = last
         .checked_sub(first)
         .and_then(|d| d.to_u64())
         .and_then(|d| d.checked_add(1));
-    if let Some(len) =
-        len.filter(|_| index.arrival_is_monotone(e) && index.arrival(e, last).is_some())
-    {
-        return len;
+    if let Some(len) = len.filter(|_| index.arrival_is_monotone(e)) {
+        if let Some(arr) = index.arrival(e, last) {
+            return (len, Some(arr));
+        }
     }
     let mut count = 0;
+    let mut latest: Option<T> = None;
     let mut dep = first.clone();
     while dep <= *last {
-        count += u64::from(index.arrival(e, &dep).is_some());
+        if let Some(arr) = index.arrival(e, &dep) {
+            count += 1;
+            if latest.as_ref().is_none_or(|l| arr > *l) {
+                latest = Some(arr);
+            }
+        }
         dep = dep.succ();
     }
-    count
+    (count, latest)
 }
 
 /// A settled Pareto frontier entry: `(arrival, hops, label id)`.
@@ -1107,6 +1196,8 @@ pub(crate) struct ParetoCore<T> {
     pub(crate) arrival: Vec<Option<T>>,
     pub(crate) best: Vec<Option<u32>>,
     pub(crate) arena: Vec<Label<T>>,
+    /// The number of `Some` entries in `arrival`.
+    pub(crate) reached: usize,
     /// Settled Pareto frontier per touched node, sorted by arrival
     /// (settle order is time-ordered and per-node ties are dominated
     /// away).
@@ -1123,6 +1214,7 @@ impl<T: Time> ParetoCore<T> {
             arrival: vec![None; num_nodes],
             best: vec![None; num_nodes],
             arena: Vec::new(),
+            reached: 0,
             settled: Touched::new(num_nodes),
             queue: BinaryHeap::new(),
         }
@@ -1135,6 +1227,7 @@ impl<T: Time> ParetoCore<T> {
         self.settled.reset(num_nodes, Vec::clear);
         self.queue.clear();
         self.arena.clear();
+        self.reached = 0;
         unreached(&mut self.arrival, num_nodes);
         unreached(&mut self.best, num_nodes);
     }
@@ -1161,14 +1254,14 @@ impl<T: Time> ParetoCore<T> {
     /// [`ExactCore::prune`] for the soundness argument).
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for frontier in self.settled.values_mut() {
+        for (node, frontier) in self.settled.iter_mut() {
             let keep = frontier.partition_point(|(t, _, _)| t < t0);
             frontier.truncate(keep);
-        }
-        for (slot, best) in self.arrival.iter_mut().zip(&mut self.best) {
+            let slot = &mut self.arrival[node.index()];
             if slot.as_ref().is_some_and(|t| t >= t0) {
                 *slot = None;
-                *best = None;
+                self.best[node.index()] = None;
+                self.reached -= 1;
             }
         }
     }
@@ -1177,24 +1270,33 @@ impl<T: Time> ParetoCore<T> {
     /// (time, hops, node, id). Crossings whose best arrival lands
     /// before the prune watermark are dominated by surviving frontier
     /// entries and skipped; crossings into the repaired region re-enter
-    /// the queue for [`ParetoCore::drain`].
+    /// the queue for [`ParetoCore::drain`]. A label generates only the
+    /// earliest crossing per edge, so no label can be skipped by its
+    /// time window: every expandable survivor is replayed.
     pub(crate) fn replay<I: TemporalIndex<T>>(
         &mut self,
         index: &I,
         limits: &SearchLimits<T>,
         stats: &mut EngineStats,
-    ) {
+    ) -> ReplayCounts {
         let cap = hops_cap(limits);
         let mut survivors: Vec<(T, u32, NodeId, u32)> = Vec::new();
         for (node, frontier) in self.settled.iter() {
-            survivors.extend(frontier.iter().map(|(t, h, id)| (t.clone(), *h, node, *id)));
+            survivors.extend(
+                frontier
+                    .iter()
+                    .filter(|(t, h, _)| *h < cap && *t <= limits.horizon)
+                    .map(|(t, h, id)| (t.clone(), *h, node, *id)),
+            );
         }
         survivors.sort();
+        let replayed = survivors.len() as u64;
         for (time, hops, node, id) in survivors {
-            if hops == cap || time > limits.horizon {
-                continue;
-            }
             self.expand(index, limits, node, &time, hops, id, stats);
+        }
+        ReplayCounts {
+            replayed,
+            reused: 0,
         }
     }
 
@@ -1218,6 +1320,7 @@ impl<T: Time> ParetoCore<T> {
             if self.arrival[node.index()].is_none() {
                 self.arrival[node.index()] = Some(time.clone());
                 self.best[node.index()] = Some(id);
+                self.reached += 1;
                 if target == Some(node) {
                     break;
                 }
@@ -1575,9 +1678,18 @@ mod tests {
         assert_eq!(core.arrival[1], Some(top - 14));
 
         let e = |i| EdgeId::from_index(i);
-        assert_eq!(count_crossings(&idx, e(1), &(top - 10), &(top - 2)), 6);
-        assert_eq!(count_crossings(&idx, e(1), &(top - 10), &(top - 6)), 5);
-        assert_eq!(count_crossings(&idx, e(2), &(top - 10), &(top - 6)), 5);
+        assert_eq!(
+            count_crossings(&idx, e(1), &(top - 10), &(top - 2)),
+            (6, Some(u32::MAX))
+        );
+        assert_eq!(
+            count_crossings(&idx, e(1), &(top - 10), &(top - 6)),
+            (5, Some(top))
+        );
+        assert_eq!(
+            count_crossings(&idx, e(2), &(top - 10), &(top - 6)),
+            (5, Some(top - 3))
+        );
     }
 
     #[test]
@@ -1597,10 +1709,183 @@ mod tests {
         assert!(covered(&core) > 0);
         core.resize(3);
         assert_eq!(covered(&core), 0);
-        core.replay(&idx, &policy, &limits(), &mut EngineStats::default());
+        core.replay(&idx, &policy, &limits(), &0, &mut EngineStats::default());
         assert!(covered(&core) > 0);
         core.prune(&19);
         assert_eq!(covered(&core), 0);
+    }
+
+    use crate::IncrementalForemost;
+    use tvg_model::stream::{StreamEvent, TvgStream};
+
+    /// Ingests `batch`, refreshes `inc` (from `since` if given, else
+    /// from the batch's earliest change) and checks it against a fresh
+    /// run on the recompiled schedule: arrivals, witnesses, and the
+    /// refresh's `expanded` against the fresh run's. Returns what this
+    /// refresh replayed and reused.
+    fn repair(
+        s: &mut TvgStream<u64>,
+        inc: &mut IncrementalForemost<u64>,
+        batch: &[StreamEvent<u64>],
+        since: Option<u64>,
+    ) -> ReplayCounts {
+        let report = s.ingest(batch).expect("valid batch");
+        let (expanded, counts) = (inc.stats().expanded, inc.replay_counts());
+        match since {
+            Some(t0) => inc.refresh_since(s.index(), &t0),
+            None => inc.refresh(s.index(), &report),
+        }
+        let g = s.to_tvg();
+        let index = TvgIndex::compile(&g, *s.index().horizon());
+        let fresh = foremost_tree_multi(&index, inc.seeds(), inc.policy(), inc.limits());
+        for v in g.nodes() {
+            assert_eq!(inc.arrival(v), fresh.arrival(v), "arrival at {v}");
+            assert_eq!(inc.journey_to(v), fresh.journey_to(v), "witness to {v}");
+        }
+        assert_eq!(inc.stats().expanded - expanded, fresh.stats().expanded);
+        let after = inc.replay_counts();
+        ReplayCounts {
+            replayed: after.replayed - counts.replayed,
+            reused: after.reused - counts.reused,
+        }
+    }
+
+    fn up(edge: EdgeId, at: u64) -> StreamEvent<u64> {
+        StreamEvent::Up { edge, at }
+    }
+
+    fn down(edge: EdgeId, at: u64) -> StreamEvent<u64> {
+        StreamEvent::Down { edge, at }
+    }
+
+    #[test]
+    fn replay_keeps_a_crossing_that_arrives_exactly_at_the_watermark() {
+        // u -a-> v at t = 4 only, with unit latency; v -b-> w comes up
+        // at t0 = 5. (u, 4) departs before t0 but arrives at it, so it
+        // must replay; the seed (u, 1) reaches nothing and is reused.
+        let mut s = TvgStream::new(20).expect("representable");
+        let (u, v, w) = (s.add_node("u"), s.add_node("v"), s.add_node("w"));
+        let a = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
+        let b = s.add_edge(v, w, 'b', Latency::unit()).expect("valid");
+        s.ingest(&[up(a, 4), down(a, 5)]).expect("valid");
+        let seeds = [(u, 1), (u, 4)];
+        let limits = SearchLimits::new(20, 5);
+        let mut inc = IncrementalForemost::new(s.index(), &seeds, WaitingPolicy::NoWait, limits);
+        let counts = repair(&mut s, &mut inc, &[up(b, 5)], None);
+        assert_eq!(inc.arrival(w), Some(&6));
+        let expected = ReplayCounts {
+            replayed: 1,
+            reused: 1,
+        };
+        assert_eq!(counts, expected);
+    }
+
+    /// wait[2] from (u, 0) over u -z-> v with zero latency at [0, 3),
+    /// and an edge v -c-> w with no presence yet.
+    fn zero_latency_fan() -> (TvgStream<u64>, IncrementalForemost<u64>, EdgeId) {
+        let mut s = TvgStream::new(20).expect("representable");
+        let (u, v, w) = (s.add_node("u"), s.add_node("v"), s.add_node("w"));
+        let z = s.add_edge(u, v, 'z', Latency::Const(0)).expect("valid");
+        let c = s.add_edge(v, w, 'c', Latency::unit()).expect("valid");
+        s.ingest(&[up(z, 0), down(z, 3)]).expect("valid");
+        let limits = SearchLimits::new(20, 5);
+        let inc = IncrementalForemost::new(s.index(), &[(u, 0)], WaitingPolicy::Bounded(2), limits);
+        (s, inc, c)
+    }
+
+    #[test]
+    fn zero_latency_crossings_before_the_watermark_are_reused() {
+        // (u, 0), (v, 0) and (v, 1) end their windows and crossings
+        // before t0 = 4; (v, 2)'s window [2, 4] reaches it.
+        let (mut s, mut inc, c) = zero_latency_fan();
+        let counts = repair(&mut s, &mut inc, &[up(c, 4)], None);
+        assert_eq!(inc.arrival(NodeId::from_index(2)), Some(&5));
+        let expected = ReplayCounts {
+            replayed: 1,
+            reused: 3,
+        };
+        assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn an_early_watermark_replays_more_and_stays_exact() {
+        // The batch changes presence at 4; a repair from 1 prunes (v, 1)
+        // and (v, 2), and both survivors reach past 1.
+        let (mut s, mut inc, c) = zero_latency_fan();
+        let counts = repair(&mut s, &mut inc, &[up(c, 4)], Some(1));
+        assert_eq!(inc.arrival(NodeId::from_index(2)), Some(&5));
+        let expected = ReplayCounts {
+            replayed: 2,
+            reused: 0,
+        };
+        assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn a_dilated_latency_carries_an_early_departure_past_the_watermark() {
+        // u -d-> v departs at 0..=2 with a dilated (not monotone)
+        // latency of 12, so every u configuration reaches v after
+        // t0 = 5, where v -c-> w comes up; under wait[2] u settles at
+        // 0, 1, 2 through a self-loop and counts covered departures.
+        for policy in [WaitingPolicy::NoWait, WaitingPolicy::Bounded(2)] {
+            let mut s = TvgStream::new(30).expect("representable");
+            let (u, v, w) = (s.add_node("u"), s.add_node("v"), s.add_node("w"));
+            let l = s.add_edge(u, u, 's', Latency::unit()).expect("valid");
+            let d = Latency::Const(4).dilate(3);
+            let d = s.add_edge(u, v, 'd', d).expect("valid");
+            let c = s.add_edge(v, w, 'c', Latency::unit()).expect("valid");
+            s.ingest(&[up(l, 0), up(d, 0), down(l, 2), down(d, 3)])
+                .expect("valid");
+            let limits = SearchLimits::new(30, 5);
+            let mut inc = IncrementalForemost::new(s.index(), &[(u, 0)], policy, limits);
+            let counts = repair(&mut s, &mut inc, &[up(c, 5)], None);
+            assert_eq!(inc.arrival(w), Some(&13), "{policy}");
+            assert_eq!(counts.reused, 0, "{policy}");
+        }
+    }
+
+    #[test]
+    fn extending_the_horizon_replays_windows_that_reach_the_old_end() {
+        // A self-loop and an edge u -a-> v open through the stream's
+        // horizon 10. Extending it changes presence from 11 on: under
+        // wait[3], (u, t) reaches t + 4 through the loop, so u's
+        // configurations up to 6 are reused and the rest replay.
+        let mut s = TvgStream::new(10).expect("representable");
+        let (u, v) = (s.add_node("u"), s.add_node("v"));
+        let l = s.add_edge(u, u, 's', Latency::unit()).expect("valid");
+        let a = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
+        s.ingest(&[up(l, 0), up(a, 8)]).expect("valid");
+        let limits = SearchLimits::new(30, 40);
+        let policy = WaitingPolicy::Bounded(3);
+        let mut inc = IncrementalForemost::new(s.index(), &[(u, 0)], policy, limits);
+        let extend = [StreamEvent::ExtendHorizon { to: 20 }];
+        let counts = repair(&mut s, &mut inc, &extend, None);
+        assert_eq!(counts.reused, 7);
+        assert!(counts.replayed > 0);
+        assert_eq!(inc.arrival(v), Some(&9));
+    }
+
+    #[test]
+    fn a_down_retraction_replays_the_configuration_it_strands() {
+        // u -a-> v at t = 1, v -b-> w open from 3: under wait[1], w is
+        // reached at 4. A zero-length close at 3 retracts it; (u, 0)
+        // reaches only 2 and is reused, (v, 2) crossed b and replays.
+        let mut s = TvgStream::new(20).expect("representable");
+        let (u, v, w) = (s.add_node("u"), s.add_node("v"), s.add_node("w"));
+        let a = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
+        let b = s.add_edge(v, w, 'b', Latency::unit()).expect("valid");
+        s.ingest(&[up(a, 1), down(a, 2), up(b, 3)]).expect("valid");
+        let limits = SearchLimits::new(20, 5);
+        let mut inc =
+            IncrementalForemost::new(s.index(), &[(u, 0)], WaitingPolicy::Bounded(1), limits);
+        assert_eq!(inc.arrival(w), Some(&4));
+        let counts = repair(&mut s, &mut inc, &[down(b, 3)], None);
+        assert_eq!(inc.arrival(w), None);
+        let expected = ReplayCounts {
+            replayed: 1,
+            reused: 1,
+        };
+        assert_eq!(counts, expected);
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!    *new* schedule, in the exact global order a fresh run would have
 //!    expanded them. Crossings landing before `t₀` find their targets
 //!    already settled and are skipped; crossings into the repaired
-//!    region re-enter the queue.
+//!    region re-enter the queue. Under `NoWait`/`Bounded` a survivor
+//!    whose departure window ends before `t₀` and whose crossings all
+//!    arrived before `t₀` is not re-expanded at all: the batch changed
+//!    nothing it reads, so it can only reach settled targets again. Its
+//!    last expansion's crossing count is added to the stats instead
+//!    (see the engine's windowed replay).
 //! 3. **Drain.** The ordinary exploration loop finishes the repaired
 //!    region.
 //!
@@ -37,15 +42,23 @@
 //! witnesses semantically: same arrival, same hops, validates.
 //!
 //! The work saved is the point, stated precisely: per refresh, the
-//! *settling* work is bounded by the repaired region (the churn), and
-//! what remains of the history's cost is one re-expansion sweep over
-//! the surviving settled frontier — no schedule recompilation, no
-//! re-settling, no witness reconstruction. A refresh therefore costs
-//! `O(frontier + churn)` where the recompute baseline pays
-//! `O(accumulated schedule + full exploration)` every tick; the
-//! `stream_props` work-reuse property pins the settle ratio, and
-//! `benches/stream_ingest.rs` (experiment E9) measures the end-to-end
-//! gap on the scale-free feed.
+//! *settling* work is bounded by the repaired region (the churn). Under
+//! the exact explorers the re-expansion work is bounded too: only the
+//! survivors whose reach crosses `t₀` are re-expanded, and the rest
+//! cost one scan of their frontier entries. No schedule recompilation,
+//! no re-settling, no witness reconstruction. A refresh therefore costs
+//! `O(frontier scan + expansions reaching t₀ + churn)` where the
+//! recompute baseline pays `O(accumulated schedule + full exploration)`
+//! every tick. The Pareto explorer still re-expands every survivor. The
+//! `stream_props` work-reuse property pins the settle ratio,
+//! [`IncrementalForemost::replay_counts`] reports how many survivors
+//! were replayed and reused, and `benches/stream_ingest.rs` (experiment
+//! E9) measures the end-to-end gap on the scale-free feed.
+//!
+//! The reported `expanded` counter does not depend on the skip: a
+//! presence-repairing refresh of an exact explorer raises it by exactly
+//! a fresh run's `expanded` on the new schedule, which the
+//! `streamcheck` oracle asserts after every batch.
 
 use crate::engine::{rebuild_labels, EngineStats, ExactCore, ForemostTree, ParetoCore, TreeRepr};
 use crate::{Journey, SearchLimits, WaitingPolicy};
@@ -86,6 +99,27 @@ pub struct IncrementalForemost<T> {
     limits: SearchLimits<T>,
     state: State<T>,
     stats: EngineStats,
+    replay: ReplayCounts,
+}
+
+/// How many surviving settled configurations the refreshes so far
+/// re-expanded (`replayed`) and how many they skipped because the batch
+/// could not change their expansion (`reused`). Cumulative, like
+/// [`IncrementalForemost::stats`]; survivors at the hop cap, which never
+/// expand, count in neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayCounts {
+    /// Survivors re-expanded against the new schedule.
+    pub replayed: u64,
+    /// Survivors whose recorded expansion was reused.
+    pub reused: u64,
+}
+
+impl std::ops::AddAssign for ReplayCounts {
+    fn add_assign(&mut self, rhs: ReplayCounts) {
+        self.replayed += rhs.replayed;
+        self.reused += rhs.reused;
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -134,6 +168,7 @@ impl<T: Time> IncrementalForemost<T> {
             limits,
             state,
             stats,
+            replay: ReplayCounts::default(),
         }
     }
 
@@ -192,13 +227,14 @@ impl<T: Time> IncrementalForemost<T> {
         match &mut self.state {
             State::Exact(core) => {
                 core.prune(since);
-                core.replay(index, &self.policy, &self.limits, &mut self.stats);
+                self.replay +=
+                    core.replay(index, &self.policy, &self.limits, since, &mut self.stats);
                 core.seed(seeds.iter().filter(to_seed));
                 core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
             }
             State::Pareto(core) => {
                 core.prune(since);
-                core.replay(index, &self.limits, &mut self.stats);
+                self.replay += core.replay(index, &self.limits, &mut self.stats);
                 core.seed(seeds.iter().filter(to_seed));
                 core.drain(index, &self.limits, None, &mut self.stats);
             }
@@ -262,14 +298,14 @@ impl<T: Time> IncrementalForemost<T> {
         Some(rebuild_labels(arena, id))
     }
 
-    /// Number of nodes currently reached (seeds included).
+    /// Number of nodes currently reached (seeds included), kept as a
+    /// counter where arrivals are set and pruned.
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        let arrival = match &self.state {
-            State::Exact(core) => &core.arrival,
-            State::Pareto(core) => &core.arrival,
-        };
-        arrival.iter().filter(|a| a.is_some()).count()
+        match &self.state {
+            State::Exact(core) => core.reached,
+            State::Pareto(core) => core.reached,
+        }
     }
 
     /// Cumulative work counters: `runs` counts the initial run plus one
@@ -279,6 +315,13 @@ impl<T: Time> IncrementalForemost<T> {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+
+    /// Cumulative replayed and reused survivor counts of every repairing
+    /// refresh so far (zero reused under the Pareto explorer).
+    #[must_use]
+    pub fn replay_counts(&self) -> ReplayCounts {
+        self.replay
     }
 
     /// A snapshot of the current answers as an ordinary

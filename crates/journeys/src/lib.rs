@@ -76,7 +76,7 @@ pub use batch::{Batch, BatchJourneys, BatchOutcome, BatchRunner};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };
-pub use incremental::IncrementalForemost;
+pub use incremental::{IncrementalForemost, ReplayCounts};
 pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;
 pub use reachability::ReachabilityMatrix;

@@ -13,14 +13,19 @@
 //!    (`NoWait`/`Bounded`), and semantically equivalent witnesses (same
 //!    arrival, same hops, validates hop by hop) for the Pareto explorer
 //!    (`Unbounded`), whose tie-break between equally-foremost routes is
-//!    label-allocation order, which repair deliberately does not replay.
+//!    label-allocation order, which repair deliberately does not replay;
+//! 3. under the exact explorers a presence-repairing refresh raises the
+//!    tree's `expanded` counter by exactly a fresh run's `expanded` on
+//!    that recompiled index, however much of the replay it skipped.
 //!
 //! Like `tickscan` and `batchcheck`, this lives in the testkit so every
 //! crate's suite can apply the same oracle to its own streams; the
 //! `stream_props` property suite applies it after every generated batch.
 
-use tvg_journeys::{foremost_tree_multi, IncrementalForemost, Journey, WaitingPolicy};
-use tvg_model::stream::TvgStream;
+use tvg_journeys::{
+    foremost_tree_multi, ForemostTree, IncrementalForemost, Journey, WaitingPolicy,
+};
+use tvg_model::stream::{IngestReport, TvgStream};
 use tvg_model::{NodeId, TemporalIndex, Time, Tvg, TvgIndex};
 
 /// Asserts that `stream`'s live index is structurally identical to a
@@ -84,7 +89,8 @@ pub fn assert_live_matches_recompile<T: Time>(stream: &TvgStream<T>, label: &str
 /// every node; witnesses byte-identical under the exact explorers,
 /// semantically equivalent (same arrival, same hops, validates from a
 /// seed) under the Pareto explorer. A deferred seed, naming a node the
-/// stream does not hold yet, seeds neither run.
+/// stream does not hold yet, seeds neither run. The tree's reached
+/// counter must equal its count of reached nodes.
 ///
 /// # Panics
 ///
@@ -94,16 +100,13 @@ pub fn assert_incremental_matches_fresh<T: Time>(
     inc: &IncrementalForemost<T>,
     label: &str,
 ) {
-    let g = stream.to_tvg();
-    let compiled = TvgIndex::compile(&g, stream.index().horizon().clone());
-    let seeds: Vec<(NodeId, T)> = inc
-        .seeds()
-        .iter()
-        .filter(|(s, _)| s.index() < g.num_nodes())
-        .cloned()
-        .collect();
-    let fresh = foremost_tree_multi(&compiled, &seeds, inc.policy(), inc.limits());
+    let (g, seeds, fresh) = fresh_run(stream, inc);
     let policy = inc.policy();
+    assert_eq!(
+        inc.num_reached(),
+        g.nodes().filter(|&n| inc.arrival(n).is_some()).count(),
+        "{label}: reached counter diverges from the reached nodes under {policy}"
+    );
     for node in g.nodes() {
         assert_eq!(
             inc.arrival(node),
@@ -139,6 +142,55 @@ pub fn assert_incremental_matches_fresh<T: Time>(
             ),
         }
     }
+}
+
+/// Asserts the exact work accounting of one refresh: under `NoWait` and
+/// `Bounded`, a refresh that repaired presence
+/// (`report.earliest_change` is `Some`) raised `inc`'s `expanded` from
+/// `expanded_before` by exactly the `expanded` of a fresh engine run on
+/// the recompiled accumulated schedule. The skipped part of a replay
+/// adds recorded counts, so this pins every record as exact. Pareto
+/// trees and pure topology batches are not checked.
+///
+/// # Panics
+///
+/// Panics (with `label` in the message) if the counts differ.
+pub fn assert_repair_work_matches_fresh<T: Time>(
+    stream: &TvgStream<T>,
+    inc: &IncrementalForemost<T>,
+    expanded_before: u64,
+    report: &IngestReport<T>,
+    label: &str,
+) {
+    if report.earliest_change.is_none() || *inc.policy() == WaitingPolicy::Unbounded {
+        return;
+    }
+    let (_, _, fresh) = fresh_run(stream, inc);
+    assert_eq!(
+        inc.stats().expanded - expanded_before,
+        fresh.stats().expanded,
+        "{label}: repair expansion work diverges from a fresh run under {}",
+        inc.policy()
+    );
+}
+
+/// The accumulated schedule, the seeds `inc` can explore from, and a
+/// fresh run from them on the recompiled schedule. A deferred seed,
+/// naming a node the stream does not hold yet, is left out.
+fn fresh_run<T: Time>(
+    stream: &TvgStream<T>,
+    inc: &IncrementalForemost<T>,
+) -> (Tvg<T>, Vec<(NodeId, T)>, ForemostTree<T>) {
+    let g = stream.to_tvg();
+    let compiled = TvgIndex::compile(&g, stream.index().horizon().clone());
+    let seeds: Vec<(NodeId, T)> = inc
+        .seeds()
+        .iter()
+        .filter(|(s, _)| s.index() < g.num_nodes())
+        .cloned()
+        .collect();
+    let fresh = foremost_tree_multi(&compiled, &seeds, inc.policy(), inc.limits());
+    (g, seeds, fresh)
 }
 
 /// Whether `j` is a valid journey from one of `seeds` to `node` under

@@ -52,11 +52,15 @@ fn live_index_and_incremental_trees_match_recompile_after_every_batch() {
                     .expect("generated scripts are valid feeds");
                 let label = format!("{} case {case} batch {i}", script.label);
                 streamcheck::assert_live_matches_recompile(&stream, &label);
+                let before: Vec<u64> = incs.iter().map(|inc| inc.stats().expanded).collect();
                 for inc in &mut incs {
                     inc.refresh(stream.index(), &report);
                 }
-                for inc in &incs {
+                for (inc, before) in incs.iter().zip(before) {
                     streamcheck::assert_incremental_matches_fresh(&stream, inc, &label);
+                    streamcheck::assert_repair_work_matches_fresh(
+                        &stream, inc, before, &report, &label,
+                    );
                 }
             }
         },
@@ -88,8 +92,12 @@ fn churn_scripts_match_recompile_and_fresh_after_every_batch() {
                 let label = format!("{} case {case} batch {i}", script.label);
                 streamcheck::assert_live_matches_recompile(&stream, &label);
                 for inc in &mut incs {
+                    let before = inc.stats().expanded;
                     inc.refresh(stream.index(), &report);
                     streamcheck::assert_incremental_matches_fresh(&stream, inc, &label);
+                    streamcheck::assert_repair_work_matches_fresh(
+                        &stream, inc, before, &report, &label,
+                    );
                 }
             }
         },
@@ -472,10 +480,25 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     }
     batches.push(vec![StreamEvent::ExtendHorizon { to: 60 }]);
 
+    // Repaired trees ride along: the retractions and the extension of
+    // open spans are what a windowed replay must not skip.
+    let limits = SearchLimits::new(60, 12);
+    let seeds = vec![(NodeId::from_index(0), 0u64)];
+    let mut incs: Vec<IncrementalForemost<u64>> = policies()
+        .into_iter()
+        .map(|policy| IncrementalForemost::new(stream.index(), &seeds, policy, limits.clone()))
+        .collect();
     let mut snapshots = vec![stream.snapshot()];
     for (i, batch) in batches.iter().enumerate() {
-        stream.ingest(batch).expect("torture feed is valid");
-        streamcheck::assert_live_matches_recompile(&stream, &format!("torture batch {i}"));
+        let report = stream.ingest(batch).expect("torture feed is valid");
+        let label = format!("torture batch {i}");
+        streamcheck::assert_live_matches_recompile(&stream, &label);
+        for inc in &mut incs {
+            let before = inc.stats().expanded;
+            inc.refresh(stream.index(), &report);
+            streamcheck::assert_incremental_matches_fresh(&stream, inc, &label);
+            streamcheck::assert_repair_work_matches_fresh(&stream, inc, before, &report, &label);
+        }
         snapshots.push(stream.snapshot());
     }
 
@@ -508,8 +531,6 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     // arrivals and engine work counters under all three policies.
     let g = stream.to_tvg();
     let compiled = TvgIndex::compile(&g, *stream.index().horizon());
-    let limits = SearchLimits::new(60, 12);
-    let seeds = vec![(NodeId::from_index(0), 0u64)];
     for policy in policies() {
         let live = foremost_tree_multi(stream.index(), &seeds, &policy, &limits);
         let fresh = foremost_tree_multi(&compiled, &seeds, &policy, &limits);
