@@ -2,8 +2,8 @@
 //! (the `(node, time)` configuration space grows with both).
 //!
 //! The index is compiled once per graph outside the timing loop, so the
-//! numbers isolate query cost; one-time compilation is measured
-//! separately in `temporal_index.rs`.
+//! numbers isolate query cost; compile time is traced as
+//! `index.compile_s` by the `perfbench` workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tvg_journeys::engine::foremost_to;

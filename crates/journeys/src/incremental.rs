@@ -52,8 +52,9 @@
 //! every tick. The Pareto explorer still re-expands every survivor. The
 //! `stream_props` work-reuse property pins the settle ratio,
 //! [`IncrementalForemost::replay_counts`] reports how many survivors
-//! were replayed and reused, and `benches/stream_ingest.rs` (experiment
-//! E9) measures the end-to-end gap on the scale-free feed.
+//! were replayed and reused, and the `live_repair` ratio test in
+//! `tvg-testkit` measures the gap against a fresh recompute on the
+//! benchmark's `live-repair` feed.
 //!
 //! The reported `expanded` counter does not depend on the skip: a
 //! presence-repairing refresh of an exact explorer raises it by exactly
@@ -311,7 +312,8 @@ impl<T: Time> IncrementalForemost<T> {
     /// Cumulative work counters: `runs` counts the initial run plus one
     /// per repairing refresh; `settled`/`expanded` accumulate, so the
     /// total is directly comparable against the recompute strategy's
-    /// sum of fresh runs (the E9 benchmark's accounting).
+    /// sum of fresh runs (the `live-repair` workload traces both, as
+    /// `incremental.settled` and `incremental.fresh_settled`).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats

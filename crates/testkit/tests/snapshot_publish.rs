@@ -1,0 +1,101 @@
+//! Snapshot publication on the serve path (experiment E13): a
+//! scale-free temporal contact graph (5 000 nodes, horizon 48) replayed
+//! as a live feed in ticks of 512 events, with one retained snapshot
+//! published per tick, as the serve runtime's epoch ring does (retention
+//! is what forces copy-on-write on the live side).
+//!
+//! A wall-clock gate, `#[ignore]`d so the tier-1 suite stays
+//! deterministic: in one process, publishing a structure-sharing
+//! `TvgStream::snapshot` must cost at most a fifth of a flat deep copy
+//! of everything the snapshot exposes. Run it on a release build with
+//! `cargo test --release -p tvg-testkit --test snapshot_publish -- --ignored`.
+
+use std::time::{Duration, Instant};
+use tvg_model::generators::scale_free_temporal;
+use tvg_model::stream::{LiveIndex, StreamEvent, TvgStream};
+use tvg_model::{EdgeId, NodeId, TemporalIndex, Tvg};
+
+const HORIZON: u64 = 48;
+const BATCH: usize = 512;
+
+/// Everything a snapshot without structure sharing has to deep-copy per
+/// epoch: the flat materialization of the live index's query surface.
+#[allow(dead_code)] // retained wholesale: the copies are the cost
+struct FlatSnapshot {
+    g: Tvg<u64>,
+    horizon: u64,
+    presence: Vec<Vec<(u64, u64)>>,
+    arrival_monotone: Vec<bool>,
+    adjacency: Vec<Vec<EdgeId>>,
+    dsts: Vec<NodeId>,
+}
+
+fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
+    let g = index.tvg().clone();
+    let edges: Vec<EdgeId> = g.edges().collect();
+    FlatSnapshot {
+        horizon: *index.horizon(),
+        presence: edges
+            .iter()
+            .map(|&e| index.presence(e).spans().to_vec())
+            .collect(),
+        arrival_monotone: edges
+            .iter()
+            .map(|&e| index.arrival_is_monotone(e))
+            .collect(),
+        adjacency: g.nodes().map(|n| index.out_edges(n).to_vec()).collect(),
+        dsts: edges.iter().map(|&e| index.dst(e)).collect(),
+        g,
+    }
+}
+
+/// One pass over the feed, publishing and retaining one snapshot per
+/// tick with `publish`. Returns the time spent publishing.
+fn pass<S>(
+    base: &TvgStream<u64>,
+    events: &[StreamEvent<u64>],
+    publish: impl Fn(&TvgStream<u64>) -> S,
+) -> Duration {
+    let mut stream = base.clone();
+    let mut retained = vec![publish(&stream)];
+    let mut spent = Duration::ZERO;
+    for tick in events.chunks(BATCH) {
+        stream.ingest(tick).expect("a replay is a valid feed");
+        let started = Instant::now();
+        retained.push(publish(&stream));
+        spent += started.elapsed();
+    }
+    spent
+}
+
+fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort();
+    xs[xs.len() / 2]
+}
+
+#[test]
+#[ignore = "wall-clock gate; run on a release build with --ignored"]
+fn publishing_a_snapshot_is_far_cheaper_than_a_flat_copy() {
+    let g = scale_free_temporal(5000, HORIZON, 13);
+    let (base, events) = TvgStream::replay_of(&g, &HORIZON).expect("horizon 48 is representable");
+    let (persistent, flat): (Vec<Duration>, Vec<Duration>) = (0..5)
+        .map(|_| {
+            (
+                pass(&base, &events, TvgStream::snapshot),
+                pass(&base, &events, |s| flat_clone(s.index())),
+            )
+        })
+        .unzip();
+    let (persistent, flat) = (median(persistent), median(flat));
+    let ratio = flat.as_secs_f64() / persistent.as_secs_f64();
+    println!(
+        "snapshot_publish: {} events in {} ticks; persistent {persistent:?}, \
+         flat {flat:?}, ratio {ratio:.1} (median of 5)",
+        events.len(),
+        events.len().div_ceil(BATCH)
+    );
+    assert!(
+        ratio >= 5.0,
+        "publishing a snapshot must cost at most 1/5 of a flat copy, got a ratio of {ratio:.1}"
+    );
+}
