@@ -434,12 +434,17 @@ fn publication_profile(timing: &Json) -> Option<String> {
         Some(Json::Num(r)) => *r,
         _ => 0.0,
     };
+    let ingest_micros = match map.get("ingest_micros") {
+        Some(Json::Int(us)) => *us,
+        _ => 0,
+    };
     let epochs = events.len() as u64;
     // Epoch 0 precedes any ingest, so the mean is over the ticks.
     let mean_events = events.iter().sum::<u64>() / epochs.saturating_sub(1).max(1);
     Some(format!(
         ", \"epochs\": {epochs}, \"events_per_epoch\": {mean_events}, \
-         \"chunks_frozen\": {}, \"chunks_copied\": {}, \"epochs_per_sec\": {epochs_per_sec}",
+         \"chunks_frozen\": {}, \"chunks_copied\": {}, \"epochs_per_sec\": {epochs_per_sec}, \
+         \"ingest_micros\": {ingest_micros}",
         frozen.last().copied().unwrap_or(0),
         copied.iter().sum::<u64>(),
     ))

@@ -219,3 +219,19 @@ fn profile_command_reports_throughput_per_scenario() {
         "profile with no specs is a usage error"
     );
 }
+
+#[test]
+fn profile_serve_line_reports_publication_and_ingest() {
+    let spec = scenarios_dir().join("scale-free-serve.tvgs");
+    let out = run_command(&["profile".to_string(), spec.display().to_string()]).expect("profiles");
+    let line = out.stdout.lines().next().expect("one line");
+    for field in [
+        "\"epochs\": 7",
+        "\"chunks_frozen\": ",
+        "\"chunks_copied\": ",
+        "\"epochs_per_sec\": ",
+        "\"ingest_micros\": ",
+    ] {
+        assert!(line.contains(field), "missing {field} in {line}");
+    }
+}

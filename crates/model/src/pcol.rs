@@ -12,6 +12,12 @@
 //! Appends go to a small owned tail that is frozen into an `Arc` chunk
 //! when full.
 //!
+//! A chunk copy clones each of its `N` elements. The live index keeps
+//! that cheap by storing handles: an element of its presence column is
+//! an edge's span list behind its own `Arc`, so copying the chunk bumps
+//! `N` refcounts and the span lists stay shared until a mutation writes
+//! one of them.
+//!
 //! A column counts how many frozen chunks it shares and how many chunk
 //! copies mutations forced, which is what the serve runtime's
 //! publication metrics report: on a healthy schedule the copied count
@@ -125,7 +131,9 @@ impl<V: Clone, const N: usize> PCol<V, N> {
         let frozen = self.full.len() * N;
         if i < frozen {
             let chunk = &mut self.full[i / N];
-            if Arc::get_mut(chunk).is_none() {
+            // No column hands out `Weak`s, so a second strong handle is
+            // exactly what makes `make_mut` copy.
+            if Arc::strong_count(chunk) > 1 {
                 self.cow_copies += 1;
             }
             &mut Arc::make_mut(chunk)[i % N]

@@ -16,9 +16,9 @@
 //!   the horizon) with typed [`StreamError`]s instead of panics, and
 //!   applies each accepted event to a [`LiveIndex`].
 //! * [`LiveIndex`] is the incrementally-maintained counterpart of
-//!   [`TvgIndex`](crate::TvgIndex): the same per-edge [`IntervalSet`]
-//!   presence and CSR adjacency — but mutated at the right edge per
-//!   event instead of recompiled. It implements [`TemporalIndex`], so the journey engine,
+//!   [`TvgIndex`](crate::TvgIndex): the same per-edge presence spans
+//!   and out-edge adjacency — but mutated at the right edge per event
+//!   instead of recompiled. It implements [`TemporalIndex`], so the journey engine,
 //!   the batch-query runtime, and the protocol simulators run on it
 //!   unchanged.
 //!
@@ -39,7 +39,7 @@
 //! `tvg_journeys::incremental` relies on to re-relax only the labels it
 //! must.
 
-use crate::interval::{IntervalSet, SpanView};
+use crate::interval::{SpanList, SpanView};
 use crate::pcol::{PCol, COL_CHUNK};
 use crate::{EdgeId, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
 use std::error::Error;
@@ -241,12 +241,15 @@ pub struct IngestReport<T> {
 /// Unlike the batch index's flat allocations, every column here is
 /// *persistent* ([`crate::pcol`]): fixed-size chunks behind `Arc`,
 /// copy-on-write on the chunk a mutation lands in, and the graph itself
-/// behind an `Arc` that only rare topology growth unshares. Cloning a
+/// behind an `Arc` that only rare topology growth unshares. Copy-on-write
+/// goes one level further for presence: each edge's spans sit in their
+/// own shared slice, so copying a presence chunk copies 64 handles, and
+/// only the span lists the tick writes are copied. Cloning a
 /// `LiveIndex` is therefore O(changes since the last clone), not
 /// O(index) — the property the serve runtime's per-tick snapshot
 /// publication is built on. A clone is a true immutable snapshot: later
-/// stream mutations copy the chunks they touch and leave every
-/// outstanding clone byte-identical.
+/// stream mutations copy what they touch and leave every outstanding
+/// clone byte-identical.
 ///
 /// The presence ASTs inside the owned graph are `Presence::Never`
 /// placeholders: in the streaming regime the *index* is the schedule of
@@ -258,7 +261,7 @@ pub struct LiveIndex<T> {
     horizon: T,
     /// `horizon + 1`: the provisional close of open spans.
     end: T,
-    presence: PCol<IntervalSet<T>, COL_CHUNK>,
+    presence: PCol<SpanList<T>, COL_CHUNK>,
     arrival_monotone: PCol<bool, COL_CHUNK>,
     /// Per-node out-edge lists in edge-id order (the same order the
     /// batch index's CSR produces).
@@ -343,7 +346,7 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 
     fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        self.presence.get(e.index()).view()
+        SpanView(self.presence.get(e.index()).spans())
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
@@ -445,11 +448,11 @@ impl<T: Time> TvgStream<T> {
     /// behind an `Arc`, and readers keep querying it unaffected by
     /// whatever the stream ingests next.
     ///
-    /// The snapshot *shares* every frozen chunk and the graph with the
-    /// live index (copying only chunk handles and the small mutable
-    /// tails), so taking one costs O(chunks), not O(index) — later
-    /// mutations copy-on-write the chunks they touch and never disturb
-    /// an outstanding snapshot.
+    /// The snapshot *shares* every frozen chunk, every edge's span list
+    /// and the graph with the live index (copying only handles and the
+    /// small mutable tails), so taking one costs O(chunks), not
+    /// O(index) — later mutations copy-on-write the chunks and span
+    /// lists they touch and never disturb an outstanding snapshot.
     #[must_use]
     pub fn snapshot(&self) -> LiveIndex<T> {
         self.live.clone()
@@ -526,7 +529,7 @@ impl<T: Time> TvgStream<T> {
             .live
             .g_mut()
             .push_edge(src, dst, letter, Presence::Never, latency);
-        self.live.presence.push(IntervalSet::empty());
+        self.live.presence.push(SpanList::new());
         self.live.dsts.push(dst);
         self.open_since.push(None);
         self.incident[src.index()].push(e);
@@ -1120,6 +1123,41 @@ mod tests {
         // One Up per compiled span, so the event count is twice the Ups.
         assert_eq!(s.index().num_edge_events(), 2 * 5);
         assert_matches_recompile(&s);
+    }
+
+    #[test]
+    fn a_copied_chunk_shares_every_span_list_the_tick_left_alone() {
+        let mut s = TvgStream::<u64>::new(20).expect("representable");
+        let (u, v) = (s.add_node("u"), s.add_node("v"));
+        let edges: Vec<EdgeId> = (0..COL_CHUNK)
+            .map(|_| s.add_edge(u, v, 'a', Latency::unit()).expect("valid"))
+            .collect();
+        let ups: Vec<StreamEvent<u64>> = edges
+            .iter()
+            .map(|&edge| StreamEvent::Up { edge, at: 1 })
+            .collect();
+        s.ingest(&ups).expect("valid feed");
+        let snap = s.snapshot();
+        let copied = s.index().chunks_copied();
+        s.ingest(&[StreamEvent::Down {
+            edge: edges[0],
+            at: 5,
+        }])
+        .expect("valid feed");
+        // All 64 edges live in one frozen presence chunk, copied once.
+        assert_eq!(s.index().chunks_copied(), copied + 1);
+        for &e in &edges[1..] {
+            let (live, old) = (s.index().presence(e).spans(), snap.presence(e).spans());
+            assert!(!live.is_empty());
+            assert_eq!(live.as_ptr(), old.as_ptr(), "{e} is shared");
+        }
+        let (live, old) = (
+            s.index().presence(edges[0]).spans(),
+            snap.presence(edges[0]).spans(),
+        );
+        assert_ne!(live.as_ptr(), old.as_ptr());
+        assert_eq!(live, &[(1, 5)]);
+        assert_eq!(old, &[(1, 21)]);
     }
 
     #[test]

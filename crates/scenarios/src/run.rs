@@ -576,6 +576,10 @@ fn run_serve(
         ("chunks_frozen", per_epoch(|p| p.chunks_frozen)),
         ("epochs_per_sec", Json::Num(outcome.timing.epochs_per_sec)),
         ("events_per_epoch", per_epoch(|p| p.events)),
+        (
+            "ingest_micros",
+            Json::Int(clamp(outcome.timing.ingest_micros)),
+        ),
         ("max_micros", Json::Int(clamp(outcome.timing.max_micros))),
         ("p50_micros", Json::Int(clamp(outcome.timing.p50_micros))),
         ("p95_micros", Json::Int(clamp(outcome.timing.p95_micros))),

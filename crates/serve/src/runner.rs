@@ -91,6 +91,9 @@ pub struct ServeTiming {
     pub max_micros: u128,
     /// Requests answered per wall-clock second.
     pub throughput_rps: f64,
+    /// Writer wall time spent inside `TvgStream::ingest`, summed over
+    /// every tick, in microseconds.
+    pub ingest_micros: u128,
     /// Writer wall time spent taking and publishing snapshots, summed
     /// over every epoch, in microseconds.
     pub publish_micros: u128,
@@ -247,6 +250,7 @@ pub fn serve(
     let mut ingest_result: Result<(), StreamError<u64>> = Ok(());
     let mut publications: Vec<PublishStats> = Vec::new();
     let mut publish_micros: u128 = 0;
+    let mut ingest_micros: u128 = 0;
     let mut group_results: Vec<Option<GroupResult>> = Vec::with_capacity(groups.len());
     group_results.resize_with(groups.len(), || None);
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
@@ -258,7 +262,10 @@ pub fn serve(
             let mut log = PublishLog::new(&stream, ticks.len() + 1);
             log.publish(ring, &stream, 0, 0);
             for (i, tick) in ticks.iter().enumerate() {
-                if let Err(e) = stream.ingest(tick) {
+                let t0 = Instant::now();
+                let ingested = stream.ingest(tick);
+                log.ingest_micros += t0.elapsed().as_micros();
+                if let Err(e) = ingested {
                     // Publish the remaining epochs as stale copies so
                     // readers pinned past the failure never spin
                     // forever; the error itself is the writer's result.
@@ -329,6 +336,7 @@ pub fn serve(
                 ingest_result = result;
                 publications = log.publications;
                 publish_micros = log.micros;
+                ingest_micros = log.ingest_micros;
             }
             Err(payload) => {
                 panic_payload.get_or_insert(payload);
@@ -396,6 +404,7 @@ pub fn serve(
             p95_micros: percentile(95),
             max_micros: latencies.last().copied().unwrap_or(0),
             throughput_rps,
+            ingest_micros,
             publish_micros,
             epochs_per_sec,
         },
@@ -403,10 +412,12 @@ pub fn serve(
 }
 
 /// Writer-side bookkeeping around each snapshot publication: wall time
-/// of the publish itself plus the deterministic sharing counters.
+/// of the publish itself plus the deterministic sharing counters, and
+/// the writer's wall time inside ingest.
 struct PublishLog {
     publications: Vec<PublishStats>,
     micros: u128,
+    ingest_micros: u128,
     last_copied: u64,
 }
 
@@ -415,6 +426,7 @@ impl PublishLog {
         PublishLog {
             publications: Vec::with_capacity(epochs),
             micros: 0,
+            ingest_micros: 0,
             last_copied: stream.index().chunks_copied(),
         }
     }
@@ -460,6 +472,9 @@ fn serve_group(
         &config.limits,
         None,
     );
+    // At most one O(n) count per group, however many members read it.
+    let reached = std::cell::OnceCell::new();
+    let reached = || *reached.get_or_init(|| tree.num_reached() as u64);
     let answers = members
         .iter()
         .map(|&i| {
@@ -467,8 +482,8 @@ fn serve_group(
                 Request::Foremost { dst, .. } => {
                     Answer::Arrival(tree.arrival(NodeId::from_index(dst)).copied())
                 }
-                Request::Matrix { .. } => Answer::Reached(tree.num_reached() as u64),
-                Request::Broadcast { .. } => Answer::Informed(tree.num_reached() as u64),
+                Request::Matrix { .. } => Answer::Reached(reached()),
+                Request::Broadcast { .. } => Answer::Informed(reached()),
             };
             (i, snapshot.epoch(), answer)
         })

@@ -7,7 +7,10 @@
 //! index's persistent chunked columns (`tvg_model::pcol`) make each
 //! publication O(changes in the tick): the snapshot shares every frozen
 //! chunk with the live index, and the stream copies-on-write only the
-//! chunks the next tick's mutations land in. Publication is RCU-style:
+//! chunks the next tick's mutations land in. A copied presence chunk
+//! copies 64 span-list handles, not 64 span lists: only the edges the
+//! tick writes copy their spans, so holding every epoch costs about
+//! the spans the run changed. Publication is RCU-style:
 //! readers never take a lock, never block the writer, and a reader
 //! holding an `Arc<ServeSnapshot>` keeps answering from that epoch no
 //! matter how far the writer has advanced.

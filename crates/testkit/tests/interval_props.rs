@@ -121,18 +121,22 @@ fn compilation_is_consistent_across_horizons() {
 
 #[test]
 fn streamed_appends_equal_batch_normalization() {
-    // The streaming maintenance primitives (append at the right edge,
+    // A stream's presence maintenance (append at the right edge,
     // truncate the provisional close) must land on exactly the set that
     // batch normalization (`from_spans`) produces from the same closed
     // spans — for any monotone up/down sequence, adjacency merges and
     // zero-length pairs included.
-    use tvg_model::IntervalSet;
+    use tvg_model::stream::{StreamEvent, TvgStream};
+    use tvg_model::{IntervalSet, Latency, TemporalIndex};
     tvg_testkit::check_with(
         tvg_testkit::Config::named_with_cases("streamed_appends_equal_batch_normalization", 64),
         |rng, _| {
             let horizon = 40u64;
             let end = horizon + 1;
-            let mut live = IntervalSet::empty();
+            let mut s = TvgStream::new(horizon).expect("representable");
+            let (u, v) = (s.add_node("u"), s.add_node("v"));
+            let edge = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
+            let mut events = Vec::new();
             let mut closed: Vec<(u64, u64)> = Vec::new();
             let mut t = 0u64;
             let mut open: Option<u64> = None;
@@ -142,22 +146,23 @@ fn streamed_appends_equal_batch_normalization() {
                 t = (t + rng.gen_range(0..6u64)).min(horizon);
                 match open {
                     None => {
-                        live.append_span(t, end);
+                        events.push(StreamEvent::Up { edge, at: t });
                         open = Some(t);
                     }
                     Some(up) => {
-                        live.truncate_last_span(&t);
+                        events.push(StreamEvent::Down { edge, at: t });
                         closed.push((up, t));
                         open = None;
                     }
                 }
             }
+            s.ingest(&events).expect("a monotone up/down feed is valid");
             if let Some(up) = open {
                 closed.push((up, end));
             }
             let batch = IntervalSet::from_spans(closed.clone());
             assert_eq!(
-                live.spans(),
+                s.index().presence(edge).spans(),
                 batch.spans(),
                 "closed spans {closed:?} (open tail {open:?})"
             );
