@@ -341,14 +341,14 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 
 /// Runs one scenario and renders its engine throughput as a single JSON
 /// line: the run/settle/expansion counters from the report's
-/// [`tvg_journeys::EngineStats`], the wall time, the engine phase
-/// (`plan_us`: a batch plan's own, a streaming plan's repair plus
-/// snapshot), and the derived rates the
-/// profiling workflow watches (queries/sec, settles/sec, ns/query; see
-/// [`rates`]). A serve scenario additionally reports its publication
-/// metrics — epoch count, mean events per epoch, frozen chunks shared
-/// with the final snapshot, chunk copies forced by snapshot isolation,
-/// and the epochs/sec publication rate.
+/// [`engine_stats`](tvg_scenarios::Report::engine_stats), the wall
+/// time, the engine phase (`plan_us`: a batch plan's own, a streaming
+/// plan's repair plus snapshot), and the derived rates the profiling
+/// workflow watches (queries/sec, settles/sec, ns/query; see `rates`).
+/// A serve scenario additionally reports its publication metrics —
+/// epoch count, mean events per epoch, frozen chunks shared with the
+/// final snapshot, chunk copies forced by snapshot isolation, and the
+/// epochs/sec publication rate.
 ///
 /// Counters (including the publication chunk/event counters) are
 /// deterministic (golden-pinned); the wall time and rates are real

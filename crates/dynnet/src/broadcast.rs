@@ -18,7 +18,7 @@
 use crate::metrics::DeliveryStats;
 use crate::EvolvingTrace;
 use tvg_journeys::{Batch, BatchRunner, EngineStats, SearchLimits, WaitingPolicy};
-use tvg_model::{NodeId, TemporalIndex, Time};
+use tvg_model::{NodeId, TemporalIndex, Time, TvgIndex};
 
 /// Relay discipline of a broadcast.
 ///
@@ -78,13 +78,13 @@ impl BroadcastOutcome {
 /// These are exactly journey semantics on the trace-TVG: a copy active
 /// for `d` steps after arrival is a traveler allowed to pause at most
 /// `d`, and a beaconing source is a journey allowed to depart the source
-/// at *any* step. The implementation therefore *streams* the trace into
-/// a live index ([`EvolvingTrace::to_stream`] — one ingest batch per
-/// observed step, new links appended as they first appear) and runs one
-/// multi-seed single-source engine pass on it — a node's informing step
-/// is its foremost arrival (seeding the source at every step models
-/// beaconing; flood re-activations on re-receipt are just later
-/// `(node, time)` configurations of the same search).
+/// at *any* step. The implementation therefore compiles the trace-TVG
+/// once ([`EvolvingTrace::to_tvg`], the index `delivery_ratio` also
+/// runs on) and makes one multi-seed single-source engine pass over it
+/// ([`broadcast_plan`]) — a node's informing step is its foremost
+/// arrival (seeding the source at every step models beaconing; flood
+/// re-activations on re-receipt are just later `(node, time)`
+/// configurations of the same search).
 ///
 /// # Panics
 ///
@@ -92,35 +92,8 @@ impl BroadcastOutcome {
 #[must_use]
 pub fn run_broadcast(trace: &EvolvingTrace, config: &BroadcastConfig) -> BroadcastOutcome {
     assert!(config.source < trace.num_nodes(), "source out of range");
-    let mut outcomes = broadcast_batch(trace, config.mode, config.source_beacons, &[config.source]);
-    outcomes.pop().expect("one source, one outcome")
-}
-
-/// Runs one broadcast *per node* of the trace — the full dissemination
-/// profile the rumor-spreading analyses are judged on — as a single
-/// batch: the trace is streamed into one live index and the n
-/// multi-seed engine runs fan out over the batch runtime's worker
-/// threads against that snapshot. `sweep[s]` is bit-identical to
-/// `run_broadcast` from source `s`.
-#[must_use]
-pub fn broadcast_sweep(
-    trace: &EvolvingTrace,
-    mode: ForwardingMode,
-    source_beacons: bool,
-) -> Vec<BroadcastOutcome> {
-    let sources: Vec<usize> = (0..trace.num_nodes()).collect();
-    broadcast_batch(trace, mode, source_beacons, &sources)
-}
-
-/// Shared driver: one compile, one batched engine pass per source.
-fn broadcast_batch(
-    trace: &EvolvingTrace,
-    mode: ForwardingMode,
-    source_beacons: bool,
-    sources: &[usize],
-) -> Vec<BroadcastOutcome> {
     let horizon = trace.len() as u64;
-    let policy = match mode {
+    let policy = match config.mode {
         ForwardingMode::StoreCarryForward => WaitingPolicy::Unbounded,
         ForwardingMode::NoWaitRelay => WaitingPolicy::NoWait,
         // A buffer outlasting the trace is unbounded within it (and the
@@ -128,27 +101,24 @@ fn broadcast_batch(
         ForwardingMode::BoundedBuffer(d) if d >= horizon => WaitingPolicy::Unbounded,
         ForwardingMode::BoundedBuffer(d) => WaitingPolicy::Bounded(d),
     };
-    // The streaming ingestion path: one ingest batch per trace step,
-    // then the query batch runs against the live-index snapshot (this
-    // is the "ingest tick, query tick" loop of a live feed, with the
-    // whole trace ingested before the single query tick).
-    let stream = trace.to_stream();
+    let g = trace.to_tvg();
+    let index = TvgIndex::compile(&g, horizon);
     let limits = SearchLimits::new(horizon, trace.len());
-    let (outcomes, _stats) = broadcast_plan(
-        stream.index(),
+    let (mut outcomes, _stats) = broadcast_plan(
+        &index,
         &policy,
-        source_beacons,
-        sources,
+        config.source_beacons,
+        &[config.source],
         &limits,
-        Batch::auto(),
+        Batch::serial(),
     );
-    outcomes
+    outcomes.pop().expect("one source, one outcome")
 }
 
 /// Runs one broadcast per listed source over any compiled index — the
 /// plan-level entry point the scenario runtime (`tvg-scenarios`) calls
 /// on generator-built TVGs, and the driver the trace-based
-/// [`run_broadcast`]/[`broadcast_sweep`] delegate to.
+/// [`run_broadcast`] delegates to.
 ///
 /// The waiting policy *is* the relay discipline (`Unbounded` ↔
 /// store-carry-forward, `Bounded(d)` ↔ a `d`-step buffer, `NoWait` ↔
@@ -199,7 +169,7 @@ pub fn broadcast_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
         })
         .collect();
     // Worker-side reduction: each tree collapses to its informed_at
-    // vector inside the worker (a sweep holds outcomes, not trees).
+    // vector inside the worker (a plan holds outcomes, not trees).
     // Informed-at steps are widened back to `u64` so outcomes are
     // domain-independent (`u32`-narrowed runs report identical bytes).
     let (outcomes, stats) =
@@ -241,6 +211,15 @@ mod tests {
             source,
             mode: ForwardingMode::NoWaitRelay,
             source_beacons: true,
+        }
+    }
+
+    /// Source 0 under `mode`, emitting only at step 0.
+    fn silent(mode: ForwardingMode) -> BroadcastConfig {
+        BroadcastConfig {
+            source: 0,
+            mode,
+            source_beacons: false,
         }
     }
 
@@ -291,14 +270,7 @@ mod tests {
         let tr = EvolvingTrace::new(2, vec![BTreeSet::new(), BTreeSet::from([(0, 1)])]);
         let with = run_broadcast(&tr, &nowait(0));
         assert_eq!(with.informed_at[1], Some(2));
-        let without = run_broadcast(
-            &tr,
-            &BroadcastConfig {
-                source: 0,
-                mode: ForwardingMode::NoWaitRelay,
-                source_beacons: false,
-            },
-        );
+        let without = run_broadcast(&tr, &silent(ForwardingMode::NoWaitRelay));
         // Source copy is active only at step 0, no contact then.
         assert_eq!(without.informed_at[1], None);
     }
@@ -357,16 +329,7 @@ mod tests {
                 BTreeSet::from([(1, 2)]),
             ],
         );
-        let run = |d| {
-            run_broadcast(
-                &tr,
-                &BroadcastConfig {
-                    source: 0,
-                    mode: ForwardingMode::BoundedBuffer(d),
-                    source_beacons: false,
-                },
-            )
-        };
+        let run = |d| run_broadcast(&tr, &silent(ForwardingMode::BoundedBuffer(d)));
         // Copy arrives at node 1 at step 1; the contact is at step 3, so
         // the buffer must last ≥ 2 further steps.
         assert_eq!(run(1).informed_at[2], None);
@@ -401,84 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_per_source_broadcasts() {
-        // The batched all-sources profile must be exactly the n
-        // independent runs, in source order, under every mode.
-        let params = EdgeMarkovianParams {
-            num_nodes: 9,
-            p_birth: 0.08,
-            p_death: 0.45,
-            steps: 30,
-        };
-        let tr = edge_markovian_trace(&mut StdRng::seed_from_u64(4), &params);
-        for mode in [
-            ForwardingMode::StoreCarryForward,
-            ForwardingMode::NoWaitRelay,
-            ForwardingMode::BoundedBuffer(3),
-        ] {
-            for beacons in [false, true] {
-                let sweep = broadcast_sweep(&tr, mode, beacons);
-                assert_eq!(sweep.len(), 9);
-                for (source, outcome) in sweep.iter().enumerate() {
-                    let single = run_broadcast(
-                        &tr,
-                        &BroadcastConfig {
-                            source,
-                            mode,
-                            source_beacons: beacons,
-                        },
-                    );
-                    assert_eq!(outcome, &single, "{mode:?} beacons={beacons} src={source}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_plan_on_batch_index_matches_trace_path() {
-        // The generic plan entry point over a batch-compiled TvgIndex
-        // must agree with the trace-streaming path outcome for outcome,
-        // and report exactly one engine run per source.
-        use tvg_model::TvgIndex;
-        let params = EdgeMarkovianParams {
-            num_nodes: 8,
-            p_birth: 0.09,
-            p_death: 0.4,
-            steps: 28,
-        };
-        let tr = edge_markovian_trace(&mut StdRng::seed_from_u64(11), &params);
-        let g = tr.to_tvg();
-        let horizon = tr.len() as u64;
-        let index = TvgIndex::compile(&g, horizon);
-        let limits = SearchLimits::new(horizon, tr.len());
-        let sources: Vec<usize> = (0..tr.num_nodes()).collect();
-        for (mode, policy) in [
-            (ForwardingMode::StoreCarryForward, WaitingPolicy::Unbounded),
-            (ForwardingMode::NoWaitRelay, WaitingPolicy::NoWait),
-            (ForwardingMode::BoundedBuffer(3), WaitingPolicy::Bounded(3)),
-        ] {
-            for beacons in [false, true] {
-                let (planned, stats) =
-                    broadcast_plan(&index, &policy, beacons, &sources, &limits, Batch::auto());
-                assert_eq!(
-                    stats.runs,
-                    sources.len() as u64,
-                    "{policy} beacons={beacons}"
-                );
-                let swept = broadcast_sweep(&tr, mode, beacons);
-                assert_eq!(planned, swept, "{policy} beacons={beacons}");
-            }
-        }
-    }
-
-    #[test]
     fn broadcast_agrees_with_journey_semantics() {
-        // SCF delivery == unbounded-waiting journey existence on the
-        // trace-TVG; NoWait delivery (without beaconing) == direct-journey
-        // existence. This pins the simulator to the paper's formal
-        // definitions.
-        use tvg_journeys::{foremost_journey, SearchLimits, WaitingPolicy};
-        use tvg_model::NodeId;
+        // Each relay discipline informs a node exactly when the foremost
+        // journey under the matching waiting policy arrives on the
+        // trace-TVG: SCF ↔ unbounded waiting, a d-step buffer ↔ wait[d],
+        // no-wait relaying (without beaconing) ↔ direct journeys. This
+        // pins the simulator to the paper's formal definitions.
+        use tvg_journeys::foremost_journey;
         for seed in 0..6u64 {
             let params = EdgeMarkovianParams {
                 num_nodes: 8,
@@ -489,44 +381,35 @@ mod tests {
             let tr = edge_markovian_trace(&mut StdRng::seed_from_u64(seed), &params);
             let g = tr.to_tvg();
             let limits = SearchLimits::new(tr.len() as u64, tr.len() + 1);
-            let scf_run = run_broadcast(&tr, &scf(0));
-            let nw_run = run_broadcast(
-                &tr,
-                &BroadcastConfig {
-                    source: 0,
-                    mode: ForwardingMode::NoWaitRelay,
-                    source_beacons: false,
-                },
-            );
-            for node in 1..8usize {
-                let wait_reach = foremost_journey(
-                    &g,
-                    NodeId::from_index(0),
-                    NodeId::from_index(node),
-                    &0,
-                    &WaitingPolicy::Unbounded,
-                    &limits,
-                )
-                .is_some();
-                assert_eq!(
-                    scf_run.informed_at[node].is_some(),
-                    wait_reach,
-                    "seed {seed} node {node} (scf vs wait journey)"
-                );
-                let direct_reach = foremost_journey(
-                    &g,
-                    NodeId::from_index(0),
-                    NodeId::from_index(node),
-                    &0,
-                    &WaitingPolicy::NoWait,
-                    &limits,
-                )
-                .is_some();
-                assert_eq!(
-                    nw_run.informed_at[node].is_some(),
-                    direct_reach,
-                    "seed {seed} node {node} (nowait vs direct journey)"
-                );
+            for (config, policy) in [
+                (scf(0), WaitingPolicy::Unbounded),
+                (silent(ForwardingMode::NoWaitRelay), WaitingPolicy::NoWait),
+                (
+                    silent(ForwardingMode::BoundedBuffer(2)),
+                    WaitingPolicy::Bounded(2),
+                ),
+                (
+                    silent(ForwardingMode::BoundedBuffer(8)),
+                    WaitingPolicy::Bounded(8),
+                ),
+            ] {
+                let run = run_broadcast(&tr, &config);
+                for node in 1..8usize {
+                    let arrival = foremost_journey(
+                        &g,
+                        NodeId::from_index(0),
+                        NodeId::from_index(node),
+                        &0,
+                        &policy,
+                        &limits,
+                    )
+                    .and_then(|j| j.arrival().copied());
+                    assert_eq!(
+                        run.informed_at[node], arrival,
+                        "seed {seed} node {node} ({:?} vs {policy} journey)",
+                        config.mode
+                    );
+                }
             }
         }
     }

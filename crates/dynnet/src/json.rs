@@ -1,24 +1,16 @@
-//! Minimal JSON encoding for the crate's parameter and report types.
+//! Minimal JSON encoding for the crate's report types.
 //!
 //! The workspace builds fully offline, so `serde`/`serde_json` are not
-//! available; experiment sweeps still want to log configurations and
-//! results in a machine-readable form. This module hand-rolls the tiny
-//! subset of JSON those flat types need: objects, arrays, strings,
-//! numbers, booleans, and `null`. The scenario runtime (`tvg-scenarios`)
-//! reuses it for its canonical reports, which is where the arrays come
-//! in (histograms, per-source rows).
-//!
-//! Every type implements [`ToJson`] and [`FromJson`], and
-//! `from_json(to_json(x)) == x` is property-tested in
-//! `tests/props.rs`.
+//! available. This module hand-rolls the tiny subset of JSON the
+//! scenario runtime's (`tvg-scenarios`) canonical reports need:
+//! objects, arrays (histograms, per-source rows), strings, numbers,
+//! booleans, and `null`. [`parse`] reads that subset back, which is how
+//! the report tests check that every canonical report is valid JSON.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::broadcast::{BroadcastConfig, ForwardingMode};
-use crate::markovian::EdgeMarkovianParams;
 use crate::metrics::{AggregateStats, DeliveryStats};
-use crate::routing::RouteReport;
 
 /// A parsed JSON value (the subset this crate emits).
 #[derive(Debug, Clone, PartialEq)]
@@ -40,29 +32,13 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
-/// Types encodable to JSON text.
+/// Types encodable to JSON.
 pub trait ToJson {
-    /// Encodes `self` as a JSON value.
+    /// Encodes `self` as a JSON value; its `Display` is compact JSON text.
     fn to_json_value(&self) -> Json;
-
-    /// Encodes `self` as compact JSON text.
-    fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
 }
 
-/// Types decodable from JSON text.
-pub trait FromJson: Sized {
-    /// Decodes from a parsed JSON value.
-    fn from_json_value(v: &Json) -> Result<Self, JsonError>;
-
-    /// Decodes from JSON text.
-    fn from_json(text: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&parse(text)?)
-    }
-}
-
-/// Decoding failure: malformed text or a shape mismatch.
+/// Parse failure: malformed text, or JSON outside the supported subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(String);
 
@@ -88,7 +64,7 @@ impl fmt::Display for Json {
                 if !n.is_finite() {
                     // NaN/inf have no JSON representation; encode as null
                     // (serde_json's convention) so the output always
-                    // parses — decoding then fails with a typed error.
+                    // parses.
                     write!(f, "null")
                 } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
                     write!(f, "{}", *n as i64)
@@ -288,54 +264,7 @@ impl Parser<'_> {
     }
 }
 
-// ---- field helpers ----------------------------------------------------
-
-fn get<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    match obj {
-        Json::Obj(map) => map
-            .get(key)
-            .ok_or_else(|| JsonError(format!("missing field {key:?}"))),
-        _ => err("expected an object"),
-    }
-}
-
-fn as_f64(v: &Json, key: &str) -> Result<f64, JsonError> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        Json::Int(n) => Ok(*n as f64),
-        _ => err(format!("field {key:?}: expected a number")),
-    }
-}
-
-fn as_u64(v: &Json, key: &str) -> Result<u64, JsonError> {
-    match v {
-        Json::Int(n) => Ok(*n),
-        _ => err(format!("field {key:?}: expected a non-negative integer")),
-    }
-}
-
-fn as_usize(v: &Json, key: &str) -> Result<usize, JsonError> {
-    usize::try_from(as_u64(v, key)?)
-        .map_err(|_| JsonError(format!("field {key:?}: integer too large for usize")))
-}
-
-fn as_bool(v: &Json, key: &str) -> Result<bool, JsonError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => err(format!("field {key:?}: expected a boolean")),
-    }
-}
-
-fn opt<T>(
-    v: &Json,
-    key: &str,
-    f: impl FnOnce(&Json, &str) -> Result<T, JsonError>,
-) -> Result<Option<T>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => f(other, key).map(Some),
-    }
-}
+// ---- impls ------------------------------------------------------------
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(
@@ -354,94 +283,6 @@ fn num_opt_u64(v: Option<u64>) -> Json {
     v.map_or(Json::Null, Json::Int)
 }
 
-// ---- impls ------------------------------------------------------------
-
-impl ToJson for EdgeMarkovianParams {
-    fn to_json_value(&self) -> Json {
-        obj(vec![
-            ("num_nodes", Json::Int(self.num_nodes as u64)),
-            ("p_birth", Json::Num(self.p_birth)),
-            ("p_death", Json::Num(self.p_death)),
-            ("steps", Json::Int(self.steps as u64)),
-        ])
-    }
-}
-
-impl FromJson for EdgeMarkovianParams {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(EdgeMarkovianParams {
-            num_nodes: as_usize(get(v, "num_nodes")?, "num_nodes")?,
-            p_birth: as_f64(get(v, "p_birth")?, "p_birth")?,
-            p_death: as_f64(get(v, "p_death")?, "p_death")?,
-            steps: as_usize(get(v, "steps")?, "steps")?,
-        })
-    }
-}
-
-impl ToJson for ForwardingMode {
-    fn to_json_value(&self) -> Json {
-        match self {
-            ForwardingMode::StoreCarryForward => Json::Str("store_carry_forward".into()),
-            ForwardingMode::NoWaitRelay => Json::Str("no_wait_relay".into()),
-            ForwardingMode::BoundedBuffer(d) => obj(vec![("bounded_buffer", Json::Int(*d))]),
-        }
-    }
-}
-
-impl FromJson for ForwardingMode {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Str(s) if s == "store_carry_forward" => Ok(ForwardingMode::StoreCarryForward),
-            Json::Str(s) if s == "no_wait_relay" => Ok(ForwardingMode::NoWaitRelay),
-            Json::Obj(_) => Ok(ForwardingMode::BoundedBuffer(as_u64(
-                get(v, "bounded_buffer")?,
-                "bounded_buffer",
-            )?)),
-            _ => err("invalid forwarding mode"),
-        }
-    }
-}
-
-impl ToJson for BroadcastConfig {
-    fn to_json_value(&self) -> Json {
-        obj(vec![
-            ("source", Json::Int(self.source as u64)),
-            ("mode", self.mode.to_json_value()),
-            ("source_beacons", Json::Bool(self.source_beacons)),
-        ])
-    }
-}
-
-impl FromJson for BroadcastConfig {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(BroadcastConfig {
-            source: as_usize(get(v, "source")?, "source")?,
-            mode: ForwardingMode::from_json_value(get(v, "mode")?)?,
-            source_beacons: as_bool(get(v, "source_beacons")?, "source_beacons")?,
-        })
-    }
-}
-
-impl ToJson for RouteReport {
-    fn to_json_value(&self) -> Json {
-        obj(vec![
-            ("delivered", Json::Bool(self.delivered)),
-            ("arrival", num_opt_u64(self.arrival)),
-            ("hops", num_opt_u64(self.hops.map(|h| h as u64))),
-        ])
-    }
-}
-
-impl FromJson for RouteReport {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(RouteReport {
-            delivered: as_bool(get(v, "delivered")?, "delivered")?,
-            arrival: opt(get(v, "arrival")?, "arrival", as_u64)?,
-            hops: opt(get(v, "hops")?, "hops", as_usize)?,
-        })
-    }
-}
-
 impl ToJson for DeliveryStats {
     fn to_json_value(&self) -> Json {
         obj(vec![
@@ -450,17 +291,6 @@ impl ToJson for DeliveryStats {
             ("p95_time", num_opt_u64(self.p95_time)),
             ("max_time", num_opt_u64(self.max_time)),
         ])
-    }
-}
-
-impl FromJson for DeliveryStats {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(DeliveryStats {
-            delivery_ratio: as_f64(get(v, "delivery_ratio")?, "delivery_ratio")?,
-            mean_time: opt(get(v, "mean_time")?, "mean_time", as_f64)?,
-            p95_time: opt(get(v, "p95_time")?, "p95_time", as_u64)?,
-            max_time: opt(get(v, "max_time")?, "max_time", as_u64)?,
-        })
     }
 }
 
@@ -474,95 +304,24 @@ impl ToJson for AggregateStats {
     }
 }
 
-impl FromJson for AggregateStats {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(AggregateStats {
-            runs: as_usize(get(v, "runs")?, "runs")?,
-            mean_delivery_ratio: as_f64(get(v, "mean_delivery_ratio")?, "mean_delivery_ratio")?,
-            mean_time: opt(get(v, "mean_time")?, "mean_time", as_f64)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn params_roundtrip() {
-        let p = EdgeMarkovianParams {
-            num_nodes: 16,
-            p_birth: 0.05,
-            p_death: 0.4,
-            steps: 80,
+    fn null_options_roundtrip() {
+        let stats = DeliveryStats {
+            delivery_ratio: 0.5,
+            mean_time: None,
+            p95_time: None,
+            max_time: None,
         };
-        let text = p.to_json();
+        let text = stats.to_json_value().to_string();
         assert_eq!(
             text,
-            r#"{"num_nodes":16,"p_birth":0.05,"p_death":0.4,"steps":80}"#
+            r#"{"delivery_ratio":0.5,"max_time":null,"mean_time":null,"p95_time":null}"#
         );
-        assert_eq!(EdgeMarkovianParams::from_json(&text).unwrap(), p);
-    }
-
-    #[test]
-    fn mode_roundtrip() {
-        for mode in [
-            ForwardingMode::StoreCarryForward,
-            ForwardingMode::NoWaitRelay,
-            ForwardingMode::BoundedBuffer(7),
-        ] {
-            let back = ForwardingMode::from_json(&mode.to_json()).unwrap();
-            assert_eq!(back, mode);
-        }
-    }
-
-    #[test]
-    fn null_options_roundtrip() {
-        let r = RouteReport {
-            delivered: false,
-            arrival: None,
-            hops: None,
-        };
-        assert_eq!(
-            r.to_json(),
-            r#"{"arrival":null,"delivered":false,"hops":null}"#
-        );
-        assert_eq!(RouteReport::from_json(&r.to_json()).unwrap(), r);
-    }
-
-    #[test]
-    fn large_integers_stay_exact() {
-        // f64 rounds integers above 2⁵³; the Int variant must not.
-        for d in [(1u64 << 53) + 1, u64::MAX] {
-            let mode = ForwardingMode::BoundedBuffer(d);
-            assert_eq!(ForwardingMode::from_json(&mode.to_json()).unwrap(), mode);
-        }
-        let r = RouteReport {
-            delivered: true,
-            arrival: Some(u64::MAX),
-            hops: Some(3),
-        };
-        assert_eq!(RouteReport::from_json(&r.to_json()).unwrap(), r);
-        // And a float-typed field refuses an out-of-type integer encoding.
-        assert!(EdgeMarkovianParams::from_json(
-            r#"{"num_nodes":2.5,"p_birth":0.1,"p_death":0.1,"steps":1}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn non_finite_floats_encode_as_null_and_fail_decode_typed() {
-        let p = EdgeMarkovianParams {
-            num_nodes: 2,
-            p_birth: f64::NAN,
-            p_death: f64::INFINITY,
-            steps: 1,
-        };
-        let text = p.to_json();
-        // The text is valid JSON (parseable)...
-        assert!(parse(&text).is_ok(), "{text}");
-        // ...and decoding reports a typed error, not a panic.
-        assert!(EdgeMarkovianParams::from_json(&text).is_err());
+        assert_eq!(parse(&text).unwrap(), stats.to_json_value());
     }
 
     #[test]
@@ -576,14 +335,54 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
+        assert!(parse("").is_err());
         assert!(parse("{").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a":}"#).is_err());
-        assert!(EdgeMarkovianParams::from_json("{}").is_err());
-        assert!(EdgeMarkovianParams::from_json(
-            r#"{"num_nodes":-1,"p_birth":0,"p_death":0,"steps":0}"#
-        )
-        .is_err());
+        assert!(parse(r#"{"a":"b\"c"}"#).is_err(), "escapes are refused");
+    }
+
+    #[test]
+    fn large_integers_stay_exact() {
+        // f64 rounds integers above 2⁵³; the Int variant must not.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let v = Json::Int(n);
+            assert_eq!(v.to_string(), n.to_string());
+            assert_eq!(parse(&v.to_string()).unwrap(), v);
+        }
+        let agg = AggregateStats {
+            runs: usize::MAX,
+            mean_delivery_ratio: 0.75,
+            mean_time: Some(2.5),
+        };
+        let text = agg.to_json_value().to_string();
+        assert!(text.contains(&format!("\"runs\":{}", usize::MAX)), "{text}");
+        assert_eq!(parse(&text).unwrap(), agg.to_json_value());
+        // A fractional number is never read back as an integer.
+        assert_eq!(parse("2.5").unwrap(), Json::Num(2.5));
+    }
+
+    #[test]
+    fn non_finite_floats_encode_as_null_and_fail_decode_typed() {
+        let stats = DeliveryStats {
+            delivery_ratio: f64::NAN,
+            mean_time: Some(f64::INFINITY),
+            p95_time: None,
+            max_time: None,
+        };
+        assert_eq!(Json::Num(f64::NEG_INFINITY).to_string(), "null");
+        let text = stats.to_json_value().to_string();
+        // The text is valid JSON (parseable)...
+        assert_eq!(
+            text,
+            r#"{"delivery_ratio":null,"max_time":null,"mean_time":null,"p95_time":null}"#
+        );
+        // ...and the non-finite fields read back as `null`, never as a
+        // number a consumer could mistake for a measurement.
+        let Json::Obj(map) = parse(&text).unwrap() else {
+            panic!("object expected: {text}");
+        };
+        assert!(map.values().all(|v| *v == Json::Null), "{text}");
     }
 
     #[test]
@@ -610,9 +409,10 @@ mod tests {
 
     #[test]
     fn whitespace_tolerated() {
-        let text =
-            " { \"num_nodes\" : 3 , \"p_birth\" : 0.5 , \"p_death\" : 0.5 , \"steps\" : 2 } ";
-        let p = EdgeMarkovianParams::from_json(text).unwrap();
-        assert_eq!(p.num_nodes, 3);
+        let spaced = " { \"runs\" : 3 , \"mean_time\" : 0.5 , \"ok\" : true } ";
+        assert_eq!(
+            parse(spaced).unwrap(),
+            parse(r#"{"mean_time":0.5,"ok":true,"runs":3}"#).unwrap()
+        );
     }
 }

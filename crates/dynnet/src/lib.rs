@@ -13,8 +13,11 @@
 //!   (indirect journeys) vs. no-wait relaying (direct journeys), on the
 //!   same trace. The simulator is pinned to the paper's formal journey
 //!   semantics by tests.
-//! * [`routing`] — unicast foremost-journey routing per waiting policy.
+//! * [`routing`] — unicast delivery: the fraction of ordered node pairs
+//!   a journey connects under each waiting policy.
 //! * [`metrics`] — delivery ratios and times, aggregated across seeds.
+//! * [`json`] — the minimal JSON encoder and parser behind the scenario
+//!   reports.
 //!
 //! # Examples
 //!

@@ -1,11 +1,9 @@
 //! Concrete evolving-graph traces: a dynamic network observed step by
-//! step, convertible to a [`Tvg`] for journey analysis — either as one
-//! batch compile ([`EvolvingTrace::to_tvg`]) or replayed step by step
-//! into a streaming index ([`EvolvingTrace::to_stream`]).
+//! step, convertible to a [`Tvg`] for journey analysis
+//! ([`EvolvingTrace::to_tvg`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-use tvg_model::stream::{StreamEvent, TvgStream};
-use tvg_model::{EdgeId, Latency, Presence, Tvg, TvgBuilder};
+use tvg_model::{Latency, Presence, Tvg, TvgBuilder};
 
 /// An undirected contact trace: for each discrete step, the set of node
 /// pairs in contact.
@@ -95,8 +93,7 @@ impl EvolvingTrace {
     /// the trace (a hop takes one step).
     #[must_use]
     pub fn to_tvg(&self) -> Tvg<u64> {
-        let mut times: std::collections::BTreeMap<(usize, usize), BTreeSet<u64>> =
-            std::collections::BTreeMap::new();
+        let mut times: BTreeMap<(usize, usize), BTreeSet<u64>> = BTreeMap::new();
         for (t, snap) in self.snapshots.iter().enumerate() {
             for &(a, b) in snap {
                 times.entry((a, b)).or_default().insert(t as u64);
@@ -118,101 +115,6 @@ impl EvolvingTrace {
             }
         }
         builder.build().expect("at least one node")
-    }
-
-    /// Replays the trace into a streaming index, step by step, exactly
-    /// as a live contact logger would deliver it: each step is one
-    /// ingest batch; a pair's first-ever contact appends its two
-    /// directed edges ([`StreamEvent::NewEdge`]) before bringing them
-    /// up; a pair leaving contact brings them down; a pair in contact
-    /// at the final step is closed at the trace end.
-    ///
-    /// The resulting [`TvgStream`] answers journey queries identically
-    /// to `TvgIndex::compile(&trace.to_tvg(), len)` — edge ids differ
-    /// (first-contact order here, pair order there) but every
-    /// node-level answer matches, which is what the broadcast and
-    /// routing equivalence tests pin. This is the ingestion path
-    /// `run_broadcast`/`broadcast_sweep` actually execute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace has no nodes.
-    #[must_use]
-    pub fn to_stream(&self) -> TvgStream<u64> {
-        assert!(self.num_nodes > 0, "a streamed trace needs nodes");
-        let mut stream =
-            TvgStream::new(self.len() as u64).expect("trace lengths fit far below u64::MAX");
-        for i in 0..self.num_nodes {
-            stream.add_node(&format!("v{i}"));
-        }
-        let nodes: Vec<_> = stream.index().tvg().nodes().collect();
-        // Both orientations of each pair, created at first contact; ids
-        // are assigned in ingest order, so they are known up front.
-        let mut edges: BTreeMap<(usize, usize), (EdgeId, EdgeId)> = BTreeMap::new();
-        let mut next_edge = 0usize;
-        let mut previous: &BTreeSet<(usize, usize)> = &BTreeSet::new();
-        for (t, snap) in self.snapshots.iter().enumerate() {
-            let mut batch: Vec<StreamEvent<u64>> = Vec::new();
-            for &(a, b) in snap {
-                if let std::collections::btree_map::Entry::Vacant(slot) = edges.entry((a, b)) {
-                    let mut declare = |src: usize, dst: usize| {
-                        batch.push(StreamEvent::NewEdge {
-                            src: nodes[src],
-                            dst: nodes[dst],
-                            label: 'c',
-                            latency: Latency::unit(),
-                        });
-                        next_edge += 1;
-                        EdgeId::from_index(next_edge - 1)
-                    };
-                    let fwd = declare(a, b);
-                    let rev = declare(b, a);
-                    slot.insert((fwd, rev));
-                }
-                if !previous.contains(&(a, b)) {
-                    let (fwd, rev) = edges[&(a, b)];
-                    batch.push(StreamEvent::Up {
-                        edge: fwd,
-                        at: t as u64,
-                    });
-                    batch.push(StreamEvent::Up {
-                        edge: rev,
-                        at: t as u64,
-                    });
-                }
-            }
-            for &(a, b) in previous {
-                if !snap.contains(&(a, b)) {
-                    let (fwd, rev) = edges[&(a, b)];
-                    batch.push(StreamEvent::Down {
-                        edge: fwd,
-                        at: t as u64,
-                    });
-                    batch.push(StreamEvent::Down {
-                        edge: rev,
-                        at: t as u64,
-                    });
-                }
-            }
-            stream.ingest(&batch).expect("trace replay is a valid feed");
-            previous = snap;
-        }
-        // Contacts running through the final step end with the trace:
-        // presence at instant t means "in contact during step t", so the
-        // last possible presence instant is len - 1.
-        let close: Vec<StreamEvent<u64>> = previous
-            .iter()
-            .flat_map(|pair| {
-                let (fwd, rev) = edges[pair];
-                let at = self.len() as u64;
-                [
-                    StreamEvent::Down { edge: fwd, at },
-                    StreamEvent::Down { edge: rev, at },
-                ]
-            })
-            .collect();
-        stream.ingest(&close).expect("final close is a valid feed");
-        stream
     }
 }
 
@@ -265,47 +167,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn range_checked() {
         let _ = EvolvingTrace::new(2, vec![BTreeSet::from([(0, 5)])]);
-    }
-
-    #[test]
-    fn stream_replay_matches_batch_compile_per_node() {
-        use tvg_journeys::{foremost_tree, SearchLimits, WaitingPolicy};
-        use tvg_model::{NodeId, TvgIndex};
-        let tr = simple_trace();
-        let stream = tr.to_stream();
-        let g = tr.to_tvg();
-        let horizon = tr.len() as u64;
-        let index = TvgIndex::compile(&g, horizon);
-        let limits = SearchLimits::new(horizon, tr.len() + 1);
-        // Edge ids differ between the two paths (first-contact order vs
-        // pair order); every node-level journey answer must not.
-        for policy in [
-            WaitingPolicy::NoWait,
-            WaitingPolicy::Bounded(1),
-            WaitingPolicy::Unbounded,
-        ] {
-            for src in 0..tr.num_nodes() {
-                let live = foremost_tree(
-                    stream.index(),
-                    NodeId::from_index(src),
-                    &0,
-                    &policy,
-                    &limits,
-                );
-                let batch = foremost_tree(&index, NodeId::from_index(src), &0, &policy, &limits);
-                for dst in g.nodes() {
-                    assert_eq!(
-                        live.arrival(dst),
-                        batch.arrival(dst),
-                        "{policy} {src}->{dst}"
-                    );
-                }
-            }
-        }
-        // The final-step close really closes: nothing is open.
-        for e in stream.index().tvg().edges() {
-            assert_eq!(stream.open_since(e), None, "{e}");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the dynamic-network simulations: dominance laws,
-//! semantic pinning to journeys, and config serialization round-trips.
+//! semantic pinning to journeys, and trace normalization.
 //!
 //! Runs on `tvg-testkit`'s deterministic harness; random traces come
 //! from `tvg_testkit::gen::{markovian_params, markovian_trace}`.
@@ -7,8 +7,6 @@
 use rand::Rng;
 use std::collections::BTreeSet;
 use tvg_dynnet::broadcast::{run_broadcast, BroadcastConfig, ForwardingMode};
-use tvg_dynnet::json::{FromJson, ToJson};
-use tvg_dynnet::markovian::EdgeMarkovianParams;
 use tvg_dynnet::metrics::DeliveryStats;
 use tvg_testkit::gen;
 use tvg_testkit::Config;
@@ -121,37 +119,6 @@ fn stationary_density_within_bounds() {
     tvg_testkit::check("stationary_density_within_bounds", |rng, _| {
         let d = gen::markovian_params(rng).stationary_density();
         assert!((0.0..=1.0).contains(&d));
-    });
-}
-
-#[test]
-fn params_json_roundtrip() {
-    tvg_testkit::check("params_json_roundtrip", |rng, _| {
-        let params = gen::markovian_params(rng);
-        let json = params.to_json();
-        let back = EdgeMarkovianParams::from_json(&json).expect("deserializable");
-        assert_eq!(params.num_nodes, back.num_nodes);
-        assert_eq!(params.steps, back.steps);
-        // Floats may lose the last ULP through the textual encoding.
-        assert!((params.p_birth - back.p_birth).abs() < 1e-12);
-        assert!((params.p_death - back.p_death).abs() < 1e-12);
-    });
-}
-
-#[test]
-fn config_json_roundtrip() {
-    tvg_testkit::check("config_json_roundtrip", |rng, _| {
-        let config = BroadcastConfig {
-            source: rng.gen_range(0usize..16),
-            mode: match rng.gen_range(0u32..3) {
-                0 => ForwardingMode::StoreCarryForward,
-                1 => ForwardingMode::NoWaitRelay,
-                _ => ForwardingMode::BoundedBuffer(rng.gen_range(0u64..10)),
-            },
-            source_beacons: rng.gen::<bool>(),
-        };
-        let back = BroadcastConfig::from_json(&config.to_json()).expect("deserializable");
-        assert_eq!(back, config);
     });
 }
 

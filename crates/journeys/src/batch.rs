@@ -1,12 +1,13 @@
 //! The batch-query runtime: independent single-source engine runs fanned
-//! out over scoped worker threads that share one compiled [`TvgIndex`].
+//! out over scoped worker threads that share one compiled
+//! [`TvgIndex`](tvg_model::TvgIndex).
 //!
 //! Every aggregate consumer in the workspace — `ReachabilityMatrix`
 //! (all-pairs reachability), `delivery_ratio` (all-sources delivery),
-//! broadcast sweeps — is "one compile, n independent engine runs". The
-//! runs share the index immutably (`TvgIndex` is `Send + Sync` whenever
-//! its time domain is) and touch nothing else, so the layer is
-//! embarrassingly parallel:
+//! the scenario `broadcast` plan — is "one compile, n independent
+//! engine runs". The runs share the index immutably (`TvgIndex` is
+//! `Send + Sync` whenever its time domain is) and touch nothing else,
+//! so the layer is embarrassingly parallel:
 //!
 //! ```text
 //! queries ──▶ atomic claim ──▶ worker₀ ─ engine run ─┐
@@ -38,7 +39,7 @@
 //! O(workers) trees instead of O(batch).
 
 use crate::engine::{Engine, EngineStats, ForemostTree};
-use crate::{Journey, SearchLimits, WaitingPolicy};
+use crate::{SearchLimits, WaitingPolicy};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tvg_model::{NodeId, TemporalIndex, Time};
@@ -153,43 +154,8 @@ impl<T: Time> BatchOutcome<T> {
         &self.trees
     }
 
-    /// Consumes the outcome into its index-aligned trees.
-    #[must_use]
-    pub fn into_trees(self) -> Vec<ForemostTree<T>> {
-        self.trees
-    }
-
     /// Summed [`EngineStats`] over every run in the batch
     /// (`stats().runs` equals the number of input queries).
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-}
-
-/// The results of a batch of targeted (single-destination) queries: one
-/// optional witness [`Journey`] per input query, in input order.
-#[derive(Debug, Clone)]
-pub struct BatchJourneys<T> {
-    journeys: Vec<Option<Journey<T>>>,
-    stats: EngineStats,
-}
-
-impl<T: Time> BatchJourneys<T> {
-    /// The per-query journeys, index-aligned with the input slice
-    /// (`None` where the destination is unreachable within the limits).
-    #[must_use]
-    pub fn journeys(&self) -> &[Option<Journey<T>>] {
-        &self.journeys
-    }
-
-    /// Consumes the outcome into its index-aligned journeys.
-    #[must_use]
-    pub fn into_journeys(self) -> Vec<Option<Journey<T>>> {
-        self.journeys
-    }
-
-    /// Summed [`EngineStats`] over every run in the batch.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -327,36 +293,6 @@ impl<'i, I> BatchRunner<'i, I> {
                 (reduce(seeds, &tree), tree.stats())
             },
         ))
-    }
-
-    /// One targeted `(src, dst, start)` query per entry, each with the
-    /// engine's early exit at the destination's first (already foremost)
-    /// settle — the unicast `route` workload.
-    #[must_use]
-    pub fn run_pairs<T: Time + Send + Sync>(
-        &self,
-        queries: &[(NodeId, NodeId, T)],
-        policy: &WaitingPolicy<T>,
-        limits: &SearchLimits<T>,
-    ) -> BatchJourneys<T>
-    where
-        I: TemporalIndex<T> + Sync,
-    {
-        let (journeys, stats) = split_stats(fan_out(
-            self.batch.num_threads(),
-            queries,
-            |engine, (src, dst, start): &(NodeId, NodeId, T)| {
-                let tree = engine.run(
-                    self.index,
-                    &[(*src, start.clone())],
-                    policy,
-                    limits,
-                    Some(*dst),
-                );
-                (tree.journey_to(*dst), tree.stats())
-            },
-        ));
-        BatchJourneys { journeys, stats }
     }
 
     fn collect<T: Time>(&self, trees: Vec<ForemostTree<T>>) -> BatchOutcome<T> {
@@ -519,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_sets_and_pairs_match_their_serial_engines() {
+    fn seed_sets_match_their_serial_engines() {
         let g = ring_bus_tvg(5, 5, 'r');
         let index = TvgIndex::compile(&g, 30);
         let limits = SearchLimits::new(30, 10);
@@ -536,15 +472,8 @@ mod tests {
                     assert_eq!(s.arrival(dst), p.arrival(dst), "{policy}");
                 }
             }
-
-            let pairs: Vec<(NodeId, NodeId, u64)> =
-                (0..5).map(|i| (n(i), n((i + 2) % 5), 0u64)).collect();
-            let sj = BatchRunner::new(&index, Batch::serial()).run_pairs(&pairs, &policy, &limits);
-            let pj =
-                BatchRunner::new(&index, Batch::threads(4)).run_pairs(&pairs, &policy, &limits);
-            assert_eq!(sj.journeys(), pj.journeys(), "{policy}");
-            assert_eq!(sj.stats().runs, pairs.len() as u64);
-            assert_eq!(pj.stats(), sj.stats(), "{policy}");
+            assert_eq!(serial.stats().runs, seed_sets.len() as u64);
+            assert_eq!(parallel.stats(), serial.stats(), "{policy}");
         }
     }
 

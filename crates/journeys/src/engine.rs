@@ -22,17 +22,17 @@
 //! Both explorers are built for cache locality:
 //!
 //! * **Label arena.** Every generated configuration/label lives in one
-//!   bump arena of [`Label`]s addressed by `u32` id; parent pointers are
+//!   bump arena of `Label`s addressed by `u32` id; parent pointers are
 //!   arena ids, not map keys, so witness reconstruction is a pointer
-//!   walk and the two explorers share one [`TreeRepr`].
+//!   walk and the two explorers share one `TreeRepr`.
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
-//!   ([`FlatMap`]) from configuration time to a merged generation-and-
-//!   settlement record ([`Conf`]), laid out struct-of-arrays: an
+//!   (`FlatMap`) from configuration time to a merged generation-and-
+//!   settlement record (`Conf`), laid out struct-of-arrays: an
 //!   expanded crossing resolves its target with a single binary search
 //!   over a dense key array, and because settle times per node are
 //!   non-decreasing, fresh settles land at the tail.
 //! * **Monomorphized policies.** The waiting policy is dispatched once
-//!   per drain/replay into loops generic over [`DeparturePolicy`], so
+//!   per drain/replay into loops generic over `DeparturePolicy`, so
 //!   the per-label policy branch of the old explorer is compiled away.
 //! * **Queue dedup.** The exact explorer pushes a heap entry only when a
 //!   crossing improves the best hop count enqueued for its target
@@ -41,14 +41,14 @@
 //! * **Departure coverage.** Under `Bounded(d)` two settles at one node
 //!   a tick apart share `d` departures on every out-edge. Each touched
 //!   node records the departure interval its last expansion walked and
-//!   that expansion's hop count ([`Coverage`]); a later expansion with
+//!   that expansion's hop count (`Coverage`); a later expansion with
 //!   no fewer hops counts the crossings departing inside it into
 //!   `expanded` (by span arithmetic when the latency is monotone)
 //!   instead of regenerating targets that are already generated and
 //!   cannot improve. Reset, prune and every incremental refresh forget
 //!   the coverage. `NoWait` windows never overlap, so its loop compiles
 //!   without coverage, and `Unbounded` runs the Pareto explorer.
-//! * **Windowed replay.** Each settled configuration's [`Conf`] keeps
+//! * **Windowed replay.** Each settled configuration's `Conf` keeps
 //!   what its last expansion added to `expanded` and its *reach*: the
 //!   latest instant that expansion depended on, i.e. the end of its
 //!   departure window and the latest arrival of its crossings. A repair

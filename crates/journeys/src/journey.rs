@@ -199,20 +199,6 @@ impl<T: Time> Journey<T> {
         }
         Ok(())
     }
-
-    /// `true` iff the journey is *direct* (no pause anywhere, starting
-    /// from `start_time`).
-    #[must_use]
-    pub fn is_direct(&self, start_time: &T) -> bool {
-        let mut ready = start_time.clone();
-        for hop in &self.hops {
-            if hop.depart != ready {
-                return false;
-            }
-            ready = hop.arrive.clone();
-        }
-        true
-    }
 }
 
 impl<T: Time> Default for Journey<T> {
@@ -310,7 +296,6 @@ mod tests {
         assert_eq!(j.word(&g).to_string(), "ab");
         assert_eq!(j.duration(), 3);
         assert_eq!(j.destination(&g, n(0)), n(2));
-        assert!(j.is_direct(&4));
     }
 
     #[test]
@@ -336,7 +321,6 @@ mod tests {
         );
         assert_eq!(j.validate(&g, n(0), &2, &WaitingPolicy::Bounded(1)), Ok(()));
         assert_eq!(j.validate(&g, n(0), &2, &WaitingPolicy::Unbounded), Ok(()));
-        assert!(!j.is_direct(&2));
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod policy;
 mod reachability;
 pub mod search;
 
-pub use batch::{Batch, BatchJourneys, BatchOutcome, BatchRunner};
+pub use batch::{Batch, BatchOutcome, BatchRunner};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };

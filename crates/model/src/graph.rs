@@ -1,11 +1,9 @@
 //! A small static digraph used for snapshots, footprints, and the
 //! dynamic-network simulations.
 //!
-//! Deliberately minimal: adjacency lists, BFS distances, reachability, and
-//! Tarjan strongly-connected components — everything the workspace needs
-//! from a static graph, nothing more.
-
-use std::collections::VecDeque;
+//! Deliberately minimal: adjacency lists and strong connectivity (via
+//! Tarjan strongly-connected components) — everything the workspace
+//! needs from a static graph, nothing more.
 
 /// A directed graph on nodes `0..n` with adjacency lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,49 +53,6 @@ impl Digraph {
         self.adj.get(u).is_some_and(|row| row.contains(&v))
     }
 
-    /// Successors of `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[must_use]
-    pub fn successors(&self, u: usize) -> &[usize] {
-        &self.adj[u]
-    }
-
-    /// BFS hop distances from `src` (`None` = unreachable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    #[must_use]
-    pub fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
-        assert!(src < self.adj.len(), "node out of range");
-        let mut dist = vec![None; self.adj.len()];
-        dist[src] = Some(0);
-        let mut queue = VecDeque::from([src]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
-            for &v in &self.adj[u] {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Set of nodes reachable from `src` (including `src`).
-    #[must_use]
-    pub fn reachable_from(&self, src: usize) -> Vec<usize> {
-        self.bfs_distances(src)
-            .iter()
-            .enumerate()
-            .filter_map(|(v, d)| d.map(|_| v))
-            .collect()
-    }
-
     /// Whether every node is reachable from every other (strong
     /// connectivity). Vacuously true for the empty graph.
     #[must_use]
@@ -107,8 +62,7 @@ impl Digraph {
 
     /// Strongly connected components (Tarjan, iterative), in reverse
     /// topological order.
-    #[must_use]
-    pub fn tarjan_scc(&self) -> Vec<Vec<usize>> {
+    fn tarjan_scc(&self) -> Vec<Vec<usize>> {
         let n = self.adj.len();
         let mut index = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
@@ -184,7 +138,6 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
-        assert_eq!(g.successors(0), &[1, 2]);
     }
 
     #[test]
@@ -193,20 +146,6 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(0, 1);
         assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn bfs_distances_on_diamond() {
-        let d = diamond().bfs_distances(0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(1), Some(2)]);
-        let d3 = diamond().bfs_distances(3);
-        assert_eq!(d3, vec![None, None, None, Some(0)]);
-    }
-
-    #[test]
-    fn reachability() {
-        assert_eq!(diamond().reachable_from(0), vec![0, 1, 2, 3]);
-        assert_eq!(diamond().reachable_from(3), vec![3]);
     }
 
     #[test]

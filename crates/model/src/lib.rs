@@ -36,8 +36,6 @@
 //! * [`Digraph`] — a minimal static digraph for snapshots and protocols.
 //! * [`generators`] — reproducible random/structured TVG families for the
 //!   experiment sweeps.
-//! * [`classes`] — TVG class predicates (finite / eventually periodic /
-//!   unknown) guarding the Theorem 2.2 compiler's precondition.
 //!
 //! # Examples
 //!
@@ -62,8 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classes;
-pub mod dot;
 pub mod generators;
 mod graph;
 mod ids;

@@ -810,8 +810,6 @@ pub fn write_tvgi<T: TvgiTime>(
 /// needs to pick the time domain before [`ShardedIndex::open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TvgiInfo {
-    /// Format version.
-    pub version: u16,
     /// Stored time width in bytes (4 or 8).
     pub width: u8,
     /// Shard count.
@@ -848,11 +846,7 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
         return Err(TvgiError::Inconsistent("reserved header byte is set"));
     }
     let shards = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
-    Ok(TvgiInfo {
-        version,
-        width,
-        shards,
-    })
+    Ok(TvgiInfo { width, shards })
 }
 
 /// A `.tvgi` file opened read-only, in the layout every
