@@ -19,9 +19,11 @@
 //! one of them.
 //!
 //! A column counts how many frozen chunks it shares and how many chunk
-//! copies mutations forced, which is what the serve runtime's
+//! copies its publications cost, which is what the serve runtime's
 //! publication metrics report: on a healthy schedule the copied count
-//! per tick tracks the tick's change set, not the index size.
+//! per tick tracks the tick's change set, not the index size. Copies are
+//! counted by publication: the first write to a chunk after each
+//! [`PCol::snapshot`] counts one, even if that snapshot is gone.
 
 use std::sync::Arc;
 
@@ -38,9 +40,13 @@ pub const COL_CHUNK: usize = 64;
 pub struct PCol<V, const N: usize> {
     /// Frozen chunks of exactly `N` elements each.
     full: Vec<Arc<Vec<V>>>,
+    /// Per frozen chunk: the generation it was last written or frozen in.
+    stamps: Vec<u64>,
     /// Owned append edge, fewer than `N` elements.
     tail: Vec<V>,
-    /// How many shared chunks mutations have had to copy so far.
+    /// How many snapshots this column has published.
+    generation: u64,
+    /// How many chunk copies publications have cost so far.
     cow_copies: u64,
 }
 
@@ -57,7 +63,9 @@ impl<V, const N: usize> PCol<V, N> {
         const { assert!(N > 0) };
         PCol {
             full: Vec::new(),
+            stamps: Vec::new(),
             tail: Vec::new(),
+            generation: 0,
             cow_copies: 0,
         }
     }
@@ -80,6 +88,7 @@ impl<V, const N: usize> PCol<V, N> {
         self.tail.push(v);
         if self.tail.len() == N {
             self.full.push(Arc::new(std::mem::take(&mut self.tail)));
+            self.stamps.push(self.generation);
         }
     }
 
@@ -112,7 +121,8 @@ impl<V, const N: usize> PCol<V, N> {
         self.full.len() as u64
     }
 
-    /// How many shared chunks mutations have had to copy so far.
+    /// How many chunk copies publications have cost so far: one per
+    /// frozen chunk first written after each [`Self::snapshot`].
     #[must_use]
     pub fn cow_copies(&self) -> u64 {
         self.cow_copies
@@ -120,9 +130,16 @@ impl<V, const N: usize> PCol<V, N> {
 }
 
 impl<V: Clone, const N: usize> PCol<V, N> {
-    /// Mutable access to the element at `i`. If `i` lives in a frozen
-    /// chunk currently shared with a snapshot, that one chunk is copied
-    /// first (and counted); the rest of the column keeps sharing.
+    /// A clone sharing every frozen chunk. Starts a new generation: the
+    /// next write to each frozen chunk counts one copy.
+    pub fn snapshot(&mut self) -> Self {
+        self.generation += 1;
+        self.clone()
+    }
+
+    /// Mutable access to the element at `i`, first copying its frozen
+    /// chunk if a snapshot still shares it. The first write to a chunk
+    /// since the last [`Self::snapshot`] counts one copy.
     ///
     /// # Panics
     ///
@@ -130,13 +147,12 @@ impl<V: Clone, const N: usize> PCol<V, N> {
     pub fn get_mut(&mut self, i: usize) -> &mut V {
         let frozen = self.full.len() * N;
         if i < frozen {
-            let chunk = &mut self.full[i / N];
-            // No column hands out `Weak`s, so a second strong handle is
-            // exactly what makes `make_mut` copy.
-            if Arc::strong_count(chunk) > 1 {
+            let stamp = &mut self.stamps[i / N];
+            if *stamp != self.generation {
+                *stamp = self.generation;
                 self.cow_copies += 1;
             }
-            &mut Arc::make_mut(chunk)[i % N]
+            &mut Arc::make_mut(&mut self.full[i / N])[i % N]
         } else {
             &mut self.tail[i - frozen]
         }
@@ -169,7 +185,7 @@ mod tests {
         for i in 0..10 {
             c.push(i);
         }
-        let snap = c.clone();
+        let snap = c.snapshot();
         assert_eq!(c.cow_copies(), 0);
         // Tail writes never copy chunks.
         *c.get_mut(9) = 99;

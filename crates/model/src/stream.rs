@@ -268,8 +268,11 @@ pub struct LiveIndex<T> {
     adjacency: PCol<Vec<EdgeId>, COL_CHUNK>,
     dsts: PCol<NodeId, COL_CHUNK>,
     const_lat: PCol<Option<T>, COL_CHUNK>,
-    /// How often topology growth had to unshare the graph.
+    /// Graph copies publications have cost, counted as [`crate::pcol`] does.
     graph_copies: u64,
+    /// Snapshots taken, and the generation of the last graph write.
+    generation: u64,
+    graph_stamp: u64,
 }
 
 impl<T: Time> LiveIndex<T> {
@@ -287,6 +290,8 @@ impl<T: Time> LiveIndex<T> {
             dsts: PCol::new(),
             const_lat: PCol::new(),
             graph_copies: 0,
+            generation: 0,
+            graph_stamp: 0,
         })
     }
 
@@ -308,10 +313,10 @@ impl<T: Time> LiveIndex<T> {
             + 1 // the Arc'd graph
     }
 
-    /// Cumulative count of shared structures mutations have had to
-    /// copy (chunk copy-on-writes plus graph unsharings). The delta
-    /// between two publishes is the true cost the mutating stream paid
-    /// for snapshot isolation over that tick.
+    /// Cumulative count of shared structures publications have cost:
+    /// one per chunk (or the graph) first written after a
+    /// [`TvgStream::snapshot`], whether or not that snapshot is still
+    /// alive. The delta between two publishes is that tick's cost.
     #[must_use]
     pub fn chunks_copied(&self) -> u64 {
         self.presence.cow_copies()
@@ -322,13 +327,32 @@ impl<T: Time> LiveIndex<T> {
             + self.graph_copies
     }
 
-    /// Mutable graph access, unsharing (and counting) if snapshots
-    /// currently share it. Only topology growth comes through here.
+    /// Mutable graph access, unsharing it if a snapshot shares it and
+    /// counting the first write per generation. Only topology growth.
     fn g_mut(&mut self) -> &mut Tvg<T> {
-        if Arc::get_mut(&mut self.g).is_none() {
+        if self.graph_stamp != self.generation {
+            self.graph_stamp = self.generation;
             self.graph_copies += 1;
         }
         Arc::make_mut(&mut self.g)
+    }
+
+    /// A clone sharing every chunk and the graph; starts a generation.
+    fn snapshot(&mut self) -> Self {
+        self.generation += 1;
+        LiveIndex {
+            g: Arc::clone(&self.g),
+            horizon: self.horizon.clone(),
+            end: self.end.clone(),
+            presence: self.presence.snapshot(),
+            arrival_monotone: self.arrival_monotone.snapshot(),
+            adjacency: self.adjacency.snapshot(),
+            dsts: self.dsts.snapshot(),
+            const_lat: self.const_lat.snapshot(),
+            graph_copies: self.graph_copies,
+            generation: self.generation,
+            graph_stamp: self.graph_stamp,
+        }
     }
 }
 
@@ -453,9 +477,11 @@ impl<T: Time> TvgStream<T> {
     /// small mutable tails), so taking one costs O(chunks), not
     /// O(index) — later mutations copy-on-write the chunks and span
     /// lists they touch and never disturb an outstanding snapshot.
+    /// Each call starts a publication generation for
+    /// [`LiveIndex::chunks_copied`], even if the snapshot is dropped.
     #[must_use]
-    pub fn snapshot(&self) -> LiveIndex<T> {
-        self.live.clone()
+    pub fn snapshot(&mut self) -> LiveIndex<T> {
+        self.live.snapshot()
     }
 
     /// The latest accepted event instant, if any event was accepted.
@@ -1158,6 +1184,21 @@ mod tests {
         assert_ne!(live.as_ptr(), old.as_ptr());
         assert_eq!(live, &[(1, 5)]);
         assert_eq!(old, &[(1, 21)]);
+    }
+
+    #[test]
+    fn a_dropped_snapshot_still_counts_the_chunks_it_shared() {
+        let mut s = TvgStream::<u64>::new(20).expect("representable");
+        let (u, v) = (s.add_node("u"), s.add_node("v"));
+        let e = (0..COL_CHUNK)
+            .map(|_| s.add_edge(u, v, 'a', Latency::unit()).expect("valid"))
+            .collect::<Vec<EdgeId>>()[0];
+        let copied = s.index().chunks_copied();
+        drop(s.snapshot());
+        // No physical copy happens, yet the first write counts.
+        s.ingest(&[StreamEvent::Up { edge: e, at: 1 }])
+            .expect("valid feed");
+        assert_eq!(s.index().chunks_copied(), copied + 1);
     }
 
     #[test]

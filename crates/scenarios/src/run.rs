@@ -466,7 +466,7 @@ fn run_streaming(
 
 /// The serve plan: replay the generated schedule through a live stream
 /// in `ticks` ingest batches while a deterministic synthetic client
-/// load is answered concurrently from epoch-pinned lock-free snapshots
+/// load is answered concurrently from epoch-pinned immutable snapshots
 /// (see `tvg_serve`). Reader parallelism follows the scenario's thread
 /// policy; the logical section returned here is reader-count invariant
 /// and canonical, while throughput/latency percentiles come back in the

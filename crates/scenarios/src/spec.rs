@@ -392,7 +392,7 @@ pub enum Plan {
     /// `TvgStream` in `ticks` ingest batches while a synthetic client
     /// load (seeded mix of foremost / matrix-row / beaconing-broadcast
     /// requests under a geometric arrival process) is answered
-    /// concurrently from epoch-pinned lock-free snapshots. The logical
+    /// concurrently from epoch-pinned immutable snapshots. The logical
     /// results are canonical; timing metrics ride outside the
     /// canonical bytes.
     Serve {

@@ -11,8 +11,8 @@
 //!   the live index between ingest ticks ([`tvg_model::TvgStream::snapshot`])
 //!   and publishes each copy as an immutable `Arc<`[`ServeSnapshot`]`>`
 //!   through an [`EpochRing`]; readers acquire views with one atomic
-//!   load and an `Arc` clone — no locks anywhere on the read path, in
-//!   safe Rust only.
+//!   load and an `Arc` clone, and the ring releases each epoch once its
+//!   last pinned request is answered — in safe Rust only.
 //! * [`load`] — a deterministic synthetic client population: seeded
 //!   request mix (foremost / matrix-row / beaconing broadcast) under a
 //!   discrete Poisson-style arrival process (geometric inter-arrival

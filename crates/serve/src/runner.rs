@@ -104,9 +104,9 @@ pub struct ServeTiming {
 
 /// What publishing one epoch shared and copied. Unlike [`ServeTiming`],
 /// these are *logical* counters — a pure function of the stream and the
-/// tick schedule (single writer, and readers only clone the snapshot
-/// `Arc`, never its chunks), so they are deterministic at any reader
-/// count and safe to pin in tests and goldens.
+/// tick schedule (single writer, and copies are counted by publication,
+/// not by which snapshots readers still hold), so they are deterministic
+/// at any reader count and safe to pin in tests and goldens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishStats {
     /// The epoch this publication produced.
@@ -117,9 +117,9 @@ pub struct PublishStats {
     /// Frozen chunks (plus the shared graph) the snapshot shares with
     /// the live index instead of copying.
     pub chunks_frozen: u64,
-    /// Shared chunks the stream had to copy-on-write during the tick —
-    /// the true cost snapshot isolation imposed on this tick's
-    /// mutations.
+    /// Chunks (and the graph) the tick wrote for the first time since the
+    /// previous epoch's snapshot: its copy-on-write cost had every epoch
+    /// been kept, counted even where a released epoch spared the copy.
     pub chunks_copied: u64,
 }
 
@@ -201,8 +201,9 @@ struct GroupResult {
 /// while `config.readers` reader threads drain `requests` — grouped by
 /// `(epoch, class, source)` — against their pinned snapshots.
 ///
-/// Readers never lock: snapshot acquisition is one atomic load plus an
-/// `Arc` clone off the [`EpochRing`].
+/// Readers take snapshots off the [`EpochRing`]. The reader finishing
+/// an epoch's last group releases it, and an epoch no group is pinned
+/// to is never stored, so no snapshot outlives its last reader.
 ///
 /// # Errors
 ///
@@ -242,6 +243,11 @@ pub fn serve(
     }
     let groups: Vec<((u64, GroupClass, usize), Vec<usize>)> = groups.into_iter().collect();
     let grouped_runs = groups.len() as u64;
+    // Groups still to read each epoch; the last one releases it.
+    let mut pins: Vec<AtomicUsize> = (0..epochs).map(|_| AtomicUsize::new(0)).collect();
+    for ((epoch, _, _), _) in &groups {
+        *pins[usize::try_from(*epoch).expect("epochs fit in usize")].get_mut() += 1;
+    }
 
     let ring: EpochRing<u64> = EpochRing::new(epochs);
     let next_group = AtomicUsize::new(0);
@@ -256,11 +262,11 @@ pub fn serve(
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
 
     std::thread::scope(|scope| {
-        let ring = &ring;
+        let (ring, pins) = (&ring, &pins);
         let writer = scope.spawn(move || {
             let mut stream = stream;
-            let mut log = PublishLog::new(&stream, ticks.len() + 1);
-            log.publish(ring, &stream, 0, 0);
+            let mut log = PublishLog::new(&stream, ring, pins);
+            log.publish(&mut stream, 0, 0);
             for (i, tick) in ticks.iter().enumerate() {
                 let t0 = Instant::now();
                 let ingested = stream.ingest(tick);
@@ -270,11 +276,11 @@ pub fn serve(
                     // readers pinned past the failure never spin
                     // forever; the error itself is the writer's result.
                     for j in i..ticks.len() {
-                        log.publish(ring, &stream, j as u64 + 1, 0);
+                        log.publish(&mut stream, j as u64 + 1, 0);
                     }
                     return (Err(e), log);
                 }
-                log.publish(ring, &stream, i as u64 + 1, tick.len() as u64);
+                log.publish(&mut stream, i as u64 + 1, tick.len() as u64);
             }
             (Ok(()), log)
         });
@@ -303,6 +309,11 @@ pub fn serve(
                             requests,
                             config,
                         );
+                        drop(snapshot);
+                        let pinned = &pins[usize::try_from(*epoch).expect("epochs fit in usize")];
+                        if pinned.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            ring.release(*epoch);
+                        }
                         done.push((
                             gi,
                             GroupResult {
@@ -414,26 +425,39 @@ pub fn serve(
 /// Writer-side bookkeeping around each snapshot publication: wall time
 /// of the publish itself plus the deterministic sharing counters, and
 /// the writer's wall time inside ingest.
-struct PublishLog {
+struct PublishLog<'a> {
     publications: Vec<PublishStats>,
+    ring: &'a EpochRing<u64>,
+    /// Groups per epoch; no reader counts one down before it is published.
+    pins: &'a [AtomicUsize],
     micros: u128,
     ingest_micros: u128,
     last_copied: u64,
 }
 
-impl PublishLog {
-    fn new(stream: &TvgStream<u64>, epochs: usize) -> Self {
+impl<'a> PublishLog<'a> {
+    fn new(stream: &TvgStream<u64>, ring: &'a EpochRing<u64>, pins: &'a [AtomicUsize]) -> Self {
         PublishLog {
-            publications: Vec::with_capacity(epochs),
+            publications: Vec::with_capacity(pins.len()),
+            ring,
+            pins,
             micros: 0,
             ingest_micros: 0,
             last_copied: stream.index().chunks_copied(),
         }
     }
 
-    fn publish(&mut self, ring: &EpochRing<u64>, stream: &TvgStream<u64>, epoch: u64, events: u64) {
+    fn publish(&mut self, stream: &mut TvgStream<u64>, epoch: u64, events: u64) {
         let t0 = Instant::now();
-        ring.publish(ServeSnapshot::new(epoch, stream.snapshot()));
+        // Every epoch takes its snapshot, read or not: that starts the
+        // generation the copy counters are kept by.
+        let snapshot = ServeSnapshot::new(epoch, stream.snapshot());
+        let slot = usize::try_from(epoch).expect("epochs fit in usize");
+        if self.pins[slot].load(Ordering::Relaxed) > 0 {
+            self.ring.publish(snapshot);
+        } else {
+            self.ring.publish_released(epoch);
+        }
         self.micros += t0.elapsed().as_micros();
         let copied = stream.index().chunks_copied();
         self.publications.push(PublishStats {

@@ -7,24 +7,22 @@
 //! index's persistent chunked columns (`tvg_model::pcol`) make each
 //! publication O(changes in the tick): the snapshot shares every frozen
 //! chunk with the live index, and the stream copies-on-write only the
-//! chunks the next tick's mutations land in. A copied presence chunk
-//! copies 64 span-list handles, not 64 span lists: only the edges the
-//! tick writes copy their spans, so holding every epoch costs about
-//! the spans the run changed. Publication is RCU-style:
-//! readers never take a lock, never block the writer, and a reader
-//! holding an `Arc<ServeSnapshot>` keeps answering from that epoch no
-//! matter how far the writer has advanced.
+//! shared chunks the next tick's mutations land in. A copied presence
+//! chunk copies 64 span-list handles, not 64 span lists. Publication is
+//! RCU-style: readers never block the writer, and a reader holding an
+//! `Arc<ServeSnapshot>` keeps answering from that epoch no matter how
+//! far the writer has advanced.
 //!
 //! The ring is built from safe primitives only (the workspace forbids
-//! `unsafe`): one `OnceLock` slot per epoch plus a release/acquire
+//! `unsafe`): one mutex-guarded slot per epoch plus a release/acquire
 //! publication counter. The writer fills slot `e` and then bumps the
-//! counter; a reader that observes `published > e` is guaranteed (by
-//! the release/acquire pair) to see the fully initialized slot. The
-//! fast path for a reader is one atomic load, one `OnceLock::get`, and
-//! one `Arc` clone — no CAS loop, no contention with other readers.
+//! counter; a reader that observes `published > e` finds the slot
+//! filled unless the epoch was released. Releasing an epoch after its
+//! last reader drops the ring's handle, so the writer stops paying
+//! copy-on-write for chunks only that snapshot shared.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tvg_model::stream::LiveIndex;
 use tvg_model::Time;
 
@@ -66,16 +64,16 @@ impl<T: Time> ServeSnapshot<T> {
     }
 }
 
-/// The lock-free publication channel between one writer and any number
-/// of readers: a fixed ring of epoch slots plus a publication counter.
+/// The publication channel between one writer and any number of
+/// readers: a fixed ring of epoch slots plus a publication counter.
 ///
 /// Capacity is fixed at construction (a serve run knows its tick count
-/// up front: `ticks + 1` epochs), which is what lets slots be plain
-/// `OnceLock`s — every epoch is written exactly once, in order, and
-/// stays readable for the rest of the run.
+/// up front: `ticks + 1` epochs). Every epoch is published once, in
+/// order, and stays readable until it is released (the serve loop does
+/// so after the epoch's last pinned request).
 #[derive(Debug)]
 pub struct EpochRing<T> {
-    slots: Vec<OnceLock<Arc<ServeSnapshot<T>>>>,
+    slots: Vec<Mutex<Option<Arc<ServeSnapshot<T>>>>>,
     published: AtomicUsize,
 }
 
@@ -83,10 +81,8 @@ impl<T: Time> EpochRing<T> {
     /// An empty ring with room for `capacity` epochs (`0..capacity`).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, OnceLock::new);
         EpochRing {
-            slots,
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             published: AtomicUsize::new(0),
         }
     }
@@ -98,7 +94,7 @@ impl<T: Time> EpochRing<T> {
     }
 
     /// How many epochs are published so far (readers may [`Self::get`]
-    /// any epoch below this count).
+    /// any epoch below this count that is not released).
     #[must_use]
     pub fn published(&self) -> usize {
         self.published.load(Ordering::Acquire)
@@ -108,45 +104,56 @@ impl<T: Time> EpochRing<T> {
     /// `snapshot.epoch()` must equal the current published count.
     ///
     /// The slot write happens-before the counter bump (release), so any
-    /// reader that observes the new count sees the initialized slot.
+    /// reader that observes the new count sees the filled slot.
     ///
     /// # Panics
     ///
-    /// Panics if the ring is full, the epoch is out of order, or the
-    /// slot was somehow already set (a second writer).
+    /// Panics if the ring is full or the epoch is out of order.
     pub fn publish(&self, snapshot: ServeSnapshot<T>) {
+        let epoch = snapshot.epoch();
+        self.assert_next(epoch);
+        *self.slot(epoch) = Some(Arc::new(snapshot));
+        self.published.fetch_add(1, Ordering::Release);
+    }
+
+    /// Publishes `epoch` as already released, storing nothing: for an
+    /// epoch no reader is pinned to. Panics like [`Self::publish`].
+    pub fn publish_released(&self, epoch: u64) {
+        self.assert_next(epoch);
+        self.published.fetch_add(1, Ordering::Release);
+    }
+
+    fn assert_next(&self, epoch: u64) {
         let next = self.published.load(Ordering::Relaxed);
         assert!(next < self.slots.len(), "epoch ring is full");
         assert_eq!(
-            snapshot.epoch(),
-            next as u64,
+            epoch, next as u64,
             "epochs publish in order (expected {next})"
         );
-        self.slots[next]
-            .set(Arc::new(snapshot))
-            .unwrap_or_else(|_| panic!("epoch {next} published twice"));
-        self.published.store(next + 1, Ordering::Release);
     }
 
-    /// The snapshot of `epoch`, if it has been published yet. Readers
-    /// call this freely from any thread; it never blocks.
+    /// Drops the ring's handle on a published `epoch`: afterwards
+    /// [`Self::get`] returns `None` for it and [`Self::wait`] panics.
+    /// Readers still holding the snapshot keep it alive.
+    pub fn release(&self, epoch: u64) {
+        // Dropped after the lock: freeing a snapshot can take a while.
+        let _released = self.slot(epoch).take();
+    }
+
+    /// The snapshot of `epoch`, if it is published and not released.
+    /// Readers call this from any thread; it never waits on the writer.
     #[must_use]
     pub fn get(&self, epoch: u64) -> Option<Arc<ServeSnapshot<T>>> {
-        let published = self.published.load(Ordering::Acquire) as u64;
-        if epoch >= published {
+        if epoch >= self.published() as u64 {
             return None;
         }
-        let slot = usize::try_from(epoch).expect("published epochs fit in usize");
-        self.slots[slot].get().cloned()
+        self.slot(epoch).clone()
     }
 
-    /// The most recently published snapshot, if any.
+    /// The most recently published snapshot, if any and not released.
     #[must_use]
     pub fn latest(&self) -> Option<Arc<ServeSnapshot<T>>> {
-        match self.published.load(Ordering::Acquire) {
-            0 => None,
-            n => self.slots[n - 1].get().cloned(),
-        }
+        self.get((self.published() as u64).checked_sub(1)?)
     }
 
     /// Blocks (spin + yield) until `epoch` is published, then returns
@@ -155,8 +162,8 @@ impl<T: Time> EpochRing<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `epoch` is beyond the ring's capacity — such an epoch
-    /// can never be published, so waiting would hang forever.
+    /// Panics if `epoch` is beyond the ring's capacity or was released:
+    /// it can never be returned, so waiting would hang forever.
     #[must_use]
     pub fn wait(&self, epoch: u64) -> Arc<ServeSnapshot<T>> {
         assert!(
@@ -164,12 +171,21 @@ impl<T: Time> EpochRing<T> {
             "epoch {epoch} exceeds ring capacity {}",
             self.capacity()
         );
-        loop {
-            if let Some(snapshot) = self.get(epoch) {
-                return snapshot;
-            }
+        while epoch >= self.published() as u64 {
             std::thread::yield_now();
         }
+        self.slot(epoch)
+            .clone()
+            .unwrap_or_else(|| panic!("epoch {epoch} was released"))
+    }
+
+    /// Locks `epoch`'s slot. Nothing under the lock can panic (it only
+    /// clones, takes or sets an `Option<Arc>`), so it is never poisoned.
+    fn slot(&self, epoch: u64) -> MutexGuard<'_, Option<Arc<ServeSnapshot<T>>>> {
+        let slot = usize::try_from(epoch).expect("ring epochs fit in usize");
+        self.slots[slot]
+            .lock()
+            .expect("slot lock is never poisoned")
     }
 }
 
@@ -207,6 +223,29 @@ mod tests {
     fn out_of_order_publication_is_rejected() {
         let ring: EpochRing<u64> = EpochRing::new(3);
         ring.publish(snapshot_at(1));
+    }
+
+    #[test]
+    fn release_drops_the_ring_handle() {
+        let ring: EpochRing<u64> = EpochRing::new(2);
+        ring.publish(snapshot_at(0));
+        ring.publish_released(1);
+        let held = ring.get(0).expect("published");
+        assert_eq!(Arc::strong_count(&held), 2);
+        ring.release(0);
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert!(ring.get(0).is_none());
+        assert!(ring.get(1).is_none());
+        assert!(ring.latest().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch 0 was released")]
+    fn wait_on_a_released_epoch_panics() {
+        let ring: EpochRing<u64> = EpochRing::new(1);
+        ring.publish(snapshot_at(0));
+        ring.release(0);
+        let _ = ring.wait(0);
     }
 
     #[test]

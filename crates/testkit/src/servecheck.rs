@@ -89,7 +89,7 @@ pub fn assert_pinned_snapshot_is_frozen(
     policy: &WaitingPolicy<u64>,
     label: &str,
 ) {
-    let (stream, ticks) = replay_ticks(g, horizon, chunk);
+    let (mut stream, ticks) = replay_ticks(g, horizon, chunk);
     let hops = usize::try_from(horizon.saturating_add(1))
         .unwrap_or(usize::MAX)
         .min(64);
@@ -249,8 +249,8 @@ pub fn assert_serve_is_reader_count_invariant(
             outcome.grouped_runs,
             outcome.stats,
             // Publication counters are part of the logical outcome too:
-            // readers only clone the outer snapshot `Arc`, never inner
-            // chunk handles, so sharing/copying is writer-determined.
+            // copies are counted by publication generation, so when
+            // readers release their epochs cannot move them.
             outcome.publications,
         );
         match &reference {
@@ -264,9 +264,10 @@ pub fn assert_serve_is_reader_count_invariant(
 }
 
 /// Replays the serve writer's publication schedule offline — same
-/// ticks, same *retained* snapshots (retention is what forces the
-/// copy-on-write the counters measure) — and returns the
-/// [`PublishStats`] sequence the writer must produce.
+/// ticks, one snapshot per epoch, each dropped at once — and returns the
+/// [`PublishStats`] sequence the writer must produce. Copies are counted
+/// by publication, not by which snapshots are still alive, so dropping
+/// every snapshot here yields the counters of a run that kept them all.
 ///
 /// # Panics
 ///
@@ -275,34 +276,20 @@ pub fn assert_serve_is_reader_count_invariant(
 #[must_use]
 pub fn offline_publications(g: &Tvg<u64>, horizon: u64, chunk: usize) -> Vec<PublishStats> {
     let (mut stream, ticks) = replay_ticks(g, horizon, chunk);
-    let mut retained: Vec<LiveIndex<u64>> = Vec::with_capacity(ticks.len() + 1);
     let mut stats = Vec::with_capacity(ticks.len() + 1);
     let mut last_copied = 0u64;
-    let mut publish = |stream: &TvgStream<u64>,
-                       retained: &mut Vec<LiveIndex<u64>>,
-                       last_copied: &mut u64,
-                       epoch: u64,
-                       events: u64| {
-        retained.push(stream.snapshot());
+    // Epoch 0 publishes before any tick: an empty batch changes nothing.
+    for (epoch, tick) in std::iter::once(&Vec::new()).chain(&ticks).enumerate() {
+        stream.ingest(tick).expect("replay feeds are valid");
+        drop(stream.snapshot());
         let copied = stream.index().chunks_copied();
         stats.push(PublishStats {
-            epoch,
-            events,
+            epoch: epoch as u64,
+            events: tick.len() as u64,
             chunks_frozen: stream.index().chunks_frozen(),
-            chunks_copied: copied - *last_copied,
+            chunks_copied: copied - last_copied,
         });
-        *last_copied = copied;
-    };
-    publish(&stream, &mut retained, &mut last_copied, 0, 0);
-    for (i, tick) in ticks.iter().enumerate() {
-        stream.ingest(tick).expect("replay feeds are valid");
-        publish(
-            &stream,
-            &mut retained,
-            &mut last_copied,
-            i as u64 + 1,
-            tick.len() as u64,
-        );
+        last_copied = copied;
     }
     stats
 }

@@ -14,13 +14,15 @@
 //!   offline replay of the same ticks;
 //! * every structure-sharing snapshot is byte-identical to a
 //!   from-scratch rebuild of its epoch's tick prefix, even while the
-//!   stream keeps mutating the shared chunks underneath.
+//!   stream keeps mutating the shared chunks underneath;
+//! * counters and reader-count invariance hold at both ends of epoch
+//!   release: every request on the final epoch, or one on every epoch.
 
 use rand::Rng;
 use tvg_journeys::{SearchLimits, WaitingPolicy};
 use tvg_model::generators::{edge_markovian_contacts, scale_free_temporal};
 use tvg_model::Tvg;
-use tvg_serve::{generate_load, LoadSpec, ServeConfig};
+use tvg_serve::{availability, generate_load, LoadSpec, ServeConfig, TimedRequest};
 use tvg_testkit::{servecheck, Config};
 
 fn policies() -> [WaitingPolicy<u64>; 3] {
@@ -176,6 +178,47 @@ fn shared_snapshots_are_structurally_identical_to_rebuilds() {
                 chunk,
                 &format!("serve::structure case {case}"),
             );
+        },
+    );
+}
+
+#[test]
+fn release_schedules_keep_counters_and_reader_invariance() {
+    tvg_testkit::check_with(
+        Config::named_with_cases("serve::release", 8),
+        |rng, case| {
+            let (g, horizon, chunk) = workload(rng);
+            let (_, ticks) = servecheck::replay_ticks(&g, horizon, chunk);
+            // Instant 0 and each tick's availability: every pinnable epoch.
+            let instants: Vec<u64> = std::iter::once(0).chain(availability(&ticks)).collect();
+            let requests = generate_load(&LoadSpec {
+                requests: instants.len(),
+                mean_gap: 1,
+                mix: (2, 1, 1),
+                nodes: g.num_nodes(),
+                seed_instant: 0,
+                seed: rng.gen::<u64>(),
+            });
+            let policy = policies()[case % 3];
+            let config = config_for(&g, horizon, policy, rng.gen_range(1..5));
+            let every_epoch = instants;
+            let final_epoch = vec![u64::MAX; every_epoch.len()];
+            for (shape, at) in [("final epoch", final_epoch), ("every epoch", every_epoch)] {
+                let load: Vec<TimedRequest> = (requests.iter().zip(at))
+                    .map(|(r, at)| TimedRequest { at, ..*r })
+                    .collect();
+                let label = format!("serve::release case {case}, {shape}, under {policy}");
+                servecheck::assert_publication_counters(&g, horizon, chunk, &load, &config, &label);
+                servecheck::assert_serve_is_reader_count_invariant(
+                    &g,
+                    horizon,
+                    chunk,
+                    &load,
+                    &config,
+                    &[1, 2, 4],
+                    &label,
+                );
+            }
         },
     );
 }

@@ -1,8 +1,8 @@
 //! Snapshot publication on the serve path (experiment E13): a
 //! scale-free temporal contact graph (5 000 nodes, horizon 48) replayed
-//! as a live feed in ticks of 512 events, with one retained snapshot
-//! published per tick, as the serve runtime's epoch ring does (retention
-//! is what forces copy-on-write on the live side).
+//! as a live feed in ticks of 512 events, with one snapshot published
+//! per tick and every snapshot retained: the worst case for the live
+//! side's copy-on-write, since no chunk is ever unshared.
 //!
 //! A wall-clock gate, `#[ignore]`d so the tier-1 suite stays
 //! deterministic: in one process, publishing a structure-sharing
@@ -54,15 +54,15 @@ fn flat_clone(index: &LiveIndex<u64>) -> FlatSnapshot {
 fn pass<S>(
     base: &TvgStream<u64>,
     events: &[StreamEvent<u64>],
-    publish: impl Fn(&TvgStream<u64>) -> S,
+    publish: impl Fn(&mut TvgStream<u64>) -> S,
 ) -> Duration {
     let mut stream = base.clone();
-    let mut retained = vec![publish(&stream)];
+    let mut retained = vec![publish(&mut stream)];
     let mut spent = Duration::ZERO;
     for tick in events.chunks(BATCH) {
         stream.ingest(tick).expect("a replay is a valid feed");
         let started = Instant::now();
-        retained.push(publish(&stream));
+        retained.push(publish(&mut stream));
         spent += started.elapsed();
     }
     spent
