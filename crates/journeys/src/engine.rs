@@ -48,6 +48,13 @@
 //!   cannot improve. Reset, prune and every incremental refresh forget
 //!   the coverage. `NoWait` windows never overlap, so its loop compiles
 //!   without coverage, and `Unbounded` runs the Pareto explorer.
+//! * **Departure schedule.** An expansion walks only the spans its
+//!   window can depart on. A node's first expansion in a drain or replay
+//!   binary-searches each out-edge once; later ones merge the out-edges'
+//!   span lists lazily by start, admitting spans into a live list kept
+//!   in out-edge order (the [`TemporalIndex::crossings`] order) and
+//!   dropping the ones that ended. An out-edge with no span in the
+//!   window is not read.
 //! * **Windowed replay.** Each settled configuration's `Conf` keeps
 //!   what its last expansion added to `expanded` and its *reach*: the
 //!   latest instant that expansion depended on, i.e. the end of its
@@ -63,14 +70,14 @@
 //!   exact for dilated and opaque latencies too.
 //! * **Reuse with touched-only reset.** An [`Engine`] keeps both cores
 //!   alive across runs; every batch worker and serve reader owns one.
-//!   Per-node frontiers live behind a dense slot array and exist only
-//!   for the nodes a run touched, and the span cursors record which
-//!   edges they moved. A reset clears exactly those frontiers (including
-//!   generated but unsettled ones a targeted early exit leaves behind),
-//!   those cursors, and the heap, so a run that explores little costs
-//!   little even on a huge index. Only the dense output (arrivals and
-//!   witness slots, which the returned tree owns) is allocated per run,
-//!   as lazily mapped zeroed memory.
+//!   Per-node frontiers and departure schedules live behind dense slot
+//!   arrays and exist only for the nodes a run touched. A reset clears
+//!   exactly those frontiers (including generated but unsettled ones a
+//!   targeted early exit leaves behind), those schedules, and the heap,
+//!   so a run that explores little costs little even on a huge index.
+//!   Only the dense output (arrivals and witness slots, which the
+//!   returned tree owns) is allocated per run, as lazily mapped zeroed
+//!   memory.
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
@@ -87,6 +94,7 @@
 
 use crate::{Hop, Journey, ReplayCounts, SearchLimits, WaitingPolicy};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 use tvg_model::{EdgeId, NodeId, TemporalIndex, Time};
 
@@ -299,6 +307,8 @@ pub(crate) struct TreeRepr<T> {
 pub struct ForemostTree<T> {
     arrival: Vec<Option<T>>,
     repr: TreeRepr<T>,
+    /// The number of `Some` entries in `arrival`.
+    reached: usize,
     stats: EngineStats,
 }
 
@@ -308,11 +318,13 @@ impl<T: Time> ForemostTree<T> {
     pub(crate) fn from_parts(
         arrival: Vec<Option<T>>,
         repr: TreeRepr<T>,
+        reached: usize,
         stats: EngineStats,
     ) -> Self {
         ForemostTree {
             arrival,
             repr,
+            reached,
             stats,
         }
     }
@@ -348,7 +360,7 @@ impl<T: Time> ForemostTree<T> {
     /// Number of reached nodes (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        self.arrival.iter().filter(|r| r.is_some()).count()
+        self.reached
     }
 
     /// Work counters of the run that produced this tree
@@ -474,18 +486,18 @@ impl<T: Time> Engine<T> {
         let n = index.num_nodes();
         match policy {
             WaitingPolicy::Unbounded => {
-                let core = &mut self.pareto;
-                core.reset(n);
-                core.seed(seeds);
-                core.drain(index, limits, target, &mut stats);
-                take_tree(&mut core.arrival, &mut core.best, &mut core.arena, stats)
+                let c = &mut self.pareto;
+                c.reset(n);
+                c.seed(seeds);
+                c.drain(index, limits, target, &mut stats);
+                take_tree(&mut c.arrival, &mut c.best, &mut c.arena, c.reached, stats)
             }
             _ => {
-                let core = &mut self.exact;
-                core.reset(n);
-                core.seed(seeds);
-                core.drain(index, policy, limits, target, &mut stats);
-                take_tree(&mut core.arrival, &mut core.best, &mut core.arena, stats)
+                let c = &mut self.exact;
+                c.reset(n);
+                c.seed(seeds);
+                c.drain(index, policy, limits, target, &mut stats);
+                take_tree(&mut c.arrival, &mut c.best, &mut c.arena, c.reached, stats)
             }
         }
     }
@@ -496,6 +508,7 @@ fn take_tree<T>(
     arrival: &mut Vec<Option<T>>,
     best: &mut Vec<Option<u32>>,
     arena: &mut Vec<Label<T>>,
+    reached: usize,
     stats: EngineStats,
 ) -> ForemostTree<T> {
     ForemostTree {
@@ -504,6 +517,7 @@ fn take_tree<T>(
             arena: std::mem::take(arena),
             best: std::mem::take(best),
         },
+        reached,
         stats,
     }
 }
@@ -516,27 +530,78 @@ fn unreached<X: Clone>(slots: &mut Vec<Option<X>>, n: usize) {
     *slots = vec![None; n];
 }
 
-/// Per-edge span cursors (see [`ExactCore::expand`]) plus the edges
-/// whose cursor has moved, so a rewind costs what the last pass moved,
-/// not one write per edge.
-#[derive(Debug, Clone, Default)]
-struct Cursors {
-    pos: Vec<usize>,
-    moved: Vec<EdgeId>,
+/// One touched node's departure schedule within a pass (see
+/// [`ExactCore::expand`]): its out-edges' span lists merged lazily by
+/// start. Expansion times and window ends never decrease within a pass,
+/// so a span that ends at or before an expansion time leaves for good.
+#[derive(Debug, Clone)]
+struct Departures<T> {
+    /// Each out-edge's next span not yet admitted, as `(start, out-edge
+    /// slot, span index)`: a min-heap by start.
+    pending: BinaryHeap<Reverse<(T, usize, usize)>>,
+    /// Admitted spans that have not ended, as `(out-edge slot, span
+    /// index, start, end)` in `(slot, start)` order, the order
+    /// [`TemporalIndex::crossings`] enumerates them in.
+    live: Vec<(usize, usize, T, T)>,
 }
 
-impl Cursors {
-    /// Zeroes every moved cursor and sizes the array for `num_edges`.
-    /// Every cursor is zero once rewound, so growing is a fresh zeroed
-    /// allocation (lazily mapped pages) instead of a copy and a fill.
-    fn rewind(&mut self, num_edges: usize) {
-        for e in self.moved.drain(..) {
-            self.pos[e.index()] = 0;
+impl<T: Ord> Default for Departures<T> {
+    fn default() -> Self {
+        Departures {
+            pending: BinaryHeap::new(),
+            live: Vec::new(),
         }
-        if num_edges > self.pos.len() {
-            self.pos = vec![0; num_edges];
-        } else {
-            self.pos.truncate(num_edges);
+    }
+}
+
+impl<T: Time> Departures<T> {
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.live.clear();
+    }
+
+    /// The node's first expansion in the pass, with the window `[time,
+    /// until]`: per out-edge, the spans from the first one ending after
+    /// `time` go live while they start by `until`; the next is queued.
+    fn prime<I: TemporalIndex<T>>(&mut self, index: &I, edges: &[EdgeId], time: &T, until: &T) {
+        let live = &mut self.live;
+        self.pending
+            .extend(edges.iter().enumerate().filter_map(|(slot, &e)| {
+                let spans = index.presence(e).spans();
+                let mut i = spans.partition_point(|(_, end)| end <= time);
+                while let Some((start, end)) = spans.get(i).filter(|(start, _)| start <= until) {
+                    live.push((slot, i, start.clone(), end.clone()));
+                    i += 1;
+                }
+                spans.get(i).map(|s| Reverse((s.0.clone(), slot, i)))
+            }));
+    }
+
+    /// A later expansion, with the window `[time, until]`: drops the live
+    /// spans that ended and admits the queued ones starting by `until`,
+    /// skipping any that ended unadmitted.
+    fn advance<I: TemporalIndex<T>>(&mut self, index: &I, edges: &[EdgeId], time: &T, until: &T) {
+        self.live.retain(|(_, _, _, end)| end > time);
+        while let Some(Reverse((_, slot, i))) = self
+            .pending
+            .peek_mut()
+            .filter(|head| head.0 .0 <= *until)
+            .map(PeekMut::pop)
+        {
+            let spans = index.presence(edges[slot]).spans();
+            let i = i + spans[i..].partition_point(|(_, end)| end <= time);
+            let Some((start, end)) = spans.get(i) else {
+                continue;
+            };
+            if start > until {
+                self.pending.push(Reverse((start.clone(), slot, i)));
+                continue;
+            }
+            if let Some((next, _)) = spans.get(i + 1) {
+                self.pending.push(Reverse((next.clone(), slot, i + 1)));
+            }
+            let at = self.live.partition_point(|l| (l.0, l.1) < (slot, i));
+            self.live.insert(at, (slot, i, start.clone(), end.clone()));
         }
     }
 }
@@ -736,7 +801,8 @@ pub(crate) struct ExactCore<T> {
     // so the first settle of a node is its foremost arrival. Residual
     // duplicates are deduplicated at pop time against the settled flag.
     queue: BinaryHeap<Reverse<(T, NodeId, u32, u32)>>,
-    cursors: Cursors,
+    /// The departure schedule of each node the current pass expanded.
+    departures: Touched<Departures<T>>,
 }
 
 impl<T: Time> ExactCore<T> {
@@ -749,7 +815,7 @@ impl<T: Time> ExactCore<T> {
             frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
             queue: BinaryHeap::new(),
-            cursors: Cursors::default(),
+            departures: Touched::new(num_nodes),
         }
     }
 
@@ -758,8 +824,8 @@ impl<T: Time> ExactCore<T> {
     /// of every node it generated into (including generated but
     /// unsettled configurations a targeted early exit left behind), its
     /// seeds, and the heap. The dense output arrays are rebuilt, since
-    /// the previous run's tree took them. Span cursors rewind at the
-    /// start of every drain and replay.
+    /// the previous run's tree took them. Departure schedules reset at
+    /// the start of every drain and replay.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.frontiers.reset(num_nodes, |f| {
             f.confs.clear();
@@ -876,7 +942,7 @@ impl<T: Time> ExactCore<T> {
             }
         }
         survivors.sort();
-        self.cursors.rewind(index.num_edges());
+        self.departures.reset(index.num_nodes(), Departures::clear);
         let replayed = survivors.len() as u64;
         for (time, node, hops) in survivors {
             let id = self.origin_label(node, &time);
@@ -934,7 +1000,7 @@ impl<T: Time> ExactCore<T> {
         stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        self.cursors.rewind(index.num_edges());
+        self.departures.reset(index.num_nodes(), Departures::clear);
         while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
             let ni = node.index();
             // The witness label of this configuration: its
@@ -982,11 +1048,11 @@ impl<T: Time> ExactCore<T> {
 
     /// Expands every admissible crossing from a settled configuration —
     /// the same `(edge, depart, arrive)` triples in the same order as
-    /// [`TemporalIndex::crossings`], through a per-edge span cursor:
-    /// expansion times within one drain/replay are non-decreasing, so
-    /// the span holding the next departure is found by walking forward
-    /// from the last position (amortized O(1) per call) instead of a
-    /// fresh binary search per `(settle, edge)`.
+    /// [`TemporalIndex::crossings`], through the node's [`Departures`]:
+    /// a span is read when it is admitted into the node's live list, not
+    /// on every expansion, so an out-edge with no span in the window
+    /// costs nothing here. The node's first expansion in a drain or
+    /// replay binary-searches each out-edge once.
     ///
     /// Triples departing within the node's [`Coverage`] are counted into
     /// `stats.expanded`, not enumerated, when this configuration has no
@@ -1030,86 +1096,72 @@ impl<T: Time> ExactCore<T> {
                 )
             })
             .filter(|(lo, hi)| lo <= hi);
-        for &e in index.out_edges(node) {
-            let spans = index.presence(e).spans();
-            // Expansion times only grow, so spans ending at or before
-            // `time` can never serve a later call either: skip them for
-            // good by advancing the edge's cursor.
-            let from = self.cursors.pos[e.index()];
-            let mut i = from;
-            while i < spans.len() && spans[i].1 <= *time {
-                i += 1;
-            }
-            if i != from {
-                if from == 0 {
-                    self.cursors.moved.push(e);
-                }
-                self.cursors.pos[e.index()] = i;
-            }
+        let edges = index.out_edges(node);
+        let primed = self.departures.get(node).is_some();
+        let schedule = self.departures.touch(node);
+        if primed {
+            schedule.advance(index, edges, time, &until);
+        } else {
+            schedule.prime(index, edges, time, &until);
+        }
+        for (slot, _, start, end) in &schedule.live {
+            let e = edges[*slot];
             let succ = index.dst(e);
-            while i < spans.len() && spans[i].0 <= until {
-                let (start, end) = &spans[i];
-                let mut dep = if *start > *time {
-                    start.clone()
-                } else {
-                    time.clone()
-                };
-                while dep < *end && dep <= until {
-                    if let Some((_, hi)) =
-                        covered.as_ref().filter(|(lo, hi)| *lo <= dep && dep <= *hi)
-                    {
-                        // `dep < end`, so `end - 1` exists and its
-                        // successor does not overflow.
-                        let last = hi
-                            .clone()
-                            .min(end.checked_sub(&T::one()).expect("dep < end"));
-                        let (count, latest_arr) = count_crossings(index, e, &dep, &last);
-                        crossings += count;
-                        if let Some(arr) = latest_arr.filter(|arr| *arr > reach) {
-                            reach = arr;
-                        }
-                        dep = last.succ();
-                        continue;
+            let mut dep = if *start > *time {
+                start.clone()
+            } else {
+                time.clone()
+            };
+            while dep < *end && dep <= until {
+                if let Some((_, hi)) = covered.as_ref().filter(|(lo, hi)| *lo <= dep && dep <= *hi)
+                {
+                    // `dep < end`, so `end - 1` exists and its
+                    // successor does not overflow.
+                    let last = hi
+                        .clone()
+                        .min(end.checked_sub(&T::one()).expect("dep < end"));
+                    let (count, latest_arr) = count_crossings(index, e, &dep, &last);
+                    crossings += count;
+                    if let Some(arr) = latest_arr.filter(|arr| *arr > reach) {
+                        reach = arr;
                     }
-                    let Some(arr) = index.arrival(e, &dep) else {
-                        // Latency overflow: the crossing is dropped
-                        // before it counts as expanded.
-                        dep = dep.succ();
-                        continue;
-                    };
-                    crossings += 1;
-                    if arr > reach {
-                        reach = arr.clone();
-                    }
-                    // Either branch leaves `succ` with a frontier entry.
-                    let map = &mut self.frontiers.touch(succ).confs;
-                    match map.search(&arr) {
-                        Ok(at) => {
-                            // Already generated: the first crossing keeps
-                            // the witness; re-enqueue only on a strict hop
-                            // improvement into a not-yet-settled
-                            // configuration (decrease-key).
-                            let entry = map.val_mut(at);
-                            if !entry.settled && hops + 1 < entry.hops {
-                                entry.hops = hops + 1;
-                                let gen_id = entry.label;
-                                self.queue.push(Reverse((arr, succ, hops + 1, gen_id)));
-                            }
-                        }
-                        Err(at) => {
-                            let new_id = alloc_label(
-                                &mut self.arena,
-                                arr.clone(),
-                                Some((id, e, dep.clone())),
-                            );
-                            let entry = Conf::new(new_id, hops + 1, false, arr.clone());
-                            map.insert_at(at, arr.clone(), entry);
-                            self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
-                        }
-                    }
-                    dep = dep.succ();
+                    dep = last.succ();
+                    continue;
                 }
-                i += 1;
+                let Some(arr) = index.arrival(e, &dep) else {
+                    // Latency overflow: the crossing is dropped
+                    // before it counts as expanded.
+                    dep = dep.succ();
+                    continue;
+                };
+                crossings += 1;
+                if arr > reach {
+                    reach = arr.clone();
+                }
+                // Either branch leaves `succ` with a frontier entry.
+                let map = &mut self.frontiers.touch(succ).confs;
+                match map.search(&arr) {
+                    Ok(at) => {
+                        // Already generated: the first crossing keeps
+                        // the witness; re-enqueue only on a strict hop
+                        // improvement into a not-yet-settled
+                        // configuration (decrease-key).
+                        let entry = map.val_mut(at);
+                        if !entry.settled && hops + 1 < entry.hops {
+                            entry.hops = hops + 1;
+                            let gen_id = entry.label;
+                            self.queue.push(Reverse((arr, succ, hops + 1, gen_id)));
+                        }
+                    }
+                    Err(at) => {
+                        let new_id =
+                            alloc_label(&mut self.arena, arr.clone(), Some((id, e, dep.clone())));
+                        let entry = Conf::new(new_id, hops + 1, false, arr.clone());
+                        map.insert_at(at, arr.clone(), entry);
+                        self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
+                    }
+                }
+                dep = dep.succ();
             }
         }
         stats.expanded += crossings;
@@ -1715,6 +1767,130 @@ mod tests {
         assert_eq!(covered(&core), 0);
     }
 
+    /// Two nodes, one unit-latency edge v0 → v1 per instant set, in
+    /// order: edge `i` is out-edge slot `i` of v0.
+    fn fan(sets: &[&[u64]]) -> Tvg<u64> {
+        let mut b = TvgBuilder::new();
+        let v = b.nodes(2);
+        for set in sets {
+            let at = Presence::FiniteSet(set.iter().copied().collect());
+            b.edge(v[0], v[1], 'e', at, Latency::unit()).expect("valid");
+        }
+        b.build().expect("valid")
+    }
+
+    /// A schedule's live spans as `(slot, start, end)`.
+    fn live(d: &Departures<u64>) -> Vec<(usize, u64, u64)> {
+        d.live.iter().map(|&(slot, _, s, e)| (slot, s, e)).collect()
+    }
+
+    #[test]
+    fn a_span_ending_at_the_expansion_time_is_excluded() {
+        // e0 is present on [1, 3), e1 on [2, 4).
+        let g = fan(&[&[1, 2], &[2, 3]]);
+        let idx = TvgIndex::compile(&g, 20);
+        let edges = idx.out_edges(n(0));
+        let mut d = Departures::default();
+        d.prime(&idx, edges, &3, &5);
+        assert_eq!(live(&d), vec![(1, 2, 4)]);
+        // Admitted by an earlier expansion, e0's span leaves at 3.
+        d.clear();
+        d.prime(&idx, edges, &0, &1);
+        assert_eq!(live(&d), vec![(0, 1, 3)]);
+        d.advance(&idx, edges, &3, &4);
+        assert_eq!(live(&d), vec![(1, 2, 4)]);
+    }
+
+    #[test]
+    fn a_span_that_ends_unadmitted_is_skipped() {
+        // e0 is present on [5, 6) and [8, 10), e1 on [5, 6) and [12, 13).
+        let g = fan(&[&[5, 8, 9], &[5, 12]]);
+        let idx = TvgIndex::compile(&g, 20);
+        let edges = idx.out_edges(n(0));
+        let mut d = Departures::default();
+        d.prime(&idx, edges, &0, &2);
+        assert!(d.live.is_empty());
+        // The next window, [7, 9], jumps past both [5, 6) spans.
+        d.advance(&idx, edges, &7, &9);
+        assert_eq!(live(&d), vec![(0, 8, 10)]);
+        let pending: Vec<_> = d.pending.iter().map(|Reverse(head)| *head).collect();
+        assert_eq!(pending, vec![(12, 1, 1)]);
+    }
+
+    #[test]
+    fn spans_go_live_in_out_edge_order_and_serve_overlapping_windows() {
+        // e0 is present on [6, 12), e1 on [5, 12): e1 is admitted first
+        // but walked second, as `crossings` enumerates it.
+        let g = fan(&[&[6, 7, 8, 9, 10, 11], &[5, 6, 7, 8, 9, 10, 11]]);
+        let idx = TvgIndex::compile(&g, 20);
+        let edges = idx.out_edges(n(0));
+        let mut d = Departures::default();
+        d.prime(&idx, edges, &0, &3);
+        assert!(d.live.is_empty());
+        // wait[3] windows from 4 on: each admits nothing new.
+        for t in 4..=8 {
+            d.advance(&idx, edges, &t, &(t + 3));
+            assert_eq!(live(&d), vec![(0, 6, 12), (1, 5, 12)], "window at {t}");
+        }
+        assert!(d.pending.is_empty());
+        d.advance(&idx, edges, &12, &15);
+        assert!(d.live.is_empty());
+    }
+
+    #[test]
+    fn the_lower_out_edge_slot_keeps_an_equal_arrival_witness() {
+        // v0 -a-> v1 on [6, 8) with unit latency, v0 -b-> v1 on [5, 8)
+        // with latency 2: both arrive at 7 first. (v0, 0) expands with
+        // nothing in its wait[2] window, so (v0, 4) admits b before a,
+        // and a, the lower slot, must still cross first.
+        let mut b = TvgBuilder::new();
+        let v = b.nodes(2);
+        let a = Presence::Window { from: 6, until: 7 };
+        b.edge(v[0], v[1], 'a', a, Latency::unit()).expect("valid");
+        let w = Presence::Window { from: 5, until: 7 };
+        b.edge(v[0], v[1], 'b', w, Latency::Const(2u64))
+            .expect("valid");
+        let g = b.build().expect("valid");
+        let idx = TvgIndex::compile(&g, 20);
+        let seeds = [(n(0), 0u64), (n(0), 4)];
+        let tree = foremost_tree_multi(&idx, &seeds, &WaitingPolicy::Bounded(2), &limits());
+        let hops = tree.journey_to(n(1)).expect("reached").hops().to_vec();
+        let a = Hop {
+            edge: EdgeId::from_index(0),
+            depart: 6,
+            arrive: 7,
+        };
+        assert_eq!(hops, vec![a]);
+        drain_and_recount(&idx, &seeds, 2, &limits());
+    }
+
+    #[test]
+    fn a_zero_latency_self_loop_feeds_the_schedule_it_is_walked_from() {
+        // The loop regenerates (v0, t) while v0's schedule walks it, and
+        // settles v0 at every instant up to 2; only (v0, 2)'s wait[2]
+        // window reaches a at 4.
+        let mut b = TvgBuilder::new();
+        let v = b.nodes(2);
+        let lp = Presence::Window { from: 0, until: 2 };
+        b.edge(v[0], v[0], 's', lp, Latency::Const(0u64))
+            .expect("valid");
+        b.edge(v[0], v[1], 'a', Presence::At(4), Latency::unit())
+            .expect("valid");
+        let g = b.build().expect("valid");
+        let idx = TvgIndex::compile(&g, 20);
+        let core = drain_and_recount(&idx, &[(n(0), 0u64)], 2, &limits());
+        assert_eq!(core.arrival[1], Some(5));
+        let tree = foremost_tree(&idx, n(0), &0, &WaitingPolicy::Bounded(2), &limits());
+        let departs: Vec<u64> = tree
+            .journey_to(n(1))
+            .expect("reached")
+            .hops()
+            .iter()
+            .map(|h| h.depart)
+            .collect();
+        assert_eq!(departs, vec![2, 4]);
+    }
+
     use crate::IncrementalForemost;
     use tvg_model::stream::{StreamEvent, TvgStream};
 
@@ -1886,6 +2062,31 @@ mod tests {
             reused: 1,
         };
         assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn schedules_are_rebuilt_after_a_truncation_and_a_horizon_extension() {
+        // u -a-> v is open from 2 and v -b-> w from 4, through the
+        // horizon 10. Closing a at 6 truncates the span the previous
+        // pass admitted; extending the horizon then lengthens every open
+        // span. Each refresh must read the spans afresh (`repair` checks
+        // `expanded` against a fresh run).
+        let mut s = TvgStream::new(10).expect("representable");
+        let (u, v, w) = (s.add_node("u"), s.add_node("v"), s.add_node("w"));
+        let l = s.add_edge(u, u, 's', Latency::unit()).expect("valid");
+        let a = s.add_edge(u, v, 'a', Latency::unit()).expect("valid");
+        let b = s.add_edge(v, w, 'b', Latency::unit()).expect("valid");
+        s.ingest(&[up(l, 0), up(a, 2), up(b, 4)]).expect("valid");
+        let limits = SearchLimits::new(30, 20);
+        let mut inc =
+            IncrementalForemost::new(s.index(), &[(u, 0)], WaitingPolicy::Bounded(2), limits);
+        assert_eq!(inc.arrival(w), Some(&5));
+        repair(&mut s, &mut inc, &[down(a, 6)], None);
+        assert_eq!(inc.arrival(w), Some(&5));
+        let extend = [StreamEvent::ExtendHorizon { to: 20 }];
+        let counts = repair(&mut s, &mut inc, &extend, None);
+        assert!(counts.replayed > 0);
+        assert_eq!(inc.arrival(w), Some(&5));
     }
 
     #[test]

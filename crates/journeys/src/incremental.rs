@@ -340,6 +340,7 @@ impl<T: Time> IncrementalForemost<T> {
                 arena: arena.clone(),
                 best: best.clone(),
             },
+            self.num_reached(),
             self.stats,
         )
     }

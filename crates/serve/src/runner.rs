@@ -496,9 +496,7 @@ fn serve_group(
         &config.limits,
         None,
     );
-    // At most one O(n) count per group, however many members read it.
-    let reached = std::cell::OnceCell::new();
-    let reached = || *reached.get_or_init(|| tree.num_reached() as u64);
+    let reached = tree.num_reached() as u64;
     let answers = members
         .iter()
         .map(|&i| {
@@ -506,8 +504,8 @@ fn serve_group(
                 Request::Foremost { dst, .. } => {
                     Answer::Arrival(tree.arrival(NodeId::from_index(dst)).copied())
                 }
-                Request::Matrix { .. } => Answer::Reached(reached()),
-                Request::Broadcast { .. } => Answer::Informed(reached()),
+                Request::Matrix { .. } => Answer::Reached(reached),
+                Request::Broadcast { .. } => Answer::Informed(reached),
             };
             (i, snapshot.epoch(), answer)
         })

@@ -50,6 +50,8 @@
 //!   publishes newer epochs, served answers equal from-scratch
 //!   computations on their pinned tick prefix, and the logical outcome
 //!   is reader-count invariant.
+//! * [`readcount`] — a counting index wrapper: tests pin how many span
+//!   lists an engine run reads, a deterministic stand-in for its time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,6 +61,7 @@ pub mod fixtures;
 pub mod gen;
 pub mod oracles;
 pub mod prop;
+pub mod readcount;
 pub mod refengine;
 pub mod rng;
 pub mod servecheck;

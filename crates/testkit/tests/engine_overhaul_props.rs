@@ -19,9 +19,15 @@
 //! on a dense edge-Markovian graph where `max_hops` binds, on a `u32`
 //! graph whose constant latency overflows inside covered windows, and
 //! under latencies not known to be monotone.
+//!
+//! Its per-node departure schedule (out-edge spans merged lazily by
+//! start, walked in out-edge order) is pinned on dense multigraphs:
+//! twenty or more out-edges per node, parallel edges, self-loops and
+//! short interleaved spans, under `NoWait` and every `wait[d]` up to 12.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use tvg_bigint::Nat;
 use tvg_journeys::engine::{foremost_tree, foremost_tree_multi};
 use tvg_journeys::{Engine, IncrementalForemost, SearchLimits, WaitingPolicy};
@@ -60,6 +66,7 @@ fn assert_cores_match<T: Time, I: TemporalIndex<T>>(
             oracle.stats(),
             "{label}: stats diverge from {src} under {policy}"
         );
+        assert_eq!(tree.num_reached(), oracle.num_reached(), "{label}");
         for dst in (0..nodes).map(NodeId::from_index) {
             assert_eq!(
                 tree.arrival(dst),
@@ -233,6 +240,59 @@ fn coverage_matches_oracle_under_non_monotone_latencies() {
             &SearchLimits::new(40u64, 6),
             "non-monotone",
         );
+    }
+}
+
+/// The horizon of the dense multigraphs.
+const DENSE_HORIZON: u64 = 32;
+
+/// Six nodes with 20 to 27 out-edges each: every seventh a self-loop
+/// (some of zero latency), every fourth otherwise a parallel edge to the
+/// next node. Each edge is present on spans of one or two instants, 6 to
+/// 15 ticks apart, so siblings' spans interleave and a node settles at
+/// scattered instants: its later windows admit several spans at once,
+/// out of out-edge order by start.
+fn dense_multigraph(seed: u64) -> Tvg<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = TvgBuilder::new();
+    let v = b.nodes(6);
+    for (i, &src) in v.iter().enumerate() {
+        for k in 0..rng.gen_range(20..28usize) {
+            let dst = if k % 7 == 0 {
+                src
+            } else if k % 4 == 0 {
+                v[(i + 1) % v.len()]
+            } else {
+                v[rng.gen_range(0..v.len())]
+            };
+            let mut at = BTreeSet::new();
+            let mut t = rng.gen_range(0..16u64);
+            while t < DENSE_HORIZON {
+                at.extend(t..t + rng.gen_range(1..=2u64));
+                t += rng.gen_range(6..16u64);
+            }
+            let latency = Latency::Const([0, 1, 1, 2, 5][rng.gen_range(0..5usize)]);
+            b.edge(src, dst, 'm', Presence::FiniteSet(at), latency)
+                .expect("valid");
+        }
+    }
+    b.build().expect("valid")
+}
+
+#[test]
+fn departure_schedule_matches_oracle_on_dense_multigraphs() {
+    // A tight and a loose hop limit.
+    for (seed, max_hops) in [(2u64, 3), (19, 64)] {
+        let g = dense_multigraph(seed);
+        let index = TvgIndex::compile(&g, DENSE_HORIZON);
+        assert!(g.nodes().all(|v| index.out_edges(v).len() >= 20));
+        let limits = SearchLimits::new(DENSE_HORIZON, max_hops);
+        let label = format!("dense seed {seed}");
+        let policies =
+            std::iter::once(WaitingPolicy::NoWait).chain((0..=12).map(WaitingPolicy::Bounded));
+        for policy in policies {
+            assert_cores_match(&index, &0, &policy, &limits, &label);
+        }
     }
 }
 

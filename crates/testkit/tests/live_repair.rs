@@ -4,6 +4,10 @@
 //!
 //! * A deterministic work property: the windowed replay re-expands only
 //!   the survivors a tick's batch can change, so most are reused.
+//! * A deterministic read-count gate: the exact explorer reads an
+//!   edge's spans only when a departure window can reach them, so the
+//!   repair and the final all-sources query read a pinned number of
+//!   span lists, far below one read per out-edge per expansion.
 //! * A wall-clock gate, `#[ignore]`d so the tier-1 suite stays
 //!   deterministic: in one process, repairing the tree every tick must
 //!   cost well under recomputing it fresh every tick. Run it on a
@@ -11,9 +15,10 @@
 //!   `cargo test --release -p tvg-testkit --test live_repair -- --ignored`.
 
 use std::time::{Duration, Instant};
-use tvg_journeys::{foremost_tree, IncrementalForemost, ReplayCounts};
-use tvg_model::NodeId;
+use tvg_journeys::{foremost_tree, Engine, IncrementalForemost, ReplayCounts};
+use tvg_model::{NodeId, TemporalIndex};
 use tvg_scenarios::{parse_specs, Plan, Scenario};
+use tvg_testkit::readcount::CountingIndex;
 
 /// The `live-repair` workload's spec at its default generator seed.
 const LIVE_REPAIR: &str = "scenario live-repair\n\
@@ -71,6 +76,38 @@ fn live_repair_reuses_most_survivors() {
     );
     // The repair settles what the report's `incremental.settled` pins.
     assert_eq!(inc.stats().settled, 329_929);
+}
+
+#[test]
+fn live_repair_reads_only_the_spans_a_window_reaches() {
+    let scenario = live_repair();
+    let Plan::Streaming {
+        src, start, batch, ..
+    } = *scenario.plan()
+    else {
+        panic!("live-repair is a streaming plan");
+    };
+    let limits = scenario.limits();
+    let policy = *scenario.policy();
+    let (mut stream, events) = scenario.stream_feed(&scenario.build_graph(), limits.horizon);
+    let source = NodeId::from_index(src);
+    let counted = CountingIndex::new(stream.index());
+    let mut inc = IncrementalForemost::new(&counted, &[(source, start)], policy, limits.clone());
+    let mut repair = counted.reads();
+    for chunk in events.chunks(batch) {
+        let report = stream.ingest(chunk).expect("scenario feeds are valid");
+        let counted = CountingIndex::new(stream.index());
+        inc.refresh(&counted, &report);
+        repair += counted.reads();
+    }
+    // The final query of the plan: every node as a source.
+    let counted = CountingIndex::new(stream.index());
+    let mut engine = Engine::new();
+    for v in (0..counted.num_nodes()).map(NodeId::from_index) {
+        let _ = engine.run(&counted, &[(v, start)], &policy, &limits, None);
+    }
+    // One read per out-edge per expansion would be about 38.7M.
+    assert_eq!((repair, counted.reads()), (451_508, 443_693));
 }
 
 fn median(mut xs: Vec<Duration>) -> Duration {
