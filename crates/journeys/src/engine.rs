@@ -49,12 +49,15 @@
 //!   the coverage. `NoWait` windows never overlap, so its loop compiles
 //!   without coverage, and `Unbounded` runs the Pareto explorer.
 //! * **Departure schedule.** An expansion walks only the spans its
-//!   window can depart on. A node's first expansion in a drain or replay
+//!   window can depart on. A node's first expansion in a pass
 //!   binary-searches each out-edge once; later ones merge the out-edges'
 //!   span lists lazily by start, admitting spans into a live list kept
 //!   in out-edge order (the [`TemporalIndex::crossings`] order) and
 //!   dropping the ones that ended. An out-edge with no span in the
-//!   window is not read.
+//!   window is not read. A pass expands in non-decreasing time: a fresh
+//!   run is one pass, and so is a repair's replay together with the
+//!   drain after it, since every replayed configuration precedes the
+//!   watermark and the drain pops none before it.
 //! * **Windowed replay.** Each settled configuration's `Conf` keeps
 //!   what its last expansion added to `expanded` and its *reach*: the
 //!   latest instant that expansion depended on, i.e. the end of its
@@ -92,6 +95,7 @@
 //! `ReachabilityMatrix`) to "exactly n single-source runs, no per-pair
 //! search", at any thread count.
 
+use crate::policy::bounded_latest;
 use crate::{Hop, Journey, ReplayCounts, SearchLimits, WaitingPolicy};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -179,20 +183,14 @@ struct BoundedDeparture<T>(T);
 impl<T: Time> DeparturePolicy<T> for BoundedDeparture<T> {
     #[inline]
     fn latest(&self, ready: &T, horizon: &T) -> Option<T> {
-        let latest = ready.checked_add(&self.0)?.min(horizon.clone());
-        (*ready <= *horizon).then_some(latest)
+        bounded_latest(ready, &self.0, horizon)
     }
 }
 
-/// Arbitrary pauses: the whole remaining horizon is the window.
-struct UnboundedDeparture;
-
-impl<T: Time> DeparturePolicy<T> for UnboundedDeparture {
-    #[inline]
-    fn latest(&self, ready: &T, horizon: &T) -> Option<T> {
-        (*ready <= *horizon).then(|| horizon.clone())
-    }
-}
+/// The routing invariant of the exact core: [`Engine::run`] and
+/// `IncrementalForemost::new` hand `Unbounded` waiting to the Pareto
+/// core, so no exact core ever runs it.
+const UNBOUNDED_IS_PARETO: &str = "unbounded waiting runs on the Pareto core, never the exact core";
 
 /// The hop ceiling in the engine's internal `u32` hop arithmetic. A
 /// `max_hops` beyond `u32::MAX` is unreachable anyway: every hop settles
@@ -823,14 +821,14 @@ impl<T: Time> ExactCore<T> {
     /// clearing only what the previous run touched: the frontier maps
     /// of every node it generated into (including generated but
     /// unsettled configurations a targeted early exit left behind), its
-    /// seeds, and the heap. The dense output arrays are rebuilt, since
-    /// the previous run's tree took them. Departure schedules reset at
-    /// the start of every drain and replay.
+    /// seeds, its departure schedules, and the heap. The dense output
+    /// arrays are rebuilt, since the previous run's tree took them.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.frontiers.reset(num_nodes, |f| {
             f.confs.clear();
             f.coverage = None;
         });
+        self.restart_schedules(num_nodes);
         self.seed_slots.clear();
         self.queue.clear();
         self.arena.clear();
@@ -849,6 +847,15 @@ impl<T: Time> ExactCore<T> {
         for f in self.frontiers.values_mut() {
             f.coverage = None;
         }
+    }
+
+    /// Starts a new pass of departure schedules over `num_nodes` nodes.
+    /// A pass may only expand configurations in non-decreasing time, so
+    /// a pass starts with every fresh run and every replay, and before a
+    /// drain that can pop a configuration earlier than the last pass
+    /// expanded. A drain after a replay continues the replay's pass.
+    pub(crate) fn restart_schedules(&mut self, num_nodes: usize) {
+        self.departures.reset(num_nodes, Departures::clear);
     }
 
     /// Enqueues seed configurations (hop count zero).
@@ -913,9 +920,7 @@ impl<T: Time> ExactCore<T> {
             WaitingPolicy::Bounded(d) => {
                 self.replay_inner(index, &BoundedDeparture(d.clone()), limits, t0, stats)
             }
-            WaitingPolicy::Unbounded => {
-                self.replay_inner(index, &UnboundedDeparture, limits, t0, stats)
-            }
+            WaitingPolicy::Unbounded => unreachable!("{UNBOUNDED_IS_PARETO}"),
         }
     }
 
@@ -942,7 +947,7 @@ impl<T: Time> ExactCore<T> {
             }
         }
         survivors.sort();
-        self.departures.reset(index.num_nodes(), Departures::clear);
+        self.restart_schedules(index.num_nodes());
         let replayed = survivors.len() as u64;
         for (time, node, hops) in survivors {
             let id = self.origin_label(node, &time);
@@ -969,7 +974,8 @@ impl<T: Time> ExactCore<T> {
     }
 
     /// Runs the exploration to exhaustion (or to `target`'s first,
-    /// already-foremost settle).
+    /// already-foremost settle), continuing the current pass of
+    /// departure schedules (see [`ExactCore::restart_schedules`]).
     pub(crate) fn drain<I: TemporalIndex<T>>(
         &mut self,
         index: &I,
@@ -985,9 +991,7 @@ impl<T: Time> ExactCore<T> {
             WaitingPolicy::Bounded(d) => {
                 self.drain_inner(index, &BoundedDeparture(d.clone()), limits, target, stats);
             }
-            WaitingPolicy::Unbounded => {
-                self.drain_inner(index, &UnboundedDeparture, limits, target, stats);
-            }
+            WaitingPolicy::Unbounded => unreachable!("{UNBOUNDED_IS_PARETO}"),
         }
     }
 
@@ -1000,7 +1004,6 @@ impl<T: Time> ExactCore<T> {
         stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        self.departures.reset(index.num_nodes(), Departures::clear);
         while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
             let ni = node.index();
             // The witness label of this configuration: its
@@ -1051,8 +1054,9 @@ impl<T: Time> ExactCore<T> {
     /// [`TemporalIndex::crossings`], through the node's [`Departures`]:
     /// a span is read when it is admitted into the node's live list, not
     /// on every expansion, so an out-edge with no span in the window
-    /// costs nothing here. The node's first expansion in a drain or
-    /// replay binary-searches each out-edge once.
+    /// costs nothing here. The node's first expansion in a pass (see
+    /// [`ExactCore::restart_schedules`]) binary-searches each out-edge
+    /// once.
     ///
     /// Triples departing within the node's [`Coverage`] are counted into
     /// `stats.expanded`, not enumerated, when this configuration has no
@@ -1838,7 +1842,7 @@ mod tests {
     }
 
     #[test]
-    fn the_lower_out_edge_slot_keeps_an_equal_arrival_witness() {
+    fn the_lower_out_edge_keeps_an_equal_arrival_witness() {
         // v0 -a-> v1 on [6, 8) with unit latency, v0 -b-> v1 on [5, 8)
         // with latency 2: both arrive at 7 first. (v0, 0) expands with
         // nothing in its wait[2] window, so (v0, 4) admits b before a,

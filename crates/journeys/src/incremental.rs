@@ -195,6 +195,9 @@ impl<T: Time> IncrementalForemost<T> {
                     self.stats.runs += 1;
                     match &mut self.state {
                         State::Exact(core) => {
+                            // A late seed can precede what the last
+                            // pass expanded.
+                            core.restart_schedules(n);
                             core.seed(late);
                             core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
                         }
@@ -230,6 +233,14 @@ impl<T: Time> IncrementalForemost<T> {
                 core.prune(since);
                 self.replay +=
                     core.replay(index, &self.policy, &self.limits, since, &mut self.stats);
+                // Every replayed time is before `since`, and the drain
+                // pops only crossings into the repaired region and
+                // seeds at or after `since`, so it continues the
+                // replay's departure schedules — unless a late source
+                // is seeded before `since`.
+                if seeds.iter().any(|seed| to_seed(&seed) && seed.1 < *since) {
+                    core.restart_schedules(n);
+                }
                 core.seed(seeds.iter().filter(to_seed));
                 core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
             }
@@ -558,6 +569,50 @@ mod tests {
             inc.refresh(s.index(), &report);
             assert_matches_fresh(&s, &inc, "late source");
             assert!(inc.arrival(n(1)).is_some(), "{}", inc.policy());
+        }
+    }
+
+    /// A source that joins in a presence batch, seeded before the
+    /// batch's watermark: the repair replays survivors at `v1` before
+    /// the watermark, then explores from the late source, whose seed is
+    /// earlier still and whose crossing reaches `v1` after it.
+    #[test]
+    fn a_late_source_seeded_before_the_watermark_repairs_exactly() {
+        for policy in policies() {
+            let (mut s, e) = line_stream();
+            s.ingest(&[
+                StreamEvent::Up { edge: e[1], at: 2 },
+                StreamEvent::Up { edge: e[0], at: 3 },
+                StreamEvent::Down { edge: e[0], at: 4 },
+                StreamEvent::Down { edge: e[1], at: 4 },
+            ])
+            .expect("ok");
+            let limits = SearchLimits::new(30, 10);
+            // `v1` settles at 4; under `wait[2]` its window reaches 6.
+            let seeds = [(n(0), 3), (n(4), 4)];
+            let mut inc = IncrementalForemost::new(s.index(), &seeds, policy, limits);
+            let late = tvg_model::EdgeId::from_index(3);
+            let report = s
+                .ingest(&[
+                    StreamEvent::NewNode {
+                        name: "late".into(),
+                    },
+                    StreamEvent::NewEdge {
+                        src: n(4),
+                        dst: n(1),
+                        label: 'l',
+                        latency: Latency::unit(),
+                    },
+                    StreamEvent::Up { edge: late, at: 5 },
+                    StreamEvent::Down { edge: late, at: 6 },
+                    StreamEvent::Up { edge: e[1], at: 7 },
+                ])
+                .expect("ok");
+            assert_eq!(report.earliest_change, Some(5));
+            inc.refresh(s.index(), &report);
+            assert_matches_fresh(&s, &inc, "late source before the watermark");
+            assert_eq!(inc.arrival(n(4)), Some(&4), "{}", inc.policy());
+            assert_eq!(inc.arrival(n(1)), Some(&4), "{}", inc.policy());
         }
     }
 

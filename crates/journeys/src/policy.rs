@@ -25,16 +25,16 @@ pub enum WaitingPolicy<T> {
 
 impl<T: Time> WaitingPolicy<T> {
     /// The latest admissible departure from a node reached at `ready`,
-    /// given a hard search horizon. `None` if the window is empty or
-    /// overflows the representation.
+    /// given a hard search horizon. `None` if the window is empty, i.e.
+    /// `ready` is past the horizon. A `wait[d]` window whose end
+    /// `ready + d` overflows the time type ends at the horizon.
     #[must_use]
     pub fn latest_departure(&self, ready: &T, horizon: &T) -> Option<T> {
-        let latest = match self {
-            WaitingPolicy::NoWait => ready.clone(),
-            WaitingPolicy::Bounded(d) => ready.checked_add(d)?.min(horizon.clone()),
-            WaitingPolicy::Unbounded => horizon.clone(),
-        };
-        (latest >= *ready && *ready <= *horizon).then_some(latest)
+        match self {
+            WaitingPolicy::NoWait => (ready <= horizon).then(|| ready.clone()),
+            WaitingPolicy::Bounded(d) => bounded_latest(ready, d, horizon),
+            WaitingPolicy::Unbounded => (ready <= horizon).then(|| horizon.clone()),
+        }
     }
 
     /// Whether departing at `depart` after becoming ready at `ready` is
@@ -53,6 +53,21 @@ impl<T: Time> WaitingPolicy<T> {
             WaitingPolicy::Unbounded => true,
         }
     }
+}
+
+/// The end of the `wait[d]` window from `ready`: `ready + d` clamped to
+/// `horizon`, and the horizon itself when the sum overflows the time
+/// type (it is then past any horizon). `None` once `ready` is past the
+/// horizon. The exact explorer's `wait[d]` loop computes its windows
+/// here too.
+pub(crate) fn bounded_latest<T: Time>(ready: &T, d: &T, horizon: &T) -> Option<T> {
+    if ready > horizon {
+        return None;
+    }
+    Some(match ready.checked_add(d) {
+        Some(end) if end < *horizon => end,
+        _ => horizon.clone(),
+    })
 }
 
 impl<T: fmt::Display> fmt::Display for WaitingPolicy<T> {
@@ -128,10 +143,16 @@ mod tests {
         );
     }
 
+    /// A window end past the time domain is past the horizon too, so
+    /// the window ends at the horizon; it is empty only past it.
     #[test]
     fn latest_departure_overflow_safe() {
         assert_eq!(
             WaitingPolicy::Bounded(u64::MAX).latest_departure(&2, &100),
+            Some(100)
+        );
+        assert_eq!(
+            WaitingPolicy::Bounded(u64::MAX).latest_departure(&101, &100),
             None
         );
     }

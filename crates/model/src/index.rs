@@ -5,10 +5,16 @@
 //! waiting window. A [`TvgIndex`] compiles the graph once against a
 //! departure horizon:
 //!
-//! * per-edge presence as a sorted [`IntervalSet`] with binary-search
-//!   `next_departure` and gap-skipping instant enumeration;
+//! * every edge's presence spans in one `(start, end)` arena, in
+//!   edge-id order, with binary-search `next_departure` and gap-skipping
+//!   instant enumeration over each edge's slice;
 //! * CSR-packed out-edge adjacency (one contiguous slice per node);
-//! * flat per-edge destination and constant-latency columns.
+//! * flat per-edge destination, monotonicity and constant-latency
+//!   columns.
+//!
+//! The same arrays, and nothing else, are what a `.tvgi` file stores
+//! ([`crate::tvgi`]), so an index opened from disk answers from the
+//! layout a compiled one does.
 //!
 //! That is all a journey needs: in the paper's model a TVG is
 //! `(V, E, T, ρ, ζ)`, and every `nowait`, `wait[d]`, and `wait` query
@@ -26,7 +32,7 @@
 //! astronomically distant times of the theorem constructions (those keep
 //! using the closure path).
 
-use crate::interval::{Instants, IntervalSet, SpanView};
+use crate::interval::{Instants, SpanView};
 use crate::{EdgeId, Latency, NodeId, Time, Tvg};
 
 /// Compile-time contract: a compiled index (and the graph it borrows) is
@@ -98,7 +104,7 @@ pub trait TemporalIndex<T: Time> {
     /// parameterized by.
     fn num_edge_events(&self) -> usize {
         (0..self.num_edges())
-            .map(|i| 2 * self.presence(EdgeId::from_index(i)).len())
+            .map(|i| 2 * self.presence(EdgeId::from_index(i)).num_spans())
             .sum()
     }
 
@@ -155,6 +161,74 @@ pub trait TemporalIndex<T: Time> {
     }
 }
 
+/// The arrays every compiled index answers from, owned in one flat
+/// layout: CSR adjacency, one `(start, end)` span arena in edge-id
+/// order with per-edge offsets, and per-edge destination, monotonicity
+/// and constant-latency columns. [`TvgIndex::compile`] builds it from a
+/// [`Tvg`] and [`crate::tvgi::ShardedIndex::open`] decodes it from a
+/// `.tvgi` file, whose sections store exactly these arrays. The
+/// [`TemporalIndex`] answers both indexes share are written once, in
+/// `flat_answers!`.
+#[derive(Debug, Clone)]
+pub(crate) struct FlatIndex<T> {
+    pub(crate) horizon: T,
+    /// Node `n`'s out-edges are `csr_edges[csr_off[n]..csr_off[n + 1]]`.
+    pub(crate) csr_off: Vec<u64>,
+    pub(crate) csr_edges: Vec<EdgeId>,
+    /// Edge `e` owns `spans[span_off[e]..span_off[e + 1]]`.
+    pub(crate) span_off: Vec<u64>,
+    pub(crate) spans: Vec<(T, T)>,
+    pub(crate) dst: Vec<NodeId>,
+    /// Bit `e % 64` of word `e / 64` is set when `e`'s arrival is
+    /// non-decreasing in its departure.
+    pub(crate) mono: Vec<u64>,
+    /// Each edge's latency when it is constant.
+    pub(crate) lat: Vec<Option<T>>,
+}
+
+/// The [`TemporalIndex`] answers of an index whose arrays are its
+/// `flat` field: every answer but [`TemporalIndex::arrival`], which each
+/// index takes from where its latencies live.
+macro_rules! flat_answers {
+    () => {
+        fn num_nodes(&self) -> usize {
+            self.flat.csr_off.len() - 1
+        }
+
+        fn num_edges(&self) -> usize {
+            self.flat.dst.len()
+        }
+
+        fn horizon(&self) -> &T {
+            &self.flat.horizon
+        }
+
+        fn presence(&self, e: $crate::EdgeId) -> $crate::SpanView<'_, T> {
+            let (off, i) = (&self.flat.span_off, e.index());
+            $crate::SpanView(&self.flat.spans[off[i] as usize..off[i + 1] as usize])
+        }
+
+        fn arrival_is_monotone(&self, e: $crate::EdgeId) -> bool {
+            self.flat.mono[e.index() / 64] >> (e.index() % 64) & 1 != 0
+        }
+
+        fn out_edges(&self, n: $crate::NodeId) -> &[$crate::EdgeId] {
+            let (off, i) = (&self.flat.csr_off, n.index());
+            &self.flat.csr_edges[off[i] as usize..off[i + 1] as usize]
+        }
+
+        fn dst(&self, e: $crate::EdgeId) -> $crate::NodeId {
+            self.flat.dst[e.index()]
+        }
+
+        /// Two events per span.
+        fn num_edge_events(&self) -> usize {
+            2 * self.flat.spans.len()
+        }
+    };
+}
+pub(crate) use flat_answers;
+
 /// A [`Tvg`] compiled against a departure horizon.
 ///
 /// ```
@@ -176,13 +250,7 @@ pub trait TemporalIndex<T: Time> {
 #[derive(Debug, Clone)]
 pub struct TvgIndex<'g, T> {
     g: &'g Tvg<T>,
-    horizon: T,
-    presence: Vec<IntervalSet<T>>,
-    arrival_monotone: Vec<bool>,
-    csr_offsets: Vec<usize>,
-    csr_edges: Vec<EdgeId>,
-    dsts: Vec<NodeId>,
-    const_lat: Vec<Option<T>>,
+    pub(crate) flat: FlatIndex<T>,
 }
 
 impl<'g, T: Time> TvgIndex<'g, T> {
@@ -192,38 +260,45 @@ impl<'g, T: Time> TvgIndex<'g, T> {
     /// horizon; every subsequent presence query is a binary search.
     #[must_use]
     pub fn compile(g: &'g Tvg<T>, horizon: T) -> Self {
-        let presence: Vec<IntervalSet<T>> = g
-            .edges()
-            .map(|e| g.edge(e).presence().intervals(&horizon))
-            .collect();
-        let arrival_monotone: Vec<bool> = g
-            .edges()
-            .map(|e| g.edge(e).latency().arrival_is_monotone())
-            .collect();
-        let mut csr_offsets = Vec::with_capacity(g.num_nodes() + 1);
-        let mut csr_edges = Vec::with_capacity(g.num_edges());
-        csr_offsets.push(0);
+        let m = g.num_edges();
+        let mut csr_off = Vec::with_capacity(g.num_nodes() + 1);
+        let mut csr_edges = Vec::with_capacity(m);
+        csr_off.push(0);
         for n in g.nodes() {
             csr_edges.extend_from_slice(g.out_edges(n));
-            csr_offsets.push(csr_edges.len());
+            csr_off.push(csr_edges.len() as u64);
         }
-        let dsts: Vec<NodeId> = g.edges().map(|e| g.edge(e).dst()).collect();
-        let const_lat: Vec<Option<T>> = g
-            .edges()
-            .map(|e| match g.edge(e).latency() {
+        let mut span_off = Vec::with_capacity(m + 1);
+        let mut spans = Vec::new();
+        let mut dst = Vec::with_capacity(m);
+        let mut mono = vec![0u64; m.div_ceil(64)];
+        let mut lat = Vec::with_capacity(m);
+        span_off.push(0);
+        for e in g.edges() {
+            let edge = g.edge(e);
+            spans.extend_from_slice(edge.presence().intervals(&horizon).spans());
+            span_off.push(spans.len() as u64);
+            dst.push(edge.dst());
+            if edge.latency().arrival_is_monotone() {
+                mono[e.index() / 64] |= 1 << (e.index() % 64);
+            }
+            lat.push(match edge.latency() {
                 Latency::Const(c) => Some(c.clone()),
                 _ => None,
-            })
-            .collect();
+            });
+        }
         TvgIndex {
             g,
-            horizon,
-            presence,
-            arrival_monotone,
-            csr_offsets,
-            csr_edges,
-            dsts,
-            const_lat,
+            flat: FlatIndex {
+                horizon,
+                csr_off,
+                csr_edges,
+                span_off,
+                spans,
+                dst,
+                mono,
+                lat,
+            },
         }
     }
 
@@ -232,49 +307,15 @@ impl<'g, T: Time> TvgIndex<'g, T> {
     pub fn tvg(&self) -> &'g Tvg<T> {
         self.g
     }
-
-    /// The compiled presence intervals of `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range for the compiled graph.
-    #[must_use]
-    pub fn presence(&self, e: EdgeId) -> &IntervalSet<T> {
-        &self.presence[e.index()]
-    }
 }
 
 impl<T: Time> TemporalIndex<T> for TvgIndex<'_, T> {
-    fn num_nodes(&self) -> usize {
-        self.csr_offsets.len() - 1
-    }
+    flat_answers!();
 
-    fn num_edges(&self) -> usize {
-        self.dsts.len()
-    }
-
-    fn horizon(&self) -> &T {
-        &self.horizon
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        self.presence[e.index()].view()
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.arrival_monotone[e.index()]
-    }
-
-    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.csr_edges[self.csr_offsets[n.index()]..self.csr_offsets[n.index() + 1]]
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        self.dsts[e.index()]
-    }
-
+    /// The constant-latency column, or the graph's latency schedule for
+    /// an edge whose latency is not constant.
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        match &self.const_lat[e.index()] {
+        match &self.flat.lat[e.index()] {
             Some(c) => t.checked_add(c),
             None => self.g.edge(e).latency().arrival(t),
         }

@@ -86,12 +86,6 @@ impl<T: Time> IntervalSet<T> {
         SpanView(&self.spans)
     }
 
-    /// Number of maximal spans (the set's *event count* is twice this).
-    #[must_use]
-    pub fn num_spans(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Set union.
     #[must_use]
     pub fn union(&self, other: &Self) -> Self {
@@ -311,7 +305,7 @@ impl<'a, T: Time> SpanView<'a, T> {
 
     /// Number of maximal spans.
     #[must_use]
-    pub fn len(self) -> usize {
+    pub fn num_spans(self) -> usize {
         self.0.len()
     }
 
@@ -414,7 +408,7 @@ mod tests {
     fn normalization_merges_and_sorts() {
         let s = set(&[(5, 7), (0, 2), (2, 3), (6, 9), (4, 4)]);
         assert_eq!(s.spans(), &[(0, 3), (5, 9)]);
-        assert_eq!(s.num_spans(), 2);
+        assert_eq!(s.spans().len(), 2);
         assert!(IntervalSet::<u64>::empty().view().is_empty());
         assert!(set(&[(3, 3)]).view().is_empty());
     }

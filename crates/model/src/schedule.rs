@@ -782,7 +782,7 @@ mod tests {
             phases: BTreeSet::from([0u64, 1, 2]),
         };
         let set = rho.intervals(&29u64);
-        assert_eq!(set.num_spans(), 1);
+        assert_eq!(set.spans().len(), 1);
         assert_eq!(set.spans(), &[(0, 30)]);
         // Out-of-range phases never match `t mod period`.
         let bogus = Presence::Periodic {

@@ -3,29 +3,34 @@
 //! [`TvgIndex::compile`] pays the full materialization cost — presence
 //! spans, CSR adjacency, per-edge columns — every time a process
 //! starts. This module makes that cost a *build step*: [`write_tvgi`]
-//! serializes a compiled index into a versioned, little-endian,
-//! section-table binary format, and [`ShardedIndex::open`] gives it
-//! back as a read-only [`TemporalIndex`] in the same layout every index
-//! shares (a [`SpanView`] per edge, an `&[EdgeId]` slice per node), so
-//! an index compiles once and any number of processes query it without
-//! recompiling.
+//! streams a compiled index's arrays into a versioned, little-endian,
+//! section-table binary format, and [`ShardedIndex::open`] decodes them
+//! back into the same arrays, as a read-only [`TemporalIndex`] that
+//! answers from the layout every compiled index shares (a
+//! [`SpanView`](crate::SpanView) per edge, an `&[EdgeId]` slice per
+//! node), so an index compiles once and any number of processes query
+//! it without recompiling.
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ header (24 B): magic "TVGI" · version u16 · width u8 (4|8)   │
-//! │   · reserved u8 · shards u32 · sections u32 · checksum u64   │
+//! │   · reserved 5 B (zero) · sections u32 · checksum u64        │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ section table: sections × (id u32 · shard u32 ·              │
-//! │   offset u64 · len u64)   — offsets 8-byte aligned           │
+//! │ section table: sections × (id u32 · offset u64 · len u64),   │
+//! │   zero-padded to a multiple of 8 bytes                       │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ global sections: META · NAMES_OFF/NAMES_BYTES · SPEC ·       │
-//! │   EDGE_SHARD/EDGE_LOCAL/EDGE_DST/EDGE_MONO/EDGE_LAT ·        │
-//! │   SHARD_RANGES                                               │
-//! ├──────────────────────────────────────────────────────────────┤
-//! │ shard 0: CSR_OFF · CSR_EDGES · SPAN_OFF · SPANS              │
-//! │ shard 1: …                                  (× shards)       │
+//! │ sections, each at an 8-byte aligned offset:                  │
+//! │   META       nodes n · edges m · horizon    u64 × 3          │
+//! │   SPEC       canonical scenario text        bytes            │
+//! │   EDGE_DST   destination of each edge       u32 × m          │
+//! │   EDGE_MONO  monotone-arrival bit per edge  u64 × ⌈m/64⌉     │
+//! │   EDGE_LAT   constant latency of each edge  time × m         │
+//! │   CSR_OFF    out-edge offsets of each node  u64 × n+1        │
+//! │   CSR_EDGES  out-edges, node by node        u32 × m          │
+//! │   SPAN_OFF   span offsets of each edge      u64 × m+1        │
+//! │   SPANS      (start, end) pairs by edge id  time × 2         │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -34,16 +39,19 @@
 //! words — 4 when the index was compiled in the
 //! [`narrow_tvg`](crate::narrow_tvg)-compressed `u32` domain, 8 for
 //! native `u64` times — so narrowing halves the hot sections on disk
-//! exactly as it halves them in memory.
+//! exactly as it halves them in memory. Bit `e mod 64` of word
+//! `⌊e/64⌋` of `EDGE_MONO` is edge `e`'s monotone-arrival flag.
 //!
-//! The file holds exactly what a query reads: presence spans, adjacency,
-//! and the per-edge destination, monotonicity, and latency columns. The
-//! edge-event count a report carries is twice the span count, read from
-//! the `SPANS` lengths. Version 1 also stored a global event timeline
-//! and per-shard boundary summaries that no query read, and version 2
-//! used a byte-serial FNV-1a checksum; files of either version are
-//! refused as [`TvgiError::UnsupportedVersion`], and a table naming one
-//! of version 1's retired section ids is [`TvgiError::Inconsistent`].
+//! The file holds exactly the arrays a compiled index answers from:
+//! presence spans indexed by edge id, adjacency, and the per-edge
+//! destination, monotonicity, and latency columns. The edge-event count
+//! a report carries is twice the span count. Version 1 also stored a
+//! global event timeline and per-shard boundary summaries, version 2
+//! used a byte-serial FNV-1a checksum, and version 3 split the CSR and
+//! spans into node-range shards behind an edge directory and carried a
+//! node-name table, none of which a query read. Files of those versions
+//! are refused as [`TvgiError::UnsupportedVersion`], and a table naming
+//! a retired section id is [`TvgiError::Inconsistent`].
 //!
 //! # Checksum
 //!
@@ -61,100 +69,75 @@
 //! Four independent lanes keep the multiplier busy, which makes the
 //! checksum several times faster than a byte-serial hash.
 //!
-//! # Sharding
-//!
-//! [`write_tvgi`]'s `shards` argument `k` splits the node range into `k`
-//! balanced contiguous ranges at write time (`tvg-cli compile` writes
-//! one). An edge belongs to its source's shard; each shard carries its
-//! own CSR and span store, and `EDGE_SHARD`/`EDGE_LOCAL` give each edge's
-//! slot in its shard's CSR. The per-shard sections of one id follow each
-//! other in shard order. Shards are a storage split only: the reader
-//! joins them at open, and edge ids stay *global*, which is what keeps
-//! a [`ShardedIndex`] bit-identical to the in-memory index — same
-//! witness journeys, same engine stats — at every shard count.
-//!
 //! # Zero-copy, honestly
 //!
 //! The workspace forbids `unsafe`, so the reader does not `mmap(2)`:
-//! [`ShardedIndex::open`] validates the header and section table, then
-//! reads the rest of the file once, in file order, through one fixed
-//! buffer, checksumming each chunk and decoding it straight into the
-//! arena it ends up in: `CSR_EDGES` into one `Vec<EdgeId>`, `SPANS` into
-//! one `Vec<(T, T)>` (a `u64` pair can straddle two 8-aligned chunks,
-//! so its first word waits for the next one). Shard after shard appends
-//! to the same arenas, so neither exists twice in memory. The per-shard
-//! offset arrays are then rebased in place into one global CSR and one
-//! span-offset array, and each edge is mapped to its CSR slot once. Every
-//! query after that is a plain slice read, as it is on the in-memory
-//! indexes; one up-front decode is the price of a
-//! `#![forbid(unsafe_code)]` workspace.
+//! [`ShardedIndex::open`] validates the header and section table, sizes
+//! every array from the table, then reads the rest of the file once, in
+//! file order, through one fixed buffer, checksumming each chunk and
+//! decoding it straight into the array it ends up in (a `u64` span pair
+//! can straddle two 8-aligned chunks, so its first word waits for the
+//! next one). Nothing is joined, rebased or remapped afterwards: the
+//! file's arrays *are* the in-memory arrays, so every query after the
+//! pass is the same slice read a compiled index does. One up-front
+//! decode is the price of a `#![forbid(unsafe_code)]` workspace. The
+//! writer is the mirror image: it streams each array from the compiled
+//! layout through the checksum into a buffered file, with no staging
+//! copy of any section.
 //!
-//! The edge directory must agree with the CSR: the CSR has to list every
-//! edge at the slot `EDGE_SHARD`/`EDGE_LOCAL` give it, which makes the
-//! CSR a permutation of the edges. A file that lists an edge twice is
-//! refused as [`TvgiError::Inconsistent`], even when its checksum holds.
+//! The checks after the checksum make the arrays safe to index: both
+//! offset arrays start at zero, never decrease and end at the length of
+//! the array they index, `CSR_EDGES` lists every edge exactly once,
+//! every destination names a node, and no `EDGE_MONO` bit is set past
+//! the last edge. A file that breaks one is refused as
+//! [`TvgiError::Inconsistent`], even when its checksum holds.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::index::{TemporalIndex, TvgIndex};
-use crate::interval::SpanView;
-use crate::{EdgeId, Latency, NodeId, Time};
+use crate::index::{flat_answers, FlatIndex, TemporalIndex, TvgIndex};
+use crate::{EdgeId, NodeId, Time};
 
 /// Magic bytes opening every `.tvgi` file.
 pub const MAGIC: [u8; 4] = *b"TVGI";
 
 /// The format version this build writes and reads.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 24;
 
 /// Byte length of one section-table entry.
-const TABLE_ENTRY_LEN: u64 = 24;
-
-/// The `shard` field of a global (non-sharded) section.
-const GLOBAL: u32 = u32::MAX;
+const TABLE_ENTRY_LEN: u64 = 20;
 
 /// Bytes [`ShardedIndex::open`] reads and decodes per pass step. The
-/// chunks start at the end of the section table, 8-aligned.
+/// chunks start at the end of the padded section table, 8-aligned.
 pub const READ_CHUNK: usize = 256 << 10;
 
 mod section {
-    //! Section identifiers of format version 3. Ids 11, 12, and 17 are
-    //! retired (version 1's event timeline and boundary summaries) and
-    //! never reused.
+    //! Section identifiers of format version 4. Ids 2, 3, 5, 6 and 10
+    //! (version 3's node names, edge directory and shard ranges) and
+    //! 11, 12 and 17 (version 1's event timeline and boundary
+    //! summaries) are retired and never reused.
     pub const META: u32 = 1;
-    pub const NAMES_OFF: u32 = 2;
-    pub const NAMES_BYTES: u32 = 3;
     pub const SPEC: u32 = 4;
-    pub const EDGE_SHARD: u32 = 5;
-    pub const EDGE_LOCAL: u32 = 6;
     pub const EDGE_DST: u32 = 7;
     pub const EDGE_MONO: u32 = 8;
     pub const EDGE_LAT: u32 = 9;
-    pub const SHARD_RANGES: u32 = 10;
     pub const CSR_OFF: u32 = 13;
     pub const CSR_EDGES: u32 = 14;
     pub const SPAN_OFF: u32 = 15;
     pub const SPANS: u32 = 16;
 
-    /// Every section id of this version.
-    pub fn all() -> impl Iterator<Item = u32> {
-        (META..=SHARD_RANGES).chain(CSR_OFF..=SPANS)
-    }
-
-    /// Whether `id` is written once per shard.
-    pub fn is_sharded(id: u32) -> bool {
-        matches!(id, CSR_OFF..=SPANS)
-    }
+    /// Every section id of this version, in the writer's file order.
+    pub const ALL: [u32; 9] = [
+        META, SPEC, EDGE_DST, EDGE_MONO, EDGE_LAT, CSR_OFF, CSR_EDGES, SPAN_OFF, SPANS,
+    ];
 }
 
-/// Number of `u64` words in the `META` section: nodes, edges, horizon,
-/// shards.
-const META_WORDS: usize = 4;
+/// Number of `u64` words in the `META` section: nodes, edges, horizon.
+const META_WORDS: usize = 3;
 
 /// Everything that can go wrong opening, validating, or writing a
 /// `.tvgi` file. Every failure mode is a typed variant — a corrupt or
@@ -187,10 +170,9 @@ pub enum TvgiError {
     Misaligned(u32),
     /// A section extends beyond the end of the file or into the header.
     SectionOutOfBounds(u32),
-    /// A required section is absent (for a per-shard section: not
-    /// present once per shard).
+    /// A required section is absent.
     MissingSection(u32),
-    /// The same `(id, shard)` section appears twice.
+    /// The same section id appears twice.
     DuplicateSection(u32),
     /// The whole-file checksum does not match the header.
     ChecksumMismatch,
@@ -200,6 +182,9 @@ pub enum TvgiError {
     /// The index uses a non-constant latency on some edge; the format
     /// only persists constant latencies.
     UnsupportedLatency(EdgeId),
+    /// [`write_tvgi`] was asked for a shard count other than 1; the
+    /// format holds one unsharded layout.
+    UnsupportedShards(u32),
 }
 
 impl std::fmt::Display for TvgiError {
@@ -238,6 +223,9 @@ impl std::fmt::Display for TvgiError {
                     "edge {e} has a non-constant latency; tvgi stores constants only"
                 )
             }
+            TvgiError::UnsupportedShards(k) => {
+                write!(f, "cannot write {k} shards: a tvgi file is not sharded")
+            }
         }
     }
 }
@@ -274,13 +262,17 @@ pub trait TvgiTime: Time + Copy + sealed::Sealed {
     /// Narrows from the transport word, `None` if it does not fit.
     fn from_word(w: u64) -> Option<Self>;
 
-    /// Appends the little-endian `WIDTH`-byte words of `bytes`.
-    fn decode(bytes: &[u8], out: &mut Vec<Self>);
+    /// Appends the little-endian `WIDTH`-byte words of `bytes`, each
+    /// through `wrap`.
+    fn decode<X>(bytes: &[u8], out: &mut Vec<X>, wrap: impl Fn(Self) -> X);
 
     /// Appends the `(start, end)` pairs of little-endian `WIDTH`-byte
     /// words of `bytes`, a whole number of pairs.
     fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>);
 }
+
+// Each width decodes through fixed-size chunks, which compiles to a
+// tight loop; a width-generic loop ran several times slower.
 
 impl TvgiTime for u32 {
     const WIDTH: u8 = 4;
@@ -293,8 +285,8 @@ impl TvgiTime for u32 {
         u32::try_from(w).ok()
     }
 
-    fn decode(bytes: &[u8], out: &mut Vec<Self>) {
-        decode_u32s(bytes, out);
+    fn decode<X>(bytes: &[u8], out: &mut Vec<X>, wrap: impl Fn(Self) -> X) {
+        decode_u32s(bytes, out, wrap);
     }
 
     fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>) {
@@ -318,8 +310,12 @@ impl TvgiTime for u64 {
         Some(w)
     }
 
-    fn decode(bytes: &[u8], out: &mut Vec<Self>) {
-        decode_u64s(bytes, out);
+    fn decode<X>(bytes: &[u8], out: &mut Vec<X>, wrap: impl Fn(Self) -> X) {
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|c| wrap(u64::from_le_bytes(le_array(c)))),
+        );
     }
 
     fn decode_pairs(bytes: &[u8], out: &mut Vec<(Self, Self)>) {
@@ -456,50 +452,17 @@ fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
 // Sections
 // ---------------------------------------------------------------------
 
-/// What a section's words decode to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Bytes,
-    U32,
-    U64,
-    /// Time words (`EDGE_LAT`).
-    Time,
-    /// Edge ids (`CSR_EDGES`).
-    Edges,
-    /// `(start, end)` time pairs (`SPANS`).
-    Spans,
-}
-
-fn kind(id: u32) -> Kind {
-    match id {
-        section::META | section::NAMES_OFF | section::CSR_OFF | section::SPAN_OFF => Kind::U64,
-        section::NAMES_BYTES | section::SPEC => Kind::Bytes,
-        section::EDGE_LAT => Kind::Time,
-        section::CSR_EDGES => Kind::Edges,
-        section::SPANS => Kind::Spans,
-        _ => Kind::U32,
-    }
-}
-
 /// Element width in bytes of a section's words, given the file's time
 /// width. `1` means raw bytes (no alignment constraint beyond the
 /// table's 8-byte offsets).
 fn elem_width(id: u32, time_width: u8) -> u64 {
-    match kind(id) {
-        Kind::Bytes => 1,
-        Kind::U32 | Kind::Edges => 4,
-        Kind::U64 => 8,
-        Kind::Time => u64::from(time_width),
-        Kind::Spans => 2 * u64::from(time_width),
+    match id {
+        section::SPEC => 1,
+        section::EDGE_DST | section::CSR_EDGES => 4,
+        section::EDGE_LAT => u64::from(time_width),
+        section::SPANS => 2 * u64::from(time_width),
+        _ => 8,
     }
-}
-
-fn decode_u32s(bytes: &[u8], out: &mut Vec<u32>) {
-    out.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-    );
 }
 
 fn decode_u64s(bytes: &[u8], out: &mut Vec<u64>) {
@@ -510,11 +473,11 @@ fn decode_u64s(bytes: &[u8], out: &mut Vec<u64>) {
     );
 }
 
-fn decode_edges(bytes: &[u8], out: &mut Vec<EdgeId>) {
+fn decode_u32s<X>(bytes: &[u8], out: &mut Vec<X>, wrap: impl Fn(u32) -> X) {
     out.extend(
         bytes
             .chunks_exact(4)
-            .map(|c| EdgeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
+            .map(|c| wrap(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
     );
 }
 
@@ -522,7 +485,6 @@ fn decode_edges(bytes: &[u8], out: &mut Vec<EdgeId>) {
 #[derive(Debug, Clone, Copy)]
 struct Section {
     id: u32,
-    shard: u32,
     offset: u64,
     len: u64,
 }
@@ -536,269 +498,171 @@ struct Section {
 pub struct TvgiSummary {
     /// Total file size in bytes.
     pub bytes: u64,
-    /// Shard count actually written (clamped to the node count).
-    pub shards: u32,
     /// Stored time width in bytes (4 or 8).
     pub width: u8,
     /// Node count.
     pub num_nodes: usize,
     /// Edge count.
     pub num_edges: usize,
-    /// Total presence spans across all shards (half the edge-event
-    /// count).
+    /// Total presence spans (half the edge-event count).
     pub num_spans: usize,
 }
 
-/// Balanced contiguous node ranges: `k` shards over `n` nodes, sizes
-/// differing by at most one. Returns the `k + 1` boundary array.
-fn shard_ranges(n: usize, k: u32) -> Vec<u32> {
-    let k = k as usize;
-    let base = n / k;
-    let rem = n % k;
-    let mut ranges = Vec::with_capacity(k + 1);
-    let mut at = 0usize;
-    ranges.push(0u32);
-    for i in 0..k {
-        at += base + usize::from(i < rem);
-        ranges.push(u32::try_from(at).expect("node count fits in u32"));
-    }
-    ranges
+/// The writer's byte sink: every byte goes through the checksum into
+/// the buffered file.
+struct Sink {
+    w: BufWriter<File>,
+    sum: Checksum,
+    at: u64,
 }
 
-/// Serializes a compiled index into `path` as a `.tvgi` file with
-/// `shards` node-range shards (clamped to `[1, num_nodes]`), embedding
+impl Sink {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), TvgiError> {
+        self.sum.update(bytes);
+        self.w.write_all(bytes)?;
+        self.at += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Zero padding up to `offset`, which is at most 7 bytes ahead.
+    fn pad_to(&mut self, offset: u64) -> Result<(), TvgiError> {
+        let pad = usize::try_from(offset - self.at).expect("padding is under 8 bytes");
+        self.put(&[0; 8][..pad])
+    }
+
+    /// The low `width` bytes of each word, little-endian, encoded
+    /// through one small stack buffer.
+    fn words(
+        &mut self,
+        width: usize,
+        words: impl IntoIterator<Item = u64>,
+    ) -> Result<(), TvgiError> {
+        let mut buf = [0u8; 4096];
+        let mut len = 0;
+        for word in words {
+            buf[len..len + width].copy_from_slice(&word.to_le_bytes()[..width]);
+            len += width;
+            if len == buf.len() {
+                self.put(&buf)?;
+                len = 0;
+            }
+        }
+        self.put(&buf[..len])
+    }
+}
+
+/// Serializes a compiled index into `path` as a `.tvgi` file, embedding
 /// `spec` (the canonical scenario text, if any) for provenance checks
-/// at open time.
+/// at open time. Each array streams from the index's layout through the
+/// checksum into the file.
+///
+/// `shards` must be 1: the format has no shards any more, and the
+/// argument stays only until the benchmark adapter that passes it is
+/// updated (ROADMAP item 1, step 0, removes it).
 ///
 /// # Errors
 ///
+/// [`TvgiError::UnsupportedShards`] if `shards` is not 1,
 /// [`TvgiError::UnsupportedLatency`] if any edge's latency is not
-/// [`Latency::Const`] (the format persists constant latencies only —
-/// every built-in generator emits them), or [`TvgiError::Io`] on a
-/// filesystem failure.
+/// [`crate::Latency::Const`] (the format persists constant latencies
+/// only — every built-in generator emits them), or [`TvgiError::Io`] on
+/// a filesystem failure.
 pub fn write_tvgi<T: TvgiTime>(
     index: &TvgIndex<'_, T>,
     shards: u32,
     spec: Option<&str>,
     path: &Path,
 ) -> Result<TvgiSummary, TvgiError> {
-    let g = index.tvg();
-    let n = g.num_nodes();
-    let m = g.num_edges();
-    let k = shards.clamp(1, u32::try_from(n.max(1)).unwrap_or(u32::MAX));
-
-    // Per-edge constant latencies — the one schedule feature the format
-    // needs from the AST. Anything fancier must stay on the
-    // compile-per-run path.
-    let mut edge_lat: Vec<u64> = Vec::with_capacity(m);
-    for e in g.edges() {
-        match g.edge(e).latency() {
-            Latency::Const(c) => edge_lat.push(c.to_word()),
-            _ => return Err(TvgiError::UnsupportedLatency(e)),
-        }
+    if shards != 1 {
+        return Err(TvgiError::UnsupportedShards(shards));
     }
-
-    let ranges = shard_ranges(n, k);
-
-    // Edge directory: owning shard (= src's shard) and local slot, in
-    // shard-CSR order so SPAN_OFF is a plain prefix sum.
-    let mut edge_shard = vec![0u32; m];
-    let mut edge_local = vec![0u32; m];
-    let mut num_spans = 0usize;
-
-    struct ShardBuf {
-        csr_off: Vec<u64>,
-        csr_edges: Vec<u32>,
-        span_off: Vec<u64>,
-        spans: Vec<u64>,
+    let a = &index.flat;
+    if let Some(e) = a.lat.iter().position(Option::is_none) {
+        return Err(TvgiError::UnsupportedLatency(EdgeId::from_index(e)));
     }
-    let mut shard_bufs: Vec<ShardBuf> = Vec::with_capacity(k as usize);
-    for s in 0..k as usize {
-        let (lo, hi) = (ranges[s] as usize, ranges[s + 1] as usize);
-        let mut buf = ShardBuf {
-            csr_off: Vec::with_capacity(hi - lo + 1),
-            csr_edges: Vec::new(),
-            span_off: Vec::new(),
-            spans: Vec::new(),
-        };
-        buf.csr_off.push(0);
-        buf.span_off.push(0);
-        let mut local = 0u32;
-        for node in lo..hi {
-            for &e in index.out_edges(NodeId::from_index(node)) {
-                let ei = e.index();
-                edge_shard[ei] = u32::try_from(s).expect("shard fits in u32");
-                edge_local[ei] = local;
-                local += 1;
-                buf.csr_edges
-                    .push(u32::try_from(ei).expect("edge index fits in u32"));
-                for (start, end) in index.presence(e).spans() {
-                    buf.spans.push(start.to_word());
-                    buf.spans.push(end.to_word());
-                }
-                buf.span_off.push(buf.spans.len() as u64 / 2);
-            }
-            buf.csr_off.push(buf.csr_edges.len() as u64);
-        }
-        num_spans += buf.spans.len() / 2;
-        shard_bufs.push(buf);
-    }
-
-    // Node names.
-    let mut names_off: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut names_bytes: Vec<u8> = Vec::new();
-    names_off.push(0);
-    for node in g.nodes() {
-        names_bytes.extend_from_slice(g.node_name(node).as_bytes());
-        names_off.push(names_bytes.len() as u64);
-    }
-
-    let spec_bytes = spec.unwrap_or("").as_bytes().to_vec();
-    let horizon = index.horizon().to_word();
-    let meta: Vec<u64> = vec![n as u64, m as u64, horizon, u64::from(k)];
-
-    // Assemble the payload plan: (id, shard, bytes).
-    let width = T::WIDTH;
-    let time_bytes = |words: &[u64]| -> Vec<u8> {
-        let mut out = Vec::with_capacity(words.len() * width as usize);
-        for &w in words {
-            out.extend_from_slice(&w.to_le_bytes()[..width as usize]);
-        }
-        out
-    };
-    let u64_bytes = |words: &[u64]| -> Vec<u8> {
-        let mut out = Vec::with_capacity(words.len() * 8);
-        for &w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    };
-    let u32_bytes = |words: &[u32]| -> Vec<u8> {
-        let mut out = Vec::with_capacity(words.len() * 4);
-        for &w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
+    let spec = spec.unwrap_or("").as_bytes();
+    let (n, m) = (a.csr_off.len() - 1, a.dst.len());
+    let width = usize::from(T::WIDTH);
+    let len = |id| match id {
+        section::META => 8 * META_WORDS,
+        section::SPEC => spec.len(),
+        section::EDGE_DST | section::CSR_EDGES => 4 * m,
+        section::EDGE_MONO => 8 * a.mono.len(),
+        section::EDGE_LAT => width * m,
+        section::CSR_OFF => 8 * (n + 1),
+        section::SPAN_OFF => 8 * (m + 1),
+        _ => 2 * width * a.spans.len(),
     };
 
-    let mut payloads: Vec<(u32, u32, Vec<u8>)> = vec![
-        (section::META, GLOBAL, u64_bytes(&meta)),
-        (section::NAMES_OFF, GLOBAL, u64_bytes(&names_off)),
-        (section::NAMES_BYTES, GLOBAL, names_bytes),
-        (section::SPEC, GLOBAL, spec_bytes),
-        (section::EDGE_SHARD, GLOBAL, u32_bytes(&edge_shard)),
-        (section::EDGE_LOCAL, GLOBAL, u32_bytes(&edge_local)),
-        (
-            section::EDGE_DST,
-            GLOBAL,
-            u32_bytes(
-                &g.edges()
-                    .map(|e| u32::try_from(g.edge(e).dst().index()).expect("node fits in u32"))
-                    .collect::<Vec<u32>>(),
-            ),
-        ),
-        (
-            section::EDGE_MONO,
-            GLOBAL,
-            u32_bytes(
-                &g.edges()
-                    .map(|e| u32::from(index.arrival_is_monotone(e)))
-                    .collect::<Vec<u32>>(),
-            ),
-        ),
-        (section::EDGE_LAT, GLOBAL, time_bytes(&edge_lat)),
-        (section::SHARD_RANGES, GLOBAL, u32_bytes(&ranges)),
-    ];
-    for (s, buf) in shard_bufs.into_iter().enumerate() {
-        let s = u32::try_from(s).expect("shard fits in u32");
-        payloads.push((section::CSR_OFF, s, u64_bytes(&buf.csr_off)));
-        payloads.push((section::CSR_EDGES, s, u32_bytes(&buf.csr_edges)));
-        payloads.push((section::SPAN_OFF, s, u64_bytes(&buf.span_off)));
-        payloads.push((section::SPANS, s, time_bytes(&buf.spans)));
-    }
-
-    // Lay out sections after the table, each 8-byte aligned.
-    let table_len = TABLE_ENTRY_LEN * payloads.len() as u64;
-    let mut offset = HEADER_LEN + table_len;
-    offset = offset.next_multiple_of(8);
-    let mut table: Vec<Section> = Vec::with_capacity(payloads.len());
-    for (id, shard, bytes) in &payloads {
-        table.push(Section {
-            id: *id,
-            shard: *shard,
+    // Lay the sections out after the table, each 8-byte aligned.
+    let mut offset = (HEADER_LEN + TABLE_ENTRY_LEN * section::ALL.len() as u64).next_multiple_of(8);
+    let table = section::ALL.map(|id| {
+        let sec = Section {
+            id,
             offset,
-            len: bytes.len() as u64,
-        });
-        offset = (offset + bytes.len() as u64).next_multiple_of(8);
-    }
+            len: len(id) as u64,
+        };
+        offset = (offset + sec.len).next_multiple_of(8);
+        sec
+    });
     let file_len = offset;
 
-    // Header with a zero checksum placeholder, then table, then
-    // payload — hashing everything but the checksum field as we go —
-    // then seek back and patch the real checksum in.
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    let mut sum = Checksum::new();
-    let mut head = Vec::with_capacity(HEADER_LEN as usize);
-    head.extend_from_slice(&MAGIC);
-    head.extend_from_slice(&VERSION.to_le_bytes());
-    head.push(width);
-    head.push(0);
-    head.extend_from_slice(&k.to_le_bytes());
-    head.extend_from_slice(
-        &u32::try_from(payloads.len())
-            .expect("few sections")
-            .to_le_bytes(),
-    );
-    sum.update(&head);
-    head.extend_from_slice(&0u64.to_le_bytes());
-    w.write_all(&head)?;
-
-    fn emit(
-        w: &mut BufWriter<File>,
-        sum: &mut Checksum,
-        written: &mut u64,
-        bytes: &[u8],
-    ) -> Result<(), TvgiError> {
-        sum.update(bytes);
-        w.write_all(bytes)?;
-        *written += bytes.len() as u64;
-        Ok(())
-    }
-    let mut written = HEADER_LEN;
+    // The header with its checksum field left zero and outside the sum,
+    // then the table and every section; the checksum is patched in last.
+    let mut out = Sink {
+        w: BufWriter::new(File::create(path)?),
+        sum: Checksum::new(),
+        at: 0,
+    };
+    let mut head = [0u8; 16];
+    head[..4].copy_from_slice(&MAGIC);
+    head[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    head[6] = T::WIDTH;
+    head[12..].copy_from_slice(&(table.len() as u32).to_le_bytes());
+    out.put(&head)?;
+    out.w.write_all(&[0; 8])?;
+    out.at += 8;
     for sec in &table {
-        let mut entry = Vec::with_capacity(TABLE_ENTRY_LEN as usize);
-        entry.extend_from_slice(&sec.id.to_le_bytes());
-        entry.extend_from_slice(&sec.shard.to_le_bytes());
-        entry.extend_from_slice(&sec.offset.to_le_bytes());
-        entry.extend_from_slice(&sec.len.to_le_bytes());
-        emit(&mut w, &mut sum, &mut written, &entry)?;
+        out.put(&sec.id.to_le_bytes())?;
+        out.put(&sec.offset.to_le_bytes())?;
+        out.put(&sec.len.to_le_bytes())?;
     }
-    for (sec, (_, _, bytes)) in table.iter().zip(&payloads) {
-        let pad = sec.offset - written;
-        emit(&mut w, &mut sum, &mut written, &vec![0u8; pad as usize])?;
-        emit(&mut w, &mut sum, &mut written, bytes)?;
+    for sec in &table {
+        out.pad_to(sec.offset)?;
+        match sec.id {
+            section::META => out.words(8, [n as u64, m as u64, a.horizon.to_word()]),
+            section::SPEC => out.put(spec),
+            section::EDGE_DST => out.words(4, a.dst.iter().map(|d| d.index() as u64)),
+            section::EDGE_MONO => out.words(8, a.mono.iter().copied()),
+            section::EDGE_LAT => out.words(width, a.lat.iter().flatten().map(|c| c.to_word())),
+            section::CSR_OFF => out.words(8, a.csr_off.iter().copied()),
+            section::CSR_EDGES => out.words(4, a.csr_edges.iter().map(|e| e.index() as u64)),
+            section::SPAN_OFF => out.words(8, a.span_off.iter().copied()),
+            _ => out.words(
+                width,
+                a.spans
+                    .iter()
+                    .flat_map(|(start, end)| [start.to_word(), end.to_word()]),
+            ),
+        }?;
     }
-    let tail_pad = file_len - written;
-    emit(
-        &mut w,
-        &mut sum,
-        &mut written,
-        &vec![0u8; tail_pad as usize],
-    )?;
+    out.pad_to(file_len)?;
 
-    let mut file = w.into_inner().map_err(|e| TvgiError::Io(e.to_string()))?;
+    let sum = out.sum.finish();
+    let mut file = out
+        .w
+        .into_inner()
+        .map_err(|e| TvgiError::Io(e.to_string()))?;
     file.seek(SeekFrom::Start(16))?;
-    file.write_all(&sum.finish().to_le_bytes())?;
+    file.write_all(&sum.to_le_bytes())?;
     file.sync_all()?;
 
     Ok(TvgiSummary {
         bytes: file_len,
-        shards: k,
-        width,
+        width: T::WIDTH,
         num_nodes: n,
         num_edges: m,
-        num_spans,
+        num_spans: a.spans.len(),
     })
 }
 
@@ -812,12 +676,10 @@ pub fn write_tvgi<T: TvgiTime>(
 pub struct TvgiInfo {
     /// Stored time width in bytes (4 or 8).
     pub width: u8,
-    /// Shard count.
-    pub shards: u32,
 }
 
-/// Reads just the header of `path` (magic, version, width, shards),
-/// validating magic/version/width.
+/// Reads just the header of `path` (magic, version, width), validating
+/// it.
 ///
 /// # Errors
 ///
@@ -842,99 +704,126 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
     if width != 4 && width != 8 {
         return Err(TvgiError::UnsupportedWidth(width));
     }
-    if head[7] != 0 {
-        return Err(TvgiError::Inconsistent("reserved header byte is set"));
+    if head[7..12].iter().any(|&b| b != 0) {
+        return Err(TvgiError::Inconsistent("reserved header bytes are set"));
     }
-    let shards = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
-    Ok(TvgiInfo { width, shards })
+    Ok(TvgiInfo { width })
 }
 
-/// A `.tvgi` file opened read-only, in the layout every
-/// [`TemporalIndex`] shares.
+/// Decodes and validates the section table before any payload is read:
+/// every id is a section of this version and appears once, each section
+/// is aligned to its element width and lies inside the payload, and no
+/// two overlap. Returns the sections in file order.
+fn parse_table(
+    bytes: &[u8],
+    payload_start: u64,
+    file_len: u64,
+    width: u8,
+) -> Result<Vec<Section>, TvgiError> {
+    let mut table: Vec<Section> = bytes
+        .chunks_exact(TABLE_ENTRY_LEN as usize)
+        .map(|entry| Section {
+            id: u32::from_le_bytes(le_array(&entry[0..4])),
+            offset: u64::from_le_bytes(le_array(&entry[4..12])),
+            len: u64::from_le_bytes(le_array(&entry[12..20])),
+        })
+        .collect();
+    for (i, sec) in table.iter().enumerate() {
+        if !section::ALL.contains(&sec.id) {
+            return Err(TvgiError::Inconsistent("unknown or retired section id"));
+        }
+        if sec.offset % 8 != 0 || sec.len % elem_width(sec.id, width) != 0 {
+            return Err(TvgiError::Misaligned(sec.id));
+        }
+        if sec.offset < payload_start || sec.len > file_len || sec.offset > file_len - sec.len {
+            return Err(TvgiError::SectionOutOfBounds(sec.id));
+        }
+        if table[..i].iter().any(|earlier| earlier.id == sec.id) {
+            return Err(TvgiError::DuplicateSection(sec.id));
+        }
+    }
+    if let Some(&id) = section::ALL
+        .iter()
+        .find(|&&id| table.iter().all(|sec| sec.id != id))
+    {
+        return Err(TvgiError::MissingSection(id));
+    }
+    table.sort_by_key(|sec| sec.offset);
+    for pair in table.windows(2) {
+        if pair[0].offset + pair[0].len > pair[1].offset {
+            return Err(TvgiError::SectionOverlap(pair[0].id, pair[1].id));
+        }
+    }
+    Ok(table)
+}
+
+/// A `.tvgi` file opened read-only: the flat arrays a compiled
+/// [`TvgIndex`] holds, decoded from the file, plus the embedded spec
+/// text.
 ///
-/// [`ShardedIndex::open`] joins the file's node-range shards into one
-/// global CSR (`&[EdgeId]` per node) and one span arena of `(start,
-/// end)` pairs, and maps every edge to its CSR slot, so a query reads
-/// plain slices and never a shard: [`TemporalIndex::presence`] is a
-/// [`SpanView`] like every other index's. It answers bit-identically to
-/// the [`TvgIndex`] it was written from, at every shard count (same
-/// arrivals, same witness journeys, same engine stats): edge ids are
-/// global, adjacency order is preserved, and arrivals use the same
-/// checked constant-latency arithmetic.
+/// It answers bit-identically to the [`TvgIndex`] it was written from
+/// (same arrivals, same witness journeys, same engine stats): edge ids,
+/// adjacency order and spans are stored as compiled, and arrivals use
+/// the same checked constant-latency arithmetic. The name predates
+/// version 4, which has no shards; ROADMAP item 1 renames the type
+/// together with the benchmark adapter that names it.
 #[derive(Debug)]
 pub struct ShardedIndex<T> {
-    horizon: T,
-    /// Node `n`'s out-edges are `csr_edges[csr_off[n]..csr_off[n + 1]]`.
-    csr_off: Vec<u64>,
-    csr_edges: Vec<EdgeId>,
-    /// The edge at CSR slot `s` owns `spans[span_off[s]..span_off[s + 1]]`.
-    span_off: Vec<u64>,
-    spans: Vec<(T, T)>,
-    /// Each edge's CSR slot.
-    edge_slot: Vec<u32>,
-    edge_dst: Vec<u32>,
-    edge_mono: Vec<u32>,
-    edge_lat: Vec<T>,
-    names_off: Vec<u64>,
-    names_bytes: Vec<u8>,
+    flat: FlatIndex<T>,
     spec: String,
 }
 
-/// Every section's decoded words, filled as the file streams past. The
-/// pieces of a per-shard section arrive in shard order (validated with
-/// the table), so each arena is the concatenation of its shards, and
-/// the CSR and span arenas are decoded in place, once.
-struct Arenas<T> {
-    bytes: BTreeMap<u32, Vec<u8>>,
-    u32s: BTreeMap<u32, Vec<u32>>,
-    u64s: BTreeMap<u32, Vec<u64>>,
-    edge_lat: Vec<T>,
-    csr_edges: Vec<EdgeId>,
-    spans: Vec<(T, T)>,
+/// A file's arrays, filled as its bytes stream past.
+struct Decoder<T> {
+    meta: Vec<u64>,
+    spec: Vec<u8>,
+    flat: FlatIndex<T>,
     /// The start word of a span whose end word is in the next piece:
     /// chunks are 8-aligned, so a 16-byte `u64` pair can straddle two.
     half: Option<[u8; 8]>,
 }
 
-impl<T: TvgiTime> Arenas<T> {
-    /// Empty arenas with room for every section's validated length.
+impl<T: TvgiTime> Decoder<T> {
+    /// Empty arrays with room for every section's validated length:
+    /// together no more than the file holds.
     fn for_table(table: &[Section]) -> Self {
-        let mut words: BTreeMap<u32, usize> = BTreeMap::new();
-        for sec in table {
-            let n = usize::try_from(sec.len / elem_width(sec.id, T::WIDTH)).unwrap_or(0);
-            *words.entry(sec.id).or_default() += n;
-        }
-        let mut arenas = Arenas {
-            bytes: BTreeMap::new(),
-            u32s: BTreeMap::new(),
-            u64s: BTreeMap::new(),
-            edge_lat: Vec::new(),
-            csr_edges: Vec::new(),
-            spans: Vec::new(),
-            half: None,
+        let words = |id| {
+            table
+                .iter()
+                .find(|sec| sec.id == id)
+                .and_then(|sec| usize::try_from(sec.len / elem_width(id, T::WIDTH)).ok())
+                .unwrap_or(0)
         };
-        for (id, n) in words {
-            match kind(id) {
-                Kind::Bytes => arenas.bytes.entry(id).or_default().reserve_exact(n),
-                Kind::U32 => arenas.u32s.entry(id).or_default().reserve_exact(n),
-                Kind::U64 => arenas.u64s.entry(id).or_default().reserve_exact(n),
-                Kind::Time => arenas.edge_lat.reserve_exact(n),
-                Kind::Edges => arenas.csr_edges.reserve_exact(n),
-                Kind::Spans => arenas.spans.reserve_exact(n),
-            }
+        Decoder {
+            meta: Vec::with_capacity(words(section::META)),
+            spec: Vec::with_capacity(words(section::SPEC)),
+            flat: FlatIndex {
+                horizon: T::zero(),
+                csr_off: Vec::with_capacity(words(section::CSR_OFF)),
+                csr_edges: Vec::with_capacity(words(section::CSR_EDGES)),
+                span_off: Vec::with_capacity(words(section::SPAN_OFF)),
+                spans: Vec::with_capacity(words(section::SPANS)),
+                dst: Vec::with_capacity(words(section::EDGE_DST)),
+                mono: Vec::with_capacity(words(section::EDGE_MONO)),
+                lat: Vec::with_capacity(words(section::EDGE_LAT)),
+            },
+            half: None,
         }
-        arenas
     }
 
-    /// Appends `bytes`, a whole-word piece of a section `id`.
+    /// Appends `bytes`, a whole-word piece of section `id`.
     fn decode(&mut self, id: u32, bytes: &[u8]) {
-        match kind(id) {
-            Kind::Bytes => self.bytes.entry(id).or_default().extend_from_slice(bytes),
-            Kind::U32 => decode_u32s(bytes, self.u32s.entry(id).or_default()),
-            Kind::U64 => decode_u64s(bytes, self.u64s.entry(id).or_default()),
-            Kind::Time => T::decode(bytes, &mut self.edge_lat),
-            Kind::Edges => decode_edges(bytes, &mut self.csr_edges),
-            Kind::Spans => self.decode_spans(bytes),
+        let a = &mut self.flat;
+        match id {
+            section::META => decode_u64s(bytes, &mut self.meta),
+            section::SPEC => self.spec.extend_from_slice(bytes),
+            section::EDGE_DST => decode_u32s(bytes, &mut a.dst, NodeId),
+            section::EDGE_MONO => decode_u64s(bytes, &mut a.mono),
+            section::EDGE_LAT => T::decode(bytes, &mut a.lat, Some),
+            section::CSR_OFF => decode_u64s(bytes, &mut a.csr_off),
+            section::CSR_EDGES => decode_u32s(bytes, &mut a.csr_edges, EdgeId),
+            section::SPAN_OFF => decode_u64s(bytes, &mut a.span_off),
+            _ => self.decode_spans(bytes),
         }
     }
 
@@ -942,70 +831,101 @@ impl<T: TvgiTime> Arenas<T> {
     /// keeping a trailing start word for the next piece.
     fn decode_spans(&mut self, mut bytes: &[u8]) {
         let width = usize::from(T::WIDTH);
+        let spans = &mut self.flat.spans;
         if let Some(start) = self.half.take() {
             let mut pair = [0u8; 16];
             pair[..width].copy_from_slice(&start[..width]);
             pair[width..2 * width].copy_from_slice(&bytes[..width]);
-            T::decode_pairs(&pair[..2 * width], &mut self.spans);
+            T::decode_pairs(&pair[..2 * width], spans);
             bytes = &bytes[width..];
         }
         let whole = bytes.len() - bytes.len() % (2 * width);
-        T::decode_pairs(&bytes[..whole], &mut self.spans);
+        T::decode_pairs(&bytes[..whole], spans);
         if whole < bytes.len() {
             self.half = Some(le_array(&bytes[whole..]));
         }
     }
+
+    /// Cross-section consistency: the counts in `META` size every
+    /// array, and every stored index lands in range.
+    fn finish(self) -> Result<ShardedIndex<T>, TvgiError> {
+        let Decoder {
+            meta,
+            spec,
+            mut flat,
+            ..
+        } = self;
+        let [nodes, edges, horizon] = meta[..] else {
+            return Err(TvgiError::Inconsistent("META has the wrong word count"));
+        };
+        // Ids are `u32`, so a count that does not fit one is an
+        // inconsistency, and `count + 1` cannot overflow.
+        let count = |word: u64, what| {
+            u32::try_from(word)
+                .map(|c| c as usize)
+                .map_err(|_| TvgiError::Inconsistent(what))
+        };
+        let (n, m) = (count(nodes, "node count")?, count(edges, "edge count")?);
+        flat.horizon =
+            T::from_word(horizon).ok_or(TvgiError::Inconsistent("horizon exceeds time width"))?;
+        let check = |ok: bool, what| {
+            if ok {
+                Ok(())
+            } else {
+                Err(TvgiError::Inconsistent(what))
+            }
+        };
+        check(flat.dst.len() == m, "EDGE_DST length")?;
+        check(flat.lat.len() == m, "EDGE_LAT length")?;
+        check(flat.mono.len() == m.div_ceil(64), "EDGE_MONO length")?;
+        check(
+            flat.mono
+                .last()
+                .is_none_or(|w| m % 64 == 0 || w >> (m % 64) == 0),
+            "EDGE_MONO sets a bit past the last edge",
+        )?;
+        check(flat.csr_edges.len() == m, "CSR_EDGES length")?;
+        check(
+            offsets_span(&flat.csr_off, n, m),
+            "CSR_OFF not monotone over CSR_EDGES",
+        )?;
+        check(
+            offsets_span(&flat.span_off, m, flat.spans.len()),
+            "SPAN_OFF not monotone over SPANS",
+        )?;
+        let mut listed = vec![0u64; m.div_ceil(64)];
+        for e in &flat.csr_edges {
+            let i = e.index();
+            let fresh = i < m && listed[i / 64] >> (i % 64) & 1 == 0;
+            check(fresh, "CSR_EDGES does not list every edge exactly once")?;
+            listed[i / 64] |= 1 << (i % 64);
+        }
+        check(
+            flat.dst.iter().all(|d| d.index() < n),
+            "EDGE_DST out of range",
+        )?;
+        let spec =
+            String::from_utf8(spec).map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
+        Ok(ShardedIndex { flat, spec })
+    }
 }
 
-/// Joins `sizes.len()` per-shard offset arrays, concatenated in `off`,
-/// into one global prefix array, in place. Shard `s` holds
-/// `sizes[s] + 1` entries: `0`, then non-decreasing up to its own item
-/// count. Each is rebased onto the items of the shards before it, and
-/// the boundary entry two neighbours share is kept once. Returns each
-/// shard's item count.
-fn join_offsets(
-    off: &mut Vec<u64>,
-    sizes: &[usize],
-    what: &'static str,
-) -> Result<Vec<usize>, TvgiError> {
-    let bad = || TvgiError::Inconsistent(what);
-    let mut counts = Vec::with_capacity(sizes.len());
-    let (mut read, mut write, mut base) = (0usize, 1usize, 0u64);
-    for &size in sizes {
-        let end = read.checked_add(size).ok_or_else(bad)?;
-        let seg = off.get(read..=end).ok_or_else(bad)?;
-        if seg[0] != 0 || seg.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad());
-        }
-        let count = seg[size];
-        // Every entry is at most `count`, so no rebased entry overflows.
-        let next_base = base.checked_add(count).ok_or_else(bad)?;
-        if (write, base) == (read + 1, 0) {
-            write = end + 1; // the first shard is in place already
-        } else {
-            for i in read + 1..=end {
-                off[write] = base + off[i];
-                write += 1;
-            }
-        }
-        base = next_base;
-        counts.push(usize::try_from(count).map_err(|_| bad())?);
-        read = end + 1;
-    }
-    if read != off.len() {
-        return Err(bad());
-    }
-    off.truncate(write);
-    Ok(counts)
+/// Whether `off` holds `len + 1` offsets that start at zero, never
+/// decrease, and end at `end`.
+fn offsets_span(off: &[u64], len: usize, end: usize) -> bool {
+    off.len() == len + 1
+        && off[0] == 0
+        && off[len] == end as u64
+        && off.windows(2).all(|w| w[0] <= w[1])
 }
 
 impl<T: TvgiTime> ShardedIndex<T> {
     /// Opens `path`, fully validating the container before decoding:
-    /// magic/version/width, section-table bounds, alignment, overlap,
-    /// duplicates and shard order, the whole-file checksum, then
-    /// cross-section consistency. After the table, the file is read
-    /// once, in order, through one fixed buffer that is checksummed and
-    /// decoded in the same pass; no recompilation.
+    /// magic/version/width, section-table bounds, alignment, overlap and
+    /// duplicates, the whole-file checksum, then cross-section
+    /// consistency. After the table, the file is read once, in order,
+    /// through one fixed buffer that is checksummed and decoded in the
+    /// same pass; no recompilation.
     ///
     /// # Errors
     ///
@@ -1026,86 +946,28 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let checksum = u64::from_le_bytes(le_array(&head[16..24]));
         let n_sections = u32::from_le_bytes(le_array(&head[12..16]));
 
-        // Section table.
+        // The table and its padding up to the 8-aligned payload.
         let table_len = TABLE_ENTRY_LEN * u64::from(n_sections);
-        let payload_start = HEADER_LEN + table_len;
+        let payload_start = (HEADER_LEN + table_len).next_multiple_of(8);
         if payload_start > file_len {
             return Err(TvgiError::Truncated);
         }
-        let mut table_bytes =
-            vec![0u8; usize::try_from(table_len).map_err(|_| TvgiError::Truncated)?];
+        let mut table_bytes = vec![
+            0u8;
+            usize::try_from(payload_start - HEADER_LEN)
+                .map_err(|_| TvgiError::Truncated)?
+        ];
         f.read_exact(&mut table_bytes)?;
-        let table: Vec<Section> = table_bytes
-            .chunks_exact(TABLE_ENTRY_LEN as usize)
-            .map(|entry| Section {
-                id: u32::from_le_bytes(le_array(&entry[0..4])),
-                shard: u32::from_le_bytes(le_array(&entry[4..8])),
-                offset: u64::from_le_bytes(le_array(&entry[8..16])),
-                len: u64::from_le_bytes(le_array(&entry[16..24])),
-            })
-            .collect();
-
-        // Structural validation before any payload decode.
-        let mut seen = std::collections::BTreeSet::new();
-        for sec in &table {
-            if !section::all().any(|id| id == sec.id) {
-                return Err(TvgiError::Inconsistent("unknown or retired section id"));
-            }
-            let ew = elem_width(sec.id, info.width);
-            if sec.offset % 8 != 0 || sec.len % ew != 0 {
-                return Err(TvgiError::Misaligned(sec.id));
-            }
-            if sec.offset < payload_start || sec.len > file_len || sec.offset > file_len - sec.len {
-                return Err(TvgiError::SectionOutOfBounds(sec.id));
-            }
-            if !seen.insert((sec.id, sec.shard)) {
-                return Err(TvgiError::DuplicateSection(sec.id));
-            }
-        }
-        let mut by_offset: Vec<usize> = (0..table.len()).collect();
-        by_offset.sort_by_key(|&i| table[i].offset);
-        for pair in by_offset.windows(2) {
-            let (a, b) = (&table[pair[0]], &table[pair[1]]);
-            if a.offset + a.len > b.offset {
-                return Err(TvgiError::SectionOverlap(a.id, b.id));
-            }
-        }
-        // A global section appears once; a per-shard one once per
-        // shard, in shard order along the file.
-        let mut per_id: BTreeMap<u32, u32> = BTreeMap::new();
-        for &i in &by_offset {
-            let sec = &table[i];
-            let n = per_id.entry(sec.id).or_default();
-            let expected = if section::is_sharded(sec.id) {
-                *n
-            } else {
-                GLOBAL
-            };
-            if sec.shard != expected {
-                return Err(TvgiError::Inconsistent("section shard out of order"));
-            }
-            *n += 1;
-        }
-        for id in section::all() {
-            let expected = if section::is_sharded(id) {
-                info.shards
-            } else {
-                1
-            };
-            if per_id.get(&id) != Some(&expected) {
-                return Err(TvgiError::MissingSection(id));
-            }
-        }
+        let table = parse_table(&table_bytes, payload_start, file_len, info.width)?;
 
         // One pass over the payload: every chunk is checksummed and its
         // section pieces decoded while it is in cache. Chunks start
         // 8-aligned and sections start 8-aligned, so every piece is
-        // whole words. The arenas together hold at most the validated,
-        // non-overlapping section lengths: no more than the file.
+        // whole words.
         let mut sum = Checksum::new();
         sum.update(&head[..16]);
         sum.update(&table_bytes);
-        let mut arenas = Arenas::<T>::for_table(&table);
+        let mut decoder = Decoder::<T>::for_table(&table);
         let mut buf = vec![0u8; READ_CHUNK];
         let mut pos = payload_start;
         let mut next = 0;
@@ -1115,12 +977,11 @@ impl<T: TvgiTime> ShardedIndex<T> {
             f.read_exact(chunk)?;
             sum.update(chunk);
             let end = pos + take as u64;
-            while let Some(&i) = by_offset.get(next) {
-                let sec = &table[i];
+            while let Some(sec) = table.get(next) {
                 let sec_end = sec.offset + sec.len;
                 let (lo, hi) = (sec.offset.max(pos), sec_end.min(end));
                 if lo < hi {
-                    arenas.decode(sec.id, &chunk[(lo - pos) as usize..(hi - pos) as usize]);
+                    decoder.decode(sec.id, &chunk[(lo - pos) as usize..(hi - pos) as usize]);
                 }
                 if sec_end > end {
                     break;
@@ -1132,146 +993,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
         if sum.finish() != checksum {
             return Err(TvgiError::ChecksumMismatch);
         }
-
-        // Cross-section consistency. Every section is present (checked
-        // with the table), so each arena exists.
-        let mut take = |id: u32| arenas.u32s.remove(&id).unwrap_or_default();
-        let ranges = take(section::SHARD_RANGES);
-        let edge_shard = take(section::EDGE_SHARD);
-        let mut edge_slot = take(section::EDGE_LOCAL);
-        let edge_dst = take(section::EDGE_DST);
-        let edge_mono = take(section::EDGE_MONO);
-        let mut take = |id: u32| arenas.u64s.remove(&id).unwrap_or_default();
-        let meta = take(section::META);
-        let names_off = take(section::NAMES_OFF);
-        let mut csr_off = take(section::CSR_OFF);
-        let mut span_off = take(section::SPAN_OFF);
-        let mut take = |id: u32| arenas.bytes.remove(&id).unwrap_or_default();
-        let names_bytes = take(section::NAMES_BYTES);
-        let spec = String::from_utf8(take(section::SPEC))
-            .map_err(|_| TvgiError::Inconsistent("SPEC is not UTF-8"))?;
-        let Arenas {
-            edge_lat,
-            csr_edges,
-            spans,
-            ..
-        } = arenas;
-
-        if meta.len() != META_WORDS {
-            return Err(TvgiError::Inconsistent("META has the wrong word count"));
-        }
-        // Counts come from the file: ids are `u32`, so a count that does
-        // not fit one is an inconsistency, and `count + 1` cannot overflow.
-        let count = |word: u64, what| {
-            u32::try_from(word)
-                .map(|c| c as usize)
-                .map_err(|_| TvgiError::Inconsistent(what))
-        };
-        let num_nodes = count(meta[0], "node count")?;
-        let num_edges = count(meta[1], "edge count")?;
-        let horizon =
-            T::from_word(meta[2]).ok_or(TvgiError::Inconsistent("horizon exceeds time width"))?;
-        if meta[3] != u64::from(info.shards) {
-            return Err(TvgiError::Inconsistent(
-                "META shard count disagrees with header",
-            ));
-        }
-        let expect_len = |len: usize, elems: usize, what: &'static str| {
-            if len == elems {
-                Ok(())
-            } else {
-                Err(TvgiError::Inconsistent(what))
-            }
-        };
-        expect_len(
-            ranges.len(),
-            info.shards as usize + 1,
-            "SHARD_RANGES length",
-        )?;
-        if ranges[0] != 0
-            || *ranges.last().expect("nonempty") as usize != num_nodes
-            || ranges.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(TvgiError::Inconsistent("SHARD_RANGES not a partition"));
-        }
-        expect_len(edge_shard.len(), num_edges, "EDGE_SHARD length")?;
-        expect_len(edge_slot.len(), num_edges, "EDGE_LOCAL length")?;
-        expect_len(edge_dst.len(), num_edges, "EDGE_DST length")?;
-        expect_len(edge_mono.len(), num_edges, "EDGE_MONO length")?;
-        expect_len(edge_lat.len(), num_edges, "EDGE_LAT length")?;
-        expect_len(names_off.len(), num_nodes + 1, "NAMES_OFF length")?;
-        if names_off[0] != 0
-            || *names_off.last().expect("nonempty") != names_bytes.len() as u64
-            || names_off.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(TvgiError::Inconsistent(
-                "NAMES_OFF not monotone over NAMES_BYTES",
-            ));
-        }
-
-        // The shards, joined: one CSR over every node, one span-offset
-        // array over every CSR slot.
-        let nodes_per_shard: Vec<usize> =
-            ranges.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
-        let edges_per_shard = join_offsets(&mut csr_off, &nodes_per_shard, "CSR_OFF not monotone")?;
-        expect_len(
-            csr_edges.len(),
-            num_edges,
-            "shard CSRs do not cover every edge",
-        )?;
-        expect_len(
-            *csr_off.last().expect("nonempty") as usize,
-            num_edges,
-            "CSR_OFF does not end at the edge count",
-        )?;
-        join_offsets(
-            &mut span_off,
-            &edges_per_shard,
-            "SPAN_OFF not monotone over SPANS",
-        )?;
-        expect_len(
-            *span_off.last().expect("nonempty") as usize,
-            spans.len(),
-            "SPAN_OFF not monotone over SPANS",
-        )?;
-
-        // Each edge's CSR slot, from its shard and local slot. Requiring
-        // the CSR to list the edge there makes the CSR a permutation of
-        // the edges and the edge directory agree with it.
-        let shard_first: Vec<u32> = ranges[..ranges.len() - 1]
-            .iter()
-            .map(|&first_node| csr_off[first_node as usize] as u32)
-            .collect();
-        for (e, slot) in edge_slot.iter_mut().enumerate() {
-            let &first = shard_first
-                .get(edge_shard[e] as usize)
-                .ok_or(TvgiError::Inconsistent("EDGE_SHARD names an absent shard"))?;
-            let at = first.checked_add(*slot);
-            if at.and_then(|at| csr_edges.get(at as usize)) != Some(&EdgeId::from_index(e)) {
-                return Err(TvgiError::Inconsistent(
-                    "CSR_EDGES does not list the edge at its EDGE_LOCAL slot",
-                ));
-            }
-            *slot = at.expect("checked above");
-        }
-        if edge_dst.iter().any(|&d| d as usize >= num_nodes) {
-            return Err(TvgiError::Inconsistent("EDGE_DST out of range"));
-        }
-
-        Ok(ShardedIndex {
-            horizon,
-            csr_off,
-            csr_edges,
-            span_off,
-            spans,
-            edge_slot,
-            edge_dst,
-            edge_mono,
-            edge_lat,
-            names_off,
-            names_bytes,
-            spec,
-        })
+        decoder.finish()
     }
 
     /// The canonical scenario text embedded at compile time (empty if
@@ -1280,53 +1002,14 @@ impl<T: TvgiTime> ShardedIndex<T> {
     pub fn spec(&self) -> &str {
         &self.spec
     }
-
-    /// The name of node `n` from the embedded name table.
-    #[must_use]
-    pub fn node_name(&self, n: NodeId) -> &str {
-        let lo = usize::try_from(self.names_off[n.index()]).expect("validated at open");
-        let hi = usize::try_from(self.names_off[n.index() + 1]).expect("validated at open");
-        std::str::from_utf8(&self.names_bytes[lo..hi]).unwrap_or("<non-utf8>")
-    }
 }
 
 impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
-    fn num_nodes(&self) -> usize {
-        self.csr_off.len() - 1
-    }
+    flat_answers!();
 
-    fn num_edges(&self) -> usize {
-        self.edge_slot.len()
-    }
-
-    fn horizon(&self) -> &T {
-        &self.horizon
-    }
-
-    fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        let slot = self.edge_slot[e.index()] as usize;
-        SpanView(&self.spans[self.span_off[slot] as usize..self.span_off[slot + 1] as usize])
-    }
-
-    fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        self.edge_mono[e.index()] != 0
-    }
-
-    fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.csr_edges[self.csr_off[n.index()] as usize..self.csr_off[n.index() + 1] as usize]
-    }
-
-    fn dst(&self, e: EdgeId) -> NodeId {
-        NodeId::from_index(self.edge_dst[e.index()] as usize)
-    }
-
+    /// Every decoded latency is constant.
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        t.checked_add(&self.edge_lat[e.index()])
-    }
-
-    /// Two events per span.
-    fn num_edge_events(&self) -> usize {
-        2 * self.spans.len()
+        t.checked_add(self.flat.lat[e.index()].as_ref()?)
     }
 }
 
@@ -1334,7 +1017,7 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
 mod tests {
     use super::*;
     use crate::generators::ring_bus_tvg;
-    use crate::{Presence, Tvg, TvgBuilder};
+    use crate::{Latency, Presence, Tvg, TvgBuilder};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -1367,15 +1050,15 @@ mod tests {
         b.build().expect("valid")
     }
 
-    fn assert_equivalent(idx: &TvgIndex<'_, u64>, mapped: &ShardedIndex<u64>) {
+    fn assert_equivalent<T: TvgiTime>(idx: &TvgIndex<'_, T>, mapped: &ShardedIndex<T>) {
         assert_eq!(idx.num_nodes(), mapped.num_nodes());
         assert_eq!(idx.num_edges(), mapped.num_edges());
         assert_eq!(idx.horizon(), mapped.horizon());
         for e in (0..idx.num_edges()).map(EdgeId::from_index) {
-            assert_eq!(idx.presence(e).view(), mapped.presence(e), "{e} spans");
+            assert_eq!(idx.presence(e), mapped.presence(e), "{e} spans");
             assert_eq!(idx.arrival_is_monotone(e), mapped.arrival_is_monotone(e));
             assert_eq!(idx.tvg().edge(e).dst(), mapped.dst(e));
-            for t in [0u64, 1, 3, 7, 11] {
+            for t in [0, 1, 3, 7, 11].map(T::from_u64) {
                 assert_eq!(idx.arrival(e, &t), mapped.arrival(e, &t), "{e}@{t}");
                 assert_eq!(idx.traverse(e, &t), mapped.traverse(e, &t));
             }
@@ -1387,23 +1070,34 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_at_every_shard_count() {
+    fn round_trips_with_the_spec_text() {
         let g = sample();
         let idx = TvgIndex::compile(&g, 20);
-        for shards in [1u32, 2, 3, 5, 9] {
-            let path = tmp(&format!("rt{shards}"));
-            let summary = write_tvgi(&idx, shards, Some("spec text"), &path).expect("write");
-            assert_eq!(summary.shards, shards.min(5));
-            assert_eq!(summary.width, 8);
-            let mapped = ShardedIndex::<u64>::open(&path).expect("open");
-            assert_eq!(mapped.spec(), "spec text");
+        let path = tmp("rt");
+        let summary = write_tvgi(&idx, 1, Some("spec text"), &path).expect("write");
+        assert_eq!(summary.width, 8);
+        assert_eq!(
+            summary.bytes,
+            std::fs::metadata(&path).expect("written").len()
+        );
+        let mapped = ShardedIndex::<u64>::open(&path).expect("open");
+        assert_eq!(mapped.spec(), "spec text");
+        assert_equivalent(&idx, &mapped);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_shard_count_other_than_one_is_refused() {
+        let g = sample();
+        let idx = TvgIndex::compile(&g, 20);
+        let path = tmp("shards");
+        for shards in [0, 2, u32::MAX] {
             assert_eq!(
-                mapped.node_name(NodeId::from_index(0)),
-                g.node_name(NodeId::from_index(0))
+                write_tvgi(&idx, shards, None, &path),
+                Err(TvgiError::UnsupportedShards(shards))
             );
-            assert_equivalent(&idx, &mapped);
-            std::fs::remove_file(&path).ok();
         }
+        assert!(!path.exists(), "a refused write creates no file");
     }
 
     #[test]
@@ -1412,7 +1106,7 @@ mod tests {
         let narrowed = crate::narrow_tvg(&g, 20).expect("fits");
         let idx32 = TvgIndex::compile(&narrowed, 20u32);
         let path = tmp("w32");
-        let summary = write_tvgi(&idx32, 2, None, &path).expect("write");
+        let summary = write_tvgi(&idx32, 1, None, &path).expect("write");
         assert_eq!(summary.width, 4);
         // Opening under the wrong width is a typed refusal…
         assert!(matches!(
@@ -1463,8 +1157,9 @@ mod tests {
             .collect()
     }
 
-    /// Freezes the version-3 definition: any change to the mix, the
-    /// lane seeds, the lane order, or the finish changes this value.
+    /// Freezes the checksum definition (unchanged since version 3): any
+    /// change to the mix, the lane seeds, the lane order, or the finish
+    /// changes this value.
     #[test]
     fn checksum_of_a_fixed_string_is_pinned() {
         let mut file = b"TVGI\x03\x00\x08\x00".to_vec();
@@ -1532,9 +1227,12 @@ mod tests {
         let g = ring_bus_tvg(12, 6, 'r');
         let idx = TvgIndex::compile(&g, 30);
         let path = tmp("ring");
-        write_tvgi(&idx, 4, None, &path).expect("write");
-        let mapped = ShardedIndex::<u64>::open(&path).expect("open");
-        assert_equivalent(&idx, &mapped);
+        write_tvgi(&idx, 1, None, &path).expect("write");
+        assert_equivalent(&idx, &ShardedIndex::<u64>::open(&path).expect("open"));
+        let narrowed = crate::narrow_tvg(&g, 30).expect("fits");
+        let idx32 = TvgIndex::compile(&narrowed, 30u32);
+        write_tvgi(&idx32, 1, None, &path).expect("write");
+        assert_equivalent(&idx32, &ShardedIndex::<u32>::open(&path).expect("open"));
         std::fs::remove_file(&path).ok();
     }
 }

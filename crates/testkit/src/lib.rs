@@ -44,7 +44,7 @@
 //! * [`tvgicheck`] — the `.tvgi` round-trip oracle: an index opened
 //!   from an on-disk file must answer bit-identically (arrivals,
 //!   witnesses, engine counters) to the in-memory compile it
-//!   serialized, at every shard count.
+//!   serialized.
 //! * [`servecheck`] — the serve-runtime oracles: a pinned
 //!   `Arc<ServeSnapshot>` answers byte-identically while the writer
 //!   publishes newer epochs, served answers equal from-scratch

@@ -38,6 +38,7 @@ use tvg_model::{
 };
 use tvg_testkit::fixtures;
 use tvg_testkit::refengine::ref_foremost_tree;
+use tvg_testkit::tickscan;
 
 /// The three policy regimes over any time domain.
 fn all_policies<T: Time>(bound: u64) -> [WaitingPolicy<T>; 3] {
@@ -293,6 +294,40 @@ fn departure_schedule_matches_oracle_on_dense_multigraphs() {
         for policy in policies {
             assert_cores_match(&index, &0, &policy, &limits, &label);
         }
+    }
+}
+
+/// Regression: a `wait[d]` window whose end `ready + d` overflows the
+/// time type used to be empty instead of ending at the horizon, so on
+/// this `u32` graph `wait[10]` reached nothing while `nowait`, `wait[3]`
+/// and `wait` reached `v` — against `L_nowait ⊆ L_wait[d]`.
+#[test]
+fn a_bounded_window_past_the_time_domain_ends_at_the_horizon() {
+    let max = u32::MAX;
+    let mut b = TvgBuilder::<u32>::new();
+    let (u, v) = (b.node("u"), b.node("v"));
+    let window = Presence::Window {
+        from: max - 6,
+        until: max - 1,
+    };
+    b.edge(u, v, 'a', window, Latency::Const(0))
+        .expect("valid edge");
+    let g = b.build().expect("valid graph");
+    let (start, horizon) = (max - 6, max - 1);
+    let index = TvgIndex::compile(&g, horizon);
+    let limits = SearchLimits::new(horizon, 4);
+    let policies = [
+        WaitingPolicy::NoWait,
+        WaitingPolicy::Bounded(3),
+        WaitingPolicy::Bounded(10),
+        WaitingPolicy::Unbounded,
+    ];
+    for policy in policies {
+        let tree = foremost_tree(&index, u, &start, &policy, &limits);
+        assert_eq!(tree.arrival(v), Some(&start), "{policy}");
+        let oracle = tickscan::foremost_journey(&g, u, v, &start, &policy, &limits);
+        assert_eq!(tree.journey_to(v), oracle, "{policy}");
+        assert_cores_match(&index, &start, &policy, &limits, "overflowing window");
     }
 }
 

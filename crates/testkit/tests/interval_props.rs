@@ -7,7 +7,7 @@
 //! is a pure change of representation, never of semantics.
 
 use rand::Rng;
-use tvg_model::{Time, Tvg, TvgIndex};
+use tvg_model::{TemporalIndex, Time, Tvg, TvgIndex};
 use tvg_testkit::fixtures;
 use tvg_testkit::gen;
 
@@ -22,13 +22,13 @@ fn assert_index_matches_closures<T: Time>(g: &Tvg<T>, horizon: u64, label: &str)
         let mut t = T::zero();
         loop {
             assert_eq!(
-                set.view().contains(&t),
+                set.contains(&t),
                 rho.is_present(&t),
                 "{label}: edge {e} membership at t={t}"
             );
             // next_within from t to the horizon vs. the linear scan.
             assert_eq!(
-                set.view().next_within(&t, &h),
+                set.next_within(&t, &h),
                 rho.next_present_within(&t, &h),
                 "{label}: edge {e} next-present from t={t}"
             );

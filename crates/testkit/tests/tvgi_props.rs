@@ -6,12 +6,12 @@
 //!    through `compile_index` + `run_with_index`, must reproduce
 //!    `Scenario::run`'s canonical report bytes exactly, in both time
 //!    domains; and the engine-level oracle (`tvgicheck`) pins arrivals,
-//!    witnesses, and stats bit-identical on generated graphs at shard
-//!    counts 1, 2, and 4.
+//!    witnesses, and stats bit-identical on generated graphs.
 //! 2. **Failure modes** — every way a file can be wrong (truncated,
-//!    foreign magic, future version, overlapping or misaligned section
-//!    table, any single flipped byte) is a typed [`TvgiError`], never
-//!    a panic and never a silently-wrong index.
+//!    foreign magic, retired version, overlapping or misaligned section
+//!    table, any single flipped byte, resealed arrays that contradict
+//!    each other) is a typed [`TvgiError`], never a panic and never a
+//!    silently-wrong index.
 
 use tvg_journeys::WaitingPolicy;
 use tvg_model::generators::{ring_bus_tvg, scale_free_temporal};
@@ -36,11 +36,9 @@ fn policies() -> [WaitingPolicy<u64>; 3] {
 // ---------------------------------------------------------------------
 
 #[test]
-fn generated_graphs_round_trip_at_every_shard_count() {
+fn generated_graphs_round_trip() {
     let g = scale_free_temporal(50, 40, 11);
-    for shards in [1, 2, 4] {
-        assert_tvgi_round_trip(&g, 40, shards, &policies(), "sf50");
-    }
+    assert_tvgi_round_trip(&g, 40, &policies(), "sf50");
 }
 
 #[test]
@@ -52,45 +50,40 @@ fn narrowed_graphs_round_trip_in_the_u32_domain() {
         WaitingPolicy::Bounded(3u32),
         WaitingPolicy::Unbounded,
     ];
-    for shards in [1, 2, 4] {
-        assert_tvgi_round_trip(&narrowed, 24u32, shards, &narrowed_policies, "sf30-u32");
-    }
+    assert_tvgi_round_trip(&narrowed, 24u32, &narrowed_policies, "sf30-u32");
 }
 
-/// A `u64` file whose `SPANS` sections outgrow one read chunk, laid out
+/// A `u64` file whose `SPANS` section outgrows one read chunk, laid out
 /// so that a 16-byte span pair straddles a chunk boundary: the reader
 /// must carry the pair's first word into the next chunk.
 #[test]
 fn u64_span_pairs_straddling_read_chunks_round_trip() {
     let horizon = 12_000u64;
-    let g = ring_bus_tvg(14, 2, 'r');
+    let g = ring_bus_tvg(15, 2, 'r');
     let index = TvgIndex::compile(&g, horizon);
-    for shards in [1, 3] {
-        let path = scratch_path(&format!("straddle-{shards}"));
-        write_tvgi(&index, shards, None, &path).expect("writes");
-        let bytes = std::fs::read(&path).expect("reads back");
-        let _ = std::fs::remove_file(&path);
-        let spans = section_ranges(&bytes, 16);
-        assert!(
-            spans.iter().all(|&(_, len)| len > READ_CHUNK),
-            "shards {shards}: every SPANS section must outgrow a read chunk"
-        );
-        assert!(
-            spans.iter().any(|&range| splits_a_pair(&bytes, range)),
-            "shards {shards}: no span pair straddles a read-chunk boundary"
-        );
-        // Decoding is what this pins; one policy keeps the run short.
-        let policy = [WaitingPolicy::Unbounded];
-        assert_tvgi_round_trip(&g, horizon, shards, &policy, "straddle");
-    }
+    let path = scratch_path("straddle");
+    write_tvgi(&index, 1, None, &path).expect("writes");
+    let bytes = std::fs::read(&path).expect("reads back");
+    let _ = std::fs::remove_file(&path);
+    let spans = section_range(&bytes, 16);
+    assert!(
+        spans.1 > READ_CHUNK,
+        "the SPANS section must outgrow a read chunk"
+    );
+    assert!(
+        splits_a_pair(&bytes, spans),
+        "no span pair straddles a read-chunk boundary"
+    );
+    // Decoding is what this pins; one policy keeps the run short.
+    let policy = [WaitingPolicy::Unbounded];
+    assert_tvgi_round_trip(&g, horizon, &policy, "straddle");
 }
 
 /// Whether a read-chunk boundary falls in the middle of a 16-byte span
 /// pair of the `SPANS` section at `(offset, len)`. Chunks start where
-/// the section table ends.
+/// the section table ends, rounded up to a multiple of 8.
 fn splits_a_pair(bytes: &[u8], (offset, len): (usize, usize)) -> bool {
-    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let payload_start = 24 + 24 * n_sections;
+    let payload_start = table_entry_at(sections(bytes)).next_multiple_of(8);
     (payload_start..offset + len)
         .step_by(READ_CHUNK)
         .any(|boundary| boundary > offset && (boundary - offset) % 16 == 8)
@@ -210,7 +203,7 @@ fn valid_file(label: &str) -> (std::path::PathBuf, Vec<u8>) {
     let g = scale_free_temporal(12, 20, 3);
     let index = TvgIndex::compile(&g, 20u64);
     let path = scratch_path(label);
-    write_tvgi(&index, 3, Some("spec text"), &path).expect("writes");
+    write_tvgi(&index, 1, Some("spec text"), &path).expect("writes");
     let bytes = std::fs::read(&path).expect("reads back");
     (path, bytes)
 }
@@ -305,10 +298,19 @@ fn a_width_other_than_4_or_8_is_typed() {
     );
 }
 
-/// Section-table entries live at `24 + 24·i`; offset is at +8, len at
-/// +16 within an entry.
+/// The number of section-table entries the header announces.
+fn sections(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize
+}
+
+/// Section-table entry `i` starts at `24 + 20·i`: id at +0, offset at
+/// +4, len at +12.
+fn table_entry_at(i: usize) -> usize {
+    24 + 20 * i
+}
+
 fn entry_field(bytes: &mut [u8], entry: usize, field_off: usize) -> &mut [u8] {
-    let at = 24 + 24 * entry + field_off;
+    let at = table_entry_at(entry) + field_off;
     &mut bytes[at..at + 8]
 }
 
@@ -319,8 +321,8 @@ fn overlapping_sections_are_typed() {
     // Point entry 1's offset at entry 0's payload: a structural
     // overlap, caught before any decode (no reseal needed — the table
     // is validated before the checksum pass).
-    let first_off = u64::from_le_bytes(entry_field(&mut bytes, 0, 8).try_into().unwrap());
-    entry_field(&mut bytes, 1, 8).copy_from_slice(&first_off.to_le_bytes());
+    let first_off = u64::from_le_bytes(entry_field(&mut bytes, 0, 4).try_into().unwrap());
+    entry_field(&mut bytes, 1, 4).copy_from_slice(&first_off.to_le_bytes());
     let err = open_bytes("overlap-open", &bytes).expect_err("must fail");
     assert!(
         matches!(err, TvgiError::SectionOverlap(..)),
@@ -332,8 +334,8 @@ fn overlapping_sections_are_typed() {
 fn misaligned_sections_are_typed() {
     let (path, mut bytes) = valid_file("misalign");
     let _ = std::fs::remove_file(&path);
-    let off = u64::from_le_bytes(entry_field(&mut bytes, 0, 8).try_into().unwrap());
-    entry_field(&mut bytes, 0, 8).copy_from_slice(&(off + 1).to_le_bytes());
+    let off = u64::from_le_bytes(entry_field(&mut bytes, 0, 4).try_into().unwrap());
+    entry_field(&mut bytes, 0, 4).copy_from_slice(&(off + 1).to_le_bytes());
     let err = open_bytes("misalign-open", &bytes).expect_err("must fail");
     assert!(
         matches!(err, TvgiError::Misaligned(_)),
@@ -366,53 +368,49 @@ fn single_byte_corruption_never_opens_and_never_panics() {
     }
 }
 
-/// The byte position of section `id`'s first table entry.
+/// The byte position of section `id`'s table entry.
 fn table_entry(bytes: &[u8], id: u32) -> usize {
-    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    (0..n_sections)
-        .map(|i| 24 + 24 * i)
+    (0..sections(bytes))
+        .map(table_entry_at)
         .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
         .unwrap_or_else(|| panic!("section {id} present"))
 }
 
-/// The `(offset, len)` of every table entry of section `id`, one per
-/// shard for a per-shard section.
-fn section_ranges(bytes: &[u8], id: u32) -> Vec<(usize, usize)> {
-    let n_sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+/// The `(offset, len)` of section `id`.
+fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
+    let at = table_entry(bytes, id);
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let ranges: Vec<(usize, usize)> = (0..n_sections)
-        .map(|i| 24 + 24 * i)
-        .filter(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
-        .map(|at| (word(at + 8), word(at + 16)))
-        .collect();
-    assert!(!ranges.is_empty(), "section {id} present");
-    ranges
+    (word(at + 4), word(at + 12))
 }
 
 #[test]
 fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     let (path, bytes) = valid_file("reseal");
     let _ = std::fs::remove_file(&path);
-    // Zero out the SHARD_RANGES partition end (section 10) and reseal
-    // the checksum: the checksum now passes, so the cross-section
-    // consistency layer must catch the lie.
+    // Make SPAN_OFF (section 15) decrease once, keeping its first and
+    // last words, and reseal the checksum: the checksum now passes, so
+    // the cross-section consistency layer must catch the lie.
+    let (off, len) = section_range(&bytes, 15);
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let last = word(off + len - 8);
+    let i = (1..len / 8 - 1)
+        .find(|&i| (1..last).contains(&word(off + 8 * (i + 1))))
+        .expect("some edge starts inside the span arena");
     let mut forged = bytes.clone();
-    let (off, len) = section_ranges(&forged, 10)[0];
-    forged[off + len - 4..off + len].copy_from_slice(&0u32.to_le_bytes());
+    let bigger = word(off + 8 * (i + 1)) + 1;
+    forged[off + 8 * i..off + 8 * i + 8].copy_from_slice(&bigger.to_le_bytes());
     reseal(&mut forged);
-    let err = open_bytes("reseal-open", &forged).expect_err("forged partition must fail");
-    assert!(
-        matches!(err, TvgiError::Inconsistent(_)),
-        "unexpected error {err:?}"
+    assert_eq!(
+        open_bytes("reseal-open", &forged).expect_err("forged offsets must fail"),
+        TvgiError::Inconsistent("SPAN_OFF not monotone over SPANS")
     );
 }
 
 /// Regression: a resealed file whose `CSR_EDGES` listed one edge twice
-/// used to open and answer with the wrong adjacency, and `EDGE_LOCAL`
-/// was never checked against the CSR. The CSR must list every edge at
-/// the slot the edge directory gives it.
+/// used to open and answer with the wrong adjacency. The CSR must list
+/// every edge exactly once.
 #[test]
-fn resealed_csr_and_edge_directory_forgeries_are_inconsistent() {
+fn resealed_csr_forgeries_are_inconsistent() {
     let g = scale_free_temporal(12, 20, 3);
     let index = TvgIndex::compile(&g, 20u64);
     let path = scratch_path("forged-csr");
@@ -423,30 +421,24 @@ fn resealed_csr_and_edge_directory_forgeries_are_inconsistent() {
     assert_eq!(index.out_edges(NodeId::from_index(0)), edges([0, 2, 19]));
 
     // The second CSR word overwritten by the first: node 0 would read
-    // [e0, e0, e19].
-    let (csr, _) = section_ranges(&bytes, 14)[0];
+    // [e0, e0, e19], and e2 would be listed nowhere.
+    let (csr, _) = section_range(&bytes, 14);
     let mut duplicated = bytes.clone();
     duplicated.copy_within(csr..csr + 4, csr + 4);
     reseal(&mut duplicated);
 
-    // e0's local slot redirected to an edge with other spans, which
-    // would hand e0 that edge's presence.
-    let e0 = EdgeId::from_index(0);
-    let other = g
-        .edges()
-        .find(|&e| index.presence(e).spans() != index.presence(e0).spans())
-        .expect("the graph has edges with different presence");
-    let (local, _) = section_ranges(&bytes, 6)[0];
-    let at = local + 4 * other.index();
-    let mut misdirected = bytes.clone();
-    misdirected.copy_within(at..at + 4, local);
-    reseal(&mut misdirected);
+    // The first CSR word replaced by an edge id past the last edge: e0
+    // would be listed nowhere.
+    let mut omitted = bytes.clone();
+    let past = u32::try_from(g.num_edges()).expect("small graph");
+    omitted[csr..csr + 4].copy_from_slice(&past.to_le_bytes());
+    reseal(&mut omitted);
 
-    for (label, forged) in [("duplicated", duplicated), ("misdirected", misdirected)] {
-        let err = open_bytes(label, &forged).expect_err("forged directory must fail");
-        assert!(
-            matches!(err, TvgiError::Inconsistent(_)),
-            "{label}: unexpected error {err:?}"
+    for (label, forged) in [("duplicated", duplicated), ("omitted", omitted)] {
+        assert_eq!(
+            open_bytes(label, &forged).expect_err("forged CSR must fail"),
+            TvgiError::Inconsistent("CSR_EDGES does not list every edge exactly once"),
+            "{label}"
         );
     }
 }
@@ -458,7 +450,7 @@ fn resealed_csr_and_edge_directory_forgeries_are_inconsistent() {
 fn resealed_huge_counts_are_inconsistent_not_overflow() {
     let (path, bytes) = valid_file("huge-counts");
     let _ = std::fs::remove_file(&path);
-    let (meta, _) = section_ranges(&bytes, 1)[0];
+    let (meta, _) = section_range(&bytes, 1);
     for word in [0, 1] {
         for count in [1u64 << 62, u64::MAX] {
             let mut forged = bytes.clone();
@@ -475,15 +467,16 @@ fn resealed_huge_counts_are_inconsistent_not_overflow() {
 }
 
 /// Version 1 carried an event timeline (sections 11 and 12) and
-/// per-shard boundary summaries (section 17), and version 2 an FNV-1a
-/// checksum: both are refused by version, and a current-version table
-/// naming a retired id is typed.
+/// per-shard boundary summaries (section 17), version 2 an FNV-1a
+/// checksum, and version 3 node names (sections 2 and 3), an edge
+/// directory (5 and 6) and shard ranges (10): all are refused by
+/// version, and a current-version table naming a retired id is typed.
 #[test]
 fn version_one_files_and_retired_sections_are_typed() {
     let (path, bytes) = valid_file("retired");
     let _ = std::fs::remove_file(&path);
-    assert_eq!(VERSION, 3);
-    for old in [1u16, 2] {
+    assert_eq!(VERSION, 4);
+    for old in [1u16, 2, 3] {
         let mut stale = bytes.clone();
         stale[4..6].copy_from_slice(&old.to_le_bytes());
         assert_eq!(
@@ -491,7 +484,7 @@ fn version_one_files_and_retired_sections_are_typed() {
             TvgiError::UnsupportedVersion(old)
         );
     }
-    for retired in [11u32, 12, 17] {
+    for retired in [2u32, 3, 5, 6, 10, 11, 12, 17] {
         // Rename the SPEC entry (section 4); the table is validated
         // before the checksum, so no reseal is needed.
         let mut forged = bytes.clone();
