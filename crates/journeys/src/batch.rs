@@ -33,10 +33,10 @@
 //! not an O(n + m) allocation per query; a reused engine answers
 //! bit-identically to a fresh one.
 //!
-//! Consumers that keep less than a full tree per query (a matrix row, a
-//! count) should use the `map_*` variants: the reduction runs inside
-//! the worker and the tree is dropped there, so peak memory is
-//! O(workers) trees instead of O(batch).
+//! Trees never leave the workers. Every entry point takes a reducer
+//! that distills each tree into what the consumer keeps (a matrix row,
+//! a histogram, a count), and the tree is dropped inside the worker, so
+//! peak memory is O(workers) trees instead of O(batch).
 
 use crate::engine::{Engine, EngineStats, ForemostTree};
 use crate::{SearchLimits, WaitingPolicy};
@@ -138,30 +138,6 @@ fn parse_thread_override(v: &str) -> ThreadOverride {
     }
 }
 
-/// The results of a batch of all-destinations queries: one
-/// [`ForemostTree`] per input query, **in input order**, plus the summed
-/// work counters.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome<T> {
-    trees: Vec<ForemostTree<T>>,
-    stats: EngineStats,
-}
-
-impl<T: Time> BatchOutcome<T> {
-    /// The per-query trees, index-aligned with the input slice.
-    #[must_use]
-    pub fn trees(&self) -> &[ForemostTree<T>] {
-        &self.trees
-    }
-
-    /// Summed [`EngineStats`] over every run in the batch
-    /// (`stats().runs` equals the number of input queries).
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-}
-
 /// Shares one compiled index across a batch of engine runs.
 ///
 /// Generic over the index form ([`TemporalIndex`]): a batch-compiled
@@ -180,9 +156,12 @@ impl<T: Time> BatchOutcome<T> {
 /// let runner = BatchRunner::new(&index, Batch::auto());
 /// let sources: Vec<_> = g.nodes().collect();
 /// let limits = SearchLimits::new(40, 12);
-/// let out = runner.run_sources(&sources, &0, &WaitingPolicy::Unbounded, &limits);
-/// assert_eq!(out.stats().runs, 4); // one engine run per source
-/// assert!(out.trees().iter().all(|t| t.num_reached() == 4));
+/// let (reached, stats) =
+///     runner.map_sources(&sources, &0, &WaitingPolicy::Unbounded, &limits, |_, tree| {
+///         tree.num_reached()
+///     });
+/// assert_eq!(stats.runs, 4); // one engine run per source
+/// assert_eq!(reached, [4, 4, 4, 4]);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRunner<'i, I> {
@@ -205,50 +184,13 @@ impl<'i, I> BatchRunner<'i, I> {
 
     /// One all-destinations foremost run per source, all starting at
     /// `start` — the `ReachabilityMatrix` / `delivery_ratio` workload.
-    #[must_use]
-    pub fn run_sources<T: Time + Send + Sync>(
-        &self,
-        sources: &[NodeId],
-        start: &T,
-        policy: &WaitingPolicy<T>,
-        limits: &SearchLimits<T>,
-    ) -> BatchOutcome<T>
-    where
-        I: TemporalIndex<T> + Sync,
-    {
-        self.collect(fan_out(
-            self.batch.num_threads(),
-            sources,
-            |engine, &src| engine.run(self.index, &[(src, start.clone())], policy, limits, None),
-        ))
-    }
-
-    /// One all-destinations foremost run per seed *set* (multi-seed runs
-    /// model re-emitting sources, e.g. beaconing broadcasts).
-    #[must_use]
-    pub fn run_seed_sets<T: Time + Send + Sync>(
-        &self,
-        seed_sets: &[Vec<(NodeId, T)>],
-        policy: &WaitingPolicy<T>,
-        limits: &SearchLimits<T>,
-    ) -> BatchOutcome<T>
-    where
-        I: TemporalIndex<T> + Sync,
-    {
-        self.collect(fan_out(
-            self.batch.num_threads(),
-            seed_sets,
-            |engine, seeds| engine.run(self.index, seeds, policy, limits, None),
-        ))
-    }
-
-    /// [`BatchRunner::run_sources`] with worker-side reduction: `reduce`
-    /// distills each tree into whatever the consumer keeps (a matrix
-    /// row, a reached-count), and the tree — parent maps included — is
-    /// dropped inside the worker. A batch of n queries therefore holds
-    /// O(workers) trees in flight instead of n, which is what lets the
-    /// aggregate consumers run at graph scale. Results stay in input
-    /// order; the summed stats still count one run per query.
+    /// `reduce` distills each tree into whatever the consumer keeps (a
+    /// matrix row, a reached-count), and the tree — parent structure
+    /// included — is dropped inside the worker. A batch of n queries
+    /// therefore holds O(workers) trees in flight instead of n, which is
+    /// what lets the aggregate consumers run at graph scale. Results
+    /// come back in input order, with stats summed over one run per
+    /// query.
     #[must_use]
     pub fn map_sources<T: Time + Send + Sync, R: Send>(
         &self,
@@ -261,19 +203,16 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(
-            self.batch.num_threads(),
-            sources,
-            |engine, &src| {
-                let tree = engine.run(self.index, &[(src, start.clone())], policy, limits, None);
-                (reduce(src, &tree), tree.stats())
-            },
-        ))
+        let seed_sets: Vec<_> = sources.iter().map(|&s| vec![(s, start.clone())]).collect();
+        self.map_seed_sets(&seed_sets, policy, limits, |seeds, tree| {
+            reduce(seeds[0].0, tree)
+        })
     }
 
-    /// [`BatchRunner::run_seed_sets`] with worker-side reduction (see
-    /// [`BatchRunner::map_sources`]); `reduce` also receives the seed
-    /// set its tree answers for.
+    /// One all-destinations foremost run per seed *set* (multi-seed runs
+    /// model re-emitting sources, e.g. beaconing broadcasts), reduced in
+    /// the worker as in [`BatchRunner::map_sources`]; `reduce` also
+    /// receives the seed set its tree answers for.
     #[must_use]
     pub fn map_seed_sets<T: Time + Send + Sync, R: Send>(
         &self,
@@ -285,27 +224,13 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        split_stats(fan_out(
-            self.batch.num_threads(),
-            seed_sets,
-            |engine, seeds| {
-                let tree = engine.run(self.index, seeds, policy, limits, None);
-                (reduce(seeds, &tree), tree.stats())
-            },
-        ))
+        let results = fan_out(self.batch.num_threads(), seed_sets, |engine, seeds| {
+            let tree = engine.run(self.index, seeds, policy, limits, None);
+            (reduce(seeds, &tree), tree.stats())
+        });
+        let stats = results.iter().map(|(_, s)| *s).sum();
+        (results.into_iter().map(|(r, _)| r).collect(), stats)
     }
-
-    fn collect<T: Time>(&self, trees: Vec<ForemostTree<T>>) -> BatchOutcome<T> {
-        let stats = trees.iter().map(ForemostTree::stats).sum();
-        BatchOutcome { trees, stats }
-    }
-}
-
-/// Splits worker `(result, per-run stats)` pairs into the ordered
-/// results and their summed stats.
-fn split_stats<R>(results: Vec<(R, EngineStats)>) -> (Vec<R>, EngineStats) {
-    let stats = results.iter().map(|(_, s)| *s).sum();
-    (results.into_iter().map(|(r, _)| r).collect(), stats)
 }
 
 /// Runs `f` over every job and returns the results in input order.
@@ -387,6 +312,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Journey;
     use tvg_model::generators::{ring_bus_tvg, scale_free_temporal};
     use tvg_model::TvgIndex;
 
@@ -402,6 +328,40 @@ mod tests {
         ]
     }
 
+    /// Thread counts below, at and above the small fixtures' job counts.
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+    /// Every node's foremost arrival and witness journey in `tree`.
+    type Answers = Vec<(Option<u64>, Option<Journey<u64>>)>;
+
+    fn answers(tree: &ForemostTree<u64>, nodes: usize) -> Answers {
+        (0..nodes)
+            .map(n)
+            .map(|d| (tree.arrival(d).cloned(), tree.journey_to(d)))
+            .collect()
+    }
+
+    /// The serial reference: one fresh engine run per seed set, each
+    /// tree reduced to its [`answers`], with the summed stats.
+    fn serial<I: TemporalIndex<u64>>(
+        index: &I,
+        seed_sets: &[Vec<(NodeId, u64)>],
+        policy: &WaitingPolicy<u64>,
+        limits: &SearchLimits<u64>,
+    ) -> (Vec<Answers>, EngineStats) {
+        let trees: Vec<_> = seed_sets
+            .iter()
+            .map(|seeds| Engine::new().run(index, seeds, policy, limits, None))
+            .collect();
+        let stats = trees.iter().map(ForemostTree::stats).sum();
+        let nodes = index.num_nodes();
+        (trees.iter().map(|t| answers(t, nodes)).collect(), stats)
+    }
+
+    fn single_seeds(sources: &[NodeId]) -> Vec<Vec<(NodeId, u64)>> {
+        sources.iter().map(|&s| vec![(s, 0)]).collect()
+    }
+
     #[test]
     fn thread_count_never_changes_results() {
         let g = scale_free_temporal(40, 32, 5);
@@ -409,26 +369,16 @@ mod tests {
         let sources: Vec<NodeId> = g.nodes().collect();
         let limits = SearchLimits::new(32, 8);
         for policy in policies() {
-            let serial = BatchRunner::new(&index, Batch::serial())
-                .run_sources(&sources, &0, &policy, &limits);
-            for threads in [2, 4, 7] {
-                let parallel = BatchRunner::new(&index, Batch::threads(threads))
-                    .run_sources(&sources, &0, &policy, &limits);
-                assert_eq!(parallel.stats(), serial.stats(), "{policy} x{threads}");
-                for (i, (s, p)) in serial.trees().iter().zip(parallel.trees()).enumerate() {
-                    for dst in g.nodes() {
-                        assert_eq!(
-                            s.arrival(dst),
-                            p.arrival(dst),
-                            "{policy} x{threads}: source #{i} → {dst}"
-                        );
-                        assert_eq!(
-                            s.journey_to(dst),
-                            p.journey_to(dst),
-                            "{policy} x{threads}: witness #{i} → {dst}"
-                        );
-                    }
-                }
+            let expected = serial(&index, &single_seeds(&sources), &policy, &limits);
+            for threads in THREADS {
+                let got = BatchRunner::new(&index, Batch::threads(threads)).map_sources(
+                    &sources,
+                    &0,
+                    &policy,
+                    &limits,
+                    |_, tree| answers(tree, g.num_nodes()),
+                );
+                assert_eq!(got, expected, "{policy} x{threads}");
             }
         }
     }
@@ -438,19 +388,30 @@ mod tests {
         let g = ring_bus_tvg(6, 6, 'r');
         let index = TvgIndex::compile(&g, 36);
         let limits = SearchLimits::new(36, 12);
-        // Deliberately scrambled source order: tree i must belong to
+        // Deliberately scrambled source order: result i must belong to
         // sources[i], not to the completion order of the workers.
         let sources = [n(3), n(0), n(5), n(1), n(4), n(2)];
-        let out = BatchRunner::new(&index, Batch::threads(4)).run_sources(
-            &sources,
-            &0,
-            &WaitingPolicy::Unbounded,
-            &limits,
-        );
-        assert_eq!(out.stats().runs, sources.len() as u64);
-        for (tree, src) in out.trees().iter().zip(sources) {
-            assert_eq!(tree.arrival(src), Some(&0), "seed of {src} is itself");
-            assert!(tree.journey_to(src).expect("seed journey").is_empty());
+        let policy = WaitingPolicy::Unbounded;
+        let expected = serial(&index, &single_seeds(&sources), &policy, &limits);
+        for threads in THREADS {
+            let (got, stats) = BatchRunner::new(&index, Batch::threads(threads)).map_sources(
+                &sources,
+                &0,
+                &policy,
+                &limits,
+                |src, tree| (src, answers(tree, g.num_nodes())),
+            );
+            assert_eq!(stats, expected.1, "x{threads}");
+            assert_eq!(stats.runs, sources.len() as u64);
+            for ((src, got), (want_src, want)) in
+                got.into_iter().zip(sources.iter().zip(&expected.0))
+            {
+                assert_eq!(src, *want_src, "x{threads}");
+                assert_eq!(&got, want, "x{threads}: answers for {src}");
+                let (arrival, journey) = &got[src.index()];
+                assert_eq!(arrival, &Some(0), "seed of {src} is itself");
+                assert!(journey.as_ref().expect("seed journey").is_empty());
+            }
         }
     }
 
@@ -463,17 +424,17 @@ mod tests {
             .map(|i| (0..3u64).map(|t| (n(i), t)).collect())
             .collect();
         for policy in policies() {
-            let serial = BatchRunner::new(&index, Batch::serial())
-                .run_seed_sets(&seed_sets, &policy, &limits);
-            let parallel = BatchRunner::new(&index, Batch::threads(3))
-                .run_seed_sets(&seed_sets, &policy, &limits);
-            for (s, p) in serial.trees().iter().zip(parallel.trees()) {
-                for dst in g.nodes() {
-                    assert_eq!(s.arrival(dst), p.arrival(dst), "{policy}");
-                }
+            let expected = serial(&index, &seed_sets, &policy, &limits);
+            assert_eq!(expected.1.runs, seed_sets.len() as u64);
+            for threads in THREADS {
+                let (results, stats) = BatchRunner::new(&index, Batch::threads(threads))
+                    .map_seed_sets(&seed_sets, &policy, &limits, |seeds, tree| {
+                        (seeds.to_vec(), answers(tree, g.num_nodes()))
+                    });
+                let (sets, got): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+                assert_eq!(sets, seed_sets, "{policy} x{threads}");
+                assert_eq!((got, stats), expected, "{policy} x{threads}");
             }
-            assert_eq!(serial.stats().runs, seed_sets.len() as u64);
-            assert_eq!(parallel.stats(), serial.stats(), "{policy}");
         }
     }
 
@@ -482,29 +443,30 @@ mod tests {
         let g = scale_free_temporal(25, 24, 3);
         let index = TvgIndex::compile(&g, 24);
         let sources: Vec<NodeId> = g.nodes().collect();
+        let seed_sets = single_seeds(&sources);
         let limits = SearchLimits::new(24, 6);
         for policy in policies() {
-            for threads in [1usize, 4] {
+            let (trees, stats) = serial(&index, &seed_sets, &policy, &limits);
+            let reached: Vec<Vec<NodeId>> = trees
+                .iter()
+                .map(|t| {
+                    sources
+                        .iter()
+                        .copied()
+                        .filter(|&d| t[d.index()].0.is_some())
+                        .collect()
+                })
+                .collect();
+            for threads in THREADS {
                 let runner = BatchRunner::new(&index, Batch::threads(threads));
-                let full = runner.run_sources(&sources, &0, &policy, &limits);
-                let (counts, stats) =
-                    runner
-                        .map_sources(&sources, &0, &policy, &limits, |_, tree| tree.num_reached());
-                assert_eq!(stats, full.stats(), "{policy} x{threads}");
-                let expected: Vec<usize> =
-                    full.trees().iter().map(ForemostTree::num_reached).collect();
-                assert_eq!(counts, expected, "{policy} x{threads}");
-
-                let seed_sets: Vec<Vec<(NodeId, u64)>> =
-                    sources.iter().map(|&s| vec![(s, 0u64)]).collect();
-                let (arrivals, _) =
-                    runner.map_seed_sets(&seed_sets, &policy, &limits, |seeds, tree| {
-                        tree.arrival(seeds[0].0).cloned()
-                    });
-                assert!(
-                    arrivals.iter().all(|a| a == &Some(0)),
-                    "{policy} x{threads}: every seed reaches itself at its seed time"
-                );
+                let by_source = runner.map_sources(&sources, &0, &policy, &limits, |_, tree| {
+                    tree.reached_nodes().collect::<Vec<_>>()
+                });
+                assert_eq!(by_source, (reached.clone(), stats), "{policy} x{threads}");
+                let counts = runner
+                    .map_seed_sets(&seed_sets, &policy, &limits, |_, tree| tree.num_reached());
+                let expected: Vec<usize> = reached.iter().map(Vec::len).collect();
+                assert_eq!(counts, (expected, stats), "{policy} x{threads}");
             }
         }
     }
@@ -581,13 +543,13 @@ mod tests {
         let g = ring_bus_tvg(3, 3, 'r');
         let index = TvgIndex::compile(&g, 9);
         let limits = SearchLimits::new(9, 3);
-        let out = BatchRunner::new(&index, Batch::threads(4)).run_sources(
+        let out = BatchRunner::new(&index, Batch::threads(4)).map_sources(
             &[],
             &0,
             &WaitingPolicy::Unbounded,
             &limits,
+            |_, tree| tree.num_reached(),
         );
-        assert!(out.trees().is_empty());
-        assert_eq!(out.stats(), EngineStats::default());
+        assert_eq!(out, (Vec::new(), EngineStats::default()));
     }
 }

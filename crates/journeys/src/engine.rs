@@ -21,10 +21,12 @@
 //!
 //! Both explorers are built for cache locality:
 //!
-//! * **Label arena.** Every generated configuration/label lives in one
-//!   bump arena of `Label`s addressed by `u32` id; parent pointers are
-//!   arena ids, not map keys, so witness reconstruction is a pointer
-//!   walk and the two explorers share one `TreeRepr`.
+//! * **One output record.** Every generated configuration/label lives
+//!   in one bump arena of `Label`s addressed by `u32` id; parent
+//!   pointers are arena ids, not map keys, so witness reconstruction is
+//!   a pointer walk. The arena, each node's foremost arrival and witness
+//!   id, and the reached count form one `Output`, which both explorers
+//!   settle into and which a [`ForemostTree`] is.
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
 //!   (`FlatMap`) from configuration time to a merged generation-and-
 //!   settlement record (`Conf`), laid out struct-of-arrays: an
@@ -78,9 +80,9 @@
 //!   exactly those frontiers (including generated but unsettled ones a
 //!   targeted early exit leaves behind), those schedules, and the heap,
 //!   so a run that explores little costs little even on a huge index.
-//!   Only the dense output (arrivals and witness slots, which the
-//!   returned tree owns) is allocated per run, as lazily mapped zeroed
-//!   memory.
+//!   Only the dense output (the `Output` record's arrival and witness
+//!   slots, which the returned tree takes) is allocated per run, as
+//!   lazily mapped zeroed memory.
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
@@ -120,7 +122,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    fn one_run() -> Self {
+    pub(crate) fn one_run() -> Self {
         EngineStats {
             runs: 1,
             ..EngineStats::default()
@@ -274,26 +276,113 @@ impl<K: Ord + Clone, V> FlatMap<K, V> {
 /// addressed by `u32` id — witness journeys are rebuilt by walking
 /// parent ids.
 #[derive(Debug, Clone)]
-pub(crate) struct Label<T> {
-    pub(crate) time: T,
-    pub(crate) parent: Option<(u32, EdgeId, T)>,
+struct Label<T> {
+    time: T,
+    parent: Option<(u32, EdgeId, T)>,
 }
 
-fn alloc_label<T>(arena: &mut Vec<Label<T>>, time: T, parent: Option<(u32, EdgeId, T)>) -> u32 {
-    let id = u32::try_from(arena.len()).expect("label arena exceeds u32 capacity");
-    arena.push(Label { time, parent });
-    id
-}
-
-/// Journey-reconstruction data shared by both explorers: the label
-/// arena plus, per node, the arena id realizing its foremost arrival.
-/// Journeys are rebuilt lazily in [`ForemostTree::journey_to`] so
-/// arrival-only consumers (reachability rows, delivery ratios,
-/// broadcasts) pay nothing for witnesses they never read.
+/// The dense output both explorers settle into, and all a
+/// [`ForemostTree`] holds besides its stats: per node, the foremost
+/// arrival and the arena id of its witness label, the label arena, and
+/// the reached count. Journeys are rebuilt lazily in
+/// [`Output::journey_to`], so arrival-only consumers (reachability rows,
+/// delivery ratios, broadcasts) pay nothing for witnesses they never
+/// read.
 #[derive(Debug, Clone)]
-pub(crate) struct TreeRepr<T> {
-    pub(crate) arena: Vec<Label<T>>,
-    pub(crate) best: Vec<Option<u32>>,
+pub(crate) struct Output<T> {
+    arrival: Vec<Option<T>>,
+    best: Vec<Option<u32>>,
+    arena: Vec<Label<T>>,
+    /// The number of `Some` entries in `arrival`.
+    reached: usize,
+}
+
+impl<T: Time> Output<T> {
+    /// `num_nodes` unreached nodes and an empty arena.
+    fn new(num_nodes: usize) -> Self {
+        Output {
+            arrival: vec![None; num_nodes],
+            best: vec![None; num_nodes],
+            arena: Vec::new(),
+            reached: 0,
+        }
+    }
+
+    /// Starts over with `num_nodes` unreached nodes. The slots are a
+    /// fresh `vec!` rather than a refill: for machine-word times that is
+    /// one zeroed allocation whose pages the OS maps lazily, so a run
+    /// that reaches few nodes pays for few pages.
+    fn reset(&mut self, num_nodes: usize) {
+        *self = Output::new(num_nodes);
+    }
+
+    /// Grows the slots after streamed topology growth.
+    fn grow(&mut self, num_nodes: usize) {
+        self.arrival.resize(num_nodes, None);
+        self.best.resize(num_nodes, None);
+    }
+
+    fn alloc(&mut self, time: T, parent: Option<(u32, EdgeId, T)>) -> u32 {
+        let id = u32::try_from(self.arena.len()).expect("label arena exceeds u32 capacity");
+        self.arena.push(Label { time, parent });
+        id
+    }
+
+    /// Settles `node` at `time` with witness label `id` unless it is
+    /// already reached; whether this was its first, foremost settle.
+    fn settle(&mut self, node: NodeId, time: &T, id: u32) -> bool {
+        let slot = &mut self.arrival[node.index()];
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(time.clone());
+        self.best[node.index()] = Some(id);
+        self.reached += 1;
+        true
+    }
+
+    /// Forgets `node`'s arrival if it is at or after `t0`.
+    fn forget_from(&mut self, node: NodeId, t0: &T) {
+        let slot = &mut self.arrival[node.index()];
+        if slot.as_ref().is_some_and(|t| t >= t0) {
+            *slot = None;
+            self.best[node.index()] = None;
+            self.reached -= 1;
+        }
+    }
+
+    pub(crate) fn arrival(&self, n: NodeId) -> Option<&T> {
+        self.arrival[n.index()].as_ref()
+    }
+
+    /// Walks the witness label's parent ids back to its seed.
+    pub(crate) fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
+        self.arrival(n)?;
+        let mut id = self.best[n.index()].expect("reached nodes have a best label");
+        let mut hops = Vec::new();
+        while let Some((prev, e, dep)) = &self.arena[id as usize].parent {
+            hops.push(Hop {
+                edge: *e,
+                depart: dep.clone(),
+                arrive: self.arena[id as usize].time.clone(),
+            });
+            id = *prev;
+        }
+        hops.reverse();
+        Some(Journey::from_hops(hops))
+    }
+
+    fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.arrival
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_some())
+            .map(|(i, _)| NodeId::from_index(i))
+    }
+
+    pub(crate) fn num_reached(&self) -> usize {
+        self.reached
+    }
 }
 
 /// The all-destinations output of one single-source engine run: for each
@@ -303,35 +392,16 @@ pub(crate) struct TreeRepr<T> {
 /// Seed nodes are reached at their seed time by the empty journey.
 #[derive(Debug, Clone)]
 pub struct ForemostTree<T> {
-    arrival: Vec<Option<T>>,
-    repr: TreeRepr<T>,
-    /// The number of `Some` entries in `arrival`.
-    reached: usize,
+    out: Output<T>,
     stats: EngineStats,
 }
 
 impl<T: Time> ForemostTree<T> {
-    /// Assembles a tree from explorer state (the fresh path and the
-    /// incremental repair in [`crate::incremental`] share this).
-    pub(crate) fn from_parts(
-        arrival: Vec<Option<T>>,
-        repr: TreeRepr<T>,
-        reached: usize,
-        stats: EngineStats,
-    ) -> Self {
-        ForemostTree {
-            arrival,
-            repr,
-            reached,
-            stats,
-        }
-    }
-
     /// The foremost arrival at `n`, `None` if unreachable within the
     /// limits.
     #[must_use]
     pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        self.arrival[n.index()].as_ref()
+        self.out.arrival(n)
     }
 
     /// A foremost journey to `n` (empty for a seed node), `None` if
@@ -339,26 +409,18 @@ impl<T: Time> ForemostTree<T> {
     /// structure.
     #[must_use]
     pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        self.arrival[n.index()].as_ref()?;
-        Some(rebuild_labels(
-            &self.repr.arena,
-            self.repr.best[n.index()].expect("reached nodes have a best label"),
-        ))
+        self.out.journey_to(n)
     }
 
     /// The reached nodes, in id order.
     pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.arrival
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| NodeId::from_index(i))
+        self.out.reached_nodes()
     }
 
     /// Number of reached nodes (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        self.reached
+        self.out.num_reached()
     }
 
     /// Work counters of the run that produced this tree
@@ -482,50 +544,28 @@ impl<T: Time> Engine<T> {
     ) -> ForemostTree<T> {
         let mut stats = EngineStats::one_run();
         let n = index.num_nodes();
-        match policy {
+        let out = match policy {
             WaitingPolicy::Unbounded => {
                 let c = &mut self.pareto;
                 c.reset(n);
                 c.seed(seeds);
                 c.drain(index, limits, target, &mut stats);
-                take_tree(&mut c.arrival, &mut c.best, &mut c.arena, c.reached, stats)
+                &mut c.out
             }
             _ => {
                 let c = &mut self.exact;
                 c.reset(n);
                 c.seed(seeds);
                 c.drain(index, policy, limits, target, &mut stats);
-                take_tree(&mut c.arrival, &mut c.best, &mut c.arena, c.reached, stats)
+                &mut c.out
             }
+        };
+        // The tree takes the output; the next reset rebuilds it.
+        ForemostTree {
+            out: std::mem::replace(out, Output::new(0)),
+            stats,
         }
     }
-}
-
-/// Moves a finished run's output out of its core into a tree.
-fn take_tree<T>(
-    arrival: &mut Vec<Option<T>>,
-    best: &mut Vec<Option<u32>>,
-    arena: &mut Vec<Label<T>>,
-    reached: usize,
-    stats: EngineStats,
-) -> ForemostTree<T> {
-    ForemostTree {
-        arrival: std::mem::take(arrival),
-        repr: TreeRepr {
-            arena: std::mem::take(arena),
-            best: std::mem::take(best),
-        },
-        reached,
-        stats,
-    }
-}
-
-/// Replaces `slots` with `n` unreached entries. A fresh `vec!` rather
-/// than a refill: for machine-word times it is one zeroed allocation
-/// whose pages the OS maps lazily, so a run that reaches few nodes pays
-/// for few pages.
-fn unreached<X: Clone>(slots: &mut Vec<Option<X>>, n: usize) {
-    *slots = vec![None; n];
 }
 
 /// One touched node's departure schedule within a pass (see
@@ -784,11 +824,7 @@ impl<T> Default for Frontier<T> {
 /// lands at the tail in the common case.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactCore<T> {
-    pub(crate) arrival: Vec<Option<T>>,
-    pub(crate) best: Vec<Option<u32>>,
-    pub(crate) arena: Vec<Label<T>>,
-    /// The number of `Some` entries in `arrival`.
-    pub(crate) reached: usize,
+    pub(crate) out: Output<T>,
     /// Per touched node: configuration time → generation/settlement
     /// state, plus the node's departure coverage.
     frontiers: Touched<Frontier<T>>,
@@ -806,10 +842,7 @@ pub(crate) struct ExactCore<T> {
 impl<T: Time> ExactCore<T> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         ExactCore {
-            arrival: vec![None; num_nodes],
-            best: vec![None; num_nodes],
-            arena: Vec::new(),
-            reached: 0,
+            out: Output::new(num_nodes),
             frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
             queue: BinaryHeap::new(),
@@ -831,18 +864,14 @@ impl<T: Time> ExactCore<T> {
         self.restart_schedules(num_nodes);
         self.seed_slots.clear();
         self.queue.clear();
-        self.arena.clear();
-        self.reached = 0;
-        unreached(&mut self.arrival, num_nodes);
-        unreached(&mut self.best, num_nodes);
+        self.out.reset(num_nodes);
     }
 
     /// Adapts the per-node state to a changed index: grows it after
     /// streamed topology growth and forgets every departure coverage,
     /// which holds only for the schedule it was generated against.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.arrival.resize(num_nodes, None);
-        self.best.resize(num_nodes, None);
+        self.out.grow(num_nodes);
         self.frontiers.grow(num_nodes);
         for f in self.frontiers.values_mut() {
             f.coverage = None;
@@ -864,7 +893,7 @@ impl<T: Time> ExactCore<T> {
         T: 's,
     {
         for (node, t) in seeds {
-            let id = alloc_label(&mut self.arena, t.clone(), None);
+            let id = self.out.alloc(t.clone(), None);
             self.seed_slots.push((*node, t.clone(), id));
             self.queue.push(Reverse((t.clone(), *node, 0, id)));
         }
@@ -885,12 +914,7 @@ impl<T: Time> ExactCore<T> {
         for (node, f) in self.frontiers.iter_mut() {
             f.confs.truncate_from(t0);
             f.coverage = None;
-            let slot = &mut self.arrival[node.index()];
-            if slot.as_ref().is_some_and(|t| t >= t0) {
-                *slot = None;
-                self.best[node.index()] = None;
-                self.reached -= 1;
-            }
+            self.out.forget_from(node, t0);
         }
         self.seed_slots.retain(|(_, t, _)| t < t0);
     }
@@ -1005,7 +1029,6 @@ impl<T: Time> ExactCore<T> {
     ) {
         let cap = hops_cap(limits);
         while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
-            let ni = node.index();
             // The witness label of this configuration: its
             // first-generated crossing if one exists (a zero-latency
             // cycle can generate into a seed configuration before the
@@ -1032,15 +1055,10 @@ impl<T: Time> ExactCore<T> {
                 }
             };
             stats.settled += 1;
-            if self.arrival[ni].is_none() {
-                self.arrival[ni] = Some(time.clone());
-                self.best[ni] = Some(id);
-                self.reached += 1;
-                // The first settle is already foremost: a targeted query
-                // is done here.
-                if target == Some(node) {
-                    break;
-                }
+            // The first settle is already foremost: a targeted query is
+            // done here.
+            if self.out.settle(node, &time, id) && target == Some(node) {
+                break;
             }
             if hops == cap {
                 continue;
@@ -1158,8 +1176,7 @@ impl<T: Time> ExactCore<T> {
                         }
                     }
                     Err(at) => {
-                        let new_id =
-                            alloc_label(&mut self.arena, arr.clone(), Some((id, e, dep.clone())));
+                        let new_id = self.out.alloc(arr.clone(), Some((id, e, dep.clone())));
                         let entry = Conf::new(new_id, hops + 1, false, arr.clone());
                         map.insert_at(at, arr.clone(), entry);
                         self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
@@ -1249,11 +1266,7 @@ fn dominated<T: Time>(frontier: &[ParetoEntry<T>], time: &T, hops: u32) -> bool 
 /// every surviving parent chain valid by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct ParetoCore<T> {
-    pub(crate) arrival: Vec<Option<T>>,
-    pub(crate) best: Vec<Option<u32>>,
-    pub(crate) arena: Vec<Label<T>>,
-    /// The number of `Some` entries in `arrival`.
-    pub(crate) reached: usize,
+    pub(crate) out: Output<T>,
     /// Settled Pareto frontier per touched node, sorted by arrival
     /// (settle order is time-ordered and per-node ties are dominated
     /// away).
@@ -1267,10 +1280,7 @@ pub(crate) struct ParetoCore<T> {
 impl<T: Time> ParetoCore<T> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         ParetoCore {
-            arrival: vec![None; num_nodes],
-            best: vec![None; num_nodes],
-            arena: Vec::new(),
-            reached: 0,
+            out: Output::new(num_nodes),
             settled: Touched::new(num_nodes),
             queue: BinaryHeap::new(),
         }
@@ -1282,16 +1292,12 @@ impl<T: Time> ParetoCore<T> {
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.settled.reset(num_nodes, Vec::clear);
         self.queue.clear();
-        self.arena.clear();
-        self.reached = 0;
-        unreached(&mut self.arrival, num_nodes);
-        unreached(&mut self.best, num_nodes);
+        self.out.reset(num_nodes);
     }
 
     /// Grows the per-node state after streamed topology growth.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.arrival.resize(num_nodes, None);
-        self.best.resize(num_nodes, None);
+        self.out.grow(num_nodes);
         self.settled.grow(num_nodes);
     }
 
@@ -1301,7 +1307,7 @@ impl<T: Time> ParetoCore<T> {
         T: 's,
     {
         for (node, t) in seeds {
-            let id = alloc_label(&mut self.arena, t.clone(), None);
+            let id = self.out.alloc(t.clone(), None);
             self.queue.push(Reverse((t.clone(), 0, *node, id)));
         }
     }
@@ -1313,12 +1319,7 @@ impl<T: Time> ParetoCore<T> {
         for (node, frontier) in self.settled.iter_mut() {
             let keep = frontier.partition_point(|(t, _, _)| t < t0);
             frontier.truncate(keep);
-            let slot = &mut self.arrival[node.index()];
-            if slot.as_ref().is_some_and(|t| t >= t0) {
-                *slot = None;
-                self.best[node.index()] = None;
-                self.reached -= 1;
-            }
+            self.out.forget_from(node, t0);
         }
     }
 
@@ -1373,13 +1374,8 @@ impl<T: Time> ParetoCore<T> {
             }
             frontier.push((time.clone(), hops, id));
             stats.settled += 1;
-            if self.arrival[node.index()].is_none() {
-                self.arrival[node.index()] = Some(time.clone());
-                self.best[node.index()] = Some(id);
-                self.reached += 1;
-                if target == Some(node) {
-                    break;
-                }
+            if self.out.settle(node, &time, id) && target == Some(node) {
+                break;
             }
             if hops == cap || time > limits.horizon {
                 continue;
@@ -1435,24 +1431,10 @@ impl<T: Time> ParetoCore<T> {
                 continue;
             }
             stats.expanded += 1;
-            let new_id = alloc_label(&mut self.arena, arr.clone(), Some((id, e, dep)));
+            let new_id = self.out.alloc(arr.clone(), Some((id, e, dep)));
             self.queue.push(Reverse((arr, hops + 1, succ, new_id)));
         }
     }
-}
-
-pub(crate) fn rebuild_labels<T: Time>(arena: &[Label<T>], mut id: u32) -> Journey<T> {
-    let mut hops = Vec::new();
-    while let Some((prev, e, dep)) = &arena[id as usize].parent {
-        hops.push(Hop {
-            edge: *e,
-            depart: dep.clone(),
-            arrive: arena[id as usize].time.clone(),
-        });
-        id = *prev;
-    }
-    hops.reverse();
-    Journey::from_hops(hops)
 }
 
 #[cfg(test)]
@@ -1705,8 +1687,8 @@ mod tests {
         // v0 settles at 8 with 2 hops; its window is the first to reach
         // the horizon, and it dominates every later one (no fewer hops).
         assert_eq!((covered.lo, covered.hi, covered.hops), (8, 12, 2));
-        assert_eq!(core.arrival[1], Some(2));
-        assert_eq!(core.arrival[2], Some(4));
+        assert_eq!(core.out.arrival(n(1)), Some(&2));
+        assert_eq!(core.out.arrival(n(2)), Some(&4));
     }
 
     #[test]
@@ -1731,7 +1713,7 @@ mod tests {
         let idx = TvgIndex::compile(&g, top);
         let limits = SearchLimits::new(top, 40);
         let core = drain_and_recount(&idx, &[(n(0), top - 20)], 4, &limits);
-        assert_eq!(core.arrival[1], Some(top - 14));
+        assert_eq!(core.out.arrival(n(1)), Some(&(top - 14)));
 
         let e = |i| EdgeId::from_index(i);
         assert_eq!(
@@ -1883,7 +1865,7 @@ mod tests {
         let g = b.build().expect("valid");
         let idx = TvgIndex::compile(&g, 20);
         let core = drain_and_recount(&idx, &[(n(0), 0u64)], 2, &limits());
-        assert_eq!(core.arrival[1], Some(5));
+        assert_eq!(core.out.arrival(n(1)), Some(&5));
         let tree = foremost_tree(&idx, n(0), &0, &WaitingPolicy::Bounded(2), &limits());
         let departs: Vec<u64> = tree
             .journey_to(n(1))

@@ -61,7 +61,7 @@
 //! a fresh run's `expanded` on the new schedule, which the
 //! `streamcheck` oracle asserts after every batch.
 
-use crate::engine::{rebuild_labels, EngineStats, ExactCore, ForemostTree, ParetoCore, TreeRepr};
+use crate::engine::{EngineStats, ExactCore, Output, ParetoCore};
 use crate::{Journey, SearchLimits, WaitingPolicy};
 use tvg_model::stream::IngestReport;
 use tvg_model::{NodeId, TemporalIndex, Time};
@@ -129,6 +129,44 @@ enum State<T> {
     Pareto(ParetoCore<T>),
 }
 
+impl<T: Time> State<T> {
+    fn out(&self) -> &Output<T> {
+        match self {
+            State::Exact(core) => &core.out,
+            State::Pareto(core) => &core.out,
+        }
+    }
+
+    /// Seeds `seeds` and drains. With `restart`, the exact core first
+    /// starts a new pass of departure schedules, which a seed before
+    /// what the last pass expanded needs.
+    fn explore<'s, I: TemporalIndex<T>>(
+        &mut self,
+        index: &I,
+        seeds: impl IntoIterator<Item = &'s (NodeId, T)>,
+        restart: bool,
+        policy: &WaitingPolicy<T>,
+        limits: &SearchLimits<T>,
+        stats: &mut EngineStats,
+    ) where
+        T: 's,
+    {
+        match self {
+            State::Exact(core) => {
+                if restart {
+                    core.restart_schedules(index.num_nodes());
+                }
+                core.seed(seeds);
+                core.drain(index, policy, limits, None, stats);
+            }
+            State::Pareto(core) => {
+                core.seed(seeds);
+                core.drain(index, limits, None, stats);
+            }
+        }
+    }
+}
+
 impl<T: Time> IncrementalForemost<T> {
     /// Runs the initial full exploration from `seeds` and keeps the
     /// explorer state for later repairs. Seeds naming a node the index
@@ -143,25 +181,13 @@ impl<T: Time> IncrementalForemost<T> {
         limits: SearchLimits<T>,
     ) -> Self {
         let n = index.num_nodes();
-        let mut stats = EngineStats {
-            runs: 1,
-            ..EngineStats::default()
+        let mut stats = EngineStats::one_run();
+        let mut state = match policy {
+            WaitingPolicy::Unbounded => State::Pareto(ParetoCore::new(n)),
+            _ => State::Exact(ExactCore::new(n)),
         };
         let live = seeds.iter().filter(|(s, _)| s.index() < n);
-        let state = match &policy {
-            WaitingPolicy::Unbounded => {
-                let mut core = ParetoCore::new(n);
-                core.seed(live);
-                core.drain(index, &limits, None, &mut stats);
-                State::Pareto(core)
-            }
-            _ => {
-                let mut core = ExactCore::new(n);
-                core.seed(live);
-                core.drain(index, &policy, &limits, None, &mut stats);
-                State::Exact(core)
-            }
-        };
+        state.explore(index, live, false, &policy, &limits, &mut stats);
         IncrementalForemost {
             seeds: seeds.to_vec(),
             known_nodes: n,
@@ -193,19 +219,10 @@ impl<T: Time> IncrementalForemost<T> {
                     .collect();
                 if !late.is_empty() {
                     self.stats.runs += 1;
-                    match &mut self.state {
-                        State::Exact(core) => {
-                            // A late seed can precede what the last
-                            // pass expanded.
-                            core.restart_schedules(n);
-                            core.seed(late);
-                            core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
-                        }
-                        State::Pareto(core) => {
-                            core.seed(late);
-                            core.drain(index, &self.limits, None, &mut self.stats);
-                        }
-                    }
+                    // A late seed can precede what the last pass expanded.
+                    let (policy, limits) = (&self.policy, &self.limits);
+                    self.state
+                        .explore(index, late, true, policy, limits, &mut self.stats);
                 }
             }
         }
@@ -228,29 +245,25 @@ impl<T: Time> IncrementalForemost<T> {
         let to_seed = move |seed: &&(NodeId, T)| {
             seed.0.index() < n && (&seed.1 >= since || seed.0.index() >= prev)
         };
-        match &mut self.state {
+        let (policy, limits, stats) = (&self.policy, &self.limits, &mut self.stats);
+        self.replay += match &mut self.state {
             State::Exact(core) => {
                 core.prune(since);
-                self.replay +=
-                    core.replay(index, &self.policy, &self.limits, since, &mut self.stats);
-                // Every replayed time is before `since`, and the drain
-                // pops only crossings into the repaired region and
-                // seeds at or after `since`, so it continues the
-                // replay's departure schedules — unless a late source
-                // is seeded before `since`.
-                if seeds.iter().any(|seed| to_seed(&seed) && seed.1 < *since) {
-                    core.restart_schedules(n);
-                }
-                core.seed(seeds.iter().filter(to_seed));
-                core.drain(index, &self.policy, &self.limits, None, &mut self.stats);
+                core.replay(index, policy, limits, since, stats)
             }
             State::Pareto(core) => {
                 core.prune(since);
-                self.replay += core.replay(index, &self.limits, &mut self.stats);
-                core.seed(seeds.iter().filter(to_seed));
-                core.drain(index, &self.limits, None, &mut self.stats);
+                core.replay(index, limits, stats)
             }
-        }
+        };
+        // Every replayed time is before `since`, and the drain pops only
+        // crossings into the repaired region and seeds at or after
+        // `since`, so the exact core continues the replay's departure
+        // schedules — unless a late source is seeded before `since`.
+        let restart = seeds.iter().any(|seed| to_seed(&seed) && seed.1 < *since);
+        let fresh = seeds.iter().filter(to_seed);
+        self.state
+            .explore(index, fresh, restart, policy, limits, stats);
     }
 
     fn resize<I: TemporalIndex<T>>(&mut self, index: &I) {
@@ -287,10 +300,7 @@ impl<T: Time> IncrementalForemost<T> {
     /// Panics if `n` is out of range for the indexed graph.
     #[must_use]
     pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        match &self.state {
-            State::Exact(core) => core.arrival[n.index()].as_ref(),
-            State::Pareto(core) => core.arrival[n.index()].as_ref(),
-        }
+        self.state.out().arrival(n)
     }
 
     /// A foremost witness journey to `n` (empty for a seed node),
@@ -301,23 +311,14 @@ impl<T: Time> IncrementalForemost<T> {
     /// Panics if `n` is out of range for the indexed graph.
     #[must_use]
     pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        let (arrival, best, arena) = match &self.state {
-            State::Exact(core) => (&core.arrival, &core.best, &core.arena),
-            State::Pareto(core) => (&core.arrival, &core.best, &core.arena),
-        };
-        arrival[n.index()].as_ref()?;
-        let id = best[n.index()].expect("reached nodes have a best label");
-        Some(rebuild_labels(arena, id))
+        self.state.out().journey_to(n)
     }
 
     /// Number of nodes currently reached (seeds included), kept as a
     /// counter where arrivals are set and pruned.
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        match &self.state {
-            State::Exact(core) => core.reached,
-            State::Pareto(core) => core.reached,
-        }
+        self.state.out().num_reached()
     }
 
     /// Cumulative work counters: `runs` counts the initial run plus one
@@ -335,25 +336,6 @@ impl<T: Time> IncrementalForemost<T> {
     #[must_use]
     pub fn replay_counts(&self) -> ReplayCounts {
         self.replay
-    }
-
-    /// A snapshot of the current answers as an ordinary
-    /// [`ForemostTree`] (cloned out of the live state).
-    #[must_use]
-    pub fn tree(&self) -> ForemostTree<T> {
-        let (arrival, best, arena) = match &self.state {
-            State::Exact(core) => (&core.arrival, &core.best, &core.arena),
-            State::Pareto(core) => (&core.arrival, &core.best, &core.arena),
-        };
-        ForemostTree::from_parts(
-            arrival.clone(),
-            TreeRepr {
-                arena: arena.clone(),
-                best: best.clone(),
-            },
-            self.num_reached(),
-            self.stats,
-        )
     }
 }
 

@@ -17,7 +17,8 @@
 //!   arrivals (and witness journeys) to *every* node, with per-run
 //!   [`EngineStats`] work counters.
 //! * [`batch`] — the batch-query runtime: slices of independent engine
-//!   runs fanned out over scoped worker threads sharing one index, with
+//!   runs fanned out over scoped worker threads sharing one index, each
+//!   tree reduced inside its worker to what the caller keeps, with
 //!   results merged back in input order (bit-identical to the serial
 //!   path at every thread count). Generic over
 //!   [`tvg_model::TemporalIndex`], so batches run against a
@@ -72,7 +73,7 @@ mod policy;
 mod reachability;
 pub mod search;
 
-pub use batch::{Batch, BatchOutcome, BatchRunner};
+pub use batch::{Batch, BatchRunner};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };
@@ -81,6 +82,6 @@ pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;
 pub use reachability::ReachabilityMatrix;
 pub use search::{
-    all_journeys, expansions, fastest_journey, foremost_journey, reachable_configs,
-    reachable_nodes, shortest_journey, SearchLimits,
+    expansions, fastest_journey, foremost_journey, reachable_configs, reachable_nodes,
+    shortest_journey, SearchLimits,
 };

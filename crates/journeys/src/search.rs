@@ -18,12 +18,12 @@
 //! implementations survive as `tvg_testkit::tickscan`, the reference
 //! oracle the equivalence suite checks this module against.
 //!
-//! [`expansions`], [`reachable_configs`] and [`all_journeys`] remain
-//! window-bounded tick scans on purpose: they are exhaustive-enumeration
-//! primitives (the journey-language layer steps through them letter by
-//! letter) and must work even for time domains whose horizons are too
-//! distant to materialize (the theorem constructions run at `Nat` times
-//! like `pⁿqⁿ⁻¹`).
+//! [`expansions`] and [`reachable_configs`] remain window-bounded tick
+//! scans on purpose: they are exhaustive-enumeration primitives (the
+//! journey-language layer steps through them letter by letter) and must
+//! work even for time domains whose horizons are too distant to
+//! materialize (the theorem constructions run at `Nat` times like
+//! `pⁿqⁿ⁻¹`).
 
 use crate::engine::{foremost_to, rebuild, ParentMap};
 use crate::{Hop, Journey, WaitingPolicy};
@@ -116,48 +116,6 @@ pub fn reachable_nodes<T: Time>(
         .into_iter()
         .map(|(n, _)| n)
         .collect()
-}
-
-/// Enumerates *all* journeys from `src` starting at `start` within the
-/// limits (including the empty journey), in breadth-first hop order.
-///
-/// The count grows exponentially with hops and waiting windows; intended
-/// for inspection and small exhaustive analyses. `max_results` caps the
-/// output (hard stop, documented truncation).
-pub fn all_journeys<T: Time>(
-    g: &Tvg<T>,
-    src: NodeId,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-    max_results: usize,
-) -> Vec<Journey<T>> {
-    let mut out: Vec<Journey<T>> = vec![Journey::empty()];
-    // Frontier entries: (current node, ready time, hops so far).
-    let mut frontier: Vec<(NodeId, T, Vec<Hop<T>>)> = vec![(src, start.clone(), Vec::new())];
-    for _ in 0..limits.max_hops {
-        let mut next = Vec::new();
-        for (node, ready, hops) in &frontier {
-            for (e, dep, arr) in expansions(g, *node, ready, policy, limits) {
-                if out.len() >= max_results {
-                    return out;
-                }
-                let mut extended = hops.clone();
-                extended.push(Hop {
-                    edge: e,
-                    depart: dep,
-                    arrive: arr.clone(),
-                });
-                out.push(Journey::from_hops(extended.clone()));
-                next.push((g.edge(e).dst(), arr, extended));
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    out
 }
 
 /// The *foremost* journey: reaches `dst` with the earliest possible
@@ -429,36 +387,6 @@ mod tests {
             let j = foremost_journey(&g, n(0), n(2), &1, &policy, &limits()).expect("reachable");
             assert_eq!(j.validate(&g, n(0), &1, &policy), Ok(()), "{policy}");
         }
-    }
-
-    #[test]
-    fn all_journeys_enumerates_and_validates() {
-        let g = line_gap();
-        let journeys = all_journeys(&g, n(0), &1, &WaitingPolicy::Unbounded, &limits(), 100);
-        // Empty journey + a@1 + (a@1 then b@5).
-        assert_eq!(journeys.len(), 3);
-        for j in &journeys {
-            assert_eq!(
-                j.validate(&g, n(0), &1, &WaitingPolicy::Unbounded),
-                Ok(()),
-                "{j}"
-            );
-        }
-        // NoWait sees only the empty journey and a@1 (b@5 unreachable).
-        let direct = all_journeys(&g, n(0), &1, &WaitingPolicy::NoWait, &limits(), 100);
-        assert_eq!(direct.len(), 2);
-    }
-
-    #[test]
-    fn all_journeys_respects_result_cap() {
-        // Self-loop always present: journeys of every hop count exist.
-        let mut b = TvgBuilder::new();
-        let v = b.nodes(1);
-        b.edge(v[0], v[0], 'a', Presence::Always, Latency::unit())
-            .expect("valid");
-        let g = b.build().expect("valid");
-        let journeys = all_journeys(&g, n(0), &0, &WaitingPolicy::NoWait, &limits(), 5);
-        assert_eq!(journeys.len(), 5);
     }
 
     #[test]

@@ -88,8 +88,10 @@
 //! The checks after the checksum make the arrays safe to index: both
 //! offset arrays start at zero, never decrease and end at the length of
 //! the array they index, `CSR_EDGES` lists every edge exactly once,
-//! every destination names a node, and no `EDGE_MONO` bit is set past
-//! the last edge. A file that breaks one is refused as
+//! every destination names a node, no `EDGE_MONO` bit is set past the
+//! last edge, and each edge's spans are non-empty, sorted and apart
+//! (each starts after the previous one ends), as the span lookups'
+//! binary searches assume. A file that breaks one is refused as
 //! [`TvgiError::Inconsistent`], even when its checksum holds.
 
 use std::fs::File;
@@ -781,6 +783,12 @@ struct Decoder<T> {
     /// The start word of a span whose end word is in the next piece:
     /// chunks are 8-aligned, so a 16-byte `u64` pair can straddle two.
     half: Option<[u8; 8]>,
+    /// Whether some decoded span is empty.
+    empty_span: bool,
+    /// Entry `i`: span `i + 1` starts before span `i` ends, or where it
+    /// ends. Taken while each piece of `SPANS` is in cache: a second
+    /// pass over the arena after decoding cost more than decoding it.
+    reaches_back: Vec<bool>,
 }
 
 impl<T: TvgiTime> Decoder<T> {
@@ -808,6 +816,8 @@ impl<T: TvgiTime> Decoder<T> {
                 lat: Vec::with_capacity(words(section::EDGE_LAT)),
             },
             half: None,
+            empty_span: false,
+            reaches_back: Vec::with_capacity(words(section::SPANS)),
         }
     }
 
@@ -832,6 +842,7 @@ impl<T: TvgiTime> Decoder<T> {
     fn decode_spans(&mut self, mut bytes: &[u8]) {
         let width = usize::from(T::WIDTH);
         let spans = &mut self.flat.spans;
+        let from = spans.len();
         if let Some(start) = self.half.take() {
             let mut pair = [0u8; 16];
             pair[..width].copy_from_slice(&start[..width]);
@@ -844,6 +855,12 @@ impl<T: TvgiTime> Decoder<T> {
         if whole < bytes.len() {
             self.half = Some(le_array(&bytes[whole..]));
         }
+        let new = &spans[from.saturating_sub(1)..];
+        self.reaches_back
+            .extend(new.windows(2).map(|p| p[0].1 >= p[1].0));
+        self.empty_span |= spans[from..]
+            .iter()
+            .fold(false, |any, (start, end)| any | (start >= end));
     }
 
     /// Cross-section consistency: the counts in `META` size every
@@ -853,6 +870,8 @@ impl<T: TvgiTime> Decoder<T> {
             meta,
             spec,
             mut flat,
+            empty_span,
+            reaches_back,
             ..
         } = self;
         let [nodes, edges, horizon] = meta[..] else {
@@ -892,6 +911,23 @@ impl<T: TvgiTime> Decoder<T> {
         check(
             offsets_span(&flat.span_off, m, flat.spans.len()),
             "SPAN_OFF not monotone over SPANS",
+        )?;
+        // The span lookups binary-search each edge's spans, so every
+        // edge must hold what `IntervalSet::from_spans` produces: spans
+        // that are non-empty and start after the previous one ends. So a
+        // span may reach back to its predecessor in the arena only where
+        // a non-empty edge's spans begin, and each such edge begins at a
+        // distinct position.
+        let reaching_back = reaches_back.iter().filter(|&&back| back).count();
+        let at_edge_begins = flat
+            .span_off
+            .windows(2)
+            .filter(|w| 0 < w[0] && w[0] < w[1])
+            .filter(|w| reaches_back[w[0] as usize - 1])
+            .count();
+        check(
+            !empty_span && reaching_back == at_edge_begins,
+            "SPANS not sorted, disjoint and non-empty per edge",
         )?;
         let mut listed = vec![0u64; m.div_ceil(64)];
         for e in &flat.csr_edges {

@@ -63,6 +63,7 @@ pub use tvg_model::tvgi::{TvgiError, TvgiSummary};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tvg_journeys::WaitingPolicy;
 
     fn one(text: &str) -> Scenario {
@@ -135,14 +136,35 @@ scenario g8
 generator commuter_fleet lines=2 stops=2 headway=4 shift=1 runs=2
 policy wait
 plan matrix horizon=12
+scenario g9
+generator peer_lifecycle n=6 swaps=1 horizon=16 seed=7
+policy wait[4]
+plan streaming src=0 horizon=16 max_hops=8 batch=8
 ";
         let scenarios = parse_specs(specs).expect("valid");
-        assert_eq!(scenarios.len(), 8);
+        assert_eq!(scenarios.len(), 9);
         for s in &scenarios {
             // Round-trip: canonical text reparses to the same scenario.
             let text = s.to_string();
             let back = parse_specs(&text).expect("canonical text is valid");
             assert_eq!(&back[0], s, "{text}");
+            // The report parameters are the generator text's pairs.
+            let generator = s.generator().to_string();
+            let (name, pairs) = generator.split_once(' ').expect("parameters follow");
+            assert_eq!(name, s.generator().name());
+            let pairs: BTreeMap<String, String> = pairs
+                .split(' ')
+                .map(|kv| kv.split_once('=').expect("key=value"))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let Json::Obj(params) = s.generator().params_json() else {
+                panic!("params are an object");
+            };
+            let params: BTreeMap<String, String> = params
+                .into_iter()
+                .map(|(k, v)| (k, v.to_string()))
+                .collect();
+            assert_eq!(params, pairs, "{generator}");
             // The graph builds and matches the statically known size.
             let g = s.build_graph();
             assert_eq!(g.num_nodes(), s.generator().num_nodes(), "{}", s.name());

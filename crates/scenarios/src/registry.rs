@@ -381,12 +381,13 @@ impl GeneratorSpec {
         }
     }
 
-    /// The parameters as a canonical JSON object (for reports).
-    #[must_use]
-    pub fn params_json(&self) -> Json {
+    /// The parameters in canonical order as `(key, value)` pairs: the
+    /// one list both the spec text ([`fmt::Display`]) and the report
+    /// object ([`GeneratorSpec::params_json`]) are rendered from.
+    fn params(&self) -> Vec<(&'static str, Json)> {
         let int = |v: u64| Json::Int(v);
         let us = |v: usize| Json::Int(v as u64);
-        let fields: Vec<(&str, Json)> = match self {
+        match self {
             GeneratorSpec::RingBus { n, period } => {
                 vec![("n", us(*n)), ("period", int(*period))]
             }
@@ -462,9 +463,14 @@ impl GeneratorSpec {
                 ("shift", int(*shift)),
                 ("runs", us(*runs)),
             ],
-        };
+        }
+    }
+
+    /// The parameters as a canonical JSON object (for reports).
+    #[must_use]
+    pub fn params_json(&self) -> Json {
         Json::Obj(
-            fields
+            self.params()
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
@@ -475,64 +481,14 @@ impl GeneratorSpec {
 impl fmt::Display for GeneratorSpec {
     /// The canonical `generator` directive argument (round-trips).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GeneratorSpec::RingBus { n, period } => write!(f, "ring_bus n={n} period={period}"),
-            GeneratorSpec::StarFerry { n } => write!(f, "star_ferry n={n}"),
-            GeneratorSpec::GridTwoPhase { rows, cols } => {
-                write!(f, "grid_two_phase rows={rows} cols={cols}")
+        f.write_str(self.name())?;
+        for (key, value) in self.params() {
+            match value {
+                // `f64`'s own rendering, which the spec parser reads back.
+                Json::Num(x) => write!(f, " {key}={x}")?,
+                v => write!(f, " {key}={v}")?,
             }
-            GeneratorSpec::RandomPeriodic {
-                nodes,
-                edges,
-                period,
-                density,
-                seed,
-            } => write!(
-                f,
-                "random_periodic nodes={nodes} edges={edges} period={period} density={density} seed={seed}"
-            ),
-            GeneratorSpec::ScaleFree { n, horizon, seed } => {
-                write!(f, "scale_free n={n} horizon={horizon} seed={seed}")
-            }
-            GeneratorSpec::EdgeMarkovian {
-                n,
-                horizon,
-                p_birth,
-                p_death,
-                seed,
-            } => write!(
-                f,
-                "edge_markovian n={n} horizon={horizon} p_birth={p_birth} p_death={p_death} seed={seed}"
-            ),
-            GeneratorSpec::WaypointGrid {
-                walkers,
-                rows,
-                cols,
-                horizon,
-                seed,
-            } => write!(
-                f,
-                "waypoint_grid walkers={walkers} rows={rows} cols={cols} horizon={horizon} seed={seed}"
-            ),
-            GeneratorSpec::PeerLifecycle {
-                n,
-                swaps,
-                horizon,
-                seed,
-            } => write!(
-                f,
-                "peer_lifecycle n={n} swaps={swaps} horizon={horizon} seed={seed}"
-            ),
-            GeneratorSpec::CommuterFleet {
-                lines,
-                stops,
-                headway,
-                shift,
-                runs,
-            } => write!(
-                f,
-                "commuter_fleet lines={lines} stops={stops} headway={headway} shift={shift} runs={runs}"
-            ),
         }
+        Ok(())
     }
 }

@@ -19,8 +19,8 @@ use tvg_dynnet::broadcast::broadcast_plan;
 use tvg_dynnet::json::{Json, ToJson};
 use tvg_dynnet::metrics::{AggregateStats, DeliveryStats};
 use tvg_journeys::{
-    Batch, BatchRunner, EngineStats, IncrementalForemost, ReachabilityMatrix, SearchLimits,
-    WaitingPolicy,
+    Batch, BatchRunner, EngineStats, ForemostTree, IncrementalForemost, ReachabilityMatrix,
+    SearchLimits, WaitingPolicy,
 };
 use tvg_model::stream::{StreamEvent, TvgStream};
 use tvg_model::{narrow_tvg, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
@@ -216,6 +216,15 @@ impl Scenario {
     }
 }
 
+/// A tree's arrival histogram over every node and its reached count:
+/// what the single-source plans keep of each tree.
+fn summary<T: Time>(tree: &ForemostTree<T>, nodes: usize) -> [Json; 2] {
+    [
+        histogram((0..nodes).map(|n| tree.arrival(NodeId::from_index(n)))),
+        Json::Int(tree.num_reached() as u64),
+    ]
+}
+
 /// One batch plan's engine inputs, in the index's time domain.
 struct Query<'a, T, I> {
     index: &'a I,
@@ -227,21 +236,15 @@ struct Query<'a, T, I> {
 impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
     fn single_source(&self, src: usize, start: &T) -> (Json, EngineStats) {
         let nodes = self.index.num_nodes();
-        let out = BatchRunner::new(self.index, self.batch).run_sources(
+        let (mut results, stats) = BatchRunner::new(self.index, self.batch).map_sources(
             &[NodeId::from_index(src)],
             start,
             &self.policy,
             &self.limits,
+            |_, tree| summary(tree, nodes),
         );
-        let tree = &out.trees()[0];
-        let results = obj([
-            (
-                "histogram",
-                histogram((0..nodes).map(|n| tree.arrival(NodeId::from_index(n)))),
-            ),
-            ("reached", Json::Int(tree.num_reached() as u64)),
-        ]);
-        (results, out.stats())
+        let [hist, reached] = results.pop().expect("one source, one result");
+        (obj([("histogram", hist), ("reached", reached)]), stats)
     }
 
     fn matrix(&self, start: &T) -> (Json, EngineStats) {
@@ -292,12 +295,7 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
             start,
             &self.policy,
             &self.limits,
-            |_, tree| {
-                Json::Arr(vec![
-                    histogram((0..nodes).map(|d| tree.arrival(NodeId::from_index(d)))),
-                    Json::Int(tree.num_reached() as u64),
-                ])
-            },
+            |_, tree| Json::Arr(summary(tree, nodes).into()),
         );
         let results = obj([
             ("per_source", Json::Arr(rows)),

@@ -5,26 +5,31 @@
 //! serial path at every thread count** — that promise is what lets every
 //! aggregate consumer adopt the parallel runtime without touching its
 //! determinism contract. This module is the single assertion that
-//! enforces it: run the same batch at one thread and at several, and
-//! compare *everything* — foremost arrivals, witness journeys hop by
-//! hop, and the summed work counters.
+//! enforces it: reduce the same batch at one thread and at several,
+//! and compare *everything* against one fresh serial engine run per
+//! query — foremost arrivals, witness journeys hop by hop, and the
+//! summed work counters.
 //!
 //! Like `tickscan`, this lives in the testkit so every crate's suite can
 //! apply the same oracle to its own fixtures.
 
-use tvg_journeys::{Batch, BatchRunner, SearchLimits, WaitingPolicy};
+use tvg_journeys::{
+    Batch, BatchRunner, Engine, EngineStats, ForemostTree, SearchLimits, WaitingPolicy,
+};
 use tvg_model::{NodeId, TemporalIndex, Time};
 
-/// Thread counts the oracle exercises beyond the serial reference.
-/// Chosen to cover "fewer workers than jobs", "about as many", and
-/// "more workers than jobs" on the small fixture batches.
-pub const THREAD_SWEEP: [usize; 3] = [2, 4, 8];
+/// Thread counts the oracle exercises. Chosen to cover the inline
+/// serial path, "fewer workers than jobs", "about as many", and "more
+/// workers than jobs" on the small fixture batches.
+pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Asserts that running `seed_sets` through [`BatchRunner`] at every
-/// thread count in [`THREAD_SWEEP`] reproduces the serial reference
-/// exactly: per-tree foremost arrivals, per-tree witness journeys, and
-/// summed [`tvg_journeys::EngineStats`] (which also pins "n seed sets ⇒
-/// exactly n engine runs").
+/// Asserts that reducing `seed_sets` through
+/// [`BatchRunner::map_seed_sets`] at every thread count in
+/// [`THREAD_SWEEP`] reproduces one fresh serial [`Engine::run`] per seed
+/// set exactly: per-query foremost arrivals, per-query witness journeys,
+/// and summed [`EngineStats`] (which also pins "n seed sets ⇒ exactly n
+/// engine runs"). The reducer copies every answer out of each tree
+/// inside the worker, as a production reducer reads them.
 ///
 /// # Panics
 ///
@@ -36,31 +41,44 @@ pub fn assert_batch_matches_serial<T: Time + Send + Sync, I: TemporalIndex<T> + 
     limits: &SearchLimits<T>,
     label: &str,
 ) {
-    let serial = BatchRunner::new(index, Batch::serial()).run_seed_sets(seed_sets, policy, limits);
-    assert_eq!(
-        serial.stats().runs,
-        seed_sets.len() as u64,
-        "{label}: serial batch must run exactly once per seed set"
-    );
+    let nodes = || (0..index.num_nodes()).map(NodeId::from_index);
+    let answers = |tree: &ForemostTree<T>| -> Vec<_> {
+        nodes()
+            .map(|dst| (tree.arrival(dst).cloned(), tree.journey_to(dst)))
+            .collect()
+    };
+    let mut serial = Vec::new();
+    let mut serial_stats = EngineStats::default();
+    for seeds in seed_sets {
+        let tree = Engine::new().run(index, seeds, policy, limits, None);
+        serial_stats += tree.stats();
+        serial.push(answers(&tree));
+    }
     for threads in THREAD_SWEEP {
-        let parallel = BatchRunner::new(index, Batch::threads(threads))
-            .run_seed_sets(seed_sets, policy, limits);
+        let (batch, stats) = BatchRunner::new(index, Batch::threads(threads)).map_seed_sets(
+            seed_sets,
+            policy,
+            limits,
+            |_, tree| answers(tree),
+        );
         assert_eq!(
-            parallel.stats(),
-            serial.stats(),
+            stats, serial_stats,
             "{label}: stats diverge at {threads} threads under {policy}"
         );
-        for (i, (s, p)) in serial.trees().iter().zip(parallel.trees()).enumerate() {
-            for dst in (0..index.num_nodes()).map(NodeId::from_index) {
+        assert_eq!(
+            batch.len(),
+            seed_sets.len(),
+            "{label}: one result per query"
+        );
+        for (i, (s, p)) in serial.iter().zip(&batch).enumerate() {
+            for (dst, (s, p)) in nodes().zip(s.iter().zip(p)) {
                 assert_eq!(
-                    s.arrival(dst),
-                    p.arrival(dst),
+                    s.0, p.0,
                     "{label}: arrival of query #{i} → {dst} diverges at \
                      {threads} threads under {policy}"
                 );
                 assert_eq!(
-                    s.journey_to(dst),
-                    p.journey_to(dst),
+                    s.1, p.1,
                     "{label}: witness journey of query #{i} → {dst} diverges at \
                      {threads} threads under {policy}"
                 );

@@ -28,8 +28,8 @@
 //!   frontiers, branchy policy dispatch), preserved as the differential
 //!   oracle the cache-local monomorphized cores are pinned
 //!   bit-identical to (arrivals, witnesses, work counters).
-//! * [`batchcheck`] — the parallel-vs-serial oracle: a batch run at
-//!   several thread counts must reproduce the serial reference exactly
+//! * [`batchcheck`] — the parallel-vs-serial oracle: a batch reduced at
+//!   several thread counts must reproduce serial engine runs exactly
 //!   (arrivals, witness journeys, and work counters) — against
 //!   batch-compiled and live (streaming) indexes alike.
 //! * [`streamcheck`] — the live-vs-recompile differential oracle: after

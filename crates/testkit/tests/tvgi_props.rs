@@ -406,6 +406,46 @@ fn resealed_payload_corruption_is_caught_by_consistency_checks() {
     );
 }
 
+/// Regression: a resealed file whose spans were unsorted, empty or
+/// overlapping used to open, and the binary searches over each edge's
+/// spans then answered wrongly. Each forgery edits the first two spans
+/// of an edge that has at least two.
+#[test]
+fn resealed_span_forgeries_are_inconsistent() {
+    let (path, bytes) = valid_file("forged-spans");
+    let _ = std::fs::remove_file(&path);
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (span_off, len) = section_range(&bytes, 15);
+    let offsets: Vec<usize> = (0..len / 8).map(|e| word(span_off + 8 * e)).collect();
+    let first = offsets
+        .windows(2)
+        .find(|w| w[1] - w[0] >= 2)
+        .expect("two spans")[0];
+    // Word `w` of the edge's spans: start 0, end 0, start 1, end 1.
+    let (spans, _) = section_range(&bytes, 16);
+    let at = |w: usize| spans + 8 * (2 * first + w);
+
+    let mut swapped = bytes.clone();
+    swapped[at(0)..at(2)].copy_from_slice(&bytes[at(2)..at(4)]);
+    swapped[at(2)..at(4)].copy_from_slice(&bytes[at(0)..at(2)]);
+    let mut empty = bytes.clone();
+    empty.copy_within(at(0)..at(1), at(1));
+    let mut overlapping = bytes.clone();
+    overlapping.copy_within(at(3)..at(4), at(1));
+    for (label, mut forged) in [
+        ("swapped", swapped),
+        ("empty", empty),
+        ("overlapping", overlapping),
+    ] {
+        reseal(&mut forged);
+        assert_eq!(
+            open_bytes(label, &forged).expect_err("forged spans must fail"),
+            TvgiError::Inconsistent("SPANS not sorted, disjoint and non-empty per edge"),
+            "{label}"
+        );
+    }
+}
+
 /// Regression: a resealed file whose `CSR_EDGES` listed one edge twice
 /// used to open and answer with the wrong adjacency. The CSR must list
 /// every edge exactly once.
