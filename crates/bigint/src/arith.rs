@@ -34,14 +34,8 @@ impl Nat {
         Some(Nat::from_limbs(limbs))
     }
 
-    /// Saturating subtraction: `max(self - other, 0)`.
-    #[must_use]
-    pub fn saturating_sub(&self, other: &Nat) -> Nat {
-        self.checked_sub(other).unwrap_or_else(Nat::zero)
-    }
-
     /// Adds a small value in place.
-    pub fn add_small(&mut self, v: u32) {
+    pub(crate) fn add_small(&mut self, v: u32) {
         let mut carry = u64::from(v);
         let mut i = 0;
         while carry != 0 {
@@ -56,7 +50,7 @@ impl Nat {
     }
 
     /// Multiplies by a small value in place.
-    pub fn mul_small(&mut self, v: u32) {
+    pub(crate) fn mul_small(&mut self, v: u32) {
         if v == 0 {
             self.limbs.clear();
             return;
@@ -290,12 +284,6 @@ mod tests {
     #[should_panic(expected = "subtract a larger")]
     fn sub_underflow_panics() {
         let _ = n(3) - n(5);
-    }
-
-    #[test]
-    fn saturating_sub_clamps() {
-        assert_eq!(n(3).saturating_sub(&n(5)), n(0));
-        assert_eq!(n(5).saturating_sub(&n(3)), n(2));
     }
 
     #[test]

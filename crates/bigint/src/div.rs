@@ -77,23 +77,6 @@ impl Nat {
         self.div_rem(divisor).1.is_zero()
     }
 
-    /// Greatest common divisor (binary-free Euclid via `div_rem`).
-    ///
-    /// ```
-    /// use tvg_bigint::Nat;
-    /// assert_eq!(Nat::from(48u64).gcd(&Nat::from(18u64)), Nat::from(6u64));
-    /// ```
-    #[must_use]
-    pub fn gcd(&self, other: &Nat) -> Nat {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        while !b.is_zero() {
-            let r = a.div_rem(&b).1;
-            a = b;
-            b = r;
-        }
-        a
-    }
-
     /// Returns `self` with bit `i` set.
     fn set_bit(mut self, i: usize) -> Nat {
         let (limb, off) = (i / 32, i % 32);
@@ -189,14 +172,6 @@ mod tests {
         assert!(!p40.succ().is_multiple_of(&Nat::from(2u64)));
         assert!(Nat::zero().is_multiple_of(&Nat::zero()));
         assert!(!n(5).is_multiple_of(&Nat::zero()));
-    }
-
-    #[test]
-    fn gcd_cases() {
-        assert_eq!(n(0).gcd(&n(5)), n(5));
-        assert_eq!(n(5).gcd(&n(0)), n(5));
-        assert_eq!(n(12).gcd(&n(18)), n(6));
-        assert_eq!(n(17).gcd(&n(31)), n(1));
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! let q = Nat::from(3u64);
 //! // The time reached by the Figure-1 automaton after reading a^40 b^39:
 //! let t = p.pow(40) * q.pow(39);
-//! assert_eq!(t.factor_out(&Nat::from(2u64)).0, 40);
-//! assert_eq!(t.factor_out(&Nat::from(3u64)).0, 39);
+//! assert_eq!(t.decompose_pq(&p, &q), Some((40, 39)));
 //! assert!(t > Nat::from(u64::MAX));
 //! ```
 //!
@@ -62,7 +61,7 @@ mod tests {
         let p = Nat::from(2u64);
         let q = Nat::from(3u64);
         let t = p.pow(40) * q.pow(39);
-        assert_eq!(t.factor_out(&Nat::from(2u64)).0, 40);
+        assert_eq!(t.decompose_pq(&p, &q), Some((40, 39)));
         assert!(t > Nat::from(u64::MAX));
     }
 }

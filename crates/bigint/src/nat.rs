@@ -60,7 +60,7 @@ impl Nat {
 
     /// Returns `true` iff the number is even (zero counts as even).
     #[must_use]
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         self.limbs.first().is_none_or(|l| l % 2 == 0)
     }
 
@@ -81,13 +81,13 @@ impl Nat {
 
     /// Value of the bit at position `i` (little-endian, bit 0 is the LSB).
     #[must_use]
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         let (limb, off) = (i / 32, i % 32);
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
     /// Remove trailing zero limbs to restore the canonical form.
-    pub(crate) fn normalize(&mut self) {
+    fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
@@ -115,19 +115,6 @@ impl Nat {
             2 => Some(u64::from(self.limbs[0]) | (u64::from(self.limbs[1]) << 32)),
             _ => None,
         }
-    }
-
-    /// Converts to `u128` if the value fits.
-    #[must_use]
-    pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
-        }
-        let mut v: u128 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
-            v |= u128::from(l) << (32 * i);
-        }
-        Some(v)
     }
 }
 
@@ -229,7 +216,7 @@ mod tests {
     #[test]
     fn from_u128_roundtrip() {
         for v in [0u128, 1, u128::from(u64::MAX) + 1, u128::MAX] {
-            assert_eq!(Nat::from(v).to_u128(), Some(v));
+            assert_eq!(Nat::from(v).to_string(), v.to_string());
         }
     }
 

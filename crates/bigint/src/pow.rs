@@ -70,16 +70,7 @@ impl Nat {
     /// # Panics
     ///
     /// Panics if `base < 2` or `self` is zero.
-    ///
-    /// ```
-    /// use tvg_bigint::Nat;
-    /// let t = Nat::from(2u64).pow(5) * Nat::from(3u64).pow(4);
-    /// let (k, rest) = t.factor_out(&Nat::from(2u64));
-    /// assert_eq!(k, 5);
-    /// assert_eq!(rest, Nat::from(3u64).pow(4));
-    /// ```
-    #[must_use]
-    pub fn factor_out(&self, base: &Nat) -> (u32, Nat) {
+    fn factor_out(&self, base: &Nat) -> (u32, Nat) {
         assert!(*base >= Nat::from(2u64), "factor_out base must be >= 2");
         assert!(!self.is_zero(), "cannot factor zero");
         let mut k = 0;

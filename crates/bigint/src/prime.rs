@@ -16,16 +16,7 @@ impl Nat {
     ///
     /// Deterministic for every value below 3.3 · 10²⁴; a strong
     /// probable-prime test (13 fixed Miller–Rabin witnesses) beyond that.
-    ///
-    /// ```
-    /// use tvg_bigint::Nat;
-    /// assert!(Nat::from(2u64).is_prime());
-    /// assert!(Nat::from(1_000_000_007u64).is_prime());
-    /// assert!(!Nat::from(1u64).is_prime());
-    /// assert!(!Nat::from(561u64).is_prime()); // Carmichael number
-    /// ```
-    #[must_use]
-    pub fn is_prime(&self) -> bool {
+    fn is_prime(&self) -> bool {
         let two = Nat::from(2u64);
         if *self < two {
             return false;
@@ -69,29 +60,6 @@ impl Nat {
             return false;
         }
         true
-    }
-
-    /// The smallest prime strictly greater than `self`.
-    ///
-    /// ```
-    /// use tvg_bigint::Nat;
-    /// assert_eq!(Nat::from(1u64).next_prime(), Nat::from(2u64));
-    /// assert_eq!(Nat::from(13u64).next_prime(), Nat::from(17u64));
-    /// ```
-    #[must_use]
-    pub fn next_prime(&self) -> Nat {
-        let mut candidate = self.succ();
-        let two = Nat::from(2u64);
-        if candidate <= two {
-            return two;
-        }
-        if candidate.is_even() {
-            candidate.add_small(1);
-        }
-        while !candidate.is_prime() {
-            candidate.add_small(2);
-        }
-        candidate
     }
 }
 
@@ -143,6 +111,7 @@ mod tests {
     fn large_known_primes() {
         assert!(Nat::from(u64::MAX - 58).is_prime()); // 2^64 - 59 is prime
         assert!(Nat::from(2_147_483_647u64).is_prime()); // 2^31 - 1 (Mersenne)
+        assert!(Nat::from(1_000_000_007u64).is_prime());
         assert!("170141183460469231731687303715884105727"
             .parse::<Nat>()
             .expect("valid")
@@ -156,15 +125,6 @@ mod tests {
         assert!(!m127.is_prime());
         let square = Nat::from(1_000_003u64) * Nat::from(1_000_003u64);
         assert!(!square.is_prime());
-    }
-
-    #[test]
-    fn next_prime_walks_forward() {
-        assert_eq!(Nat::zero().next_prime(), Nat::from(2u64));
-        assert_eq!(Nat::from(2u64).next_prime(), Nat::from(3u64));
-        assert_eq!(Nat::from(3u64).next_prime(), Nat::from(5u64));
-        assert_eq!(Nat::from(89u64).next_prime(), Nat::from(97u64));
-        assert_eq!(Nat::from(100u64).next_prime(), Nat::from(101u64));
     }
 
     #[test]

@@ -118,16 +118,17 @@ fn pow_splits_additively() {
 }
 
 #[test]
-fn factor_out_recomposes() {
-    tvg_testkit::check("factor_out_recomposes", |rng, _| {
-        let base = Nat::from(rng.gen_range(2u64..100));
-        let k = rng.gen_range(0u32..30);
-        // Make the cofactor coprime to base by stripping base's factors.
-        let (_, cof) = Nat::from(rng.gen_range(1u64..1000)).factor_out(&base);
-        let n = base.pow(k) * &cof;
-        let (k2, cof2) = n.factor_out(&base);
-        assert_eq!(k2, k);
-        assert_eq!(cof2, cof);
+fn decompose_pq_recovers_exponents() {
+    tvg_testkit::check("decompose_pq_recovers_exponents", |rng, _| {
+        // Consecutive bases are coprime, so the decomposition is unique.
+        let p = rng.gen_range(2u64..100);
+        let (np, nq) = (Nat::from(p), Nat::from(p + 1));
+        let (a, b) = (rng.gen_range(0u32..30), rng.gen_range(0u32..30));
+        let n = np.pow(a) * nq.pow(b);
+        assert_eq!(n.decompose_pq(&np, &nq), Some((a, b)));
+        // A cofactor coprime to both bases is left over and rejected.
+        let stray = Nat::from(p * (p + 1) + 1);
+        assert_eq!((n * stray).decompose_pq(&np, &nq), None);
     });
 }
 
@@ -146,16 +147,6 @@ fn mod_pow_matches_naive() {
         };
         let got = Nat::from(b).mod_pow(&Nat::from(u64::from(e)), &Nat::from(m));
         assert_eq!(got, nat(expected));
-    });
-}
-
-#[test]
-fn gcd_divides_both() {
-    tvg_testkit::check("gcd_divides_both", |rng, _| {
-        let (a, b) = (u128_any(rng).max(1), u128_any(rng).max(1));
-        let g = nat(a).gcd(&nat(b));
-        assert!(nat(a).is_multiple_of(&g));
-        assert!(nat(b).is_multiple_of(&g));
     });
 }
 

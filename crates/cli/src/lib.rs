@@ -355,7 +355,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 /// measurements and vary run to run — `profile` output is for humans
 /// and CI artifacts, never for golden comparison.
 #[must_use]
-pub fn profile_line(scenario: &Scenario) -> String {
+fn profile_line(scenario: &Scenario) -> String {
     let report = scenario.run();
     let stats = report.engine_stats();
     let wall_us = report.wall_micros().max(1);

@@ -183,17 +183,6 @@ impl AnbnAutomaton {
             .accepts(w, &WaitingPolicy::NoWait, &self.limits_for(w.len()))
     }
 
-    /// Acceptance under `d`-bounded waiting (used by the Theorem 2.3
-    /// experiments).
-    #[must_use]
-    pub fn accepts_bounded(&self, w: &Word, d: u64) -> bool {
-        self.automaton.accepts(
-            w,
-            &WaitingPolicy::Bounded(Nat::from(d)),
-            &self.limits_for(w.len()),
-        )
-    }
-
     /// The accepting run's time trace for `aⁿbⁿ`: the sequence of times
     /// at which each prefix is read (for display; `None` for rejected
     /// words).

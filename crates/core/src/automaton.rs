@@ -109,13 +109,13 @@ impl<T: Time> TvgAutomaton<T> {
 
     /// The initial states `I`.
     #[must_use]
-    pub fn initial(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn initial(&self) -> &BTreeSet<NodeId> {
         &self.initial
     }
 
     /// The accepting states `F`.
     #[must_use]
-    pub fn accepting(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn accepting(&self) -> &BTreeSet<NodeId> {
         &self.accepting
     }
 
@@ -127,8 +127,7 @@ impl<T: Time> TvgAutomaton<T> {
 
     /// The initial configuration set: every initial node at the start
     /// instant.
-    #[must_use]
-    pub fn initial_configs(&self) -> ConfigSet<T> {
+    fn initial_configs(&self) -> ConfigSet<T> {
         self.initial
             .iter()
             .map(|&n| (n, self.start_time.clone()))
@@ -160,7 +159,7 @@ impl<T: Time> TvgAutomaton<T> {
     /// The configuration sets after each prefix of `word` — a run trace
     /// for display and debugging.
     #[must_use]
-    pub fn trace(
+    pub(crate) fn trace(
         &self,
         word: &Word,
         policy: &WaitingPolicy<T>,
@@ -200,6 +199,31 @@ impl<T: Time> TvgAutomaton<T> {
         )
     }
 
+    /// Dilates every schedule and the start instant by `d + 1`
+    /// (Theorem 2.3's transformation; see the `dilation` module for the
+    /// theorem harness).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dilated start time overflows the representation.
+    #[must_use]
+    pub fn dilate(&self, d: u64) -> TvgAutomaton<T> {
+        let factor = d.checked_add(1).expect("dilation bound too large");
+        TvgAutomaton {
+            tvg: self.tvg.dilate(d),
+            initial: self.initial.clone(),
+            accepting: self.accepting.clone(),
+            start_time: self
+                .start_time
+                .checked_mul_u64(factor)
+                .expect("dilated start time overflows"),
+        }
+    }
+}
+
+/// A test oracle for the paper's remark that Figure 1 is deterministic.
+#[cfg(test)]
+impl<T: Time> TvgAutomaton<T> {
     /// Checks whether the automaton behaves *deterministically* on every
     /// word up to `max_len` under `policy`: after each prefix at most one
     /// configuration is live.
@@ -207,8 +231,7 @@ impl<T: Time> TvgAutomaton<T> {
     /// The paper notes Figure 1 is a deterministic TVG-automaton; this
     /// verifies such claims mechanically. Exponential in `max_len` over
     /// the label alphabet.
-    #[must_use]
-    pub fn is_deterministic_upto(
+    pub(crate) fn is_deterministic_upto(
         &self,
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
@@ -242,27 +265,6 @@ impl<T: Time> TvgAutomaton<T> {
             frontier = next;
         }
         true
-    }
-
-    /// Dilates every schedule and the start instant by `d + 1`
-    /// (Theorem 2.3's transformation; see the `dilation` module for the
-    /// theorem harness).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dilated start time overflows the representation.
-    #[must_use]
-    pub fn dilate(&self, d: u64) -> TvgAutomaton<T> {
-        let factor = d.checked_add(1).expect("dilation bound too large");
-        TvgAutomaton {
-            tvg: self.tvg.dilate(d),
-            initial: self.initial.clone(),
-            accepting: self.accepting.clone(),
-            start_time: self
-                .start_time
-                .checked_mul_u64(factor)
-                .expect("dilated start time overflows"),
-        }
     }
 }
 

@@ -42,8 +42,7 @@ pub fn encode_word(alphabet: &Alphabet, w: &Word) -> Option<Nat> {
 
 /// Decodes a time value back to the word it encodes, if it is a valid
 /// encoding (digits in `1..=k`, leading marker `1`).
-#[must_use]
-pub fn decode_time(alphabet: &Alphabet, t: &Nat) -> Option<Word> {
+fn decode_time(alphabet: &Alphabet, t: &Nat) -> Option<Word> {
     let base = alphabet.len() as u64 + 1;
     let mut cur = t.clone();
     let mut letters = Vec::new();

@@ -349,45 +349,6 @@ pub fn eventually_periodic_to_nfa(
     Ok(nfa)
 }
 
-/// One-call Theorem 2.2: the waiting language of an eventually periodic
-/// TVG-automaton as a plain regular expression.
-///
-/// Compiles (via [`eventually_periodic_to_nfa`]), determinizes,
-/// minimizes, and synthesizes a regex by state elimination.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] if the schedules are not eventually
-/// periodic with the given period or a latency is non-constant.
-///
-/// ```
-/// use std::collections::BTreeSet;
-/// use tvg_expressivity::wait_regular::wait_language_regex;
-/// use tvg_expressivity::TvgAutomaton;
-/// use tvg_journeys::WaitingPolicy;
-/// use tvg_langs::Alphabet;
-/// use tvg_model::{Latency, Presence, TvgBuilder};
-///
-/// let mut b = TvgBuilder::<u64>::new();
-/// let v = b.nodes(2);
-/// b.edge(v[0], v[1], 'a', Presence::Periodic { period: 2, phases: [0u64].into() },
-///     Latency::unit())?;
-/// let aut = TvgAutomaton::new(b.build()?, BTreeSet::from([v[0]]),
-///     BTreeSet::from([v[1]]), 0)?;
-/// let re = wait_language_regex(&aut, 2, &WaitingPolicy::Unbounded, &Alphabet::ab())?;
-/// assert_eq!(re.to_string(), "a");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn wait_language_regex(
-    aut: &TvgAutomaton<u64>,
-    period: u64,
-    policy: &WaitingPolicy<u64>,
-    alphabet: &Alphabet,
-) -> Result<tvg_langs::Regex, CompileError> {
-    let nfa = eventually_periodic_to_nfa(aut, period, policy, alphabet)?;
-    Ok(tvg_langs::synth::dfa_to_regex(&nfa.to_dfa().minimize()))
-}
-
 /// Embeds a DFA as a TVG-automaton with `Always` presence and unit
 /// latencies — the *regular ⊆ `L_wait`* direction of Theorem 2.2.
 ///
@@ -785,36 +746,6 @@ mod tests {
             let simulated = aut.language_upto(&policy, &limits, 5);
             let compiled: BTreeSet<Word> = nfa.to_dfa().language_upto(5).into_iter().collect();
             assert_eq!(simulated, compiled, "{policy}");
-        }
-    }
-
-    #[test]
-    fn wait_language_regex_roundtrips() {
-        // The synthesized regex's language equals the compiled DFA's.
-        let alphabet = Alphabet::ab();
-        for seed in [0u64, 5, 7] {
-            let params = RandomPeriodicParams {
-                num_nodes: 4,
-                num_edges: 7,
-                period: 3,
-                phase_density: 0.5,
-                alphabet: alphabet.clone(),
-            };
-            let g = random_periodic_tvg(&mut StdRng::seed_from_u64(seed), &params);
-            let aut = TvgAutomaton::new(
-                g,
-                BTreeSet::from([NodeId::from_index(0)]),
-                BTreeSet::from([NodeId::from_index(3)]),
-                0,
-            )
-            .expect("valid");
-            let re = wait_language_regex(&aut, 3, &WaitingPolicy::Unbounded, &alphabet)
-                .expect("periodic");
-            let from_regex = re.to_nfa(&alphabet).to_dfa();
-            let compiled = periodic_to_nfa(&aut, 3, &WaitingPolicy::Unbounded, &alphabet)
-                .expect("periodic")
-                .to_dfa();
-            assert!(from_regex.equivalent_to(&compiled), "seed {seed}: {re}");
         }
     }
 

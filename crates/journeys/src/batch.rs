@@ -46,7 +46,7 @@ use tvg_model::{NodeId, TemporalIndex, Time};
 
 /// Environment variable overriding [`Batch::auto`]'s thread count.
 /// `0`, unset, or unparsable means "use the machine's parallelism".
-pub const THREADS_ENV: &str = "TVG_BATCH_THREADS";
+const THREADS_ENV: &str = "TVG_BATCH_THREADS";
 
 /// Thread-count policy of a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -170,7 +170,7 @@ impl Alphabet {
 
     /// Returns `true` iff `l` belongs to the alphabet.
     #[must_use]
-    pub fn contains(&self, l: Letter) -> bool {
+    pub(crate) fn contains(&self, l: Letter) -> bool {
         self.index_of(l).is_some()
     }
 
@@ -272,12 +272,6 @@ impl Word {
     #[must_use]
     pub fn as_slice(&self) -> &[Letter] {
         &self.letters
-    }
-
-    /// Returns `true` iff every letter belongs to `alphabet`.
-    #[must_use]
-    pub fn is_over(&self, alphabet: &Alphabet) -> bool {
-        self.letters.iter().all(|&l| alphabet.contains(l))
     }
 
     /// Counts occurrences of the letter displaying as `c`.
@@ -418,13 +412,6 @@ mod tests {
     fn word_reversal() {
         assert_eq!(word("abc").reversed(), word("cba"));
         assert_eq!(Word::empty().reversed(), Word::empty());
-    }
-
-    #[test]
-    fn word_over_alphabet() {
-        assert!(word("abab").is_over(&Alphabet::ab()));
-        assert!(!word("abc").is_over(&Alphabet::ab()));
-        assert!(Word::empty().is_over(&Alphabet::ab()));
     }
 
     #[test]

@@ -1,31 +1,22 @@
-//! Minsky counter machines — a second machine model witnessing
-//! "computable" in Theorem 2.1.
+//! Counter machines — a second machine model witnessing "computable" in
+//! Theorem 2.1.
 //!
-//! Two-counter Minsky machines are Turing-complete; here they serve as an
-//! independent decider family for the Theorem 2.1 experiments (the TVG
-//! schedule can run *any* machine model — plugging in two of them guards
-//! against the construction accidentally depending on one interpreter's
-//! quirks).
+//! Here they serve as an independent decider family for the Theorem 2.1
+//! experiments (the TVG schedule can run *any* machine model — plugging in
+//! two of them guards against the construction accidentally depending on
+//! one interpreter's quirks).
 //!
-//! Programs operate on a vector of counters with increment and
-//! decrement-or-jump; inputs enter through an encoding function from
-//! words to initial counter values.
+//! Programs operate on a vector of counters with decrement-or-jump and
+//! accept/reject halts, the instructions the stock program needs; inputs
+//! enter through an encoding function from words to initial counter
+//! values.
 
 use crate::Word;
-use std::error::Error;
-use std::fmt;
 
 /// A counter-machine instruction; `usize` operands are instruction
 /// addresses, `Reg` values index counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instr {
-    /// `counters[r] += 1; goto next`.
-    Inc {
-        /// Counter to increment.
-        r: usize,
-        /// Next instruction address.
-        next: usize,
-    },
+enum Instr {
     /// If `counters[r] > 0`: decrement and `goto next`; else `goto on_zero`.
     Dec {
         /// Counter to test-and-decrement.
@@ -43,7 +34,7 @@ pub enum Instr {
 
 /// Errors from assembling a [`CounterMachine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CounterError {
+enum CounterError {
     /// An instruction jumps to a missing address.
     BadAddress {
         /// Instruction index containing the bad jump.
@@ -62,25 +53,9 @@ pub enum CounterError {
     Empty,
 }
 
-impl fmt::Display for CounterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CounterError::BadAddress { at, target } => {
-                write!(f, "instruction {at} jumps to missing address {target}")
-            }
-            CounterError::BadRegister { at, register } => {
-                write!(f, "instruction {at} uses out-of-range counter {register}")
-            }
-            CounterError::Empty => write!(f, "program has no instructions"),
-        }
-    }
-}
-
-impl Error for CounterError {}
-
 /// Outcome of a bounded counter-machine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterOutcome {
+enum CounterOutcome {
     /// Halted in `Accept`.
     Accepted,
     /// Halted in `Reject`.
@@ -92,19 +67,14 @@ pub enum CounterOutcome {
 /// A Minsky counter machine: a program over `num_counters` counters.
 ///
 /// ```
-/// use tvg_langs::counter::{CounterMachine, CounterOutcome, Instr};
+/// use tvg_langs::counter::programs;
+/// use tvg_langs::word;
 ///
-/// // Accept iff counter0 == counter1 (the classic equality program).
-/// let eq = CounterMachine::new(2, vec![
-///     Instr::Dec { r: 0, next: 1, on_zero: 2 }, // 0: c0-- or check c1
-///     Instr::Dec { r: 1, next: 0, on_zero: 4 }, // 1: c1-- and loop, else reject
-///     Instr::Dec { r: 1, next: 4, on_zero: 3 }, // 2: c0 empty: c1 must be too
-///     Instr::Accept,                            // 3
-///     Instr::Reject,                            // 4
-/// ])?;
-/// assert_eq!(eq.run(&[3, 3], 100), CounterOutcome::Accepted);
-/// assert_eq!(eq.run(&[3, 4], 100), CounterOutcome::Rejected);
-/// # Ok::<(), tvg_langs::counter::CounterError>(())
+/// // Accept iff the word has as many a's as b's (counter 0 == counter 1).
+/// let eq = programs::equal();
+/// let counts = |w: &tvg_langs::Word| vec![w.count_char('a') as u64, w.count_char('b') as u64];
+/// assert!(eq.decide_encoded(counts, &word("abba"), 100));
+/// assert!(!eq.decide_encoded(counts, &word("aab"), 100));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CounterMachine {
@@ -119,26 +89,20 @@ impl CounterMachine {
     ///
     /// Returns a [`CounterError`] locating the first malformed
     /// instruction.
-    pub fn new(num_counters: usize, program: Vec<Instr>) -> Result<Self, CounterError> {
+    fn new(num_counters: usize, program: Vec<Instr>) -> Result<Self, CounterError> {
         if program.is_empty() {
             return Err(CounterError::Empty);
         }
         let n = program.len();
         for (at, ins) in program.iter().enumerate() {
-            let (targets, regs): (Vec<usize>, Vec<usize>) = match *ins {
-                Instr::Inc { r, next } => (vec![next], vec![r]),
-                Instr::Dec { r, next, on_zero } => (vec![next, on_zero], vec![r]),
-                Instr::Accept | Instr::Reject => (vec![], vec![]),
+            let Instr::Dec { r, next, on_zero } = *ins else {
+                continue;
             };
-            for t in targets {
-                if t >= n {
-                    return Err(CounterError::BadAddress { at, target: t });
-                }
+            if let Some(&target) = [next, on_zero].iter().find(|&&t| t >= n) {
+                return Err(CounterError::BadAddress { at, target });
             }
-            for r in regs {
-                if r >= num_counters {
-                    return Err(CounterError::BadRegister { at, register: r });
-                }
+            if r >= num_counters {
+                return Err(CounterError::BadRegister { at, register: r });
             }
         }
         Ok(CounterMachine {
@@ -147,28 +111,9 @@ impl CounterMachine {
         })
     }
 
-    /// Number of counters the program uses.
-    #[must_use]
-    pub fn num_counters(&self) -> usize {
-        self.num_counters
-    }
-
-    /// Program length in instructions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.program.len()
-    }
-
-    /// `true` iff the program has no instructions (never, post-`new`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.program.is_empty()
-    }
-
     /// Runs from instruction 0 with the given initial counters, for at
     /// most `fuel` steps. Missing initial counters default to 0.
-    #[must_use]
-    pub fn run(&self, initial: &[u64], fuel: usize) -> CounterOutcome {
+    fn run(&self, initial: &[u64], fuel: usize) -> CounterOutcome {
         let mut counters = vec![0u64; self.num_counters];
         for (c, &v) in counters.iter_mut().zip(initial) {
             *c = v;
@@ -176,10 +121,6 @@ impl CounterMachine {
         let mut pc = 0usize;
         for _ in 0..fuel {
             match self.program[pc] {
-                Instr::Inc { r, next } => {
-                    counters[r] += 1;
-                    pc = next;
-                }
                 Instr::Dec { r, next, on_zero } => {
                     if counters[r] > 0 {
                         counters[r] -= 1;
@@ -207,7 +148,7 @@ impl CounterMachine {
     }
 }
 
-/// Stock programs used by tests and the Theorem 2.1 experiments.
+/// The stock program the Theorem 2.1 experiments run.
 pub mod programs {
     use super::{CounterMachine, Instr};
 
@@ -238,63 +179,6 @@ pub mod programs {
         )
         .expect("static program is valid")
     }
-
-    /// Accepts iff counter 0 is even.
-    #[must_use]
-    pub fn even() -> CounterMachine {
-        CounterMachine::new(
-            1,
-            vec![
-                Instr::Dec {
-                    r: 0,
-                    next: 1,
-                    on_zero: 2,
-                }, // 0
-                Instr::Dec {
-                    r: 0,
-                    next: 0,
-                    on_zero: 3,
-                }, // 1
-                Instr::Accept, // 2
-                Instr::Reject, // 3
-            ],
-        )
-        .expect("static program is valid")
-    }
-
-    /// Accepts iff counter 0 equals 2 · counter 1.
-    #[must_use]
-    pub fn double() -> CounterMachine {
-        CounterMachine::new(
-            2,
-            vec![
-                Instr::Dec {
-                    r: 1,
-                    next: 1,
-                    on_zero: 3,
-                }, // 0: take one from c1…
-                Instr::Dec {
-                    r: 0,
-                    next: 2,
-                    on_zero: 6,
-                }, // 1: …remove two from c0
-                Instr::Dec {
-                    r: 0,
-                    next: 0,
-                    on_zero: 6,
-                }, // 2
-                Instr::Dec {
-                    r: 0,
-                    next: 6,
-                    on_zero: 4,
-                }, // 3: c1 empty: c0 must be too
-                Instr::Accept, // 4
-                Instr::Reject, // 5 (unused, kept for clarity)
-                Instr::Reject, // 6
-            ],
-        )
-        .expect("static program is valid")
-    }
 }
 
 #[cfg(test)]
@@ -315,32 +199,6 @@ mod tests {
                     CounterOutcome::Rejected
                 };
                 assert_eq!(eq.run(&[a, b], 1_000), expected, "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn even_program_is_correct() {
-        let even = programs::even();
-        for n in 0u64..20 {
-            assert_eq!(
-                even.run(&[n], 1_000) == CounterOutcome::Accepted,
-                n % 2 == 0,
-                "{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn double_program_is_correct() {
-        let d = programs::double();
-        for a in 0u64..12 {
-            for b in 0u64..6 {
-                assert_eq!(
-                    d.run(&[a, b], 1_000) == CounterOutcome::Accepted,
-                    a == 2 * b,
-                    "{a} vs {b}"
-                );
             }
         }
     }
@@ -379,7 +237,15 @@ mod tests {
             CounterError::Empty
         );
         assert_eq!(
-            CounterMachine::new(1, vec![Instr::Inc { r: 0, next: 7 }]).unwrap_err(),
+            CounterMachine::new(
+                1,
+                vec![Instr::Dec {
+                    r: 0,
+                    next: 7,
+                    on_zero: 0
+                }]
+            )
+            .unwrap_err(),
             CounterError::BadAddress { at: 0, target: 7 }
         );
         assert_eq!(
@@ -398,8 +264,16 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_detected() {
-        // Tight loop: Inc forever.
-        let spin = CounterMachine::new(1, vec![Instr::Inc { r: 0, next: 0 }]).expect("valid");
+        // Tight loop: a zero counter jumps back to itself forever.
+        let spin = CounterMachine::new(
+            1,
+            vec![Instr::Dec {
+                r: 0,
+                next: 0,
+                on_zero: 0,
+            }],
+        )
+        .expect("valid");
         assert_eq!(spin.run(&[], 100), CounterOutcome::OutOfFuel);
     }
 

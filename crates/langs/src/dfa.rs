@@ -2,8 +2,8 @@
 //!
 //! Theorem 2.2 of the paper states that the languages of TVGs with waiting
 //! are exactly the regular languages; this module supplies the regular side
-//! of that equation: total DFAs with product constructions, minimization,
-//! emptiness, equivalence with witnesses, and language enumeration.
+//! of that equation: total DFAs with minimization, equivalence checking,
+//! and language enumeration.
 
 use crate::{Alphabet, Letter, Word};
 use std::collections::{BTreeMap, VecDeque};
@@ -155,30 +155,6 @@ impl Dfa {
         })
     }
 
-    /// The DFA accepting the empty language over `alphabet`.
-    #[must_use]
-    pub fn empty_language(alphabet: Alphabet) -> Self {
-        let width = alphabet.len();
-        Dfa {
-            alphabet,
-            delta: vec![vec![0; width]],
-            start: 0,
-            accepting: vec![false],
-        }
-    }
-
-    /// The DFA accepting every word over `alphabet` (including ε).
-    #[must_use]
-    pub fn universal(alphabet: Alphabet) -> Self {
-        let width = alphabet.len();
-        Dfa {
-            alphabet,
-            delta: vec![vec![0; width]],
-            start: 0,
-            accepting: vec![true],
-        }
-    }
-
     /// The alphabet this DFA reads.
     #[must_use]
     pub fn alphabet(&self) -> &Alphabet {
@@ -232,16 +208,6 @@ impl Dfa {
         self.run(w).is_some_and(|s| self.accepting[s])
     }
 
-    /// Complements the accepted language (in place on a clone).
-    #[must_use]
-    pub fn complement(&self) -> Dfa {
-        let mut out = self.clone();
-        for a in &mut out.accepting {
-            *a = !*a;
-        }
-        out
-    }
-
     /// Product construction combining acceptance with `op`.
     ///
     /// Only reachable pairs are materialized.
@@ -250,8 +216,7 @@ impl Dfa {
     ///
     /// Panics if the alphabets differ — combining languages over different
     /// alphabets is a programming error.
-    #[must_use]
-    pub fn product(&self, other: &Dfa, op: impl Fn(bool, bool) -> bool) -> Dfa {
+    fn product(&self, other: &Dfa, op: impl Fn(bool, bool) -> bool) -> Dfa {
         assert_eq!(
             self.alphabet, other.alphabet,
             "product of DFAs over different alphabets"
@@ -290,27 +255,8 @@ impl Dfa {
         }
     }
 
-    /// Intersection of languages.
-    #[must_use]
-    pub fn intersection(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a && b)
-    }
-
-    /// Union of languages.
-    #[must_use]
-    pub fn union(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a || b)
-    }
-
-    /// Difference `L(self) \ L(other)`.
-    #[must_use]
-    pub fn difference(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a && !b)
-    }
-
     /// A shortest accepted word, or `None` if the language is empty.
-    #[must_use]
-    pub fn shortest_accepted(&self) -> Option<Word> {
+    fn shortest_accepted(&self) -> Option<Word> {
         let mut parent: Vec<Option<(usize, Letter)>> = vec![None; self.num_states()];
         let mut seen = vec![false; self.num_states()];
         let mut queue = VecDeque::new();
@@ -348,20 +294,13 @@ impl Dfa {
         Some(Word::from_letters(letters))
     }
 
-    /// `true` iff the language is empty.
-    #[must_use]
-    pub fn is_language_empty(&self) -> bool {
-        self.shortest_accepted().is_none()
-    }
-
     /// A shortest word on which the two DFAs disagree, or `None` if they
     /// accept the same language.
     ///
     /// # Panics
     ///
     /// Panics if the alphabets differ.
-    #[must_use]
-    pub fn distinguishing_word(&self, other: &Dfa) -> Option<Word> {
+    fn distinguishing_word(&self, other: &Dfa) -> Option<Word> {
         self.product(other, |a, b| a != b).shortest_accepted()
     }
 
@@ -449,8 +388,7 @@ impl Dfa {
     }
 
     /// Removes states not reachable from the start state.
-    #[must_use]
-    pub fn trim_unreachable(&self) -> Dfa {
+    fn trim_unreachable(&self) -> Dfa {
         let n = self.num_states();
         let k = self.alphabet.len();
         let mut seen = vec![false; n];
@@ -518,38 +456,6 @@ impl Dfa {
         }
         out
     }
-
-    /// Number of accepted words of each length `0..=max_len`.
-    ///
-    /// Runs in `O(max_len · states · |Σ|)` via dynamic programming, so it is
-    /// usable far beyond `language_upto`.
-    #[must_use]
-    pub fn count_words_per_length(&self, max_len: usize) -> Vec<u64> {
-        let n = self.num_states();
-        let mut dist = vec![0u64; n];
-        dist[self.start] = 1;
-        let mut counts = Vec::with_capacity(max_len + 1);
-        for _ in 0..=max_len {
-            counts.push(
-                dist.iter()
-                    .zip(&self.accepting)
-                    .filter(|(_, &acc)| acc)
-                    .map(|(&c, _)| c)
-                    .sum(),
-            );
-            let mut next = vec![0u64; n];
-            for s in 0..n {
-                if dist[s] == 0 {
-                    continue;
-                }
-                for a in 0..self.alphabet.len() {
-                    next[self.delta[s][a]] = next[self.delta[s][a]].saturating_add(dist[s]);
-                }
-            }
-            dist = next;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -577,6 +483,12 @@ mod tests {
             vec![false, true],
         )
         .expect("valid dfa")
+    }
+
+    /// The one-state DFA over `alphabet`: Σ* if `accepting`, else ∅.
+    fn one_state(alphabet: Alphabet, accepting: bool) -> Dfa {
+        let width = alphabet.len();
+        Dfa::new(alphabet, vec![vec![0; width]], 0, vec![accepting]).expect("valid dfa")
     }
 
     #[test]
@@ -630,28 +542,18 @@ mod tests {
     }
 
     #[test]
-    fn complement_flips() {
-        let dfa = even_as();
-        let comp = dfa.complement();
-        for w in ["", "a", "ab", "aa", "bab", "aab"] {
-            let w = word(w);
-            assert_ne!(dfa.accepts(&w), comp.accepts(&w), "{w}");
-        }
-    }
-
-    #[test]
     fn boolean_products() {
-        let inter = even_as().intersection(&ends_b());
+        let inter = even_as().product(&ends_b(), |a, b| a && b);
         assert!(inter.accepts(&word("aab")));
         assert!(!inter.accepts(&word("ab")));
         assert!(!inter.accepts(&word("aa")));
 
-        let uni = even_as().union(&ends_b());
+        let uni = even_as().product(&ends_b(), |a, b| a || b);
         assert!(uni.accepts(&word("ab")));
         assert!(uni.accepts(&word("aa")));
         assert!(!uni.accepts(&word("a")));
 
-        let diff = even_as().difference(&ends_b());
+        let diff = even_as().product(&ends_b(), |a, b| a && !b);
         assert!(diff.accepts(&word("aa")));
         assert!(!diff.accepts(&word("aab")));
     }
@@ -659,16 +561,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "different alphabets")]
     fn product_alphabet_mismatch_panics() {
-        let other = Dfa::universal(Alphabet::abc());
-        let _ = even_as().intersection(&other);
+        let other = one_state(Alphabet::abc(), true);
+        let _ = even_as().equivalent_to(&other);
     }
 
     #[test]
     fn emptiness_and_witness() {
-        assert!(Dfa::empty_language(Alphabet::ab()).is_language_empty());
-        assert!(!Dfa::universal(Alphabet::ab()).is_language_empty());
+        assert_eq!(one_state(Alphabet::ab(), false).shortest_accepted(), None);
         assert_eq!(
-            Dfa::universal(Alphabet::ab()).shortest_accepted(),
+            one_state(Alphabet::ab(), true).shortest_accepted(),
             Some(Word::empty())
         );
         assert_eq!(ends_b().shortest_accepted(), Some(word("b")));
@@ -719,36 +620,14 @@ mod tests {
 
     #[test]
     fn minimize_of_empty_language_is_single_state() {
-        let min = Dfa::empty_language(Alphabet::ab()).minimize();
+        let min = one_state(Alphabet::ab(), false).minimize();
         assert_eq!(min.num_states(), 1);
-        assert!(min.is_language_empty());
+        assert_eq!(min.shortest_accepted(), None);
     }
 
     #[test]
     fn language_enumeration_shortlex() {
         let words = ends_b().language_upto(2);
         assert_eq!(words, vec![word("b"), word("ab"), word("bb")]);
-    }
-
-    #[test]
-    fn count_matches_enumeration() {
-        let dfa = even_as();
-        let counts = dfa.count_words_per_length(8);
-        for (len, &c) in counts.iter().enumerate() {
-            let brute = dfa
-                .language_upto(8)
-                .into_iter()
-                .filter(|w| w.len() == len)
-                .count() as u64;
-            assert_eq!(c, brute, "length {len}");
-        }
-    }
-
-    #[test]
-    fn universal_counts_all_words() {
-        let counts = Dfa::universal(Alphabet::ab()).count_words_per_length(10);
-        for (len, &c) in counts.iter().enumerate() {
-            assert_eq!(c, 1u64 << len, "length {len}");
-        }
     }
 }

@@ -166,18 +166,6 @@ impl Grammar {
         })
     }
 
-    /// Number of productions.
-    #[must_use]
-    pub fn num_productions(&self) -> usize {
-        self.productions.len()
-    }
-
-    /// Number of nonterminals.
-    #[must_use]
-    pub fn num_nonterminals(&self) -> usize {
-        self.nonterminals.len()
-    }
-
     /// Earley recognition: `true` iff `w` derives from the start symbol.
     #[must_use]
     pub fn recognizes(&self, w: &Word) -> bool {
@@ -263,12 +251,6 @@ impl Grammar {
     #[must_use]
     pub fn dyck1() -> Self {
         Grammar::from_rules("S -> a S b S | ε").expect("static grammar is valid")
-    }
-
-    /// Even-length palindromes over `{a, b}`.
-    #[must_use]
-    pub fn even_palindromes() -> Self {
-        Grammar::from_rules("S -> a S a | b S b | ε").expect("static grammar is valid")
     }
 }
 
@@ -357,7 +339,7 @@ mod tests {
 
     #[test]
     fn even_palindromes_match_reference() {
-        let g = Grammar::even_palindromes();
+        let g = Grammar::from_rules("S -> a S a | b S b | ε").expect("valid");
         for w in words_upto(&Alphabet::ab(), 9) {
             let expected = w.len() % 2 == 0 && w == w.reversed();
             assert_eq!(g.recognizes(&w), expected, "{w}");

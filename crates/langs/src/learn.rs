@@ -294,7 +294,9 @@ mod tests {
             8,
         )
         .expect("learnable");
-        assert!(empty.is_language_empty());
+        // One non-accepting state: exactly the empty language.
+        assert_eq!(empty.num_states(), 1);
+        assert!(!empty.accepts(&Word::empty()));
         let universal = learn_dfa(
             &sigma,
             |_| true,

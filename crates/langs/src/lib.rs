@@ -9,18 +9,15 @@
 //!
 //! * [`Letter`], [`Alphabet`], [`Word`] — the vocabulary journeys spell.
 //! * [`Dfa`], [`Nfa`], [`Regex`] — the regular side of Theorem 2.2, with
-//!   product constructions, minimization, and exact equivalence checking.
+//!   minimization and exact equivalence checking.
 //! * [`synth`] — regex synthesis from DFAs (state elimination), so a
 //!   waiting language can be *printed* as a regular expression.
 //! * [`Grammar`] — context-free reference deciders (Earley recognizer) for
 //!   the paper's `aⁿbⁿ` example.
 //! * [`TuringMachine`] — the computable side of Theorem 2.1; real machines
 //!   whose deciders get compiled into TVG schedules.
-//! * [`counter`] — Minsky counter machines, a second Turing-complete
-//!   model used as an independent Theorem 2.1 witness.
-//! * [`wqo`] — Higman's subword embedding and regular closure
-//!   constructions, the well-quasi-order machinery the Theorem 2.2 proof
-//!   leans on.
+//! * [`counter`] — counter machines, a second machine model used as an
+//!   independent Theorem 2.1 witness.
 //! * [`myhill`] — empirical Myhill–Nerode residual analysis used as
 //!   regularity evidence in experiment E3.
 //! * [`learn`] — Angluin's L\* active DFA learning; Theorem 2.2 made
@@ -55,16 +52,14 @@ mod grammar;
 pub mod learn;
 pub mod myhill;
 mod nfa;
-pub mod pumping;
 mod regex;
 pub mod sample;
 pub mod synth;
 mod turing;
-pub mod wqo;
 
 pub use alphabet::{word, Alphabet, AlphabetError, Letter, Word};
 pub use dfa::{Dfa, DfaError};
 pub use grammar::{Grammar, GrammarError};
 pub use nfa::{Nfa, NfaError};
 pub use regex::{Regex, RegexError};
-pub use turing::{machines, Move, TmBuilder, TmError, TmOutcome, TuringMachine, BLANK};
+pub use turing::{machines, Move, TmBuilder, TmError, TuringMachine};

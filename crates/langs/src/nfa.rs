@@ -84,7 +84,7 @@ impl Nfa {
     }
 
     /// Adds a fresh state and returns its index.
-    pub fn add_state(&mut self) -> usize {
+    fn add_state(&mut self) -> usize {
         self.delta.push(BTreeMap::new());
         self.delta.len() - 1
     }
@@ -145,21 +145,8 @@ impl Nfa {
         }
     }
 
-    /// The start states.
-    #[must_use]
-    pub fn starts(&self) -> &BTreeSet<usize> {
-        &self.starts
-    }
-
-    /// The accepting states.
-    #[must_use]
-    pub fn accepting(&self) -> &BTreeSet<usize> {
-        &self.accepting
-    }
-
     /// ε-closure of a set of states.
-    #[must_use]
-    pub fn epsilon_closure(&self, set: &BTreeSet<usize>) -> BTreeSet<usize> {
+    fn epsilon_closure(&self, set: &BTreeSet<usize>) -> BTreeSet<usize> {
         let mut closure = set.clone();
         let mut queue: VecDeque<usize> = set.iter().copied().collect();
         while let Some(s) = queue.pop_front() {
@@ -175,8 +162,7 @@ impl Nfa {
     }
 
     /// One letter step (without ε-closure) from a set of states.
-    #[must_use]
-    pub fn step(&self, set: &BTreeSet<usize>, letter_index: usize) -> BTreeSet<usize> {
+    fn step(&self, set: &BTreeSet<usize>, letter_index: usize) -> BTreeSet<usize> {
         let mut out = BTreeSet::new();
         for &s in set {
             if let Some(succs) = self.delta[s].get(&Some(letter_index)) {
@@ -257,7 +243,7 @@ impl Nfa {
 
     /// NFA accepting exactly `{w}`.
     #[must_use]
-    pub fn literal(alphabet: Alphabet, w: &Word) -> Self {
+    pub(crate) fn literal(alphabet: Alphabet, w: &Word) -> Self {
         let mut nfa = Nfa::new(alphabet, w.len() + 1);
         nfa.starts.insert(0);
         nfa.accepting.insert(w.len());
@@ -273,7 +259,7 @@ impl Nfa {
 
     /// NFA accepting the empty language.
     #[must_use]
-    pub fn empty_language(alphabet: Alphabet) -> Self {
+    pub(crate) fn empty_language(alphabet: Alphabet) -> Self {
         let mut nfa = Nfa::new(alphabet, 1);
         nfa.starts.insert(0);
         nfa
@@ -311,7 +297,7 @@ impl Nfa {
     /// # Errors
     ///
     /// Returns [`NfaError::AlphabetMismatch`] if the alphabets differ.
-    pub fn concat(&self, other: &Nfa) -> Result<Nfa, NfaError> {
+    pub(crate) fn concat(&self, other: &Nfa) -> Result<Nfa, NfaError> {
         if self.alphabet != other.alphabet {
             return Err(NfaError::AlphabetMismatch);
         }
@@ -339,7 +325,7 @@ impl Nfa {
 
     /// Kleene star `L(self)*`.
     #[must_use]
-    pub fn star(&self) -> Nfa {
+    pub(crate) fn star(&self) -> Nfa {
         let mut out = self.clone();
         let hub = out.add_state();
         for &s in &self.starts {
@@ -351,22 +337,6 @@ impl Nfa {
         }
         out.starts = BTreeSet::from([hub]);
         out.accepting.insert(hub);
-        out
-    }
-
-    /// Reverses the language (arrows flipped, starts and accepting swapped).
-    #[must_use]
-    pub fn reverse(&self) -> Nfa {
-        let mut out = Nfa::new(self.alphabet.clone(), self.num_states());
-        for (s, row) in self.delta.iter().enumerate() {
-            for (key, succs) in row {
-                for &t in succs {
-                    out.delta[t].entry(*key).or_default().insert(s);
-                }
-            }
-        }
-        out.starts = self.accepting.clone();
-        out.accepting = self.starts.clone();
         out
     }
 }
@@ -482,14 +452,6 @@ mod tests {
         let c = Nfa::literal(Alphabet::abc(), &word("c"));
         assert_eq!(a.union(&c), Err(NfaError::AlphabetMismatch));
         assert_eq!(a.concat(&c), Err(NfaError::AlphabetMismatch));
-    }
-
-    #[test]
-    fn reverse_reverses() {
-        let nfa = Nfa::literal(ab(), &word("aab"));
-        let rev = nfa.reverse();
-        assert!(rev.accepts(&word("baa")));
-        assert!(!rev.accepts(&word("aab")));
     }
 
     #[test]

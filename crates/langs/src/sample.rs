@@ -1,21 +1,13 @@
-//! Word enumeration and sampling utilities.
+//! Word enumeration utilities.
 //!
 //! Languages of TVGs are compared by exhaustive enumeration up to a length
 //! bound; these helpers generate the word universes for those comparisons.
 
 use crate::{Alphabet, Word};
-use rand::Rng;
-use std::collections::BTreeSet;
 
 /// All words over `alphabet` of length exactly `len`, in lexicographic
 /// order of letter indices.
-///
-/// ```
-/// use tvg_langs::{sample::words_of_length, Alphabet};
-/// assert_eq!(words_of_length(&Alphabet::ab(), 2).len(), 4);
-/// ```
-#[must_use]
-pub fn words_of_length(alphabet: &Alphabet, len: usize) -> Vec<Word> {
+fn words_of_length(alphabet: &Alphabet, len: usize) -> Vec<Word> {
     let k = alphabet.len();
     let mut out = Vec::with_capacity(k.pow(len.min(20) as u32));
     let mut indices = vec![0usize; len];
@@ -53,18 +45,6 @@ pub fn words_upto(alphabet: &Alphabet, max_len: usize) -> Vec<Word> {
     out
 }
 
-/// A uniformly random word of length `len`.
-pub fn random_word<R: Rng + ?Sized>(rng: &mut R, alphabet: &Alphabet, len: usize) -> Word {
-    (0..len)
-        .map(|_| alphabet.letter(rng.gen_range(0..alphabet.len())))
-        .collect()
-}
-
-/// The subset of `words` accepted by `oracle`, as a sorted set.
-pub fn language_filter<F: FnMut(&Word) -> bool>(words: &[Word], mut oracle: F) -> BTreeSet<Word> {
-    words.iter().filter(|w| oracle(w)).cloned().collect()
-}
-
 /// Returns the words on which two oracles disagree, up to `max_len`.
 ///
 /// Empty result means the oracles agree on the sampled universe — the
@@ -89,8 +69,7 @@ where
 mod tests {
     use super::*;
     use crate::word;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn words_of_length_counts() {
@@ -127,24 +106,6 @@ mod tests {
         let all = words_upto(&Alphabet::abc(), 4);
         let set: BTreeSet<_> = all.iter().cloned().collect();
         assert_eq!(set.len(), all.len());
-    }
-
-    #[test]
-    fn random_word_has_requested_length_and_alphabet() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let sigma = Alphabet::abc();
-        for len in [0usize, 1, 5, 32] {
-            let w = random_word(&mut rng, &sigma, len);
-            assert_eq!(w.len(), len);
-            assert!(w.is_over(&sigma));
-        }
-    }
-
-    #[test]
-    fn language_filter_selects() {
-        let words = words_upto(&Alphabet::ab(), 3);
-        let lang = language_filter(&words, |w| w.len() == 2);
-        assert_eq!(lang.len(), 4);
     }
 
     #[test]

@@ -146,9 +146,11 @@ mod tests {
     #[test]
     fn empty_and_universal() {
         let sigma = Alphabet::ab();
-        let empty = Dfa::empty_language(sigma.clone());
-        assert_eq!(dfa_to_regex(&empty), Regex::Empty);
-        let universal = Dfa::universal(sigma.clone());
+        let one_state = |accepting| {
+            Dfa::new(sigma.clone(), vec![vec![0, 0]], 0, vec![accepting]).expect("valid")
+        };
+        assert_eq!(dfa_to_regex(&one_state(false)), Regex::Empty);
+        let universal = one_state(true);
         let re = dfa_to_regex(&universal);
         let back = re.to_nfa(&sigma).to_dfa();
         for w in words_upto(&sigma, 4) {

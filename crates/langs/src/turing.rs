@@ -26,7 +26,7 @@ pub enum Move {
 
 /// Outcome of running a machine with bounded fuel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmOutcome {
+enum TmOutcome {
     /// The machine reached its accept state.
     Accepted,
     /// The machine reached its reject state or had no applicable transition.
@@ -66,9 +66,10 @@ impl fmt::Display for TmError {
 impl Error for TmError {}
 
 /// The blank tape symbol.
-pub const BLANK: char = '_';
+const BLANK: char = '_';
 
-/// Builder for [`TuringMachine`]; states are referred to by name.
+/// Builder for [`TuringMachine`]; states are referred to by name, and the
+/// state named `"accept"` accepts.
 ///
 /// ```
 /// use tvg_langs::{TmBuilder, Move, word};
@@ -78,7 +79,6 @@ pub const BLANK: char = '_';
 ///     .rule("even", 'a', "odd", 'a', Move::Right)?
 ///     .rule("odd", 'a', "even", 'a', Move::Right)?
 ///     .rule("even", '_', "accept", '_', Move::Stay)?
-///     .accept_on("accept")
 ///     .build()?;
 /// assert!(tm.decide(&word("aa"), 1_000));
 /// assert!(!tm.decide(&word("aaa"), 1_000));
@@ -87,7 +87,6 @@ pub const BLANK: char = '_';
 #[derive(Debug, Clone)]
 pub struct TmBuilder {
     start: String,
-    accept: String,
     rules: Vec<(String, char, String, char, Move)>,
 }
 
@@ -97,7 +96,6 @@ impl TmBuilder {
     pub fn new(start: &str) -> Self {
         TmBuilder {
             start: start.to_string(),
-            accept: "accept".to_string(),
             rules: Vec::new(),
         }
     }
@@ -125,13 +123,6 @@ impl TmBuilder {
         Ok(self)
     }
 
-    /// Names the accepting state (default `"accept"`).
-    #[must_use]
-    pub fn accept_on(mut self, state: &str) -> Self {
-        self.accept = state.to_string();
-        self
-    }
-
     /// Finalizes the machine.
     ///
     /// # Errors
@@ -148,7 +139,7 @@ impl TmBuilder {
             }
         };
         let start = intern(&self.start, &mut names);
-        let accept = intern(&self.accept, &mut names);
+        let accept = intern("accept", &mut names);
         let mut delta = HashMap::new();
         for (state, read, next, write, mv) in &self.rules {
             let s = intern(state, &mut names);
@@ -195,8 +186,7 @@ impl TuringMachine {
     }
 
     /// Runs on `input` with at most `fuel` steps.
-    #[must_use]
-    pub fn run(&self, input: &Word, fuel: usize) -> TmOutcome {
+    fn run(&self, input: &Word, fuel: usize) -> TmOutcome {
         let mut tape: VecDeque<char> = input.iter().map(|l| l.as_char()).collect();
         if tape.is_empty() {
             tape.push_back(BLANK);
@@ -326,14 +316,7 @@ pub mod machines {
         /// Infallible [`TmBuilder::rule`] for the static machines above,
         /// whose symbols are known-good.
         #[must_use]
-        pub(crate) fn and_rule(
-            self,
-            state: &str,
-            read: char,
-            next: &str,
-            write: char,
-            mv: Move,
-        ) -> Self {
+        fn and_rule(self, state: &str, read: char, next: &str, write: char, mv: Move) -> Self {
             self.rule(state, read, next, write, mv)
                 .expect("static machine symbols are printable")
         }

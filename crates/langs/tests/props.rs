@@ -1,13 +1,11 @@
 //! Property tests for the formal-language substrate: algebraic laws of
-//! automata operations, parser round-trips, and wqo axioms.
+//! automata operations and parser round-trips.
 //!
 //! Runs on `tvg-testkit`'s deterministic harness; random DFAs and words
 //! come from `tvg_testkit::gen`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use tvg_langs::sample::{random_word, words_upto};
-use tvg_langs::wqo::{is_subword, upward_closure_nfa};
+use rand::Rng;
+use tvg_langs::sample::words_upto;
 use tvg_langs::{Alphabet, Dfa, Letter, Nfa, Word};
 use tvg_testkit::gen;
 
@@ -47,63 +45,17 @@ fn minimization_is_idempotent() {
 }
 
 #[test]
-fn complement_involution() {
-    tvg_testkit::check("complement_involution", |rng, _| {
-        let dfa = arb_dfa(rng, 5);
-        let w = arb_word(rng);
-        assert_eq!(dfa.complement().complement().accepts(&w), dfa.accepts(&w));
-        assert_ne!(dfa.complement().accepts(&w), dfa.accepts(&w));
-    });
-}
-
-#[test]
-fn de_morgan_on_languages() {
-    tvg_testkit::check("de_morgan_on_languages", |rng, _| {
-        let a = arb_dfa(rng, 4);
-        let b = arb_dfa(rng, 4);
-        let w = arb_word(rng);
-        // ¬(A ∪ B) = ¬A ∩ ¬B
-        let lhs = a.union(&b).complement();
-        let rhs = a.complement().intersection(&b.complement());
-        assert_eq!(lhs.accepts(&w), rhs.accepts(&w));
-    });
-}
-
-#[test]
-fn difference_is_intersection_with_complement() {
-    tvg_testkit::check("difference_is_intersection_with_complement", |rng, _| {
-        let a = arb_dfa(rng, 4);
-        let b = arb_dfa(rng, 4);
-        let w = arb_word(rng);
-        let lhs = a.difference(&b);
-        let rhs = a.intersection(&b.complement());
-        assert_eq!(lhs.accepts(&w), rhs.accepts(&w));
-    });
-}
-
-#[test]
 fn equivalence_is_reflexive_and_witnessed() {
     tvg_testkit::check("equivalence_is_reflexive_and_witnessed", |rng, _| {
         let a = arb_dfa(rng, 5);
         let b = arb_dfa(rng, 5);
         assert!(a.equivalent_to(&a));
-        match a.distinguishing_word(&b) {
-            None => assert!(a.equivalent_to(&b)),
-            Some(w) => assert_ne!(a.accepts(&w), b.accepts(&w)),
-        }
-    });
-}
-
-#[test]
-fn count_matches_enumeration() {
-    tvg_testkit::check("count_matches_enumeration", |rng, _| {
-        let dfa = arb_dfa(rng, 4);
-        let counts = dfa.count_words_per_length(6);
-        let langs = dfa.language_upto(6);
-        for (len, &c) in counts.iter().enumerate() {
-            let brute = langs.iter().filter(|w| w.len() == len).count() as u64;
-            assert_eq!(c, brute);
-        }
+        // Two DFAs with m and n states that differ already differ on a
+        // word of length at most m + n - 2, so this search is exhaustive.
+        let witness = words_upto(&ab(), a.num_states() + b.num_states())
+            .into_iter()
+            .find(|w| a.accepts(w) != b.accepts(w));
+        assert_eq!(a.equivalent_to(&b), witness.is_none());
     });
 }
 
@@ -130,81 +82,12 @@ fn subset_construction_preserves_language() {
 }
 
 #[test]
-fn reverse_reverse_is_identity_on_language() {
-    tvg_testkit::check("reverse_reverse_is_identity_on_language", |rng, _| {
-        let w = arb_word(rng);
-        let probe = arb_word(rng);
-        let nfa = Nfa::literal(ab(), &w);
-        let rr = nfa.reverse().reverse();
-        assert_eq!(rr.accepts(&probe), nfa.accepts(&probe));
-    });
-}
-
-#[test]
-fn subword_embedding_axioms() {
-    tvg_testkit::check("subword_embedding_axioms", |rng, _| {
-        let u = arb_word(rng);
-        let v = arb_word(rng);
-        let w = arb_word(rng);
-        // Reflexivity.
-        assert!(is_subword(&u, &u));
-        // Transitivity.
-        if is_subword(&u, &v) && is_subword(&v, &w) {
-            assert!(is_subword(&u, &w));
-        }
-        // Antisymmetry (on words it is a partial order).
-        if is_subword(&u, &v) && is_subword(&v, &u) {
-            assert_eq!(&u, &v);
-        }
-        // Compatibility with concatenation.
-        if is_subword(&u, &v) {
-            assert!(is_subword(&u, &v.concat(&w)));
-            assert!(is_subword(&u, &w.concat(&v)));
-        }
-    });
-}
-
-#[test]
-fn upward_closure_is_upward_closed() {
-    // Each case checks a bounded universe exhaustively, so fewer cases
-    // suffice.
-    let config = tvg_testkit::Config::named_with_cases("upward_closure_is_upward_closed", 16);
-    tvg_testkit::check_with(config, |rng, _| {
-        let basis: Vec<Word> = (0..rng.gen_range(1..3)).map(|_| arb_word(rng)).collect();
-        let nfa = upward_closure_nfa(&basis, &ab());
-        // Check on the bounded universe: if accepted and u ⊑ w then w accepted.
-        let dfa = nfa.to_dfa();
-        for u in words_upto(&ab(), 4) {
-            if !dfa.accepts(&u) {
-                continue;
-            }
-            for w in words_upto(&ab(), 5) {
-                if is_subword(&u, &w) {
-                    assert!(dfa.accepts(&w));
-                }
-            }
-        }
-    });
-}
-
-#[test]
 fn regex_synthesis_roundtrips_random_dfas() {
     tvg_testkit::check("regex_synthesis_roundtrips_random_dfas", |rng, _| {
         let min = arb_dfa(rng, 4).minimize();
         let re = tvg_langs::synth::dfa_to_regex(&min);
         let back = re.to_nfa(&ab()).to_dfa();
         assert!(back.equivalent_to(&min), "{re}");
-    });
-}
-
-#[test]
-fn random_word_generation_is_sound() {
-    tvg_testkit::check("random_word_generation_is_sound", |rng, _| {
-        let len = rng.gen_range(0usize..20);
-        let seed = rng.gen::<u64>();
-        let w = random_word(&mut StdRng::seed_from_u64(seed), &ab(), len);
-        assert_eq!(w.len(), len);
-        assert!(w.is_over(&ab()));
     });
 }
 

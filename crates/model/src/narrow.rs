@@ -74,7 +74,7 @@ impl std::error::Error for NarrowError {}
 /// the compiled window's exclusive end `horizon + 1` is representable
 /// and interval compilation never takes the top-of-domain clamp path
 /// (which would diverge from the `u64` compilation it must mirror).
-pub const MAX_NARROW_HORIZON: u64 = (u32::MAX - 1) as u64;
+const MAX_NARROW_HORIZON: u64 = (u32::MAX - 1) as u64;
 
 /// Rebuilds `g` over `u32` instants, exact for every departure in
 /// `[0, horizon]`, or reports why it cannot ([`NarrowError`]).

@@ -393,10 +393,9 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 }
 
-/// What [`TvgStream::replay_of`] hands back: the mirrored stream (all
-/// edges initially absent) plus the event list that replays the source
-/// schedule in time order.
-pub type ReplayFeed<T> = (TvgStream<T>, Vec<StreamEvent<T>>);
+/// What [`TvgStream::replay_of`] hands back: the mirrored stream and
+/// its replay events.
+type ReplayFeed<T> = (TvgStream<T>, Vec<StreamEvent<T>>);
 
 /// The ingestion layer: validates appended events and maintains a
 /// [`LiveIndex`] plus the open-span state needed to interpret them.

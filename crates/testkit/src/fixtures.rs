@@ -28,9 +28,6 @@ pub fn figure1_pq(p: u64, q: u64) -> AnbnAutomaton {
     AnbnAutomaton::new(p, q).expect("fixture parameters must be distinct primes")
 }
 
-/// The standard prime pairs theorem tests sweep (small, mixed order).
-pub const PRIME_PAIRS: [(u64, u64); 4] = [(2, 3), (3, 2), (2, 5), (5, 3)];
-
 /// The commuter-line timetable used by `examples/bus_network.rs` and the
 /// user-story suite: four stops, three timetabled hops, label `'t'`.
 #[must_use]

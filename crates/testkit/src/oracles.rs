@@ -6,7 +6,7 @@
 //! When a construction and an oracle disagree, the oracle wins.
 
 pub use tvg_expressivity::anbn::{anbn_word, is_anbn};
-use tvg_langs::{Alphabet, Dfa, Regex, Word};
+use tvg_langs::{Alphabet, Dfa, Regex};
 
 /// Compiles `pattern` into a minimal DFA over `alphabet` — the reference
 /// decider for a regular language.
@@ -22,12 +22,6 @@ pub fn regex_dfa(pattern: &str, alphabet: &Alphabet) -> Dfa {
         .to_nfa(alphabet)
         .to_dfa()
         .minimize()
-}
-
-/// A decider closure for `pattern` over `alphabet`.
-pub fn regex_decider(pattern: &str, alphabet: &Alphabet) -> impl Fn(&Word) -> bool {
-    let dfa = regex_dfa(pattern, alphabet);
-    move |w| dfa.accepts(w)
 }
 
 /// The minimal DFA of the empty language ∅ over `alphabet` (one
@@ -56,7 +50,6 @@ pub fn unary_alphabet() -> Alphabet {
 mod tests {
     use super::*;
     use tvg_langs::sample::words_upto;
-    use tvg_langs::word;
 
     #[test]
     fn is_anbn_matches_grammar_oracle() {
@@ -64,14 +57,6 @@ mod tests {
         for w in words_upto(&Alphabet::ab(), 8) {
             assert_eq!(is_anbn(&w), grammar.recognizes(&w), "{w}");
         }
-    }
-
-    #[test]
-    fn regex_oracle_agrees_with_hand_checks() {
-        let ends_ab = regex_decider("(a|b)*ab", &Alphabet::ab());
-        assert!(ends_ab(&word("aab")));
-        assert!(!ends_ab(&word("aba")));
-        assert!(!ends_ab(&Word::empty()));
     }
 
     #[test]

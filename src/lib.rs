@@ -5,7 +5,7 @@
 //! for the real documentation:
 //!
 //! * [`bigint`] — arbitrary-precision naturals (schedule arithmetic).
-//! * [`langs`] — words, automata, grammars, Turing machines, wqo tools.
+//! * [`langs`] — words, automata, grammars, Turing and counter machines.
 //! * [`model`] — the time-varying graph model and schedules.
 //! * [`journeys`] — journeys, waiting policies, search, reachability.
 //! * [`expressivity`] — the paper's constructions (Figure 1, Theorems
