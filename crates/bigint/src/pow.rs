@@ -70,6 +70,15 @@ impl Nat {
     /// # Panics
     ///
     /// Panics if `base < 2` or `self` is zero.
+    ///
+    /// Reached through `decompose_pq`, which factors out `p`, then `q`:
+    ///
+    /// ```
+    /// use tvg_bigint::Nat;
+    /// let t = Nat::from(2u64).pow(5) * Nat::from(3u64).pow(4);
+    /// assert_eq!(t.decompose_pq(&Nat::from(2u64), &Nat::from(3u64)), Some((5, 4)));
+    /// assert_eq!(t.decompose_pq(&Nat::from(2u64), &Nat::from(5u64)), None);
+    /// ```
     fn factor_out(&self, base: &Nat) -> (u32, Nat) {
         assert!(*base >= Nat::from(2u64), "factor_out base must be >= 2");
         assert!(!self.is_zero(), "cannot factor zero");

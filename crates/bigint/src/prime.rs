@@ -16,6 +16,16 @@ impl Nat {
     ///
     /// Deterministic for every value below 3.3 · 10²⁴; a strong
     /// probable-prime test (13 fixed Miller–Rabin witnesses) beyond that.
+    ///
+    /// Reached through `is_prime_u64`:
+    ///
+    /// ```
+    /// use tvg_bigint::is_prime_u64;
+    /// assert!(is_prime_u64(2));
+    /// assert!(is_prime_u64(1_000_000_007));
+    /// assert!(!is_prime_u64(1));
+    /// assert!(!is_prime_u64(561)); // Carmichael number
+    /// ```
     fn is_prime(&self) -> bool {
         let two = Nat::from(2u64);
         if *self < two {

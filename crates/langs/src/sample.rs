@@ -7,6 +7,14 @@ use crate::{Alphabet, Word};
 
 /// All words over `alphabet` of length exactly `len`, in lexicographic
 /// order of letter indices.
+///
+/// Reached through `words_upto`, which concatenates the lengths in order:
+///
+/// ```
+/// use tvg_langs::{sample::words_upto, word, Alphabet};
+/// let words = words_upto(&Alphabet::ab(), 2);
+/// assert_eq!(words[3..], [word("aa"), word("ab"), word("ba"), word("bb")]);
+/// ```
 fn words_of_length(alphabet: &Alphabet, len: usize) -> Vec<Word> {
     let k = alphabet.len();
     let mut out = Vec::with_capacity(k.pow(len.min(20) as u32));
