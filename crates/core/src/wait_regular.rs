@@ -200,7 +200,7 @@ fn transient_bound(presence: &Presence<u64>, period: u64) -> Option<u64> {
         Presence::Always | Presence::Never => Some(0),
         Presence::At(c) | Presence::After(c) | Presence::Before(c) => Some(c + 1),
         Presence::Window { until, .. } => Some(until + 1),
-        Presence::FiniteSet(set) => Some(set.iter().max().map_or(0, |m| m + 1)),
+        Presence::FiniteSet(set) => Some(set.as_slice().last().map_or(0, |m| m + 1)),
         Presence::Periodic { period: p0, .. } => {
             (*p0 != 0 && period.is_multiple_of(*p0)).then_some(0)
         }

@@ -125,7 +125,8 @@ mod tests {
         };
         let trace = edge_markovian_trace(&mut StdRng::seed_from_u64(7), &params);
         let total_pairs = 45.0; // C(10, 2)
-        let observed = trace.mean_contacts() / total_pairs;
+        let contacts: usize = (0..trace.len()).map(|t| trace.contacts_at(t).len()).sum();
+        let observed = contacts as f64 / trace.len() as f64 / total_pairs;
         let expected = params.stationary_density();
         assert!(
             (observed - expected).abs() < 0.05,

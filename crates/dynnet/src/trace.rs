@@ -69,48 +69,28 @@ impl EvolvingTrace {
         self.snapshots.get(t).unwrap_or(&EMPTY)
     }
 
-    /// Whether `u` and `v` are in contact at step `t`.
-    #[must_use]
-    pub fn in_contact(&self, u: usize, v: usize, t: usize) -> bool {
-        self.contacts_at(t).contains(&(u.min(v), u.max(v)))
-    }
-
-    /// Average number of contacts per step.
-    #[must_use]
-    pub fn mean_contacts(&self) -> f64 {
-        if self.snapshots.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.snapshots.iter().map(BTreeSet::len).sum();
-        total as f64 / self.snapshots.len() as f64
-    }
-
     /// Converts the trace to a TVG: one directed edge per orientation of
     /// each pair that is ever in contact, presence = the exact contact
-    /// instants, unit latency, label `c`.
+    /// instants (one allocation shared by both orientations), unit
+    /// latency, label `c`.
     ///
     /// Journey searches over the result reproduce message propagation in
     /// the trace (a hop takes one step).
     #[must_use]
     pub fn to_tvg(&self) -> Tvg<u64> {
-        let mut times: BTreeMap<(usize, usize), BTreeSet<u64>> = BTreeMap::new();
+        let mut times: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
         for (t, snap) in self.snapshots.iter().enumerate() {
             for &(a, b) in snap {
-                times.entry((a, b)).or_default().insert(t as u64);
+                times.entry((a, b)).or_default().push(t as u64);
             }
         }
         let mut builder = TvgBuilder::<u64>::new();
         let nodes = builder.nodes(self.num_nodes);
         for ((a, b), instants) in times {
+            let rho = Presence::FiniteSet(instants.into_iter().collect());
             for (src, dst) in [(a, b), (b, a)] {
                 builder
-                    .edge(
-                        nodes[src],
-                        nodes[dst],
-                        'c',
-                        Presence::FiniteSet(instants.clone()),
-                        Latency::unit(),
-                    )
+                    .edge(nodes[src], nodes[dst], 'c', rho.clone(), Latency::unit())
                     .expect("nodes are builder-owned");
             }
         }
@@ -139,13 +119,10 @@ mod tests {
     #[test]
     fn contacts_are_normalized_and_queryable() {
         let tr = simple_trace();
-        assert!(tr.in_contact(0, 1, 0));
-        assert!(tr.in_contact(1, 0, 0));
-        assert!(tr.in_contact(1, 2, 2));
-        assert!(tr.in_contact(2, 1, 2));
-        assert!(!tr.in_contact(0, 1, 1));
-        assert!(!tr.in_contact(0, 2, 0));
-        assert!(!tr.in_contact(0, 1, 99));
+        assert_eq!(tr.contacts_at(0), &BTreeSet::from([(0, 1)]));
+        assert!(tr.contacts_at(1).is_empty());
+        assert_eq!(tr.contacts_at(2), &BTreeSet::from([(1, 2)]));
+        assert!(tr.contacts_at(99).is_empty());
     }
 
     #[test]
@@ -153,8 +130,7 @@ mod tests {
         let tr = simple_trace();
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.num_nodes(), 3);
-        assert!((tr.mean_contacts() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(EvolvingTrace::new(2, vec![]).mean_contacts(), 0.0);
+        assert!(EvolvingTrace::new(2, vec![]).is_empty());
     }
 
     #[test]

@@ -81,8 +81,8 @@
 //!   targeted early exit leaves behind), those schedules, and the heap,
 //!   so a run that explores little costs little even on a huge index.
 //!   Only the dense output (the `Output` record's arrival and witness
-//!   slots, which the returned tree takes) is allocated per run, as
-//!   lazily mapped zeroed memory.
+//!   slots, which the returned tree takes) is allocated per run, and
+//!   after the first run `calloc` clears all of it (see `Output::reset`).
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
@@ -308,10 +308,10 @@ impl<T: Time> Output<T> {
         }
     }
 
-    /// Starts over with `num_nodes` unreached nodes. The slots are a
-    /// fresh `vec!` rather than a refill: for machine-word times that is
-    /// one zeroed allocation whose pages the OS maps lazily, so a run
-    /// that reaches few nodes pays for few pages.
+    /// Starts over with `num_nodes` unreached nodes in fresh zeroed
+    /// slots. Only the first run's are lazily mapped pages: freeing them
+    /// raises glibc's mmap threshold, so later runs take heap memory that
+    /// `calloc` clears in full, O(n) however few nodes a run reaches.
     fn reset(&mut self, num_nodes: usize) {
         *self = Output::new(num_nodes);
     }

@@ -341,7 +341,7 @@ mod tests {
             v[0],
             v[1],
             'a',
-            Presence::FiniteSet(Set::from([1u64, 4])),
+            Presence::FiniteSet([1u64, 4].into_iter().collect()),
             Latency::unit(),
         )
         .expect("valid");

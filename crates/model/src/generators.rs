@@ -86,7 +86,7 @@ pub fn random_periodic_tvg<R: Rng + ?Sized>(
 /// (Barabási–Albert, 2 attachments per node) decides *who* meets whom,
 /// and every undirected contact pair gets a finite set of meeting
 /// instants drawn uniformly below `horizon` (both edge orientations
-/// share the instants, as in a contact trace).
+/// share the instants, as in a contact trace, in one allocation).
 ///
 /// Node *contact degrees* — the number of contact events a node
 /// participates in — follow the attachment process's power law: a few
@@ -113,8 +113,7 @@ pub fn scale_free_temporal(n: usize, horizon: u64, seed: u64) -> Tvg<u64> {
     let mut endpoints: Vec<usize> = Vec::with_capacity(4 * n);
     let contact = |b: &mut TvgBuilder<u64>, rng: &mut StdRng, u: usize, v: usize| {
         let count = 1 + rng.gen_range(0..6usize);
-        let instants: BTreeSet<u64> = (0..count).map(|_| rng.gen_range(0..horizon)).collect();
-        let rho = Presence::FiniteSet(instants);
+        let rho = Presence::FiniteSet((0..count).map(|_| rng.gen_range(0..horizon)).collect());
         for (src, dst) in [(u, v), (v, u)] {
             b.edge(nodes[src], nodes[dst], 's', rho.clone(), Latency::unit())
                 .expect("nodes come from this builder");
@@ -295,8 +294,8 @@ pub fn grid_two_phase_tvg(rows: usize, cols: usize, label: char) -> Tvg<u64> {
 /// absent contact appears with probability `p_birth` per instant, a
 /// present one disappears with probability `p_death` — starting from the
 /// stationary distribution `p_birth / (p_birth + p_death)`. Both edge
-/// orientations of a pair share the contact instants (label `'m'`, unit
-/// latency); pairs never in contact get no edge at all.
+/// orientations of a pair share the contact instants in one allocation
+/// (label `'m'`, unit latency); pairs never in contact get no edge at all.
 ///
 /// This is the TVG-native face of the edge-Markovian *trace* model in
 /// `tvg-dynnet` (the standard model of highly dynamic, possibly
@@ -329,10 +328,10 @@ pub fn edge_markovian_contacts(
     for a in 0..n {
         for c in (a + 1)..n {
             let mut present = rng.gen_bool(density);
-            let mut instants: BTreeSet<u64> = BTreeSet::new();
+            let mut instants = Vec::new();
             for t in 0..horizon {
                 if present {
-                    instants.insert(t);
+                    instants.push(t);
                     present = !rng.gen_bool(p_death);
                 } else {
                     present = rng.gen_bool(p_birth);
@@ -341,7 +340,7 @@ pub fn edge_markovian_contacts(
             if instants.is_empty() {
                 continue;
             }
-            let rho = Presence::FiniteSet(instants);
+            let rho = Presence::FiniteSet(instants.into_iter().collect());
             for (src, dst) in [(a, c), (c, a)] {
                 b.edge(nodes[src], nodes[dst], 'm', rho.clone(), Latency::unit())
                     .expect("nodes come from this builder");
@@ -357,7 +356,7 @@ pub fn edge_markovian_contacts(
 /// rows on ties), and pick a fresh waypoint on arrival. Two walkers
 /// sharing a cell at an instant are in contact then; contacts become
 /// edges in both orientations (label `'w'`, unit latency) whose presence
-/// is the exact meeting instants below `horizon`.
+/// is the exact meeting instants below `horizon`, one allocation per pair.
 ///
 /// The nodes of the TVG are the *walkers*, not the grid cells — this is
 /// the classic mobility-model contact workload (sparse, bursty,
@@ -383,14 +382,14 @@ pub fn waypoint_grid_contacts(
     let cell = |rng: &mut StdRng| (rng.gen_range(0..rows), rng.gen_range(0..cols));
     let mut pos: Vec<(usize, usize)> = (0..walkers).map(|_| cell(&mut rng)).collect();
     let mut goal: Vec<(usize, usize)> = (0..walkers).map(|_| cell(&mut rng)).collect();
-    let mut meetings: std::collections::BTreeMap<(usize, usize), BTreeSet<u64>> =
+    let mut meetings: std::collections::BTreeMap<(usize, usize), Vec<u64>> =
         std::collections::BTreeMap::new();
     for t in 0..horizon {
         // Contacts at t come from positions at t; walkers move afterward.
         for u in 0..walkers {
             for v in (u + 1)..walkers {
                 if pos[u] == pos[v] {
-                    meetings.entry((u, v)).or_default().insert(t);
+                    meetings.entry((u, v)).or_default().push(t);
                 }
             }
         }
@@ -412,7 +411,7 @@ pub fn waypoint_grid_contacts(
     let mut b = TvgBuilder::new();
     let nodes = b.nodes(walkers);
     for ((u, v), instants) in meetings {
-        let rho = Presence::FiniteSet(instants);
+        let rho = Presence::FiniteSet(instants.into_iter().collect());
         for (src, dst) in [(u, v), (v, u)] {
             b.edge(nodes[src], nodes[dst], 'w', rho.clone(), Latency::unit())
                 .expect("nodes come from this builder");
@@ -432,7 +431,8 @@ pub fn waypoint_grid_contacts(
 ///
 /// Node layout: hub `0`, then line `l`'s stops `1 + l·stops ..` ordered
 /// outward from the hub. Inbound services run terminus → hub, outbound
-/// services hub → terminus, with identical departure instants.
+/// services hub → terminus, with identical departure instants: hop `i`'s
+/// inbound and outbound edges share one allocation.
 /// Deterministic (no randomness).
 ///
 /// # Panics
@@ -462,24 +462,11 @@ pub fn commuter_fleet(
         // Hop i of an inbound service departs `i` instants after its
         // base (the bus crosses one hop per instant); outbound mirrors.
         for i in 0..stops {
-            let inbound: BTreeSet<u64> = bases.iter().map(|base| base + i as u64).collect();
-            let outbound = inbound.clone();
-            b.edge(
-                chain[stops - i],
-                chain[stops - i - 1],
-                'f',
-                Presence::FiniteSet(inbound),
-                Latency::unit(),
-            )
-            .expect("nodes come from this builder");
-            b.edge(
-                chain[i],
-                chain[i + 1],
-                'f',
-                Presence::FiniteSet(outbound),
-                Latency::unit(),
-            )
-            .expect("nodes come from this builder");
+            let rho = Presence::FiniteSet(bases.iter().map(|base| base + i as u64).collect());
+            for (src, dst) in [(stops - i, stops - i - 1), (i, i + 1)] {
+                b.edge(chain[src], chain[dst], 'f', rho.clone(), Latency::unit())
+                    .expect("nodes come from this builder");
+            }
         }
     }
     b.build().expect("at least one node")

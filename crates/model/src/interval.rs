@@ -52,6 +52,19 @@ impl<T: Time> IntervalSet<T> {
         IntervalSet { spans: normalized }
     }
 
+    /// Builds a set from strictly ascending instants, one span per run
+    /// of consecutive instants.
+    pub(crate) fn from_ascending(instants: impl IntoIterator<Item = T>) -> Self {
+        let mut spans: Vec<(T, T)> = Vec::new();
+        for t in instants {
+            match spans.last_mut() {
+                Some((_, end)) if *end == t => *end = t.succ(),
+                _ => spans.push((t.clone(), t.succ())),
+            }
+        }
+        IntervalSet { spans }
+    }
+
     /// The single-instant set `{t}`.
     #[must_use]
     pub fn point(t: T) -> Self {

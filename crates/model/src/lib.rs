@@ -78,7 +78,7 @@ pub use ids::{EdgeId, NodeId};
 pub use index::{TemporalIndex, TvgIndex};
 pub use interval::{Instants, IntervalSet, SpanView};
 pub use narrow::{narrow_tvg, NarrowError};
-pub use schedule::{pq_power_index, Latency, Presence};
+pub use schedule::{pq_power_index, InstantSet, Latency, Presence};
 pub use stream::{LiveIndex, StreamError, StreamEvent, TvgStream};
 pub use time::Time;
-pub use tvg::{Edge, NameTable, Tvg, TvgBuilder, TvgError};
+pub use tvg::{Edge, Tvg, TvgBuilder, TvgError};

@@ -24,7 +24,7 @@
 //! any error, so the compressed path needs no spec opt-in and can never
 //! change a report.
 
-use crate::{EdgeId, Latency, Presence, Tvg, TvgBuilder};
+use crate::{EdgeId, Latency, Presence, Tvg};
 
 /// Why a TVG could not be lowered into the `u32` time domain. Every
 /// variant means "keep the `u64` path", not "approximate".
@@ -84,7 +84,9 @@ const MAX_NARROW_HORIZON: u64 = (u32::MAX - 1) as u64;
 /// to `horizon` — which is all a compiled index or journey engine ever
 /// queries. Node ids, edge ids, names, and labels are preserved, so
 /// results (arrivals, witness journeys, work counters) translate back
-/// by widening alone.
+/// by widening alone. The narrowed graph shares `g`'s name table, and
+/// consecutive edges that share one [`crate::InstantSet`] in `g` share
+/// one narrowed set.
 ///
 /// ```
 /// use tvg_model::{narrow_tvg, Latency, Presence, TvgBuilder};
@@ -102,24 +104,23 @@ pub fn narrow_tvg(g: &Tvg<u64>, horizon: u64) -> Result<Tvg<u32>, NarrowError> {
     if horizon > MAX_NARROW_HORIZON {
         return Err(NarrowError::HorizonExceedsU32 { horizon });
     }
-    let mut b = TvgBuilder::<u32>::new();
-    for n in g.nodes() {
-        b.node(g.node_name(n));
-    }
-    for e in g.edges() {
-        let edge = g.edge(e);
-        let presence = narrow_presence(edge.presence());
-        let latency = narrow_latency(edge.latency(), horizon, e)?;
-        b.edge(
-            edge.src(),
-            edge.dst(),
-            edge.label().as_char(),
-            presence,
-            latency,
-        )
-        .expect("narrowing preserves builder invariants");
-    }
-    Ok(b.build().expect("narrowing preserves builder invariants"))
+    // Generators push the orientations of a contact back to back, sharing
+    // one instant set: narrow it once and share the result as well.
+    let mut last: Option<(&[u64], Presence<u32>)> = None;
+    g.try_map_schedules(|e, edge| {
+        let presence = match (edge.presence(), last.take()) {
+            (Presence::FiniteSet(set), Some((wide, narrowed)))
+                if std::ptr::eq(set.as_slice(), wide) =>
+            {
+                narrowed
+            }
+            (wide, _) => narrow_presence(wide),
+        };
+        if let Presence::FiniteSet(set) = edge.presence() {
+            last = Some((set.as_slice(), presence.clone()));
+        }
+        Ok((presence, narrow_latency(edge.latency(), horizon, e)?))
+    })
 }
 
 /// Maps a presence AST into the `u32` domain, exactly: for every `t:
@@ -157,9 +158,12 @@ fn narrow_presence(p: &Presence<u64>) -> Presence<u32> {
             },
             Err(_) => Presence::Never,
         },
-        Presence::FiniteSet(set) => {
-            Presence::FiniteSet(set.iter().filter_map(|t| u32::try_from(*t).ok()).collect())
-        }
+        Presence::FiniteSet(set) => Presence::FiniteSet(
+            set.as_slice()
+                .iter()
+                .map_while(|t| u32::try_from(*t).ok())
+                .collect(),
+        ),
         Presence::Periodic { period, phases } => Presence::Periodic {
             period: *period,
             phases: phases.clone(),
@@ -226,7 +230,7 @@ fn narrow_latency(l: &Latency<u64>, horizon: u64, e: EdgeId) -> Result<Latency<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeId, TemporalIndex, TvgIndex};
+    use crate::{NodeId, TemporalIndex, TvgBuilder, TvgIndex};
     use std::collections::BTreeSet;
 
     fn e(i: usize) -> EdgeId {
@@ -350,11 +354,12 @@ mod tests {
                 },
                 "window clamped",
             ),
-            (
-                Presence::FiniteSet(BTreeSet::from([1, top + 2])),
-                "finite set filtered",
-            ),
         ];
+        let wide = Presence::FiniteSet([u64::MAX, top + 1, top, 7].into_iter().collect());
+        let Presence::FiniteSet(narrowed) = narrow_presence(&wide) else {
+            panic!("a finite set narrows to a finite set");
+        };
+        assert_eq!(narrowed.as_slice(), &[7, u32::MAX]);
         for (p, what) in cases {
             let narrowed = narrow_presence(&p);
             for t in [0u32, 1, 9, 10, 11, u32::MAX - 1, u32::MAX] {

@@ -46,7 +46,9 @@ pub enum Presence<T> {
         until: T,
     },
     /// Present at exactly the instants in the set (trace-driven TVGs).
-    FiniteSet(BTreeSet<T>),
+    /// Cloning shares the set, so the two orientations of a contact
+    /// hold one allocation between them.
+    FiniteSet(InstantSet<T>),
     /// Present iff `t mod period ∈ phases` — the recurrent/periodic class.
     Periodic {
         /// Period length (must be nonzero).
@@ -99,7 +101,7 @@ impl<T: Time> Presence<T> {
             Presence::After(c) => t > c,
             Presence::Before(c) => t < c,
             Presence::Window { from, until } => t >= from && t <= until,
-            Presence::FiniteSet(set) => set.contains(t),
+            Presence::FiniteSet(set) => set.as_slice().binary_search(t).is_ok(),
             Presence::Periodic { period, phases } => phases.contains(&t.rem_u64(*period)),
             Presence::PqPower { p, q } => pq_power_index(t, *p, *q).is_some(),
             Presence::Not(inner) => !inner.is_present(t),
@@ -191,11 +193,8 @@ impl<T: Time> Presence<T> {
                     IntervalSet::from_spans(vec![(from.clone(), span_end)])
                 }
             }
-            Presence::FiniteSet(set) => IntervalSet::from_spans(
-                set.iter()
-                    .filter(|t| *t <= horizon)
-                    .map(|t| (t.clone(), t.succ()))
-                    .collect(),
+            Presence::FiniteSet(set) => IntervalSet::from_ascending(
+                set.as_slice().iter().take_while(|t| *t <= horizon).cloned(),
             ),
             Presence::Periodic { period, phases } => {
                 periodic_intervals(*period, phases, horizon, &end)
@@ -207,16 +206,11 @@ impl<T: Time> Presence<T> {
             Presence::Dilated { factor, inner } => {
                 let (inner_horizon, _) = horizon.div_rem_u64(*factor);
                 let compiled = inner.intervals(&inner_horizon);
-                IntervalSet::from_spans(
+                IntervalSet::from_ascending(
                     compiled
                         .view()
                         .instants_within(&T::zero(), &inner_horizon)
-                        .filter_map(|t| {
-                            let scaled = t.checked_mul_u64(*factor)?;
-                            let scaled_end = scaled.succ();
-                            Some((scaled, scaled_end))
-                        })
-                        .collect(),
+                        .map_while(|t| t.checked_mul_u64(*factor)),
                 )
             }
             Presence::Custom(f) => scan_intervals(|t| f(t), horizon, &end),
@@ -245,6 +239,46 @@ impl<T: Time> Presence<T> {
     /// Convenience: a custom presence from a closure.
     pub fn from_fn(f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Presence<T> {
         Presence::Custom(Arc::new(f))
+    }
+}
+
+/// The instants of a trace-driven presence ([`Presence::FiniteSet`]):
+/// sorted, deduplicated, and held in one reference-counted slice, so a
+/// clone shares the allocation instead of copying it.
+///
+/// The only constructor is [`FromIterator`], which sorts and
+/// deduplicates, so the order that [`Presence::is_present`]'s binary
+/// search relies on always holds.
+///
+/// ```
+/// use tvg_model::InstantSet;
+/// let set: InstantSet<u64> = [8, 2, 4, 2].into_iter().collect();
+/// assert_eq!(set.as_slice(), &[2, 4, 8]);
+/// assert_eq!(format!("{set:?}"), "{2, 4, 8}");
+/// ```
+#[derive(Clone)]
+pub struct InstantSet<T>(Arc<[T]>);
+
+impl<T> InstantSet<T> {
+    /// The instants in ascending order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T: Ord> FromIterator<T> for InstantSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut instants: Vec<T> = iter.into_iter().collect();
+        instants.sort_unstable();
+        instants.dedup();
+        InstantSet(instants.into())
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for InstantSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.0.iter()).finish()
     }
 }
 
@@ -324,20 +358,14 @@ fn pq_power_intervals<T: Time>(p: u64, q: u64, horizon: &T) -> IntervalSet<T> {
         let end = horizon.succ();
         return scan_intervals(|t| pq_power_index(t, p, q).is_some(), horizon, &end);
     }
-    let mut spans = Vec::new();
     // i = 2: t = p²·q.
-    let mut t = T::from_u64(p)
+    let first = T::from_u64(p)
         .checked_mul_u64(p)
         .and_then(|v| v.checked_mul_u64(q));
-    while let Some(v) = t {
-        if v > *horizon {
-            break;
-        }
-        let v_end = v.succ();
-        spans.push((v.clone(), v_end));
-        t = v.checked_mul_u64(p).and_then(|w| w.checked_mul_u64(q));
-    }
-    IntervalSet::from_spans(spans)
+    IntervalSet::from_ascending(
+        std::iter::successors(first, |v| v.checked_mul_u64(p)?.checked_mul_u64(q))
+            .take_while(|v| v <= horizon),
+    )
 }
 
 /// Exact linear-scan compilation for opaque predicates: walks
@@ -536,7 +564,8 @@ mod tests {
 
     #[test]
     fn finite_set_and_boolean_combinators() {
-        let s = Presence::FiniteSet(BTreeSet::from([2u64, 4, 8]));
+        let s = Presence::FiniteSet([8u64, 2, 4, 2].into_iter().collect());
+        assert_eq!(format!("{s:?}"), "FiniteSet({2, 4, 8})");
         assert!(s.is_present(&4));
         assert!(!s.is_present(&3));
         let not = Presence::Not(Box::new(s.clone()));
@@ -742,7 +771,10 @@ mod tests {
             },
             h,
         );
-        assert_compiles_exactly(&Presence::FiniteSet(BTreeSet::from([1, 2, 3, 17, 99])), h);
+        assert_compiles_exactly(
+            &Presence::FiniteSet([99, 1, 3, 2, 17].into_iter().collect()),
+            h,
+        );
         assert_compiles_exactly(
             &Presence::Periodic {
                 period: 6,

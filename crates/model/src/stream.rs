@@ -489,13 +489,6 @@ impl<T: Time> TvgStream<T> {
         self.watermark.as_ref()
     }
 
-    /// Whether `e` is currently up (its last `Up` has no `Down` yet),
-    /// and since when.
-    #[must_use]
-    pub fn open_since(&self, e: EdgeId) -> Option<&T> {
-        self.open_since.get(e.index()).and_then(Option::as_ref)
-    }
-
     /// When `n` left the network, if it did.
     #[must_use]
     pub fn departed_at(&self, n: NodeId) -> Option<&T> {
@@ -921,7 +914,7 @@ mod tests {
         .expect("valid feed");
         assert_eq!(s.index().presence(e).spans(), &[(2, 5), (9, 21)]);
         assert_eq!(s.watermark(), Some(&9));
-        assert_eq!(s.open_since(e), Some(&9));
+        assert_eq!(s.open_since[e.index()], Some(9));
         assert_matches_recompile(&s);
     }
 
@@ -1269,9 +1262,9 @@ mod tests {
         assert_eq!(s.index().presence(ab).spans(), &[(2, 7)]);
         assert_eq!(s.index().presence(cb).spans(), &[(3, 7)]);
         assert_eq!(s.index().presence(ca).spans(), &[(4, 21)]);
-        assert_eq!(s.open_since(ab), None);
-        assert_eq!(s.open_since(cb), None);
-        assert_eq!(s.open_since(ca), Some(&4));
+        assert_eq!(s.open_since[ab.index()], None);
+        assert_eq!(s.open_since[cb.index()], None);
+        assert_eq!(s.open_since[ca.index()], Some(4));
         assert_eq!(s.departed_at(b), Some(&7));
         assert_eq!(s.num_departed(), 1);
         assert_eq!(s.watermark(), Some(&7));

@@ -11,50 +11,12 @@ use std::fmt;
 use std::sync::Arc;
 use tvg_langs::Letter;
 
-/// The node name table of a graph, shared structurally.
-///
-/// Names are assigned at build time and immutable afterwards; the table
-/// is reference-counted so cloning a graph (or deriving one, as
-/// [`Tvg::dilate`] does) shares one allocation instead of copying every
-/// `String` — which also keeps per-worker views in the batch-query
-/// runtime allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct NameTable {
-    names: Arc<Vec<String>>,
-}
-
-impl NameTable {
-    /// Number of named nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// `true` iff no node has been named yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// The display name of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range for this table.
-    #[must_use]
-    pub fn name(&self, n: NodeId) -> &str {
-        &self.names[n.index()]
-    }
-
-    /// Appends a name, returning the id it names. Only the builder
-    /// mutates the table; once a graph is built the `Arc` is shared and
-    /// further pushes would copy-on-write, which never happens in
-    /// practice (builders are consumed by [`TvgBuilder::build`]).
-    fn push(&mut self, name: String) -> NodeId {
-        let names = Arc::make_mut(&mut self.names);
-        names.push(name);
-        NodeId::from_index(names.len() - 1)
-    }
+/// Appends a node name, returning the id it names. A table that a clone
+/// still shares is copied first (`Arc::make_mut`).
+fn push_name(names: &mut Arc<Vec<String>>, name: &str) -> NodeId {
+    let names = Arc::make_mut(names);
+    names.push(name.to_string());
+    NodeId::from_index(names.len() - 1)
 }
 
 /// A labeled edge with its schedules.
@@ -140,7 +102,9 @@ impl Error for TvgError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tvg<T> {
-    names: NameTable,
+    /// Node names, shared: cloning a graph or deriving one
+    /// ([`Tvg::dilate`], [`crate::narrow_tvg`]) copies no `String`.
+    names: Arc<Vec<String>>,
     edges: Vec<Edge<T>>,
     /// Outgoing edge ids per node.
     out: Vec<Vec<EdgeId>>,
@@ -176,13 +140,7 @@ impl<T: Time> Tvg<T> {
     /// Panics if `n` is out of range for this graph.
     #[must_use]
     pub fn node_name(&self, n: NodeId) -> &str {
-        self.names.name(n)
-    }
-
-    /// The shared node name table (cheap to clone: reference-counted).
-    #[must_use]
-    pub fn names(&self) -> &NameTable {
-        &self.names
+        &self.names[n.index()]
     }
 
     /// Full edge record for `e`.
@@ -258,7 +216,7 @@ impl<T: Time> Tvg<T> {
     /// node set event by event).
     pub(crate) fn empty() -> Self {
         Tvg {
-            names: NameTable::default(),
+            names: Arc::default(),
             edges: Vec::new(),
             out: Vec::new(),
         }
@@ -266,7 +224,7 @@ impl<T: Time> Tvg<T> {
 
     /// Appends a node (streaming growth path).
     pub(crate) fn push_node(&mut self, name: &str) -> NodeId {
-        let id = self.names.push(name.to_string());
+        let id = push_name(&mut self.names, name);
         self.out.push(Vec::new());
         id
     }
@@ -309,29 +267,45 @@ impl<T: Time> Tvg<T> {
     #[must_use]
     pub fn dilate(&self, d: u64) -> Tvg<T> {
         let factor = d.checked_add(1).expect("dilation bound too large");
-        let edges = self
-            .edges
-            .iter()
-            .map(|e| Edge {
+        let Ok(dilated) = self.try_map_schedules(|_, e| {
+            Ok::<_, std::convert::Infallible>((
+                e.presence.clone().dilate(factor),
+                e.latency.clone().dilate(factor),
+            ))
+        });
+        dilated
+    }
+
+    /// The graph with the same nodes, endpoints and labels whose
+    /// schedules `f` gives, edge by edge in id order. The name table is
+    /// shared, not copied; the first error `f` returns is returned.
+    pub(crate) fn try_map_schedules<'g, U, E>(
+        &'g self,
+        mut f: impl FnMut(EdgeId, &'g Edge<T>) -> Result<(Presence<U>, Latency<U>), E>,
+    ) -> Result<Tvg<U>, E> {
+        let mut edges = Vec::with_capacity(self.edges.len());
+        for (i, e) in self.edges.iter().enumerate() {
+            let (presence, latency) = f(EdgeId::from_index(i), e)?;
+            edges.push(Edge {
                 src: e.src,
                 dst: e.dst,
                 label: e.label,
-                presence: e.presence.clone().dilate(factor),
-                latency: e.latency.clone().dilate(factor),
-            })
-            .collect();
-        Tvg {
+                presence,
+                latency,
+            });
+        }
+        Ok(Tvg {
             names: self.names.clone(),
             edges,
             out: self.out.clone(),
-        }
+        })
     }
 }
 
 /// Incremental builder for [`Tvg`].
 #[derive(Debug, Clone)]
 pub struct TvgBuilder<T> {
-    names: NameTable,
+    names: Arc<Vec<String>>,
     edges: Vec<Edge<T>>,
 }
 
@@ -340,14 +314,14 @@ impl<T: Time> TvgBuilder<T> {
     #[must_use]
     pub fn new() -> Self {
         TvgBuilder {
-            names: NameTable::default(),
+            names: Arc::default(),
             edges: Vec::new(),
         }
     }
 
     /// Adds a node with a display name, returning its id.
     pub fn node(&mut self, name: &str) -> NodeId {
-        self.names.push(name.to_string())
+        push_name(&mut self.names, name)
     }
 
     /// Adds `count` nodes named `v0, v1, …`, returning their ids.
@@ -533,12 +507,9 @@ mod tests {
         // (batch workers hold views of the same graph; per-worker name
         // copies would defeat the zero-clone design).
         let dilated = g.dilate(3);
-        assert!(Arc::ptr_eq(&g.names.names, &dilated.names.names));
+        assert!(Arc::ptr_eq(&g.names, &dilated.names));
         let cloned = g.clone();
-        assert!(Arc::ptr_eq(&g.names.names, &cloned.names.names));
-        assert_eq!(g.names().len(), 3);
-        assert_eq!(g.names().name(NodeId::from_index(2)), "v2");
-        assert!(!g.names().is_empty());
+        assert!(Arc::ptr_eq(&g.names, &cloned.names));
     }
 
     #[test]

@@ -272,9 +272,9 @@ fn dense_multigraph(seed: u64) -> Tvg<u64> {
                 at.extend(t..t + rng.gen_range(1..=2u64));
                 t += rng.gen_range(6..16u64);
             }
+            let rho = Presence::FiniteSet(at.into_iter().collect());
             let latency = Latency::Const([0, 1, 1, 2, 5][rng.gen_range(0..5usize)]);
-            b.edge(src, dst, 'm', Presence::FiniteSet(at), latency)
-                .expect("valid");
+            b.edge(src, dst, 'm', rho, latency).expect("valid");
         }
     }
     b.build().expect("valid")
