@@ -34,7 +34,7 @@ pub fn delivery_ratio(trace: &EvolvingTrace, start: u64, policy: &WaitingPolicy<
         &limits,
         // Reached nodes include the source itself; ordered pairs
         // exclude it.
-        |src, tree| tree.reached_nodes().filter(|node| *node != src).count(),
+        |src, tree| tree.num_reached() - usize::from(tree.arrival(src).is_some()),
     );
     let delivered: usize = counts.into_iter().sum();
     delivered as f64 / (n * (n - 1)) as f64

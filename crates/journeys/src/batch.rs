@@ -185,12 +185,12 @@ impl<'i, I> BatchRunner<'i, I> {
     /// One all-destinations foremost run per source, all starting at
     /// `start` — the `ReachabilityMatrix` / `delivery_ratio` workload.
     /// `reduce` distills each tree into whatever the consumer keeps (a
-    /// matrix row, a reached-count), and the tree — parent structure
-    /// included — is dropped inside the worker. A batch of n queries
-    /// therefore holds O(workers) trees in flight instead of n, which is
-    /// what lets the aggregate consumers run at graph scale. Results
-    /// come back in input order, with stats summed over one run per
-    /// query.
+    /// matrix row, a reached-count). The tree — parent structure
+    /// included — is lent by the worker's engine and valid until its
+    /// next run, so a batch of n queries holds one tree per worker
+    /// instead of n, which is what lets the aggregate consumers run at
+    /// graph scale. Results come back in input order, with stats summed
+    /// over one run per query.
     #[must_use]
     pub fn map_sources<T: Time + Send + Sync, R: Send>(
         &self,
@@ -226,7 +226,7 @@ impl<'i, I> BatchRunner<'i, I> {
     {
         let results = fan_out(self.batch.num_threads(), seed_sets, |engine, seeds| {
             let tree = engine.run(self.index, seeds, policy, limits, None);
-            (reduce(seeds, &tree), tree.stats())
+            (reduce(seeds, tree), tree.stats())
         });
         let stats = results.iter().map(|(_, s)| *s).sum();
         (results.into_iter().map(|(r, _)| r).collect(), stats)
@@ -312,7 +312,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Journey;
+    use crate::{foremost_tree_multi, Journey};
     use tvg_model::generators::{ring_bus_tvg, scale_free_temporal};
     use tvg_model::TvgIndex;
 
@@ -351,7 +351,7 @@ mod tests {
     ) -> (Vec<Answers>, EngineStats) {
         let trees: Vec<_> = seed_sets
             .iter()
-            .map(|seeds| Engine::new().run(index, seeds, policy, limits, None))
+            .map(|seeds| foremost_tree_multi(index, seeds, policy, limits))
             .collect();
         let stats = trees.iter().map(ForemostTree::stats).sum();
         let nodes = index.num_nodes();

@@ -25,8 +25,8 @@
 //!   in one bump arena of `Label`s addressed by `u32` id; parent
 //!   pointers are arena ids, not map keys, so witness reconstruction is
 //!   a pointer walk. The arena, each node's foremost arrival and witness
-//!   id, and the reached count form one `Output`, which both explorers
-//!   settle into and which a [`ForemostTree`] is.
+//!   id, and the list of reached nodes form one [`ForemostTree`], which
+//!   both explorers settle into.
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
 //!   (`FlatMap`) from configuration time to a merged generation-and-
 //!   settlement record (`Conf`), laid out struct-of-arrays: an
@@ -78,11 +78,12 @@
 //!   Per-node frontiers and departure schedules live behind dense slot
 //!   arrays and exist only for the nodes a run touched. A reset clears
 //!   exactly those frontiers (including generated but unsettled ones a
-//!   targeted early exit leaves behind), those schedules, and the heap,
-//!   so a run that explores little costs little even on a huge index.
-//!   Only the dense output (the `Output` record's arrival and witness
-//!   slots, which the returned tree takes) is allocated per run, and
-//!   after the first run `calloc` clears all of it (see `Output::reset`).
+//!   targeted early exit leaves behind), those schedules, the heap, and
+//!   the arrival and witness slots of the nodes the run reached. Each
+//!   core keeps its tree's dense slots across runs and lends the tree
+//!   out until the next run, so a run that explores little costs little
+//!   even on a huge index: a reset costs what the last run touched, and
+//!   nothing is allocated per run once the slots fit the index.
 //!
 //! These are representation changes only: arrivals, witnesses, and
 //! [`EngineStats`] are bit-identical to the pre-overhaul explorer,
@@ -281,45 +282,56 @@ struct Label<T> {
     parent: Option<(u32, EdgeId, T)>,
 }
 
-/// The dense output both explorers settle into, and all a
-/// [`ForemostTree`] holds besides its stats: per node, the foremost
-/// arrival and the arena id of its witness label, the label arena, and
-/// the reached count. Journeys are rebuilt lazily in
-/// [`Output::journey_to`], so arrival-only consumers (reachability rows,
-/// delivery ratios, broadcasts) pay nothing for witnesses they never
-/// read.
+/// The all-destinations output of one single-source engine run: for each
+/// node, the foremost (earliest) arrival from the seed configuration(s),
+/// plus the parent structure to rebuild a witness journey on demand.
+///
+/// Seed nodes are reached at their seed time by the empty journey.
+///
+/// Both explorers settle into one: per node, the foremost arrival and
+/// the arena id of its witness label, the label arena, and the reached
+/// nodes in settle order, which are exactly the slots a reset clears.
+/// Journeys are rebuilt lazily in [`ForemostTree::journey_to`], so
+/// arrival-only consumers (reachability rows, delivery ratios,
+/// broadcasts) pay nothing for witnesses they never read.
 #[derive(Debug, Clone)]
-pub(crate) struct Output<T> {
-    arrival: Vec<Option<T>>,
-    best: Vec<Option<u32>>,
+pub struct ForemostTree<T> {
+    /// Per node, the foremost arrival and its witness label's arena id.
+    foremost: Vec<Option<(T, u32)>>,
     arena: Vec<Label<T>>,
-    /// The number of `Some` entries in `arrival`.
-    reached: usize,
+    /// The nodes whose `foremost` slot is `Some`, in settle order.
+    reached: Vec<NodeId>,
+    stats: EngineStats,
 }
 
-impl<T: Time> Output<T> {
+impl<T: Time> ForemostTree<T> {
     /// `num_nodes` unreached nodes and an empty arena.
     fn new(num_nodes: usize) -> Self {
-        Output {
-            arrival: vec![None; num_nodes],
-            best: vec![None; num_nodes],
+        ForemostTree {
+            foremost: vec![None; num_nodes],
             arena: Vec::new(),
-            reached: 0,
+            reached: Vec::new(),
+            stats: EngineStats::default(),
         }
     }
 
-    /// Starts over with `num_nodes` unreached nodes in fresh zeroed
-    /// slots. Only the first run's are lazily mapped pages: freeing them
-    /// raises glibc's mmap threshold, so later runs take heap memory that
-    /// `calloc` clears in full, O(n) however few nodes a run reaches.
+    /// Starts over with `num_nodes` unreached nodes, clearing only the
+    /// slots the last run settled, so a run that reaches few nodes costs
+    /// little on a huge index. The slots and the arena keep their
+    /// capacity.
     fn reset(&mut self, num_nodes: usize) {
-        *self = Output::new(num_nodes);
+        for v in self.reached.drain(..) {
+            self.foremost[v.index()] = None;
+        }
+        self.arena.clear();
+        self.resize(num_nodes);
     }
 
-    /// Grows the slots after streamed topology growth.
-    fn grow(&mut self, num_nodes: usize) {
-        self.arrival.resize(num_nodes, None);
-        self.best.resize(num_nodes, None);
+    /// Sizes the slots for `num_nodes` nodes, after streamed topology
+    /// growth or for a run on another index. Every slot past the new
+    /// size is unreached by then.
+    fn resize(&mut self, num_nodes: usize) {
+        self.foremost.resize(num_nodes, None);
     }
 
     fn alloc(&mut self, time: T, parent: Option<(u32, EdgeId, T)>) -> u32 {
@@ -331,34 +343,41 @@ impl<T: Time> Output<T> {
     /// Settles `node` at `time` with witness label `id` unless it is
     /// already reached; whether this was its first, foremost settle.
     fn settle(&mut self, node: NodeId, time: &T, id: u32) -> bool {
-        let slot = &mut self.arrival[node.index()];
+        let slot = &mut self.foremost[node.index()];
         if slot.is_some() {
             return false;
         }
-        *slot = Some(time.clone());
-        self.best[node.index()] = Some(id);
-        self.reached += 1;
+        *slot = Some((time.clone(), id));
+        self.reached.push(node);
         true
     }
 
-    /// Forgets `node`'s arrival if it is at or after `t0`.
-    fn forget_from(&mut self, node: NodeId, t0: &T) {
-        let slot = &mut self.arrival[node.index()];
-        if slot.as_ref().is_some_and(|t| t >= t0) {
-            *slot = None;
-            self.best[node.index()] = None;
-            self.reached -= 1;
-        }
+    /// Forgets every arrival at or after `t0`.
+    fn forget_from(&mut self, t0: &T) {
+        let foremost = &mut self.foremost;
+        self.reached.retain(|v| {
+            let slot = &mut foremost[v.index()];
+            let keep = slot.as_ref().is_some_and(|(t, _)| t < t0);
+            if !keep {
+                *slot = None;
+            }
+            keep
+        });
     }
 
-    pub(crate) fn arrival(&self, n: NodeId) -> Option<&T> {
-        self.arrival[n.index()].as_ref()
+    /// The foremost arrival at `n`, `None` if unreachable within the
+    /// limits.
+    #[must_use]
+    pub fn arrival(&self, n: NodeId) -> Option<&T> {
+        self.foremost[n.index()].as_ref().map(|(t, _)| t)
     }
 
-    /// Walks the witness label's parent ids back to its seed.
-    pub(crate) fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        self.arrival(n)?;
-        let mut id = self.best[n.index()].expect("reached nodes have a best label");
+    /// A foremost journey to `n` (empty for a seed node), `None` if
+    /// unreachable within the limits. Rebuilt on demand by walking the
+    /// witness label's parent ids back to its seed.
+    #[must_use]
+    pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
+        let mut id = self.foremost[n.index()].as_ref()?.1;
         let mut hops = Vec::new();
         while let Some((prev, e, dep)) = &self.arena[id as usize].parent {
             hops.push(Hop {
@@ -372,55 +391,18 @@ impl<T: Time> Output<T> {
         Some(Journey::from_hops(hops))
     }
 
-    fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.arrival
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| NodeId::from_index(i))
-    }
-
-    pub(crate) fn num_reached(&self) -> usize {
-        self.reached
-    }
-}
-
-/// The all-destinations output of one single-source engine run: for each
-/// node, the foremost (earliest) arrival from the seed configuration(s),
-/// plus the parent structure to rebuild a witness journey on demand.
-///
-/// Seed nodes are reached at their seed time by the empty journey.
-#[derive(Debug, Clone)]
-pub struct ForemostTree<T> {
-    out: Output<T>,
-    stats: EngineStats,
-}
-
-impl<T: Time> ForemostTree<T> {
-    /// The foremost arrival at `n`, `None` if unreachable within the
-    /// limits.
-    #[must_use]
-    pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        self.out.arrival(n)
-    }
-
-    /// A foremost journey to `n` (empty for a seed node), `None` if
-    /// unreachable within the limits. Rebuilt on demand from the parent
-    /// structure.
-    #[must_use]
-    pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        self.out.journey_to(n)
-    }
-
-    /// The reached nodes, in id order.
+    /// The reached nodes, in id order: the settled nodes, sorted, so the
+    /// cost follows the reach, not the node count.
     pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.out.reached_nodes()
+        let mut nodes = self.reached.clone();
+        nodes.sort_unstable();
+        nodes.into_iter()
     }
 
     /// Number of reached nodes (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {
-        self.out.num_reached()
+        self.reached.len()
     }
 
     /// Work counters of the run that produced this tree
@@ -460,7 +442,13 @@ pub fn foremost_tree_multi<T: Time, I: TemporalIndex<T>>(
     policy: &WaitingPolicy<T>,
     limits: &SearchLimits<T>,
 ) -> ForemostTree<T> {
-    Engine::new().run(index, seeds, policy, limits, None)
+    let mut engine = Engine::new();
+    engine.run(index, seeds, policy, limits, None);
+    // The caller keeps the tree the engine's core settled into.
+    match policy {
+        WaitingPolicy::Unbounded => engine.pareto.out,
+        _ => engine.exact.out,
+    }
 }
 
 /// A single-target foremost query with early exit: the run stops as soon
@@ -487,12 +475,14 @@ pub fn foremost_to<T: Time, I: TemporalIndex<T>>(
 ///
 /// A batch worker or serve reader that answers many queries keeps one
 /// `Engine`, so every run after the first clears only what the previous
-/// run touched instead of allocating and zeroing O(n + m) frontier and
-/// cursor arrays. Only the dense per-node output (the returned tree's
-/// arrivals and witness slots) is built fresh per run. A reused engine
-/// answers bit-identically to a fresh one — arrivals, witnesses, and
+/// run touched instead of allocating and zeroing O(n + m) frontier,
+/// cursor and output arrays. Each core settles into a [`ForemostTree`]
+/// it owns; [`Engine::run`] lends it out until the next run, which
+/// clears only the nodes this one reached. A reused engine answers
+/// bit-identically to a fresh one — arrivals, witnesses, and
 /// [`EngineStats`] — over any sequence of indexes, policies, and limits;
-/// the one-shot [`foremost_tree`] family is a fresh engine's single run.
+/// the one-shot [`foremost_tree`] family is a fresh engine's single run,
+/// whose tree the caller keeps.
 ///
 /// ```
 /// use tvg_journeys::{Engine, SearchLimits, WaitingPolicy};
@@ -533,7 +523,7 @@ impl<T: Time> Engine<T> {
     /// [`foremost_tree_multi`]). With a `target`, the run stops at the
     /// target's first, already-foremost settle (see [`foremost_to`]), so
     /// only the target's arrival and witness in the returned tree are
-    /// final.
+    /// final. The tree is lent until the engine's next run.
     pub fn run<I: TemporalIndex<T>>(
         &mut self,
         index: &I,
@@ -541,7 +531,7 @@ impl<T: Time> Engine<T> {
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
         target: Option<NodeId>,
-    ) -> ForemostTree<T> {
+    ) -> &ForemostTree<T> {
         let mut stats = EngineStats::one_run();
         let n = index.num_nodes();
         let out = match policy {
@@ -560,11 +550,8 @@ impl<T: Time> Engine<T> {
                 &mut c.out
             }
         };
-        // The tree takes the output; the next reset rebuilds it.
-        ForemostTree {
-            out: std::mem::replace(out, Output::new(0)),
-            stats,
-        }
+        out.stats = stats;
+        out
     }
 }
 
@@ -646,9 +633,10 @@ impl<T: Time> Departures<T> {
 
 /// Per-node state kept only for the nodes a run touches, behind a dense
 /// slot array: slot `v` is 0 until node `v` is first touched, then one
-/// plus the index of its value. Sizing for a new node count is one
-/// zeroed allocation whose pages the OS maps lazily, and a reset clears
-/// only the touched values, keeping their capacity for the next run.
+/// plus the index of its value. A reset clears only the touched values,
+/// keeping their capacity for the next run, and keeps the slot array
+/// unless the node count grows past it, which costs one zeroed
+/// allocation, O(n) once per growth rather than per run.
 #[derive(Debug, Clone)]
 struct Touched<V> {
     slot: Vec<u32>,
@@ -696,10 +684,6 @@ impl<V: Default> Touched<V> {
 
     fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
         self.vals[..self.nodes.len()].iter_mut()
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut V)> + '_ {
-        self.nodes.iter().copied().zip(&mut self.vals)
     }
 
     /// Grows the slot array after streamed topology growth, keeping
@@ -824,7 +808,7 @@ impl<T> Default for Frontier<T> {
 /// lands at the tail in the common case.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactCore<T> {
-    pub(crate) out: Output<T>,
+    pub(crate) out: ForemostTree<T>,
     /// Per touched node: configuration time → generation/settlement
     /// state, plus the node's departure coverage.
     frontiers: Touched<Frontier<T>>,
@@ -842,7 +826,7 @@ pub(crate) struct ExactCore<T> {
 impl<T: Time> ExactCore<T> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         ExactCore {
-            out: Output::new(num_nodes),
+            out: ForemostTree::new(num_nodes),
             frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
             queue: BinaryHeap::new(),
@@ -854,8 +838,8 @@ impl<T: Time> ExactCore<T> {
     /// clearing only what the previous run touched: the frontier maps
     /// of every node it generated into (including generated but
     /// unsettled configurations a targeted early exit left behind), its
-    /// seeds, its departure schedules, and the heap. The dense output
-    /// arrays are rebuilt, since the previous run's tree took them.
+    /// seeds, its departure schedules, the heap, and the output slots of
+    /// the nodes it reached.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.frontiers.reset(num_nodes, |f| {
             f.confs.clear();
@@ -871,7 +855,7 @@ impl<T: Time> ExactCore<T> {
     /// streamed topology growth and forgets every departure coverage,
     /// which holds only for the schedule it was generated against.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.out.grow(num_nodes);
+        self.out.resize(num_nodes);
         self.frontiers.grow(num_nodes);
         for f in self.frontiers.values_mut() {
             f.coverage = None;
@@ -905,17 +889,16 @@ impl<T: Time> ExactCore<T> {
     /// strictly earlier is untouchable (a crossing departing at or
     /// after `t0` arrives at or after it — latencies are non-negative).
     /// Departure coverage goes too, since it vouches for pruned targets.
-    /// Only touched nodes can hold an arrival, so the prune walks those.
     /// The arena keeps pruned labels as unreachable garbage, which
     /// costs memory proportional to the churn but keeps every surviving
     /// parent chain valid by construction.
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for (node, f) in self.frontiers.iter_mut() {
+        for f in self.frontiers.values_mut() {
             f.confs.truncate_from(t0);
             f.coverage = None;
-            self.out.forget_from(node, t0);
         }
+        self.out.forget_from(t0);
         self.seed_slots.retain(|(_, t, _)| t < t0);
     }
 
@@ -1266,7 +1249,7 @@ fn dominated<T: Time>(frontier: &[ParetoEntry<T>], time: &T, hops: u32) -> bool 
 /// every surviving parent chain valid by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct ParetoCore<T> {
-    pub(crate) out: Output<T>,
+    pub(crate) out: ForemostTree<T>,
     /// Settled Pareto frontier per touched node, sorted by arrival
     /// (settle order is time-ordered and per-node ties are dominated
     /// away).
@@ -1280,15 +1263,15 @@ pub(crate) struct ParetoCore<T> {
 impl<T: Time> ParetoCore<T> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         ParetoCore {
-            out: Output::new(num_nodes),
+            out: ForemostTree::new(num_nodes),
             settled: Touched::new(num_nodes),
             queue: BinaryHeap::new(),
         }
     }
 
     /// Readies the core for a fresh run (see [`ExactCore::reset`]):
-    /// clears the touched nodes' frontiers and the heap, and rebuilds
-    /// the dense output arrays.
+    /// clears the touched nodes' frontiers, the heap, and the reached
+    /// nodes' output slots.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.settled.reset(num_nodes, Vec::clear);
         self.queue.clear();
@@ -1297,7 +1280,7 @@ impl<T: Time> ParetoCore<T> {
 
     /// Grows the per-node state after streamed topology growth.
     pub(crate) fn resize(&mut self, num_nodes: usize) {
-        self.out.grow(num_nodes);
+        self.out.resize(num_nodes);
         self.settled.grow(num_nodes);
     }
 
@@ -1316,11 +1299,11 @@ impl<T: Time> ParetoCore<T> {
     /// [`ExactCore::prune`] for the soundness argument).
     pub(crate) fn prune(&mut self, t0: &T) {
         self.queue.clear();
-        for (node, frontier) in self.settled.iter_mut() {
+        for frontier in self.settled.values_mut() {
             let keep = frontier.partition_point(|(t, _, _)| t < t0);
             frontier.truncate(keep);
-            self.out.forget_from(node, t0);
         }
+        self.out.forget_from(t0);
     }
 
     /// Re-expands every surviving settled label in global settle order

@@ -61,7 +61,7 @@
 //! a fresh run's `expanded` on the new schedule, which the
 //! `streamcheck` oracle asserts after every batch.
 
-use crate::engine::{EngineStats, ExactCore, Output, ParetoCore};
+use crate::engine::{EngineStats, ExactCore, ForemostTree, ParetoCore};
 use crate::{Journey, SearchLimits, WaitingPolicy};
 use tvg_model::stream::IngestReport;
 use tvg_model::{NodeId, TemporalIndex, Time};
@@ -130,7 +130,7 @@ enum State<T> {
 }
 
 impl<T: Time> State<T> {
-    fn out(&self) -> &Output<T> {
+    fn out(&self) -> &ForemostTree<T> {
         match self {
             State::Exact(core) => &core.out,
             State::Pareto(core) => &core.out,

@@ -144,13 +144,16 @@ pub(crate) fn engine_json(stats: &EngineStats) -> Json {
 }
 
 /// An arrival histogram: how many entries arrived at each instant, plus
-/// how many never arrived. Rendered as sorted `[instant, count]` pairs
+/// how many never arrived: the `None` entries plus `unreached` more that
+/// `values` leaves out. Rendered as sorted `[instant, count]` pairs
 /// so the encoding is canonical regardless of input order. Instants are
 /// widened to `u64` keys, so a `u32`-narrowed run renders the same
 /// bytes as the `u64` run it compresses.
-pub(crate) fn histogram<'a, T: Time + 'a>(values: impl Iterator<Item = Option<&'a T>>) -> Json {
+pub(crate) fn histogram<'a, T: Time + 'a>(
+    values: impl Iterator<Item = Option<&'a T>>,
+    mut unreached: u64,
+) -> Json {
     let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut unreached = 0u64;
     for v in values {
         match v {
             Some(t) => {

@@ -14,6 +14,7 @@
 
 use crate::report::{engine_json, histogram, micros, obj, Report};
 use crate::spec::{Plan, Scenario, Threads};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tvg_dynnet::broadcast::broadcast_plan;
 use tvg_dynnet::json::{Json, ToJson};
@@ -217,11 +218,16 @@ impl Scenario {
 }
 
 /// A tree's arrival histogram over every node and its reached count:
-/// what the single-source plans keep of each tree.
+/// what the single-source plans keep of each tree. Only the reached
+/// nodes are read; the other `nodes - reached` count as unreached.
 fn summary<T: Time>(tree: &ForemostTree<T>, nodes: usize) -> [Json; 2] {
+    let reached = tree.num_reached() as u64;
     [
-        histogram((0..nodes).map(|n| tree.arrival(NodeId::from_index(n)))),
-        Json::Int(tree.num_reached() as u64),
+        histogram(
+            tree.reached_nodes().map(|n| tree.arrival(n)),
+            nodes as u64 - reached,
+        ),
+        Json::Int(reached),
     ]
 }
 
@@ -271,7 +277,7 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
                     .and_then(|d| d.to_u64())
                     .map_or(Json::Null, Json::Int),
             ),
-            ("histogram", histogram(off_diagonal.into_iter())),
+            ("histogram", histogram(off_diagonal.into_iter(), 0)),
             ("ratio", Json::Num(m.reachability_ratio())),
             ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
             (
@@ -328,7 +334,7 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
                     ("delivery", per_run[0].to_json_value()),
                     (
                         "histogram",
-                        histogram(outcome.informed_at.iter().map(Option::as_ref)),
+                        histogram(outcome.informed_at.iter().map(Option::as_ref), 0),
                     ),
                 ])
             }
@@ -342,6 +348,7 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
                             outcomes
                                 .iter()
                                 .flat_map(|o| o.informed_at.iter().map(Option::as_ref)),
+                            0,
                         ),
                     ),
                     (
@@ -362,30 +369,38 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
 
 /// Draws `k` distinct sources from `0..n`, deterministically from
 /// `seed`: a splitmix64-driven partial Fisher–Yates shuffle, sorted
-/// ascending so the report does not depend on draw order. `k >= n`
-/// simply selects every node (the sample degenerates to the full
-/// matrix's source set).
+/// ascending so the report does not depend on draw order. The pool is
+/// `0..n` but for the positions a swap displaced, which `moved` keeps,
+/// so a draw costs O(k) however large `n` is. `k >= n` simply selects
+/// every node (the sample degenerates to the full matrix's source set).
 pub(crate) fn sample_sources(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
     if k >= n {
         return (0..n).map(NodeId::from_index).collect();
     }
-    let mut state = seed;
-    let mut next = move || {
+    let mut next = splitmix64(seed);
+    let mut moved: HashMap<usize, usize> = HashMap::with_capacity(2 * k);
+    let mut picked: Vec<usize> = (0..k)
+        .map(|i| {
+            let span = (n - i) as u64;
+            let j = i + usize::try_from(next() % span).expect("residue below n fits usize");
+            // Swap positions `i` and `j`, returning what `j` held.
+            let displaced = moved.get(&i).copied().unwrap_or(i);
+            moved.insert(j, displaced).unwrap_or(j)
+        })
+        .collect();
+    picked.sort_unstable();
+    picked.into_iter().map(NodeId::from_index).collect()
+}
+
+/// The splitmix64 stream from `seed`.
+fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    };
-    let mut pool: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let span = (n - i) as u64;
-        let j = i + usize::try_from(next() % span).expect("residue below n fits usize");
-        pool.swap(i, j);
     }
-    let mut picked: Vec<usize> = pool[..k].to_vec();
-    picked.sort_unstable();
-    picked.into_iter().map(NodeId::from_index).collect()
 }
 
 /// The streaming plan: drive the scenario's feed (a replay of the
@@ -443,7 +458,7 @@ fn run_streaming(
         ("departed", Json::Int(stream.num_departed() as u64)),
         (
             "final_histogram",
-            histogram(nodes.iter().map(|&n| inc.arrival(n))),
+            histogram(nodes.iter().map(|&n| inc.arrival(n)), 0),
         ),
         ("final_reached", Json::Int(inc.num_reached() as u64)),
         ("per_tick_reached", Json::Arr(per_tick_reached)),
@@ -589,4 +604,38 @@ fn run_serve(
         ("wall_micros", Json::Int(clamp(outcome.timing.wall_micros))),
     ]);
     ((results, outcome.stats), edge_events, timing)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The dense partial Fisher–Yates the sparse draw replaces: a full
+    /// `0..n` pool, swapped in place.
+    fn dense_sample(n: usize, k: usize, seed: u64) -> Vec<NodeId> {
+        let (mut next, mut pool) = (splitmix64(seed), (0..n).collect::<Vec<_>>());
+        for i in 0..k.min(n) {
+            pool.swap(i, i + (next() % (n - i) as u64) as usize);
+        }
+        pool.truncate(k);
+        pool.sort_unstable();
+        pool.into_iter().map(NodeId::from_index).collect()
+    }
+
+    #[test]
+    fn sparse_sampling_draws_what_the_dense_pool_draws() {
+        for seed in [0, 1, 7, 97, u64::MAX] {
+            for (n, k) in [1, 2, 3, 257, 5000]
+                .into_iter()
+                .flat_map(|n| [0, 1, n / 2, n - 1, n, n + 3].map(|k| (n, k)))
+            {
+                let label = format!("n={n} k={k} seed={seed}");
+                assert_eq!(
+                    sample_sources(n, k, seed),
+                    dense_sample(n, k, seed),
+                    "{label}"
+                );
+            }
+        }
+    }
 }

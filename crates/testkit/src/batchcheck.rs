@@ -14,7 +14,7 @@
 //! apply the same oracle to its own fixtures.
 
 use tvg_journeys::{
-    Batch, BatchRunner, Engine, EngineStats, ForemostTree, SearchLimits, WaitingPolicy,
+    foremost_tree_multi, Batch, BatchRunner, EngineStats, ForemostTree, SearchLimits, WaitingPolicy,
 };
 use tvg_model::{NodeId, TemporalIndex, Time};
 
@@ -25,10 +25,10 @@ pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Asserts that reducing `seed_sets` through
 /// [`BatchRunner::map_seed_sets`] at every thread count in
-/// [`THREAD_SWEEP`] reproduces one fresh serial [`Engine::run`] per seed
+/// [`THREAD_SWEEP`] reproduces one serial [`foremost_tree_multi`] per seed
 /// set exactly: per-query foremost arrivals, per-query witness journeys,
 /// and summed [`EngineStats`] (which also pins "n seed sets ⇒ exactly n
-/// engine runs"). The reducer copies every answer out of each tree
+/// engine runs"). The reducer copies every answer out of each lent tree
 /// inside the worker, as a production reducer reads them.
 ///
 /// # Panics
@@ -50,7 +50,7 @@ pub fn assert_batch_matches_serial<T: Time + Send + Sync, I: TemporalIndex<T> + 
     let mut serial = Vec::new();
     let mut serial_stats = EngineStats::default();
     for seeds in seed_sets {
-        let tree = Engine::new().run(index, seeds, policy, limits, None);
+        let tree = foremost_tree_multi(index, seeds, policy, limits);
         serial_stats += tree.stats();
         serial.push(answers(&tree));
     }

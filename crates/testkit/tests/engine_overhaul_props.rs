@@ -458,44 +458,56 @@ fn a_reused_engine_matches_fresh_engines_and_the_oracle() {
     for i in (1..queries.len()).rev() {
         queries.swap(i, rng.gen_range(0..=i));
     }
-    // Pin the property the shuffle is for: targeted exits are followed
-    // by full runs somewhere in the sequence.
+    // Pin the properties the shuffle is for: targeted exits are followed
+    // by full runs, and each core runs on one index, then the other core
+    // runs, then the first core again on the other index (the two cores
+    // clear separate trees).
     assert!(queries
         .windows(2)
         .any(|w| w[0].target.is_some() && w[1].target.is_none()));
+    let pareto = |q: &Query| q.policy == WaitingPolicy::Unbounded;
+    for core in [true, false] {
+        assert!(queries.windows(3).any(|w| pareto(&w[0]) == core
+            && pareto(&w[1]) != core
+            && pareto(&w[2]) == core
+            && w[0].large != w[2].large));
+    }
 
     let mut engine = Engine::new();
     for (step, q) in queries.iter().enumerate() {
         let limits = SearchLimits::new(horizon, q.max_hops);
-        let (reused, fresh, oracle, nodes) = if q.large {
-            (
-                engine.run(&large_index, &q.seeds, &q.policy, &limits, q.target),
-                Engine::new().run(&large_index, &q.seeds, &q.policy, &limits, q.target),
-                ref_foremost_tree(&large_index, &q.seeds, &q.policy, &limits, q.target),
-                large.num_nodes(),
-            )
+        let (index, nodes) = if q.large {
+            (&large_index, large.num_nodes())
         } else {
-            (
-                engine.run(&small_index, &q.seeds, &q.policy, &limits, q.target),
-                Engine::new().run(&small_index, &q.seeds, &q.policy, &limits, q.target),
-                ref_foremost_tree(&small_index, &q.seeds, &q.policy, &limits, q.target),
-                small.num_nodes(),
-            )
+            (&small_index, small.num_nodes())
         };
+        // The reused engine lends its tree; a one-shot tree is owned.
+        let lent = engine.run(index, &q.seeds, &q.policy, &limits, q.target);
+        let fresh = match q.target {
+            None => foremost_tree_multi(index, &q.seeds, &q.policy, &limits),
+            Some(_) => Engine::new()
+                .run(index, &q.seeds, &q.policy, &limits, q.target)
+                .clone(),
+        };
+        let oracle = ref_foremost_tree(index, &q.seeds, &q.policy, &limits, q.target);
         let label = format!("step {step}: {q:?}");
-        assert_eq!(reused.stats(), fresh.stats(), "{label}: stats vs fresh");
-        assert_eq!(reused.stats(), oracle.stats(), "{label}: stats vs oracle");
-        assert_eq!(reused.num_reached(), fresh.num_reached(), "{label}");
+        assert_eq!(lent.stats(), fresh.stats(), "{label}: stats vs fresh");
+        assert_eq!(lent.stats(), oracle.stats(), "{label}: stats vs oracle");
+        assert_eq!(lent.num_reached(), fresh.num_reached(), "{label}");
+        assert!(
+            lent.reached_nodes().eq(fresh.reached_nodes()),
+            "{label}: reached nodes"
+        );
         for dst in (0..nodes).map(NodeId::from_index) {
-            assert_eq!(reused.arrival(dst), fresh.arrival(dst), "{label}: →{dst}");
-            assert_eq!(reused.arrival(dst), oracle.arrival(dst), "{label}: →{dst}");
+            assert_eq!(lent.arrival(dst), fresh.arrival(dst), "{label}: →{dst}");
+            assert_eq!(lent.arrival(dst), oracle.arrival(dst), "{label}: →{dst}");
             assert_eq!(
-                reused.journey_to(dst),
+                lent.journey_to(dst),
                 fresh.journey_to(dst),
                 "{label}: witness →{dst}"
             );
             assert_eq!(
-                reused.journey_to(dst),
+                lent.journey_to(dst),
                 oracle.journey_to(dst),
                 "{label}: witness →{dst}"
             );
