@@ -13,7 +13,7 @@
 //! * `check <spec>...` — parse and fully validate, run nothing.
 //! * `compile <spec> -o <file.tvgi> [--scenario <name>]` — compile one
 //!   scenario's index and serialize it as an on-disk `.tvgi` file for
-//!   `run --index`.
+//!   `run --index` (its phase timing goes to stderr).
 //! * `profile <spec>...` — run every scenario and print one JSON line of
 //!   engine throughput each (queries/sec, settles/sec, time/query) —
 //!   the profiling-first gate's human- and CI-artifact-facing face.
@@ -184,7 +184,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                         "ran {} ({}) in {} µs",
                         scenario.name(),
                         path.display(),
-                        report.wall_micros()
+                        report.wall_us()
                     )
                     .expect("string write");
                     writeln!(out.stderr, "timing {} {}", scenario.name(), report.timing())
@@ -194,11 +194,12 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
             Ok(out)
         }
         "check" => {
-            if rest.is_empty() {
+            let ([], specs) = take_flags("check", rest, [])?;
+            if specs.is_empty() {
                 return Err(CliError::Usage("check: need at least one spec file".into()));
             }
             let mut out = Output::default();
-            for path in rest.iter().map(Path::new) {
+            for path in specs.iter().map(Path::new) {
                 let scenarios = load_specs(path)?;
                 writeln!(
                     out.stdout,
@@ -234,7 +235,7 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                     )))
                 }
             };
-            let summary =
+            let (summary, timing) =
                 tvg_scenarios::compile_index(scenario, &out_path).map_err(|e| CliError::Index {
                     path: out_path.clone(),
                     error: e.to_string(),
@@ -254,16 +255,18 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
                 2 * summary.num_spans,
             )
             .expect("string write");
+            writeln!(out.stderr, "timing {} {timing}", scenario.name()).expect("string write");
             Ok(out)
         }
         "profile" => {
-            if rest.is_empty() {
+            let ([], specs) = take_flags("profile", rest, [])?;
+            if specs.is_empty() {
                 return Err(CliError::Usage(
                     "profile: need at least one spec file".into(),
                 ));
             }
             let mut out = Output::default();
-            for path in rest.iter().map(Path::new) {
+            for path in specs.iter().map(Path::new) {
                 let scenarios = load_specs(path)?;
                 for scenario in &scenarios {
                     writeln!(out.stdout, "{}", profile_line(scenario)).expect("string write");
@@ -342,13 +345,14 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 /// Runs one scenario and renders its engine throughput as a single JSON
 /// line: the run/settle/expansion counters from the report's
 /// [`engine_stats`](tvg_scenarios::Report::engine_stats), the wall
-/// time, the engine phase (`plan_us`: a batch plan's own, a streaming
-/// plan's repair plus snapshot), and the derived rates the profiling
-/// workflow watches (queries/sec, settles/sec, ns/query; see `rates`).
-/// A serve scenario additionally reports its publication metrics —
-/// epoch count, mean events per epoch, frozen chunks shared with the
-/// final snapshot, chunk copies forced by snapshot isolation, and the
-/// epochs/sec publication rate.
+/// time, the engine phase the rates divide by (`engine_us`; see
+/// [`engine_us`]), and the derived rates the profiling workflow watches
+/// (queries/sec, settles/sec, ns/query; see `rates`). A serve scenario
+/// additionally reports its publication metrics — epoch count, mean
+/// events per epoch, frozen chunks shared with the final snapshot,
+/// chunk copies forced by snapshot isolation, the writer's ingest and
+/// publish spans, epochs per second of publication and requests per
+/// second of the serve phase.
 ///
 /// Counters (including the publication chunk/event counters) are
 /// deterministic (golden-pinned); the wall time and rates are real
@@ -358,49 +362,58 @@ pub fn run_command(args: &[String]) -> Result<Output, CliError> {
 fn profile_line(scenario: &Scenario) -> String {
     let report = scenario.run();
     let stats = report.engine_stats();
-    let wall_us = report.wall_micros().max(1);
-    let plan_us = plan_micros(report.timing());
-    let [queries, settles, ns] = rates(plan_us, wall_us, stats.runs, stats.settled);
+    let engine_us = engine_us(report.timing());
+    let [queries, settles, ns] = rates(engine_us, stats.runs, stats.settled);
     let mut line = format!(
         "{{\"scenario\": \"{}\", \"runs\": {}, \"settled\": {}, \"expanded\": {}, \
-         \"wall_us\": {wall_us}{}, \"queries_per_sec\": {queries}, \"settles_per_sec\": {settles}, \
-         \"ns_per_query\": {ns}",
+         \"wall_us\": {}, \"engine_us\": {engine_us}, \"queries_per_sec\": {queries}, \
+         \"settles_per_sec\": {settles}, \"ns_per_query\": {ns}",
         scenario.name(),
         stats.runs,
         stats.settled,
         stats.expanded,
-        plan_us.map_or(String::new(), |us| format!(", \"plan_us\": {us}")),
+        report.wall_us(),
     );
-    if let Some(publication) = publication_profile(report.timing()) {
+    if let Some(publication) = publication_profile(report.timing(), report.results()) {
         line.push_str(&publication);
     }
     line.push('}');
     line
 }
 
-/// The engine phase a report's timing records, if any: a batch plan's
-/// `plan_us`, or a streaming plan's `repair_us + snapshot_us` (its
-/// per-tick repairs and its final query).
-fn plan_micros(timing: &Json) -> Option<u64> {
-    let Json::Obj(map) = timing else { return None };
-    let us = |key: &str| match map.get(key) {
-        Some(Json::Int(us)) => Some(*us),
+/// The integer under `key` of a JSON object, if any.
+fn int(json: &Json, key: &str) -> Option<u64> {
+    match json {
+        Json::Obj(map) => match map.get(key) {
+            Some(Json::Int(n)) => Some(*n),
+            _ => None,
+        },
         _ => None,
-    };
-    us("plan_us").or_else(|| Some(us("repair_us")?.saturating_add(us("snapshot_us")?)))
+    }
+}
+
+/// The engine phase every plan's rates divide by: `repair_us +
+/// engine_us`, whichever of the two the timing carries. A streaming
+/// plan's per-tick repairs are engine work beside its initial tree and
+/// final query; generation, narrowing, compile, file open, feed,
+/// ingest, publication and reduction stay out.
+fn engine_us(timing: &Json) -> u64 {
+    ["repair_us", "engine_us"]
+        .iter()
+        .filter_map(|key| int(timing, key))
+        .sum()
 }
 
 /// `[queries_per_sec, settles_per_sec, ns_per_query]` for `runs` engine
-/// runs that settled `settled` configurations, over the engine phase
-/// `plan_us` when the timing records one (see [`plan_micros`]), so
-/// generation, feed construction, ingest, narrowing, compile and file
-/// open stay out of the rates. Serve runs its engine on reader threads
-/// beside ingest and publication, so it divides by the whole wall
-/// time.
-fn rates(plan_us: Option<u64>, wall_us: u128, runs: u64, settled: u64) -> [u128; 3] {
-    let span_us = plan_us.map_or(wall_us, u128::from).max(1);
-    let per_sec = |count: u64| (u128::from(count) * 1_000_000) / span_us;
-    [per_sec(runs), per_sec(settled), ns_per_query(span_us, runs)]
+/// runs that settled `settled` configurations over `span_us`.
+fn rates(span_us: u64, runs: u64, settled: u64) -> [u128; 3] {
+    let ns = ns_per_query(span_us.max(1).into(), runs);
+    [per_sec(runs, span_us), per_sec(settled, span_us), ns]
+}
+
+/// `count` per second of `span_us` (a zero span counts as 1 µs).
+fn per_sec(count: u64, span_us: u64) -> u128 {
+    u128::from(count) * 1_000_000 / u128::from(span_us.max(1))
 }
 
 /// Wall time per engine run at nanosecond resolution. Batch specs
@@ -412,8 +425,10 @@ fn ns_per_query(wall_us: u128, runs: u64) -> u128 {
 }
 
 /// The serve plan's publication metrics as extra profile-line fields
-/// (`None` for plans without a publication timing section).
-fn publication_profile(timing: &Json) -> Option<String> {
+/// (`None` for plans without a publication timing section), with its
+/// rates derived from the phases that bound them: epochs over
+/// `publish_us`, requests over `serve_us`.
+fn publication_profile(timing: &Json, results: &Json) -> Option<String> {
     let Json::Obj(map) = timing else { return None };
     let ints = |key: &str| -> Option<Vec<u64>> {
         let Some(Json::Arr(items)) = map.get(key) else {
@@ -430,23 +445,19 @@ fn publication_profile(timing: &Json) -> Option<String> {
     let events = ints("events_per_epoch")?;
     let frozen = ints("chunks_frozen")?;
     let copied = ints("chunks_copied")?;
-    let epochs_per_sec = match map.get("epochs_per_sec") {
-        Some(Json::Num(r)) => *r,
-        _ => 0.0,
-    };
-    let ingest_micros = match map.get("ingest_micros") {
-        Some(Json::Int(us)) => *us,
-        _ => 0,
-    };
+    let [ingest_us, publish_us, serve_us] =
+        ["ingest_us", "publish_us", "serve_us"].map(|key| int(timing, key).unwrap_or(0));
     let epochs = events.len() as u64;
     // Epoch 0 precedes any ingest, so the mean is over the ticks.
     let mean_events = events.iter().sum::<u64>() / epochs.saturating_sub(1).max(1);
     Some(format!(
         ", \"epochs\": {epochs}, \"events_per_epoch\": {mean_events}, \
-         \"chunks_frozen\": {}, \"chunks_copied\": {}, \"epochs_per_sec\": {epochs_per_sec}, \
-         \"ingest_micros\": {ingest_micros}",
+         \"chunks_frozen\": {}, \"chunks_copied\": {}, \"ingest_us\": {ingest_us}, \
+         \"publish_us\": {publish_us}, \"epochs_per_sec\": {}, \"requests_per_sec\": {}",
         frozen.last().copied().unwrap_or(0),
         copied.iter().sum::<u64>(),
+        per_sec(epochs, publish_us),
+        per_sec(int(results, "requests").unwrap_or(0), serve_us),
     ))
 }
 
@@ -480,7 +491,7 @@ fn orphaned_goldens(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
 }
 
 fn single_dir(rest: &[String], command: &str) -> Result<PathBuf, CliError> {
-    match rest {
+    match take_flags(command, rest, [])?.1.as_slice() {
         [dir] => Ok(PathBuf::from(dir)),
         _ => Err(CliError::Usage(format!(
             "{command}: need exactly one directory"
@@ -589,57 +600,37 @@ pub fn spec_files(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use super::{ns_per_query, plan_micros, rates, Json};
+    use super::{engine_us, ns_per_query, rates, Json};
 
-    /// A batch plan's rates come from its engine phase, not from a wall
-    /// time that includes generation and compile; a timing without an
-    /// engine phase (serve) falls back to the wall time.
+    /// Every plan's rates divide by `repair_us + engine_us`, whichever
+    /// of the two its timing carries, never by the wall time or by
+    /// another phase.
     #[test]
     fn rates_divide_by_the_engine_phase() {
-        let timing = Json::Obj(
-            [
-                ("build_us", 617_083),
-                ("compile_us", 189_097),
-                ("plan_us", 12_988),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::Int(v)))
-            .collect(),
-        );
-        let plan_us = plan_micros(&timing);
-        assert_eq!(plan_us, Some(12_988));
-        assert_eq!(rates(plan_us, 820_000, 8, 21), [615, 1_616, 1_623_500]);
-        assert_eq!(plan_micros(&Json::Null), None);
-        assert_eq!(rates(None, 820_000, 8, 21), [9, 25, 102_500_000]);
+        for (text, span) in [
+            (
+                "build_us=617083 narrow_us=9 engine_us=12988 reduce_us=40",
+                12_988,
+            ),
+            (
+                "feed_us=20000 ingest_us=1 repair_us=580000 engine_us=290000",
+                870_000,
+            ),
+            ("ingest_us=300000 repair_us=580000", 580_000),
+            ("serve_us=900000 publish_us=2 engine_us=400000", 400_000),
+            ("build_us=4000 open_us=7", 0),
+        ] {
+            let timing = text.split(' ').map(|kv| {
+                let (key, us) = kv.split_once('=').expect("key=value");
+                (key.to_string(), Json::Int(us.parse().expect("integer")))
+            });
+            assert_eq!(engine_us(&Json::Obj(timing.collect())), span, "{text}");
+        }
+        assert_eq!(engine_us(&Json::Null), 0);
+        assert_eq!(rates(12_988, 8, 21), [615, 1_616, 1_623_500]);
+        assert_eq!(rates(870_000, 87, 174), [100, 200, 10_000_000]);
         // A zero-length phase must not divide by zero.
-        assert_eq!(rates(Some(0), 820_000, 2, 3), [2_000_000, 3_000_000, 500]);
-    }
-
-    /// A streaming plan's engine phase is its summed per-tick repair
-    /// plus its final snapshot query; feed construction and ingest stay
-    /// out of the rates.
-    #[test]
-    fn streaming_rates_divide_by_repair_plus_snapshot() {
-        let timing = |keys: &[(&str, u64)]| {
-            Json::Obj(
-                keys.iter()
-                    .map(|&(k, v)| (k.to_string(), Json::Int(v)))
-                    .collect(),
-            )
-        };
-        let streaming = timing(&[
-            ("build_us", 4_000),
-            ("feed_us", 20_000),
-            ("ingest_us", 300_000),
-            ("repair_us", 580_000),
-            ("snapshot_us", 290_000),
-        ]);
-        let plan_us = plan_micros(&streaming);
-        assert_eq!(plan_us, Some(870_000));
-        assert_eq!(rates(plan_us, 1_200_000, 87, 174), [100, 200, 10_000_000]);
-        // Half an engine phase is no phase: the rates use the wall time.
-        let partial = timing(&[("repair_us", 580_000), ("ingest_us", 300_000)]);
-        assert_eq!(plan_micros(&partial), None);
+        assert_eq!(rates(0, 2, 3), [2_000_000, 3_000_000, 500]);
     }
 
     /// The bug this replaced: `wall_us / runs` truncated every

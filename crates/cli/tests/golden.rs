@@ -194,6 +194,7 @@ fn profile_command_reports_throughput_per_scenario() {
         "\"settled\": ",
         "\"expanded\": ",
         "\"wall_us\": ",
+        "\"engine_us\": ",
         "\"queries_per_sec\": ",
         "\"settles_per_sec\": ",
         "\"ns_per_query\": ",
@@ -229,8 +230,11 @@ fn profile_serve_line_reports_publication_and_ingest() {
         "\"epochs\": 7",
         "\"chunks_frozen\": ",
         "\"chunks_copied\": ",
+        "\"ingest_us\": ",
+        "\"publish_us\": ",
+        "\"engine_us\": ",
         "\"epochs_per_sec\": ",
-        "\"ingest_micros\": ",
+        "\"requests_per_sec\": ",
     ] {
         assert!(line.contains(field), "missing {field} in {line}");
     }

@@ -165,71 +165,114 @@ fn repeated_compile_flags_are_usage_errors() {
     assert!(!std::path::Path::new(&a).exists() && !std::path::Path::new(&b).exists());
 }
 
+/// Every command parses its flags the same way: a flag it does not
+/// take (misspelled, or another command's) is a usage error naming the
+/// flag, never a spec or directory argument that does not exist.
 #[test]
 fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
     let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
     let spec = spec.display().to_string();
-    let err = run_command(&args(&["run", &spec, "--indx", "x.tvgi"]))
-        .expect_err("an unknown flag must fail");
-    assert!(
-        matches!(err, CliError::Usage(_)),
-        "expected Usage, got {err:?}"
-    );
-    assert!(err.to_string().contains("--indx"));
+    let dir = bundled_scenarios_dir().display().to_string();
+    for command in ["run", "check", "compile", "profile", "verify", "bless"] {
+        let target = if matches!(command, "verify" | "bless") {
+            &dir
+        } else {
+            &spec
+        };
+        for flag in ["--indx", "--index"]
+            .into_iter()
+            .filter(|&f| (command, f) != ("run", "--index"))
+        {
+            let err = run_command(&args(&[command, flag, "x.tvgi", target]))
+                .expect_err("an unknown flag must fail");
+            assert!(
+                matches!(err, CliError::Usage(_)) && err.to_string().contains(flag),
+                "{command} {flag}: expected a usage error naming it, got {err:?}"
+            );
+        }
+    }
 }
 
-/// The keys of the `timing` line `run` prints on stderr for `scenario`.
-fn timing_keys(scenario: &str, run_args: &[&str]) -> Vec<String> {
-    let out = run_command(&args(run_args)).expect("run succeeds");
-    let prefix = format!("timing {scenario} ");
-    let timing = out
-        .stderr
-        .lines()
-        .find_map(|line| line.strip_prefix(&prefix))
-        .unwrap_or_else(|| panic!("no timing line in {:?}", out.stderr));
-    // Integer values carry no quotes, so every quoted string is a key.
-    let keys = timing.split('"').skip(1).step_by(2);
-    keys.map(String::from).collect()
-}
-
-/// `run --index` splits its wall time into the file open and the plan on
-/// stderr's `timing` line; the key set is pinned, the values are clocks.
+/// The one timing schema, pinned per command: the exact key set of the
+/// `timing` line each prints on stderr, and that its disjoint phases sum
+/// to no more than the run's wall time. Every `_us` key is a phase but
+/// the latency percentiles, and serve's writer (`ingest_us`,
+/// `publish_us`) and reader (`engine_us`) spans nest inside `serve_us`.
 #[test]
-fn an_indexed_run_reports_its_open_and_plan_time() {
-    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
-    let spec = spec.display().to_string();
-    let index = scratch("timing.tvgi").display().to_string();
-    run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
-    let keys = timing_keys("ring-matrix", &["run", &spec, "--index", &index]);
+fn every_command_times_its_phases_under_one_schema() {
+    let spec = |name: &str| bundled_scenarios_dir().join(format!("{name}.tvgs"));
+    let [ring, stream, serve] = ["ring-matrix", "markov-stream", "scale-free-serve"]
+        .map(|name| spec(name).display().to_string());
+    let index = scratch("schema.tvgi").display().to_string();
+    for (argv, keys) in [
+        (
+            vec!["compile", &ring, "-o", &index],
+            "build_us compile_us narrow_us write_us",
+        ),
+        (
+            vec!["run", &ring, "--index", &index],
+            "engine_us open_us reduce_us",
+        ),
+        (
+            vec!["run", &ring],
+            "build_us compile_us engine_us narrow_us reduce_us",
+        ),
+        (
+            vec!["run", &stream],
+            "build_us engine_us feed_us ingest_us reduce_us repair_us",
+        ),
+        (
+            vec!["run", &serve],
+            "build_us chunks_copied chunks_frozen engine_us events_per_epoch feed_us ingest_us \
+             load_us max_us p50_us p95_us publish_us reduce_us serve_us",
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        let out = run_command(&args(&argv)).expect("command succeeds");
+        let elapsed = u64::try_from(started.elapsed().as_nanos() / 1_000).expect("fits");
+        // `<prefix> <scenario> <rest>` on stderr (one scenario per spec).
+        let line = |prefix: &str| {
+            let rest = out.stderr.lines().find_map(|l| l.strip_prefix(prefix))?;
+            Some(rest.split_once(' ')?.1)
+        };
+        let timing = line("timing ").unwrap_or_else(|| panic!("{argv:?}: {:?}", out.stderr));
+        // Values are integers or integer arrays, so every quoted string is a key.
+        let found: Vec<&str> = timing.split('"').skip(1).step_by(2).collect();
+        assert_eq!(
+            found,
+            keys.split_whitespace().collect::<Vec<_>>(),
+            "{argv:?}"
+        );
+        // `run` reports the wall time it measured; `compile` none, so the
+        // test's own clock bounds it.
+        let wall = line("ran ")
+            .and_then(|rest| rest.split(" in ").nth(1)?.strip_suffix(" µs")?.parse().ok())
+            .unwrap_or(elapsed);
+        let mut nested = vec!["p50_us", "p95_us", "max_us"];
+        if found.contains(&"serve_us") {
+            nested.extend(["ingest_us", "publish_us", "engine_us"]);
+        }
+        let int_at = |key: &str| -> u64 {
+            let value = timing
+                .split(&format!("\"{key}\":"))
+                .nth(1)
+                .unwrap_or_default();
+            value
+                .split([',', '}'])
+                .next()
+                .unwrap_or_default()
+                .parse()
+                .expect("integer")
+        };
+        let phases: u64 = found
+            .iter()
+            .filter(|key| key.ends_with("_us") && !nested.contains(key))
+            .map(|key| int_at(key))
+            .sum();
+        assert!(
+            phases <= wall,
+            "{argv:?}: phases {phases} µs > wall {wall} µs"
+        );
+    }
     let _ = std::fs::remove_file(&index);
-    assert_eq!(keys, ["open_us", "plan_us"]);
-}
-
-/// A direct batch run splits it into generation, narrowing plus
-/// compile, and the plan.
-#[test]
-fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
-    let spec = bundled_scenarios_dir().join("ring-matrix.tvgs");
-    let keys = timing_keys("ring-matrix", &["run", &spec.display().to_string()]);
-    assert_eq!(keys, ["build_us", "compile_us", "plan_us"]);
-}
-
-/// A streaming run splits it into generation, feed construction, ingest
-/// and repair summed over the ticks, and the final snapshot query. It
-/// records no `plan_us`; `profile` takes its rates over repair plus
-/// snapshot.
-#[test]
-fn a_streaming_run_reports_its_feed_ingest_repair_and_snapshot_time() {
-    let spec = bundled_scenarios_dir().join("markov-stream.tvgs");
-    let keys = timing_keys("markov-stream", &["run", &spec.display().to_string()]);
-    assert_eq!(
-        keys,
-        [
-            "build_us",
-            "feed_us",
-            "ingest_us",
-            "repair_us",
-            "snapshot_us"
-        ]
-    );
 }

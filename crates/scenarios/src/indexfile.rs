@@ -20,15 +20,18 @@
 //! the scenario it is asked to run — a `.tvgi` is an artifact *of* one
 //! workload, not a generic graph container.
 //!
-//! The report's non-canonical `timing` splits the wall time into
-//! `open_us` (opening and validating the file) and `plan_us` (the
-//! plan's engine runs and reduction), so every indexed run shows
-//! whether it was bound by the decoder or by the engine.
+//! Both directions time their phases in the report's phase record. An
+//! indexed run's `timing` splits its wall time into `open_us` (reading
+//! the header, opening and validating the file), `engine_us` and
+//! `reduce_us`, so it shows whether it was bound by the decoder or by
+//! the engine; [`compile_index`] returns `build_us`, `narrow_us` (when
+//! the graph was narrowed), `compile_us` and `write_us`.
 
-use crate::report::Report;
+use crate::report::{Phase, Phases, Report};
 use crate::spec::{Plan, Scenario};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Instant;
+use tvg_dynnet::json::Json;
 use tvg_model::tvgi::{peek_tvgi, write_tvgi, ShardedIndex, TvgiError, TvgiSummary, TvgiTime};
 use tvg_model::{Tvg, TvgIndex};
 
@@ -91,31 +94,37 @@ fn require_batch_plan(scenario: &Scenario) -> Result<(), IndexFileError> {
 /// Builds the scenario's TVG, compiles its index in the time domain
 /// [`Scenario::run`] decides on, and serializes it to `path` as a
 /// `.tvgi`, embedding the scenario's canonical spec text for the
-/// open-time provenance check.
+/// open-time provenance check. Returns the file's summary and the
+/// `timing` object of its phases.
 ///
 /// # Errors
 ///
 /// [`IndexFileError::UnsupportedPlan`] for streaming/serve scenarios,
 /// or any [`TvgiError`] from the writer (I/O, non-constant latency).
-pub fn compile_index(scenario: &Scenario, path: &Path) -> Result<TvgiSummary, IndexFileError> {
+pub fn compile_index(
+    scenario: &Scenario,
+    path: &Path,
+) -> Result<(TvgiSummary, Json), IndexFileError> {
     require_batch_plan(scenario)?;
-    let g = scenario.build_graph();
-    match scenario.narrowed(&g) {
-        Some(narrowed) => {
-            drop(g);
-            write_index(scenario, &narrowed, path)
-        }
-        None => write_index(scenario, &g, path),
-    }
+    let mut phases = Phases::start();
+    let g = phases.time(Phase::Build, || scenario.build_graph());
+    let summary = match scenario.narrowed(g, &mut phases) {
+        Ok(narrowed) => write_index(scenario, &narrowed, path, &mut phases),
+        Err(g) => write_index(scenario, &g, path, &mut phases),
+    }?;
+    Ok((summary, phases.finish(BTreeMap::new()).1))
 }
 
 fn write_index<T: TvgiTime>(
     scenario: &Scenario,
     g: &Tvg<T>,
     path: &Path,
+    phases: &mut Phases,
 ) -> Result<TvgiSummary, IndexFileError> {
-    let index = TvgIndex::compile(g, T::from_u64(scenario.plan().horizon()));
-    Ok(write_tvgi(&index, 1, Some(&scenario.to_string()), path)?)
+    let horizon = T::from_u64(scenario.plan().horizon());
+    let index = phases.time(Phase::Compile, || TvgIndex::compile(g, horizon));
+    let spec = scenario.to_string();
+    Ok(phases.time(Phase::Write, || write_tvgi(&index, 1, Some(&spec), path))?)
 }
 
 /// Runs the scenario's batch plan from a `.tvgi` file instead of
@@ -132,23 +141,23 @@ fn write_index<T: TvgiTime>(
 /// different workload, or any [`TvgiError`] from opening the file.
 pub fn run_with_index(scenario: &Scenario, path: &Path) -> Result<Report, IndexFileError> {
     require_batch_plan(scenario)?;
-    match peek_tvgi(path)?.width {
-        4 => run_on::<u32>(scenario, path),
-        _ => run_on::<u64>(scenario, path),
+    let mut phases = Phases::start();
+    match phases.time(Phase::Open, || peek_tvgi(path))?.width {
+        4 => run_on::<u32>(scenario, path, phases),
+        _ => run_on::<u64>(scenario, path, phases),
     }
 }
 
 fn run_on<T: TvgiTime + Send + Sync>(
     scenario: &Scenario,
     path: &Path,
+    mut phases: Phases,
 ) -> Result<Report, IndexFileError> {
-    let started = Instant::now();
-    let index = ShardedIndex::<T>::open(path)?;
-    let open = started.elapsed();
+    let index = phases.time(Phase::Open, || ShardedIndex::<T>::open(path))?;
     if index.spec() != scenario.to_string() {
         return Err(IndexFileError::SpecMismatch {
             scenario: scenario.name().to_string(),
         });
     }
-    Ok(scenario.run_batch_plan(&index, started, &[("open_us", open)]))
+    Ok(scenario.run_batch_plan(&index, phases))
 }

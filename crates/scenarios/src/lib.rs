@@ -390,8 +390,7 @@ plan serve horizon=24 requests=32 gap=2 foremost=3 matrix=2 broadcast=1 ticks=4 
         // Timing is measured and carried, but stays OUT of the
         // canonical bytes.
         assert_ne!(report.timing(), &tvg_dynnet::json::Json::Null);
-        assert!(!json.contains("micros"), "{json}");
-        assert!(!json.contains("throughput"), "{json}");
+        assert!(!json.contains("_us\""), "{json}");
         // The run repeats byte-for-byte.
         assert_eq!(json, s.run().canonical_json());
     }

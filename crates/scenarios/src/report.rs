@@ -7,17 +7,18 @@
 //! nothing machine- or run-dependent (wall-clock, thread count actually
 //! used) is included — which is what lets CI byte-diff reports against
 //! checked-in goldens at `TVG_BATCH_THREADS=1` and `=4` alike. Wall time
-//! is measured and carried alongside ([`Report::wall_micros`]) for
-//! humans and benches, outside the canonical bytes.
+//! ([`Report::wall_us`]) and the non-canonical [`Report::timing`] are
+//! measured and carried alongside, for humans and benches.
 //!
-//! The serve plan widens this split: its **logical** section (answers,
-//! counts, epochs served) lives in `results` and is canonical, while
-//! its throughput/latency percentiles ride in the non-canonical
-//! [`Report::timing`] field next to `wall_micros`. The rule of thumb:
+//! Every plan times itself in one phase record (`Phases::time` runs a
+//! closure as a phase; a repeated phase adds up), so `timing` carries
+//! one `<phase>_us` key per phase that ran, from the fixed vocabulary
+//! `Phase`, and none for a phase the plan lacks. The rule of thumb:
 //! anything a different machine (or reader count) could change is
 //! timing, everything else is logic — and only logic is golden-gated.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 use tvg_dynnet::json::Json;
 use tvg_journeys::EngineStats;
 use tvg_model::Time;
@@ -36,7 +37,7 @@ pub struct Report {
     pub(crate) edge_events: usize,
     pub(crate) results: Json,
     pub(crate) engine: EngineStats,
-    pub(crate) wall_micros: u128,
+    pub(crate) wall_us: u64,
     /// Per-plan phase spans and metrics — measured, **not** canonical.
     pub(crate) timing: Json,
 }
@@ -63,13 +64,12 @@ impl Report {
     /// Wall-clock microseconds of the run (measured, **not** part of the
     /// canonical bytes — goldens must not depend on machine speed).
     #[must_use]
-    pub fn wall_micros(&self) -> u128 {
-        self.wall_micros
+    pub fn wall_us(&self) -> u64 {
+        self.wall_us
     }
 
-    /// Plan-specific timing metrics: every plan's phase spans in
-    /// microseconds, and the serve plan's throughput and latency
-    /// percentiles.
+    /// The run's `<phase>_us` spans (see the module docs), and the serve
+    /// plan's latency percentiles and publication counters.
     /// Measured wall-clock data, **not** part of the canonical bytes —
     /// the logical `results` section is golden-gated, timing is for
     /// humans, benches, and EXPERIMENTS.md.
@@ -130,9 +130,69 @@ pub(crate) fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     )
 }
 
-/// A measured span as a `timing` value in whole microseconds.
-pub(crate) fn micros(span: std::time::Duration) -> Json {
-    Json::Int(u64::try_from(span.as_micros()).unwrap_or(u64::MAX))
+/// A measured span in whole microseconds.
+pub(crate) fn us(span: Duration) -> u64 {
+    u64::try_from(span.as_nanos() / 1_000).unwrap_or(u64::MAX)
+}
+
+/// One phase of a run's wall time. Its `timing` key is the variant's
+/// name in lower case plus `_us`; this enum is the whole vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Phase {
+    Build,
+    Narrow,
+    Compile,
+    Write,
+    Open,
+    Feed,
+    Load,
+    Ingest,
+    Publish,
+    Serve,
+    Repair,
+    Engine,
+    Reduce,
+}
+
+/// One run's wall clock and the summed span of every phase that ran.
+pub(crate) struct Phases {
+    started: Instant,
+    spans: BTreeMap<Phase, Duration>,
+}
+
+impl Phases {
+    /// Starts the run's wall clock, with no phase run yet.
+    pub(crate) fn start() -> Self {
+        Phases {
+            started: Instant::now(),
+            spans: BTreeMap::new(),
+        }
+    }
+
+    /// Runs `f` as (another span of) `phase`.
+    pub(crate) fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let out = f();
+        self.add(phase, t0.elapsed());
+        out
+    }
+
+    /// Adds a span measured elsewhere (the serve runtime's writer and
+    /// readers) to `phase`.
+    pub(crate) fn add(&mut self, phase: Phase, span: Duration) {
+        *self.spans.entry(phase).or_default() += span;
+    }
+
+    /// The wall-clock microseconds since [`Phases::start`] and the
+    /// `timing` object: the plan's other `metrics` plus one `<phase>_us`
+    /// key per phase that ran.
+    pub(crate) fn finish(self, mut metrics: BTreeMap<String, Json>) -> (u64, Json) {
+        for (phase, span) in self.spans {
+            let key = format!("{phase:?}_us").to_lowercase();
+            metrics.insert(key, Json::Int(us(span)));
+        }
+        (us(self.started.elapsed()), Json::Obj(metrics))
+    }
 }
 
 pub(crate) fn engine_json(stats: &EngineStats) -> Json {

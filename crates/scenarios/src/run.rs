@@ -8,14 +8,14 @@
 //! runs out over the [`BatchRunner`] at the scenario's thread policy.
 //! The streaming and serve plans are defined by their ingest feed, not
 //! by an index, so they keep their own bodies over a [`TvgStream`].
-//! Every plan builds its [`Report`] through [`Scenario::report`]. The
-//! batch runtime's thread-count invariance is what makes reports
-//! reproducible bytes rather than approximate numbers.
+//! Every plan times its phases in one record and builds its [`Report`]
+//! through [`Scenario::report`]. The batch runtime's thread-count
+//! invariance is what makes reports reproducible bytes rather than
+//! approximate numbers.
 
-use crate::report::{engine_json, histogram, micros, obj, Report};
+use crate::report::{engine_json, histogram, obj, us, Phase, Phases, Report};
 use crate::spec::{Plan, Scenario, Threads};
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, HashMap};
 use tvg_dynnet::broadcast::broadcast_plan;
 use tvg_dynnet::json::{Json, ToJson};
 use tvg_dynnet::metrics::{AggregateStats, DeliveryStats};
@@ -76,81 +76,63 @@ impl Scenario {
     /// Runs the scenario end to end and returns its report.
     #[must_use]
     pub fn run(&self) -> Report {
-        let started = Instant::now();
-        let g = self.build_graph();
-        let built = Instant::now();
-        let (outcome, edge_events, timing) = match self.plan() {
-            Plan::Streaming {
-                src, start, batch, ..
-            } => run_streaming(&g, self, *src, *start, *batch, built - started),
-            Plan::Serve {
-                start,
-                requests,
-                gap,
-                mix,
-                ticks,
-                seed,
-                ..
-            } => run_serve(&g, self, *start, *requests, *gap, *mix, *ticks, *seed),
+        let mut phases = Phases::start();
+        let g = phases.time(Phase::Build, || self.build_graph());
+        let (outcome, edge_events, metrics) = match self.plan() {
+            Plan::Streaming { .. } => run_streaming(&g, self, &mut phases),
+            Plan::Serve { .. } => run_serve(&g, self, &mut phases),
             _ => {
-                return match self.narrowed(&g) {
-                    Some(narrowed) => {
-                        drop(g);
-                        self.run_compiled(&narrowed, started, built)
-                    }
-                    None => self.run_compiled(&g, started, built),
+                return match self.narrowed(g, &mut phases) {
+                    Ok(narrowed) => self.run_compiled(&narrowed, phases),
+                    Err(g) => self.run_compiled(&g, phases),
                 }
             }
         };
         let graph = (g.num_nodes(), g.num_edges(), edge_events);
-        self.report(graph, outcome, started, timing)
+        self.report(graph, outcome, phases, metrics)
     }
 
     /// The one time-domain decision: the scenario's graph rebuilt over
     /// `u32` instants when the horizon and the policy's arithmetic
     /// provably fit there (`wait[d]` computes `ready + d` for every
-    /// `ready <= horizon`), `None` to stay in `u64`. A narrowed run gives
-    /// the same answers with half the time-key bytes in the hot loops.
-    pub(crate) fn narrowed(&self, g: &Tvg<u64>) -> Option<Tvg<u32>> {
+    /// `ready <= horizon`), `Err(g)` to stay in `u64`. A narrowed run
+    /// gives the same answers with half the time-key bytes in the hot
+    /// loops. The `narrow` phase is `narrow_tvg` plus dropping the `u64`
+    /// graph it replaces; it is absent when the domain cannot fit.
+    pub(crate) fn narrowed(&self, g: Tvg<u64>, phases: &mut Phases) -> Result<Tvg<u32>, Tvg<u64>> {
         let horizon = self.plan().horizon();
         let delay = match self.policy() {
             WaitingPolicy::Bounded(d) => *d,
             WaitingPolicy::NoWait | WaitingPolicy::Unbounded => 0,
         };
-        let fits = horizon.checked_add(delay)? <= u64::from(u32::MAX);
-        fits.then(|| narrow_tvg(g, horizon).ok()).flatten()
+        match horizon.checked_add(delay) {
+            Some(last) if last <= u64::from(u32::MAX) => {
+                phases.time(Phase::Narrow, || narrow_tvg(&g, horizon).map_err(|_| g))
+            }
+            _ => Err(g),
+        }
     }
 
     /// Compiles `g`, in the domain [`Scenario::narrowed`] settled on,
-    /// and runs the batch plan on the index, timing generation and
-    /// narrowing plus compile.
-    fn run_compiled<T: Time + Send + Sync>(
-        &self,
-        g: &Tvg<T>,
-        started: Instant,
-        built: Instant,
-    ) -> Report {
-        let index = TvgIndex::compile(g, T::from_u64(self.plan().horizon()));
-        let phases = [
-            ("build_us", built - started),
-            ("compile_us", built.elapsed()),
-        ];
-        self.run_batch_plan(&index, started, &phases)
+    /// and runs the batch plan on the index.
+    fn run_compiled<T: Time + Send + Sync>(&self, g: &Tvg<T>, mut phases: Phases) -> Report {
+        let horizon = T::from_u64(self.plan().horizon());
+        let index = phases.time(Phase::Compile, || TvgIndex::compile(g, horizon));
+        self.run_batch_plan(&index, phases)
     }
 
     /// The one batch-plan dispatcher, behind direct and indexed runs:
-    /// runs the plan on `index` and reports it, with the index source's
-    /// `phases` and the plan's own `plan_us` as `timing`. A `u32` index
-    /// exists only where [`Scenario::narrowed`] proved the horizon and
-    /// the bounded delay fit, so converting them cannot truncate.
+    /// runs the plan on `index` and reports it, adding the plan's
+    /// `engine` and `reduce` phases to the index source's `phases`. A
+    /// `u32` index exists only where [`Scenario::narrowed`] proved the
+    /// horizon and the bounded delay fit, so converting them cannot
+    /// truncate.
     pub(crate) fn run_batch_plan<T: Time + Send + Sync, I: TemporalIndex<T> + Sync>(
         &self,
         index: &I,
-        started: Instant,
-        phases: &[(&str, Duration)],
+        phases: Phases,
     ) -> Report {
-        let planned = Instant::now();
-        let q = Query {
+        let mut q = Query {
             index,
             batch: self.batch(),
             policy: match self.policy() {
@@ -159,6 +141,7 @@ impl Scenario {
                 WaitingPolicy::Bounded(d) => WaitingPolicy::Bounded(T::from_u64(*d)),
             },
             limits: SearchLimits::new(T::from_u64(self.plan().horizon()), self.plan().max_hops()),
+            phases,
         };
         let outcome = match self.plan() {
             Plan::SingleSource { src, start, .. } => q.single_source(*src, &T::from_u64(*start)),
@@ -176,29 +159,26 @@ impl Scenario {
                 unreachable!("feed-defined plans never reach the batch dispatcher")
             }
         };
-        let timing = phases
-            .iter()
-            .chain(&[("plan_us", planned.elapsed())])
-            .map(|&(phase, span)| (phase.to_string(), micros(span)))
-            .collect();
         let graph = (
             index.num_nodes(),
             index.num_edges(),
             index.num_edge_events(),
         );
-        self.report(graph, outcome, started, Json::Obj(timing))
+        self.report(graph, outcome, q.phases, BTreeMap::new())
     }
 
     /// Wraps a plan's outcome in this scenario's [`Report`]: the one
     /// builder behind every plan, direct or from a `.tvgi`. `graph` is
-    /// the `(nodes, edges, edge_events)` summary of what the plan ran on.
+    /// the `(nodes, edges, edge_events)` summary of what the plan ran on,
+    /// `metrics` the plan's timing entries other than its phases.
     pub(crate) fn report(
         &self,
         (nodes, edges, edge_events): (usize, usize, usize),
         (results, engine): (Json, EngineStats),
-        started: Instant,
-        timing: Json,
+        phases: Phases,
+        metrics: BTreeMap<String, Json>,
     ) -> Report {
+        let (wall_us, timing) = phases.finish(metrics);
         Report {
             scenario: self.name().to_string(),
             generator: self.generator().name(),
@@ -211,7 +191,7 @@ impl Scenario {
             edge_events,
             results,
             engine,
-            wall_micros: started.elapsed().as_micros(),
+            wall_us,
             timing,
         }
     }
@@ -231,61 +211,72 @@ fn summary<T: Time>(tree: &ForemostTree<T>, nodes: usize) -> [Json; 2] {
     ]
 }
 
-/// One batch plan's engine inputs, in the index's time domain.
+/// One batch plan's engine inputs, in the index's time domain, and the
+/// run's phases: each plan's fan-out (worker-side reducers included) is
+/// its `engine` phase, the caller-side assembly its `reduce`.
 struct Query<'a, T, I> {
     index: &'a I,
     batch: Batch,
     policy: WaitingPolicy<T>,
     limits: SearchLimits<T>,
+    phases: Phases,
 }
 
 impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
-    fn single_source(&self, src: usize, start: &T) -> (Json, EngineStats) {
+    fn single_source(&mut self, src: usize, start: &T) -> (Json, EngineStats) {
         let nodes = self.index.num_nodes();
-        let (mut results, stats) = BatchRunner::new(self.index, self.batch).map_sources(
-            &[NodeId::from_index(src)],
-            start,
-            &self.policy,
-            &self.limits,
-            |_, tree| summary(tree, nodes),
-        );
-        let [hist, reached] = results.pop().expect("one source, one result");
-        (obj([("histogram", hist), ("reached", reached)]), stats)
+        let (mut results, stats) = self.phases.time(Phase::Engine, || {
+            BatchRunner::new(self.index, self.batch).map_sources(
+                &[NodeId::from_index(src)],
+                start,
+                &self.policy,
+                &self.limits,
+                |_, tree| summary(tree, nodes),
+            )
+        });
+        self.phases.time(Phase::Reduce, || {
+            let [hist, reached] = results.pop().expect("one source, one result");
+            (obj([("histogram", hist), ("reached", reached)]), stats)
+        })
     }
 
-    fn matrix(&self, start: &T) -> (Json, EngineStats) {
+    fn matrix(&mut self, start: &T) -> (Json, EngineStats) {
         let nodes = self.index.num_nodes();
-        let m = ReachabilityMatrix::compute_on(
-            self.index,
-            start,
-            &self.policy,
-            &self.limits,
-            self.batch,
-        );
-        let mut off_diagonal = Vec::new();
-        for src in (0..nodes).map(NodeId::from_index) {
-            for dst in (0..nodes).map(NodeId::from_index) {
-                if dst != src {
-                    off_diagonal.push(m.arrival(src, dst));
+        let m = self.phases.time(Phase::Engine, || {
+            ReachabilityMatrix::compute_on(
+                self.index,
+                start,
+                &self.policy,
+                &self.limits,
+                self.batch,
+            )
+        });
+        self.phases.time(Phase::Reduce, || {
+            let mut off_diagonal = Vec::new();
+            for src in (0..nodes).map(NodeId::from_index) {
+                for dst in (0..nodes).map(NodeId::from_index) {
+                    if dst != src {
+                        off_diagonal.push(m.arrival(src, dst));
+                    }
                 }
             }
-        }
-        let results = obj([
-            (
-                "diameter",
-                m.temporal_diameter()
-                    .and_then(|d| d.to_u64())
-                    .map_or(Json::Null, Json::Int),
-            ),
-            ("histogram", histogram(off_diagonal.into_iter(), 0)),
-            ("ratio", Json::Num(m.reachability_ratio())),
-            ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
-            (
-                "temporal_sources",
-                Json::Int(m.temporal_sources().len() as u64),
-            ),
-        ]);
-        (results, m.stats())
+            let results = obj([
+                (
+                    "diameter",
+                    m.temporal_diameter()
+                        .and_then(|d| d.to_u64())
+                        .map_or(Json::Null, Json::Int),
+                ),
+                ("histogram", histogram(off_diagonal.into_iter(), 0)),
+                ("ratio", Json::Num(m.reachability_ratio())),
+                ("temporal_sinks", Json::Int(m.temporal_sinks().len() as u64)),
+                (
+                    "temporal_sources",
+                    Json::Int(m.temporal_sources().len() as u64),
+                ),
+            ]);
+            (results, m.stats())
+        })
     }
 
     /// The sampled matrix plan: one all-destinations foremost run per
@@ -293,77 +284,87 @@ impl<T: Time + Send + Sync, I: TemporalIndex<T> + Sync> Query<'_, T, I> {
     /// row inside the batch workers — the full-tree arrays never
     /// accumulate, which is what keeps the million-node scale job's
     /// resident set bounded by the index, not by `sources × n` trees.
-    fn matrix_sample(&self, sources: usize, seed: u64, start: &T) -> (Json, EngineStats) {
+    fn matrix_sample(&mut self, sources: usize, seed: u64, start: &T) -> (Json, EngineStats) {
         let nodes = self.index.num_nodes();
         let srcs = sample_sources(nodes, sources, seed);
-        let (rows, stats) = BatchRunner::new(self.index, self.batch).map_sources(
-            &srcs,
-            start,
-            &self.policy,
-            &self.limits,
-            |_, tree| Json::Arr(summary(tree, nodes).into()),
-        );
-        let results = obj([
-            ("per_source", Json::Arr(rows)),
-            (
-                "sources",
-                Json::Arr(srcs.iter().map(|s| Json::Int(s.index() as u64)).collect()),
-            ),
-        ]);
-        (results, stats)
+        let (rows, stats) = self.phases.time(Phase::Engine, || {
+            BatchRunner::new(self.index, self.batch).map_sources(
+                &srcs,
+                start,
+                &self.policy,
+                &self.limits,
+                |_, tree| Json::Arr(summary(tree, nodes).into()),
+            )
+        });
+        self.phases.time(Phase::Reduce, || {
+            let results = obj([
+                ("per_source", Json::Arr(rows)),
+                (
+                    "sources",
+                    Json::Arr(srcs.iter().map(|s| Json::Int(s.index() as u64)).collect()),
+                ),
+            ]);
+            (results, stats)
+        })
     }
 
-    fn broadcast(&self, source: Option<usize>, beacons: bool) -> (Json, EngineStats) {
+    fn broadcast(&mut self, source: Option<usize>, beacons: bool) -> (Json, EngineStats) {
         let sources: Vec<usize> = match source {
             Some(s) => vec![s],
             None => (0..self.index.num_nodes()).collect(),
         };
-        let (outcomes, stats) = broadcast_plan(
-            self.index,
-            &self.policy,
-            beacons,
-            &sources,
-            &self.limits,
-            self.batch,
-        );
-        let per_run: Vec<DeliveryStats> = outcomes.iter().map(|o| o.stats()).collect();
-        let results = match source {
-            Some(_) => {
-                let outcome = &outcomes[0];
-                obj([
-                    ("delivery", per_run[0].to_json_value()),
-                    (
-                        "histogram",
-                        histogram(outcome.informed_at.iter().map(Option::as_ref), 0),
-                    ),
-                ])
-            }
-            None => {
-                let aggregate = AggregateStats::from_runs(&per_run);
-                obj([
-                    ("aggregate", aggregate.to_json_value()),
-                    (
-                        "histogram",
-                        histogram(
-                            outcomes
-                                .iter()
-                                .flat_map(|o| o.informed_at.iter().map(Option::as_ref)),
-                            0,
+        let (outcomes, stats) = self.phases.time(Phase::Engine, || {
+            broadcast_plan(
+                self.index,
+                &self.policy,
+                beacons,
+                &sources,
+                &self.limits,
+                self.batch,
+            )
+        });
+        self.phases.time(Phase::Reduce, || {
+            let per_run: Vec<DeliveryStats> = outcomes.iter().map(|o| o.stats()).collect();
+            let results = match source {
+                Some(_) => {
+                    let outcome = &outcomes[0];
+                    obj([
+                        ("delivery", per_run[0].to_json_value()),
+                        (
+                            "histogram",
+                            histogram(outcome.informed_at.iter().map(Option::as_ref), 0),
                         ),
-                    ),
-                    (
-                        "per_source_reached",
-                        Json::Arr(
-                            outcomes
-                                .iter()
-                                .map(|o| Json::Int(o.informed_at.iter().flatten().count() as u64))
-                                .collect(),
+                    ])
+                }
+                None => {
+                    let aggregate = AggregateStats::from_runs(&per_run);
+                    obj([
+                        ("aggregate", aggregate.to_json_value()),
+                        (
+                            "histogram",
+                            histogram(
+                                outcomes
+                                    .iter()
+                                    .flat_map(|o| o.informed_at.iter().map(Option::as_ref)),
+                                0,
+                            ),
                         ),
-                    ),
-                ])
-            }
-        };
-        (results, stats)
+                        (
+                            "per_source_reached",
+                            Json::Arr(
+                                outcomes
+                                    .iter()
+                                    .map(|o| {
+                                        Json::Int(o.informed_at.iter().flatten().count() as u64)
+                                    })
+                                    .collect(),
+                            ),
+                        ),
+                    ])
+                }
+            };
+            (results, stats)
+        })
     }
 }
 
@@ -403,78 +404,75 @@ fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
     }
 }
 
+/// What a feed-defined plan returns: its results and engine counters,
+/// the edge events it ingested, and its timing metrics beside its phases.
+type PlanOutcome = ((Json, EngineStats), usize, BTreeMap<String, Json>);
+
 /// The streaming plan: drive the scenario's feed (a replay of the
 /// generated schedule, or the churn family's native join/leave feed)
-/// through a [`TvgStream`] in `batch_size`-event ingest ticks,
+/// through a [`TvgStream`] in `batch`-event ingest ticks,
 /// repairing one incremental foremost tree per tick, then run one
 /// batched all-sources query against the final live snapshot. Returns
-/// the plan outcome, the final live index's edge-event count (the graph
-/// summary of what was actually ingested), and the phase timing: graph
-/// generation (`build`, measured by the caller), feed construction,
-/// ingest and tree repair summed over the ticks, and the final query.
-fn run_streaming(
-    g: &Tvg<u64>,
-    scenario: &Scenario,
-    src: usize,
-    start: u64,
-    batch_size: usize,
-    build: Duration,
-) -> ((Json, EngineStats), usize, Json) {
+/// the plan outcome and the final live index's edge-event count (the
+/// graph summary of what was actually ingested), and times feed
+/// construction, ingest and repair summed over the ticks, the initial
+/// tree and the final query (`engine`), and the results.
+fn run_streaming(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
+    let &Plan::Streaming {
+        src, start, batch, ..
+    } = scenario.plan()
+    else {
+        unreachable!("called for streaming plans only")
+    };
     let limits = scenario.limits();
-    let feeding = Instant::now();
-    let (mut stream, events) = scenario.stream_feed(g, limits.horizon);
-    let feed = feeding.elapsed();
+    let (mut stream, events) = p.time(Phase::Feed, || scenario.stream_feed(g, limits.horizon));
     let source = NodeId::from_index(src);
-    let mut inc = IncrementalForemost::new(
-        stream.index(),
-        &[(source, start)],
-        *scenario.policy(),
-        limits.clone(),
-    );
+    let mut inc = p.time(Phase::Engine, || {
+        IncrementalForemost::new(
+            stream.index(),
+            &[(source, start)],
+            *scenario.policy(),
+            limits.clone(),
+        )
+    });
     let mut per_tick_reached: Vec<Json> = Vec::new();
-    let (mut ingest, mut repair) = (Duration::ZERO, Duration::ZERO);
-    for chunk in events.chunks(batch_size) {
-        let tick = Instant::now();
-        let report = stream
-            .ingest(chunk)
+    for chunk in events.chunks(batch) {
+        let report = p
+            .time(Phase::Ingest, || stream.ingest(chunk))
             .expect("scenario feeds are valid by construction");
-        let ingested = Instant::now();
-        inc.refresh(stream.index(), &report);
-        ingest += ingested - tick;
-        repair += ingested.elapsed();
+        p.time(Phase::Repair, || inc.refresh(stream.index(), &report));
         per_tick_reached.push(Json::Int(inc.num_reached() as u64));
     }
     // One batched query tick against the final snapshot: every node as a
     // source, collapsed to reached-counts inside the workers.
-    let querying = Instant::now();
     let nodes: Vec<NodeId> = stream.index().tvg().nodes().collect();
-    let (snapshot_reached, snapshot_stats) = BatchRunner::new(stream.index(), scenario.batch())
-        .map_sources(&nodes, &start, scenario.policy(), &limits, |_, tree| {
-            Json::Int(tree.num_reached() as u64)
-        });
-    let snapshot = querying.elapsed();
-    let ticks = per_tick_reached.len() as u64;
-    let results = obj([
-        ("departed", Json::Int(stream.num_departed() as u64)),
-        (
-            "final_histogram",
-            histogram(nodes.iter().map(|&n| inc.arrival(n)), 0),
-        ),
-        ("final_reached", Json::Int(inc.num_reached() as u64)),
-        ("per_tick_reached", Json::Arr(per_tick_reached)),
-        ("snapshot", engine_json(&snapshot_stats)),
-        ("snapshot_reached", Json::Arr(snapshot_reached)),
-        ("ticks", Json::Int(ticks)),
-    ]);
-    let edge_events = stream.index().num_edge_events();
-    let timing = obj([
-        ("build_us", micros(build)),
-        ("feed_us", micros(feed)),
-        ("ingest_us", micros(ingest)),
-        ("repair_us", micros(repair)),
-        ("snapshot_us", micros(snapshot)),
-    ]);
-    ((results, inc.stats() + snapshot_stats), edge_events, timing)
+    let (snapshot_reached, snapshot_stats) = p.time(Phase::Engine, || {
+        BatchRunner::new(stream.index(), scenario.batch()).map_sources(
+            &nodes,
+            &start,
+            scenario.policy(),
+            &limits,
+            |_, tree| Json::Int(tree.num_reached() as u64),
+        )
+    });
+    p.time(Phase::Reduce, || {
+        let ticks = per_tick_reached.len() as u64;
+        let results = obj([
+            ("departed", Json::Int(stream.num_departed() as u64)),
+            (
+                "final_histogram",
+                histogram(nodes.iter().map(|&n| inc.arrival(n)), 0),
+            ),
+            ("final_reached", Json::Int(inc.num_reached() as u64)),
+            ("per_tick_reached", Json::Arr(per_tick_reached)),
+            ("snapshot", engine_json(&snapshot_stats)),
+            ("snapshot_reached", Json::Arr(snapshot_reached)),
+            ("ticks", Json::Int(ticks)),
+        ]);
+        let edge_events = stream.index().num_edge_events();
+        let stats = inc.stats() + snapshot_stats;
+        ((results, stats), edge_events, BTreeMap::new())
+    })
 }
 
 /// The serve plan: replay the generated schedule through a live stream
@@ -482,42 +480,51 @@ fn run_streaming(
 /// load is answered concurrently from epoch-pinned immutable snapshots
 /// (see `tvg_serve`). Reader parallelism follows the scenario's thread
 /// policy; the logical section returned here is reader-count invariant
-/// and canonical, while throughput/latency percentiles come back in the
-/// separate non-canonical timing object.
-#[allow(clippy::too_many_arguments)]
-fn run_serve(
-    g: &Tvg<u64>,
-    scenario: &Scenario,
-    start: u64,
-    requests: usize,
-    gap: u64,
-    mix: (u64, u64, u64),
-    ticks: usize,
-    seed: u64,
-) -> ((Json, EngineStats), usize, Json) {
-    let limits = scenario.limits();
-    let (stream, events) = TvgStream::replay_of(g, &limits.horizon)
-        .expect("spec validation rejects horizons whose successor overflows");
-    // The replay emits exactly one `Up` per compiled span, and every span
-    // counts two edge events.
-    let edge_events = 2 * events
-        .iter()
-        .filter(|ev| matches!(ev, StreamEvent::Up { .. }))
-        .count();
-    // Chop the replay feed into exactly `ticks` ingest batches (the
-    // tail ones may be empty when the feed is short): the epoch count
-    // is part of the spec, not of the generated event volume.
-    let chunk = events.len().div_ceil(ticks).max(1);
-    let mut tick_batches: Vec<Vec<StreamEvent<u64>>> =
-        events.chunks(chunk).map(<[_]>::to_vec).collect();
-    tick_batches.resize(ticks, Vec::new());
-    let load = generate_load(&LoadSpec {
+/// and canonical. The driver times the feed, the load, the serve run
+/// and the results; the run's writer (`ingest`, `publish`) and reader
+/// (`engine`) spans nest inside `serve`, and its latency percentiles
+/// and per-epoch publication counters come back as timing metrics.
+fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
+    let &Plan::Serve {
+        start,
         requests,
-        mean_gap: gap,
+        gap,
         mix,
-        nodes: g.num_nodes(),
-        seed_instant: start,
+        ticks,
         seed,
+        ..
+    } = scenario.plan()
+    else {
+        unreachable!("called for serve plans only")
+    };
+    let limits = scenario.limits();
+    let (stream, tick_batches, edge_events) = p.time(Phase::Feed, || {
+        let (stream, events) = TvgStream::replay_of(g, &limits.horizon)
+            .expect("spec validation rejects horizons whose successor overflows");
+        // The replay emits exactly one `Up` per compiled span, and every
+        // span counts two edge events.
+        let edge_events = 2 * events
+            .iter()
+            .filter(|ev| matches!(ev, StreamEvent::Up { .. }))
+            .count();
+        // Chop the replay feed into exactly `ticks` ingest batches (the
+        // tail ones may be empty when the feed is short): the epoch count
+        // is part of the spec, not of the generated event volume.
+        let chunk = events.len().div_ceil(ticks).max(1);
+        let mut tick_batches: Vec<Vec<StreamEvent<u64>>> =
+            events.chunks(chunk).map(<[_]>::to_vec).collect();
+        tick_batches.resize(ticks, Vec::new());
+        (stream, tick_batches, edge_events)
+    });
+    let load = p.time(Phase::Load, || {
+        generate_load(&LoadSpec {
+            requests,
+            mean_gap: gap,
+            mix,
+            nodes: g.num_nodes(),
+            seed_instant: start,
+            seed,
+        })
     });
     let config = ServeConfig {
         readers: scenario.batch().num_threads(),
@@ -525,85 +532,82 @@ fn run_serve(
         limits,
         start,
     };
-    let outcome = serve(stream, &tick_batches, &load, &config).expect("replay is a valid feed");
+    let outcome = p
+        .time(Phase::Serve, || {
+            serve(stream, &tick_batches, &load, &config)
+        })
+        .expect("replay is a valid feed");
     assert!(
         outcome.epochs_published >= 2,
         "a serve run must publish at least two epochs (got {})",
         outcome.epochs_published
     );
-
-    // Canonical logical section: one `[kind, epoch, value]` triple per
-    // request in admission order, plus the aggregate counts.
-    let answers: Vec<Json> = outcome
-        .served
-        .iter()
-        .map(|s| {
-            let value = match s.answer {
-                Answer::Arrival(a) => a.map_or(Json::Null, Json::Int),
-                Answer::Reached(n) | Answer::Informed(n) => Json::Int(n),
-            };
-            Json::Arr(vec![
-                Json::Str(s.request.kind().to_string()),
-                Json::Int(s.epoch),
-                value,
-            ])
-        })
-        .collect();
-    let mut epoch_counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for s in &outcome.served {
-        *epoch_counts.entry(s.epoch).or_default() += 1;
-    }
-    let results = obj([
-        ("answers", Json::Arr(answers)),
-        ("epochs_published", Json::Int(outcome.epochs_published)),
-        (
-            "epochs_served",
-            Json::Arr(
-                epoch_counts
-                    .into_iter()
-                    .map(|(e, c)| Json::Arr(vec![Json::Int(e), Json::Int(c)]))
-                    .collect(),
+    let timing = outcome.timing;
+    p.add(Phase::Ingest, timing.ingest);
+    p.add(Phase::Publish, timing.publish);
+    p.add(Phase::Engine, timing.engine);
+    p.time(Phase::Reduce, || {
+        // Canonical logical section: one `[kind, epoch, value]` triple per
+        // request in admission order, plus the aggregate counts.
+        let answers: Vec<Json> = outcome
+            .served
+            .iter()
+            .map(|s| {
+                let value = match s.answer {
+                    Answer::Arrival(a) => a.map_or(Json::Null, Json::Int),
+                    Answer::Reached(n) | Answer::Informed(n) => Json::Int(n),
+                };
+                Json::Arr(vec![
+                    Json::Str(s.request.kind().to_string()),
+                    Json::Int(s.epoch),
+                    value,
+                ])
+            })
+            .collect();
+        let mut epoch_counts: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in &outcome.served {
+            *epoch_counts.entry(s.epoch).or_default() += 1;
+        }
+        let results = obj([
+            ("answers", Json::Arr(answers)),
+            ("epochs_published", Json::Int(outcome.epochs_published)),
+            (
+                "epochs_served",
+                Json::Arr(
+                    epoch_counts
+                        .into_iter()
+                        .map(|(e, c)| Json::Arr(vec![Json::Int(e), Json::Int(c)]))
+                        .collect(),
+                ),
             ),
-        ),
-        ("grouped_runs", Json::Int(outcome.grouped_runs)),
-        ("requests", Json::Int(outcome.served.len() as u64)),
-        ("ticks", Json::Int(ticks as u64)),
-    ]);
-    let clamp = |micros: u128| u64::try_from(micros).unwrap_or(u64::MAX);
-    // Publication metrics ride the non-canonical channel with the
-    // latency percentiles, but the three per-epoch counter arrays are
-    // deterministic (single writer, reader-count invariant) — the
-    // serve_props suite pins them against an offline replay; only the
-    // rates genuinely vary run to run.
-    let per_epoch = |f: fn(&tvg_serve::PublishStats) -> u64| {
-        Json::Arr(
-            outcome
-                .publications
-                .iter()
-                .map(|p| Json::Int(f(p)))
-                .collect(),
-        )
-    };
-    let timing = obj([
-        ("chunks_copied", per_epoch(|p| p.chunks_copied)),
-        ("chunks_frozen", per_epoch(|p| p.chunks_frozen)),
-        ("epochs_per_sec", Json::Num(outcome.timing.epochs_per_sec)),
-        ("events_per_epoch", per_epoch(|p| p.events)),
-        (
-            "ingest_micros",
-            Json::Int(clamp(outcome.timing.ingest_micros)),
-        ),
-        ("max_micros", Json::Int(clamp(outcome.timing.max_micros))),
-        ("p50_micros", Json::Int(clamp(outcome.timing.p50_micros))),
-        ("p95_micros", Json::Int(clamp(outcome.timing.p95_micros))),
-        (
-            "publish_micros",
-            Json::Int(clamp(outcome.timing.publish_micros)),
-        ),
-        ("throughput_rps", Json::Num(outcome.timing.throughput_rps)),
-        ("wall_micros", Json::Int(clamp(outcome.timing.wall_micros))),
-    ]);
-    ((results, outcome.stats), edge_events, timing)
+            ("grouped_runs", Json::Int(outcome.grouped_runs)),
+            ("requests", Json::Int(outcome.served.len() as u64)),
+            ("ticks", Json::Int(ticks as u64)),
+        ]);
+        // Publication metrics ride the non-canonical channel with the
+        // latency percentiles, but the three per-epoch counter arrays
+        // are deterministic (single writer, reader-count invariant) —
+        // the serve_props suite pins them against an offline replay.
+        let per_epoch = |f: fn(&tvg_serve::PublishStats) -> u64| {
+            Json::Arr(
+                outcome
+                    .publications
+                    .iter()
+                    .map(|p| Json::Int(f(p)))
+                    .collect(),
+            )
+        };
+        let metrics = [
+            ("chunks_copied", per_epoch(|p| p.chunks_copied)),
+            ("chunks_frozen", per_epoch(|p| p.chunks_frozen)),
+            ("events_per_epoch", per_epoch(|p| p.events)),
+            ("max_us", Json::Int(us(timing.max))),
+            ("p50_us", Json::Int(us(timing.p50))),
+            ("p95_us", Json::Int(us(timing.p95))),
+        ];
+        let metrics = metrics.map(|(k, v)| (k.to_string(), v)).into();
+        ((results, outcome.stats), edge_events, metrics)
+    })
 }
 
 #[cfg(test)]

@@ -25,11 +25,15 @@
 //! broadcast's multi-seed pass is run once per `(epoch, source)` no
 //! matter how many clients asked. [`ServeOutcome::grouped_runs`] counts
 //! the actual engine passes so reports can show the amortization.
+//!
+//! The loop times only what its caller cannot: the writer's ingest and
+//! publication, the readers' `Engine::run` calls and each request's
+//! latency ([`ServeTiming`]); wall time and rates are the caller's.
 
 use crate::load::{Request, TimedRequest};
 use crate::snapshot::{EpochRing, ServeSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tvg_journeys::{Engine, EngineStats, SearchLimits, WaitingPolicy};
 use tvg_model::stream::{StreamError, StreamEvent, TvgStream};
 use tvg_model::NodeId;
@@ -74,32 +78,27 @@ pub struct ServedRequest {
     pub answer: Answer,
 }
 
-/// Wall-clock metrics of a serve run. Real measurements — they vary by
-/// machine and scheduling, so they must stay **outside** any canonical
-/// report bytes (the scenario layer carries them in a non-canonical
-/// `timing` field).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Wall-clock spans a serve run measures on its own threads. Real
+/// measurements — they vary by machine and scheduling, so they must stay
+/// **outside** any canonical report bytes (the scenario layer carries
+/// them in a non-canonical `timing` field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeTiming {
-    /// End-to-end wall time of the run in microseconds.
-    pub wall_micros: u128,
+    /// Writer time inside `TvgStream::ingest`, summed over every tick.
+    pub ingest: Duration,
+    /// Writer time taking and publishing snapshots, summed over every
+    /// epoch.
+    pub publish: Duration,
+    /// Reader time inside `Engine::run`, summed over every group on
+    /// every reader; epoch waits and answer assembly are not in it.
+    pub engine: Duration,
     /// Median per-request service latency (dequeue-to-answer, the
-    /// epoch wait included) in microseconds.
-    pub p50_micros: u128,
-    /// 95th-percentile per-request service latency in microseconds.
-    pub p95_micros: u128,
-    /// Worst per-request service latency in microseconds.
-    pub max_micros: u128,
-    /// Requests answered per wall-clock second.
-    pub throughput_rps: f64,
-    /// Writer wall time spent inside `TvgStream::ingest`, summed over
-    /// every tick, in microseconds.
-    pub ingest_micros: u128,
-    /// Writer wall time spent taking and publishing snapshots, summed
-    /// over every epoch, in microseconds.
-    pub publish_micros: u128,
-    /// Epochs published per second of publication time (the headline
-    /// rate the persistent index keeps flat as the schedule grows).
-    pub epochs_per_sec: f64,
+    /// epoch wait included).
+    pub p50: Duration,
+    /// 95th-percentile per-request service latency.
+    pub p95: Duration,
+    /// Worst per-request service latency.
+    pub max: Duration,
 }
 
 /// What publishing one epoch shared and copied. Unlike [`ServeTiming`],
@@ -188,12 +187,12 @@ enum GroupClass {
     Beacon,
 }
 
-/// What one reader brings back for one group.
+/// What one reader brings back for one group: an answer per member.
 struct GroupResult {
     answers: Vec<(usize, u64, Answer)>,
     stats: EngineStats,
-    micros: u128,
-    members: usize,
+    engine: Duration,
+    latency: Duration,
 }
 
 /// Runs the serve loop: the writer applies `ticks` to `stream` and
@@ -222,7 +221,6 @@ pub fn serve(
     requests: &[TimedRequest],
     config: &ServeConfig,
 ) -> Result<ServeOutcome, StreamError<u64>> {
-    let started = Instant::now();
     let avail = availability(ticks);
     let epochs = ticks.len() + 1;
 
@@ -255,8 +253,7 @@ pub fn serve(
 
     let mut ingest_result: Result<(), StreamError<u64>> = Ok(());
     let mut publications: Vec<PublishStats> = Vec::new();
-    let mut publish_micros: u128 = 0;
-    let mut ingest_micros: u128 = 0;
+    let (mut ingest, mut publish) = (Duration::ZERO, Duration::ZERO);
     let mut group_results: Vec<Option<GroupResult>> = Vec::with_capacity(groups.len());
     group_results.resize_with(groups.len(), || None);
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
@@ -270,7 +267,7 @@ pub fn serve(
             for (i, tick) in ticks.iter().enumerate() {
                 let t0 = Instant::now();
                 let ingested = stream.ingest(tick);
-                log.ingest_micros += t0.elapsed().as_micros();
+                log.ingest += t0.elapsed();
                 if let Err(e) = ingested {
                     // Publish the remaining epochs as stale copies so
                     // readers pinned past the failure never spin
@@ -300,7 +297,7 @@ pub fn serve(
                         };
                         let t0 = Instant::now();
                         let snapshot = ring.wait(*epoch);
-                        let result = serve_group(
+                        let mut result = serve_group(
                             &mut engine,
                             &snapshot,
                             *class,
@@ -314,15 +311,8 @@ pub fn serve(
                         if pinned.fetch_sub(1, Ordering::AcqRel) == 1 {
                             ring.release(*epoch);
                         }
-                        done.push((
-                            gi,
-                            GroupResult {
-                                answers: result.0,
-                                stats: result.1,
-                                micros: t0.elapsed().as_micros(),
-                                members: members.len(),
-                            },
-                        ));
+                        result.latency = t0.elapsed();
+                        done.push((gi, result));
                     }
                 })
             })
@@ -346,8 +336,7 @@ pub fn serve(
             Ok((result, log)) => {
                 ingest_result = result;
                 publications = log.publications;
-                publish_micros = log.micros;
-                ingest_micros = log.ingest_micros;
+                (ingest, publish) = (log.ingest, log.publish);
             }
             Err(payload) => {
                 panic_payload.get_or_insert(payload);
@@ -362,13 +351,12 @@ pub fn serve(
     // Merge: every group ran exactly once, every request belongs to
     // exactly one group, so the slots below fill completely.
     let mut served: Vec<Option<ServedRequest>> = vec![None; requests.len()];
-    let mut stats = EngineStats::default();
-    let mut latencies: Vec<u128> = Vec::with_capacity(requests.len());
+    let (mut stats, mut engine) = (EngineStats::default(), Duration::ZERO);
+    let mut latencies: Vec<Duration> = Vec::with_capacity(requests.len());
     for result in group_results.into_iter().flatten() {
         stats += result.stats;
-        for _ in 0..result.members {
-            latencies.push(result.micros);
-        }
+        engine += result.engine;
+        latencies.extend(std::iter::repeat_n(result.latency, result.answers.len()));
         for (i, epoch, answer) in result.answers {
             served[i] = Some(ServedRequest {
                 at: requests[i].at,
@@ -383,25 +371,12 @@ pub fn serve(
         .map(|r| r.expect("every request was served by its group"))
         .collect();
 
-    let wall_micros = started.elapsed().as_micros();
     latencies.sort_unstable();
-    let percentile = |p: usize| -> u128 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        latencies[(latencies.len() - 1) * p / 100]
-    };
-    #[allow(clippy::cast_precision_loss)]
-    let throughput_rps = if wall_micros == 0 {
-        0.0
-    } else {
-        requests.len() as f64 / (wall_micros as f64 / 1_000_000.0)
-    };
-    #[allow(clippy::cast_precision_loss)]
-    let epochs_per_sec = if publish_micros == 0 {
-        0.0
-    } else {
-        epochs as f64 / (publish_micros as f64 / 1_000_000.0)
+    let percentile = |p: usize| {
+        latencies
+            .get(latencies.len().saturating_sub(1) * p / 100)
+            .copied()
+            .unwrap_or_default()
     };
     Ok(ServeOutcome {
         served,
@@ -410,14 +385,12 @@ pub fn serve(
         stats,
         publications,
         timing: ServeTiming {
-            wall_micros,
-            p50_micros: percentile(50),
-            p95_micros: percentile(95),
-            max_micros: latencies.last().copied().unwrap_or(0),
-            throughput_rps,
-            ingest_micros,
-            publish_micros,
-            epochs_per_sec,
+            ingest,
+            publish,
+            engine,
+            p50: percentile(50),
+            p95: percentile(95),
+            max: percentile(100),
         },
     })
 }
@@ -430,8 +403,8 @@ struct PublishLog<'a> {
     ring: &'a EpochRing<u64>,
     /// Groups per epoch; no reader counts one down before it is published.
     pins: &'a [AtomicUsize],
-    micros: u128,
-    ingest_micros: u128,
+    publish: Duration,
+    ingest: Duration,
     last_copied: u64,
 }
 
@@ -441,8 +414,8 @@ impl<'a> PublishLog<'a> {
             publications: Vec::with_capacity(pins.len()),
             ring,
             pins,
-            micros: 0,
-            ingest_micros: 0,
+            publish: Duration::ZERO,
+            ingest: Duration::ZERO,
             last_copied: stream.index().chunks_copied(),
         }
     }
@@ -458,7 +431,7 @@ impl<'a> PublishLog<'a> {
         } else {
             self.ring.publish_released(epoch);
         }
-        self.micros += t0.elapsed().as_micros();
+        self.publish += t0.elapsed();
         let copied = stream.index().chunks_copied();
         self.publications.push(PublishStats {
             epoch,
@@ -471,7 +444,7 @@ impl<'a> PublishLog<'a> {
 }
 
 /// Answers one group with a single engine pass over its pinned
-/// snapshot.
+/// snapshot, timing the pass (the caller fills in the latency).
 fn serve_group(
     engine: &mut Engine<u64>,
     snapshot: &std::sync::Arc<ServeSnapshot<u64>>,
@@ -480,7 +453,7 @@ fn serve_group(
     members: &[usize],
     requests: &[TimedRequest],
     config: &ServeConfig,
-) -> (Vec<(usize, u64, Answer)>, EngineStats) {
+) -> GroupResult {
     let source = NodeId::from_index(src);
     let seeds: Vec<(NodeId, u64)> = match class {
         GroupClass::Tree => vec![(source, config.start)],
@@ -489,6 +462,7 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
+    let t0 = Instant::now();
     let tree = engine.run(
         snapshot.index(),
         &seeds,
@@ -496,6 +470,7 @@ fn serve_group(
         &config.limits,
         None,
     );
+    let ran = t0.elapsed();
     let reached = tree.num_reached() as u64;
     let answers = members
         .iter()
@@ -510,7 +485,12 @@ fn serve_group(
             (i, snapshot.epoch(), answer)
         })
         .collect();
-    (answers, tree.stats())
+    GroupResult {
+        answers,
+        stats: tree.stats(),
+        engine: ran,
+        latency: Duration::ZERO,
+    }
 }
 
 #[cfg(test)]
