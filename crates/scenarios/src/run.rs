@@ -480,7 +480,7 @@ fn run_streaming(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutco
 /// load is answered concurrently from epoch-pinned immutable snapshots
 /// (see `tvg_serve`). Reader parallelism follows the scenario's thread
 /// policy; the logical section returned here is reader-count invariant
-/// and canonical. The driver times the feed, the load, the serve run
+/// and canonical. The plan times the feed, the load, the serve run
 /// and the results; the run's writer (`ingest`, `publish`) and reader
 /// (`engine`) spans nest inside `serve`, and its latency percentiles
 /// and per-epoch publication counters come back as timing metrics.
