@@ -602,6 +602,15 @@ pub fn spec_files(dir: &Path) -> Result<Vec<(PathBuf, PathBuf)>, CliError> {
 mod tests {
     use super::{engine_us, ns_per_query, rates, Json};
 
+    /// `engine_us` of each `key=value` timing in `text`.
+    fn engine_us_of(text: &str) -> u64 {
+        let timing = text.split(' ').map(|kv| {
+            let (key, us) = kv.split_once('=').expect("key=value");
+            (key.to_string(), Json::Int(us.parse().expect("integer")))
+        });
+        engine_us(&Json::Obj(timing.collect()))
+    }
+
     /// Every plan's rates divide by `repair_us + engine_us`, whichever
     /// of the two its timing carries, never by the wall time or by
     /// another phase.
@@ -612,25 +621,32 @@ mod tests {
                 "build_us=617083 narrow_us=9 engine_us=12988 reduce_us=40",
                 12_988,
             ),
+            ("serve_us=900000 publish_us=2 engine_us=400000", 400_000),
+            ("build_us=4000 open_us=7", 0),
+        ] {
+            assert_eq!(engine_us_of(text), span, "{text}");
+        }
+        assert_eq!(engine_us(&Json::Null), 0);
+        assert_eq!(rates(12_988, 8, 21), [615, 1_616, 1_623_500]);
+        // A zero-length phase must not divide by zero.
+        assert_eq!(rates(0, 2, 3), [2_000_000, 3_000_000, 500]);
+    }
+
+    /// A streaming plan's engine phase is its summed per-tick repair
+    /// plus its `engine_us` (the initial tree and the final snapshot
+    /// query); feed construction and ingest stay out of the rates.
+    #[test]
+    fn streaming_rates_divide_by_repair_plus_snapshot() {
+        for (text, span) in [
             (
                 "feed_us=20000 ingest_us=1 repair_us=580000 engine_us=290000",
                 870_000,
             ),
             ("ingest_us=300000 repair_us=580000", 580_000),
-            ("serve_us=900000 publish_us=2 engine_us=400000", 400_000),
-            ("build_us=4000 open_us=7", 0),
         ] {
-            let timing = text.split(' ').map(|kv| {
-                let (key, us) = kv.split_once('=').expect("key=value");
-                (key.to_string(), Json::Int(us.parse().expect("integer")))
-            });
-            assert_eq!(engine_us(&Json::Obj(timing.collect())), span, "{text}");
+            assert_eq!(engine_us_of(text), span, "{text}");
         }
-        assert_eq!(engine_us(&Json::Null), 0);
-        assert_eq!(rates(12_988, 8, 21), [615, 1_616, 1_623_500]);
         assert_eq!(rates(870_000, 87, 174), [100, 200, 10_000_000]);
-        // A zero-length phase must not divide by zero.
-        assert_eq!(rates(0, 2, 3), [2_000_000, 3_000_000, 500]);
     }
 
     /// The bug this replaced: `wall_us / runs` truncated every

@@ -193,86 +193,122 @@ fn a_misspelled_flag_is_a_usage_error_not_a_missing_spec() {
     }
 }
 
-/// The one timing schema, pinned per command: the exact key set of the
-/// `timing` line each prints on stderr, and that its disjoint phases sum
-/// to no more than the run's wall time. Every `_us` key is a phase but
-/// the latency percentiles, and serve's writer (`ingest_us`,
-/// `publish_us`) and reader (`engine_us`) spans nest inside `serve_us`.
-#[test]
-fn every_command_times_its_phases_under_one_schema() {
-    let spec = |name: &str| bundled_scenarios_dir().join(format!("{name}.tvgs"));
-    let [ring, stream, serve] = ["ring-matrix", "markov-stream", "scale-free-serve"]
-        .map(|name| spec(name).display().to_string());
-    let index = scratch("schema.tvgi").display().to_string();
-    for (argv, keys) in [
-        (
-            vec!["compile", &ring, "-o", &index],
-            "build_us compile_us narrow_us write_us",
-        ),
-        (
-            vec!["run", &ring, "--index", &index],
-            "engine_us open_us reduce_us",
-        ),
-        (
-            vec!["run", &ring],
-            "build_us compile_us engine_us narrow_us reduce_us",
-        ),
-        (
-            vec!["run", &stream],
-            "build_us engine_us feed_us ingest_us reduce_us repair_us",
-        ),
-        (
-            vec!["run", &serve],
-            "build_us chunks_copied chunks_frozen engine_us events_per_epoch feed_us ingest_us \
-             load_us max_us p50_us p95_us publish_us reduce_us serve_us",
-        ),
-    ] {
-        let started = std::time::Instant::now();
-        let out = run_command(&args(&argv)).expect("command succeeds");
-        let elapsed = u64::try_from(started.elapsed().as_nanos() / 1_000).expect("fits");
-        // `<prefix> <scenario> <rest>` on stderr (one scenario per spec).
-        let line = |prefix: &str| {
-            let rest = out.stderr.lines().find_map(|l| l.strip_prefix(prefix))?;
-            Some(rest.split_once(' ')?.1)
-        };
-        let timing = line("timing ").unwrap_or_else(|| panic!("{argv:?}: {:?}", out.stderr));
-        // Values are integers or integer arrays, so every quoted string is a key.
-        let found: Vec<&str> = timing.split('"').skip(1).step_by(2).collect();
-        assert_eq!(
-            found,
-            keys.split_whitespace().collect::<Vec<_>>(),
-            "{argv:?}"
-        );
-        // `run` reports the wall time it measured; `compile` none, so the
-        // test's own clock bounds it.
-        let wall = line("ran ")
-            .and_then(|rest| rest.split(" in ").nth(1)?.strip_suffix(" µs")?.parse().ok())
-            .unwrap_or(elapsed);
-        let mut nested = vec!["p50_us", "p95_us", "max_us"];
-        if found.contains(&"serve_us") {
-            nested.extend(["ingest_us", "publish_us", "engine_us"]);
-        }
-        let int_at = |key: &str| -> u64 {
-            let value = timing
-                .split(&format!("\"{key}\":"))
-                .nth(1)
-                .unwrap_or_default();
-            value
-                .split([',', '}'])
-                .next()
-                .unwrap_or_default()
-                .parse()
-                .expect("integer")
-        };
-        let phases: u64 = found
-            .iter()
-            .filter(|key| key.ends_with("_us") && !nested.contains(key))
-            .map(|key| int_at(key))
-            .sum();
-        assert!(
-            phases <= wall,
-            "{argv:?}: phases {phases} µs > wall {wall} µs"
-        );
+/// The one timing schema: `argv` prints a `timing` line on stderr with
+/// exactly the keys `keys` (in order), and its disjoint phases sum to no
+/// more than the run's wall time. Every `_us` key is a phase but the
+/// latency percentiles, and serve's writer (`ingest_us`, `publish_us`)
+/// and reader (`engine_us`) spans nest inside `serve_us`.
+fn assert_phase_schema(argv: &[&str], keys: &str) {
+    let started = std::time::Instant::now();
+    let out = run_command(&args(argv)).expect("command succeeds");
+    let elapsed = u64::try_from(started.elapsed().as_nanos() / 1_000).expect("fits");
+    // `<prefix> <scenario> <rest>` on stderr (one scenario per spec).
+    let line = |prefix: &str| {
+        let rest = out.stderr.lines().find_map(|l| l.strip_prefix(prefix))?;
+        Some(rest.split_once(' ')?.1)
+    };
+    let timing = line("timing ").unwrap_or_else(|| panic!("{argv:?}: {:?}", out.stderr));
+    // Values are integers or integer arrays, so every quoted string is a key.
+    let found: Vec<&str> = timing.split('"').skip(1).step_by(2).collect();
+    assert_eq!(
+        found,
+        keys.split_whitespace().collect::<Vec<_>>(),
+        "{argv:?}"
+    );
+    // `run` reports the wall time it measured; `compile` none, so the
+    // test's own clock bounds it.
+    let wall = line("ran ")
+        .and_then(|rest| rest.split(" in ").nth(1)?.strip_suffix(" µs")?.parse().ok())
+        .unwrap_or(elapsed);
+    let mut nested = vec!["p50_us", "p95_us", "max_us"];
+    if found.contains(&"serve_us") {
+        nested.extend(["ingest_us", "publish_us", "engine_us"]);
     }
+    let int_at = |key: &str| -> u64 {
+        let value = timing
+            .split(&format!("\"{key}\":"))
+            .nth(1)
+            .unwrap_or_default();
+        value
+            .split([',', '}'])
+            .next()
+            .unwrap_or_default()
+            .parse()
+            .expect("integer")
+    };
+    let phases: u64 = found
+        .iter()
+        .filter(|key| key.ends_with("_us") && !nested.contains(key))
+        .map(|key| int_at(key))
+        .sum();
+    assert!(
+        phases <= wall,
+        "{argv:?}: phases {phases} µs > wall {wall} µs"
+    );
+}
+
+fn bundled(name: &str) -> String {
+    bundled_scenarios_dir()
+        .join(format!("{name}.tvgs"))
+        .display()
+        .to_string()
+}
+
+/// `compile` splits its cost into generation, narrowing, the compile
+/// proper and the file write.
+#[test]
+fn compile_reports_its_build_narrow_compile_and_write_time() {
+    let index = scratch("schema.tvgi").display().to_string();
+    assert_phase_schema(
+        &["compile", &bundled("ring-matrix"), "-o", &index],
+        "build_us compile_us narrow_us write_us",
+    );
     let _ = std::fs::remove_file(&index);
+}
+
+/// `run --index` splits its wall time into the file open and the plan:
+/// the engine fan-out and the caller-side reduce.
+#[test]
+fn an_indexed_run_reports_its_open_and_plan_time() {
+    let spec = bundled("ring-matrix");
+    let index = scratch("timing.tvgi").display().to_string();
+    run_command(&args(&["compile", &spec, "-o", &index])).expect("bundled spec compiles");
+    assert_phase_schema(
+        &["run", &spec, "--index", &index],
+        "engine_us open_us reduce_us",
+    );
+    let _ = std::fs::remove_file(&index);
+}
+
+/// A direct batch run splits it into generation, narrowing, compile and
+/// the plan (engine plus reduce).
+#[test]
+fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
+    assert_phase_schema(
+        &["run", &bundled("ring-matrix")],
+        "build_us compile_us engine_us narrow_us reduce_us",
+    );
+}
+
+/// A streaming run splits it into generation, feed construction, ingest
+/// and repair summed over the ticks, the engine (the initial tree plus
+/// the final snapshot query) and the reduce.
+#[test]
+fn a_streaming_run_reports_its_feed_ingest_repair_and_snapshot_time() {
+    assert_phase_schema(
+        &["run", &bundled("markov-stream")],
+        "build_us engine_us feed_us ingest_us reduce_us repair_us",
+    );
+}
+
+/// A serve run reports its driver phases, the writer's and readers'
+/// spans nested in `serve_us`, the latency percentiles and the per-epoch
+/// counter arrays.
+#[test]
+fn a_serve_run_reports_its_driver_writer_and_reader_time() {
+    assert_phase_schema(
+        &["run", &bundled("scale-free-serve")],
+        "build_us chunks_copied chunks_frozen engine_us events_per_epoch feed_us ingest_us \
+         load_us max_us p50_us p95_us publish_us reduce_us serve_us",
+    );
 }
