@@ -42,6 +42,7 @@ use crate::engine::{Engine, EngineStats, ForemostTree};
 use crate::{SearchLimits, WaitingPolicy};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use tvg_model::{NodeId, TemporalIndex, Time};
 
 /// Environment variable overriding [`Batch::auto`]'s thread count.
@@ -76,7 +77,8 @@ impl Batch {
 
     /// The deployment default: the `TVG_BATCH_THREADS` environment
     /// variable if set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`].
+    /// [`std::thread::available_parallelism`]. The variable is read on
+    /// every call; the machine's parallelism is asked once per process.
     ///
     /// A set-but-invalid value (`"four"`, `"-2"`) still falls back to
     /// machine parallelism, but emits a one-line warning on stderr
@@ -99,9 +101,9 @@ impl Batch {
                         None
                     }
                 });
-        let threads = from_env
-            .or_else(|| std::thread::available_parallelism().ok())
-            .unwrap_or(NonZeroUsize::MIN);
+        static MACHINE: OnceLock<NonZeroUsize> = OnceLock::new();
+        let machine = || std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+        let threads = from_env.unwrap_or_else(|| *MACHINE.get_or_init(machine));
         Batch { threads }
     }
 

@@ -24,6 +24,7 @@
 //! any error, so the compressed path needs no spec opt-in and can never
 //! change a report.
 
+use crate::schedule::same_instant_set;
 use crate::{EdgeId, Latency, Presence, Tvg};
 
 /// Why a TVG could not be lowered into the `u32` time domain. Every
@@ -104,20 +105,16 @@ pub fn narrow_tvg(g: &Tvg<u64>, horizon: u64) -> Result<Tvg<u32>, NarrowError> {
     if horizon > MAX_NARROW_HORIZON {
         return Err(NarrowError::HorizonExceedsU32 { horizon });
     }
-    // Generators push the orientations of a contact back to back, sharing
-    // one instant set: narrow it once and share the result as well.
-    let mut last: Option<(&[u64], Presence<u32>)> = None;
+    // A contact's orientations share one instant set: narrow it once and
+    // share the result as well.
+    let mut last: Option<(&Presence<u64>, Presence<u32>)> = None;
     g.try_map_schedules(|e, edge| {
-        let presence = match (edge.presence(), last.take()) {
-            (Presence::FiniteSet(set), Some((wide, narrowed)))
-                if std::ptr::eq(set.as_slice(), wide) =>
-            {
-                narrowed
-            }
-            (wide, _) => narrow_presence(wide),
+        let presence = match last.take() {
+            Some((wide, narrowed)) if same_instant_set(wide, edge.presence()) => narrowed,
+            _ => narrow_presence(edge.presence()),
         };
-        if let Presence::FiniteSet(set) = edge.presence() {
-            last = Some((set.as_slice(), presence.clone()));
+        if let Presence::FiniteSet(_) = edge.presence() {
+            last = Some((edge.presence(), presence.clone()));
         }
         Ok((presence, narrow_latency(edge.latency(), horizon, e)?))
     })

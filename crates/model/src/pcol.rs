@@ -10,7 +10,8 @@
 //! *handles* (refcount bumps), and a mutation after a clone copies only
 //! the one chunk it lands in (copy-on-write via [`Arc::make_mut`]).
 //! Appends go to a small owned tail that is frozen into an `Arc` chunk
-//! when full.
+//! when full; the new tail is allocated at the chunk capacity at once,
+//! so a growing column never regrows a chunk from empty.
 //!
 //! A chunk copy clones each of its `N` elements. The live index keeps
 //! that cheap by storing handles: an element of its presence column is
@@ -83,11 +84,12 @@ impl<V, const N: usize> PCol<V, N> {
     }
 
     /// Appends an element; freezes the tail into a shared chunk when it
-    /// reaches the chunk capacity.
+    /// reaches the chunk capacity, leaving a fresh tail of that capacity.
     pub fn push(&mut self, v: V) {
         self.tail.push(v);
         if self.tail.len() == N {
-            self.full.push(Arc::new(std::mem::take(&mut self.tail)));
+            let chunk = std::mem::replace(&mut self.tail, Vec::with_capacity(N));
+            self.full.push(Arc::new(chunk));
             self.stamps.push(self.generation);
         }
     }

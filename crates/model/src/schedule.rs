@@ -267,6 +267,15 @@ impl<T> InstantSet<T> {
     }
 }
 
+/// Whether `a` and `b` are one instant set (the same allocation, not
+/// merely equal). Generators push a contact's orientations back to back
+/// with one [`InstantSet`], so a pass in edge-id order that tests each
+/// edge against the previous one handles each contact once.
+pub(crate) fn same_instant_set<T>(a: &Presence<T>, b: &Presence<T>) -> bool {
+    matches!((a, b), (Presence::FiniteSet(a), Presence::FiniteSet(b))
+        if std::ptr::eq(a.as_slice(), b.as_slice()))
+}
+
 impl<T: Ord> FromIterator<T> for InstantSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut instants: Vec<T> = iter.into_iter().collect();

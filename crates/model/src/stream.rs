@@ -41,7 +41,9 @@
 
 use crate::interval::{SpanList, SpanView};
 use crate::pcol::{PCol, COL_CHUNK};
+use crate::schedule::same_instant_set;
 use crate::{EdgeId, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -504,10 +506,41 @@ impl<T: Time> TvgStream<T> {
     /// Adds a node, returning its id. Topology growth carries no
     /// timestamp and never affects existing presence.
     pub fn add_node(&mut self, name: &str) -> NodeId {
+        self.push_node_columns();
+        self.live.g_mut().push_node(name)
+    }
+
+    /// Appends a node's live columns; the caller grows the graph to match.
+    fn push_node_columns(&mut self) {
         self.live.adjacency.push(Vec::new());
         self.departed.push(None);
         self.incident.push(Vec::new());
-        self.live.g_mut().push_node(name)
+    }
+
+    /// Appends a closed, spanless edge's live columns, returning its id;
+    /// the caller validates the edge and grows the graph to match.
+    fn push_edge_columns(&mut self, src: NodeId, dst: NodeId, latency: &Latency<T>) -> EdgeId {
+        let e = EdgeId::from_index(self.live.dsts.len());
+        self.live
+            .arrival_monotone
+            .push(latency.arrival_is_monotone());
+        self.live.const_lat.push(match latency {
+            Latency::Const(c) => Some(c.clone()),
+            _ => None,
+        });
+        self.live.presence.push(SpanList::new());
+        self.live.dsts.push(dst);
+        self.open_since.push(None);
+        self.incident[src.index()].push(e);
+        if dst != src {
+            self.incident[dst.index()].push(e);
+        }
+        // The new edge has the maximal id, so it lands at the end of its
+        // source's out-list — the same edge-id order the batch CSR
+        // produces. Only the chunk holding that one node's list is
+        // unshared if snapshots currently share it.
+        self.live.adjacency.get_mut(src.index()).push(e);
+        e
     }
 
     /// Adds an edge (initially absent), returning its id.
@@ -536,29 +569,10 @@ impl<T: Time> TvgStream<T> {
             }
         }
         let letter = Letter::new(label).map_err(|_| StreamError::BadLabel(label))?;
+        let e = self.push_edge_columns(src, dst, &latency);
         self.live
-            .arrival_monotone
-            .push(latency.arrival_is_monotone());
-        self.live.const_lat.push(match &latency {
-            Latency::Const(c) => Some(c.clone()),
-            _ => None,
-        });
-        let e = self
-            .live
             .g_mut()
             .push_edge(src, dst, letter, Presence::Never, latency);
-        self.live.presence.push(SpanList::new());
-        self.live.dsts.push(dst);
-        self.open_since.push(None);
-        self.incident[src.index()].push(e);
-        if dst != src {
-            self.incident[dst.index()].push(e);
-        }
-        // The new edge has the maximal id, so it lands at the end of its
-        // source's out-list — the same edge-id order the batch CSR
-        // produces. Only the chunk holding that one node's list is
-        // unshared if snapshots currently share it.
-        self.live.adjacency.get_mut(src.index()).push(e);
         Ok(e)
     }
 
@@ -797,6 +811,14 @@ impl<T: Time> TvgStream<T> {
     /// the list into batches is how the test harness (and the replay
     /// benchmarks) drive live workloads from batch fixtures.
     ///
+    /// Events are emitted edge by edge in id order, then stable-sorted by
+    /// instant alone: ties keep edge-id order, and an edge has at most one
+    /// event per instant (normalized spans are non-empty and never touch).
+    /// A run of consecutive edges sharing one instant set (a contact's
+    /// orientations) compiles its spans once and sorts one entry per span
+    /// end, expanded to the run's edges in id order. The mirror shares
+    /// `g`'s name table.
+    ///
     /// Provisional closes (spans still open at the horizon) are *not*
     /// replayed as `Down` events — the stream keeps those edges open,
     /// exactly as the compiled index presumes them present through the
@@ -808,41 +830,43 @@ impl<T: Time> TvgStream<T> {
     /// time representation.
     pub fn replay_of(g: &Tvg<T>, horizon: &T) -> Result<ReplayFeed<T>, StreamError<T>> {
         let mut stream = TvgStream::new(horizon.clone())?;
-        for n in g.nodes() {
-            stream.add_node(g.node_name(n));
+        for _ in g.nodes() {
+            stream.push_node_columns();
         }
-        // `(time, edge, is_down)`: the tuple order is the feed order.
-        let mut timed: Vec<(T, EdgeId, bool)> = Vec::new();
-        for e in g.edges() {
-            let edge = g.edge(e);
-            stream
-                .add_edge(
-                    edge.src(),
-                    edge.dst(),
-                    edge.label().as_char(),
-                    edge.latency().clone(),
-                )
-                .expect("mirrored edges are valid");
-            for (start, end) in edge.presence().intervals(horizon).spans() {
-                timed.push((start.clone(), e, false));
-                // A close beyond the horizon is the compiled form of "still
-                // open": the stream expresses it by not closing at all.
-                if end <= horizon {
-                    timed.push((end.clone(), e, true));
+        // `(time, first edge, run length << 1 | is_down)` in edge-id order.
+        let mut timed: Vec<(T, EdgeId, u32)> = Vec::new();
+        let (mut prev, mut run) = (None, 0);
+        let Ok(live) = g.try_map_schedules(|_, edge| {
+            let e = stream.push_edge_columns(edge.src(), edge.dst(), edge.latency());
+            if prev.is_some_and(|prev| same_instant_set(prev, edge.presence())) {
+                timed[run..].iter_mut().for_each(|entry| entry.2 += 2);
+            } else {
+                run = timed.len();
+                for (start, end) in edge.presence().intervals(horizon).spans() {
+                    timed.push((start.clone(), e, 2));
+                    // A close beyond the horizon is the compiled form of "still
+                    // open": the stream expresses it by not closing at all.
+                    if end <= horizon {
+                        timed.push((end.clone(), e, 3));
+                    }
                 }
             }
-        }
-        timed.sort_unstable();
-        let events = timed
-            .into_iter()
-            .map(|(at, edge, down)| {
-                if down {
+            prev = Some(edge.presence());
+            Ok::<_, Infallible>((Presence::Never, edge.latency().clone()))
+        });
+        stream.live.g = Arc::new(live);
+        timed.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut events = Vec::with_capacity(timed.iter().map(|t| t.2 as usize >> 1).sum());
+        events.extend(timed.into_iter().flat_map(|(at, first, flags)| {
+            (first.index()..first.index() + (flags >> 1) as usize).map(move |i| {
+                let (edge, at) = (EdgeId::from_index(i), at.clone());
+                if flags & 1 == 1 {
                     StreamEvent::Down { edge, at }
                 } else {
                     StreamEvent::Up { edge, at }
                 }
             })
-            .collect();
+        }));
         Ok((stream, events))
     }
 }

@@ -476,7 +476,8 @@ fn run_streaming(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutco
 }
 
 /// The serve plan: replay the generated schedule through a live stream
-/// in `ticks` ingest batches while a deterministic synthetic client
+/// in `ticks` ingest batches (borrowed chunks of the one replay feed,
+/// never copies of it) while a deterministic synthetic client
 /// load is answered concurrently from epoch-pinned immutable snapshots
 /// (see `tvg_serve`). Reader parallelism follows the scenario's thread
 /// policy; the logical section returned here is reader-count invariant
@@ -498,7 +499,7 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
         unreachable!("called for serve plans only")
     };
     let limits = scenario.limits();
-    let (stream, tick_batches, edge_events) = p.time(Phase::Feed, || {
+    let (stream, events, edge_events) = p.time(Phase::Feed, || {
         let (stream, events) = TvgStream::replay_of(g, &limits.horizon)
             .expect("spec validation rejects horizons whose successor overflows");
         // The replay emits exactly one `Up` per compiled span, and every
@@ -507,15 +508,14 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
             .iter()
             .filter(|ev| matches!(ev, StreamEvent::Up { .. }))
             .count();
-        // Chop the replay feed into exactly `ticks` ingest batches (the
-        // tail ones may be empty when the feed is short): the epoch count
-        // is part of the spec, not of the generated event volume.
-        let chunk = events.len().div_ceil(ticks).max(1);
-        let mut tick_batches: Vec<Vec<StreamEvent<u64>>> =
-            events.chunks(chunk).map(<[_]>::to_vec).collect();
-        tick_batches.resize(ticks, Vec::new());
-        (stream, tick_batches, edge_events)
+        (stream, events, edge_events)
     });
+    // Chop the replay feed into exactly `ticks` borrowed ingest batches
+    // (the tail ones may be empty when the feed is short): the epoch
+    // count is part of the spec, not of the generated event volume.
+    let chunk = events.len().div_ceil(ticks).max(1);
+    let mut tick_batches: Vec<&[StreamEvent<u64>]> = events.chunks(chunk).collect();
+    tick_batches.resize(ticks, &[]);
     let load = p.time(Phase::Load, || {
         generate_load(&LoadSpec {
             requests,

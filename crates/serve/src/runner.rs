@@ -147,13 +147,14 @@ pub struct ServeOutcome {
 /// timed events inherits its predecessor's availability). A request
 /// arriving at instant `t` is served by the latest epoch whose content
 /// is from `<= t` — this is the timestamp arithmetic that makes epoch
-/// pinning deterministic.
+/// pinning deterministic. A tick is any slice-like batch of events: an
+/// owned `Vec` or a borrowed chunk of one feed.
 #[must_use]
-pub fn availability(ticks: &[Vec<StreamEvent<u64>>]) -> Vec<u64> {
+pub fn availability<B: AsRef<[StreamEvent<u64>]>>(ticks: &[B]) -> Vec<u64> {
     let mut avail = Vec::with_capacity(ticks.len());
     let mut running = 0u64;
     for tick in ticks {
-        for event in tick {
+        for event in tick.as_ref() {
             let instant = match event {
                 StreamEvent::Up { at, .. }
                 | StreamEvent::Down { at, .. }
@@ -198,7 +199,9 @@ struct GroupResult {
 /// Runs the serve loop: the writer applies `ticks` to `stream` and
 /// publishes one snapshot epoch per tick (plus the initial epoch 0),
 /// while `config.readers` reader threads drain `requests` — grouped by
-/// `(epoch, class, source)` — against their pinned snapshots.
+/// `(epoch, class, source)` — against their pinned snapshots. A tick is
+/// any slice-like batch of events, so a caller can hand over borrowed
+/// chunks of one feed instead of copying it into owned batches.
 ///
 /// Readers take snapshots off the [`EpochRing`]. The reader finishing
 /// an epoch's last group releases it, and an epoch no group is pinned
@@ -215,9 +218,9 @@ struct GroupResult {
 ///
 /// Propagates the first worker panic after all threads are joined
 /// (mirroring the batch layer's fan-out discipline).
-pub fn serve(
+pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
     stream: TvgStream<u64>,
-    ticks: &[Vec<StreamEvent<u64>>],
+    ticks: &[B],
     requests: &[TimedRequest],
     config: &ServeConfig,
 ) -> Result<ServeOutcome, StreamError<u64>> {
@@ -265,6 +268,7 @@ pub fn serve(
             let mut log = PublishLog::new(&stream, ring, pins);
             log.publish(&mut stream, 0, 0);
             for (i, tick) in ticks.iter().enumerate() {
+                let tick = tick.as_ref();
                 let t0 = Instant::now();
                 let ingested = stream.ingest(tick);
                 log.ingest += t0.elapsed();
@@ -590,6 +594,23 @@ mod tests {
         }
         assert_eq!(outcomes[0], outcomes[1]);
         assert_eq!(outcomes[0], outcomes[2]);
+    }
+
+    #[test]
+    fn borrowed_ticks_serve_exactly_like_owned_ones() {
+        // Enough edges to freeze chunks, so publications copy some.
+        let g = scale_free_temporal(200, 24, 5);
+        let (stream, events) = TvgStream::replay_of(&g, &24).expect("representable");
+        let owned: Vec<Vec<StreamEvent<u64>>> = events.chunks(64).map(<[_]>::to_vec).collect();
+        let borrowed: Vec<&[StreamEvent<u64>]> = events.chunks(64).collect();
+        let requests = load();
+        let by_owned = serve(stream.clone(), &owned, &requests, &config(2)).expect("valid feed");
+        let by_borrowed = serve(stream, &borrowed[..], &requests, &config(2)).expect("valid feed");
+        assert_eq!(availability(&owned), availability(&borrowed));
+        assert_eq!(by_owned.served, by_borrowed.served);
+        assert_eq!(by_owned.epochs_published, by_borrowed.epochs_published);
+        assert_eq!(by_owned.publications, by_borrowed.publications);
+        assert!(by_owned.publications.iter().any(|p| p.chunks_copied > 0));
     }
 
     #[test]

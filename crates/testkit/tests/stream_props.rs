@@ -17,10 +17,12 @@
 //! merges and a horizon extension, while retained snapshots pin every
 //! intermediate epoch against a rebuild.
 
+use rand::Rng;
 use tvg_bigint::Nat;
 use tvg_journeys::{IncrementalForemost, SearchLimits, WaitingPolicy};
-use tvg_model::stream::TvgStream;
-use tvg_model::{NodeId, TemporalIndex, Time};
+use tvg_model::generators::scale_free_temporal;
+use tvg_model::stream::{StreamEvent, TvgStream};
+use tvg_model::{EdgeId, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
 use tvg_testkit::{batchcheck, gen, streamcheck, Config};
 
 fn policies() -> [WaitingPolicy<u64>; 3] {
@@ -387,6 +389,125 @@ fn live_snapshot_query_batches_are_thread_invariant() {
     );
 }
 
+/// A replay feed is strictly increasing in `(instant, edge id)`: its
+/// documented `(instant, edge, Up before Down)` order, with at most one
+/// event per edge and instant.
+fn assert_replay_order<T: Time>(events: &[StreamEvent<T>], label: &str) {
+    let keys: Vec<(&T, usize)> = events
+        .iter()
+        .map(|ev| match ev {
+            StreamEvent::Up { edge, at } | StreamEvent::Down { edge, at } => (at, edge.index()),
+            other => panic!("{label}: a replay emits only ups and downs, got {other:?}"),
+        })
+        .collect();
+    for pair in keys.windows(2) {
+        assert!(
+            pair[0] < pair[1],
+            "{label}: replay order breaks at {:?} then {:?}",
+            pair[0],
+            pair[1]
+        );
+    }
+}
+
+/// Random endpoints (self-loops included), presence ASTs (`Always` and
+/// `After` run past any horizon) and latencies over a few nodes. An edge
+/// often keeps the previous edge's schedule, so runs of consecutive
+/// edges share one instant set, as a contact's orientations do.
+fn random_schedule_tvg<R: Rng + ?Sized>(rng: &mut R) -> Tvg<u64> {
+    let mut b = TvgBuilder::new();
+    let v = b.nodes(rng.gen_range(1..6));
+    let mut presence = Presence::Never;
+    for i in 0..rng.gen_range(0..12) {
+        if i == 0 || rng.gen_bool(0.5) {
+            presence = if rng.gen_bool(0.5) {
+                Presence::FiniteSet((0..6).map(|_| rng.gen_range(0..40)).collect())
+            } else {
+                gen::presence(rng, 3)
+            };
+        }
+        let (src, dst) = (v[rng.gen_range(0..v.len())], v[rng.gen_range(0..v.len())]);
+        b.edge(src, dst, 'r', presence.clone(), gen::latency(rng))
+            .expect("nodes come from this builder");
+    }
+    b.build().expect("at least one node")
+}
+
+/// Whether edges `a` and `b` hold one instant set (the same allocation).
+fn share_a_set(g: &Tvg<u64>, a: usize, b: usize) -> bool {
+    let [a, b] = [a, b].map(|i| g.edge(EdgeId::from_index(i)).presence());
+    matches!((a, b), (Presence::FiniteSet(a), Presence::FiniteSet(b))
+        if std::ptr::eq(a.as_slice(), b.as_slice()))
+}
+
+#[test]
+fn replay_feeds_are_ordered_and_mirror_a_stream_built_by_hand() {
+    let (mut self_loops, mut left_open, mut runs_of_three) = (0, 0, 0);
+    tvg_testkit::check_with(
+        Config::named_with_cases("stream::replay_mirror", 48),
+        |rng, case| {
+            let (name, g, horizon) = match rng.gen_range(0..3u32) {
+                0 => ("periodic", gen::periodic_tvg(rng), rng.gen_range(0..20)),
+                1 => {
+                    let horizon = rng.gen_range(1..30);
+                    let g = scale_free_temporal(rng.gen_range(2..12), horizon, rng.gen::<u64>());
+                    ("scale_free", g, horizon)
+                }
+                _ => ("schedules", random_schedule_tvg(rng), rng.gen_range(0..48)),
+            };
+            let label = format!("{name} case {case}");
+            let (mirror, events) = TvgStream::replay_of(&g, &horizon).expect("small horizons");
+            assert_replay_order(&events, &label);
+            // Before any ingest, the mirror is exactly the stream that
+            // `add_node`/`add_edge` build, columns and counters included.
+            let mut built = TvgStream::new(horizon).expect("small horizons");
+            for n in g.nodes() {
+                built.add_node(g.node_name(n));
+            }
+            for e in g.edges() {
+                let edge = g.edge(e);
+                built
+                    .add_edge(
+                        edge.src(),
+                        edge.dst(),
+                        edge.label().as_char(),
+                        edge.latency().clone(),
+                    )
+                    .expect("mirrored edges are valid");
+            }
+            assert_eq!(format!("{mirror:?}"), format!("{built:?}"), "{label}");
+            let mut mirror = mirror;
+            mirror.ingest(&events).expect("a replay is a valid feed");
+            streamcheck::assert_live_matches_recompile(&mirror, &label);
+            self_loops += g
+                .edges()
+                .filter(|&e| g.edge(e).src() == g.edge(e).dst())
+                .count();
+            left_open += g
+                .edges()
+                .filter(|&e| {
+                    mirror
+                        .index()
+                        .presence(e)
+                        .spans()
+                        .last()
+                        .is_some_and(|s| s.1 > horizon)
+                })
+                .count();
+            runs_of_three += (2..g.num_edges())
+                .filter(|&i| share_a_set(&g, i - 2, i - 1) && share_a_set(&g, i - 1, i))
+                .filter(|&i| !mirror.index().presence(EdgeId::from_index(i)).is_empty())
+                .count();
+        },
+    );
+    assert!(self_loops > 0, "no generated graph had a self-loop");
+    assert!(runs_of_three > 0, "no three edges with spans shared a set");
+    assert!(
+        left_open > 0,
+        "no generated span was still open at the horizon"
+    );
+}
+
 #[test]
 fn figure1_nat_schedule_streams_identically() {
     // The theorem constructions run over `Nat`; the stream layer is
@@ -397,6 +518,7 @@ fn figure1_nat_schedule_streams_identically() {
     let horizon = Nat::from_u64(60);
     let (mut stream, events) = TvgStream::replay_of(g, &horizon).expect("60 + 1 is representable");
     assert!(!events.is_empty(), "figure-1 has presence below 60");
+    assert_replay_order(&events, "figure1-nat");
     // One event per batch: the oracle holds at every prefix.
     for ev in &events {
         stream.ingest(std::slice::from_ref(ev)).expect("valid feed");
