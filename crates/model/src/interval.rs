@@ -7,13 +7,14 @@
 //! at a time, the compiled form answers "when is the edge *next*
 //! present?" by binary search and enumerates present instants while
 //! skipping absent stretches entirely — the primitive the indexed journey
-//! engine is built on. An [`IntervalSet`] never changes once built; the
-//! live index maintains each edge's spans in a copy-on-write
-//! [`SpanList`] instead, and both hand queries the same [`SpanView`].
+//! engine is built on. An [`IntervalSet`] never changes once built. The
+//! live index keeps the spans of each chunk of edges in one arena
+//! instead, one run of slots per edge that changes only at its right
+//! edge, and both hand queries the same contiguous [`SpanView`].
 
+use crate::pcol::Chunk;
 use crate::Time;
-use std::iter;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// A normalized set of half-open time spans `[start, end)`.
 ///
@@ -153,146 +154,176 @@ impl<T: Time> IntervalSet<T> {
     }
 }
 
-/// One edge's presence under streaming maintenance: a normalized span
-/// list that changes only at its right edge, held in a shared slice so
-/// that a snapshot of the live index shares it instead of copying it.
-///
-/// The first `len` entries of `buf` are the spans; the rest is spare
-/// room. A write lands in place while no snapshot holds the buffer, and
-/// an append that finds no room moves the spans to a buffer about twice
-/// as large (four spans for the first). The first write to a buffer a
-/// snapshot holds copies exactly the spans, with no spare room, and
-/// leaves the snapshot's spans untouched. An edge with no spans holds
-/// the empty slice `Arc::default` shares, so it allocates nothing.
-#[derive(Debug, Clone)]
-pub(crate) struct SpanList<T> {
-    /// Not an `Option`: the engine reads it for every out-edge it
-    /// scans, and the null test an `Option` adds there cost
-    /// `live-repair` about 5 % more run time on a 2-vCPU Xeon VM.
-    buf: Arc<[(T, T)]>,
-    len: usize,
+/// The spans of one chunk of edges under streaming maintenance: the
+/// chunk type of the live index's presence column. Each edge owns a run
+/// of slots in one arena, its spans and then spare room, and a list
+/// changes only at its right end: a `Down` or a horizon extension
+/// rewrites the last span in place, and an `Up` appends into the room. A
+/// full run moves to the arena's end with twice the room (four slots for
+/// a first span), or grows in place if it already ends the arena. Once
+/// the slots that moves leave dead outnumber the spans, the arena
+/// compacts itself. A clone is the copy a write under a snapshot pays:
+/// one allocation, each run's spans and one spare slot per non-empty run.
+#[derive(Debug)]
+pub(crate) struct SpanArena<T> {
+    slots: Vec<(T, T)>,
+    runs: Vec<Run>,
 }
 
-impl<T: Time> SpanList<T> {
-    /// The empty list.
-    pub(crate) fn new() -> Self {
-        SpanList {
-            buf: Arc::default(),
-            len: 0,
-        }
+/// One edge's run: `len` spans from `offset`, in `room` slots. The
+/// fields are narrow to keep a chunk copy small; [`narrow`] checks each.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    offset: u32,
+    len: u32,
+    room: u32,
+}
+
+impl Run {
+    /// The slots holding the run's spans.
+    fn spans(self) -> Range<usize> {
+        self.offset as usize..self.offset as usize + self.len as usize
+    }
+}
+
+/// A slot count as a run field: an arena never nears 2^32 slots.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a span arena holds fewer than 2^32 slots")
+}
+
+impl<T: Time> SpanArena<T> {
+    /// Edge `j`'s spans, sorted and disjoint.
+    pub(crate) fn spans(&self, j: usize) -> &[(T, T)] {
+        &self.slots[self.runs[j].spans()]
     }
 
-    /// The spans, sorted and disjoint.
-    pub(crate) fn spans(&self) -> &[(T, T)] {
-        &self.buf[..self.len]
-    }
-
-    /// Appends a span at the right end of the list, preserving
+    /// Appends a span at the right end of edge `j`'s list, preserving
     /// normalization: an empty span is dropped, a span starting at or
     /// before the current last end is merged into it (streaming
-    /// reopenings land exactly at the previous close).
-    ///
-    /// Contact events arrive in time order, so presence only ever grows
-    /// at the right edge and the list never needs re-sorting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` precedes the start of the current last span —
-    /// that would be an out-of-order append, which the stream layer
-    /// rejects with a typed error before ever reaching this point.
-    pub(crate) fn append_span(&mut self, start: T, end: T) {
+    /// reopenings land exactly at the previous close). Panics on a start
+    /// before the last span's, which the stream layer rejects typed first.
+    pub(crate) fn append_span(&mut self, j: usize, start: T, end: T) {
         if start >= end {
             return;
         }
-        if let Some((last_start, last_end)) = self.spans().last() {
+        if let Some((last_start, last_end)) = self.spans(j).last() {
             assert!(
                 start >= *last_start,
                 "append_span out of order: span starts before the current last span"
             );
             if start <= *last_end {
                 if end > *last_end {
-                    self.set_last_end(end);
+                    self.set_last_end(j, end);
                 }
                 return;
             }
         }
-        let len = self.len;
-        // The shared empty slice is replaced, never written: skip the
-        // atomic uniqueness test on it.
-        match (!self.buf.is_empty()).then(|| Arc::get_mut(&mut self.buf)) {
-            Some(Some(spans)) if len < spans.len() => spans[len] = (start, end),
-            unique => {
-                // A buffer a snapshot holds is copied exactly; one only
-                // this list holds, or the empty one, is replaced with
-                // room to spare.
-                let shared = matches!(unique, Some(None));
-                let room = if shared { 0 } else { len.max(3) };
-                let kept = self.spans().iter().cloned();
-                self.buf = kept.chain(iter::repeat_n((start, end), room + 1)).collect();
-            }
+        let run = &mut self.runs[j];
+        if run.len < run.room {
+            self.slots[run.spans().end] = (start, end);
+            run.len += 1;
+            return;
         }
-        self.len += 1;
+        if run.offset as usize + run.room as usize != self.slots.len() {
+            let kept = run.spans();
+            run.offset = narrow(self.slots.len());
+            self.slots.extend_from_within(kept);
+        }
+        run.room = narrow((2 * run.room as usize).max(4));
+        run.len += 1;
+        self.slots
+            .resize(run.spans().start + run.room as usize, (start, end));
+        let sum = |(owned, live), run: &Run| (owned + run.room as usize, live + run.len as usize);
+        let (owned, live) = self.runs.iter().fold((0, 0), sum);
+        if self.slots.len() - owned > live {
+            *self = self.compacted(|run| run.room as usize);
+        }
     }
 
-    /// Truncates the last span to end at `end`, dropping it entirely if
-    /// that leaves it empty. The inverse of [`SpanList::append_span`]: a
-    /// streaming `Down` event rewrites the provisional right edge (open
-    /// through the horizon) to the observed close instant. Dropping a
-    /// span writes nothing, so a buffer a snapshot holds stays shared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list is empty or `end` exceeds the current last end
-    /// (truncation never extends; use [`SpanList::append_span`] /
-    /// [`SpanList::extend_last_span`] for growth).
-    pub(crate) fn truncate_last_span(&mut self, end: &T) {
-        let (start, last_end) = self.spans().last().expect("truncate on an empty set");
+    /// Truncates edge `j`'s last span to end at `end`, dropping it if
+    /// that empties it: a `Down` rewriting the provisional close. Panics
+    /// if the list is empty or `end` exceeds the last end.
+    pub(crate) fn truncate_last_span(&mut self, j: usize, end: &T) {
+        let (start, last_end) = self.spans(j).last().expect("truncate on an empty set");
         assert!(
             *end <= *last_end,
             "truncate_last_span would extend the span"
         );
         if *end <= *start {
-            self.len -= 1;
+            self.runs[j].len -= 1;
         } else {
-            self.set_last_end(end.clone());
+            self.set_last_end(j, end.clone());
         }
     }
 
-    /// Extends the last span's end to `end` (a horizon extension moving
-    /// an open edge's provisional close further out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list is empty or `end` precedes the current last
-    /// end.
-    pub(crate) fn extend_last_span(&mut self, end: &T) {
-        let (_, last_end) = self.spans().last().expect("extend on an empty set");
+    /// Extends edge `j`'s last span to end at `end`: a horizon extension
+    /// moving an open edge's provisional close. Panics if the list is
+    /// empty or `end` precedes the last end.
+    pub(crate) fn extend_last_span(&mut self, j: usize, end: &T) {
+        let (_, last_end) = self.spans(j).last().expect("extend on an empty set");
         assert!(*end >= *last_end, "extend_last_span would shrink the span");
-        self.set_last_end(end.clone());
+        self.set_last_end(j, end.clone());
     }
 
-    /// Moves the last span's end to `end`: in place while no snapshot
-    /// holds the buffer, else in a copy sized to the spans. The list
-    /// must not be empty.
-    fn set_last_end(&mut self, end: T) {
-        let last = self.len - 1;
-        match Arc::get_mut(&mut self.buf) {
-            Some(spans) => spans[last].1 = end,
-            None => {
-                let start = self.buf[last].0.clone();
-                let kept = self.buf[..last].iter().cloned();
-                self.buf = kept.chain(iter::once((start, end))).collect();
+    /// Moves edge `j`'s last span end to `end`; the list is not empty.
+    fn set_last_end(&mut self, j: usize, end: T) {
+        self.slots[self.runs[j].spans().end - 1].1 = end;
+    }
+}
+
+impl<T: Clone> SpanArena<T> {
+    /// A copy with no dead slots: the runs in edge order, each with its
+    /// spans and `room(run)` slots in all, an empty run with none. Its
+    /// capacity rounds up to 32 slots, so the blocks that dropped
+    /// snapshots free fit the next copies of chunks that grew a little.
+    fn compacted(&self, room: impl Fn(&Run) -> usize) -> Self {
+        let room = |run: &Run| if run.len == 0 { 0 } else { room(run) };
+        let capacity = self.runs.iter().map(room).sum::<usize>();
+        let mut slots = Vec::with_capacity(capacity.next_multiple_of(32));
+        let runs = self.runs.iter().map(|run| {
+            let offset = slots.len();
+            slots.extend_from_slice(&self.slots[run.spans()]);
+            if let Some(last) = slots.last().cloned() {
+                slots.resize(offset + room(run), last);
             }
-        }
+            let (offset, room) = (narrow(offset), narrow(slots.len() - offset));
+            Run {
+                offset,
+                room,
+                ..*run
+            }
+        });
+        let runs = runs.collect();
+        SpanArena { slots, runs }
+    }
+}
+
+impl<T: Clone> Clone for SpanArena<T> {
+    fn clone(&self) -> Self {
+        self.compacted(|run| run.len as usize + 1)
+    }
+}
+
+/// An edge appended to a presence chunk has no spans yet.
+impl<T: Clone> Chunk for SpanArena<T> {
+    type Item = ();
+    fn with_capacity(n: usize) -> Self {
+        let (slots, runs) = (Vec::new(), Vec::with_capacity(n));
+        SpanArena { slots, runs }
+    }
+    fn len(&self) -> usize {
+        self.runs.len()
+    }
+    fn push(&mut self, (): ()) {
+        self.runs.push(Run::default());
     }
 }
 
 /// A borrowed, copyable view of a normalized span list: what every
 /// [`crate::TemporalIndex`] hands the query engine for an edge's
 /// presence, whether the spans live in an [`IntervalSet`], a live
-/// index's copy-on-write span list, or a `.tvgi` file's decoded span
-/// arena. Every search primitive the journey engine needs lives here
-/// once.
+/// index's span arena, or a `.tvgi` file's decoded span arena. Every
+/// search primitive the journey engine needs lives here once.
 ///
 /// The invariants of [`IntervalSet`] are assumed: spans sorted by start,
 /// disjoint, non-empty, non-adjacent.
@@ -412,6 +443,7 @@ impl<T: Time> Iterator for Instants<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn set(spans: &[(u64, u64)]) -> IntervalSet<u64> {
         IntervalSet::from_spans(spans.to_vec())
@@ -501,101 +533,165 @@ mod tests {
         }
     }
 
-    /// A list built by appending `spans` in order.
-    fn list(spans: &[(u64, u64)]) -> SpanList<u64> {
-        let mut l = SpanList::new();
+    /// Slots no run owns.
+    fn dead(s: &SpanArena<u64>) -> usize {
+        s.slots.len() - s.runs.iter().map(|run| run.room as usize).sum::<usize>()
+    }
+
+    /// Spans the runs hold.
+    fn live(s: &SpanArena<u64>) -> usize {
+        s.runs.iter().map(|run| run.len as usize).sum()
+    }
+
+    /// A two-edge arena whose edge 0 holds `spans`, appended in order.
+    fn arena(spans: &[(u64, u64)]) -> SpanArena<u64> {
+        let mut a = SpanArena::with_capacity(2);
+        a.push(());
+        a.push(());
         for &(start, end) in spans {
-            l.append_span(start, end);
+            a.append_span(0, start, end);
         }
-        l
+        a
     }
 
     #[test]
     fn append_span_grows_at_the_right_edge() {
-        let mut s = SpanList::<u64>::new();
-        // A span-less list holds the one shared empty slice.
-        assert!(Arc::ptr_eq(&s.buf, &SpanList::<u64>::new().buf));
-        s.append_span(2, 5);
-        s.append_span(5, 5); // empty: dropped
-        assert_eq!(s.spans(), &[(2, 5)]);
-        s.append_span(5, 7); // adjacent: merged
-        assert_eq!(s.spans(), &[(2, 7)]);
-        s.append_span(9, 12); // gap: new span
-        assert_eq!(s.spans(), &[(2, 7), (9, 12)]);
-        s.append_span(10, 11); // contained: absorbed
-        assert_eq!(s.spans(), &[(2, 7), (9, 12)]);
+        let mut s = arena(&[]);
+        // Span-less edges own no slots.
+        assert!(s.slots.is_empty());
+        s.append_span(0, 2, 5);
+        s.append_span(0, 5, 5); // empty: dropped
+        assert_eq!(s.spans(0), &[(2, 5)]);
+        s.append_span(0, 5, 7); // adjacent: merged
+        assert_eq!(s.spans(0), &[(2, 7)]);
+        s.append_span(0, 9, 12); // gap: new span
+        assert_eq!(s.spans(0), &[(2, 7), (9, 12)]);
+        s.append_span(0, 10, 11); // contained: absorbed
+        assert_eq!(s.spans(0), &[(2, 7), (9, 12)]);
+        assert!(s.spans(1).is_empty());
     }
 
     #[test]
     fn truncate_and_extend_rewrite_the_open_edge() {
-        let mut s = list(&[(1, 4), (6, 20)]);
-        s.truncate_last_span(&9);
-        assert_eq!(s.spans(), &[(1, 4), (6, 9)]);
-        s.extend_last_span(&15);
-        assert_eq!(s.spans(), &[(1, 4), (6, 15)]);
+        let mut s = arena(&[(1, 4), (6, 20)]);
+        s.truncate_last_span(0, &9);
+        assert_eq!(s.spans(0), &[(1, 4), (6, 9)]);
+        s.extend_last_span(0, &15);
+        assert_eq!(s.spans(0), &[(1, 4), (6, 15)]);
         // Truncating to the start drops the span entirely.
-        s.truncate_last_span(&6);
-        assert_eq!(s.spans(), &[(1, 4)]);
-        // Room freed by the drop is reused.
-        s.append_span(8, 10);
-        assert_eq!(s.spans(), &[(1, 4), (8, 10)]);
+        s.truncate_last_span(0, &6);
+        assert_eq!(s.spans(0), &[(1, 4)]);
+        // Room freed by the drop is reused in place.
+        let slots = s.slots.len();
+        s.append_span(0, 8, 10);
+        assert_eq!(s.spans(0), &[(1, 4), (8, 10)]);
+        assert_eq!(s.slots.len(), slots);
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn append_span_rejects_out_of_order() {
-        let mut s = list(&[(5, 9)]);
-        s.append_span(2, 3);
+        let mut s = arena(&[(5, 9)]);
+        s.append_span(0, 2, 3);
     }
 
     #[test]
     #[should_panic(expected = "would extend")]
     fn truncate_never_extends() {
-        let mut s = list(&[(1, 4)]);
-        s.truncate_last_span(&9);
+        let mut s = arena(&[(1, 4)]);
+        s.truncate_last_span(0, &9);
     }
 
     #[test]
     fn pop_and_truncate_leave_a_sharing_snapshot_intact() {
-        let mut s = list(&[(1, 4), (6, 20)]);
-        let snap = s.clone();
-        s.truncate_last_span(&6); // a pop writes nothing...
-        assert_eq!(s.spans().as_ptr(), snap.spans().as_ptr());
-        s.truncate_last_span(&2); // ...a truncation copies first
-        assert_ne!(s.spans().as_ptr(), snap.spans().as_ptr());
-        assert_eq!(s.spans(), &[(1, 2)]);
-        assert_eq!(snap.spans(), &[(1, 4), (6, 20)]);
-        // An append after a pop on a shared buffer copies too.
-        let mut t = snap.clone();
-        t.truncate_last_span(&6);
-        t.append_span(7, 9);
-        assert_eq!(t.spans(), &[(1, 4), (7, 9)]);
-        assert_eq!(snap.spans(), &[(1, 4), (6, 20)]);
+        // A column writes a chunk a snapshot shares through
+        // `Arc::make_mut`, so the write lands in a copy.
+        let snap = Arc::new(arena(&[(1, 4), (6, 20)]));
+        let mut s = Arc::clone(&snap);
+        Arc::make_mut(&mut s).truncate_last_span(0, &6);
+        assert!(!Arc::ptr_eq(&s, &snap));
+        assert_eq!(s.spans(0), &[(1, 4)]);
+        Arc::make_mut(&mut s).truncate_last_span(0, &2);
+        assert_eq!(s.spans(0), &[(1, 2)]);
+        assert_eq!(snap.spans(0), &[(1, 4), (6, 20)]);
+        // An append after a pop on a shared chunk copies too.
+        let mut t = Arc::clone(&snap);
+        Arc::make_mut(&mut t).truncate_last_span(0, &6);
+        Arc::make_mut(&mut t).append_span(0, 7, 9);
+        assert_eq!(t.spans(0), &[(1, 4), (7, 9)]);
+        assert_eq!(snap.spans(0), &[(1, 4), (6, 20)]);
     }
 
     #[test]
     fn extend_on_a_shared_list_copies_it() {
-        let mut s = list(&[(1, 4), (6, 20)]);
-        let snap = s.clone();
-        s.extend_last_span(&30);
-        assert_ne!(s.spans().as_ptr(), snap.spans().as_ptr());
-        assert_eq!(s.spans(), &[(1, 4), (6, 30)]);
-        assert_eq!(snap.spans(), &[(1, 4), (6, 20)]);
-        // The copy holds exactly the spans, with no spare room.
-        assert_eq!(s.buf.len(), 2);
+        let mut s = arena(&[(1, 2), (3, 4), (6, 20)]);
+        s.truncate_last_span(0, &6); // pops a span, leaving room
+        s.append_span(1, 7, 9);
+        s.extend_last_span(1, &30);
+        let snap = Arc::new(s);
+        let mut s = Arc::clone(&snap);
+        Arc::make_mut(&mut s).extend_last_span(1, &40);
+        assert_eq!(s.spans(0), &[(1, 2), (3, 4)]);
+        assert_eq!(s.spans(1), &[(7, 40)]);
+        assert_eq!(snap.spans(1), &[(7, 30)]);
+        // The copy holds each run's spans and one spare slot after every
+        // non-empty run, in edge order, with no dead slots.
+        assert_eq!(s.slots.len(), 2 + 1 + 1 + 1);
+        assert_eq!(dead(&s), 0);
+        assert_eq!((s.runs[0].offset, s.runs[1].offset), (0, 3));
     }
 
     #[test]
     fn unshared_appends_with_room_stay_in_place() {
-        let mut s = list(&[(1, 2), (3, 4)]);
-        let ptr = s.spans().as_ptr();
-        let room = s.buf.len();
-        assert!(room > 2, "an unshared append that grows leaves room");
-        for k in 2..room as u64 {
-            s.append_span(2 * k + 1, 2 * k + 2);
-            assert_eq!(s.spans().as_ptr(), ptr);
+        let mut s = arena(&[]);
+        // An edge's first span takes four slots.
+        s.append_span(1, 0, 1);
+        s.append_span(0, 1, 2);
+        assert_eq!(
+            (s.runs[1].offset, s.runs[1].room, s.runs[0].offset),
+            (0, 4, 4)
+        );
+        // Appends into room stay where they are.
+        for t in 1..4 {
+            s.append_span(1, 2 * t, 2 * t + 1);
         }
-        assert_eq!(s.spans().len(), room);
+        assert_eq!((s.runs[1].offset, s.slots.len()), (0, 8));
+        // A full run moves to the arena's end with twice the room...
+        s.append_span(1, 8, 9);
+        let moved = (s.runs[1].offset, s.runs[1].room, dead(&s), s.slots.len());
+        assert_eq!(moved, (8, 8, 4, 16));
+        // ...and one that already ends the arena grows in place.
+        for t in 5..9 {
+            s.append_span(1, 2 * t, 2 * t + 1);
+        }
+        let grown = (s.runs[1].offset, s.runs[1].room, dead(&s), s.slots.len());
+        assert_eq!(grown, (8, 16, 4, 24));
+        let spans: Vec<(u64, u64)> = (0..9).map(|t| (2 * t, 2 * t + 1)).collect();
+        assert_eq!(s.spans(1), spans);
+        assert_eq!(s.spans(0), &[(1, 2)]);
+    }
+
+    #[test]
+    fn interleaved_runs_compact_once_dead_slots_outnumber_live_ones() {
+        // Two edges taking turns move each other's runs to the end; a
+        // snapshot copy now and then leaves one spare slot per run.
+        let mut s = arena(&[]);
+        let mut expect: [Vec<(u64, u64)>; 2] = Default::default();
+        let mut compactions = 0;
+        for t in 0..200u64 {
+            let j = (t % 3 % 2) as usize;
+            let before = dead(&s);
+            s.append_span(j, 2 * t, 2 * t + 1);
+            expect[j].push((2 * t, 2 * t + 1));
+            compactions += usize::from(before > 0 && dead(&s) == 0);
+            if t % 37 == 0 {
+                s = s.clone();
+            }
+            assert!(dead(&s) <= live(&s), "t={t}: more dead slots than spans");
+            assert_eq!(s.spans(0), expect[0], "t={t}");
+            assert_eq!(s.spans(1), expect[1], "t={t}");
+        }
+        assert!(compactions > 0, "the arena compacted itself");
     }
 
     #[test]

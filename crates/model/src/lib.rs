@@ -30,9 +30,9 @@
 //!   Both index forms answer queries through the [`TemporalIndex`]
 //!   trait, so every consumer runs on either.
 //! * [`pcol`] — the persistent chunked columns behind the live index:
-//!   fixed-size `Arc` chunks with copy-on-write, so cloning a
-//!   [`LiveIndex`] for snapshot publication costs O(changes) shared
-//!   structure, not an O(index) deep copy.
+//!   fixed-size `Arc` chunks with copy-on-write behind one shared
+//!   handle list, so a [`LiveIndex`] snapshot costs O(columns) and a
+//!   later write copies the chunk it lands in, not the index.
 //! * [`Digraph`] — a minimal static digraph for snapshots and protocols.
 //! * [`generators`] — reproducible random/structured TVG families for the
 //!   experiment sweeps.

@@ -1,163 +1,162 @@
 //! Persistent, structure-sharing columns for the live index.
 //!
 //! The streaming regime publishes immutable snapshots of a mutating
-//! [`crate::LiveIndex`] once per tick. With flat `Vec` columns every
-//! snapshot is an O(index) deep copy, so tick rate degrades with
-//! accumulated schedule size even when a tick touches a handful of
-//! edges. [`PCol`] makes a snapshot O(changes) instead: a chunked
-//! persistent column for per-edge / per-node data. Elements live in
-//! fixed-size chunks behind [`Arc`]; cloning the column clones chunk
-//! *handles* (refcount bumps), and a mutation after a clone copies only
-//! the one chunk it lands in (copy-on-write via [`Arc::make_mut`]).
-//! Appends go to a small owned tail that is frozen into an `Arc` chunk
-//! when full; the new tail is allocated at the chunk capacity at once,
-//! so a growing column never regrows a chunk from empty.
-//!
-//! A chunk copy clones each of its `N` elements. The live index keeps
-//! that cheap by storing handles: an element of its presence column is
-//! an edge's span list behind its own `Arc`, so copying the chunk bumps
-//! `N` refcounts and the span lists stay shared until a mutation writes
-//! one of them.
+//! [`crate::LiveIndex`] once per tick; flat `Vec` columns would make each
+//! one an O(index) deep copy. A persistent column (`PCol`, private to the
+//! crate) keeps its elements in chunks of [`COL_CHUNK`] behind `Arc`, and
+//! the list of chunk handles behind one more `Arc`. A snapshot clones
+//! that one handle, so a column no tick writes stays shared whole, and
+//! the first write after a snapshot copies the handle list once and then
+//! only the chunk it lands in (`Arc::make_mut`). Appends go to a small
+//! owned tail, frozen into a chunk when full. A column is generic over
+//! its chunk: a `Vec` for per-node and per-edge scalars, and for presence
+//! a span arena, whose copy is one allocation with no per-edge handle.
 //!
 //! A column counts how many frozen chunks it shares and how many chunk
 //! copies its publications cost, which is what the serve runtime's
 //! publication metrics report: on a healthy schedule the copied count
 //! per tick tracks the tick's change set, not the index size. Copies are
 //! counted by publication: the first write to a chunk after each
-//! [`PCol::snapshot`] counts one, even if that snapshot is gone.
+//! snapshot counts one, even if that snapshot is gone.
 
 use std::sync::Arc;
 
-/// Chunk capacity of per-edge / per-node [`PCol`] columns.
+/// Chunk capacity of the live index's persistent columns.
 pub const COL_CHUNK: usize = 64;
 
-/// A chunked persistent column: `Arc`-shared fixed-size chunks plus an
-/// owned append tail.
-///
-/// Cloning is O(number of chunks) refcount bumps plus one tail copy —
-/// never a deep copy of frozen data. Mutating a frozen element after a
-/// clone copies exactly the `N`-element chunk it lives in.
+/// What a [`PCol`] keeps per chunk: up to `N` elements, appended one at
+/// a time. A clone is the copy a write under a snapshot pays.
+pub(crate) trait Chunk: Clone {
+    type Item;
+    fn with_capacity(n: usize) -> Self;
+    fn len(&self) -> usize;
+    fn push(&mut self, item: Self::Item);
+}
+
+impl<V: Clone> Chunk for Vec<V> {
+    type Item = V;
+    fn with_capacity(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+    fn len(&self) -> usize {
+        <[V]>::len(self)
+    }
+    fn push(&mut self, v: V) {
+        Vec::push(self, v);
+    }
+}
+
+/// A chunked persistent column: `Arc`-shared chunks of `N` elements
+/// behind one shared handle list, plus an owned append tail.
 #[derive(Debug, Clone)]
-pub struct PCol<V, const N: usize> {
+pub(crate) struct PCol<C, const N: usize> {
     /// Frozen chunks of exactly `N` elements each.
-    full: Vec<Arc<Vec<V>>>,
-    /// Per frozen chunk: the generation it was last written or frozen in.
+    full: Arc<Vec<Arc<C>>>,
+    /// Per frozen chunk: the generation it was last written or frozen
+    /// in. Only the writer reads them, so a snapshot's are empty.
     stamps: Vec<u64>,
     /// Owned append edge, fewer than `N` elements.
-    tail: Vec<V>,
+    tail: C,
     /// How many snapshots this column has published.
     generation: u64,
     /// How many chunk copies publications have cost so far.
     cow_copies: u64,
 }
 
-impl<V, const N: usize> Default for PCol<V, N> {
-    fn default() -> Self {
-        PCol::new()
-    }
-}
-
-impl<V, const N: usize> PCol<V, N> {
+impl<C: Chunk, const N: usize> PCol<C, N> {
     /// An empty column.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         const { assert!(N > 0) };
         PCol {
-            full: Vec::new(),
+            full: Arc::default(),
             stamps: Vec::new(),
-            tail: Vec::new(),
+            tail: C::with_capacity(0),
             generation: 0,
             cow_copies: 0,
         }
     }
 
     /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.full.len() * N + self.tail.len()
     }
 
-    /// `true` iff the column has no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.full.is_empty() && self.tail.is_empty()
-    }
-
-    /// Appends an element; freezes the tail into a shared chunk when it
-    /// reaches the chunk capacity, leaving a fresh tail of that capacity.
-    pub fn push(&mut self, v: V) {
-        self.tail.push(v);
+    /// Appends an element, freezing a full tail into a shared chunk.
+    pub(crate) fn push(&mut self, item: C::Item) {
+        self.tail.push(item);
         if self.tail.len() == N {
-            let chunk = std::mem::replace(&mut self.tail, Vec::with_capacity(N));
-            self.full.push(Arc::new(chunk));
+            let chunk = std::mem::replace(&mut self.tail, C::with_capacity(N));
+            Arc::make_mut(&mut self.full).push(Arc::new(chunk));
             self.stamps.push(self.generation);
         }
     }
 
-    /// The element at `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &V {
-        let frozen = self.full.len() * N;
-        if i < frozen {
-            &self.full[i / N][i % N]
-        } else {
-            &self.tail[i - frozen]
+    /// The chunk holding element `i`, and `i`'s place in it.
+    pub(crate) fn chunk(&self, i: usize) -> (&C, usize) {
+        match self.full.get(i / N) {
+            Some(chunk) => (chunk, i % N),
+            None => (&self.tail, i - self.full.len() * N),
         }
     }
 
-    /// Iterates the elements in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &V> {
-        self.full
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
-    }
-
-    /// Number of frozen (sharable) chunks.
-    #[must_use]
-    pub fn frozen_chunks(&self) -> u64 {
-        self.full.len() as u64
-    }
-
-    /// How many chunk copies publications have cost so far: one per
-    /// frozen chunk first written after each [`Self::snapshot`].
-    #[must_use]
-    pub fn cow_copies(&self) -> u64 {
-        self.cow_copies
-    }
-}
-
-impl<V: Clone, const N: usize> PCol<V, N> {
-    /// A clone sharing every frozen chunk. Starts a new generation: the
-    /// next write to each frozen chunk counts one copy.
-    pub fn snapshot(&mut self) -> Self {
-        self.generation += 1;
-        self.clone()
-    }
-
-    /// Mutable access to the element at `i`, first copying its frozen
-    /// chunk if a snapshot still shares it. The first write to a chunk
-    /// since the last [`Self::snapshot`] counts one copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn get_mut(&mut self, i: usize) -> &mut V {
-        let frozen = self.full.len() * N;
-        if i < frozen {
-            let stamp = &mut self.stamps[i / N];
+    /// [`Self::chunk`] for writing: copies the chunk first if a snapshot
+    /// still shares it. The first write to a frozen chunk since the last
+    /// [`Self::snapshot`] counts one copy.
+    pub(crate) fn chunk_mut(&mut self, i: usize) -> (&mut C, usize) {
+        let k = i / N;
+        if k < self.full.len() {
+            let stamp = &mut self.stamps[k];
             if *stamp != self.generation {
                 *stamp = self.generation;
                 self.cow_copies += 1;
             }
-            &mut Arc::make_mut(&mut self.full[i / N])[i % N]
+            (Arc::make_mut(&mut Arc::make_mut(&mut self.full)[k]), i % N)
         } else {
-            &mut self.tail[i - frozen]
+            (&mut self.tail, i - self.full.len() * N)
         }
+    }
+
+    /// A copy sharing every frozen chunk. Starts a new generation: the
+    /// next write to each frozen chunk counts one copy.
+    pub(crate) fn snapshot(&mut self) -> Self {
+        self.generation += 1;
+        PCol {
+            full: Arc::clone(&self.full),
+            stamps: Vec::new(),
+            tail: self.tail.clone(),
+            generation: self.generation,
+            cow_copies: self.cow_copies,
+        }
+    }
+
+    /// Number of frozen (sharable) chunks.
+    pub(crate) fn frozen_chunks(&self) -> u64 {
+        self.full.len() as u64
+    }
+
+    /// How many chunk copies publications have cost so far.
+    pub(crate) fn cow_copies(&self) -> u64 {
+        self.cow_copies
+    }
+
+    /// `true` iff both columns share one frozen handle list.
+    #[cfg(test)]
+    pub(crate) fn shares_chunks_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.full, &other.full)
+    }
+}
+
+impl<V: Clone, const N: usize> PCol<Vec<V>, N> {
+    /// The element at `i`.
+    pub(crate) fn get(&self, i: usize) -> &V {
+        let (chunk, j) = self.chunk(i);
+        &chunk[j]
+    }
+
+    /// The element at `i` for writing, as [`Self::chunk_mut`] gives it.
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut V {
+        let (chunk, j) = self.chunk_mut(i);
+        &mut chunk[j]
     }
 }
 
@@ -166,9 +165,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pcol_push_get_iter_across_chunks() {
-        let mut c: PCol<u64, 4> = PCol::new();
-        assert!(c.is_empty());
+    fn pcol_push_get_across_chunks() {
+        let mut c: PCol<Vec<u64>, 4> = PCol::new();
+        assert_eq!(c.len(), 0);
         for i in 0..11 {
             c.push(i);
         }
@@ -177,24 +176,25 @@ mod tests {
         for i in 0..11 {
             assert_eq!(*c.get(i as usize), i);
         }
-        let all: Vec<u64> = c.iter().copied().collect();
-        assert_eq!(all, (0..11).collect::<Vec<_>>());
     }
 
     #[test]
     fn pcol_clone_shares_until_written() {
-        let mut c: PCol<u64, 4> = PCol::new();
+        let mut c: PCol<Vec<u64>, 4> = PCol::new();
         for i in 0..10 {
             c.push(i);
         }
         let snap = c.snapshot();
+        assert!(c.shares_chunks_with(&snap));
         assert_eq!(c.cow_copies(), 0);
         // Tail writes never copy chunks.
         *c.get_mut(9) = 99;
         assert_eq!(c.cow_copies(), 0);
+        assert!(c.shares_chunks_with(&snap));
         // First frozen write after a clone copies exactly one chunk...
         *c.get_mut(1) = 91;
         assert_eq!(c.cow_copies(), 1);
+        assert!(!c.shares_chunks_with(&snap));
         // ...and further writes to the now-unshared chunk are free.
         *c.get_mut(2) = 92;
         assert_eq!(c.cow_copies(), 1);
@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(c.cow_copies(), 2);
         // The snapshot is unaffected by all of it.
         assert_eq!(
-            snap.iter().copied().collect::<Vec<_>>(),
+            (0..10).map(|i| *snap.get(i)).collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
         assert_eq!(*c.get(1), 91);

@@ -39,14 +39,13 @@
 //! `tvg_journeys::incremental` relies on to re-relax only the labels it
 //! must.
 
-use crate::interval::{SpanList, SpanView};
+use crate::interval::{SpanArena, SpanView};
 use crate::pcol::{PCol, COL_CHUNK};
 use crate::schedule::same_instant_set;
 use crate::{EdgeId, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
 use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use tvg_langs::Letter;
 
 /// One appended observation of an evolving schedule.
@@ -241,17 +240,17 @@ pub struct IngestReport<T> {
 /// could (structural identity after every batch).
 ///
 /// Unlike the batch index's flat allocations, every column here is
-/// *persistent* ([`crate::pcol`]): fixed-size chunks behind `Arc`,
-/// copy-on-write on the chunk a mutation lands in, and the graph itself
-/// behind an `Arc` that only rare topology growth unshares. Copy-on-write
-/// goes one level further for presence: each edge's spans sit in their
-/// own shared slice, so copying a presence chunk copies 64 handles, and
-/// only the span lists the tick writes are copied. Cloning a
-/// `LiveIndex` is therefore O(changes since the last clone), not
-/// O(index) — the property the serve runtime's per-tick snapshot
-/// publication is built on. A clone is a true immutable snapshot: later
+/// *persistent* ([`crate::pcol`]): fixed-size chunks behind `Arc`, whose
+/// handle list sits behind one more `Arc`, copy-on-write on the chunk a
+/// mutation lands in, and the graph itself behind an `Arc` that only
+/// rare topology growth unshares. A presence chunk keeps its 64 edges'
+/// spans in one arena, so copying it is one allocation and a copy of
+/// those spans. A snapshot therefore costs O(columns), a column no tick
+/// writes stays shared whole, and a tick's writes cost the chunks they
+/// land in — the property the serve runtime's per-tick snapshot
+/// publication is built on. A snapshot is truly immutable: later
 /// stream mutations copy what they touch and leave every outstanding
-/// clone byte-identical.
+/// snapshot byte-identical.
 ///
 /// The presence ASTs inside the owned graph are `Presence::Never`
 /// placeholders: in the streaming regime the *index* is the schedule of
@@ -259,22 +258,19 @@ pub struct IngestReport<T> {
 /// [`TvgStream::to_tvg`] materializes one).
 #[derive(Debug, Clone)]
 pub struct LiveIndex<T> {
-    g: Arc<Tvg<T>>,
+    /// The graph: a one-element column, so a write to it unshares and
+    /// counts it as a chunk write does.
+    g: PCol<Vec<Tvg<T>>, 1>,
     horizon: T,
     /// `horizon + 1`: the provisional close of open spans.
     end: T,
-    presence: PCol<SpanList<T>, COL_CHUNK>,
-    arrival_monotone: PCol<bool, COL_CHUNK>,
+    presence: PCol<SpanArena<T>, COL_CHUNK>,
+    arrival_monotone: PCol<Vec<bool>, COL_CHUNK>,
     /// Per-node out-edge lists in edge-id order (the same order the
     /// batch index's CSR produces).
-    adjacency: PCol<Vec<EdgeId>, COL_CHUNK>,
-    dsts: PCol<NodeId, COL_CHUNK>,
-    const_lat: PCol<Option<T>, COL_CHUNK>,
-    /// Graph copies publications have cost, counted as [`crate::pcol`] does.
-    graph_copies: u64,
-    /// Snapshots taken, and the generation of the last graph write.
-    generation: u64,
-    graph_stamp: u64,
+    adjacency: PCol<Vec<Vec<EdgeId>>, COL_CHUNK>,
+    dsts: PCol<Vec<NodeId>, COL_CHUNK>,
+    const_lat: PCol<Vec<Option<T>>, COL_CHUNK>,
 }
 
 impl<T: Time> LiveIndex<T> {
@@ -282,8 +278,10 @@ impl<T: Time> LiveIndex<T> {
     /// spans need a representable provisional close).
     fn new(horizon: T) -> Option<Self> {
         let end = horizon.checked_add(&T::one())?;
+        let mut g = PCol::new();
+        g.push(Tvg::empty());
         Some(LiveIndex {
-            g: Arc::new(Tvg::empty()),
+            g,
             horizon,
             end,
             presence: PCol::new(),
@@ -291,16 +289,13 @@ impl<T: Time> LiveIndex<T> {
             adjacency: PCol::new(),
             dsts: PCol::new(),
             const_lat: PCol::new(),
-            graph_copies: 0,
-            generation: 0,
-            graph_stamp: 0,
         })
     }
 
     /// The graph this index answers for.
     #[must_use]
     pub fn tvg(&self) -> &Tvg<T> {
-        &self.g
+        self.g.get(0)
     }
 
     /// Frozen chunks across all persistent columns (plus the shared
@@ -312,7 +307,7 @@ impl<T: Time> LiveIndex<T> {
             + self.adjacency.frozen_chunks()
             + self.dsts.frozen_chunks()
             + self.const_lat.frozen_chunks()
-            + 1 // the Arc'd graph
+            + self.g.frozen_chunks()
     }
 
     /// Cumulative count of shared structures publications have cost:
@@ -326,24 +321,13 @@ impl<T: Time> LiveIndex<T> {
             + self.adjacency.cow_copies()
             + self.dsts.cow_copies()
             + self.const_lat.cow_copies()
-            + self.graph_copies
+            + self.g.cow_copies()
     }
 
-    /// Mutable graph access, unsharing it if a snapshot shares it and
-    /// counting the first write per generation. Only topology growth.
-    fn g_mut(&mut self) -> &mut Tvg<T> {
-        if self.graph_stamp != self.generation {
-            self.graph_stamp = self.generation;
-            self.graph_copies += 1;
-        }
-        Arc::make_mut(&mut self.g)
-    }
-
-    /// A clone sharing every chunk and the graph; starts a generation.
+    /// A copy sharing every chunk and the graph; starts a generation.
     fn snapshot(&mut self) -> Self {
-        self.generation += 1;
         LiveIndex {
-            g: Arc::clone(&self.g),
+            g: self.g.snapshot(),
             horizon: self.horizon.clone(),
             end: self.end.clone(),
             presence: self.presence.snapshot(),
@@ -351,16 +335,13 @@ impl<T: Time> LiveIndex<T> {
             adjacency: self.adjacency.snapshot(),
             dsts: self.dsts.snapshot(),
             const_lat: self.const_lat.snapshot(),
-            graph_copies: self.graph_copies,
-            generation: self.generation,
-            graph_stamp: self.graph_stamp,
         }
     }
 }
 
 impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     fn num_nodes(&self) -> usize {
-        self.g.num_nodes()
+        self.tvg().num_nodes()
     }
 
     fn num_edges(&self) -> usize {
@@ -372,7 +353,8 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 
     fn presence(&self, e: EdgeId) -> SpanView<'_, T> {
-        SpanView(self.presence.get(e.index()).spans())
+        let (chunk, j) = self.presence.chunk(e.index());
+        SpanView(chunk.spans(j))
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
@@ -390,7 +372,7 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
         match self.const_lat.get(e.index()) {
             Some(c) => t.checked_add(c),
-            None => self.g.edge(e).latency().arrival(t),
+            None => self.tvg().edge(e).latency().arrival(t),
         }
     }
 }
@@ -473,11 +455,11 @@ impl<T: Time> TvgStream<T> {
     /// behind an `Arc`, and readers keep querying it unaffected by
     /// whatever the stream ingests next.
     ///
-    /// The snapshot *shares* every frozen chunk, every edge's span list
-    /// and the graph with the live index (copying only handles and the
-    /// small mutable tails), so taking one costs O(chunks), not
-    /// O(index) — later mutations copy-on-write the chunks and span
-    /// lists they touch and never disturb an outstanding snapshot.
+    /// The snapshot *shares* every frozen chunk and the graph with the
+    /// live index (copying one handle per column and the small mutable
+    /// tails), so taking one costs O(columns), not O(index) — later
+    /// mutations copy-on-write the chunks they touch and never disturb
+    /// an outstanding snapshot.
     /// Each call starts a publication generation for
     /// [`LiveIndex::chunks_copied`], even if the snapshot is dropped.
     #[must_use]
@@ -507,7 +489,7 @@ impl<T: Time> TvgStream<T> {
     /// timestamp and never affects existing presence.
     pub fn add_node(&mut self, name: &str) -> NodeId {
         self.push_node_columns();
-        self.live.g_mut().push_node(name)
+        self.live.g.get_mut(0).push_node(name)
     }
 
     /// Appends a node's live columns; the caller grows the graph to match.
@@ -528,7 +510,7 @@ impl<T: Time> TvgStream<T> {
             Latency::Const(c) => Some(c.clone()),
             _ => None,
         });
-        self.live.presence.push(SpanList::new());
+        self.live.presence.push(());
         self.live.dsts.push(dst);
         self.open_since.push(None);
         self.incident[src.index()].push(e);
@@ -558,7 +540,7 @@ impl<T: Time> TvgStream<T> {
         latency: Latency<T>,
     ) -> Result<EdgeId, StreamError<T>> {
         for n in [src, dst] {
-            if n.index() >= self.live.g.num_nodes() {
+            if n.index() >= self.live.tvg().num_nodes() {
                 return Err(StreamError::UnknownNode(n));
             }
             if let Some(at) = &self.departed[n.index()] {
@@ -571,7 +553,8 @@ impl<T: Time> TvgStream<T> {
         let letter = Letter::new(label).map_err(|_| StreamError::BadLabel(label))?;
         let e = self.push_edge_columns(src, dst, &latency);
         self.live
-            .g_mut()
+            .g
+            .get_mut(0)
             .push_edge(src, dst, letter, Presence::Never, latency);
         Ok(e)
     }
@@ -651,12 +634,12 @@ impl<T: Time> TvgStream<T> {
     }
 
     fn check_edge(&self, e: EdgeId) -> Result<(), StreamError<T>> {
-        if e.index() >= self.live.g.num_edges() {
+        if e.index() >= self.live.tvg().num_edges() {
             return Err(StreamError::UnknownEdge(e));
         }
         // A departed endpoint makes the whole edge dead: its spans were
         // closed by the leave, and nothing may reopen (or re-close) them.
-        let edge = self.live.g.edge(e);
+        let edge = self.live.tvg().edge(e);
         for n in [edge.src(), edge.dst()] {
             if let Some(at) = &self.departed[n.index()] {
                 return Err(StreamError::NodeDeparted {
@@ -680,10 +663,8 @@ impl<T: Time> TvgStream<T> {
         // Reopening exactly at the previous close merges into that span
         // (the normalized form has no adjacent spans).
         let provisional_end = self.live.end.clone();
-        self.live
-            .presence
-            .get_mut(e.index())
-            .append_span(at.clone(), provisional_end);
+        let (chunk, j) = self.live.presence.chunk_mut(e.index());
+        chunk.append_span(j, at.clone(), provisional_end);
         self.open_since[e.index()] = Some(at.clone());
         self.watermark = Some(at.clone());
         Ok(at.clone())
@@ -708,12 +689,13 @@ impl<T: Time> TvgStream<T> {
     /// batched closes a `NodeLeave` performs. The caller validates and
     /// advances the watermark.
     fn close_open_span(&mut self, e: EdgeId, at: &T) {
-        self.live.presence.get_mut(e.index()).truncate_last_span(at);
+        let (chunk, j) = self.live.presence.chunk_mut(e.index());
+        chunk.truncate_last_span(j, at);
         self.open_since[e.index()] = None;
     }
 
     fn apply_leave(&mut self, node: NodeId, at: &T) -> Result<Option<T>, StreamError<T>> {
-        if node.index() >= self.live.g.num_nodes() {
+        if node.index() >= self.live.tvg().num_nodes() {
             return Err(StreamError::UnknownNode(node));
         }
         if let Some(when) = &self.departed[node.index()] {
@@ -762,7 +744,8 @@ impl<T: Time> TvgStream<T> {
         for (i, since) in self.open_since.iter().enumerate() {
             if since.is_some() {
                 any_open = true;
-                self.live.presence.get_mut(i).extend_last_span(&new_end);
+                let (chunk, j) = self.live.presence.chunk_mut(i);
+                chunk.extend_last_span(j, &new_end);
             }
         }
         Ok(any_open.then_some(old_end))
@@ -783,12 +766,12 @@ impl<T: Time> TvgStream<T> {
     #[must_use]
     pub fn to_tvg(&self) -> Tvg<T> {
         let mut b = TvgBuilder::new();
-        for n in self.live.g.nodes() {
-            b.node(self.live.g.node_name(n));
+        for n in self.live.tvg().nodes() {
+            b.node(self.live.tvg().node_name(n));
         }
-        for e in self.live.g.edges() {
-            let edge = self.live.g.edge(e);
-            let presence = spans_to_presence(self.live.presence.get(e.index()).spans());
+        for e in self.live.tvg().edges() {
+            let edge = self.live.tvg().edge(e);
+            let presence = spans_to_presence(self.live.presence(e).spans());
             b.edge(
                 edge.src(),
                 edge.dst(),
@@ -854,7 +837,7 @@ impl<T: Time> TvgStream<T> {
             prev = Some(edge.presence());
             Ok::<_, Infallible>((Presence::Never, edge.latency().clone()))
         });
-        stream.live.g = Arc::new(live);
+        *stream.live.g.get_mut(0) = live;
         timed.sort_by(|a, b| a.0.cmp(&b.0));
         let mut events = Vec::with_capacity(timed.iter().map(|t| t.2 as usize >> 1).sum());
         events.extend(timed.into_iter().flat_map(|(at, first, flags)| {
@@ -1168,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn a_copied_chunk_shares_every_span_list_the_tick_left_alone() {
+    fn one_write_after_a_snapshot_copies_one_chunk_and_no_unwritten_column() {
         let mut s = TvgStream::<u64>::new(20).expect("representable");
         let (u, v) = (s.add_node("u"), s.add_node("v"));
         let edges: Vec<EdgeId> = (0..COL_CHUNK)
@@ -1188,18 +1171,22 @@ mod tests {
         .expect("valid feed");
         // All 64 edges live in one frozen presence chunk, copied once.
         assert_eq!(s.index().chunks_copied(), copied + 1);
-        for &e in &edges[1..] {
-            let (live, old) = (s.index().presence(e).spans(), snap.presence(e).spans());
-            assert!(!live.is_empty());
-            assert_eq!(live.as_ptr(), old.as_ptr(), "{e} is shared");
+        assert!(!s.live.presence.shares_chunks_with(&snap.presence));
+        assert_eq!(s.index().presence(edges[0]).spans(), &[(1, 5)]);
+        for &e in &edges {
+            assert_eq!(snap.presence(e).spans(), &[(1, 21)], "{e}");
         }
-        let (live, old) = (
-            s.index().presence(edges[0]).spans(),
-            snap.presence(edges[0]).spans(),
-        );
-        assert_ne!(live.as_ptr(), old.as_ptr());
-        assert_eq!(live, &[(1, 5)]);
-        assert_eq!(old, &[(1, 21)]);
+        for &e in &edges[1..] {
+            assert_eq!(s.index().presence(e).spans(), &[(1, 21)], "{e}");
+        }
+        // The columns the tick did not write still share one handle list.
+        assert!(s
+            .live
+            .arrival_monotone
+            .shares_chunks_with(&snap.arrival_monotone));
+        assert!(s.live.dsts.shares_chunks_with(&snap.dsts));
+        assert!(s.live.const_lat.shares_chunks_with(&snap.const_lat));
+        assert!(s.live.adjacency.shares_chunks_with(&snap.adjacency));
     }
 
     #[test]
@@ -1215,6 +1202,11 @@ mod tests {
         s.ingest(&[StreamEvent::Up { edge: e, at: 1 }])
             .expect("valid feed");
         assert_eq!(s.index().chunks_copied(), copied + 1);
+        // Topology growth counts the graph once per generation too.
+        drop(s.snapshot());
+        s.add_node("w");
+        s.add_node("x");
+        assert_eq!(s.index().chunks_copied(), copied + 2);
     }
 
     #[test]

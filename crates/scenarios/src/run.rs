@@ -510,12 +510,6 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
             .count();
         (stream, events, edge_events)
     });
-    // Chop the replay feed into exactly `ticks` borrowed ingest batches
-    // (the tail ones may be empty when the feed is short): the epoch
-    // count is part of the spec, not of the generated event volume.
-    let chunk = events.len().div_ceil(ticks).max(1);
-    let mut tick_batches: Vec<&[StreamEvent<u64>]> = events.chunks(chunk).collect();
-    tick_batches.resize(ticks, &[]);
     let load = p.time(Phase::Load, || {
         generate_load(&LoadSpec {
             requests,
@@ -534,6 +528,12 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
     };
     let outcome = p
         .time(Phase::Serve, || {
+            // Chop the replay feed into exactly `ticks` borrowed ingest
+            // batches (the tail ones may be empty when the feed is short):
+            // the epoch count is part of the spec, not of the event volume.
+            let chunk = events.len().div_ceil(ticks).max(1);
+            let mut tick_batches: Vec<&[StreamEvent<u64>]> = events.chunks(chunk).collect();
+            tick_batches.resize(ticks, &[]);
             serve(stream, &tick_batches, &load, &config)
         })
         .expect("replay is a valid feed");
@@ -546,9 +546,10 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
     p.add(Phase::Ingest, timing.ingest);
     p.add(Phase::Publish, timing.publish);
     p.add(Phase::Engine, timing.engine);
-    p.time(Phase::Reduce, || {
-        // Canonical logical section: one `[kind, epoch, value]` triple per
-        // request in admission order, plus the aggregate counts.
+    p.time(Phase::Reduce, move || {
+        drop((events, load)); // freed in this phase, as the outcome is
+                              // Canonical logical section: one `[kind, epoch, value]` triple per
+                              // request in admission order, plus the aggregate counts.
         let answers: Vec<Json> = outcome
             .served
             .iter()

@@ -8,10 +8,10 @@
 //! publication O(changes in the tick): the snapshot shares every frozen
 //! chunk with the live index, and the stream copies-on-write only the
 //! shared chunks the next tick's mutations land in. A copied presence
-//! chunk copies 64 span-list handles, not 64 span lists. Publication is
-//! RCU-style: readers never block the writer, and a reader holding an
-//! `Arc<ServeSnapshot>` keeps answering from that epoch no matter how
-//! far the writer has advanced.
+//! chunk is one span arena: one allocation, no per-edge handles.
+//! Publication is RCU-style: readers never block the writer, and a
+//! reader holding an `Arc<ServeSnapshot>` keeps answering from that
+//! epoch no matter how far the writer has advanced.
 //!
 //! The ring is built from safe primitives only (the workspace forbids
 //! `unsafe`): one mutex-guarded slot per epoch plus a release/acquire

@@ -15,7 +15,9 @@
 //! chunk-boundary torture test that lands mutations exactly on the
 //! persistent columns' chunk edges (`COL_CHUNK`) with reopen-at-close
 //! merges and a horizon extension, while retained snapshots pin every
-//! intermediate epoch against a rebuild.
+//! intermediate epoch against a rebuild; and a long-history leg whose
+//! retained snapshots pin the presence arena's run moves and compaction
+//! against rebuilds.
 
 use rand::Rng;
 use tvg_bigint::Nat;
@@ -667,6 +669,39 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
             live.stats(),
             fresh.stats(),
             "torture: engine stats diverge under {policy}"
+        );
+    }
+}
+
+#[test]
+fn long_histories_match_rebuilds_through_run_moves_and_compaction() {
+    use tvg_model::generators::edge_markovian_contacts;
+    use tvg_model::pcol::COL_CHUNK;
+    use tvg_testkit::servecheck;
+
+    // Twelve nodes over 1 300 instants: 132 edges (two frozen presence
+    // chunks and a tail) of about 100 spans each. In 6 ticks a tick
+    // appends about 16 spans per edge, so a copied run outgrows its
+    // spare slot and moves to the chunk's end several times in one
+    // tick, and the dead slots those moves leave make the chunk compact
+    // itself. In 64 ticks most appends land in the spare slot a copy
+    // leaves. Every tick's snapshot is retained and compared with a
+    // rebuild that ingested exactly its tick prefix.
+    let horizon = 1300;
+    let g = edge_markovian_contacts(12, horizon, 0.1, 0.3, 31);
+    assert!(g.num_edges() > 2 * COL_CHUNK, "presence freezes two chunks");
+    let (_, events) = TvgStream::replay_of(&g, &horizon).expect("representable horizon");
+    assert!(
+        events.len() > 80 * g.num_edges(),
+        "about 40 spans or more per edge, got {} events",
+        events.len()
+    );
+    for ticks in [6, 64] {
+        servecheck::assert_snapshots_match_rebuild(
+            &g,
+            horizon,
+            events.len().div_ceil(ticks),
+            &format!("long history in {ticks} ticks"),
         );
     }
 }
