@@ -22,11 +22,11 @@
 //! Both explorers are built for cache locality:
 //!
 //! * **One output record.** Every generated configuration/label lives
-//!   in one bump arena of `Label`s addressed by `u32` id; parent
-//!   pointers are arena ids, not map keys, so witness reconstruction is
-//!   a pointer walk. The arena, each node's foremost arrival and witness
-//!   id, and the list of reached nodes form one [`ForemostTree`], which
-//!   both explorers settle into.
+//!   in one bump arena addressed by `u32` id, its arrival times and its
+//!   parent pointers in two parallel arrays; parent pointers are arena
+//!   ids, not map keys, so witness reconstruction is a pointer walk. The
+//!   arena, each node's witness id, and the list of reached nodes form
+//!   one [`ForemostTree`], which both explorers settle into.
 //! * **Flat frontiers.** Each node's frontier is one flat sorted map
 //!   (`FlatMap`) from configuration time to a merged generation-and-
 //!   settlement record (`Conf`), laid out struct-of-arrays: an
@@ -36,8 +36,13 @@
 //! * **Monomorphized policies.** The waiting policy is dispatched once
 //!   per drain/replay into loops generic over `DeparturePolicy`, so
 //!   the per-label policy branch of the old explorer is compiled away.
-//! * **Queue dedup.** The exact explorer pushes a heap entry only when a
-//!   crossing improves the best hop count enqueued for its target
+//! * **One time-bucketed queue.** Both explorers pop through a
+//!   `TimeQueue`: one bucket per later time, sorted once when its time
+//!   comes up. An entry is its time and one `u128` key packing the
+//!   explorer's three `u32` tiebreak fields in its order, so the pop
+//!   order is exactly that of the tuple heaps it replaced.
+//! * **Queue dedup.** The exact explorer pushes a queue entry only when
+//!   a crossing improves the best hop count enqueued for its target
 //!   configuration (a decrease-key emulation); the old explorer pushed
 //!   every admissible crossing and deduplicated at pop time.
 //! * **Departure coverage.** Under `Bounded(d)` two settles at one node
@@ -78,10 +83,12 @@
 //!   Per-node frontiers and departure schedules live behind dense slot
 //!   arrays and exist only for the nodes a run touched. A reset clears
 //!   exactly those frontiers (including generated but unsettled ones a
-//!   targeted early exit leaves behind), those schedules, the heap, and
-//!   the arrival and witness slots of the nodes the run reached. Each
-//!   core keeps its tree's dense slots across runs and lends the tree
-//!   out until the next run, so a run that explores little costs little
+//!   targeted early exit leaves behind), those schedules, the queue, and
+//!   the witness slots of the nodes the run reached. A witness slot is a
+//!   4-byte label id (0 while unreached) whose label carries the
+//!   arrival, so sizing a fresh tree is a zeroed allocation. Each core
+//!   keeps its tree's dense slots across runs and lends the tree out
+//!   until the next run, so a run that explores little costs little
 //!   even on a huge index: a reset costs what the last run touched, and
 //!   nothing is allocated per run once the slots fit the index.
 //!
@@ -271,35 +278,32 @@ impl<K: Ord + Clone, V> FlatMap<K, V> {
     }
 }
 
-/// One explored configuration/label: its arrival instant plus the
-/// parent pointer `(parent arena id, edge, departure)` that realizes it
-/// (`None` for seeds). Both explorers allocate these in one bump arena
-/// addressed by `u32` id — witness journeys are rebuilt by walking
-/// parent ids.
-#[derive(Debug, Clone)]
-struct Label<T> {
-    time: T,
-    parent: Option<(u32, EdgeId, T)>,
-}
-
 /// The all-destinations output of one single-source engine run: for each
 /// node, the foremost (earliest) arrival from the seed configuration(s),
 /// plus the parent structure to rebuild a witness journey on demand.
 ///
 /// Seed nodes are reached at their seed time by the empty journey.
 ///
-/// Both explorers settle into one: per node, the foremost arrival and
-/// the arena id of its witness label, the label arena, and the reached
-/// nodes in settle order, which are exactly the slots a reset clears.
+/// Both explorers settle into one: per node, the arena id of its
+/// witness label, whose time is the node's foremost arrival, the label
+/// arena, and the reached nodes in settle order, which are exactly the
+/// slots a reset clears.
 /// Journeys are rebuilt lazily in [`ForemostTree::journey_to`], so
 /// arrival-only consumers (reachability rows, delivery ratios,
 /// broadcasts) pay nothing for witnesses they never read.
 #[derive(Debug, Clone)]
 pub struct ForemostTree<T> {
-    /// Per node, the foremost arrival and its witness label's arena id.
-    foremost: Vec<Option<(T, u32)>>,
-    arena: Vec<Label<T>>,
-    /// The nodes whose `foremost` slot is `Some`, in settle order.
+    /// Per node, one plus its witness label's arena id; 0 while the
+    /// node is unreached, so a fresh slot array is a zeroed allocation.
+    witness: Vec<u32>,
+    /// The label arena, by `u32` id, struct-of-arrays: each explored
+    /// configuration/label's arrival instant, which arrival reads touch
+    /// alone, ...
+    times: Vec<T>,
+    /// ... and the parent pointer `(parent id, edge, departure)` that
+    /// realizes it (`None` for seeds), which witness journeys walk.
+    parents: Vec<Option<(u32, EdgeId, T)>>,
+    /// The nodes whose `witness` slot is set, in settle order.
     reached: Vec<NodeId>,
     stats: EngineStats,
 }
@@ -308,8 +312,9 @@ impl<T: Time> ForemostTree<T> {
     /// `num_nodes` unreached nodes and an empty arena.
     fn new(num_nodes: usize) -> Self {
         ForemostTree {
-            foremost: vec![None; num_nodes],
-            arena: Vec::new(),
+            witness: vec![0; num_nodes],
+            times: Vec::new(),
+            parents: Vec::new(),
             reached: Vec::new(),
             stats: EngineStats::default(),
         }
@@ -317,49 +322,66 @@ impl<T: Time> ForemostTree<T> {
 
     /// Starts over with `num_nodes` unreached nodes, clearing only the
     /// slots the last run settled, so a run that reaches few nodes costs
-    /// little on a huge index. The slots and the arena keep their
-    /// capacity.
+    /// little on a huge index. The arena keeps its capacity, and so do
+    /// the slots unless `num_nodes` outgrows them: every slot is unreached
+    /// by then, so growing is a fresh zeroed allocation, not a copy and a
+    /// fill.
     fn reset(&mut self, num_nodes: usize) {
         for v in self.reached.drain(..) {
-            self.foremost[v.index()] = None;
+            self.witness[v.index()] = 0;
         }
-        self.arena.clear();
-        self.resize(num_nodes);
+        self.times.clear();
+        self.parents.clear();
+        if num_nodes > self.witness.len() {
+            self.witness = vec![0; num_nodes];
+        } else {
+            self.witness.truncate(num_nodes);
+        }
     }
 
-    /// Sizes the slots for `num_nodes` nodes, after streamed topology
-    /// growth or for a run on another index. Every slot past the new
-    /// size is unreached by then.
+    /// Grows the slots after streamed topology growth, keeping every
+    /// arrival.
     fn resize(&mut self, num_nodes: usize) {
-        self.foremost.resize(num_nodes, None);
+        self.witness.resize(num_nodes, 0);
     }
 
     fn alloc(&mut self, time: T, parent: Option<(u32, EdgeId, T)>) -> u32 {
-        let id = u32::try_from(self.arena.len()).expect("label arena exceeds u32 capacity");
-        self.arena.push(Label { time, parent });
+        // Ids stop below `u32::MAX`, so one plus an id fits a slot.
+        let id = u32::try_from(self.times.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("label arena exceeds u32 capacity");
+        self.times.push(time);
+        self.parents.push(parent);
         id
     }
 
-    /// Settles `node` at `time` with witness label `id` unless it is
-    /// already reached; whether this was its first, foremost settle.
-    fn settle(&mut self, node: NodeId, time: &T, id: u32) -> bool {
-        let slot = &mut self.foremost[node.index()];
-        if slot.is_some() {
+    /// The witness label id of `n`, `None` while unreached.
+    fn witness_id(&self, n: NodeId) -> Option<usize> {
+        self.witness[n.index()].checked_sub(1).map(|id| id as usize)
+    }
+
+    /// Settles `node` with witness label `id`, whose time is the
+    /// arrival, unless it is already reached; whether this was its
+    /// first, foremost settle.
+    fn settle(&mut self, node: NodeId, id: u32) -> bool {
+        let slot = &mut self.witness[node.index()];
+        if *slot != 0 {
             return false;
         }
-        *slot = Some((time.clone(), id));
+        *slot = id + 1;
         self.reached.push(node);
         true
     }
 
     /// Forgets every arrival at or after `t0`.
     fn forget_from(&mut self, t0: &T) {
-        let foremost = &mut self.foremost;
+        let (witness, times) = (&mut self.witness, &self.times);
         self.reached.retain(|v| {
-            let slot = &mut foremost[v.index()];
-            let keep = slot.as_ref().is_some_and(|(t, _)| t < t0);
+            let slot = &mut witness[v.index()];
+            let keep = times[*slot as usize - 1] < *t0;
             if !keep {
-                *slot = None;
+                *slot = 0;
             }
             keep
         });
@@ -369,7 +391,7 @@ impl<T: Time> ForemostTree<T> {
     /// limits.
     #[must_use]
     pub fn arrival(&self, n: NodeId) -> Option<&T> {
-        self.foremost[n.index()].as_ref().map(|(t, _)| t)
+        self.times.get(self.witness_id(n)?)
     }
 
     /// A foremost journey to `n` (empty for a seed node), `None` if
@@ -377,15 +399,15 @@ impl<T: Time> ForemostTree<T> {
     /// witness label's parent ids back to its seed.
     #[must_use]
     pub fn journey_to(&self, n: NodeId) -> Option<Journey<T>> {
-        let mut id = self.foremost[n.index()].as_ref()?.1;
+        let mut id = self.witness_id(n)?;
         let mut hops = Vec::new();
-        while let Some((prev, e, dep)) = &self.arena[id as usize].parent {
+        while let Some((prev, e, dep)) = &self.parents[id] {
             hops.push(Hop {
                 edge: *e,
                 depart: dep.clone(),
-                arrive: self.arena[id as usize].time.clone(),
+                arrive: self.times[id].clone(),
             });
-            id = *prev;
+            id = *prev as usize;
         }
         hops.reverse();
         Some(Journey::from_hops(hops))
@@ -562,7 +584,9 @@ impl<T: Time> Engine<T> {
 #[derive(Debug, Clone)]
 struct Departures<T> {
     /// Each out-edge's next span not yet admitted, as `(start, out-edge
-    /// slot, span index)`: a min-heap by start.
+    /// slot, span index)`: a min-heap by start. Not a [`TimeQueue`]: it
+    /// holds one entry per out-edge, mostly at distinct starts, so time
+    /// buckets would allocate one `Vec` per entry.
     pending: BinaryHeap<Reverse<(T, usize, usize)>>,
     /// Admitted spans that have not ended, as `(out-edge slot, span
     /// index, start, end)` in `(slot, start)` order, the order
@@ -710,6 +734,117 @@ impl<V: Default> Touched<V> {
     }
 }
 
+/// Packs three `u32` fields into one queue key that orders like the
+/// tuple `(a, b, c)`.
+fn pack(a: u32, b: u32, c: u32) -> u128 {
+    u128::from(a) << 64 | u128::from(b) << 32 | u128::from(c)
+}
+
+/// The exact core's queue key, ordered by `(node, hops, label id)`.
+fn exact_key(node: NodeId, hops: u32, id: u32) -> u128 {
+    // A node index is a `u32` widened, so the cast is lossless.
+    pack(node.index() as u32, hops, id)
+}
+
+/// The Pareto core's queue key, ordered by `(hops, node, label id)`.
+fn pareto_key(hops: u32, node: NodeId, id: u32) -> u128 {
+    pack(hops, node.index() as u32, id)
+}
+
+/// The three fields of a [`pack`]ed key.
+fn unpack(key: u128) -> (u32, u32, u32) {
+    // Each field is the low 32 bits of its shift: truncation intended.
+    ((key >> 64) as u32, (key >> 32) as u32, key as u32)
+}
+
+/// The explorers' min-queue of `(time, packed key)` entries, popped in
+/// `(time, key)` order. Both explorers pop times in non-decreasing
+/// order and never push before the time they are settling, so entries
+/// wait in one unsorted bucket per later time, and a time's bucket is
+/// sorted once when it becomes current and then read in order. Pushes
+/// at the current time (zero-latency crossings and decrease-key
+/// re-pushes) go to a small heap merged with that bucket.
+///
+/// An emptied bucket is dropped, not kept for reuse: pooling them keeps
+/// every bucket's peak capacity alive across runs.
+#[derive(Debug, Clone)]
+struct TimeQueue<T> {
+    /// Entries after the current time, one unsorted bucket per time.
+    later: BTreeMap<T, Vec<u128>>,
+    /// The time being read, once a pop has made one current.
+    now: Option<T>,
+    /// The current time's bucket, sorted; `bucket[next..]` is unread.
+    bucket: Vec<u128>,
+    next: usize,
+    /// Entries pushed at the current time while it was read.
+    fresh: BinaryHeap<Reverse<u128>>,
+}
+
+impl<T> Default for TimeQueue<T> {
+    fn default() -> Self {
+        TimeQueue {
+            later: BTreeMap::new(),
+            now: None,
+            bucket: Vec::new(),
+            next: 0,
+            fresh: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<T: Ord + Clone> TimeQueue<T> {
+    fn clear(&mut self) {
+        self.later.clear();
+        self.now = None;
+        self.bucket.clear();
+        self.next = 0;
+        self.fresh.clear();
+    }
+
+    fn push(&mut self, time: T, key: u128) {
+        if let Some(now) = &self.now {
+            if time == *now {
+                self.fresh.push(Reverse(key));
+                return;
+            }
+            if time < *now {
+                // Popping the current time's rest first would break the
+                // order; once it is read out, the earlier time is next.
+                assert!(
+                    self.next == self.bucket.len() && self.fresh.is_empty(),
+                    "a push before the current time while it holds entries"
+                );
+                self.now = None;
+            }
+        }
+        self.later.entry(time).or_default().push(key);
+    }
+
+    fn pop(&mut self) -> Option<(T, u128)> {
+        loop {
+            if let Some(now) = &self.now {
+                let fresh = self.fresh.peek().map(|k| k.0);
+                match (self.bucket.get(self.next).copied(), fresh) {
+                    (Some(b), f) if f.is_none_or(|f| b <= f) => {
+                        self.next += 1;
+                        return Some((now.clone(), b));
+                    }
+                    (_, Some(f)) => {
+                        self.fresh.pop();
+                        return Some((now.clone(), f));
+                    }
+                    _ => {}
+                }
+            }
+            let (time, mut bucket) = self.later.pop_first()?;
+            bucket.sort_unstable();
+            self.bucket = bucket;
+            self.next = 0;
+            self.now = Some(time);
+        }
+    }
+}
+
 /// Maps an arrival configuration to `(parent node, parent ready time,
 /// edge, departure)` — the same parent structure as the tick-scan
 /// reference search, so reconstructed journeys match it hop for hop.
@@ -734,7 +869,7 @@ pub(crate) fn rebuild<T: Time>(parents: &ParentMap<T>, mut state: (NodeId, T)) -
 /// the first-generated witness label (the same first-crossing-wins rule
 /// as the old `or_insert` parent map), the best hop count — the
 /// decrease-key key while enqueued, the settle hops once settled (equal
-/// by the time the first pop happens, since the heap pops hop-minimal
+/// by the time the first pop happens, since the queue pops hop-minimal
 /// ties first) — whether the configuration has settled, and the record
 /// of its last expansion that lets a repair skip it.
 ///
@@ -815,10 +950,11 @@ pub(crate) struct ExactCore<T> {
     /// Seed configurations and their arena slots, for resolving the
     /// origin label of a settled seed that no crossing generated.
     seed_slots: Vec<(NodeId, T, u32)>,
-    // Min-heap on (arrival, node, hops, label id): pops in time order,
-    // so the first settle of a node is its foremost arrival. Residual
-    // duplicates are deduplicated at pop time against the settled flag.
-    queue: BinaryHeap<Reverse<(T, NodeId, u32, u32)>>,
+    /// Pops `(arrival, node, hops, label id)` in that order, the key
+    /// [`pack`]ed from the last three: in time order, so the first
+    /// settle of a node is its foremost arrival. Residual duplicates are
+    /// deduplicated at pop time against the settled flag.
+    queue: TimeQueue<T>,
     /// The departure schedule of each node the current pass expanded.
     departures: Touched<Departures<T>>,
 }
@@ -829,7 +965,7 @@ impl<T: Time> ExactCore<T> {
             out: ForemostTree::new(num_nodes),
             frontiers: Touched::new(num_nodes),
             seed_slots: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: TimeQueue::default(),
             departures: Touched::new(num_nodes),
         }
     }
@@ -838,7 +974,7 @@ impl<T: Time> ExactCore<T> {
     /// clearing only what the previous run touched: the frontier maps
     /// of every node it generated into (including generated but
     /// unsettled configurations a targeted early exit left behind), its
-    /// seeds, its departure schedules, the heap, and the output slots of
+    /// seeds, its departure schedules, the queue, and the output slots of
     /// the nodes it reached.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.frontiers.reset(num_nodes, |f| {
@@ -879,7 +1015,7 @@ impl<T: Time> ExactCore<T> {
         for (node, t) in seeds {
             let id = self.out.alloc(t.clone(), None);
             self.seed_slots.push((*node, t.clone(), id));
-            self.queue.push(Reverse((t.clone(), *node, 0, id)));
+            self.queue.push(t.clone(), exact_key(*node, 0, id));
         }
     }
 
@@ -1011,7 +1147,9 @@ impl<T: Time> ExactCore<T> {
         stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        while let Some(Reverse((time, node, hops, id))) = self.queue.pop() {
+        while let Some((time, key)) = self.queue.pop() {
+            let (node, hops, id) = unpack(key);
+            let node = NodeId::from_index(node as usize);
             // The witness label of this configuration: its
             // first-generated crossing if one exists (a zero-latency
             // cycle can generate into a seed configuration before the
@@ -1023,7 +1161,7 @@ impl<T: Time> ExactCore<T> {
                     if entry.settled {
                         continue;
                     }
-                    // The heap pops hop-minimal ties first, so the
+                    // The queue pops hop-minimal ties first, so the
                     // popped hops equal the best enqueued hops here.
                     entry.settled = true;
                     entry.hops = hops;
@@ -1040,7 +1178,7 @@ impl<T: Time> ExactCore<T> {
             stats.settled += 1;
             // The first settle is already foremost: a targeted query is
             // done here.
-            if self.out.settle(node, &time, id) && target == Some(node) {
+            if self.out.settle(node, id) && target == Some(node) {
                 break;
             }
             if hops == cap {
@@ -1155,14 +1293,14 @@ impl<T: Time> ExactCore<T> {
                         if !entry.settled && hops + 1 < entry.hops {
                             entry.hops = hops + 1;
                             let gen_id = entry.label;
-                            self.queue.push(Reverse((arr, succ, hops + 1, gen_id)));
+                            self.queue.push(arr, exact_key(succ, hops + 1, gen_id));
                         }
                     }
                     Err(at) => {
                         let new_id = self.out.alloc(arr.clone(), Some((id, e, dep.clone())));
                         let entry = Conf::new(new_id, hops + 1, false, arr.clone());
                         map.insert_at(at, arr.clone(), entry);
-                        self.queue.push(Reverse((arr, succ, hops + 1, new_id)));
+                        self.queue.push(arr, exact_key(succ, hops + 1, new_id));
                     }
                 }
                 dep = dep.succ();
@@ -1254,10 +1392,11 @@ pub(crate) struct ParetoCore<T> {
     /// (settle order is time-ordered and per-node ties are dominated
     /// away).
     settled: Touched<Vec<ParetoEntry<T>>>,
-    // Min-heap on (arrival, hops, node, label id); pops in (time, hops)
-    // order, and label ids make every entry unique, so the pop sequence
-    // is exactly the old ordered-set iteration order.
-    queue: BinaryHeap<Reverse<(T, u32, NodeId, u32)>>,
+    /// Pops `(arrival, hops, node, label id)` in that order, the key
+    /// [`pack`]ed from the last three: in `(time, hops)` order, and
+    /// label ids make every entry unique, so the pop sequence is exactly
+    /// the old ordered-set iteration order.
+    queue: TimeQueue<T>,
 }
 
 impl<T: Time> ParetoCore<T> {
@@ -1265,12 +1404,12 @@ impl<T: Time> ParetoCore<T> {
         ParetoCore {
             out: ForemostTree::new(num_nodes),
             settled: Touched::new(num_nodes),
-            queue: BinaryHeap::new(),
+            queue: TimeQueue::default(),
         }
     }
 
     /// Readies the core for a fresh run (see [`ExactCore::reset`]):
-    /// clears the touched nodes' frontiers, the heap, and the reached
+    /// clears the touched nodes' frontiers, the queue, and the reached
     /// nodes' output slots.
     pub(crate) fn reset(&mut self, num_nodes: usize) {
         self.settled.reset(num_nodes, Vec::clear);
@@ -1291,7 +1430,7 @@ impl<T: Time> ParetoCore<T> {
     {
         for (node, t) in seeds {
             let id = self.out.alloc(t.clone(), None);
-            self.queue.push(Reverse((t.clone(), 0, *node, id)));
+            self.queue.push(t.clone(), pareto_key(0, *node, id));
         }
     }
 
@@ -1350,14 +1489,16 @@ impl<T: Time> ParetoCore<T> {
         stats: &mut EngineStats,
     ) {
         let cap = hops_cap(limits);
-        while let Some(Reverse((time, hops, node, id))) = self.queue.pop() {
+        while let Some((time, key)) = self.queue.pop() {
+            let (hops, node, id) = unpack(key);
+            let node = NodeId::from_index(node as usize);
             let frontier = self.settled.touch(node);
             if dominated(frontier, &time, hops) {
                 continue;
             }
             frontier.push((time.clone(), hops, id));
             stats.settled += 1;
-            if self.out.settle(node, &time, id) && target == Some(node) {
+            if self.out.settle(node, id) && target == Some(node) {
                 break;
             }
             if hops == cap || time > limits.horizon {
@@ -1415,7 +1556,7 @@ impl<T: Time> ParetoCore<T> {
             }
             stats.expanded += 1;
             let new_id = self.out.alloc(arr.clone(), Some((id, e, dep)));
-            self.queue.push(Reverse((arr, hops + 1, succ, new_id)));
+            self.queue.push(arr, pareto_key(hops + 1, succ, new_id));
         }
     }
 }
@@ -2071,5 +2212,266 @@ mod tests {
         assert_eq!(m.search(&2), Err(1));
         m.truncate_from(&3);
         assert_eq!(m.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![1]);
+    }
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::time::{Duration, Instant};
+    use tvg_bigint::Nat;
+
+    /// The queue the explorers used before [`TimeQueue`]: a min-heap of
+    /// full tuples, which pops in the same `(time, a, b, c)` order.
+    type TupleHeap<T> = BinaryHeap<Reverse<(T, u32, u32, u32)>>;
+
+    /// Drives a [`TimeQueue`] and a [`TupleHeap`] through one random
+    /// interleaving of pushes, pops and clears and checks that they pop
+    /// the same entries. Pushes never precede the last popped time, and
+    /// a third of them land on it. Fields are drawn from `0..4`, so keys
+    /// repeat, and after a clear the time may start over lower.
+    fn queue_matches_the_tuple_heap<T: Time>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queue = TimeQueue::default();
+        let mut heap = TupleHeap::new();
+        let mut now = 0u64;
+        let mut popped = 0;
+        for _ in 0..4_000 {
+            match rng.gen_range(0..20) {
+                0..=9 => {
+                    // Now and then a burst, so that buckets outgrow any
+                    // small-size path of the sort.
+                    let burst = if rng.gen_bool(0.02) { 500 } else { 1 };
+                    for _ in 0..burst {
+                        let t = now + [0, 0, 0, 1, 2, 5][rng.gen_range(0..6)];
+                        let [a, b, c]: [u32; 3] = [0; 3].map(|_| rng.gen_range(0..4));
+                        queue.push(T::from_u64(t), pack(a, b, c));
+                        heap.push(Reverse((T::from_u64(t), a, b, c)));
+                    }
+                }
+                10..=18 => {
+                    let got = queue.pop().map(|(t, key)| {
+                        let (a, b, c) = unpack(key);
+                        (t, a, b, c)
+                    });
+                    let want = heap.pop().map(|r| r.0);
+                    assert_eq!(got, want, "seed {seed}, pop {popped}");
+                    if let Some((t, ..)) = got {
+                        now = t.to_u64().expect("small time");
+                        popped += 1;
+                    }
+                }
+                _ => {
+                    queue.clear();
+                    heap.clear();
+                    now = rng.gen_range(0..=now);
+                }
+            }
+        }
+        while let Some(want) = heap.pop() {
+            let (t, key) = queue.pop().expect("the queue holds what the heap holds");
+            let (a, b, c) = unpack(key);
+            assert_eq!((t, a, b, c), want.0, "seed {seed}, final drain");
+        }
+        assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
+    fn time_queue_pops_what_a_tuple_heap_pops() {
+        for seed in 0..8 {
+            queue_matches_the_tuple_heap::<u32>(seed);
+            queue_matches_the_tuple_heap::<u64>(seed);
+            queue_matches_the_tuple_heap::<Nat>(seed);
+        }
+        assert_eq!(unpack(pack(u32::MAX, 0, 7)), (u32::MAX, 0, 7));
+    }
+
+    #[test]
+    fn time_queue_takes_an_earlier_time_once_the_current_one_is_read_out() {
+        let mut queue = TimeQueue::default();
+        queue.push(5u64, 2);
+        assert_eq!(queue.pop(), Some((5, 2)));
+        queue.push(9, 1);
+        queue.push(3, 4);
+        queue.push(5, 3);
+        assert_eq!(queue.pop(), Some((3, 4)));
+        assert_eq!(queue.pop(), Some((5, 3)));
+        assert_eq!(queue.pop(), Some((9, 1)));
+        assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "a push before the current time while it holds entries")]
+    fn time_queue_refuses_a_push_before_a_time_it_is_still_reading() {
+        let mut queue = TimeQueue::default();
+        queue.push(5u64, 1);
+        queue.push(5, 2);
+        assert_eq!(queue.pop(), Some((5, 1)));
+        queue.push(4, 0);
+    }
+
+    /// One queue operation of a recorded trace.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Push(u32, u32, u32, u32),
+        Pop,
+    }
+
+    /// A monotone trace in the shape of one `engine-sweep` run (a Pareto
+    /// drain of `scale_free n=10000 horizon=64` under unbounded waiting,
+    /// about 24 600 pushes per run over the 65 instants `0..=64`): a
+    /// label popped at `t` pushes crossings arriving in `t..=t + 4` (at
+    /// `t` itself one time in twenty) up to instant 64 and 25 000
+    /// pushes, drained to the end. Keys are `(hops, node, label id)` as
+    /// the Pareto core packs them.
+    fn engine_sweep_trace() -> Vec<Op> {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut heap = TupleHeap::new();
+        let mut ops = vec![Op::Push(0, 0, 0, 0)];
+        heap.push(Reverse((0, 0, 0, 0)));
+        let mut pushes = 1;
+        while let Some(Reverse((t, hops, ..))) = heap.pop() {
+            ops.push(Op::Pop);
+            // One to three crossings per label while the queue is short,
+            // zero to two once it holds 1 300 entries.
+            let crossings = if heap.len() < 1_300 {
+                rng.gen_range(1..=3)
+            } else {
+                rng.gen_range(0..=2)
+            };
+            for _ in 0..crossings {
+                let wait = if rng.gen_bool(0.05) {
+                    0
+                } else {
+                    rng.gen_range(1..=4)
+                };
+                let arr = t + wait;
+                if pushes == 25_000 || arr > 64 {
+                    continue;
+                }
+                let node = rng.gen_range(0..10_000);
+                ops.push(Op::Push(arr, hops + 1, node, pushes));
+                heap.push(Reverse((arr, hops + 1, node, pushes)));
+                pushes += 1;
+            }
+        }
+        ops
+    }
+
+    /// Replays `ops` `reps` times on `push`/`pop`, clearing in between
+    /// as a reused engine does, and returns the elapsed time and a
+    /// checksum of every popped entry.
+    fn replay_trace<Q>(
+        queue: &mut Q,
+        ops: &[Op],
+        reps: usize,
+        push: impl Fn(&mut Q, Op),
+        pop: impl Fn(&mut Q) -> Option<(u32, u32, u32, u32)>,
+        clear: impl Fn(&mut Q),
+    ) -> (Duration, u64) {
+        let started = Instant::now();
+        let mut sum = 0u64;
+        for _ in 0..reps {
+            clear(queue);
+            for &op in ops {
+                if let Op::Pop = op {
+                    let (t, a, b, c) = pop(queue).expect("the trace pops a pushed entry");
+                    sum = sum.wrapping_mul(31).wrapping_add(
+                        u64::from(t) ^ u64::from(a) << 8 ^ u64::from(b) << 16 ^ u64::from(c) << 40,
+                    );
+                } else {
+                    push(queue, op);
+                }
+            }
+        }
+        (started.elapsed(), sum)
+    }
+
+    /// A wall-clock gate, `#[ignore]`d so the tier-1 suite stays
+    /// deterministic: draining the `engine-sweep`-shaped trace must cost
+    /// [`TimeQueue`] at most 0.7× what it costs the [`TupleHeap`] the
+    /// explorers used before, medians of 5 alternating passes of 20
+    /// drains each in one process. Run it on a release build with
+    /// `cargo test --release -p tvg-journeys --lib -- --ignored
+    /// time_queue --nocapture`.
+    #[test]
+    #[ignore = "wall-clock gate; run on a release build with --ignored"]
+    fn time_queue_drains_an_engine_sweep_trace_faster_than_a_tuple_heap() {
+        let ops = engine_sweep_trace();
+        let pushes = ops.iter().filter(|op| matches!(op, Op::Push(..))).count();
+        let mut times: Vec<u32> = ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Push(t, ..) => Some(*t),
+                Op::Pop => None,
+            })
+            .collect();
+        times.sort_unstable();
+        times.dedup();
+        assert!(pushes > 24_000, "{pushes} pushes");
+        assert!(times.len() > 60, "{} distinct times", times.len());
+
+        let mut queue = TimeQueue::<u32>::default();
+        let mut heap = TupleHeap::<u32>::new();
+        let mut run_queue = || {
+            replay_trace(
+                &mut queue,
+                &ops,
+                20,
+                |q, op| {
+                    if let Op::Push(t, a, b, c) = op {
+                        q.push(t, pack(a, b, c));
+                    }
+                },
+                |q| {
+                    q.pop().map(|(t, key)| {
+                        let (a, b, c) = unpack(key);
+                        (t, a, b, c)
+                    })
+                },
+                TimeQueue::clear,
+            )
+        };
+        let mut run_heap = || {
+            replay_trace(
+                &mut heap,
+                &ops,
+                20,
+                |h, op| {
+                    if let Op::Push(t, a, b, c) = op {
+                        h.push(Reverse((t, a, b, c)));
+                    }
+                },
+                |h| h.pop().map(|r| r.0),
+                BinaryHeap::clear,
+            )
+        };
+        let (mut q, mut h) = (Vec::new(), Vec::new());
+        for pass in 0..5 {
+            let (qt, qsum, ht, hsum) = if pass % 2 == 0 {
+                let (qt, qsum) = run_queue();
+                let (ht, hsum) = run_heap();
+                (qt, qsum, ht, hsum)
+            } else {
+                let (ht, hsum) = run_heap();
+                let (qt, qsum) = run_queue();
+                (qt, qsum, ht, hsum)
+            };
+            assert_eq!(qsum, hsum, "both queues pop the same entries");
+            q.push(qt);
+            h.push(ht);
+        }
+        q.sort();
+        h.sort();
+        let ratio = q[2].as_secs_f64() / h[2].as_secs_f64();
+        println!(
+            "time_queue: {pushes} pushes over {} times, queue {:?}, tuple heap {:?} \
+             per 20 drains, ratio {ratio:.3} (median of 5)",
+            times.len(),
+            q[2],
+            h[2]
+        );
+        assert!(
+            ratio <= 0.7,
+            "the time queue must drain the trace in at most 0.7x the tuple heap's time, got {ratio:.3}"
+        );
     }
 }

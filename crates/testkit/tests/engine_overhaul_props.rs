@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 use tvg_bigint::Nat;
 use tvg_journeys::engine::{foremost_tree, foremost_tree_multi};
 use tvg_journeys::{Engine, IncrementalForemost, SearchLimits, WaitingPolicy};
-use tvg_model::generators::edge_markovian_contacts;
+use tvg_model::generators::{edge_markovian_contacts, scale_free_temporal};
 use tvg_model::stream::TvgStream;
 use tvg_model::{
     narrow_tvg, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder, TvgIndex,
@@ -58,8 +58,21 @@ fn assert_cores_match<T: Time, I: TemporalIndex<T>>(
     limits: &SearchLimits<T>,
     label: &str,
 ) {
+    let sources = (0..index.num_nodes()).map(NodeId::from_index);
+    assert_cores_match_from(index, sources, start, policy, limits, label);
+}
+
+/// [`assert_cores_match`] from the given sources only.
+fn assert_cores_match_from<T: Time, I: TemporalIndex<T>>(
+    index: &I,
+    sources: impl IntoIterator<Item = NodeId>,
+    start: &T,
+    policy: &WaitingPolicy<T>,
+    limits: &SearchLimits<T>,
+    label: &str,
+) {
     let nodes = index.num_nodes();
-    for src in (0..nodes).map(NodeId::from_index) {
+    for src in sources {
         let tree = foremost_tree(index, src, start, policy, limits);
         let oracle = ref_foremost_tree(index, &[(src, start.clone())], policy, limits, None);
         assert_eq!(
@@ -140,6 +153,33 @@ fn cores_match_oracle_in_the_narrowed_u32_domain() {
     let index = TvgIndex::compile(&narrowed, limits.horizon);
     for policy in all_policies(4) {
         assert_cores_match(&index, &0u32, &policy, &limits, "scale-free/u32");
+    }
+}
+
+/// The `engine-sweep` benchmark's graph and limits (`scale_free
+/// n=10000 horizon=64 seed=29`, `max_hops=32`, narrowed to `u32` as its
+/// compiled index is), where the explorers' queues hold hundreds of
+/// entries per instant, from every 100th source under the four policies
+/// the benchmarks run. About 17 s on a 2-vCPU VM; run it on a release
+/// build with
+/// `cargo test --release -p tvg-testkit --test engine_overhaul_props --
+/// --ignored`.
+#[test]
+#[ignore = "slow; run on a release build with --ignored"]
+fn cores_match_oracle_at_engine_sweep_size() {
+    let g = scale_free_temporal(10_000, 64, 29);
+    let narrowed: Tvg<u32> = narrow_tvg(&g, 64).expect("horizon fits u32");
+    let limits = SearchLimits::new(64u32, 32);
+    let index = TvgIndex::compile(&narrowed, limits.horizon);
+    let sources = (0..index.num_nodes()).step_by(100).map(NodeId::from_index);
+    for policy in [
+        WaitingPolicy::NoWait,
+        WaitingPolicy::Bounded(3),
+        WaitingPolicy::Bounded(12),
+        WaitingPolicy::Unbounded,
+    ] {
+        let label = format!("engine-sweep/{policy}");
+        assert_cores_match_from(&index, sources.clone(), &0, &policy, &limits, &label);
     }
 }
 
