@@ -1,37 +1,43 @@
 //! The batch-query runtime: independent single-source engine runs fanned
-//! out over scoped worker threads that share one compiled
-//! [`TvgIndex`](tvg_model::TvgIndex).
+//! out over the calling thread and scoped helper threads that share one
+//! compiled [`TvgIndex`](tvg_model::TvgIndex).
 //!
 //! Every aggregate consumer in the workspace — `ReachabilityMatrix`
 //! (all-pairs reachability), `delivery_ratio` (all-sources delivery),
-//! the scenario `broadcast` plan — is "one compile, n independent
-//! engine runs". The runs share the index immutably (`TvgIndex` is
-//! `Send + Sync` whenever its time domain is) and touch nothing else,
-//! so the layer is embarrassingly parallel:
+//! the scenario `broadcast` plan, the serve loop's readers — is "one
+//! compile, n independent engine runs". The runs share the index
+//! immutably (`TvgIndex` is `Send + Sync` whenever its time domain is)
+//! and touch nothing else, so the layer is embarrassingly parallel:
 //!
 //! ```text
-//! queries ──▶ atomic claim ──▶ worker₀ ─ engine run ─┐
-//!                         ├──▶ worker₁ ─ engine run ─┼─▶ merge by input
-//!                         └──▶ workerₖ ─ engine run ─┘   index (stable)
+//! queries ──▶ atomic claim ──▶ caller  ─ engine run ─┐
+//!                         ├──▶ helper₁ ─ engine run ─┼─▶ merge by input
+//!                         └──▶ helperₖ ─ engine run ─┘   index (stable)
+//!                  helpers start once the caller's work
+//!                  says they pay (HELPER_START)
 //! ```
 //!
-//! Workers claim queries from an atomic counter (no static chunking, so
-//! a straggler query cannot idle the other workers) and return
-//! `(input index, result)` pairs; the merge step reorders results into
-//! **input order**, which makes the output bit-identical to the serial
-//! path at every thread count. [`Batch::serial`] keeps a canonical
-//! single-threaded reference for deterministic tests, and the CI
-//! determinism job diffs a canonical dump between `TVG_BATCH_THREADS=1`
-//! and `=4` so parallel nondeterminism can never land silently.
+//! [`Batch::fan_out`] is the one worker loop. The calling thread is
+//! worker 0 and claims queries from an atomic counter (no static
+//! chunking, so a straggler query cannot idle the other workers);
+//! helpers claim from the same counter, but start only once the caller
+//! has worked for [`HELPER_START`] with as much work still unclaimed.
+//! A small batch therefore runs inline, and [`Batch::serial`] is the
+//! batch that never starts one. Each worker returns `(input index,
+//! result)` pairs, and the merge step writes results back in **input
+//! order**, which makes the output bit-identical at every thread
+//! count. The CI determinism job diffs a canonical dump between
+//! `TVG_BATCH_THREADS=1` and `=4` so parallel nondeterminism can never
+//! land silently.
 //!
 //! Work accounting survives the fan-out because [`EngineStats`] are
 //! values carried by each run's tree, summed at the merge — "n sources ⇒
 //! exactly n runs" holds at any thread count.
 //!
-//! Each worker builds one [`Engine`] on its first claim and reuses it
-//! for every query it answers, so a run pays for the state it touches,
-//! not an O(n + m) allocation per query; a reused engine answers
-//! bit-identically to a fresh one.
+//! Each worker owns one [`Engine`] and reuses it for every query it
+//! answers, so a run pays for the state it touches, not an O(n + m)
+//! allocation per query; a reused engine answers bit-identically to a
+//! fresh one.
 //!
 //! Trees never leave the workers. Every entry point takes a reducer
 //! that distills each tree into what the consumer keeps (a matrix row,
@@ -40,9 +46,10 @@
 
 use crate::engine::{Engine, EngineStats, ForemostTree};
 use crate::{SearchLimits, WaitingPolicy};
-use std::num::NonZeroUsize;
+use std::num::{NonZeroUsize, ParseIntError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 use tvg_model::{NodeId, TemporalIndex, Time};
 
 /// Environment variable overriding [`Batch::auto`]'s thread count.
@@ -52,33 +59,35 @@ const THREADS_ENV: &str = "TVG_BATCH_THREADS";
 /// Thread-count policy of a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Batch {
-    threads: NonZeroUsize,
+    /// `None`: the machine's parallelism, asked only when needed.
+    threads: Option<NonZeroUsize>,
 }
 
 impl Batch {
     /// The canonical single-threaded reference: every query runs inline
-    /// on the calling thread, in input order. Deterministic tests and
-    /// the CI determinism diff pin against this.
+    /// on the calling thread, in input order, and no helper ever starts.
+    /// Deterministic tests and the CI determinism diff pin against this.
     #[must_use]
     pub fn serial() -> Self {
-        Batch {
-            threads: NonZeroUsize::MIN,
-        }
+        Batch::threads(1)
     }
 
-    /// Exactly `n` worker threads (clamped up to 1; a zero-thread batch
-    /// is the serial one).
+    /// At most `n` worker threads, the calling thread included (clamped
+    /// up to 1; a zero-thread batch is the serial one).
     #[must_use]
     pub fn threads(n: usize) -> Self {
         Batch {
-            threads: NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN),
+            threads: Some(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN)),
         }
     }
 
     /// The deployment default: the `TVG_BATCH_THREADS` environment
     /// variable if set to a positive integer, otherwise
     /// [`std::thread::available_parallelism`]. The variable is read on
-    /// every call; the machine's parallelism is asked once per process.
+    /// every call; the machine's parallelism is asked at most once per
+    /// process, and only when a thread count is needed: by
+    /// [`Batch::num_threads`], or by [`Batch::fan_out`] when it is about
+    /// to start helpers.
     ///
     /// A set-but-invalid value (`"four"`, `"-2"`) still falls back to
     /// machine parallelism, but emits a one-line warning on stderr
@@ -87,57 +96,126 @@ impl Batch {
     /// documented "ask the machine" spellings and warn nothing.
     #[must_use]
     pub fn auto() -> Self {
-        let from_env =
-            std::env::var(THREADS_ENV)
-                .ok()
-                .and_then(|v| match parse_thread_override(&v) {
-                    ThreadOverride::Fixed(n) => Some(n),
-                    ThreadOverride::Machine => None,
-                    ThreadOverride::Invalid => {
-                        eprintln!(
-                            "warning: ignoring invalid {THREADS_ENV}={v:?} \
-                         (want a non-negative integer); using machine parallelism"
-                        );
-                        None
-                    }
-                });
-        static MACHINE: OnceLock<NonZeroUsize> = OnceLock::new();
-        let machine = || std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
-        let threads = from_env.unwrap_or_else(|| *MACHINE.get_or_init(machine));
+        let threads = std::env::var(THREADS_ENV).ok().and_then(|v| {
+            parse_thread_override(&v).unwrap_or_else(|_| {
+                eprintln!(
+                    "warning: ignoring invalid {THREADS_ENV}={v:?} \
+                     (want a non-negative integer); using machine parallelism"
+                );
+                None
+            })
+        });
         Batch { threads }
     }
 
-    /// Number of worker threads this batch will use.
+    /// Most worker threads this batch will use, the calling thread
+    /// included.
     #[must_use]
     pub fn num_threads(&self) -> usize {
-        self.threads.get()
+        static MACHINE: OnceLock<NonZeroUsize> = OnceLock::new();
+        let machine = || std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+        self.threads
+            .unwrap_or_else(|| *MACHINE.get_or_init(machine))
+            .get()
+    }
+
+    /// Runs `f` over every job and returns the results in input order.
+    ///
+    /// The calling thread is worker 0: it claims job indices from a
+    /// shared atomic counter and runs them. Once it has worked for
+    /// [`HELPER_START`] and, at its pace so far, the unclaimed jobs would
+    /// take it that long again, it spawns up to `num_threads() - 1`
+    /// scoped helpers that claim from the same counter. So a batch too
+    /// small to pay for a thread runs inline, and the serial batch is the
+    /// one that never spawns. Every index is claimed exactly once and
+    /// every result is written back by its index, so the output is
+    /// bit-identical at every thread count.
+    ///
+    /// Every worker owns one engine, lent to `f` for each job it runs.
+    ///
+    /// A panicking job does not abort the process: every helper is
+    /// joined before the first panic is rethrown on the calling thread,
+    /// whether that is a helper's (the first in spawn order) or the
+    /// caller's own (`std::thread::scope` joins the helpers before it
+    /// rethrows). Callers see the original payload via
+    /// [`std::panic::resume_unwind`], with no stranded threads behind it.
+    pub fn fan_out<T, J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
+    where
+        T: Time,
+        J: Sync,
+        R: Send,
+        F: Fn(&mut Engine<T>, &J) -> R + Sync,
+    {
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            jobs.get(i).map(|job| (i, job))
+        };
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
+        slots.resize_with(jobs.len(), || None);
+        std::thread::scope(|scope| {
+            let started = Instant::now();
+            let mut helpers = Vec::new();
+            let mut engine = Engine::new();
+            while let Some((i, job)) = claim() {
+                slots[i] = Some(f(&mut engine, job));
+                // Until a helper starts, the caller has claimed 0..=i.
+                if helpers.is_empty() && helpers_pay(started.elapsed(), i + 1, jobs.len()) {
+                    helpers = (0..(jobs.len() - i - 1).min(self.num_threads() - 1))
+                        .map(|_| {
+                            scope.spawn(|| {
+                                let mut engine = Engine::new();
+                                let mut done = Vec::new();
+                                while let Some((i, job)) = claim() {
+                                    done.push((i, f(&mut engine, job)));
+                                }
+                                done
+                            })
+                        })
+                        .collect();
+                }
+            }
+            // Join every helper before rethrowing the first panic.
+            let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+            for done in joined {
+                for (i, result) in done.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                {
+                    slots[i] = Some(result);
+                }
+            }
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("every claimed job produced a result"))
+            .collect()
     }
 }
 
-/// What a `TVG_BATCH_THREADS` value means, as three distinct cases so
-/// [`Batch::auto`] can warn on the invalid one without conflating it
-/// with the documented "ask the machine" spellings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadOverride {
-    /// A positive integer: use exactly this many workers.
-    Fixed(NonZeroUsize),
-    /// `"0"` (with optional surrounding whitespace): explicitly defer
-    /// to machine parallelism, same as unset.
-    Machine,
-    /// Anything else (`"four"`, `"-2"`, `""`): a mistake worth a
-    /// warning before falling back.
-    Invalid,
+/// How long the calling thread of [`Batch::fan_out`] works alone before
+/// it starts helper threads, and how much work must be left for them.
+/// On a 2-vCPU VM a scoped spawn and join of an idle helper costs
+/// 20–100 µs, but a helper spawned beside a caller that keeps working
+/// first runs 0.1–4 ms later (up to one scheduler tick). A batch that
+/// finishes within this long runs on the caller alone, which is most
+/// scenario plans.
+pub const HELPER_START: Duration = Duration::from_millis(1);
+
+/// Whether helpers pay for their start once the caller alone has run
+/// `done` of `jobs` jobs in `elapsed`: it has worked [`HELPER_START`],
+/// and at its pace so far the rest would take it at least as long.
+fn helpers_pay(elapsed: Duration, done: usize, jobs: usize) -> bool {
+    elapsed >= HELPER_START
+        && elapsed.as_nanos() * (jobs - done) as u128 >= HELPER_START.as_nanos() * done as u128
 }
 
 /// The pure classification behind [`Batch::auto`]'s env handling, kept
 /// separate so tests can cover every case without racing on the
-/// process-global environment.
-fn parse_thread_override(v: &str) -> ThreadOverride {
-    match v.trim().parse::<usize>() {
-        Ok(0) => ThreadOverride::Machine,
-        Ok(n) => ThreadOverride::Fixed(NonZeroUsize::new(n).expect("n > 0")),
-        Err(_) => ThreadOverride::Invalid,
-    }
+/// process-global environment: a positive integer fixes the count, `"0"`
+/// (with optional surrounding whitespace) is `None`, the machine's
+/// parallelism as when unset, and anything else (`"four"`, `"-2"`, `""`)
+/// is a mistake worth a warning before falling back.
+fn parse_thread_override(v: &str) -> Result<Option<NonZeroUsize>, ParseIntError> {
+    v.trim().parse().map(NonZeroUsize::new)
 }
 
 /// Shares one compiled index across a batch of engine runs.
@@ -176,12 +254,6 @@ impl<'i, I> BatchRunner<'i, I> {
     #[must_use]
     pub fn new(index: &'i I, batch: Batch) -> Self {
         BatchRunner { index, batch }
-    }
-
-    /// The thread-count policy of this runner.
-    #[must_use]
-    pub fn batch(&self) -> Batch {
-        self.batch
     }
 
     /// One all-destinations foremost run per source, all starting at
@@ -226,89 +298,13 @@ impl<'i, I> BatchRunner<'i, I> {
     where
         I: TemporalIndex<T> + Sync,
     {
-        let results = fan_out(self.batch.num_threads(), seed_sets, |engine, seeds| {
+        let results = self.batch.fan_out(seed_sets, |engine, seeds| {
             let tree = engine.run(self.index, seeds, policy, limits, None);
             (reduce(seeds, tree), tree.stats())
         });
         let stats = results.iter().map(|(_, s)| *s).sum();
         (results.into_iter().map(|(r, _)| r).collect(), stats)
     }
-}
-
-/// Runs `f` over every job and returns the results in input order.
-///
-/// With one thread (or at most one job) everything runs inline on the
-/// calling thread — the serial escape hatch costs no spawn. Otherwise
-/// `min(threads, jobs)` scoped workers claim job indices from a shared
-/// atomic counter, each collecting `(index, result)` pairs; the join
-/// loop writes results back by index. Every index is claimed exactly
-/// once, so the merged vector is a permutation-free image of the serial
-/// output — bit-identical at every thread count.
-///
-/// Every worker (the calling thread, when serial) owns one engine,
-/// built on its first claim and lent to `f` for each job it runs.
-///
-/// A panicking job does not abort the process: every worker is joined
-/// before the first panic payload is rethrown on the calling thread
-/// (std's scope would abort on a panicking `Drop` of an unjoined
-/// handle, and `join().expect(..)` would double-panic while siblings
-/// are still mid-query). Callers see the original payload via
-/// [`std::panic::resume_unwind`], with no stranded threads behind it.
-fn fan_out<T, J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
-where
-    T: Time,
-    J: Sync,
-    R: Send,
-    F: Fn(&mut Engine<T>, &J) -> R + Sync,
-{
-    if threads <= 1 || jobs.len() <= 1 {
-        let mut engine = Engine::new();
-        return jobs.iter().map(|job| f(&mut engine, job)).collect();
-    }
-    let workers = threads.min(jobs.len());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-    let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, f) = (&next, &f);
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    let mut engine: Option<Engine<T>> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else {
-                            return done;
-                        };
-                        done.push((i, f(engine.get_or_insert_with(Engine::new), job)));
-                    }
-                })
-            })
-            .collect();
-        // Join every worker before reacting to any failure: a panic in
-        // one must not strand its siblings mid-scope.
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => {
-                    for (i, result) in results {
-                        slots[i] = Some(result);
-                    }
-                }
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-    });
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every claimed job produced a result"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -365,27 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_results() {
-        let g = scale_free_temporal(40, 32, 5);
-        let index = TvgIndex::compile(&g, 32);
-        let sources: Vec<NodeId> = g.nodes().collect();
-        let limits = SearchLimits::new(32, 8);
-        for policy in policies() {
-            let expected = serial(&index, &single_seeds(&sources), &policy, &limits);
-            for threads in THREADS {
-                let got = BatchRunner::new(&index, Batch::threads(threads)).map_sources(
-                    &sources,
-                    &0,
-                    &policy,
-                    &limits,
-                    |_, tree| answers(tree, g.num_nodes()),
-                );
-                assert_eq!(got, expected, "{policy} x{threads}");
-            }
-        }
-    }
-
-    #[test]
     fn results_come_back_in_input_order() {
         let g = ring_bus_tvg(6, 6, 'r');
         let index = TvgIndex::compile(&g, 36);
@@ -413,29 +388,6 @@ mod tests {
                 let (arrival, journey) = &got[src.index()];
                 assert_eq!(arrival, &Some(0), "seed of {src} is itself");
                 assert!(journey.as_ref().expect("seed journey").is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn seed_sets_match_their_serial_engines() {
-        let g = ring_bus_tvg(5, 5, 'r');
-        let index = TvgIndex::compile(&g, 30);
-        let limits = SearchLimits::new(30, 10);
-        let seed_sets: Vec<Vec<(NodeId, u64)>> = (0..5)
-            .map(|i| (0..3u64).map(|t| (n(i), t)).collect())
-            .collect();
-        for policy in policies() {
-            let expected = serial(&index, &seed_sets, &policy, &limits);
-            assert_eq!(expected.1.runs, seed_sets.len() as u64);
-            for threads in THREADS {
-                let (results, stats) = BatchRunner::new(&index, Batch::threads(threads))
-                    .map_seed_sets(&seed_sets, &policy, &limits, |seeds, tree| {
-                        (seeds.to_vec(), answers(tree, g.num_nodes()))
-                    });
-                let (sets, got): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-                assert_eq!(sets, seed_sets, "{policy} x{threads}");
-                assert_eq!((got, stats), expected, "{policy} x{threads}");
             }
         }
     }
@@ -488,56 +440,28 @@ mod tests {
     /// coverage so tests never mutate the process-global environment.
     #[test]
     fn thread_env_override_classifies_all_spellings() {
-        assert_eq!(
-            parse_thread_override("4"),
-            ThreadOverride::Fixed(NonZeroUsize::new(4).unwrap())
-        );
-        assert_eq!(
-            parse_thread_override(" 12 "),
-            ThreadOverride::Fixed(NonZeroUsize::new(12).unwrap())
-        );
+        assert_eq!(parse_thread_override("4"), Ok(NonZeroUsize::new(4)));
+        assert_eq!(parse_thread_override(" 12 "), Ok(NonZeroUsize::new(12)));
         // The documented "ask the machine" spelling.
-        assert_eq!(parse_thread_override("0"), ThreadOverride::Machine);
+        assert_eq!(parse_thread_override("0"), Ok(None));
         // Garbage of every flavor is invalid, never a silent fallback.
         for garbage in ["four", "-2", "", "3.5", "0x4", "18446744073709551616"] {
-            assert_eq!(
-                parse_thread_override(garbage),
-                ThreadOverride::Invalid,
-                "{garbage:?}"
-            );
+            assert!(parse_thread_override(garbage).is_err(), "{garbage:?}");
         }
     }
 
-    /// Regression for the fan-out panic path: a poisoned query must
-    /// unwind cleanly out of the batch (original payload, every sibling
-    /// worker joined) instead of aborting the process from a panicking
-    /// scope-internal `expect`.
+    /// Helpers start once the caller has worked [`HELPER_START`] and the
+    /// rest of the batch, at its pace so far, would take it that long.
     #[test]
-    fn worker_panic_propagates_without_aborting() {
-        let jobs: Vec<usize> = (0..32).collect();
-        // Silence the default hook while the deliberate panic unwinds
-        // so the test log stays clean; restore it before asserting.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let caught = std::panic::catch_unwind(|| {
-            fan_out(4, &jobs, |_: &mut Engine<u64>, &i| {
-                assert!(i != 17, "poisoned query #{i}");
-                i * 2
-            })
-        });
-        std::panic::set_hook(hook);
-        let payload = caught.expect_err("the poisoned job must unwind");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("a formatted assert carries a String payload");
-        assert!(
-            message.contains("poisoned query #17"),
-            "original payload is preserved: {message}"
-        );
-        // The scope has exited, so every sibling is joined; a healthy
-        // batch on the same runner still works afterwards.
-        let healthy = fan_out(4, &jobs, |_: &mut Engine<u64>, &i| i * 2);
-        assert_eq!(healthy, (0..64).step_by(2).collect::<Vec<_>>());
+    fn helpers_start_only_when_they_pay() {
+        let ms = Duration::from_millis;
+        assert!(!helpers_pay(Duration::from_micros(900), 1, 100));
+        assert!(helpers_pay(ms(1), 1, 100));
+        // 1 ms for 7 jobs leaves one job of about 0.14 ms.
+        assert!(!helpers_pay(ms(1), 7, 8));
+        assert!(helpers_pay(ms(4), 4, 8));
+        // Nothing left to claim.
+        assert!(!helpers_pay(ms(50), 8, 8));
     }
 
     #[test]

@@ -421,6 +421,15 @@ impl<T: Time> ForemostTree<T> {
         nodes.into_iter()
     }
 
+    /// The foremost arrival of every reached node, in settle order:
+    /// what an order-free consumer (a histogram) reads without the copy
+    /// and sort of [`Self::reached_nodes`].
+    pub fn reached_arrivals(&self) -> impl Iterator<Item = &T> + '_ {
+        self.reached
+            .iter()
+            .map(|v| &self.times[self.witness[v.index()] as usize - 1])
+    }
+
     /// Number of reached nodes (seeds included).
     #[must_use]
     pub fn num_reached(&self) -> usize {

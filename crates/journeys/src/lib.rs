@@ -73,7 +73,7 @@ mod policy;
 mod reachability;
 pub mod search;
 
-pub use batch::{Batch, BatchRunner};
+pub use batch::{Batch, BatchRunner, HELPER_START};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };

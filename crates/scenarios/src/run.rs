@@ -203,10 +203,7 @@ impl Scenario {
 fn summary<T: Time>(tree: &ForemostTree<T>, nodes: usize) -> [Json; 2] {
     let reached = tree.num_reached() as u64;
     [
-        histogram(
-            tree.reached_nodes().map(|n| tree.arrival(n)),
-            nodes as u64 - reached,
-        ),
+        histogram(tree.reached_arrivals().map(Some), nodes as u64 - reached),
         Json::Int(reached),
     ]
 }
@@ -547,9 +544,10 @@ fn run_serve(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
     p.add(Phase::Publish, timing.publish);
     p.add(Phase::Engine, timing.engine);
     p.time(Phase::Reduce, move || {
-        drop((events, load)); // freed in this phase, as the outcome is
-                              // Canonical logical section: one `[kind, epoch, value]` triple per
-                              // request in admission order, plus the aggregate counts.
+        // The feed and the load are freed in this phase, as the outcome is.
+        drop((events, load));
+        // Canonical logical section: one `[kind, epoch, value]` triple per
+        // request in admission order, plus the aggregate counts.
         let answers: Vec<Json> = outcome
             .served
             .iter()

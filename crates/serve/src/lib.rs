@@ -19,8 +19,8 @@
 //!   gaps), byte-stable across platforms.
 //! * [`runner`] — the serve loop itself: requests are pinned to epochs
 //!   by timestamp arithmetic, grouped so queries sharing a source and
-//!   epoch share one engine pass, and drained by N reader threads
-//!   concurrently with the writer's ingestion. The logical outcome is
+//!   epoch share one engine pass, and drained by up to N readers (the
+//!   batch layer's fan-out) concurrently with the writer's ingestion. The logical outcome is
 //!   reader-count invariant; only the timing metrics are real
 //!   wall-clock measurements.
 //!

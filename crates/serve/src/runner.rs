@@ -1,5 +1,6 @@
-//! The serve loop: one writer ingesting ticks, N readers draining the
-//! admission queue against pinned snapshots.
+//! The serve loop: one writer thread ingesting ticks, and the calling
+//! thread plus up to N - 1 helpers reading the admission queue against
+//! pinned snapshots.
 //!
 //! ## Determinism under real concurrency
 //!
@@ -34,14 +35,15 @@ use crate::load::{Request, TimedRequest};
 use crate::snapshot::{EpochRing, ServeSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use tvg_journeys::{Engine, EngineStats, SearchLimits, WaitingPolicy};
+use tvg_journeys::{Batch, Engine, EngineStats, SearchLimits, WaitingPolicy};
 use tvg_model::stream::{StreamError, StreamEvent, TvgStream};
 use tvg_model::NodeId;
 
 /// How a serve run executes: reader parallelism and query discipline.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Reader threads draining the admission queue (clamped up to 1).
+    /// Most readers draining the admission queue, the calling thread
+    /// included (clamped up to 1; see [`Batch::fan_out`]).
     pub readers: usize,
     /// Waiting policy of every query.
     pub policy: WaitingPolicy<u64>,
@@ -198,8 +200,11 @@ struct GroupResult {
 
 /// Runs the serve loop: the writer applies `ticks` to `stream` and
 /// publishes one snapshot epoch per tick (plus the initial epoch 0),
-/// while `config.readers` reader threads drain `requests` — grouped by
-/// `(epoch, class, source)` — against their pinned snapshots. A tick is
+/// while up to `config.readers` readers drain `requests` — grouped by
+/// `(epoch, class, source)` — against their pinned snapshots. The
+/// readers are one [`Batch::fan_out`] over the groups: the calling
+/// thread answers them, and helper readers start only once it has
+/// worked for [`tvg_journeys::HELPER_START`]. A tick is
 /// any slice-like batch of events, so a caller can hand over borrowed
 /// chunks of one feed instead of copying it into owned batches.
 ///
@@ -216,8 +221,9 @@ struct GroupResult {
 ///
 /// # Panics
 ///
-/// Propagates the first worker panic after all threads are joined
-/// (mirroring the batch layer's fan-out discipline).
+/// Propagates the first panic after every thread is joined: a reader's,
+/// which [`Batch::fan_out`] rethrows once its helpers are joined and the
+/// scope rethrows once the writer is, or else the writer's.
 pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
     stream: TvgStream<u64>,
     ticks: &[B],
@@ -251,17 +257,7 @@ pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
     }
 
     let ring: EpochRing<u64> = EpochRing::new(epochs);
-    let next_group = AtomicUsize::new(0);
-    let readers = config.readers.max(1);
-
-    let mut ingest_result: Result<(), StreamError<u64>> = Ok(());
-    let mut publications: Vec<PublishStats> = Vec::new();
-    let (mut ingest, mut publish) = (Duration::ZERO, Duration::ZERO);
-    let mut group_results: Vec<Option<GroupResult>> = Vec::with_capacity(groups.len());
-    group_results.resize_with(groups.len(), || None);
-    let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-
-    std::thread::scope(|scope| {
+    let (group_results, writer) = std::thread::scope(|scope| {
         let (ring, pins) = (&ring, &pins);
         let writer = scope.spawn(move || {
             let mut stream = stream;
@@ -285,71 +281,15 @@ pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
             }
             (Ok(()), log)
         });
-
-        let reader_handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let (next_group, groups, config) = (&next_group, &groups, config);
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, GroupResult)> = Vec::new();
-                    // One engine per reader, reused for every group it
-                    // answers (a run clears only what the last one touched).
-                    let mut engine = Engine::new();
-                    loop {
-                        let gi = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(((epoch, class, src), members)) = groups.get(gi) else {
-                            return done;
-                        };
-                        let t0 = Instant::now();
-                        let snapshot = ring.wait(*epoch);
-                        let mut result = serve_group(
-                            &mut engine,
-                            &snapshot,
-                            *class,
-                            *src,
-                            members,
-                            requests,
-                            config,
-                        );
-                        drop(snapshot);
-                        let pinned = &pins[usize::try_from(*epoch).expect("epochs fit in usize")];
-                        if pinned.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            ring.release(*epoch);
-                        }
-                        result.latency = t0.elapsed();
-                        done.push((gi, result));
-                    }
-                })
-            })
-            .collect();
-
-        // Join every thread before reacting to any failure (one panic
-        // or ingest error must not strand siblings mid-scope).
-        for handle in reader_handles {
-            match handle.join() {
-                Ok(done) => {
-                    for (gi, result) in done {
-                        group_results[gi] = Some(result);
-                    }
-                }
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        match writer.join() {
-            Ok((result, log)) => {
-                ingest_result = result;
-                publications = log.publications;
-                (ingest, publish) = (log.ingest, log.publish);
-            }
-            Err(payload) => {
-                panic_payload.get_or_insert(payload);
-            }
-        }
+        // The readers are the calling thread and the helpers it starts;
+        // each reuses its engine for every group it answers (a run
+        // clears only what the last one touched).
+        let readers = Batch::threads(config.readers).fan_out(&groups, |engine, (key, members)| {
+            serve_group(engine, ring, pins, *key, members, requests, config)
+        });
+        (readers, writer.join())
     });
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
+    let (ingest_result, log) = writer.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     ingest_result?;
 
     // Merge: every group ran exactly once, every request belongs to
@@ -357,7 +297,7 @@ pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
     let mut served: Vec<Option<ServedRequest>> = vec![None; requests.len()];
     let (mut stats, mut engine) = (EngineStats::default(), Duration::ZERO);
     let mut latencies: Vec<Duration> = Vec::with_capacity(requests.len());
-    for result in group_results.into_iter().flatten() {
+    for result in group_results {
         stats += result.stats;
         engine += result.engine;
         latencies.extend(std::iter::repeat_n(result.latency, result.answers.len()));
@@ -387,10 +327,10 @@ pub fn serve<B: AsRef<[StreamEvent<u64>]> + Sync>(
         epochs_published: epochs as u64,
         grouped_runs,
         stats,
-        publications,
+        publications: log.publications,
         timing: ServeTiming {
-            ingest,
-            publish,
+            ingest: log.ingest,
+            publish: log.publish,
             engine,
             p50: percentile(50),
             p95: percentile(95),
@@ -447,17 +387,20 @@ impl<'a> PublishLog<'a> {
     }
 }
 
-/// Answers one group with a single engine pass over its pinned
-/// snapshot, timing the pass (the caller fills in the latency).
+/// Answers one group with a single engine pass over the snapshot of its
+/// pinned epoch, waiting until the epoch is published and releasing it
+/// after the epoch's last group. Times the pass and the whole group.
 fn serve_group(
     engine: &mut Engine<u64>,
-    snapshot: &std::sync::Arc<ServeSnapshot<u64>>,
-    class: GroupClass,
-    src: usize,
+    ring: &EpochRing<u64>,
+    pins: &[AtomicUsize],
+    (epoch, class, src): (u64, GroupClass, usize),
     members: &[usize],
     requests: &[TimedRequest],
     config: &ServeConfig,
 ) -> GroupResult {
+    let t0 = Instant::now();
+    let snapshot = ring.wait(epoch);
     let source = NodeId::from_index(src);
     let seeds: Vec<(NodeId, u64)> = match class {
         GroupClass::Tree => vec![(source, config.start)],
@@ -466,7 +409,7 @@ fn serve_group(
             .map(|t| (source, t))
             .collect(),
     };
-    let t0 = Instant::now();
+    let t1 = Instant::now();
     let tree = engine.run(
         snapshot.index(),
         &seeds,
@@ -474,7 +417,13 @@ fn serve_group(
         &config.limits,
         None,
     );
-    let ran = t0.elapsed();
+    let ran = t1.elapsed();
+    drop(snapshot);
+    if pins[usize::try_from(epoch).expect("epochs fit in usize")].fetch_sub(1, Ordering::AcqRel)
+        == 1
+    {
+        ring.release(epoch);
+    }
     let reached = tree.num_reached() as u64;
     let answers = members
         .iter()
@@ -486,14 +435,14 @@ fn serve_group(
                 Request::Matrix { .. } => Answer::Reached(reached),
                 Request::Broadcast { .. } => Answer::Informed(reached),
             };
-            (i, snapshot.epoch(), answer)
+            (i, epoch, answer)
         })
         .collect();
     GroupResult {
         answers,
         stats: tree.stats(),
         engine: ran,
-        latency: Duration::ZERO,
+        latency: t0.elapsed(),
     }
 }
 
@@ -568,32 +517,6 @@ mod tests {
             let linear = avail.iter().filter(|&&a| a <= probe).count() as u64;
             assert_eq!(epoch_of(&avail, probe), linear, "probe {probe}");
         }
-    }
-
-    #[test]
-    fn logical_outcome_is_reader_count_invariant() {
-        let requests = load();
-        let mut outcomes = Vec::new();
-        for readers in [1usize, 2, 4] {
-            let (stream, ticks) = workload();
-            let outcome = serve(stream, &ticks, &requests, &config(readers)).expect("valid feed");
-            assert_eq!(outcome.served.len(), requests.len());
-            assert!(outcome.epochs_published >= 2, "needs mid-run epochs");
-            assert!(outcome.grouped_runs <= requests.len() as u64);
-            assert_eq!(
-                outcome.publications.len() as u64,
-                outcome.epochs_published,
-                "one counter record per published epoch"
-            );
-            outcomes.push((
-                outcome.served,
-                outcome.grouped_runs,
-                outcome.stats,
-                outcome.publications,
-            ));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], outcomes[2]);
     }
 
     #[test]

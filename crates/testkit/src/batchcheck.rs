@@ -10,26 +10,89 @@
 //! query — foremost arrivals, witness journeys hop by hop, and the
 //! summed work counters.
 //!
+//! Fixture batches finish long before a batch would start helper
+//! threads, so the oracle holds each job up ([`HeldUp`]) until helpers
+//! run and asserts that they did.
+//!
 //! Like `tickscan`, this lives in the testkit so every crate's suite can
 //! apply the same oracle to its own fixtures.
 
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 use tvg_journeys::{
-    foremost_tree_multi, Batch, BatchRunner, EngineStats, ForemostTree, SearchLimits, WaitingPolicy,
+    foremost_tree_multi, Batch, BatchRunner, EngineStats, ForemostTree, SearchLimits,
+    WaitingPolicy, HELPER_START,
 };
 use tvg_model::{NodeId, TemporalIndex, Time};
 
-/// Thread counts the oracle exercises. Chosen to cover the inline
-/// serial path, "fewer workers than jobs", "about as many", and "more
-/// workers than jobs" on the small fixture batches.
+/// Thread counts the oracle exercises: the caller alone, and fewer
+/// helpers than, about as many as, and more than the small fixture
+/// batches have jobs.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Holds up a batch's jobs so that, at more than one thread, helpers
+/// surely start and take part: the first job (always the caller's)
+/// outlasts [`HELPER_START`], and the caller's later jobs wait until a
+/// helper has run one (or ten seconds have passed). Records which
+/// thread ran each job.
+pub struct HeldUp {
+    /// Whether helpers can run a job: more than one thread, and at least
+    /// three jobs, as the caller claims the next job as soon as the
+    /// helpers start.
+    pub expects_helpers: bool,
+    caller: ThreadId,
+    deadline: Instant,
+    ran: Mutex<Vec<ThreadId>>,
+}
+
+impl HeldUp {
+    /// For a batch of `jobs` jobs on at most `threads` workers, run from
+    /// this thread.
+    #[must_use]
+    pub fn new(threads: usize, jobs: usize) -> Self {
+        HeldUp {
+            expects_helpers: threads > 1 && jobs > 2,
+            caller: std::thread::current().id(),
+            deadline: Instant::now() + Duration::from_secs(10),
+            ran: Mutex::default(),
+        }
+    }
+
+    /// Call first in every job: whether it runs on the caller, and how
+    /// many jobs its thread ran before it.
+    pub fn job(&self) -> (bool, usize) {
+        let me = std::thread::current().id();
+        let (first, nth) = {
+            let mut ran = self.ran.lock().unwrap();
+            ran.push(me);
+            (ran.len() == 1, ran.iter().filter(|&&t| t == me).count() - 1)
+        };
+        if first {
+            std::thread::sleep(2 * HELPER_START);
+        } else if me == self.caller && self.expects_helpers {
+            while !self.helped() && Instant::now() < self.deadline {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        (me == self.caller, nth)
+    }
+
+    /// Whether any job ran on a thread other than the caller.
+    #[must_use]
+    pub fn helped(&self) -> bool {
+        self.ran.lock().unwrap().iter().any(|&t| t != self.caller)
+    }
+}
 
 /// Asserts that reducing `seed_sets` through
 /// [`BatchRunner::map_seed_sets`] at every thread count in
 /// [`THREAD_SWEEP`] reproduces one serial [`foremost_tree_multi`] per seed
 /// set exactly: per-query foremost arrivals, per-query witness journeys,
 /// and summed [`EngineStats`] (which also pins "n seed sets ⇒ exactly n
-/// engine runs"). The reducer copies every answer out of each lent tree
-/// inside the worker, as a production reducer reads them.
+/// engine runs"). The reducer is held up so that helpers run jobs at
+/// every count above one ([`HeldUp`]), and copies every answer out of
+/// each lent tree inside the worker, as a production reducer reads them.
 ///
 /// # Panics
 ///
@@ -55,11 +118,20 @@ pub fn assert_batch_matches_serial<T: Time + Send + Sync, I: TemporalIndex<T> + 
         serial.push(answers(&tree));
     }
     for threads in THREAD_SWEEP {
+        let held = HeldUp::new(threads, seed_sets.len());
         let (batch, stats) = BatchRunner::new(index, Batch::threads(threads)).map_seed_sets(
             seed_sets,
             policy,
             limits,
-            |_, tree| answers(tree),
+            |_, tree| {
+                held.job();
+                answers(tree)
+            },
+        );
+        assert_eq!(
+            held.helped(),
+            held.expects_helpers,
+            "{label}: helpers ran jobs at {threads} threads"
         );
         assert_eq!(
             stats, serial_stats,

@@ -4,12 +4,24 @@
 use std::collections::BTreeSet;
 use tvg_expressivity::anbn::AnbnAutomaton;
 use tvg_expressivity::TvgAutomaton;
+use tvg_journeys::WaitingPolicy;
 use tvg_langs::Alphabet;
 use tvg_model::generators::{
     line_timetable_tvg, random_periodic_tvg, ring_bus_tvg, scale_free_temporal,
     RandomPeriodicParams,
 };
-use tvg_model::{NodeId, Tvg};
+use tvg_model::{NodeId, Time, Tvg};
+
+/// The three waiting policies, `wait[bound]` between no waiting and
+/// unbounded waiting: what every equivalence suite sweeps.
+#[must_use]
+pub fn policies<T: Time>(bound: u64) -> [WaitingPolicy<T>; 3] {
+    [
+        WaitingPolicy::NoWait,
+        WaitingPolicy::Bounded(T::from_u64(bound)),
+        WaitingPolicy::Unbounded,
+    ]
+}
 
 /// The Figure-1 automaton at the paper's smallest parameters `p=2, q=3`.
 #[must_use]

@@ -71,4 +71,15 @@ pub mod tickscan;
 pub mod tvgicheck;
 
 pub use prop::{check, check_with, Config};
+
+/// The median of wall-clock samples, for the same-run ratio gates.
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+#[must_use]
+pub fn median(mut xs: Vec<std::time::Duration>) -> std::time::Duration {
+    xs.sort();
+    xs[xs.len() / 2]
+}
 pub use rng::{case_rng, rng_for, seed_for};

@@ -8,26 +8,24 @@
 //! in the time domain), the periodic fixtures (commuter line, ring bus,
 //! random-periodic families), and the new scale-free temporal workload.
 //! Arrivals *and* witness journeys are compared, plus the `EngineStats`
-//! accounting ("n sources ⇒ exactly n runs") across thread counts.
+//! accounting ("n sources ⇒ exactly n runs") across thread counts. The
+//! oracle holds jobs up so that helper threads run them, and the panic
+//! test poisons a job on the calling thread and on a helper.
 
 use rand::Rng;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use tvg_bigint::Nat;
 use tvg_journeys::{
-    foremost_tree, Batch, BatchRunner, EngineStats, ReachabilityMatrix, SearchLimits, WaitingPolicy,
+    foremost_tree, Batch, BatchRunner, Engine, EngineStats, ReachabilityMatrix, SearchLimits,
+    WaitingPolicy,
 };
 use tvg_model::{NodeId, TvgIndex};
 use tvg_testkit::batchcheck::{
-    assert_all_sources_batch_matches_serial, assert_batch_matches_serial,
+    assert_all_sources_batch_matches_serial, assert_batch_matches_serial, HeldUp,
 };
 use tvg_testkit::{fixtures, gen};
-
-fn policies_u64(bound: u64) -> [WaitingPolicy<u64>; 3] {
-    [
-        WaitingPolicy::NoWait,
-        WaitingPolicy::Bounded(bound),
-        WaitingPolicy::Unbounded,
-    ]
-}
 
 #[test]
 fn batch_matches_serial_on_periodic_fixtures() {
@@ -36,7 +34,7 @@ fn batch_matches_serial_on_periodic_fixtures() {
     for (g, label) in [(&commuter, "commuter"), (&ring, "ring bus")] {
         let limits = SearchLimits::new(30, 8);
         let index = TvgIndex::compile(g, limits.horizon);
-        for policy in policies_u64(3) {
+        for policy in fixtures::policies::<u64>(3) {
             assert_all_sources_batch_matches_serial(&index, &0, &policy, &limits, label);
         }
     }
@@ -52,7 +50,7 @@ fn batch_matches_serial_on_random_periodic_tvgs() {
             let bound = rng.gen_range(0u64..4);
             let limits = SearchLimits::new(25, 6);
             let index = TvgIndex::compile(&g, limits.horizon);
-            for policy in policies_u64(bound) {
+            for policy in fixtures::policies::<u64>(bound) {
                 assert_all_sources_batch_matches_serial(
                     &index,
                     &start,
@@ -70,7 +68,7 @@ fn batch_matches_serial_on_scale_free_fixture() {
     let g = fixtures::scale_free(48);
     let limits = SearchLimits::new(fixtures::SCALE_FREE_HORIZON, 10);
     let index = TvgIndex::compile(&g, limits.horizon);
-    for policy in policies_u64(2) {
+    for policy in fixtures::policies::<u64>(2) {
         assert_all_sources_batch_matches_serial(&index, &0, &policy, &limits, "scale-free");
     }
     // Multi-seed sets too: re-emitting sources (the broadcast shape).
@@ -81,7 +79,7 @@ fn batch_matches_serial_on_scale_free_fixture() {
                 .collect()
         })
         .collect();
-    for policy in policies_u64(2) {
+    for policy in fixtures::policies::<u64>(2) {
         assert_batch_matches_serial(
             &index,
             &seed_sets,
@@ -116,7 +114,7 @@ fn n_sources_is_exactly_n_runs_at_every_thread_count() {
     let limits = SearchLimits::new(fixtures::SCALE_FREE_HORIZON, 8);
     let index = TvgIndex::compile(&g, limits.horizon);
     let sources: Vec<NodeId> = g.nodes().collect();
-    for policy in policies_u64(2) {
+    for policy in fixtures::policies::<u64>(2) {
         let serial: EngineStats = sources
             .iter()
             .map(|&src| foremost_tree(&index, src, &0, &policy, &limits).stats())
@@ -145,7 +143,7 @@ fn n_sources_is_exactly_n_runs_at_every_thread_count() {
 fn reachability_matrix_is_thread_count_invariant() {
     let g = fixtures::scale_free(36);
     let limits = SearchLimits::new(fixtures::SCALE_FREE_HORIZON, 10);
-    for policy in policies_u64(3) {
+    for policy in fixtures::policies::<u64>(3) {
         let serial = ReachabilityMatrix::compute_with(&g, &1, &policy, &limits, Batch::serial());
         for threads in [2usize, 4, 8] {
             let parallel =
@@ -154,4 +152,82 @@ fn reachability_matrix_is_thread_count_invariant() {
         }
         assert_eq!(serial.stats().runs, g.num_nodes() as u64, "{policy}");
     }
+}
+
+/// A panic on the calling thread (its second job) or on a helper (the
+/// first helper job) unwinds out of the batch with its original payload,
+/// and only once every helper has drained the queue and been joined:
+/// every other job ran to its end. A healthy batch works afterwards.
+#[test]
+fn worker_panic_propagates_without_aborting() {
+    let jobs: Vec<usize> = (0..32).collect();
+    for on_caller in [true, false] {
+        let held = HeldUp::new(4, jobs.len());
+        let (poisoned, finished) = (AtomicBool::new(false), AtomicUsize::new(0));
+        // Silence the default hook while the deliberate panic unwinds.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            Batch::threads(4).fan_out(&jobs, |_: &mut Engine<u64>, &i| {
+                let (caller, nth) = held.job();
+                let poison = caller == on_caller
+                    && nth == usize::from(caller)
+                    && !poisoned.swap(true, Ordering::Relaxed);
+                assert!(!poison, "poisoned query #{i}");
+                std::thread::sleep(Duration::from_micros(200));
+                finished.fetch_add(1, Ordering::Relaxed);
+                i * 2
+            })
+        }));
+        std::panic::set_hook(hook);
+        assert!(held.helped(), "helpers ran jobs");
+        let payload = caught.expect_err("the poisoned job must unwind");
+        let message = payload.downcast_ref::<String>().expect("a String payload");
+        assert!(message.contains("poisoned query #"), "{message}");
+        assert_eq!(
+            finished.into_inner(),
+            31,
+            "poisoned on the caller: {on_caller}"
+        );
+    }
+    let healthy = Batch::threads(4).fan_out(&jobs, |_: &mut Engine<u64>, &i| i * 2);
+    assert_eq!(healthy, (0..64).step_by(2).collect::<Vec<_>>());
+}
+
+/// What threads cost a batch too small to use them (experiment E23),
+/// an `#[ignore]`d wall-clock gate: in one process, alternating, an
+/// all-sources `wait[3]` batch on the `ring-matrix` spec's 8-node ring
+/// bus (eight runs of a few microseconds) must cost at most 1.5× at
+/// `Batch::threads(4)` what it costs at `Batch::threads(1)`, medians of
+/// 201 batches each. It reads 0.99–1.01 on a 2-vCPU VM; a batch that
+/// spawns every worker up front reads 4.6–6.4. Run it on a release build
+/// with `cargo test --release -p tvg-testkit --test batch_props -- --ignored`.
+#[test]
+#[ignore = "wall-clock gate; run on a release build with --ignored"]
+fn a_tiny_batch_costs_the_same_at_four_threads_as_at_one() {
+    let g = fixtures::ring_bus(8, 8);
+    let limits = SearchLimits::new(64, 16);
+    let index = TvgIndex::compile(&g, limits.horizon);
+    let sources: Vec<NodeId> = g.nodes().collect();
+    let policy = WaitingPolicy::Bounded(3);
+    let batch = |threads| {
+        let started = Instant::now();
+        let runner = BatchRunner::new(&index, Batch::threads(threads));
+        let reached = runner.map_sources(&sources, &0, &policy, &limits, |_, t| t.num_reached());
+        (started.elapsed(), reached)
+    };
+    let (four, one): (Vec<Duration>, Vec<Duration>) = (0..201)
+        .map(|_| {
+            let ((four, by_four), (one, by_one)) = (batch(4), batch(1));
+            assert_eq!(by_four, by_one);
+            (four, one)
+        })
+        .unzip();
+    let (four, one) = (tvg_testkit::median(four), tvg_testkit::median(one));
+    let ratio = four.as_secs_f64() / one.as_secs_f64();
+    println!("small batch: threads(4) {four:?}, threads(1) {one:?}, ratio {ratio:.2}");
+    assert!(
+        ratio <= 1.5,
+        "4 threads cost {ratio:.2}x 1 thread on a tiny batch"
+    );
 }

@@ -40,15 +40,6 @@ use tvg_testkit::fixtures;
 use tvg_testkit::refengine::ref_foremost_tree;
 use tvg_testkit::tickscan;
 
-/// The three policy regimes over any time domain.
-fn all_policies<T: Time>(bound: u64) -> [WaitingPolicy<T>; 3] {
-    [
-        WaitingPolicy::NoWait,
-        WaitingPolicy::Bounded(T::from_u64(bound)),
-        WaitingPolicy::Unbounded,
-    ]
-}
-
 /// One full-sweep comparison: every source, arrivals + witnesses +
 /// stats, production core vs. reference explorer.
 fn assert_cores_match<T: Time, I: TemporalIndex<T>>(
@@ -103,7 +94,7 @@ fn cores_match_oracle_on_figure1_nat_times() {
     let g = aut.automaton().tvg();
     let limits = aut.limits_for(6);
     let index = TvgIndex::compile(g, limits.horizon.clone());
-    for policy in all_policies::<Nat>(2) {
+    for policy in fixtures::policies::<Nat>(2) {
         assert_cores_match(&index, &Nat::zero(), &policy, &limits, "figure-1");
     }
 }
@@ -115,7 +106,7 @@ fn cores_match_oracle_on_periodic_family() {
         let g = fixtures::periodic_family_tvg(&params, seed);
         let limits = SearchLimits::new(40u64, 10);
         let index = TvgIndex::compile(&g, limits.horizon);
-        for policy in all_policies(3) {
+        for policy in fixtures::policies(3) {
             assert_cores_match(
                 &index,
                 &0,
@@ -132,7 +123,7 @@ fn cores_match_oracle_on_scale_free() {
     let g = fixtures::scale_free(40);
     let limits = SearchLimits::new(fixtures::SCALE_FREE_HORIZON, 8);
     let index = TvgIndex::compile(&g, limits.horizon);
-    for policy in all_policies(4) {
+    for policy in fixtures::policies(4) {
         assert_cores_match(&index, &0, &policy, &limits, "scale-free");
     }
 }
@@ -151,7 +142,7 @@ fn cores_match_oracle_in_the_narrowed_u32_domain() {
         8,
     );
     let index = TvgIndex::compile(&narrowed, limits.horizon);
-    for policy in all_policies(4) {
+    for policy in fixtures::policies(4) {
         assert_cores_match(&index, &0u32, &policy, &limits, "scale-free/u32");
     }
 }
@@ -381,7 +372,7 @@ fn multi_seed_runs_match_oracle() {
         (NodeId::from_index(7), 5),
         (NodeId::from_index(13), 2),
     ];
-    for policy in all_policies(3) {
+    for policy in fixtures::policies(3) {
         let tree = foremost_tree_multi(&index, &seeds, &policy, &limits);
         let oracle = ref_foremost_tree(&index, &seeds, &policy, &limits, None);
         assert_eq!(
@@ -414,7 +405,7 @@ fn incremental_replay_matches_a_fresh_oracle_run() {
     let (base, events) = TvgStream::replay_of(&g, &horizon).expect("horizon + 1 is representable");
     let limits = SearchLimits::new(horizon, 8);
     let src = NodeId::from_index(0);
-    for policy in all_policies(3) {
+    for policy in fixtures::policies(3) {
         let mut stream = base.clone();
         let mut inc =
             IncrementalForemost::new(stream.index(), &[(src, 0u64)], policy, limits.clone());
@@ -463,7 +454,7 @@ fn a_reused_engine_matches_fresh_engines_and_the_oracle() {
 
     let mut queries = Vec::new();
     for large in [false, true] {
-        for policy in all_policies::<u64>(3) {
+        for policy in fixtures::policies::<u64>(3) {
             for max_hops in [2, 8] {
                 for src in [0, 5, 17] {
                     queries.push(Query {
@@ -538,6 +529,14 @@ fn a_reused_engine_matches_fresh_engines_and_the_oracle() {
             lent.reached_nodes().eq(fresh.reached_nodes()),
             "{label}: reached nodes"
         );
+        let mut got: Vec<_> = lent.reached_arrivals().collect();
+        let mut want: Vec<_> = lent
+            .reached_nodes()
+            .filter_map(|v| lent.arrival(v))
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{label}: reached arrivals");
         for dst in (0..nodes).map(NodeId::from_index) {
             assert_eq!(lent.arrival(dst), fresh.arrival(dst), "{label}: →{dst}");
             assert_eq!(lent.arrival(dst), oracle.arrival(dst), "{label}: →{dst}");

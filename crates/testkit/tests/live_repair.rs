@@ -112,11 +112,6 @@ fn live_repair_reads_only_the_spans_a_window_reaches() {
     assert_eq!((repair, counted.reads()), (236_560, 443_693));
 }
 
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
-}
-
 #[test]
 #[ignore = "wall-clock gate; run on a release build with --ignored"]
 fn repair_costs_well_under_a_fresh_recompute() {
@@ -127,7 +122,7 @@ fn repair_costs_well_under_a_fresh_recompute() {
             (repair, recompute)
         })
         .unzip();
-    let (repair, fresh) = (median(repairs), median(fresh));
+    let (repair, fresh) = (tvg_testkit::median(repairs), tvg_testkit::median(fresh));
     let ratio = repair.as_secs_f64() / fresh.as_secs_f64();
     println!("live-repair: repair {repair:?}, fresh {fresh:?}, ratio {ratio:.3} (median of 5)");
     assert!(

@@ -18,11 +18,6 @@ use tvg_model::stream::TvgStream;
 
 const HORIZON: u64 = 64;
 
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
-}
-
 #[test]
 #[ignore = "wall-clock gate; run on a release build with --ignored"]
 fn building_the_replay_feed_costs_less_than_ingesting_it() {
@@ -40,7 +35,7 @@ fn building_the_replay_feed_costs_less_than_ingesting_it() {
             (build, started.elapsed())
         })
         .unzip();
-    let (build, ingest) = (median(build), median(ingest));
+    let (build, ingest) = (tvg_testkit::median(build), tvg_testkit::median(ingest));
     let ratio = build.as_secs_f64() / ingest.as_secs_f64();
     println!(
         "replay_feed: {} events over {} edges; replay_of {build:?}, ingest {ingest:?}, \

@@ -23,15 +23,7 @@ use tvg_journeys::{SearchLimits, WaitingPolicy};
 use tvg_model::generators::{edge_markovian_contacts, scale_free_temporal};
 use tvg_model::Tvg;
 use tvg_serve::{availability, generate_load, LoadSpec, ServeConfig, TimedRequest};
-use tvg_testkit::{servecheck, Config};
-
-fn policies() -> [WaitingPolicy<u64>; 3] {
-    [
-        WaitingPolicy::NoWait,
-        WaitingPolicy::Bounded(2),
-        WaitingPolicy::Unbounded,
-    ]
-}
+use tvg_testkit::{fixtures, servecheck, Config};
 
 /// Draws a small serve workload: a contact schedule, its horizon, and
 /// an ingest tick size.
@@ -68,7 +60,7 @@ fn pinned_snapshots_answer_identically_under_concurrent_publication() {
         Config::named_with_cases("serve::pinning", 12),
         |rng, case| {
             let (g, horizon, chunk) = workload(rng);
-            for policy in policies() {
+            for policy in fixtures::policies(2) {
                 servecheck::assert_pinned_snapshot_is_frozen(
                     &g,
                     horizon,
@@ -95,7 +87,7 @@ fn served_answers_match_offline_recomputation_of_their_epoch() {
                 seed_instant: 0,
                 seed: rng.gen::<u64>(),
             });
-            let policy = policies()[case % 3];
+            let policy = fixtures::policies(2)[case % 3];
             let config = config_for(&g, horizon, policy, rng.gen_range(1..5));
             servecheck::assert_serve_matches_offline(
                 &g,
@@ -123,7 +115,7 @@ fn serve_outcome_is_reader_count_invariant() {
                 seed_instant: 0,
                 seed: rng.gen::<u64>(),
             });
-            let policy = policies()[case % 3];
+            let policy = fixtures::policies(2)[case % 3];
             let config = config_for(&g, horizon, policy, 1);
             servecheck::assert_serve_is_reader_count_invariant(
                 &g,
@@ -152,7 +144,7 @@ fn publication_counters_match_offline_replay() {
                 seed_instant: 0,
                 seed: rng.gen::<u64>(),
             });
-            let policy = policies()[case % 3];
+            let policy = fixtures::policies(2)[case % 3];
             let config = config_for(&g, horizon, policy, rng.gen_range(1..5));
             servecheck::assert_publication_counters(
                 &g,
@@ -199,7 +191,7 @@ fn release_schedules_keep_counters_and_reader_invariance() {
                 seed_instant: 0,
                 seed: rng.gen::<u64>(),
             });
-            let policy = policies()[case % 3];
+            let policy = fixtures::policies(2)[case % 3];
             let config = config_for(&g, horizon, policy, rng.gen_range(1..5));
             let every_epoch = instants;
             let final_epoch = vec![u64::MAX; every_epoch.len()];

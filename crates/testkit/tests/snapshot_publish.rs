@@ -77,11 +77,6 @@ fn pass<S>(
     spent
 }
 
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
-}
-
 #[test]
 #[ignore = "wall-clock gate; run on a release build with --ignored"]
 fn publishing_a_snapshot_is_far_cheaper_than_a_flat_copy() {
@@ -95,7 +90,7 @@ fn publishing_a_snapshot_is_far_cheaper_than_a_flat_copy() {
             )
         })
         .unzip();
-    let (persistent, flat) = (median(persistent), median(flat));
+    let (persistent, flat) = (tvg_testkit::median(persistent), tvg_testkit::median(flat));
     let ratio = flat.as_secs_f64() / persistent.as_secs_f64();
     println!(
         "snapshot_publish: {} events in {} ticks; persistent {persistent:?}, \
@@ -145,7 +140,7 @@ fn held_over_plain(g: &Tvg<u64>, horizon: u64, ticks: usize) -> (Duration, Durat
             )
         })
         .unzip();
-    let (held, plain) = (median(held), median(plain));
+    let (held, plain) = (tvg_testkit::median(held), tvg_testkit::median(plain));
     (held, plain, held.as_secs_f64() / plain.as_secs_f64())
 }
 

@@ -25,15 +25,7 @@ use tvg_journeys::{IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_model::generators::scale_free_temporal;
 use tvg_model::stream::{StreamEvent, TvgStream};
 use tvg_model::{EdgeId, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder};
-use tvg_testkit::{batchcheck, gen, streamcheck, Config};
-
-fn policies() -> [WaitingPolicy<u64>; 3] {
-    [
-        WaitingPolicy::NoWait,
-        WaitingPolicy::Bounded(2),
-        WaitingPolicy::Unbounded,
-    ]
-}
+use tvg_testkit::{batchcheck, fixtures, gen, streamcheck, Config};
 
 #[test]
 fn live_index_and_incremental_trees_match_recompile_after_every_batch() {
@@ -44,7 +36,7 @@ fn live_index_and_incremental_trees_match_recompile_after_every_batch() {
             let mut stream = script.stream;
             let limits = SearchLimits::new(script.final_horizon, 12);
             let seeds = vec![(NodeId::from_index(0), 0u64)];
-            let mut incs: Vec<IncrementalForemost<u64>> = policies()
+            let mut incs: Vec<IncrementalForemost<u64>> = fixtures::policies(2)
                 .into_iter()
                 .map(|policy| {
                     IncrementalForemost::new(stream.index(), &seeds, policy, limits.clone())
@@ -83,7 +75,7 @@ fn churn_scripts_match_recompile_and_fresh_after_every_batch() {
             let mut stream = script.stream;
             let limits = SearchLimits::new(script.final_horizon, 12);
             let seeds = vec![(NodeId::from_index(0), 0u64)];
-            let mut incs: Vec<IncrementalForemost<u64>> = policies()
+            let mut incs: Vec<IncrementalForemost<u64>> = fixtures::policies(2)
                 .into_iter()
                 .map(|policy| {
                     IncrementalForemost::new(stream.index(), &seeds, policy, limits.clone())
@@ -117,7 +109,7 @@ fn leave_then_rejoin_keeps_ids_fresh_and_answers_exact() {
     // joiner takes over under a FRESH id (the departed id is never
     // reused), with its own edge. After every step the live index and
     // all three repaired trees must match from-scratch runs.
-    for policy in policies() {
+    for policy in fixtures::policies(2) {
         let mut s = TvgStream::<u64>::new(20).expect("20 + 1 is representable");
         let src = s.add_node("src");
         let v = s.add_node("v");
@@ -326,7 +318,7 @@ fn incremental_tree_survives_the_roots_neighbor_departing() {
     // node 1; when node 1 departs with every edge open, the whole
     // downstream subtree's arrivals must be retracted exactly as a
     // fresh run on the truncated schedule would compute them.
-    for policy in policies() {
+    for policy in fixtures::policies(2) {
         let mut s = TvgStream::<u64>::new(30).expect("30 + 1 is representable");
         let v: Vec<NodeId> = (0..4).map(|i| s.add_node(&format!("v{i}"))).collect();
         let edges: Vec<_> = (0..3)
@@ -377,7 +369,7 @@ fn live_snapshot_query_batches_are_thread_invariant() {
                 if !checkpoints.contains(&i) {
                     continue;
                 }
-                for policy in policies() {
+                for policy in fixtures::policies(2) {
                     batchcheck::assert_all_sources_batch_matches_serial(
                         stream.index(),
                         &0,
@@ -608,7 +600,7 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     // open spans are what a windowed replay must not skip.
     let limits = SearchLimits::new(60, 12);
     let seeds = vec![(NodeId::from_index(0), 0u64)];
-    let mut incs: Vec<IncrementalForemost<u64>> = policies()
+    let mut incs: Vec<IncrementalForemost<u64>> = fixtures::policies(2)
         .into_iter()
         .map(|policy| IncrementalForemost::new(stream.index(), &seeds, policy, limits.clone()))
         .collect();
@@ -655,7 +647,7 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     // arrivals and engine work counters under all three policies.
     let g = stream.to_tvg();
     let compiled = TvgIndex::compile(&g, *stream.index().horizon());
-    for policy in policies() {
+    for policy in fixtures::policies(2) {
         let live = foremost_tree_multi(stream.index(), &seeds, &policy, &limits);
         let fresh = foremost_tree_multi(&compiled, &seeds, &policy, &limits);
         for n in g.nodes() {

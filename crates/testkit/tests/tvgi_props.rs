@@ -20,16 +20,8 @@ use tvg_model::tvgi::{
 };
 use tvg_model::{narrow_tvg, EdgeId, NodeId, TemporalIndex, TvgIndex};
 use tvg_scenarios::{compile_index, parse_specs, run_with_index, IndexFileError, Plan};
+use tvg_testkit::fixtures;
 use tvg_testkit::tvgicheck::{assert_tvgi_round_trip, scratch_path};
-
-/// The three policy archetypes of the paper, in the `u64` domain.
-fn policies() -> [WaitingPolicy<u64>; 3] {
-    [
-        WaitingPolicy::NoWait,
-        WaitingPolicy::Bounded(3),
-        WaitingPolicy::Unbounded,
-    ]
-}
 
 // ---------------------------------------------------------------------
 // Round-trip fidelity
@@ -38,7 +30,7 @@ fn policies() -> [WaitingPolicy<u64>; 3] {
 #[test]
 fn generated_graphs_round_trip() {
     let g = scale_free_temporal(50, 40, 11);
-    assert_tvgi_round_trip(&g, 40, &policies(), "sf50");
+    assert_tvgi_round_trip(&g, 40, &fixtures::policies(3), "sf50");
 }
 
 #[test]
