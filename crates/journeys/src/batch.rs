@@ -124,8 +124,10 @@ impl Batch {
     /// The calling thread is worker 0: it claims job indices from a
     /// shared atomic counter and runs them. Once it has worked for
     /// [`HELPER_START`] and, at its pace so far, the unclaimed jobs would
-    /// take it that long again, it spawns up to `num_threads() - 1`
-    /// scoped helpers that claim from the same counter. So a batch too
+    /// take it that long again, it spawns scoped helpers that claim from
+    /// the same counter: at most `num_threads() - 1`, and one fewer than
+    /// the unclaimed jobs, so the caller keeps one (a helper for the last
+    /// job could only race the caller for it). So a batch too
     /// small to pay for a thread runs inline, and the serial batch is the
     /// one that never spawns. Every index is claimed exactly once and
     /// every result is written back by its index, so the output is
@@ -159,9 +161,10 @@ impl Batch {
             let mut engine = Engine::new();
             while let Some((i, job)) = claim() {
                 slots[i] = Some(f(&mut engine, job));
-                // Until a helper starts, the caller has claimed 0..=i.
+                // Until a helper starts, the caller has claimed 0..=i;
+                // helpers pay only while some job is unclaimed.
                 if helpers.is_empty() && helpers_pay(started.elapsed(), i + 1, jobs.len()) {
-                    helpers = (0..(jobs.len() - i - 1).min(self.num_threads() - 1))
+                    helpers = (0..(jobs.len() - i - 2).min(self.num_threads() - 1))
                         .map(|_| {
                             scope.spawn(|| {
                                 let mut engine = Engine::new();

@@ -282,9 +282,10 @@ impl<T: Clone> SpanArena<T> {
         let mut slots = Vec::with_capacity(capacity.next_multiple_of(32));
         let runs = self.runs.iter().map(|run| {
             let offset = slots.len();
-            slots.extend_from_slice(&self.slots[run.spans()]);
-            if let Some(last) = slots.last().cloned() {
-                slots.resize(offset + room(run), last);
+            let spans = &self.slots[run.spans()];
+            if let Some(last) = spans.last() {
+                slots.extend_from_slice(spans);
+                slots.extend(std::iter::repeat_n(last, room(run) - spans.len()).cloned());
             }
             let (offset, room) = (narrow(offset), narrow(slots.len() - offset));
             Run {

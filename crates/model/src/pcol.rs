@@ -9,7 +9,7 @@
 //! the first write after a snapshot copies the handle list once and then
 //! only the chunk it lands in (`Arc::make_mut`). Appends go to a small
 //! owned tail, frozen into a chunk when full. A column is generic over
-//! its chunk: a `Vec` for per-node and per-edge scalars, and for presence
+//! its chunk: a `Vec` for the one-element graph column, and for presence
 //! a span arena, whose copy is one allocation with no per-edge handle.
 //!
 //! A column counts how many frozen chunks it shares and how many chunk
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-/// Chunk capacity of the live index's persistent columns.
+/// Chunk capacity of the live index's presence column.
 pub const COL_CHUNK: usize = 64;
 
 /// What a [`PCol`] keeps per chunk: up to `N` elements, appended one at

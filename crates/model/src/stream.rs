@@ -13,12 +13,14 @@
 //!
 //! * [`TvgStream`] is the ingestion layer. It validates appended
 //!   [`StreamEvent`]s (monotone in time, `Down` only after `Up`, within
-//!   the horizon) with typed [`StreamError`]s instead of panics, and
+//!   the horizon) with typed [`StreamError`]s instead of panics, reading
+//!   one ingest state per edge (closed, open since `t`, or dead), and
 //!   applies each accepted event to a [`LiveIndex`].
 //! * [`LiveIndex`] is the incrementally-maintained counterpart of
-//!   [`TvgIndex`](crate::TvgIndex): the same per-edge presence spans
-//!   and out-edge adjacency — but mutated at the right edge per event
-//!   instead of recompiled. It implements [`TemporalIndex`], so the journey engine,
+//!   [`TvgIndex`](crate::TvgIndex): the same per-edge presence spans,
+//!   but mutated at the right edge per event instead of recompiled, over
+//!   the graph the stream grows, which answers adjacency, destinations
+//!   and latencies itself. It implements [`TemporalIndex`], so the journey engine,
 //!   the batch-query runtime, and the protocol simulators run on it
 //!   unchanged.
 //!
@@ -46,6 +48,7 @@ use crate::{EdgeId, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuil
 use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
+use std::iter;
 use tvg_langs::Letter;
 
 /// One appended observation of an evolving schedule.
@@ -232,23 +235,25 @@ pub struct IngestReport<T> {
 
 /// The incrementally-maintained counterpart of [`TvgIndex`](crate::TvgIndex).
 ///
-/// Owns its graph (the stream grows it) and the same compiled structures
-/// a batch index holds: per-edge presence intervals, out-edge adjacency,
-/// destination and constant-latency columns. Every query runs through
-/// the shared [`TemporalIndex`] trait, so consumers cannot tell a live index from a
-/// recompiled one — and the `streamcheck` oracle asserts they never
-/// could (structural identity after every batch).
+/// Owns its graph (the stream grows it) and per-edge presence
+/// intervals. The graph answers out-edge adjacency, destinations and
+/// latencies, which a stream never changes in place: only presence
+/// moves. Every query runs through the shared [`TemporalIndex`] trait,
+/// so consumers cannot tell a live index from a recompiled one — and
+/// the `streamcheck` oracle asserts they never could (structural
+/// identity after every batch).
 ///
-/// Unlike the batch index's flat allocations, every column here is
-/// *persistent* ([`crate::pcol`]): fixed-size chunks behind `Arc`, whose
-/// handle list sits behind one more `Arc`, copy-on-write on the chunk a
-/// mutation lands in, and the graph itself behind an `Arc` that only
+/// Unlike the batch index's flat allocations, both columns here are
+/// *persistent* ([`crate::pcol`]): presence in fixed-size chunks behind
+/// `Arc`, whose handle list sits behind one more `Arc`, copy-on-write on
+/// the chunk a mutation lands in, and the graph as one element that only
 /// rare topology growth unshares. A presence chunk keeps its 64 edges'
 /// spans in one arena, so copying it is one allocation and a copy of
-/// those spans. A snapshot therefore costs O(columns), a column no tick
-/// writes stays shared whole, and a tick's writes cost the chunks they
-/// land in — the property the serve runtime's per-tick snapshot
-/// publication is built on. A snapshot is truly immutable: later
+/// those spans. A snapshot therefore copies two handles and the small
+/// presence tail, the graph stays shared whole while no tick grows it,
+/// and a tick's writes cost the chunks they land in — the property the
+/// serve runtime's per-tick snapshot publication is built on. A
+/// snapshot is truly immutable: later
 /// stream mutations copy what they touch and leave every outstanding
 /// snapshot byte-identical.
 ///
@@ -265,12 +270,6 @@ pub struct LiveIndex<T> {
     /// `horizon + 1`: the provisional close of open spans.
     end: T,
     presence: PCol<SpanArena<T>, COL_CHUNK>,
-    arrival_monotone: PCol<Vec<bool>, COL_CHUNK>,
-    /// Per-node out-edge lists in edge-id order (the same order the
-    /// batch index's CSR produces).
-    adjacency: PCol<Vec<Vec<EdgeId>>, COL_CHUNK>,
-    dsts: PCol<Vec<NodeId>, COL_CHUNK>,
-    const_lat: PCol<Vec<Option<T>>, COL_CHUNK>,
 }
 
 impl<T: Time> LiveIndex<T> {
@@ -285,10 +284,6 @@ impl<T: Time> LiveIndex<T> {
             horizon,
             end,
             presence: PCol::new(),
-            arrival_monotone: PCol::new(),
-            adjacency: PCol::new(),
-            dsts: PCol::new(),
-            const_lat: PCol::new(),
         })
     }
 
@@ -298,16 +293,11 @@ impl<T: Time> LiveIndex<T> {
         self.g.get(0)
     }
 
-    /// Frozen chunks across all persistent columns (plus the shared
-    /// graph): the structure a snapshot shares instead of copying.
+    /// Frozen presence chunks plus the graph: the structure a snapshot
+    /// shares instead of copying.
     #[must_use]
     pub fn chunks_frozen(&self) -> u64 {
-        self.presence.frozen_chunks()
-            + self.arrival_monotone.frozen_chunks()
-            + self.adjacency.frozen_chunks()
-            + self.dsts.frozen_chunks()
-            + self.const_lat.frozen_chunks()
-            + self.g.frozen_chunks()
+        self.presence.frozen_chunks() + self.g.frozen_chunks()
     }
 
     /// Cumulative count of shared structures publications have cost:
@@ -316,12 +306,7 @@ impl<T: Time> LiveIndex<T> {
     /// alive. The delta between two publishes is that tick's cost.
     #[must_use]
     pub fn chunks_copied(&self) -> u64 {
-        self.presence.cow_copies()
-            + self.arrival_monotone.cow_copies()
-            + self.adjacency.cow_copies()
-            + self.dsts.cow_copies()
-            + self.const_lat.cow_copies()
-            + self.g.cow_copies()
+        self.presence.cow_copies() + self.g.cow_copies()
     }
 
     /// A copy sharing every chunk and the graph; starts a generation.
@@ -331,10 +316,6 @@ impl<T: Time> LiveIndex<T> {
             horizon: self.horizon.clone(),
             end: self.end.clone(),
             presence: self.presence.snapshot(),
-            arrival_monotone: self.arrival_monotone.snapshot(),
-            adjacency: self.adjacency.snapshot(),
-            dsts: self.dsts.snapshot(),
-            const_lat: self.const_lat.snapshot(),
         }
     }
 }
@@ -345,7 +326,7 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 
     fn num_edges(&self) -> usize {
-        self.dsts.len()
+        self.presence.len()
     }
 
     fn horizon(&self) -> &T {
@@ -358,23 +339,31 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
     }
 
     fn arrival_is_monotone(&self, e: EdgeId) -> bool {
-        *self.arrival_monotone.get(e.index())
+        self.tvg().edge(e).latency().arrival_is_monotone()
     }
 
     fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.adjacency.get(n.index())
+        self.tvg().out_edges(n)
     }
 
     fn dst(&self, e: EdgeId) -> NodeId {
-        *self.dsts.get(e.index())
+        self.tvg().edge(e).dst()
     }
 
     fn arrival(&self, e: EdgeId, t: &T) -> Option<T> {
-        match self.const_lat.get(e.index()) {
-            Some(c) => t.checked_add(c),
-            None => self.tvg().edge(e).latency().arrival(t),
-        }
+        self.tvg().edge(e).latency().arrival(t)
     }
+}
+
+/// The ingest state of one edge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum EdgeState<T> {
+    /// Absent until its next `Up`.
+    Closed,
+    /// Up since the instant of its last `Up`.
+    Open(T),
+    /// An endpoint left the network: no event may touch it again.
+    Dead,
 }
 
 /// What [`TvgStream::replay_of`] hands back: the mirrored stream and
@@ -382,7 +371,8 @@ impl<T: Time> TemporalIndex<T> for LiveIndex<T> {
 type ReplayFeed<T> = (TvgStream<T>, Vec<StreamEvent<T>>);
 
 /// The ingestion layer: validates appended events and maintains a
-/// [`LiveIndex`] plus the open-span state needed to interpret them.
+/// [`LiveIndex`] plus the per-edge and per-node state needed to
+/// interpret them.
 ///
 /// ```
 /// use tvg_model::stream::{StreamEvent, TvgStream};
@@ -404,15 +394,17 @@ type ReplayFeed<T> = (TvgStream<T>, Vec<StreamEvent<T>>);
 pub struct TvgStream<T> {
     live: LiveIndex<T>,
     watermark: Option<T>,
-    /// Per edge: the start instant of its currently open span's `Up`.
-    open_since: Vec<Option<T>>,
+    /// Per edge: all an `Up` or `Down` needs to know about it.
+    edges: Vec<EdgeState<T>>,
     /// Per node: the instant it left the network, if it did. Ids are
     /// never reused, so departure is final.
     departed: Vec<Option<T>>,
-    /// Per node: every edge incident to it, either direction — the set
-    /// a `NodeLeave` must close. Ingestion state, not index structure
-    /// (the `LiveIndex` keeps only out-edge adjacency, like the CSR).
-    incident: Vec<Vec<EdgeId>>,
+    /// Per node: its latest in-edge. Each edge's `next_in` links to the
+    /// one before, and these lists with the graph's out-edges are what a
+    /// `NodeLeave` must close (a self-loop is on both).
+    last_in: Vec<Option<EdgeId>>,
+    /// Per edge: the in-edge its destination gained before it.
+    next_in: Vec<Option<EdgeId>>,
     /// Earliest presence change not yet handed out in a successful
     /// [`IngestReport`] — the applied prefix of a failed batch parks
     /// its changes here for the next report.
@@ -434,9 +426,10 @@ impl<T: Time> TvgStream<T> {
         Ok(TvgStream {
             live,
             watermark: None,
-            open_since: Vec::new(),
+            edges: Vec::new(),
             departed: Vec::new(),
-            incident: Vec::new(),
+            last_in: Vec::new(),
+            next_in: Vec::new(),
             unreported_change: None,
         })
     }
@@ -457,7 +450,7 @@ impl<T: Time> TvgStream<T> {
     ///
     /// The snapshot *shares* every frozen chunk and the graph with the
     /// live index (copying one handle per column and the small mutable
-    /// tails), so taking one costs O(columns), not O(index) — later
+    /// tail), so taking one costs O(tail), not O(index) — later
     /// mutations copy-on-write the chunks they touch and never disturb
     /// an outstanding snapshot.
     /// Each call starts a publication generation for
@@ -492,36 +485,20 @@ impl<T: Time> TvgStream<T> {
         self.live.g.get_mut(0).push_node(name)
     }
 
-    /// Appends a node's live columns; the caller grows the graph to match.
+    /// Appends a node's ingest state; the caller grows the graph to match.
     fn push_node_columns(&mut self) {
-        self.live.adjacency.push(Vec::new());
         self.departed.push(None);
-        self.incident.push(Vec::new());
+        self.last_in.push(None);
     }
 
-    /// Appends a closed, spanless edge's live columns, returning its id;
-    /// the caller validates the edge and grows the graph to match.
-    fn push_edge_columns(&mut self, src: NodeId, dst: NodeId, latency: &Latency<T>) -> EdgeId {
-        let e = EdgeId::from_index(self.live.dsts.len());
-        self.live
-            .arrival_monotone
-            .push(latency.arrival_is_monotone());
-        self.live.const_lat.push(match latency {
-            Latency::Const(c) => Some(c.clone()),
-            _ => None,
-        });
+    /// Appends a closed, spanless edge's presence and ingest state,
+    /// returning its id; the caller validates the edge and grows the
+    /// graph to match.
+    fn push_edge_columns(&mut self, dst: NodeId) -> EdgeId {
+        let e = EdgeId::from_index(self.edges.len());
         self.live.presence.push(());
-        self.live.dsts.push(dst);
-        self.open_since.push(None);
-        self.incident[src.index()].push(e);
-        if dst != src {
-            self.incident[dst.index()].push(e);
-        }
-        // The new edge has the maximal id, so it lands at the end of its
-        // source's out-list — the same edge-id order the batch CSR
-        // produces. Only the chunk holding that one node's list is
-        // unshared if snapshots currently share it.
-        self.live.adjacency.get_mut(src.index()).push(e);
+        self.edges.push(EdgeState::Closed);
+        self.next_in.push(self.last_in[dst.index()].replace(e));
         e
     }
 
@@ -551,7 +528,7 @@ impl<T: Time> TvgStream<T> {
             }
         }
         let letter = Letter::new(label).map_err(|_| StreamError::BadLabel(label))?;
-        let e = self.push_edge_columns(src, dst, &latency);
+        let e = self.push_edge_columns(dst);
         self.live
             .g
             .get_mut(0)
@@ -633,28 +610,29 @@ impl<T: Time> TvgStream<T> {
         Ok(())
     }
 
-    fn check_edge(&self, e: EdgeId) -> Result<(), StreamError<T>> {
-        if e.index() >= self.live.tvg().num_edges() {
-            return Err(StreamError::UnknownEdge(e));
+    /// `e`'s ingest state for an event at `at`. Rejects, in this order,
+    /// an unknown edge, a dead one (naming its first departed endpoint,
+    /// source before destination), and an instant [`Self::check_time`]
+    /// refuses.
+    fn edge_state(&self, e: EdgeId, at: &T) -> Result<&EdgeState<T>, StreamError<T>> {
+        let state = self
+            .edges
+            .get(e.index())
+            .ok_or(StreamError::UnknownEdge(e))?;
+        if *state == EdgeState::Dead {
+            let edge = self.live.tvg().edge(e);
+            let (node, at) = [edge.src(), edge.dst()]
+                .into_iter()
+                .find_map(|n| Some((n, self.departed[n.index()].clone()?)))
+                .expect("a dead edge has a departed endpoint");
+            return Err(StreamError::NodeDeparted { node, at });
         }
-        // A departed endpoint makes the whole edge dead: its spans were
-        // closed by the leave, and nothing may reopen (or re-close) them.
-        let edge = self.live.tvg().edge(e);
-        for n in [edge.src(), edge.dst()] {
-            if let Some(at) = &self.departed[n.index()] {
-                return Err(StreamError::NodeDeparted {
-                    node: n,
-                    at: at.clone(),
-                });
-            }
-        }
-        Ok(())
+        self.check_time(at)?;
+        Ok(state)
     }
 
     fn apply_up(&mut self, e: EdgeId, at: &T) -> Result<T, StreamError<T>> {
-        self.check_edge(e)?;
-        self.check_time(at)?;
-        if let Some(since) = &self.open_since[e.index()] {
+        if let EdgeState::Open(since) = self.edge_state(e, at)? {
             return Err(StreamError::AlreadyUp {
                 edge: e,
                 since: since.clone(),
@@ -665,33 +643,24 @@ impl<T: Time> TvgStream<T> {
         let provisional_end = self.live.end.clone();
         let (chunk, j) = self.live.presence.chunk_mut(e.index());
         chunk.append_span(j, at.clone(), provisional_end);
-        self.open_since[e.index()] = Some(at.clone());
+        self.edges[e.index()] = EdgeState::Open(at.clone());
         self.watermark = Some(at.clone());
         Ok(at.clone())
     }
 
     fn apply_down(&mut self, e: EdgeId, at: &T) -> Result<T, StreamError<T>> {
-        self.check_edge(e)?;
-        self.check_time(at)?;
-        if self.open_since[e.index()].is_none() {
+        if *self.edge_state(e, at)? == EdgeState::Closed {
             return Err(StreamError::DownBeforeUp {
                 edge: e,
                 at: at.clone(),
             });
         }
-        self.close_open_span(e, at);
-        self.watermark = Some(at.clone());
-        Ok(at.clone())
-    }
-
-    /// Closes `e`'s open span at `at`, replacing its provisional close
-    /// (a zero-length span is erased entirely). Shared by `Down` and the
-    /// batched closes a `NodeLeave` performs. The caller validates and
-    /// advances the watermark.
-    fn close_open_span(&mut self, e: EdgeId, at: &T) {
+        // Replaces the provisional close (a zero-length span is erased).
         let (chunk, j) = self.live.presence.chunk_mut(e.index());
         chunk.truncate_last_span(j, at);
-        self.open_since[e.index()] = None;
+        self.edges[e.index()] = EdgeState::Closed;
+        self.watermark = Some(at.clone());
+        Ok(at.clone())
     }
 
     fn apply_leave(&mut self, node: NodeId, at: &T) -> Result<Option<T>, StreamError<T>> {
@@ -705,18 +674,21 @@ impl<T: Time> TvgStream<T> {
             });
         }
         self.check_time(at)?;
-        // Close every incident open span at the departure instant. Each
-        // close is exactly a `Down` at `at`, so the live index stays
-        // structurally identical to a recompile of the truncated
-        // schedule — the churn case of the streamcheck contract.
-        let open: Vec<EdgeId> = self.incident[node.index()]
-            .iter()
-            .copied()
-            .filter(|e| self.open_since[e.index()].is_some())
-            .collect();
-        let any_closed = !open.is_empty();
-        for e in open {
-            self.close_open_span(e, at);
+        // Close every incident open span at the departure instant and
+        // mark the edge dead. Each close is exactly a `Down` at `at`, so
+        // the live index stays structurally identical to a recompile of
+        // the truncated schedule — the churn case of the streamcheck
+        // contract.
+        let mut any_closed = false;
+        let out = self.live.g.get(0).out_edges(node).iter().copied();
+        let into = iter::successors(self.last_in[node.index()], |e| self.next_in[e.index()]);
+        for e in out.chain(into) {
+            let was = std::mem::replace(&mut self.edges[e.index()], EdgeState::Dead);
+            if matches!(was, EdgeState::Open(_)) {
+                any_closed = true;
+                let (chunk, j) = self.live.presence.chunk_mut(e.index());
+                chunk.truncate_last_span(j, at);
+            }
         }
         self.departed[node.index()] = Some(at.clone());
         self.watermark = Some(at.clone());
@@ -741,8 +713,8 @@ impl<T: Time> TvgStream<T> {
         // Open edges were presumed present through the old horizon; the
         // presumption now extends.
         let mut any_open = false;
-        for (i, since) in self.open_since.iter().enumerate() {
-            if since.is_some() {
+        for (i, state) in self.edges.iter().enumerate() {
+            if matches!(state, EdgeState::Open(_)) {
                 any_open = true;
                 let (chunk, j) = self.live.presence.chunk_mut(i);
                 chunk.extend_last_span(j, &new_end);
@@ -820,7 +792,7 @@ impl<T: Time> TvgStream<T> {
         let mut timed: Vec<(T, EdgeId, u32)> = Vec::new();
         let (mut prev, mut run) = (None, 0);
         let Ok(live) = g.try_map_schedules(|_, edge| {
-            let e = stream.push_edge_columns(edge.src(), edge.dst(), edge.latency());
+            let e = stream.push_edge_columns(edge.dst());
             if prev.is_some_and(|prev| same_instant_set(prev, edge.presence())) {
                 timed[run..].iter_mut().for_each(|entry| entry.2 += 2);
             } else {
@@ -921,7 +893,7 @@ mod tests {
         .expect("valid feed");
         assert_eq!(s.index().presence(e).spans(), &[(2, 5), (9, 21)]);
         assert_eq!(s.watermark(), Some(&9));
-        assert_eq!(s.open_since[e.index()], Some(9));
+        assert_eq!(s.edges[e.index()], EdgeState::Open(9));
         assert_matches_recompile(&s);
     }
 
@@ -932,9 +904,15 @@ mod tests {
             StreamEvent::Up { edge: e, at: 2 },
             StreamEvent::Down { edge: e, at: 5 },
             StreamEvent::Up { edge: e, at: 5 },
-            StreamEvent::Down { edge: e, at: 8 },
         ])
         .expect("valid feed");
+        // The open state is the reopening instant, not the merged span's start.
+        assert_eq!(
+            s.ingest(&[StreamEvent::Up { edge: e, at: 6 }]),
+            Err(StreamError::AlreadyUp { edge: e, since: 5 })
+        );
+        s.ingest(&[StreamEvent::Down { edge: e, at: 8 }])
+            .expect("valid feed");
         assert_eq!(s.index().presence(e).spans(), &[(2, 8)]);
         assert_eq!(s.index().num_edge_events(), 2);
         assert_matches_recompile(&s);
@@ -1179,14 +1157,8 @@ mod tests {
         for &e in &edges[1..] {
             assert_eq!(s.index().presence(e).spans(), &[(1, 21)], "{e}");
         }
-        // The columns the tick did not write still share one handle list.
-        assert!(s
-            .live
-            .arrival_monotone
-            .shares_chunks_with(&snap.arrival_monotone));
-        assert!(s.live.dsts.shares_chunks_with(&snap.dsts));
-        assert!(s.live.const_lat.shares_chunks_with(&snap.const_lat));
-        assert!(s.live.adjacency.shares_chunks_with(&snap.adjacency));
+        // The graph, which the tick did not write, is still shared.
+        assert!(s.live.g.shares_chunks_with(&snap.g));
     }
 
     #[test]
@@ -1262,25 +1234,26 @@ mod tests {
         let b = s.add_node("b");
         let c = s.add_node("c");
         let ab = s.add_edge(a, b, 'x', Latency::unit()).expect("valid");
-        let cb = s.add_edge(c, b, 'y', Latency::unit()).expect("valid");
+        let bc = s.add_edge(b, c, 'y', Latency::unit()).expect("valid");
         let ca = s.add_edge(c, a, 'z', Latency::unit()).expect("valid");
         s.ingest(&[
             StreamEvent::Up { edge: ab, at: 2 },
-            StreamEvent::Up { edge: cb, at: 3 },
+            StreamEvent::Up { edge: bc, at: 3 },
             StreamEvent::Up { edge: ca, at: 4 },
         ])
         .expect("valid feed");
         let report = s
             .ingest(&[StreamEvent::NodeLeave { node: b, at: 7 }])
             .expect("leave is valid");
-        // Both edges touching b close at 7; c→a is untouched.
+        // Both edges touching b, into and out of it, close at 7; c→a is
+        // untouched.
         assert_eq!(report.earliest_change, Some(7));
         assert_eq!(s.index().presence(ab).spans(), &[(2, 7)]);
-        assert_eq!(s.index().presence(cb).spans(), &[(3, 7)]);
+        assert_eq!(s.index().presence(bc).spans(), &[(3, 7)]);
         assert_eq!(s.index().presence(ca).spans(), &[(4, 21)]);
-        assert_eq!(s.open_since[ab.index()], None);
-        assert_eq!(s.open_since[cb.index()], None);
-        assert_eq!(s.open_since[ca.index()], Some(4));
+        assert_eq!(s.edges[ab.index()], EdgeState::Dead);
+        assert_eq!(s.edges[bc.index()], EdgeState::Dead);
+        assert_eq!(s.edges[ca.index()], EdgeState::Open(4));
         assert_eq!(s.departed_at(b), Some(&7));
         assert_eq!(s.num_departed(), 1);
         assert_eq!(s.watermark(), Some(&7));
@@ -1332,6 +1305,25 @@ mod tests {
         let ac = s.add_edge(a, c, 'z', Latency::unit()).expect("valid");
         s.ingest(&[StreamEvent::Up { edge: ac, at: 9 }])
             .expect("valid feed");
+        assert_matches_recompile(&s);
+        // Both endpoints gone, the source first: the source is named.
+        // Only the destination gone: the destination is named, even on
+        // a `Down` below the watermark. A self-loop closes once and, dead,
+        // names its node.
+        let d = s.add_node("d");
+        let cd = s.add_edge(c, d, 'w', Latency::unit()).expect("valid");
+        let cc = s.add_edge(c, c, 'v', Latency::unit()).expect("valid");
+        s.ingest(&[
+            StreamEvent::Up { edge: cc, at: 9 },
+            StreamEvent::NodeLeave { node: c, at: 10 },
+            StreamEvent::NodeLeave { node: d, at: 11 },
+        ])
+        .expect("valid feed");
+        let c_gone = Err(StreamError::NodeDeparted { node: c, at: 10 });
+        assert_eq!(s.ingest(&[StreamEvent::Up { edge: cd, at: 12 }]), c_gone);
+        assert_eq!(s.ingest(&[StreamEvent::Down { edge: ac, at: 9 }]), c_gone);
+        assert_eq!(s.ingest(&[StreamEvent::Up { edge: cc, at: 12 }]), c_gone);
+        assert_eq!(s.index().presence(cc).spans(), &[(9, 10)]);
         assert_matches_recompile(&s);
     }
 

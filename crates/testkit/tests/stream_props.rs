@@ -13,7 +13,7 @@
 //! `Nat`-domain streaming of the Figure-1 schedule, the
 //! append-at-boundary edge cases of the stream layer, and a
 //! chunk-boundary torture test that lands mutations exactly on the
-//! persistent columns' chunk edges (`COL_CHUNK`) with reopen-at-close
+//! presence column's chunk edges (`COL_CHUNK`) with reopen-at-close
 //! merges and a horizon extension, while retained snapshots pin every
 //! intermediate epoch against a rebuild; and a long-history leg whose
 //! retained snapshots pin the presence arena's run moves and compaction
@@ -538,11 +538,9 @@ fn chunk_boundary_torture_survives_sharing_and_retraction() {
     use tvg_model::{Latency, TvgIndex};
     use tvg_testkit::servecheck;
 
-    // A hub with COL_CHUNK + 1 spokes: every per-edge column (presence,
-    // monotonicity, destinations, latencies) and the per-node adjacency
-    // column get exactly one full frozen chunk plus a one-element tail,
-    // so the boundary indices COL_CHUNK - 1 and COL_CHUNK straddle the
-    // frozen/tail divide.
+    // A hub with COL_CHUNK + 1 spokes: the presence column gets exactly
+    // one full frozen chunk plus a one-element tail, so the boundary
+    // indices COL_CHUNK - 1 and COL_CHUNK straddle the frozen/tail divide.
     let build = || {
         let mut stream = TvgStream::<u64>::new(40).expect("representable horizon");
         let hub = stream.add_node("hub");
