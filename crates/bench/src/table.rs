@@ -38,8 +38,8 @@ impl Table {
     }
 
     /// Number of data rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows.len()
     }
 

@@ -118,7 +118,7 @@ impl Nat {
 
     /// Left shift by `bits` bit positions.
     #[must_use]
-    pub fn shl_bits(&self, bits: usize) -> Nat {
+    pub(crate) fn shl_bits(&self, bits: usize) -> Nat {
         if self.is_zero() {
             return Nat::zero();
         }
@@ -141,7 +141,7 @@ impl Nat {
 
     /// Right shift by `bits` bit positions.
     #[must_use]
-    pub fn shr_bits(&self, bits: usize) -> Nat {
+    pub(crate) fn shr_bits(&self, bits: usize) -> Nat {
         let (limb_shift, bit_shift) = (bits / 32, bits % 32);
         if limb_shift >= self.limbs.len() {
             return Nat::zero();

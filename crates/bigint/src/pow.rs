@@ -35,14 +35,8 @@ impl Nat {
     /// # Panics
     ///
     /// Panics if `modulus` is zero.
-    ///
-    /// ```
-    /// use tvg_bigint::Nat;
-    /// let r = Nat::from(5u64).mod_pow(&Nat::from(117u64), &Nat::from(19u64));
-    /// assert_eq!(r, Nat::from(1u64)); // 5^117 ≡ 1 (mod 19) by Fermat
-    /// ```
     #[must_use]
-    pub fn mod_pow(&self, exp: &Nat, modulus: &Nat) -> Nat {
+    pub(crate) fn mod_pow(&self, exp: &Nat, modulus: &Nat) -> Nat {
         assert!(!modulus.is_zero(), "modulus must be nonzero");
         if modulus.is_one() {
             return Nat::zero();
@@ -161,6 +155,28 @@ mod tests {
         let p = Nat::from(1_000_000_007u64);
         let a = Nat::from(123_456_789u64);
         assert_eq!(a.mod_pow(&(p.clone() - Nat::one()), &p), Nat::one());
+        // 5^117 ≡ 1 (mod 19): 117 is a multiple of 18.
+        let r = Nat::from(5u64).mod_pow(&Nat::from(117u64), &Nat::from(19u64));
+        assert_eq!(r, Nat::one());
+    }
+
+    #[test]
+    fn mod_pow_matches_naive() {
+        use rand::Rng;
+        tvg_testkit::check("mod_pow_matches_naive", |rng, _| {
+            let b = rng.gen_range(0u64..1000);
+            let e = rng.gen_range(0u32..64);
+            let m = rng.gen_range(1u64..1000);
+            let expected = {
+                let mut acc: u128 = 1;
+                for _ in 0..e {
+                    acc = acc * (b as u128) % (m as u128);
+                }
+                acc % m as u128
+            };
+            let got = Nat::from(b).mod_pow(&Nat::from(u64::from(e)), &Nat::from(m));
+            assert_eq!(got, Nat::from(expected));
+        });
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// The usage string printed on argument errors.
-pub const USAGE: &str = "usage: tvg-cli <command> [args]
+const USAGE: &str = "usage: tvg-cli <command> [args]
   run <spec>... [--index <file.tvgi>]
                     run scenarios, print canonical JSON reports to stdout;
                     with --index, answer batch plans from a compiled
@@ -559,7 +559,7 @@ pub fn load_specs(path: &Path) -> Result<Vec<Scenario>, CliError> {
 
 /// Runs every scenario in a spec file and concatenates the canonical
 /// report lines — the exact bytes `verify` diffs and `bless` writes.
-pub fn render_reports(path: &Path) -> Result<String, CliError> {
+fn render_reports(path: &Path) -> Result<String, CliError> {
     let mut out = String::new();
     for scenario in load_specs(path)? {
         out.push_str(&scenario.run().canonical_json());

@@ -1,6 +1,6 @@
 //! `tvg-cli` — run declarative TVG scenarios and verify their goldens.
 //!
-//! See [`tvg_cli::USAGE`] or run without arguments for the command list.
+//! Run without arguments for the command list.
 
 use std::process::ExitCode;
 

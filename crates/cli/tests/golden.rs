@@ -4,9 +4,7 @@
 //! without a blessed golden fails `cargo test` before it ever reaches
 //! CI.
 
-use tvg_cli::{
-    bundled_scenarios_dir as scenarios_dir, render_reports, run_command, spec_files, CliError,
-};
+use tvg_cli::{bundled_scenarios_dir as scenarios_dir, run_command, spec_files, CliError};
 use tvg_scenarios::Threads;
 
 #[test]
@@ -15,7 +13,9 @@ fn bundled_specs_reproduce_their_goldens() {
     let pairs = spec_files(&dir).expect("bundled specs exist");
     assert_eq!(pairs.len(), 12, "twelve bundled spec files ship in-tree");
     for (spec, golden) in pairs {
-        let report = render_reports(&spec).expect("spec runs");
+        let report = run_command(&["run".to_string(), spec.display().to_string()])
+            .expect("spec runs")
+            .stdout;
         let golden_text = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
             panic!("{}: {e} (run `tvg-cli bless scenarios`)", golden.display())
         });

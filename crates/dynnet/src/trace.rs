@@ -63,8 +63,8 @@ impl EvolvingTrace {
     }
 
     /// The contacts at step `t` (empty set beyond the trace).
-    #[must_use]
-    pub fn contacts_at(&self, t: usize) -> &BTreeSet<(usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn contacts_at(&self, t: usize) -> &BTreeSet<(usize, usize)> {
         static EMPTY: BTreeSet<(usize, usize)> = BTreeSet::new();
         self.snapshots.get(t).unwrap_or(&EMPTY)
     }

@@ -8,6 +8,7 @@ use rand::Rng;
 use std::collections::BTreeSet;
 use tvg_dynnet::broadcast::{run_broadcast, BroadcastConfig, ForwardingMode};
 use tvg_dynnet::metrics::DeliveryStats;
+use tvg_dynnet::EvolvingTrace;
 use tvg_testkit::gen;
 use tvg_testkit::Config;
 
@@ -126,11 +127,17 @@ fn stationary_density_within_bounds() {
 fn trace_contacts_are_normalized() {
     let cfg = Config::named_with_cases("trace_contacts_are_normalized", 48);
     tvg_testkit::check_with(cfg, |rng, _| {
+        // Every contact is a pair of distinct in-range nodes, so its
+        // conversion holds both orientations under one schedule.
         let trace = gen::markovian_trace(rng);
-        for t in 0..trace.len() {
-            for &(a, b) in trace.contacts_at(t) {
-                assert!(a < b);
-                assert!(b < trace.num_nodes());
+        let g = trace.to_tvg();
+        for pair in g.edges().collect::<Vec<_>>().chunks(2) {
+            let (ab, ba) = (g.edge(pair[0]), g.edge(pair[1]));
+            assert!(ab.src().index() < ab.dst().index());
+            assert!(ab.dst().index() < trace.num_nodes());
+            assert_eq!((ba.src(), ba.dst()), (ab.dst(), ab.src()));
+            for t in 0..trace.len() as u64 {
+                assert_eq!(ab.presence().is_present(&t), ba.presence().is_present(&t));
             }
         }
     });
@@ -143,7 +150,9 @@ fn tvg_conversion_has_matching_contacts() {
         let trace = gen::markovian_trace(rng);
         let g = trace.to_tvg();
         assert_eq!(g.num_nodes(), trace.num_nodes());
-        // Every contact is traversable in both directions at its instant.
+        // Every contact is traversable in both directions at its
+        // instant: the conversion's snapshots rebuild the trace.
+        let mut snapshots = Vec::new();
         for t in 0..trace.len() {
             let snapshot: BTreeSet<(usize, usize)> = g
                 .snapshot(&(t as u64))
@@ -154,7 +163,8 @@ fn tvg_conversion_has_matching_contacts() {
                     (a.min(b), a.max(b))
                 })
                 .collect();
-            assert_eq!(&snapshot, trace.contacts_at(t));
+            snapshots.push(snapshot);
         }
+        assert_eq!(EvolvingTrace::new(trace.num_nodes(), snapshots), trace);
     });
 }

@@ -417,7 +417,11 @@ mod tests {
             for threads in THREADS {
                 let runner = BatchRunner::new(&index, Batch::threads(threads));
                 let by_source = runner.map_sources(&sources, &0, &policy, &limits, |_, tree| {
-                    tree.reached_nodes().collect::<Vec<_>>()
+                    sources
+                        .iter()
+                        .copied()
+                        .filter(|&d| tree.arrival(d).is_some())
+                        .collect::<Vec<_>>()
                 });
                 assert_eq!(by_source, (reached.clone(), stats), "{policy} x{threads}");
                 let counts = runner

@@ -413,17 +413,8 @@ impl<T: Time> ForemostTree<T> {
         Some(Journey::from_hops(hops))
     }
 
-    /// The reached nodes, in id order: the settled nodes, sorted, so the
-    /// cost follows the reach, not the node count.
-    pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let mut nodes = self.reached.clone();
-        nodes.sort_unstable();
-        nodes.into_iter()
-    }
-
-    /// The foremost arrival of every reached node, in settle order:
-    /// what an order-free consumer (a histogram) reads without the copy
-    /// and sort of [`Self::reached_nodes`].
+    /// The foremost arrival of every reached node, in settle order: what
+    /// an order-free consumer (a histogram) reads.
     pub fn reached_arrivals(&self) -> impl Iterator<Item = &T> + '_ {
         self.reached
             .iter()
@@ -1609,10 +1600,7 @@ mod tests {
         let j = wait.journey_to(n(2)).expect("reachable");
         assert_eq!(j.num_hops(), 2);
         assert_eq!(j.validate(&g, n(0), &1, &WaitingPolicy::Unbounded), Ok(()));
-        assert_eq!(
-            wait.reached_nodes().collect::<Vec<_>>(),
-            vec![n(0), n(1), n(2)]
-        );
+        assert_eq!(wait.num_reached(), 3);
 
         let b3 = foremost_tree(&idx, n(0), &1, &WaitingPolicy::Bounded(3), &limits());
         assert_eq!(b3.arrival(n(2)), Some(&6));

@@ -77,11 +77,9 @@ pub use batch::{Batch, BatchRunner, HELPER_START};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };
-pub use incremental::{IncrementalForemost, ReplayCounts};
+pub use incremental::IncrementalForemost;
+pub(crate) use incremental::ReplayCounts;
 pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;
 pub use reachability::ReachabilityMatrix;
-pub use search::{
-    expansions, fastest_journey, foremost_journey, reachable_configs, reachable_nodes,
-    shortest_journey, SearchLimits,
-};
+pub use search::{expansions, fastest_journey, foremost_journey, shortest_journey, SearchLimits};

@@ -35,23 +35,11 @@ impl<T: Time + Send + Sync> ReachabilityMatrix<T> {
         policy: &WaitingPolicy<T>,
         limits: &SearchLimits<T>,
     ) -> Self {
-        Self::compute_with(g, start, policy, limits, Batch::auto())
-    }
-
-    /// [`ReachabilityMatrix::compute`] with an explicit thread-count
-    /// policy ([`Batch::serial`] is the canonical reference).
-    pub fn compute_with(
-        g: &Tvg<T>,
-        start: &T,
-        policy: &WaitingPolicy<T>,
-        limits: &SearchLimits<T>,
-        batch: Batch,
-    ) -> Self {
         let index = TvgIndex::compile(g, limits.horizon.clone());
-        Self::compute_on(&index, start, policy, limits, batch)
+        Self::compute_on(&index, start, policy, limits, Batch::auto())
     }
 
-    /// [`ReachabilityMatrix::compute_with`] on an already-compiled
+    /// [`ReachabilityMatrix::compute`] on an already-compiled
     /// index, for callers (like the scenario runtime) that hold one —
     /// avoids paying index compilation a second time. Generic over
     /// [`TemporalIndex`], so a mapped [`tvg_model::tvgi::ShardedIndex`]
@@ -279,13 +267,14 @@ mod tests {
         // which hold at any worker thread count.
         let g = ring_bus_tvg(5, 5, 'r');
         let limits = SearchLimits::new(30, 10);
+        let index = TvgIndex::compile(&g, limits.horizon);
         for policy in [
             WaitingPolicy::NoWait,
             WaitingPolicy::Bounded(2),
             WaitingPolicy::Unbounded,
         ] {
-            let serial = ReachabilityMatrix::compute_with(
-                &g,
+            let serial = ReachabilityMatrix::compute_on(
+                &index,
                 &0,
                 &policy,
                 &limits,
@@ -296,8 +285,8 @@ mod tests {
                 g.num_nodes() as u64,
                 "{policy}: expected one engine run per source"
             );
-            let parallel = ReachabilityMatrix::compute_with(
-                &g,
+            let parallel = ReachabilityMatrix::compute_on(
+                &index,
                 &0,
                 &policy,
                 &limits,

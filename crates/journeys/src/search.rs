@@ -18,9 +18,9 @@
 //! implementations survive as `tvg_testkit::tickscan`, the reference
 //! oracle the equivalence suite checks this module against.
 //!
-//! [`expansions`] and [`reachable_configs`] remain window-bounded tick
-//! scans on purpose: they are exhaustive-enumeration primitives (the
-//! journey-language layer steps through them letter by letter) and must
+//! [`expansions`] remains a window-bounded tick scan on purpose: it is
+//! an exhaustive-enumeration primitive (the journey-language layer
+//! steps through it letter by letter) and must
 //! work even for time domains whose horizons are too distant to
 //! materialize (the theorem constructions run at `Nat` times like
 //! `pⁿqⁿ⁻¹`).
@@ -71,51 +71,6 @@ pub fn expansions<T: Time>(
         }
     }
     out
-}
-
-/// Exhaustive reachable configuration set from `(src, start)`.
-///
-/// Returns every `(node, arrival-time)` configuration reachable within the
-/// limits, including the start itself.
-pub fn reachable_configs<T: Time>(
-    g: &Tvg<T>,
-    src: NodeId,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> BTreeSet<(NodeId, T)> {
-    let mut seen: BTreeSet<(NodeId, T)> = BTreeSet::from([(src, start.clone())]);
-    let mut frontier = vec![(src, start.clone())];
-    for _ in 0..limits.max_hops {
-        let mut next = Vec::new();
-        for (node, ready) in &frontier {
-            for (e, _dep, arr) in expansions(g, *node, ready, policy, limits) {
-                let state = (g.edge(e).dst(), arr);
-                if seen.insert(state.clone()) {
-                    next.push(state);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    seen
-}
-
-/// Nodes reachable from `(src, start)` within the limits.
-pub fn reachable_nodes<T: Time>(
-    g: &Tvg<T>,
-    src: NodeId,
-    start: &T,
-    policy: &WaitingPolicy<T>,
-    limits: &SearchLimits<T>,
-) -> BTreeSet<NodeId> {
-    reachable_configs(g, src, start, policy, limits)
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect()
 }
 
 /// The *foremost* journey: reaches `dst` with the earliest possible
@@ -277,14 +232,16 @@ mod tests {
         // The archetypal store-carry-forward situation: the connection at
         // v1 requires waiting 3 units.
         let g = line_gap();
-        let no = reachable_nodes(&g, n(0), &1, &WaitingPolicy::NoWait, &limits());
-        assert_eq!(no, Set::from([n(0), n(1)]));
-        let b2 = reachable_nodes(&g, n(0), &1, &WaitingPolicy::Bounded(2), &limits());
-        assert_eq!(b2, Set::from([n(0), n(1)]));
-        let b3 = reachable_nodes(&g, n(0), &1, &WaitingPolicy::Bounded(3), &limits());
-        assert_eq!(b3, Set::from([n(0), n(1), n(2)]));
-        let un = reachable_nodes(&g, n(0), &1, &WaitingPolicy::Unbounded, &limits());
-        assert_eq!(un, Set::from([n(0), n(1), n(2)]));
+        let index = TvgIndex::compile(&g, limits().horizon);
+        let reached = |policy: WaitingPolicy<u64>| -> Set<NodeId> {
+            let tree = crate::foremost_tree(&index, n(0), &1, &policy, &limits());
+            g.nodes().filter(|&v| tree.arrival(v).is_some()).collect()
+        };
+        assert_eq!(reached(WaitingPolicy::NoWait), Set::from([n(0), n(1)]));
+        assert_eq!(reached(WaitingPolicy::Bounded(2)), Set::from([n(0), n(1)]));
+        let all = Set::from([n(0), n(1), n(2)]);
+        assert_eq!(reached(WaitingPolicy::Bounded(3)), all);
+        assert_eq!(reached(WaitingPolicy::Unbounded), all);
     }
 
     #[test]

@@ -181,7 +181,8 @@ fn reachable_sets_match_oracle_on_random_tvgs() {
         for policy in all_policies(bound) {
             for src in g.nodes() {
                 let tree = foremost_tree(&index, src, &start, &policy, &limits());
-                let reached: Vec<NodeId> = tree.reached_nodes().collect();
+                let reached: Vec<NodeId> =
+                    g.nodes().filter(|&v| tree.arrival(v).is_some()).collect();
                 let oracle: Vec<NodeId> =
                     tickscan::reachable_nodes(&g, src, &start, &policy, &limits())
                         .into_iter()

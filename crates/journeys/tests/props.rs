@@ -8,14 +8,22 @@
 use rand::Rng;
 use std::collections::BTreeSet;
 use tvg_journeys::{
-    expansions, fastest_journey, foremost_journey, reachable_nodes, shortest_journey, SearchLimits,
+    expansions, fastest_journey, foremost_journey, foremost_tree, shortest_journey, SearchLimits,
     WaitingPolicy,
 };
-use tvg_model::NodeId;
+use tvg_model::{NodeId, Tvg, TvgIndex};
 use tvg_testkit::gen;
 
 fn limits() -> SearchLimits<u64> {
     SearchLimits::new(25, 6)
+}
+
+/// The nodes the engine's foremost tree from `(src, start)` reaches on
+/// `g` compiled at the limits' horizon.
+fn reached(g: &Tvg<u64>, src: NodeId, start: u64, policy: WaitingPolicy<u64>) -> BTreeSet<NodeId> {
+    let index = TvgIndex::compile(g, limits().horizon);
+    let tree = foremost_tree(&index, src, &start, &policy, &limits());
+    g.nodes().filter(|&v| tree.arrival(v).is_some()).collect()
 }
 
 #[test]
@@ -63,10 +71,10 @@ fn reachability_is_monotone_in_waiting() {
         let g = gen::periodic_tvg(rng);
         let start = rng.gen_range(0u64..6);
         let src = NodeId::from_index(0);
-        let nw = reachable_nodes(&g, src, &start, &WaitingPolicy::NoWait, &limits());
-        let b1 = reachable_nodes(&g, src, &start, &WaitingPolicy::Bounded(1), &limits());
-        let b3 = reachable_nodes(&g, src, &start, &WaitingPolicy::Bounded(3), &limits());
-        let un = reachable_nodes(&g, src, &start, &WaitingPolicy::Unbounded, &limits());
+        let nw = reached(&g, src, start, WaitingPolicy::NoWait);
+        let b1 = reached(&g, src, start, WaitingPolicy::Bounded(1));
+        let b3 = reached(&g, src, start, WaitingPolicy::Bounded(3));
+        let un = reached(&g, src, start, WaitingPolicy::Unbounded);
         assert!(nw.is_subset(&b1));
         assert!(b1.is_subset(&b3));
         assert!(b3.is_subset(&un));
@@ -126,8 +134,8 @@ fn bounded_zero_equals_nowait_everywhere() {
         let g = gen::periodic_tvg(rng);
         let start = rng.gen_range(0u64..6);
         let src = NodeId::from_index(0);
-        let a = reachable_nodes(&g, src, &start, &WaitingPolicy::NoWait, &limits());
-        let b = reachable_nodes(&g, src, &start, &WaitingPolicy::Bounded(0), &limits());
+        let a = reached(&g, src, start, WaitingPolicy::NoWait);
+        let b = reached(&g, src, start, WaitingPolicy::Bounded(0));
         assert_eq!(a, b);
     });
 }

@@ -48,8 +48,8 @@ impl Digraph {
     }
 
     /// Whether the edge `u → v` exists.
-    #[must_use]
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_edge(&self, u: usize, v: usize) -> bool {
         self.adj.get(u).is_some_and(|row| row.contains(&v))
     }
 

@@ -376,13 +376,6 @@ impl<'a, T: Time> SpanView<'a, T> {
         Some(if start > t { start.clone() } else { t.clone() })
     }
 
-    /// The earliest member of the inclusive window `[from, until]` —
-    /// the compiled counterpart of `Presence::next_present_within`.
-    #[must_use]
-    pub fn next_within(self, from: &T, until: &T) -> Option<T> {
-        self.next_at_or_after(from).filter(|t| t <= until)
-    }
-
     /// Iterates the members of the inclusive window `[from, until]` in
     /// increasing order, jumping over absent stretches span to span.
     ///
@@ -478,9 +471,6 @@ mod tests {
         assert_eq!(s.view().next_at_or_after(&3), Some(3));
         assert_eq!(s.view().next_at_or_after(&4), Some(7));
         assert_eq!(s.view().next_at_or_after(&8), None);
-        assert_eq!(s.view().next_within(&0, &1), None);
-        assert_eq!(s.view().next_within(&0, &2), Some(2));
-        assert_eq!(s.view().next_within(&4, &7), Some(7));
     }
 
     #[test]

@@ -115,23 +115,6 @@ impl<T: Time> Presence<T> {
         }
     }
 
-    /// The earliest instant in `[from, until]` at which the edge is
-    /// present, by linear scan.
-    ///
-    /// Used by waiting semantics over `u64` horizons; the scan is exact
-    /// for every variant including [`Presence::Custom`].
-    #[must_use]
-    pub fn next_present_within(&self, from: &T, until: &T) -> Option<T> {
-        let mut t = from.clone();
-        while t <= *until {
-            if self.is_present(&t) {
-                return Some(t);
-            }
-            t = t.succ();
-        }
-        None
-    }
-
     /// Compiles the schedule into its present-instant [`IntervalSet`]
     /// over the inclusive horizon `[0, horizon]` — the entry point of the
     /// compiled query path ([`crate::TvgIndex`]).
@@ -632,10 +615,11 @@ mod tests {
             period: 5,
             phases: BTreeSet::from([3u64]),
         };
-        assert_eq!(p.next_present_within(&0u64, &10), Some(3));
-        assert_eq!(p.next_present_within(&4u64, &10), Some(8));
-        assert_eq!(p.next_present_within(&9u64, &12), None);
-        assert_eq!(Presence::<u64>::Never.next_present_within(&0, &100), None);
+        let next = |p: &Presence<u64>, from: u64| p.intervals(&12).view().next_at_or_after(&from);
+        assert_eq!(next(&p, 0), Some(3));
+        assert_eq!(next(&p, 4), Some(8));
+        assert_eq!(next(&p, 9), None);
+        assert_eq!(next(&Presence::Never, 0), None);
     }
 
     #[test]
@@ -870,18 +854,10 @@ mod tests {
             phases: BTreeSet::from([3u64]),
         };
         let set = rho.intervals(&12u64);
-        assert_eq!(
-            set.view().next_within(&0, &10),
-            rho.next_present_within(&0, &10)
-        );
-        assert_eq!(
-            set.view().next_within(&4, &10),
-            rho.next_present_within(&4, &10)
-        );
-        assert_eq!(
-            set.view().next_within(&9, &12),
-            rho.next_present_within(&9, &12)
-        );
+        for from in 0..=12u64 {
+            let scan = (from..=12).find(|t| rho.is_present(t));
+            assert_eq!(set.view().next_at_or_after(&from), scan, "from {from}");
+        }
     }
 
     #[test]

@@ -460,18 +460,6 @@ impl<T: Time> TvgStream<T> {
         self.live.snapshot()
     }
 
-    /// The latest accepted event instant, if any event was accepted.
-    #[must_use]
-    pub fn watermark(&self) -> Option<&T> {
-        self.watermark.as_ref()
-    }
-
-    /// When `n` left the network, if it did.
-    #[must_use]
-    pub fn departed_at(&self, n: NodeId) -> Option<&T> {
-        self.departed.get(n.index()).and_then(Option::as_ref)
-    }
-
     /// How many nodes have left the network.
     #[must_use]
     pub fn num_departed(&self) -> usize {
@@ -892,7 +880,7 @@ mod tests {
         ])
         .expect("valid feed");
         assert_eq!(s.index().presence(e).spans(), &[(2, 5), (9, 21)]);
-        assert_eq!(s.watermark(), Some(&9));
+        assert_eq!(s.watermark.as_ref(), Some(&9));
         assert_eq!(s.edges[e.index()], EdgeState::Open(9));
         assert_matches_recompile(&s);
     }
@@ -928,7 +916,7 @@ mod tests {
         .expect("valid feed");
         assert!(s.index().presence(e).is_empty());
         assert_eq!(s.index().num_edge_events(), 0);
-        assert_eq!(s.watermark(), Some(&4));
+        assert_eq!(s.watermark.as_ref(), Some(&4));
         assert_matches_recompile(&s);
     }
 
@@ -1192,7 +1180,7 @@ mod tests {
         assert_eq!(err, Err(StreamError::AlreadyUp { edge: e, since: 2 }));
         // The valid prefix is applied; the rest is not.
         assert_eq!(s.index().presence(e).spans(), &[(2, 21)]);
-        assert_eq!(s.watermark(), Some(&2));
+        assert_eq!(s.watermark.as_ref(), Some(&2));
         // The prefix's presence change was never reported (the batch
         // errored); the next successful ingest must carry it, so a
         // repair driven by successful reports misses nothing.
@@ -1254,9 +1242,9 @@ mod tests {
         assert_eq!(s.edges[ab.index()], EdgeState::Dead);
         assert_eq!(s.edges[bc.index()], EdgeState::Dead);
         assert_eq!(s.edges[ca.index()], EdgeState::Open(4));
-        assert_eq!(s.departed_at(b), Some(&7));
+        assert_eq!(s.departed[b.index()].as_ref(), Some(&7));
         assert_eq!(s.num_departed(), 1);
-        assert_eq!(s.watermark(), Some(&7));
+        assert_eq!(s.watermark.as_ref(), Some(&7));
         assert_matches_recompile(&s);
     }
 
@@ -1344,8 +1332,8 @@ mod tests {
         // The rejoined peer has a fresh id; the old id stays departed.
         let b2 = NodeId::from_index(2);
         assert_eq!(s.index().tvg().num_nodes(), 3);
-        assert_eq!(s.departed_at(b2), None);
-        assert_eq!(s.departed_at(b), Some(&6));
+        assert_eq!(s.departed[b2.index()].as_ref(), None);
+        assert_eq!(s.departed[b.index()].as_ref(), Some(&6));
         let ab2 = s.add_edge(a, b2, 'x', Latency::unit()).expect("valid");
         let report = s
             .ingest(&[StreamEvent::Up { edge: ab2, at: 8 }])
@@ -1393,7 +1381,7 @@ mod tests {
         // there is nothing for an incremental consumer to repair.
         assert_eq!(report.earliest_change, None);
         assert_eq!(s.index().presence(ab).spans(), &[(2, 5)]);
-        assert_eq!(s.watermark(), Some(&9));
+        assert_eq!(s.watermark.as_ref(), Some(&9));
         assert_matches_recompile(&s);
     }
 }

@@ -55,7 +55,7 @@
 //!
 //! # Checksum
 //!
-//! The header's `checksum` ([`checksum`]) covers the whole file except
+//! The header's `checksum` covers the whole file except
 //! its own field: header bytes `0..16`, then bytes `24..end`. That
 //! stream is folded as little-endian `u64` words, word `j` into lane
 //! `j mod 4` by `lane ← mix(lane ⊕ word)` with
@@ -102,10 +102,10 @@ use crate::index::{flat_answers, FlatIndex, TemporalIndex, TvgIndex};
 use crate::{EdgeId, NodeId, Time};
 
 /// Magic bytes opening every `.tvgi` file.
-pub const MAGIC: [u8; 4] = *b"TVGI";
+const MAGIC: [u8; 4] = *b"TVGI";
 
 /// The format version this build writes and reads.
-pub const VERSION: u16 = 4;
+const VERSION: u16 = 4;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: u64 = 24;
@@ -115,25 +115,25 @@ const TABLE_ENTRY_LEN: u64 = 20;
 
 /// Bytes [`ShardedIndex::open`] reads and decodes per pass step. The
 /// chunks start at the end of the padded section table, 8-aligned.
-pub const READ_CHUNK: usize = 256 << 10;
+const READ_CHUNK: usize = 256 << 10;
 
 mod section {
     //! Section identifiers of format version 4. Ids 2, 3, 5, 6 and 10
     //! (version 3's node names, edge directory and shard ranges) and
     //! 11, 12 and 17 (version 1's event timeline and boundary
     //! summaries) are retired and never reused.
-    pub const META: u32 = 1;
-    pub const SPEC: u32 = 4;
-    pub const EDGE_DST: u32 = 7;
-    pub const EDGE_MONO: u32 = 8;
-    pub const EDGE_LAT: u32 = 9;
-    pub const CSR_OFF: u32 = 13;
-    pub const CSR_EDGES: u32 = 14;
-    pub const SPAN_OFF: u32 = 15;
-    pub const SPANS: u32 = 16;
+    pub(super) const META: u32 = 1;
+    pub(super) const SPEC: u32 = 4;
+    pub(super) const EDGE_DST: u32 = 7;
+    pub(super) const EDGE_MONO: u32 = 8;
+    pub(super) const EDGE_LAT: u32 = 9;
+    pub(super) const CSR_OFF: u32 = 13;
+    pub(super) const CSR_EDGES: u32 = 14;
+    pub(super) const SPAN_OFF: u32 = 15;
+    pub(super) const SPANS: u32 = 16;
 
     /// Every section id of this version, in the writer's file order.
-    pub const ALL: [u32; 9] = [
+    pub(super) const ALL: [u32; 9] = [
         META, SPEC, EDGE_DST, EDGE_MONO, EDGE_LAT, CSR_OFF, CSR_EDGES, SPAN_OFF, SPANS,
     ];
 }
@@ -153,7 +153,7 @@ pub enum TvgiError {
     Truncated,
     /// The file does not start with the `TVGI` magic.
     BadMagic,
-    /// The file's format version is not [`VERSION`].
+    /// The file's format version is not the one this build reads (4).
     UnsupportedVersion(u16),
     /// The header's time width is neither 4 nor 8.
     UnsupportedWidth(u8),
@@ -358,21 +358,20 @@ fn mix(x: u64) -> u64 {
 
 /// The whole-file checksum a `.tvgi` header stores: the four-lane word
 /// mix (see the module docs) over header bytes `0..16` and bytes
-/// `24..`, so every byte except the checksum field itself. This is the
-/// one definition the writer, the reader, and tests that forge files
-/// all share.
+/// `24..`, so every byte except the checksum field itself. Tests that
+/// forge files reseal them with it.
 ///
 /// A slice shorter than the header is checksummed as if its missing
 /// bytes were absent.
-#[must_use]
-pub fn checksum(file: &[u8]) -> u64 {
+#[cfg(test)]
+fn checksum(file: &[u8]) -> u64 {
     let mut sum = Checksum::new();
     sum.update(&file[..file.len().min(16)]);
     sum.update(file.get(24..).unwrap_or(&[]));
     sum.finish()
 }
 
-/// The streaming form of [`checksum`]: the stream may arrive in any
+/// The streaming form of the file checksum: the stream may arrive in any
 /// chunk split. Partial blocks wait in `pending`, so word `j` of the
 /// stream always lands in lane `j mod 4`.
 #[derive(Debug, Clone)]
@@ -672,29 +671,22 @@ pub fn write_tvgi<T: TvgiTime>(
 // Reader
 // ---------------------------------------------------------------------
 
-/// Header facts readable without decoding the payload — what a caller
-/// needs to pick the time domain before [`ShardedIndex::open`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TvgiInfo {
-    /// Stored time width in bytes (4 or 8).
-    pub width: u8,
-}
-
 /// Reads just the header of `path` (magic, version, width), validating
-/// it.
+/// it, and returns the stored time width in bytes (4 or 8): what a
+/// caller needs to pick the time domain before [`ShardedIndex::open`].
 ///
 /// # Errors
 ///
 /// The same header-level [`TvgiError`] variants as
 /// [`ShardedIndex::open`].
-pub fn peek_tvgi(path: &Path) -> Result<TvgiInfo, TvgiError> {
+pub fn peek_tvgi(path: &Path) -> Result<u8, TvgiError> {
     let mut f = File::open(path)?;
     let mut head = [0u8; HEADER_LEN as usize];
     f.read_exact(&mut head)?;
     parse_header(&head)
 }
 
-fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError> {
+fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<u8, TvgiError> {
     if head[0..4] != MAGIC {
         return Err(TvgiError::BadMagic);
     }
@@ -709,7 +701,7 @@ fn parse_header(head: &[u8; HEADER_LEN as usize]) -> Result<TvgiInfo, TvgiError>
     if head[7..12].iter().any(|&b| b != 0) {
         return Err(TvgiError::Inconsistent("reserved header bytes are set"));
     }
-    Ok(TvgiInfo { width })
+    Ok(width)
 }
 
 /// Decodes and validates the section table before any payload is read:
@@ -972,10 +964,10 @@ impl<T: TvgiTime> ShardedIndex<T> {
         let file_len = f.metadata()?.len();
         let mut head = [0u8; HEADER_LEN as usize];
         f.read_exact(&mut head)?;
-        let info = parse_header(&head)?;
-        if info.width != T::WIDTH {
+        let width = parse_header(&head)?;
+        if width != T::WIDTH {
             return Err(TvgiError::BadWidth {
-                found: info.width,
+                found: width,
                 expected: T::WIDTH,
             });
         }
@@ -994,7 +986,7 @@ impl<T: TvgiTime> ShardedIndex<T> {
                 .map_err(|_| TvgiError::Truncated)?
         ];
         f.read_exact(&mut table_bytes)?;
-        let table = parse_table(&table_bytes, payload_start, file_len, info.width)?;
+        let table = parse_table(&table_bytes, payload_start, file_len, width)?;
 
         // One pass over the payload: every chunk is checksummed and its
         // section pieces decoded while it is in cache. Chunks start
@@ -1052,7 +1044,7 @@ impl<T: TvgiTime> TemporalIndex<T> for ShardedIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::ring_bus_tvg;
+    use crate::generators::{ring_bus_tvg, scale_free_temporal};
     use crate::{Latency, Presence, Tvg, TvgBuilder};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1156,7 +1148,7 @@ mod tests {
         let mapped = ShardedIndex::<u32>::open(&path).expect("open");
         let e = EdgeId::from_index(1);
         assert_eq!(idx32.traverse(e, &6), mapped.traverse(e, &6));
-        assert_eq!(peek_tvgi(&path).expect("peek").width, 4);
+        assert_eq!(peek_tvgi(&path).expect("peek"), 4);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1270,5 +1262,217 @@ mod tests {
         write_tvgi(&idx32, 1, None, &path).expect("write");
         assert_equivalent(&idx32, &ShardedIndex::<u32>::open(&path).expect("open"));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes a small valid `.tvgi` and returns its bytes.
+    fn valid_file(label: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let g = scale_free_temporal(12, 20, 3);
+        let index = TvgIndex::compile(&g, 20u64);
+        let path = tmp(label);
+        write_tvgi(&index, 1, Some("spec text"), &path).expect("writes");
+        let bytes = std::fs::read(&path).expect("reads back");
+        (path, bytes)
+    }
+
+    fn open_bytes(label: &str, bytes: &[u8]) -> Result<ShardedIndex<u64>, TvgiError> {
+        let path = tmp(label);
+        std::fs::write(&path, bytes).expect("scratch write");
+        let out = ShardedIndex::<u64>::open(&path);
+        let _ = std::fs::remove_file(&path);
+        out
+    }
+
+    /// The number of section-table entries the header announces.
+    fn sections(bytes: &[u8]) -> usize {
+        u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize
+    }
+
+    /// Section-table entry `i` starts at `24 + 20·i`: id at +0, offset at
+    /// +4, len at +12.
+    fn table_entry_at(i: usize) -> usize {
+        24 + 20 * i
+    }
+
+    /// The byte position of section `id`'s table entry.
+    fn table_entry(bytes: &[u8], id: u32) -> usize {
+        (0..sections(bytes))
+            .map(table_entry_at)
+            .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
+            .unwrap_or_else(|| panic!("section {id} present"))
+    }
+
+    /// The `(offset, len)` of section `id`.
+    fn section_range(bytes: &[u8], id: u32) -> (usize, usize) {
+        let at = table_entry(bytes, id);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        (word(at + 4), word(at + 12))
+    }
+
+    /// Re-seals a patched file with the format's own checksum, so a test
+    /// can forge payload bytes that pass the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = checksum(bytes);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A `u64` file whose `SPANS` section outgrows one read chunk, laid out
+    /// so that a 16-byte span pair straddles a chunk boundary: the reader
+    /// must carry the pair's first word into the next chunk.
+    #[test]
+    fn u64_span_pairs_straddling_read_chunks_round_trip() {
+        let horizon = 12_000u64;
+        let g = ring_bus_tvg(15, 2, 'r');
+        let index = TvgIndex::compile(&g, horizon);
+        let path = tmp("straddle");
+        write_tvgi(&index, 1, None, &path).expect("writes");
+        let bytes = std::fs::read(&path).expect("reads back");
+        let _ = std::fs::remove_file(&path);
+        let spans = section_range(&bytes, section::SPANS);
+        assert!(
+            spans.1 > READ_CHUNK,
+            "the SPANS section must outgrow a read chunk"
+        );
+        assert!(
+            splits_a_pair(&bytes, spans),
+            "no span pair straddles a read-chunk boundary"
+        );
+        let path = tmp("straddle-open");
+        std::fs::write(&path, &bytes).expect("scratch write");
+        assert_equivalent(&index, &ShardedIndex::<u64>::open(&path).expect("opens"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Whether a read-chunk boundary falls in the middle of a 16-byte span
+    /// pair of the `SPANS` section at `(offset, len)`. Chunks start where
+    /// the section table ends, rounded up to a multiple of 8.
+    fn splits_a_pair(bytes: &[u8], (offset, len): (usize, usize)) -> bool {
+        let payload_start = table_entry_at(sections(bytes)).next_multiple_of(8);
+        (payload_start..offset + len)
+            .step_by(READ_CHUNK)
+            .any(|boundary| boundary > offset && (boundary - offset) % 16 == 8)
+    }
+
+    #[test]
+    fn resealed_payload_corruption_is_caught_by_consistency_checks() {
+        let (path, bytes) = valid_file("reseal");
+        let _ = std::fs::remove_file(&path);
+        // Make SPAN_OFF (section 15) decrease once, keeping its first and
+        // last words, and reseal the checksum: the checksum now passes, so
+        // the cross-section consistency layer must catch the lie.
+        let (off, len) = section_range(&bytes, section::SPAN_OFF);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let last = word(off + len - 8);
+        let i = (1..len / 8 - 1)
+            .find(|&i| (1..last).contains(&word(off + 8 * (i + 1))))
+            .expect("some edge starts inside the span arena");
+        let mut forged = bytes.clone();
+        let bigger = word(off + 8 * (i + 1)) + 1;
+        forged[off + 8 * i..off + 8 * i + 8].copy_from_slice(&bigger.to_le_bytes());
+        reseal(&mut forged);
+        assert_eq!(
+            open_bytes("reseal-open", &forged).expect_err("forged offsets must fail"),
+            TvgiError::Inconsistent("SPAN_OFF not monotone over SPANS")
+        );
+    }
+
+    /// Regression: a resealed file whose spans were unsorted, empty or
+    /// overlapping used to open, and the binary searches over each edge's
+    /// spans then answered wrongly. Each forgery edits the first two spans
+    /// of an edge that has at least two.
+    #[test]
+    fn resealed_span_forgeries_are_inconsistent() {
+        let (path, bytes) = valid_file("forged-spans");
+        let _ = std::fs::remove_file(&path);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (span_off, len) = section_range(&bytes, section::SPAN_OFF);
+        let offsets: Vec<usize> = (0..len / 8).map(|e| word(span_off + 8 * e)).collect();
+        let first = offsets
+            .windows(2)
+            .find(|w| w[1] - w[0] >= 2)
+            .expect("two spans")[0];
+        // Word `w` of the edge's spans: start 0, end 0, start 1, end 1.
+        let (spans, _) = section_range(&bytes, section::SPANS);
+        let at = |w: usize| spans + 8 * (2 * first + w);
+
+        let mut swapped = bytes.clone();
+        swapped[at(0)..at(2)].copy_from_slice(&bytes[at(2)..at(4)]);
+        swapped[at(2)..at(4)].copy_from_slice(&bytes[at(0)..at(2)]);
+        let mut empty = bytes.clone();
+        empty.copy_within(at(0)..at(1), at(1));
+        let mut overlapping = bytes.clone();
+        overlapping.copy_within(at(3)..at(4), at(1));
+        for (label, mut forged) in [
+            ("swapped", swapped),
+            ("empty", empty),
+            ("overlapping", overlapping),
+        ] {
+            reseal(&mut forged);
+            assert_eq!(
+                open_bytes(label, &forged).expect_err("forged spans must fail"),
+                TvgiError::Inconsistent("SPANS not sorted, disjoint and non-empty per edge"),
+                "{label}"
+            );
+        }
+    }
+
+    /// Regression: a resealed file whose `CSR_EDGES` listed one edge twice
+    /// used to open and answer with the wrong adjacency. The CSR must list
+    /// every edge exactly once.
+    #[test]
+    fn resealed_csr_forgeries_are_inconsistent() {
+        let g = scale_free_temporal(12, 20, 3);
+        let index = TvgIndex::compile(&g, 20u64);
+        let path = tmp("forged-csr");
+        write_tvgi(&index, 1, None, &path).expect("writes");
+        let bytes = std::fs::read(&path).expect("reads back");
+        let _ = std::fs::remove_file(&path);
+        let edges = |ids: [usize; 3]| ids.map(EdgeId::from_index);
+        assert_eq!(index.out_edges(NodeId::from_index(0)), edges([0, 2, 19]));
+
+        // The second CSR word overwritten by the first: node 0 would read
+        // [e0, e0, e19], and e2 would be listed nowhere.
+        let (csr, _) = section_range(&bytes, section::CSR_EDGES);
+        let mut duplicated = bytes.clone();
+        duplicated.copy_within(csr..csr + 4, csr + 4);
+        reseal(&mut duplicated);
+
+        // The first CSR word replaced by an edge id past the last edge: e0
+        // would be listed nowhere.
+        let mut omitted = bytes.clone();
+        let past = u32::try_from(g.num_edges()).expect("small graph");
+        omitted[csr..csr + 4].copy_from_slice(&past.to_le_bytes());
+        reseal(&mut omitted);
+
+        for (label, forged) in [("duplicated", duplicated), ("omitted", omitted)] {
+            assert_eq!(
+                open_bytes(label, &forged).expect_err("forged CSR must fail"),
+                TvgiError::Inconsistent("CSR_EDGES does not list every edge exactly once"),
+                "{label}"
+            );
+        }
+    }
+
+    /// Regression: a resealed file whose META node or edge count (words 0
+    /// and 1) is huge used to panic with a multiplication overflow while
+    /// sizing the sections; every such count is now a typed inconsistency.
+    #[test]
+    fn resealed_huge_counts_are_inconsistent_not_overflow() {
+        let (path, bytes) = valid_file("huge-counts");
+        let _ = std::fs::remove_file(&path);
+        let (meta, _) = section_range(&bytes, section::META);
+        for word in [0, 1] {
+            for count in [1u64 << 62, u64::MAX] {
+                let mut forged = bytes.clone();
+                let at = meta + 8 * word;
+                forged[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                reseal(&mut forged);
+                let err =
+                    open_bytes("huge-counts-open", &forged).expect_err("forged count must fail");
+                assert!(
+                    matches!(err, TvgiError::Inconsistent(_)),
+                    "META word {word} = {count}: unexpected error {err:?}"
+                );
+            }
+        }
     }
 }

@@ -142,7 +142,7 @@ fn write_index<T: TvgiTime>(
 pub fn run_with_index(scenario: &Scenario, path: &Path) -> Result<Report, IndexFileError> {
     require_batch_plan(scenario)?;
     let mut phases = Phases::start();
-    match phases.time(Phase::Open, || peek_tvgi(path))?.width {
+    match phases.time(Phase::Open, || peek_tvgi(path))? {
         4 => run_on::<u32>(scenario, path, phases),
         _ => run_on::<u64>(scenario, path, phases),
     }

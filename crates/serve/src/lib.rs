@@ -17,7 +17,7 @@
 //!   request mix (foremost / matrix-row / beaconing broadcast) under a
 //!   discrete Poisson-style arrival process (geometric inter-arrival
 //!   gaps), byte-stable across platforms.
-//! * [`runner`] — the serve loop itself: requests are pinned to epochs
+//! * [`serve`] — the serve loop itself: requests are pinned to epochs
 //!   by timestamp arithmetic, grouped so queries sharing a source and
 //!   epoch share one engine pass, and drained by up to N readers (the
 //!   batch layer's fan-out) concurrently with the writer's ingestion. The logical outcome is
@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod load;
-pub mod runner;
+mod runner;
 pub mod snapshot;
 
 pub use load::{generate_load, LoadSpec, Request, TimedRequest};

@@ -29,7 +29,7 @@ use tvg_model::{NodeId, TemporalIndex, Time};
 /// Thread counts the oracle exercises: the caller alone, and fewer
 /// helpers than, about as many as, and more than the small fixture
 /// batches have jobs.
-pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Holds up a batch's jobs so that, at more than one thread, helpers
 /// surely start and take part: the first job (always the caller's)
@@ -87,7 +87,7 @@ impl HeldUp {
 
 /// Asserts that reducing `seed_sets` through
 /// [`BatchRunner::map_seed_sets`] at every thread count in
-/// [`THREAD_SWEEP`] reproduces one serial [`foremost_tree_multi`] per seed
+/// `THREAD_SWEEP` reproduces one serial [`foremost_tree_multi`] per seed
 /// set exactly: per-query foremost arrivals, per-query witness journeys,
 /// and summed [`EngineStats`] (which also pins "n seed sets ⇒ exactly n
 /// engine runs"). The reducer is held up so that helpers run jobs at

@@ -28,7 +28,7 @@ pub fn u128_any<R: Rng + ?Sized>(rng: &mut R) -> u128 {
 /// # Panics
 ///
 /// Panics if `lo > hi` or either bound is not finite.
-pub fn f64_in<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
+fn f64_in<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
     assert!(
         lo.is_finite() && hi.is_finite() && lo <= hi,
         "bad range [{lo}, {hi})"
@@ -132,7 +132,7 @@ pub fn policy<R: Rng + ?Sized>(rng: &mut R) -> WaitingPolicy<u64> {
 
 /// Random parameters for a small periodic TVG (the scale every
 /// cross-checking property uses).
-pub fn periodic_params<R: Rng + ?Sized>(rng: &mut R) -> RandomPeriodicParams {
+fn periodic_params<R: Rng + ?Sized>(rng: &mut R) -> RandomPeriodicParams {
     RandomPeriodicParams {
         num_nodes: rng.gen_range(2..6),
         num_edges: rng.gen_range(2..10),
@@ -142,7 +142,7 @@ pub fn periodic_params<R: Rng + ?Sized>(rng: &mut R) -> RandomPeriodicParams {
     }
 }
 
-/// A random periodic TVG drawn via [`periodic_params`]. The graph's own
+/// A random periodic TVG drawn via `periodic_params`. The graph's own
 /// randomness is forked from `rng` so callers keep one seed per case.
 pub fn periodic_tvg<R: Rng + ?Sized>(rng: &mut R) -> Tvg<u64> {
     let params = periodic_params(rng);

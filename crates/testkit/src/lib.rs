@@ -10,7 +10,7 @@
 //!   stable FNV-1a hashes of test names; there is no wall-clock and no
 //!   `thread_rng` anywhere in a test path (the vendored `rand` shim does
 //!   not even provide one).
-//! * [`prop`] — a small deterministic property-test loop (the workspace's
+//! * `prop` — a small deterministic property-test loop (the workspace's
 //!   offline replacement for `proptest`): fixed case counts, per-case
 //!   seeds, and failure messages that name the exact case and seed to
 //!   replay.
@@ -60,7 +60,7 @@ pub mod batchcheck;
 pub mod fixtures;
 pub mod gen;
 pub mod oracles;
-pub mod prop;
+mod prop;
 pub mod readcount;
 pub mod refengine;
 pub mod rng;
@@ -82,4 +82,4 @@ pub fn median(mut xs: Vec<std::time::Duration>) -> std::time::Duration {
     xs.sort();
     xs[xs.len() / 2]
 }
-pub use rng::{case_rng, rng_for, seed_for};
+pub use rng::{case_rng, seed_for};

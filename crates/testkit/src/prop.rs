@@ -39,10 +39,10 @@ pub struct Config {
 
 /// Default number of cases per property, chosen so the full workspace
 /// suite stays fast while still sweeping each property's input space.
-pub const DEFAULT_CASES: usize = 64;
+const DEFAULT_CASES: usize = 64;
 
 impl Config {
-    /// The standard configuration for a named property: [`DEFAULT_CASES`]
+    /// The standard configuration for a named property: `DEFAULT_CASES` (64)
     /// cases under the name-derived seed.
     #[must_use]
     pub fn named(name: &str) -> Config {
@@ -65,7 +65,7 @@ impl Config {
     }
 }
 
-/// Runs `property` for [`DEFAULT_CASES`] deterministic cases derived from
+/// Runs `property` for `DEFAULT_CASES` (64) deterministic cases derived from
 /// `name`.
 ///
 /// The property receives a per-case RNG and the case index. Failures

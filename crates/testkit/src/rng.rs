@@ -12,9 +12,9 @@ use rand::SeedableRng;
 /// The workspace-wide base seed. Changing it reshuffles every
 /// testkit-derived stream at once (useful for soak runs); tests must pass
 /// for any value, but CI pins this default.
-pub const BASE_SEED: u64 = 0x7f6a_2012_0000_0001;
+const BASE_SEED: u64 = 0x7f6a_2012_0000_0001;
 
-/// Stable FNV-1a hash of a name, mixed with [`BASE_SEED`].
+/// Stable FNV-1a hash of a name, mixed with the suite-wide `BASE_SEED`.
 ///
 /// Deliberately *not* `std::hash::Hash`: `DefaultHasher` makes no
 /// stability promise across Rust releases, and these seeds must never
@@ -32,8 +32,8 @@ pub fn seed_for(name: &str) -> u64 {
 }
 
 /// A deterministic generator for the given suite/test name.
-#[must_use]
-pub fn rng_for(name: &str) -> StdRng {
+#[cfg(test)]
+pub(crate) fn rng_for(name: &str) -> StdRng {
     StdRng::seed_from_u64(seed_for(name))
 }
 

@@ -274,7 +274,7 @@ pub fn assert_serve_is_reader_count_invariant(
 /// Panics if the replay feed is invalid (it never is for a
 /// [`replay_ticks`] feed).
 #[must_use]
-pub fn offline_publications(g: &Tvg<u64>, horizon: u64, chunk: usize) -> Vec<PublishStats> {
+fn offline_publications(g: &Tvg<u64>, horizon: u64, chunk: usize) -> Vec<PublishStats> {
     let (mut stream, ticks) = replay_ticks(g, horizon, chunk);
     let mut stats = Vec::with_capacity(ticks.len() + 1);
     let mut last_copied = 0u64;

@@ -59,7 +59,7 @@ fn rebuild_journey<T: Time>(parents: &ParentMap<T>, mut state: (NodeId, T)) -> J
 
 /// Exhaustive reachable configuration set from `(src, start)` by
 /// tick-scan breadth-first exploration.
-pub fn reachable_configs<T: Time>(
+fn reachable_configs<T: Time>(
     g: &Tvg<T>,
     src: NodeId,
     start: &T,

@@ -143,11 +143,17 @@ fn n_sources_is_exactly_n_runs_at_every_thread_count() {
 fn reachability_matrix_is_thread_count_invariant() {
     let g = fixtures::scale_free(36);
     let limits = SearchLimits::new(fixtures::SCALE_FREE_HORIZON, 10);
+    let index = TvgIndex::compile(&g, limits.horizon);
     for policy in fixtures::policies::<u64>(3) {
-        let serial = ReachabilityMatrix::compute_with(&g, &1, &policy, &limits, Batch::serial());
+        let serial = ReachabilityMatrix::compute_on(&index, &1, &policy, &limits, Batch::serial());
         for threads in [2usize, 4, 8] {
-            let parallel =
-                ReachabilityMatrix::compute_with(&g, &1, &policy, &limits, Batch::threads(threads));
+            let parallel = ReachabilityMatrix::compute_on(
+                &index,
+                &1,
+                &policy,
+                &limits,
+                Batch::threads(threads),
+            );
             assert_eq!(parallel, serial, "{policy} x{threads}");
         }
         assert_eq!(serial.stats().runs, g.num_nodes() as u64, "{policy}");

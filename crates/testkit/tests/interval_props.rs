@@ -1,15 +1,28 @@
 //! Property tests for the compiled interval layer: on every fixture and
 //! on random schedule ASTs, `Presence::intervals` must agree with the
 //! closure evaluation instant for instant, and the compiled
-//! `next_within` must agree with the scanning `next_present_within`.
+//! `next_at_or_after` must agree with a scan of the closure.
 //!
 //! These pin the satellite contract of the temporal index: compilation
 //! is a pure change of representation, never of semantics.
 
 use rand::Rng;
-use tvg_model::{TemporalIndex, Time, Tvg, TvgIndex};
+use tvg_model::{Presence, TemporalIndex, Time, Tvg, TvgIndex};
 use tvg_testkit::fixtures;
 use tvg_testkit::gen;
+
+/// The earliest instant in `[from, until]` at which `rho` is present,
+/// by linear scan of the closure.
+fn scan<T: Time>(rho: &Presence<T>, from: &T, until: &T) -> Option<T> {
+    let mut t = from.clone();
+    while t <= *until {
+        if rho.is_present(&t) {
+            return Some(t);
+        }
+        t = t.succ();
+    }
+    None
+}
 
 /// Asserts closure/compiled agreement for every edge of `g` over
 /// `[0, horizon]`, both membership and next-present queries.
@@ -26,10 +39,10 @@ fn assert_index_matches_closures<T: Time>(g: &Tvg<T>, horizon: u64, label: &str)
                 rho.is_present(&t),
                 "{label}: edge {e} membership at t={t}"
             );
-            // next_within from t to the horizon vs. the linear scan.
+            // The next member up to the horizon vs. the linear scan.
             assert_eq!(
-                set.next_within(&t, &h),
-                rho.next_present_within(&t, &h),
+                set.next_at_or_after(&t).filter(|x| *x <= h),
+                scan(rho, &t, &h),
                 "{label}: edge {e} next-present from t={t}"
             );
             if t == h {
@@ -88,8 +101,8 @@ fn random_presence_asts_compile_exactly() {
             let from = rng.gen_range(0..=horizon);
             let until = rng.gen_range(0..=horizon);
             assert_eq!(
-                set.view().next_within(&from, &until),
-                rho.next_present_within(&from, &until),
+                set.view().next_at_or_after(&from).filter(|x| *x <= until),
+                scan(&rho, &from, &until),
                 "{rho:?} next in [{from}, {until}]"
             );
         }
