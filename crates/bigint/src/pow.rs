@@ -35,6 +35,15 @@ impl Nat {
     /// # Panics
     ///
     /// Panics if `modulus` is zero.
+    ///
+    /// Reached through `is_prime_u64`, whose Miller–Rabin rounds call it
+    /// on inputs with no factor below 48:
+    ///
+    /// ```
+    /// use tvg_bigint::is_prime_u64;
+    /// assert!(is_prime_u64(2_147_483_647)); // 2^31 - 1
+    /// assert!(!is_prime_u64(53 * 59));
+    /// ```
     #[must_use]
     pub(crate) fn mod_pow(&self, exp: &Nat, modulus: &Nat) -> Nat {
         assert!(!modulus.is_zero(), "modulus must be nonzero");

@@ -292,12 +292,13 @@ fn a_direct_batch_run_reports_its_build_compile_and_plan_time() {
 
 /// A streaming run splits it into generation, feed construction, ingest
 /// and repair summed over the ticks, the engine (the initial tree plus
-/// the final snapshot query) and the reduce.
+/// the final snapshot query) and the reduce, plus the repairs' replayed
+/// and reused survivor counts.
 #[test]
 fn a_streaming_run_reports_its_feed_ingest_repair_and_snapshot_time() {
     assert_phase_schema(
         &["run", &bundled("markov-stream")],
-        "build_us engine_us feed_us ingest_us reduce_us repair_us",
+        "build_us engine_us feed_us ingest_us reduce_us repair_us replayed reused",
     );
 }
 

@@ -50,9 +50,9 @@
 //! `O(frontier scan + expansions reaching t₀ + churn)` where the
 //! recompute baseline pays `O(accumulated schedule + full exploration)`
 //! every tick. The Pareto explorer still re-expands every survivor. The
-//! `stream_props` work-reuse property pins the settle ratio, the
-//! engine's unit tests pin how many survivors each repair replays and
-//! reuses, and the `live_repair` ratio test in
+//! `stream_props` work-reuse property pins the settle ratio,
+//! [`IncrementalForemost::replay_counts`] reports how many survivors
+//! were replayed and reused, and the `live_repair` ratio test in
 //! `tvg-testkit` measures the gap against a fresh recompute on the
 //! benchmark's `live-repair` feed.
 //!
@@ -109,11 +109,11 @@ pub struct IncrementalForemost<T> {
 /// [`IncrementalForemost::stats`]; survivors at the hop cap, which never
 /// expand, count in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ReplayCounts {
+pub struct ReplayCounts {
     /// Survivors re-expanded against the new schedule.
-    pub(crate) replayed: u64,
+    pub replayed: u64,
     /// Survivors whose recorded expansion was reused.
-    pub(crate) reused: u64,
+    pub reused: u64,
 }
 
 impl std::ops::AddAssign for ReplayCounts {
@@ -333,8 +333,8 @@ impl<T: Time> IncrementalForemost<T> {
 
     /// Cumulative replayed and reused survivor counts of every repairing
     /// refresh so far (zero reused under the Pareto explorer).
-    #[cfg(test)]
-    pub(crate) fn replay_counts(&self) -> ReplayCounts {
+    #[must_use]
+    pub fn replay_counts(&self) -> ReplayCounts {
         self.replay
     }
 }

@@ -77,8 +77,7 @@ pub use batch::{Batch, BatchRunner, HELPER_START};
 pub use engine::{
     foremost_to, foremost_tree, foremost_tree_multi, Engine, EngineStats, ForemostTree,
 };
-pub use incremental::IncrementalForemost;
-pub(crate) use incremental::ReplayCounts;
+pub use incremental::{IncrementalForemost, ReplayCounts};
 pub use journey::{Hop, Journey, JourneyError};
 pub use policy::WaitingPolicy;
 pub use reachability::ReachabilityMatrix;

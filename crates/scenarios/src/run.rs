@@ -21,7 +21,7 @@ use tvg_dynnet::json::{Json, ToJson};
 use tvg_dynnet::metrics::{AggregateStats, DeliveryStats};
 use tvg_journeys::{
     Batch, BatchRunner, EngineStats, ForemostTree, IncrementalForemost, ReachabilityMatrix,
-    SearchLimits, WaitingPolicy,
+    ReplayCounts, SearchLimits, WaitingPolicy,
 };
 use tvg_model::stream::{StreamEvent, TvgStream};
 use tvg_model::{narrow_tvg, NodeId, TemporalIndex, Time, Tvg, TvgIndex};
@@ -413,7 +413,8 @@ type PlanOutcome = ((Json, EngineStats), usize, BTreeMap<String, Json>);
 /// the plan outcome and the final live index's edge-event count (the
 /// graph summary of what was actually ingested), and times feed
 /// construction, ingest and repair summed over the ticks, the initial
-/// tree and the final query (`engine`), and the results.
+/// tree and the final query (`engine`), and the results. The repairs'
+/// replayed and reused survivor counts come back as timing metrics.
 fn run_streaming(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutcome {
     let &Plan::Streaming {
         src, start, batch, ..
@@ -468,7 +469,10 @@ fn run_streaming(g: &Tvg<u64>, scenario: &Scenario, p: &mut Phases) -> PlanOutco
         ]);
         let edge_events = stream.index().num_edge_events();
         let stats = inc.stats() + snapshot_stats;
-        ((results, stats), edge_events, BTreeMap::new())
+        let ReplayCounts { replayed, reused } = inc.replay_counts();
+        let metrics = [("replayed", replayed), ("reused", reused)];
+        let metrics = metrics.map(|(k, v)| (k.to_string(), Json::Int(v))).into();
+        ((results, stats), edge_events, metrics)
     })
 }
 
