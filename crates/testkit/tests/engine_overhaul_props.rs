@@ -24,6 +24,11 @@
 //! start, walked in out-edge order) is pinned on dense multigraphs:
 //! twenty or more out-edges per node, parallel edges, self-loops and
 //! short interleaved spans, under `NoWait` and every `wait[d]` up to 12.
+//!
+//! The Pareto core's dominance test before the span search is pinned on
+//! a replay over zero-latency edges, where a target's frontier holds
+//! exactly the label's time with one hop more (skipped, no span read)
+//! or two hops more (searched).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,11 +37,12 @@ use tvg_bigint::Nat;
 use tvg_journeys::engine::{foremost_tree, foremost_tree_multi};
 use tvg_journeys::{Engine, IncrementalForemost, SearchLimits, WaitingPolicy};
 use tvg_model::generators::{edge_markovian_contacts, scale_free_temporal};
-use tvg_model::stream::TvgStream;
+use tvg_model::stream::{StreamEvent, TvgStream};
 use tvg_model::{
     narrow_tvg, Latency, NodeId, Presence, TemporalIndex, Time, Tvg, TvgBuilder, TvgIndex,
 };
 use tvg_testkit::fixtures;
+use tvg_testkit::readcount::CountingIndex;
 use tvg_testkit::refengine::ref_foremost_tree;
 use tvg_testkit::tickscan;
 
@@ -544,6 +550,88 @@ fn a_reused_engine_matches_fresh_engines_and_the_oracle() {
                 lent.journey_to(dst),
                 oracle.journey_to(dst),
                 "{label}: witness →{dst}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_pareto_replay_skips_only_edges_whose_target_dominates_the_label() {
+    // Zero-latency edges s -> a -> v, both present from 0, and s -> v
+    // present from 3; v -> w comes up at 3, which is the repair's
+    // watermark. With max_hops = 2 the initial run settles s (0, 0),
+    // a (0, 1), v (0, 2) and v (3, 1). The prune keeps the first three,
+    // so the replay expands s (0, 0) and a (0, 1) against frontiers
+    // holding every survivor:
+    // - a holds (0, 1), exactly s's (time, hops + 1): s -> a is skipped;
+    // - v holds (0, 2), exactly a's (time, hops + 1): a -> v is skipped;
+    // - v holds (0, 2), s's (time, hops + 2): s -> v must be searched,
+    //   and v (3, 1) is the only label that can still reach w.
+    let mut stream = TvgStream::new(10u64).expect("representable");
+    let [s, a, v, w] = ["s", "a", "v", "w"].map(|name| stream.add_node(name));
+    let zero = || Latency::Const(0);
+    let sa = stream.add_edge(s, a, 'a', zero()).expect("valid");
+    let av = stream.add_edge(a, v, 'b', zero()).expect("valid");
+    let sv = stream.add_edge(s, v, 'c', zero()).expect("valid");
+    let vw = stream.add_edge(v, w, 'd', zero()).expect("valid");
+    let up = |edge, at| StreamEvent::Up { edge, at };
+    stream
+        .ingest(&[up(sa, 0), up(av, 0), up(sv, 3)])
+        .expect("valid batch");
+    let limits = SearchLimits::new(10u64, 2);
+    let seeds = [(s, 0u64)];
+    let mut inc = IncrementalForemost::new(
+        stream.index(),
+        &seeds,
+        WaitingPolicy::Unbounded,
+        limits.clone(),
+    );
+    let report = stream.ingest(&[up(vw, 3)]).expect("valid batch");
+    assert_eq!(report.earliest_change, Some(3));
+    let counting = CountingIndex::new(stream.index());
+    inc.refresh(&counting, &report);
+    // s -> v, searched from s (0, 0), and v -> w, from v (3, 1); the
+    // two skipped edges read nothing.
+    assert_eq!(counting.reads(), 2);
+    let oracle = ref_foremost_tree(
+        stream.index(),
+        &seeds,
+        &WaitingPolicy::Unbounded,
+        &limits,
+        None,
+    );
+    assert_eq!(inc.arrival(w), Some(&3));
+    for node in [s, a, v, w] {
+        assert_eq!(inc.arrival(node), oracle.arrival(node), "arrival at {node}");
+        assert_eq!(
+            inc.journey_to(node),
+            oracle.journey_to(node),
+            "witness to {node}"
+        );
+    }
+    // A fresh run on the final index, and at every hop limit, matches
+    // the reference engine's tree and stats.
+    for max_hops in 1..=3 {
+        let limits = SearchLimits::new(10u64, max_hops);
+        let tree = foremost_tree(stream.index(), s, &0, &WaitingPolicy::Unbounded, &limits);
+        let oracle = ref_foremost_tree(
+            stream.index(),
+            &seeds,
+            &WaitingPolicy::Unbounded,
+            &limits,
+            None,
+        );
+        assert_eq!(tree.stats(), oracle.stats(), "stats at max_hops {max_hops}");
+        for node in [s, a, v, w] {
+            assert_eq!(
+                tree.arrival(node),
+                oracle.arrival(node),
+                "{node}, max_hops {max_hops}"
+            );
+            assert_eq!(
+                tree.journey_to(node),
+                oracle.journey_to(node),
+                "{node}, max_hops {max_hops}"
             );
         }
     }
