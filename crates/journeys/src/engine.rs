@@ -2616,12 +2616,8 @@ mod tests {
         (started.elapsed(), sum)
     }
 
-    /// Drains `ops` `reps` times through a [`TimeQueue`] and through a
-    /// [`TupleHeap`], in 5 alternating passes in one process, checks
-    /// that both pop the same entries, prints the medians and returns
-    /// the ratio of the queue's median to the heap's.
-    fn queue_over_heap(trace: &str, ops: &[Op], reps: usize) -> f64 {
-        let pushes = ops.iter().filter(|op| matches!(op, Op::Push(..))).count();
+    /// The number of distinct instants `ops` pushes at.
+    fn distinct_times(ops: &[Op]) -> usize {
         let mut times: Vec<u32> = ops
             .iter()
             .filter_map(|op| match op {
@@ -2631,6 +2627,15 @@ mod tests {
             .collect();
         times.sort_unstable();
         times.dedup();
+        times.len()
+    }
+
+    /// Drains `ops` `reps` times through a [`TimeQueue`] and through a
+    /// [`TupleHeap`], in 5 alternating passes in one process, checks
+    /// that both pop the same entries, prints the medians and returns
+    /// the ratio of the queue's median to the heap's.
+    fn queue_over_heap(trace: &str, ops: &[Op], reps: usize) -> f64 {
+        let pushes = ops.iter().filter(|op| matches!(op, Op::Push(..))).count();
         let mut queue = TimeQueue::<u32>::default();
         let mut heap = TupleHeap::<u32>::new();
         let mut run_queue = || {
@@ -2687,7 +2692,7 @@ mod tests {
         println!(
             "time_queue {trace}: {pushes} pushes over {} times, queue {:?}, tuple heap {:?} \
              per {reps} drains, ratio {ratio:.3} (median of 5)",
-            times.len(),
+            distinct_times(ops),
             q[2],
             h[2]
         );
@@ -2706,7 +2711,9 @@ mod tests {
     fn time_queue_drains_an_engine_sweep_trace_faster_than_a_tuple_heap() {
         let ops = engine_sweep_trace();
         let pushes = ops.iter().filter(|op| matches!(op, Op::Push(..))).count();
+        let times = distinct_times(&ops);
         assert!(pushes > 24_000, "{pushes} pushes");
+        assert!(times > 60, "{times} distinct times");
         let ratio = queue_over_heap("engine-sweep", &ops, 20);
         assert!(
             ratio <= 0.7,
